@@ -90,38 +90,3 @@ def nullspace_mod(a, p: int):
         return np.array(basis, dtype=np.int64)
     return np.zeros((0, cols), dtype=np.int64)
 
-
-def inv_matrix_mod(a, p: int):
-    """Matrix inverse mod p; raises if singular."""
-    a = np.array(a, dtype=np.int64) % p
-    n, m = a.shape
-    if n != m:
-        raise ValueError("only square matrices invert")
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = rref_mod(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError(f"matrix is singular mod {p}")
-    return r[:, n:]
-
-
-def span_mod(basis, p: int):
-    """Every vector in the row span of basis, as a list of tuples.
-
-    The basis rows need not be independent; duplicates collapse.
-    """
-    basis = np.array(basis, dtype=np.int64) % p
-    basis, pivots = rref_mod(basis, p)
-    basis = basis[: len(pivots)]
-    k, n = basis.shape
-    points = []
-    for idx in range(p ** k):
-        coeffs = []
-        rest = idx
-        for _ in range(k):
-            coeffs.append(rest % p)
-            rest //= p
-        v = np.zeros(n, dtype=np.int64)
-        for c, row in zip(coeffs, basis):
-            v = (v + c * row) % p
-        points.append(tuple(int(t) for t in v))
-    return sorted(set(points))

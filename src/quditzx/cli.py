@@ -80,10 +80,6 @@ def _parse_dims(raw: str) -> list:
     return dims
 
 
-def _matrix_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
 def _print_matrix(matrix: np.ndarray) -> None:
     print(np.array2string(np.round(matrix, 10), max_line_width=120,
                           suppress_small=True))
@@ -176,6 +172,8 @@ def _cmd_rule_check(args) -> int:
             raise _UsageError(f"unknown rule {rule!r}; choices: "
                               + ", ".join(rw.RULES))
     dims = _parse_dims(args.dim)
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     reports = []
     for rule in rules:
         for dim in dims:

@@ -92,7 +92,7 @@ class Node:
 class Diagram:
     """Immutable-by-convention container; use DiagramBuilder to construct."""
 
-    __slots__ = ("dimension", "scalar", "_nodes", "_edges")
+    __slots__ = ("dimension", "scalar", "_nodes", "_edges", "_legs")
 
     def __init__(self, dimension: int, nodes: Mapping[int, Node],
                  edges: Iterable[tuple], scalar: complex = 1.0):
@@ -102,6 +102,11 @@ class Diagram:
         self.scalar = complex(scalar)
         self._nodes = dict(nodes)
         self._edges = tuple((int(s), int(t)) for s, t in edges)
+        legs = {}
+        for i, (s, t) in enumerate(self._edges):
+            legs.setdefault(s, []).append((i, 1))
+            legs.setdefault(t, []).append((i, -1))
+        self._legs = {v: tuple(vl) for v, vl in legs.items()}
 
     @property
     def nodes(self) -> dict:
@@ -117,29 +122,34 @@ class Diagram:
     def __contains__(self, v: int) -> bool:
         return v in self._nodes
 
+    def legs(self, v: int) -> tuple:
+        """(edge_index, sign) for each leg of v, in edge order.
+
+        sign is +1 when v is the edge's source (an output leg of v) and -1
+        when v is its target; a self-loop gives (i, +1) then (i, -1). This
+        order fixes the axis order of node tensors and the ids of nodes
+        that rewrites add, so it is part of the trace format.
+        """
+        return self._legs.get(v, ())
+
     def degree(self, v: int) -> int:
         """Number of legs at v; a self-loop contributes two."""
-        return sum((s == v) + (t == v) for s, t in self._edges)
+        return len(self.legs(v))
 
     def out_edges(self, v: int) -> list:
         """Indices of edges with source v (v's output legs)."""
-        return [i for i, (s, _) in enumerate(self._edges) if s == v]
+        return [i for i, sign in self.legs(v) if sign == 1]
 
     def in_edges(self, v: int) -> list:
         """Indices of edges with target v (v's input legs)."""
-        return [i for i, (_, t) in enumerate(self._edges) if t == v]
+        return [i for i, sign in self.legs(v) if sign == -1]
 
     def incident(self, v: int) -> list:
-        return [i for i, (s, t) in enumerate(self._edges) if s == v or t == v]
+        return list(dict.fromkeys(i for i, _ in self.legs(v)))
 
     def neighbors(self, v: int) -> set:
-        out = set()
-        for s, t in self._edges:
-            if s == v:
-                out.add(t)
-            if t == v:
-                out.add(s)
-        return out
+        e = self._edges
+        return {e[i][1] if sign == 1 else e[i][0] for i, sign in self.legs(v)}
 
     def boundary_ids(self, kind: str) -> list:
         """Boundary node ids of the given kind, sorted by position."""

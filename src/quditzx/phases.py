@@ -132,10 +132,16 @@ class Turn:
         if not isinstance(obj, dict):
             raise ValueError(f"phase entry must be an object, got {obj!r}")
         if "exact" in obj:
-            num, den = obj["exact"]
-            return cls.exact(int(num), int(den))
+            num, den = (int(k) for k in obj["exact"])
+            if den == 0:
+                raise ValueError(
+                    f"exact phase has a zero denominator: {obj!r}")
+            return cls.exact(num, den)
         if "approx" in obj:
-            return cls.approx(float(obj["approx"]))
+            rad = float(obj["approx"])
+            if not math.isfinite(rad):
+                raise ValueError(f"approximate phase is not finite: {obj!r}")
+            return cls.approx(rad)
         raise ValueError(f"phase entry needs 'exact' or 'approx': {obj!r}")
 
 

@@ -60,18 +60,12 @@ def _opposite(color: str) -> str:
 
 
 def _self_loops(d: dg.Diagram, v: int) -> list:
-    return [i for i, (s, t) in enumerate(d.edges) if s == v and t == v]
+    return [i for i, sign in d.legs(v) if sign == 1 and d.edges[i] == (v, v)]
 
 
-def _legs(d: dg.Diagram, v: int) -> list:
-    """(edge_index, sign) with +1 for output legs, -1 for inputs."""
-    legs = []
-    for i, (s, t) in enumerate(d.edges):
-        if s == v:
-            legs.append((i, 1))
-        if t == v:
-            legs.append((i, -1))
-    return legs
+def _joining(d: dg.Diagram, a: int, b: int) -> list:
+    """Indices of the edges between distinct nodes a and b, either way."""
+    return [i for i, _ in d.legs(a) if b in d.edges[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +91,7 @@ def _check_s_fuse(d, site):
     _require(_is_spider(d, a) and _is_spider(d, b), "both nodes must be spiders")
     _require(a != b, "cannot fuse a spider with itself")
     _require(d.node(a).kind == d.node(b).kind, "colors differ")
-    conn = [i for i, (s, t) in enumerate(d.edges)
-            if {s, t} == {a, b}]
+    conn = _joining(d, a, b)
     _require(bool(conn), "spiders are not adjacent")
     return a, b, conn
 
@@ -107,19 +100,12 @@ def _apply_s_fuse(b_, d, site):
     a, absorbed, conn = _check_s_fuse(d, site)
     na, nb = d.node(a), d.node(absorbed)
     b_.nodes[a] = dg.Node(na.kind, phase=phase_add(na.phase, nb.phase))
-    new_edges = []
-    consumed = False
-    for i, (s, t) in enumerate(d.edges):
-        if i in conn:
-            if not consumed:
-                consumed = True
-                continue
-            new_edges.append((a, a))
-            continue
-        s2 = a if s == absorbed else s
-        t2 = a if t == absorbed else t
-        new_edges.append((s2, t2))
-    b_.edges = new_edges
+    # Re-anchor the absorbed legs on a; the joining edges become self-loops
+    # of a, and the first of them is spent on the fusion.
+    for i, _ in d.legs(absorbed):
+        s, t = d.edges[i]
+        b_.edges[i] = (a if s == absorbed else s, a if t == absorbed else t)
+    b_.remove_edges([conn[0]])
     b_.remove_node(absorbed)
     return [absorbed], []
 
@@ -198,7 +184,7 @@ def _check_f2_cancel(d, site):
     _require(a in d and b in d and a != b, "boxes must be two distinct nodes")
     _require({d.node(a).kind, d.node(b).kind} == {dg.F, dg.FDAG},
              "need one F and one Fdag")
-    conn = [i for i, (s, t) in enumerate(d.edges) if {s, t} == {a, b}]
+    conn = _joining(d, a, b)
     _require(len(conn) in (1, 2), "boxes must be adjacent")
     return a, b, conn
 
@@ -238,7 +224,7 @@ def _match_f1_color(d: dg.Diagram) -> list:
             continue
         color = d.node(v).kind
         ok = True
-        for e, sign in _legs(d, v):
+        for e, sign in d.legs(v):
             s, t = d.edges[e]
             other = t if sign == 1 else s
             if other == v or other not in d:
@@ -266,7 +252,7 @@ def _check_f1_color(d, site):
     _require(_is_spider(d, v), "node must be a spider")
     color = d.node(v).kind
     plan = []
-    for e, sign in _legs(d, v):
+    for e, sign in d.legs(v):
         s, t = d.edges[e]
         other = t if sign == 1 else s
         _require(other != v and other in d, "self-loops cannot carry boxes")
@@ -339,7 +325,7 @@ def _apply_b_copy(b_, d, site):
     state_color = d.node(s).kind
     ket_phase = d.node(s).phase
     bra_phase = phase_invert(ket_phase)
-    other = [(i, sign) for i, sign in _legs(d, v) if i != e]
+    other = [(i, sign) for i, sign in d.legs(v) if i != e]
     doomed = [e] + [i for i, _ in other]
     plans = []
     for i, sign in other:
@@ -427,7 +413,7 @@ def _apply_k2_commute(b_, d, site):
                          math.sin(nv.phase.alpha(kappa).radians))
 
     gate_color = d.node(g).kind
-    other = [(i, sign) for i, sign in _legs(d, v) if i != e]
+    other = [(i, sign) for i, sign in d.legs(v) if i != e]
     doomed = [e, far] + [i for i, _ in other]
     fs, ft = d.edges[far]
     w = ft if sign0 == 1 else fs
@@ -460,6 +446,9 @@ def _match_b_bialgebra(d: dg.Diagram) -> list:
         return (_is_spider(d, v) and d.node(v).phase.is_zero
                 and d.degree(v) == 3 and not _self_loops(d, v))
 
+    def targets(v):
+        return {d.edges[i][1] for i in d.out_edges(v)}
+
     sites = []
     spiders = [v for v in sorted(d.nodes) if eligible(v)]
     for ai, a in enumerate(spiders):
@@ -467,8 +456,7 @@ def _match_b_bialgebra(d: dg.Diagram) -> list:
             if d.node(a).kind != d.node(b).kind:
                 continue
             # Candidate far side: common targets of edges out of a and b.
-            qs = sorted({t for s, t in d.edges if s == a}
-                        & {t for s, t in d.edges if s == b})
+            qs = sorted(targets(a) & targets(b))
             for qi, q1 in enumerate(qs):
                 for q2 in qs[qi + 1:]:
                     site = {"first": [a, b], "second": [q1, q2],
@@ -500,17 +488,17 @@ def _check_b_bialgebra(d, site):
     square = {}
     for p in (p1, p2):
         for q in (q1, q2):
-            found = [i for i, (s, t) in enumerate(d.edges) if s == p and t == q]
+            found = [i for i in d.out_edges(p) if d.edges[i][1] == q]
             _require(len(found) == 1,
                      f"need exactly one edge {p}->{q}, found {len(found)}")
-            _require(not any((s, t) == (q, p) for s, t in d.edges),
+            _require(not any(d.edges[i][1] == p for i in d.out_edges(q)),
                      "square edges must all point the same way")
             square[(p, q)] = found[0]
 
     square_set = set(square.values())
     ext = {}
     for v in quad:
-        rest = [(i, sign) for i, sign in _legs(d, v) if i not in square_set]
+        rest = [(i, sign) for i, sign in d.legs(v) if i not in square_set]
         _require(len(rest) == 1, f"spider {v} needs exactly one external leg")
         ext[v] = rest[0]
     _require(ext[p1][1] == ext[p2][1], "first-pair external legs disagree")

@@ -196,7 +196,7 @@ def generator_matrix(name: str, dim: int) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Node tensors
 
-def _node_tensor(d: dg.Diagram, v: int, legs: list):
+def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
     """Tensor for node v with axes in the order of `legs`.
 
     Each leg is (edge_index, sign) with sign +1 when v is the edge's
@@ -234,17 +234,6 @@ def _node_tensor(d: dg.Diagram, v: int, legs: list):
     raise ValueError(f"node {v} ({n.kind}) has no tensor")
 
 
-def _node_legs(d: dg.Diagram, v: int) -> list:
-    """(edge_index, sign) pairs for v; self-loops contribute both ends."""
-    legs = []
-    for i, (s, t) in enumerate(d.edges):
-        if s == v:
-            legs.append((i, 1))
-        if t == v:
-            legs.append((i, -1))
-    return legs
-
-
 def _boundary_order(d: dg.Diagram):
     """For each boundary node, its single edge index; in position order."""
     out_ids = d.boundary_ids(dg.OUT)
@@ -279,7 +268,7 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
     for v in sorted(d.nodes):
         if v in boundary:
             continue
-        legs = _node_legs(d, v)
+        legs = d.legs(v)
         tensor = _node_tensor(d, v, legs)
         if len(legs) == 0:
             weight *= tensor
@@ -343,7 +332,7 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     for v in sorted(d.nodes):
         if v in boundary:
             continue
-        legs = _node_legs(d, v)
+        legs = d.legs(v)
         arr = _node_tensor(d, v, legs)
         if len(legs) == 0:
             scalar *= arr

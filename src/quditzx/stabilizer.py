@@ -11,8 +11,10 @@ sqrt(eta) = exp(pi*i/D):
 The tableau tracks n independent commuting generators of the stabilizer
 group of a pure state. Clifford updates are the hand-derived symplectic
 rules; measurement follows the usual pivot argument over Z_D, which is
-why the tableau requires prime D. The dense oracle shares nothing with
-the tableau beyond the gate definitions.
+why the tableau requires prime D. The dense oracle and the tableau share
+only the gate definitions. F, CNOT and SWAP are the matrices of the
+semantics module's generator table, and powers of eta and sqrt(eta) come
+from semantics.omega.
 """
 
 from __future__ import annotations
@@ -26,16 +28,9 @@ import numpy as np
 
 from . import _modp
 from .phases import PhaseVector, Turn, cyclic_vector
+from .semantics import fourier_matrix, generator_matrix, omega
 
 GATES = ("F", "Sq", "CNOT", "CP", "SWAP")
-
-
-def _eta(dim: int, power) -> complex:
-    return np.exp(2j * np.pi * (power % dim) / dim)
-
-
-def _sqrt_eta(dim: int, power) -> complex:
-    return np.exp(1j * np.pi * (power % (2 * dim)) / dim)
 
 
 @dataclass(frozen=True)
@@ -115,12 +110,12 @@ class PauliOp:
         xmat = np.zeros((d, d), dtype=complex)
         for m in range(d):
             xmat[(m - 1) % d, m] = 1.0
-        zmat = np.diag([_eta(d, m) for m in range(d)])
+        zmat = np.diag([omega(d, m) for m in range(d)])
         out = np.array([[1.0 + 0j]])
         for xk, zk in zip(self.x, self.z):
             w = np.linalg.matrix_power(xmat, xk) @ np.linalg.matrix_power(zmat, zk)
             out = np.kron(out, w)
-        return _sqrt_eta(d, self.phase) * out
+        return omega(2 * d, self.phase) * out
 
     def __str__(self) -> str:
         parts = []
@@ -147,8 +142,7 @@ def gate_matrix(name: str, dim: int, q: int | None = None) -> np.ndarray:
     """
     d = dim
     if name == "F":
-        j = np.arange(d)
-        return np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
+        return fourier_matrix(d)
     if name == "Sq":
         if q is None or math.gcd(q, d) != 1:
             raise ValueError(f"Sq needs a unit q mod {d}, got {q}")
@@ -157,20 +151,12 @@ def gate_matrix(name: str, dim: int, q: int | None = None) -> np.ndarray:
             m[j, (j * q) % d] = 1.0
         return m
     if name == "CNOT":
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for k in range(d):
-                m[j * d + ((k - j) % d), j * d + k] = 1.0
-        return m
+        return generator_matrix("cnot", d).matrix
     if name == "CP":
-        diag = [_eta(d, j * k) for j in range(d) for k in range(d)]
+        diag = [omega(d, j * k) for j in range(d) for k in range(d)]
         return np.diag(diag)
     if name == "SWAP":
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for k in range(d):
-                m[k * d + j, j * d + k] = 1.0
-        return m
+        return generator_matrix("swap", d).matrix
     raise ValueError(f"unknown gate {name!r}; choose from {GATES}")
 
 
@@ -374,7 +360,7 @@ class DenseSimulator:
             acc = np.zeros((d ** self.n, d ** self.n), dtype=complex)
             term = np.eye(d ** self.n, dtype=complex)
             for m in range(d):
-                acc += term * _eta(d, -k * m)
+                acc += term * omega(d, -k * m)
                 term = term @ od
             projs.append(acc / d)
         return [float(np.real(self.psi.conj() @ (pk @ self.psi)))
@@ -386,7 +372,7 @@ class DenseSimulator:
         acc = np.zeros((d ** self.n, d ** self.n), dtype=complex)
         term = np.eye(d ** self.n, dtype=complex)
         for m in range(d):
-            acc += term * _eta(d, -outcome * m)
+            acc += term * omega(d, -outcome * m)
             term = term @ od
         v = (acc / d) @ self.psi
         norm = np.linalg.norm(v)
@@ -537,7 +523,7 @@ def enumerate_stabilizer_states(dim: int) -> list:
     x_up = np.zeros((d, d), dtype=complex)
     for m in range(d):
         x_up[(m + 1) % d, m] = 1.0
-    zmat = np.diag([_eta(d, m) for m in range(d)])
+    zmat = np.diag([omega(d, m) for m in range(d)])
 
     for t in range(d):
         m_t = x_up @ np.linalg.matrix_power(zmat, t)
@@ -545,8 +531,8 @@ def enumerate_stabilizer_states(dim: int) -> list:
         for j in range(d):
             kp = parity + 2 * j
             exps = [(-kp * m + t * m * (m - 1)) % (2 * d) for m in range(d)]
-            vec = np.array([_sqrt_eta(d, e) for e in exps]) / math.sqrt(d)
-            assert np.allclose(m_t @ vec, _sqrt_eta(d, kp) * vec, atol=1e-10)
+            vec = np.array([omega(2 * d, e) for e in exps]) / math.sqrt(d)
+            assert np.allclose(m_t @ vec, omega(2 * d, kp) * vec, atol=1e-10)
             z_ph = PhaseVector(d, [Turn.exact(e, 2 * d) for e in exps[1:]])
             x_ph = None
             fvec = fmat.conj().T @ vec

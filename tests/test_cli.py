@@ -126,6 +126,22 @@ def test_eval_invalid_diagram_is_a_usage_error(tmp_path, capsys):
     assert "not a valid diagram" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phase", ['{"exact": [1, 0]}', '{"approx": NaN}',
+                                   '{"approx": Infinity}'])
+def test_eval_bad_phase_is_a_usage_error(phase, tmp_path, capsys):
+    text = dg.to_json(dg.spider_diagram(2, dg.Z, 1, 1))
+    text = text.replace('{"exact":[0,1]}', phase)
+    assert phase in text
+    path = tmp_path / "badphase.json"
+    path.write_text(text)
+    assert run(["eval", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "not a valid diagram" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simplify
 
@@ -190,6 +206,16 @@ def test_rule_check_unknown_rule(capsys):
 def test_rule_check_bad_dimension_lists(dims, capsys):
     assert run(["rule-check", "--rule", "S_fuse", "--dim", dims]) == 2
     assert "bad dimension list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_rule_check_rejects_non_positive_trials(trials, capsys):
+    assert run(["rule-check", "--rule", "S_fuse", "--dim", "2",
+                "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--trials" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_rule_check_json_is_byte_deterministic(capsys):

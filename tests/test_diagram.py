@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quditzx import diagram as dg
 from quditzx.diagram import (
@@ -64,6 +65,49 @@ def test_self_loop_counts_twice_in_degree():
     d = b.finish()
     assert d.degree(v) == 2
     assert d.neighbors(v) == {v}
+
+
+# Plain edge-scan definitions of each leg query: the oracle for the index.
+def _scan_legs(edges, v):
+    legs = []
+    for i, (s, t) in enumerate(edges):
+        if s == v:
+            legs.append((i, 1))
+        if t == v:
+            legs.append((i, -1))
+    return legs
+
+
+@st.composite
+def _multigraphs(draw):
+    """(node count, edge list) on nodes 0..n-1, loops and multi-edges too."""
+    n = draw(st.integers(2, 8))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraphs())
+@example((3, [(0, 0), (0, 1), (1, 0), (0, 1), (2, 2), (1, 2), (2, 2)]))
+def test_incidence_index_matches_edge_scans(graph):
+    n, edges = graph
+    b = DiagramBuilder(3)
+    for _ in range(n):
+        b.add_spider(dg.Z)
+    for s, t in edges:
+        b.add_edge(s, t)
+    d = b.finish(check=False)
+    for v in range(n + 1):  # node n does not exist and has no legs
+        assert list(d.legs(v)) == _scan_legs(edges, v)
+        assert d.out_edges(v) == [i for i, (s, _) in enumerate(edges)
+                                  if s == v]
+        assert d.in_edges(v) == [i for i, (_, t) in enumerate(edges)
+                                 if t == v]
+        assert d.incident(v) == [i for i, (s, t) in enumerate(edges)
+                                 if v in (s, t)]
+        assert d.degree(v) == sum((s == v) + (t == v) for s, t in edges)
+        assert d.neighbors(v) == ({t for s, t in edges if s == v}
+                                  | {s for s, t in edges if t == v})
 
 
 def test_boundary_ids_sorted_by_position():

@@ -101,6 +101,17 @@ def test_turn_json_round_trip():
         Turn.from_json("1/3")
 
 
+def test_turn_json_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Turn.from_json({"exact": [1, 0]})
+
+
+@pytest.mark.parametrize("rad", [math.nan, math.inf, -math.inf])
+def test_turn_json_rejects_non_finite_angles(rad):
+    with pytest.raises(ValueError, match="not finite"):
+        Turn.from_json({"approx": rad})
+
+
 @given(st.integers(-50, 50), st.integers(1, 40), st.integers(-50, 50),
        st.integers(1, 40))
 def test_exact_addition_matches_fraction_arithmetic(n1, d1, n2, d2):
