@@ -2,20 +2,27 @@
 
 One subcommand per invocation; every subcommand offers a --json mode that
 prints a single machine-readable object (sorted keys, compact separators,
-byte-identical across runs given the same --seed).  Exit code 0 means
-everything the invocation checked passed; 1 means a check failed; 2 means
-the invocation itself was unusable (bad arguments, unreadable files).
+byte-identical across runs given the same --seed).  Each subcommand parses
+its arguments, calls one library function and prints the report it gets.
+
+`run` alone maps exceptions to exit codes.  Exit code 0 means everything
+the invocation checked passed and 1 means a check failed.  A ValueError
+(bad arguments, invalid JSON or diagrams, sizes the library refuses) or an
+OSError (unreadable or unwritable files) means the invocation itself was
+unusable: one `error:` line on stderr, nothing on stdout, exit code 2.  An
+AssertionError is a broken internal invariant and stays a traceback.
 
 The comparison tolerance defaults to 1e-9 and can be overridden with the
-QUDITZX_TOL environment variable.
+QUDITZX_TOL environment variable (rule-check also takes --tol); it must be
+a positive finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
-import random
 import sys
 
 import numpy as np
@@ -32,20 +39,19 @@ from . import toyrel as trel
 __all__ = ["main", "run"]
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("QUDITZX_TOL", "")
-    if not raw:
-        return 1e-9
+def _tolerance(flag: float | None = None) -> float:
+    """--tol when given, else QUDITZX_TOL, else 1e-9."""
+    if flag is None:
+        name, raw = "QUDITZX_TOL", os.environ.get("QUDITZX_TOL") or "1e-9"
+    else:
+        name, raw = "--tol", flag
     try:
         tol = float(raw)
     except ValueError:
-        raise _UsageError(f"QUDITZX_TOL is not a number: {raw!r}")
-    if tol <= 0:
-        raise _UsageError("QUDITZX_TOL must be positive")
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, "
+                         f"got {raw!r}")
     return tol
 
 
@@ -54,35 +60,48 @@ def _emit_json(obj) -> None:
 
 
 def _load_json_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise _UsageError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path}: invalid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_diagram(path: str) -> dg.Diagram:
+    obj = _load_json_file(path)
     try:
-        return dg.from_json_dict(_load_json_file(path))
-    except (dg.InvalidDiagramError, KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"{path}: not a valid diagram: {exc}")
+        return dg.from_json_dict(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid diagram: {exc}") from exc
 
 
 def _parse_dims(raw: str) -> list:
     try:
         dims = [int(part) for part in raw.split(",") if part]
     except ValueError:
-        raise _UsageError(f"bad dimension list: {raw!r}")
-    if not dims or any(d < 2 for d in dims):
-        raise _UsageError(f"bad dimension list: {raw!r}")
+        dims = []
+    if not dims or min(dims) < 2:
+        raise ValueError(f"bad dimension list: {raw!r}")
     return dims
 
 
 def _print_matrix(matrix: np.ndarray) -> None:
     print(np.array2string(np.round(matrix, 10), max_line_width=120,
                           suppress_small=True))
+
+
+def _report_checks(args, report: dict, label: str, holds: str) -> int:
+    """Print a {"checks": [...], "passed": ...} report; its exit code."""
+    if args.json:
+        _emit_json(report)
+    else:
+        for check in report["checks"]:
+            status = "pass" if check["passed"] else "FAIL"
+            detail = f"  ({check['detail']})" if check["detail"] else ""
+            print(f"{check['id']:<36} {status}{detail}")
+        print(f"{label}: "
+              + (f"all {holds} hold" if report["passed"] else "FAILURES"))
+    return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +114,7 @@ def _cmd_eval(args) -> int:
     if args.method == "both":
         fast = sem.evaluate(d, "fast")
         ref = sem.evaluate(d, "reference")
-        deviation = float(np.max(np.abs(fast.matrix - ref.matrix))) \
-            if fast.matrix.size else 0.0
+        deviation = float(np.max(np.abs(fast.matrix - ref.matrix)))
         passed = deviation <= tol
         op = fast
     else:
@@ -123,18 +141,10 @@ def _cmd_simplify(args) -> int:
     d = _load_diagram(args.diagram)
     tol = _tolerance()
     simplified, trace = rw.simplify(d)
-    deviation = None
-    passed = True
+    scale, deviation, passed = None, None, True
     if args.verify:
-        before = sem.evaluate(d).matrix
-        after = sem.evaluate(simplified).matrix
-        scale = sem.equal_up_to_scalar(before, after, tol)
-        if scale is None:
-            passed = False
-        else:
-            deviation = float(np.max(np.abs(before - scale * after))) \
-                if before.size else 0.0
-            passed = deviation <= tol and abs(scale - 1.0) <= tol
+        scale, deviation, passed = sem.compare_scalar_exact(
+            sem.evaluate(d).matrix, sem.evaluate(simplified).matrix, tol)
     out = {
         "diagram": dg.to_json_dict(simplified),
         "trace": trace.to_json_dict(),
@@ -143,7 +153,7 @@ def _cmd_simplify(args) -> int:
         "edgesAfter": len(simplified.edges),
         "passed": passed,
     }
-    if deviation is not None:
+    if scale is not None:
         out["verifyDeviation"] = deviation
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -157,7 +167,7 @@ def _cmd_simplify(args) -> int:
               f"{len(d.edges)} -> {len(simplified.edges)}")
         for step in trace.steps:
             print(f"  {step.rule} at {step.site}")
-        if deviation is not None:
+        if scale is not None:
             print(f"semantics preserved to {deviation:.3e}")
         if not passed:
             print("verification FAILED")
@@ -165,21 +175,14 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_rule_check(args) -> int:
-    tol = args.tol if args.tol is not None else _tolerance()
-    rules = list(rw.RULES) if args.rule == "all" else [args.rule]
-    for rule in rules:
-        if rule not in rw.RULES:
-            raise _UsageError(f"unknown rule {rule!r}; choices: "
-                              + ", ".join(rw.RULES))
+    tol = _tolerance(args.tol)
     dims = _parse_dims(args.dim)
     if args.trials < 1:
-        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
-    reports = []
-    for rule in rules:
-        for dim in dims:
-            reports.append(rw.soundness_report(rule, dim,
-                                               trials=args.trials,
-                                               seed=args.seed, tol=tol))
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    rules = rw.RULES if args.rule == "all" else [args.rule]
+    reports = [rw.soundness_report(rule, dim, trials=args.trials,
+                                   seed=args.seed, tol=tol)
+               for rule in rules for dim in dims]
     all_passed = all(r["passed"] for r in reports)
     if args.json:
         _emit_json({
@@ -202,20 +205,17 @@ def _parse_state(raw: str, dim: int) -> np.ndarray:
         entries = [complex(part.strip().replace(" ", ""))
                    for part in raw.split(",")]
     except ValueError:
-        raise _UsageError(f"bad --state: {raw!r} (use complex literals, "
-                          "e.g. '1,0,0' or '1+2j,0.5,-1j')")
+        raise ValueError(f"bad --state: {raw!r} (use complex literals, "
+                         "e.g. '1,0,0' or '1+2j,0.5,-1j')") from None
     if len(entries) != dim:
-        raise _UsageError(f"--state needs {dim} entries, got {len(entries)}")
+        raise ValueError(f"--state needs {dim} entries, got {len(entries)}")
     return np.array(entries, dtype=complex)
 
 
 def _cmd_synth(args) -> int:
     tol = _tolerance()
     if args.target == "xj":
-        try:
-            pv = sy.synth_xj(args.j, args.phi, args.dim)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+        pv = sy.synth_xj(args.j, args.phi, args.dim)
         out = {
             "dim": args.dim,
             "target": f"x_{args.j}",
@@ -245,8 +245,6 @@ def _cmd_synth(args) -> int:
         else:
             print(f"degenerate input state: {exc}")
         return 1
-    except ValueError as exc:
-        raise _UsageError(str(exc))
     passed = result.residual <= max(tol, 1e-6)
     out = {
         "dim": result.dim,
@@ -280,15 +278,12 @@ def _cmd_stab_run(args) -> int:
     try:
         n = int(obj["n"])
         dim = int(obj["dim"])
-        circuit = obj["circuit"]
+        circuit = list(obj["circuit"])
     except (KeyError, TypeError, ValueError):
-        raise _UsageError(
-            f"{args.circuit}: circuit file needs n, dim and circuit fields")
-    try:
-        result = st.run_circuit(circuit, n, dim, seed=args.seed,
-                                oracle=args.oracle)
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(f"{args.circuit}: bad circuit: {exc}")
+        raise ValueError(f"{args.circuit}: circuit file needs n, dim and "
+                         "circuit fields") from None
+    result = st.run_circuit(circuit, n, dim, seed=args.seed,
+                            oracle=args.oracle)
     passed = (not args.oracle
               or result["maxProbabilityDeviation"] <= tol)
     result["passed"] = passed
@@ -307,103 +302,15 @@ def _cmd_stab_run(args) -> int:
 
 
 def _cmd_spek_check(args) -> int:
-    report = trel.rel_structure_check(args.dim)
-    if args.json:
-        _emit_json(report)
-    else:
-        for check in report["checks"]:
-            status = "pass" if check["passed"] else "FAIL"
-            detail = f"  ({check['detail']})" if check["detail"] else ""
-            print(f"{check['id']:<24} {status}{detail}")
-        print(f"D={args.dim}: "
-              + ("all laws hold" if report["passed"] else "law FAILURES"))
-    return 0 if report["passed"] else 1
-
-
-def _phase_space_report(d: int, n: int, seed: int, cases: int) -> dict:
-    rng = random.Random(seed)
-    checks = []
-
-    # exact normalization of epistemic distributions
-    ok = True
-    sampled = 0
-    base_vars = [tuple(1 if i == 2 * j else 0 for i in range(2 * n))
-                 for j in range(n)]
-    for _ in range(cases):
-        count = rng.randrange(n + 1)
-        V = base_vars[:count]
-        v_rep = tuple(rng.randrange(d) for _ in range(2 * n))
-        state = ps.EpistemicState(d, n, V, v_rep)
-        t = ps.random_symplectic(d, n, rng)
-        moved = ps.apply_transform(state, t)
-        for s in (state, moved):
-            sampled += 1
-            if sum(s.distribution().values()) != 1:
-                ok = False
-    checks.append({"id": "distributions_sum_to_one", "passed": ok,
-                   "detail": f"{sampled} states"})
-
-    # classical complementarity: conjugate pair must be rejected
-    rejected = False
-    try:
-        bad_v = [tuple(1 if i == 0 else 0 for i in range(2 * n)),
-                 tuple(1 if i == 1 else 0 for i in range(2 * n))]
-        ps.EpistemicState(d, n, bad_v, (0,) * (2 * n))
-    except ValueError:
-        rejected = True
-    checks.append({"id": "isotropy_rejection", "passed": rejected,
-                   "detail": "X_1, P_1 jointly known is rejected"})
-
-    # symplectic transforms preserve the bracket on points
-    ok = True
-    for _ in range(cases):
-        t = ps.random_symplectic(d, n, rng)
-        u = tuple(rng.randrange(d) for _ in range(2 * n))
-        v = tuple(rng.randrange(d) for _ in range(2 * n))
-        su = tuple((np.asarray(t.S) @ u) % d)
-        sv = tuple((np.asarray(t.S) @ v) % d)
-        if ps.symplectic_product(su, sv, d) != \
-                ps.symplectic_product(u, v, d):
-            ok = False
-    checks.append({"id": "bracket_preservation", "passed": ok,
-                   "detail": f"{cases} random transforms"})
-
-    # finite-difference bracket equals F^T J G for linear functionals
-    ok = True
-    from itertools import product as iproduct
-    for _ in range(cases):
-        F = ps.DualVector(d, tuple(rng.randrange(d) for _ in range(2 * n)))
-        G = ps.DualVector(d, tuple(rng.randrange(d) for _ in range(2 * n)))
-        tf, tg = ps.linear_table(F), ps.linear_table(G)
-        want = ps.symplectic_product(F, G)
-        for m in iproduct(range(d), repeat=2 * n):
-            if ps.poisson_bracket(tf, tg, m, d) != want:
-                ok = False
-                break
-    checks.append({"id": "bracket_equals_symplectic_product", "passed": ok,
-                   "detail": f"{cases} random pairs, all points"})
-
-    return {
-        "d": d,
-        "n": n,
-        "seed": seed,
-        "cases": cases,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _report_checks(args, trel.rel_structure_check(args.dim),
+                          f"D={args.dim}", "laws")
 
 
 def _cmd_phase_space(args) -> int:
-    report = _phase_space_report(args.dim, args.n, args.seed, args.cases)
-    if args.json:
-        _emit_json(report)
-    else:
-        for check in report["checks"]:
-            status = "pass" if check["passed"] else "FAIL"
-            print(f"{check['id']:<36} {status}  ({check['detail']})")
-        print(f"d={args.dim}, n={args.n}: "
-              + ("all properties hold" if report["passed"] else "FAILURES"))
-    return 0 if report["passed"] else 1
+    report = ps.phase_space_report(args.dim, args.n, seed=args.seed,
+                                   cases=args.cases)
+    return _report_checks(args, report, f"d={args.dim}, n={args.n}",
+                          "properties")
 
 
 def _cmd_equiv(args) -> int:
@@ -535,11 +442,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

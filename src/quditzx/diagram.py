@@ -41,8 +41,8 @@ class InvalidDiagramError(ValueError):
 
     def __init__(self, violations: Sequence[tuple]):
         self.violations = tuple(violations)
-        lines = [f"{code}: {msg}" for code, msg in violations]
-        super().__init__("invalid diagram\n" + "\n".join(lines))
+        super().__init__("invalid diagram: " + "; ".join(
+            f"{code}: {msg}" for code, msg in self.violations))
 
 
 # Violation codes.

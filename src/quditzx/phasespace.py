@@ -50,6 +50,7 @@ __all__ = [
     "decode_ontic",
     "random_symplectic",
     "all_maximal_states",
+    "phase_space_report",
 ]
 
 _BRIDGE_ARITY = 3
@@ -493,3 +494,65 @@ def all_maximal_states(d: int) -> list:
                 v_rep = (0, t * pow(b, -1, d) % d)
             states.append(EpistemicState(d, 1, [F], v_rep))
     return states
+
+
+def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
+                       ) -> dict:
+    """Seeded property battery: exact normalization of epistemic
+    distributions, rejection of a non-isotropic known set, symplectic
+    bracket preservation, and the finite-difference bracket of linear
+    functionals against F^T J G.  Returns {"checks": [...], "passed": ...}
+    with one {"id", "passed", "detail"} entry per property."""
+    if not is_prime(d) or n < 1 or cases < 1:
+        raise ValueError("the phase-space battery needs prime d, n >= 1 and "
+                         f"cases >= 1; got d={d}, n={n}, cases={cases}")
+    rng = random.Random(seed)
+
+    def draw() -> tuple:
+        return tuple(rng.randrange(d) for _ in range(2 * n))
+
+    def unit(k: int) -> tuple:
+        return tuple(1 if i == k else 0 for i in range(2 * n))
+
+    checks = []
+    states = []
+    for _ in range(cases):
+        V = [unit(2 * j) for j in range(rng.randrange(n + 1))]
+        state = EpistemicState(d, n, V, draw())
+        states += [state, apply_transform(state, random_symplectic(d, n, rng))]
+    checks.append({"id": "distributions_sum_to_one",
+                   "passed": all(sum(s.distribution().values()) == 1
+                                 for s in states),
+                   "detail": f"{len(states)} states"})
+
+    # classical complementarity: a conjugate pair cannot be jointly known
+    try:
+        EpistemicState(d, n, [unit(0), unit(1)], (0,) * (2 * n))
+        rejected = False
+    except ValueError:
+        rejected = True
+    checks.append({"id": "isotropy_rejection", "passed": rejected,
+                   "detail": "X_1, P_1 jointly known is rejected"})
+
+    ok = True
+    for _ in range(cases):
+        S = np.asarray(random_symplectic(d, n, rng).S)
+        u, v = draw(), draw()
+        if symplectic_product(tuple(S @ u % d), tuple(S @ v % d), d) != \
+                symplectic_product(u, v, d):
+            ok = False
+    checks.append({"id": "bracket_preservation", "passed": ok,
+                   "detail": f"{cases} random transforms"})
+
+    ok = True
+    for _ in range(cases):
+        F, G = DualVector(d, draw()), DualVector(d, draw())
+        tf, tg = linear_table(F), linear_table(G)
+        want = symplectic_product(F, G)
+        ok = ok and all(poisson_bracket(tf, tg, m, d) == want
+                        for m in product(range(d), repeat=2 * n))
+    checks.append({"id": "bracket_equals_symplectic_product", "passed": ok,
+                   "detail": f"{cases} random pairs, all points"})
+
+    return {"d": d, "n": n, "seed": seed, "cases": cases, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}

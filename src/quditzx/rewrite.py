@@ -632,8 +632,12 @@ def simplify(d: dg.Diagram) -> tuple:
             site = sites[0]
             before = len(current.edges)
             b_ = dg.DiagramBuilder.from_diagram(current)
-            removed, added = _APPLIERS[rule](b_, current, site)
-            nxt = b_.finish()
+            try:
+                removed, added = _APPLIERS[rule](b_, current, site)
+                nxt = b_.finish()
+            except ValueError as exc:
+                raise AssertionError(
+                    f"{rule} failed at its own match {site}: {exc}") from exc
             if len(nxt.edges) >= before:
                 raise AssertionError(
                     f"{rule} did not shrink the diagram; simplify would loop")
@@ -797,15 +801,15 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
         return b_.finish(), {"first": [p1, p2], "second": [q1, q2],
                              "color": pc}
 
-    raise ValueError(f"unknown rule {rule!r}")
+    raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
 
 
 def soundness_report(rule: str, dim: int, trials: int = 50,
                      seed: int = 0, tol: float = 1e-9) -> dict:
-    """Random instantiations of one rule: evaluate before and after and
-    compare entrywise after scalar normalization."""
-    from .semantics import equal_up_to_scalar, evaluate
-    import numpy as np
+    """Random instantiations of one rule: evaluate before and after; a
+    trial passes when the matrices agree entrywise and the scalar between
+    them is 1 (rules carry their own scalars)."""
+    from .semantics import compare_scalar_exact, evaluate
 
     rng = random.Random(f"{rule}:{dim}:{seed}")
     t0 = time.perf_counter()
@@ -815,18 +819,23 @@ def soundness_report(rule: str, dim: int, trials: int = 50,
     for trial in range(trials):
         d, site = random_rule_instance(rule, dim, rng)
         before = evaluate(d, "fast").matrix
-        d2 = apply_rule(d, rule, site)
+        try:
+            d2 = apply_rule(d, rule, site)
+        except ValueError as exc:
+            failures.append({"trial": trial, "site": site,
+                             "reason": str(exc)})
+            continue
         after = evaluate(d2, "fast").matrix
-        s = equal_up_to_scalar(before, after, tol)
+        s, dev, exact = compare_scalar_exact(before, after, tol)
         if s is None:
             failures.append({"trial": trial, "site": site,
                              "reason": "matrices not proportional"})
             continue
-        dev = float(np.max(np.abs(before - s * after)))
         worst = max(worst, dev)
         worst_drift = max(worst_drift, abs(s - 1.0))
-        if dev > tol:
-            failures.append({"trial": trial, "site": site, "deviation": dev})
+        if not exact:
+            failures.append({"trial": trial, "site": site, "deviation": dev,
+                             "scalarDrift": abs(s - 1.0)})
     return {
         "rule": rule,
         "dim": dim,

@@ -451,6 +451,24 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
     return None
 
 
+def compare_scalar_exact(a: np.ndarray, b: np.ndarray,
+                         tol: float = 1e-9) -> tuple:
+    """(s, deviation, passed) for a against s*b, with s from
+    equal_up_to_scalar and deviation max|a - s*b|.
+
+    passed holds only when both the deviation and |s - 1| are within tol,
+    as a scalar-exact rewrite requires. Matrices that are not proportional
+    give (None, inf, False).
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    s = equal_up_to_scalar(a, b, tol)
+    if s is None:
+        return None, math.inf, False
+    deviation = float(np.max(np.abs(a - s * b), initial=0.0))
+    return s, deviation, deviation <= tol and abs(s - 1.0) <= tol
+
+
 # ---------------------------------------------------------------------------
 # Structure checks: the algebraic laws the generators satisfy
 
@@ -469,13 +487,6 @@ def _g(name, dim):
 
 def _dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
-def _dev_scalar(a, b) -> tuple:
-    s = equal_up_to_scalar(np.asarray(a), np.asarray(b), 1e-9)
-    if s is None:
-        return math.inf, 0.0 + 0.0j
-    return float(np.max(np.abs(np.asarray(a) - s * np.asarray(b)))), s
 
 
 def _frobenius_family(dim: int, col: str) -> list:
@@ -569,10 +580,7 @@ def structure_check(check_id: str, dim: int) -> CheckReport:
             (eps_z @ ket0, np.array([[1.0]])),
             (eps_x @ ketplus, np.array([[1.0]])),
         ]
-        dev = 0.0
-        for a, b in pairs:
-            dd, _s = _dev_scalar(a, b)
-            dev = max(dev, dd)
+        dev = max(compare_scalar_exact(a, b)[1] for a, b in pairs)
         return CheckReport(check_id, d, dev < 1e-10, dev,
                            "up to scalar")
 

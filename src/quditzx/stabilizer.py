@@ -30,7 +30,9 @@ from . import _modp
 from .phases import PhaseVector, Turn, cyclic_vector
 from .semantics import fourier_matrix, generator_matrix, omega
 
-GATES = ("F", "Sq", "CNOT", "CP", "SWAP")
+# The number of wires each circuit step takes; GATES is its unitary part.
+_STEP_WIRES = {"F": 1, "Sq": 1, "CNOT": 2, "CP": 2, "SWAP": 2, "measure": 1}
+GATES = tuple(g for g in _STEP_WIRES if g != "measure")
 
 
 @dataclass(frozen=True)
@@ -392,22 +394,51 @@ def measurement_observable(basis: str, wire: int, n: int, dim: int) -> PauliOp:
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
+def _circuit_step(i: int, step, n: int) -> tuple:
+    """The gate name and wires of circuit step i, checked against n qudits."""
+    name = step.get("gate") if isinstance(step, dict) else None
+    if name not in _STEP_WIRES:
+        raise ValueError(f"bad circuit step {i}: unknown gate {name!r}; "
+                         f"choose from {tuple(_STEP_WIRES)}")
+    wires = step.get("wires", [])
+    arity = _STEP_WIRES[name]
+    if not isinstance(wires, (list, tuple)) or len(wires) != arity:
+        raise ValueError(f"bad circuit step {i}: {name} takes {arity} "
+                         f"wire(s), got {wires!r}")
+    if not all(isinstance(w, (int, np.integer)) and 0 <= w < n
+               for w in wires):
+        raise ValueError(f"bad circuit step {i}: wires must lie in "
+                         f"0..{n - 1}, got {wires!r}")
+    if len(set(wires)) != arity:
+        raise ValueError(f"bad circuit step {i}: {name} needs distinct "
+                         f"wires, got {wires!r}")
+    if name == "Sq" and not isinstance(step.get("q"), (int, np.integer)):
+        raise ValueError(f"bad circuit step {i}: Sq needs an integer q, "
+                         f"got {step.get('q')!r}")
+    return name, list(wires)
+
+
 def run_circuit(circuit, n: int, dim: int, seed: int = 0,
                 oracle: bool = False) -> dict:
     """Execute a circuit on the tableau; with oracle=True also run the
     dense simulator and compare every measurement distribution.
 
     Circuit steps are dicts: {"gate": name, "wires": [...]} with "q" for
-    Sq, or {"gate": "measure", "wires": [w], "basis": "Z"|"X"}.
+    Sq, or {"gate": "measure", "wires": [w], "basis": "Z"|"X"}. A step
+    with an unknown gate, the wrong number of wires, a repeated wire, a
+    wire outside 0..n-1 or a non-integer q raises ValueError naming the
+    step.
     """
+    if n < 1 or not _modp.is_prime(dim):
+        raise ValueError(f"a circuit needs n >= 1 qudits of prime dimension, "
+                         f"got n={n}, dim={dim}")
     rng = random.Random(seed)
     tab = Tableau.zero_state(n, dim)
     dense = DenseSimulator(n, dim) if oracle else None
     outcomes = []
     max_dev = 0.0
-    for step in circuit:
-        name = step["gate"]
-        wires = list(step.get("wires", []))
+    for i, step in enumerate(circuit):
+        name, wires = _circuit_step(i, step, n)
         if name == "measure":
             obs = measurement_observable(step.get("basis", "Z"), wires[0],
                                          n, dim)

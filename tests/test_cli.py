@@ -218,6 +218,24 @@ def test_rule_check_rejects_non_positive_trials(trials, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_rule_check_fails_a_rule_that_refuses_its_site(monkeypatch, capsys):
+    # rule-check builds every site itself, so a refusal is a failed check
+    # (exit 1), not bad input (exit 2)
+    from quditzx import rewrite as rw
+
+    def refusing(b_, d, site):
+        raise rw.RuleMatchError("applier refuses its own site")
+
+    monkeypatch.setitem(rw._APPLIERS, "S_fuse", refusing)
+    assert run(["rule-check", "--rule", "S_fuse", "--dim", "3",
+                "--trials", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)["reports"][0]
+    assert [f["reason"] for f in report["failures"]] == [
+        "applier refuses its own site"] * 2
+
+
 def test_rule_check_json_is_byte_deterministic(capsys):
     argv = ["rule-check", "--rule", "B_copy", "--dim", "3", "--trials", "4",
             "--seed", "11", "--json"]
@@ -437,6 +455,97 @@ def test_export_dot_to_file(cnot_file, tmp_path, capsys):
     assert run(["export-dot", cnot_file, "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
     assert out_path.read_text().startswith("digraph zx {")
+
+
+# ---------------------------------------------------------------------------
+# bad input: every one ends in run's single handler
+
+
+@pytest.fixture()
+def bad_input_files(tmp_path):
+    """Paths for the bad-input table, keyed by the name used in its argv."""
+    files = {"missing": str(tmp_path / "missing")}
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        files[name] = str(path)
+
+    write("cnot", dg.to_json(dg.generator_diagram("cnot", 3)))
+    b = dg.DiagramBuilder(3)
+    prev = b.add_input(0)
+    for _ in range(46):
+        v = b.add_spider(dg.Z)
+        b.add_edge(prev, v)
+        prev = v
+    b.add_edge(prev, b.add_output(0))
+    chain = b.finish()
+    assert len(chain.edges) == 47  # past the reference evaluator's cap
+    write("chain47", dg.to_json(chain))
+    # an F box with one input and two outputs
+    write("fbox", json.dumps({
+        "dimension": 3, "scalar": [1, 0],
+        "nodes": [{"id": 0, "kind": "in", "position": 0},
+                  {"id": 1, "kind": "F", "inPort": 0, "outPort": 1},
+                  {"id": 2, "kind": "out", "position": 0},
+                  {"id": 3, "kind": "out", "position": 1}],
+        "edges": [[0, 1], [1, 2], [1, 3]]}))
+    for name, n, step in [
+            ("cnot00", 2, {"gate": "CNOT", "wires": [0, 0]}),
+            ("wire5", 2, {"gate": "F", "wires": [5]}),
+            ("wireneg", 2, {"gate": "F", "wires": [-1]}),
+            ("measure0", 2, {"gate": "measure", "wires": []}),
+            ("sqtext", 2, {"gate": "Sq", "wires": [0], "q": "a"}),
+            ("noqudits", 0, {"gate": "measure", "wires": [0]})]:
+        write(name, json.dumps({"n": n, "dim": 3, "circuit": [step]}))
+    write("dim0", json.dumps({"n": 1, "dim": 0, "circuit": []}))
+    return files
+
+
+BAD_INPUTS = [
+    ("spek-check --dim 1", None),
+    ("spek-check --dim 0", None),
+    ("phase-space --dim 4", None),
+    ("phase-space --n 0", None),
+    ("phase-space --cases 0", None),
+    ("phase-space --cases -3", None),
+    ("eval {chain47} --method reference", None),
+    ("eval {fbox}", None),
+    ("eval {cnot} --method both", "nan"),
+    ("eval {cnot} --method both", "inf"),
+    ("simplify {cnot} --out {missing}/x.json", None),
+    ("export-dot {cnot} --out {missing}/x.dot", None),
+    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
+    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol -1", None),
+    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol nan", None),
+    ("stab-run {cnot00}", None),
+    ("stab-run {cnot00} --oracle", None),
+    ("stab-run {wire5}", None),
+    ("stab-run {wireneg}", None),
+    ("stab-run {wireneg} --oracle", None),
+    ("stab-run {measure0}", None),
+    ("stab-run {sqtext}", None),
+    ("stab-run {noqudits}", None),
+    ("stab-run {dim0}", None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, env_tol", BAD_INPUTS,
+    ids=[c if t is None else f"QUDITZX_TOL={t} {c}" for c, t in BAD_INPUTS])
+def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
+                                     monkeypatch, capsys):
+    if env_tol is None:
+        monkeypatch.delenv("QUDITZX_TOL", raising=False)
+    else:
+        monkeypatch.setenv("QUDITZX_TOL", env_tol)
+    argv = [part.format(**bad_input_files) for part in command.split()]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

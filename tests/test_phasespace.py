@@ -34,6 +34,7 @@ from quditzx.phasespace import (
     linear_table,
     measure_probabilities,
     orthocomplement,
+    phase_space_report,
     poisson_bracket,
     random_symplectic,
     symplectic_form,
@@ -523,3 +524,18 @@ def test_round_trip_encode_decode_property(d, data):
     coords = data.draw(st.tuples(*[st.integers(0, d - 1)] * (2 * n)))
     m = OnticPoint(d, coords)
     assert decode_ontic(encode_ontic(m, n), d, n) == m
+
+
+@pytest.mark.parametrize("d, n, cases", [(4, 1, 5), (1, 1, 5), (3, 0, 5),
+                                         (3, 1, 0), (3, 1, -3)])
+def test_phase_space_report_rejects_what_it_cannot_check(d, n, cases):
+    with pytest.raises(ValueError, match="prime d, n >= 1 and cases >= 1"):
+        phase_space_report(d, n, cases=cases)
+
+
+def test_phase_space_report_is_seed_deterministic():
+    first = phase_space_report(5, 2, seed=3, cases=4)
+    assert first == phase_space_report(5, 2, seed=3, cases=4)
+    assert first["passed"] and len(first["checks"]) == 4
+    assert first["checks"][0]["detail"] == "8 states"
+

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditzx import diagram as dg
+from quditzx import rewrite as rw
 from quditzx.diagram import DiagramBuilder, spider_diagram
 from quditzx.phases import (PhaseVector, Turn, cyclic_vector,
                             phase_add, phase_neg_transform)
@@ -427,6 +428,52 @@ def test_soundness_report_shape():
     assert rep["maxDeviation"] < 1e-9
     assert rep["maxScalarDrift"] < 1e-9
     assert rep["elapsed"] > 0
+
+
+def test_soundness_report_fails_a_rule_that_flips_the_scalar(monkeypatch):
+    # after = -before is entrywise exact up to s = -1: only the scalar
+    # check can catch it
+    applier = rw._APPLIERS["S_fuse"]
+
+    def flipped(b_, d, site):
+        out = applier(b_, d, site)
+        b_.scalar *= -1
+        return out
+
+    monkeypatch.setitem(rw._APPLIERS, "S_fuse", flipped)
+    rep = soundness_report("S_fuse", 3, trials=4, seed=1)
+    assert not rep["passed"]
+    assert len(rep["failures"]) == 4
+    assert rep["maxDeviation"] < 1e-9
+    assert rep["maxScalarDrift"] == pytest.approx(2.0)
+    assert all(f["scalarDrift"] == pytest.approx(2.0)
+               for f in rep["failures"])
+
+
+def _refusing(b_, d, site):
+    raise rw.RuleMatchError("applier refuses its own site")
+
+
+def test_soundness_report_fails_a_rule_that_refuses_its_site(monkeypatch):
+    # the instances are built to match, so a refusal is a failed check
+    monkeypatch.setitem(rw._APPLIERS, "S_fuse", _refusing)
+    rep = soundness_report("S_fuse", 3, trials=3, seed=1)
+    assert not rep["passed"]
+    assert [f["reason"] for f in rep["failures"]] == [
+        "applier refuses its own site"] * 3
+
+
+def test_simplify_reports_a_refused_own_match_as_a_bug(monkeypatch):
+    # simplify finds its sites itself, so a refusal is a broken invariant
+    d, _ = random_rule_instance("S_fuse", 3, random.Random(0))
+    monkeypatch.setitem(rw._APPLIERS, "S_fuse", _refusing)
+    with pytest.raises(AssertionError, match="S_fuse failed at its own match"):
+        rw.simplify(d)
+
+
+def test_random_rule_instance_names_the_rules_on_a_typo():
+    with pytest.raises(ValueError, match="unknown rule 'Q_magic'.*S_fuse"):
+        random_rule_instance("Q_magic", 3, random.Random(0))
 
 
 # ---------------------------------------------------------------------------

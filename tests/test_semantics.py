@@ -17,6 +17,7 @@ from quditzx.semantics import (
     STRUCTURE_CHECKS,
     DenseOperator,
     c_coefficients,
+    compare_scalar_exact,
     equal_up_to_scalar,
     evaluate,
     fourier_matrix,
@@ -285,6 +286,15 @@ def test_evaluation_handles_disconnected_components():
 
 # ---------------------------------------------------------------------------
 # Scalar-equivalence helper
+
+def test_compare_scalar_exact_needs_scalar_one():
+    a = np.array([[1.0, 2.0], [0.0, 1j]])
+    s, dev, passed = compare_scalar_exact(a, a)
+    assert s == pytest.approx(1.0) and dev == 0.0 and passed
+    s, dev, passed = compare_scalar_exact(-a, a)
+    assert s == pytest.approx(-1.0) and dev < 1e-12 and not passed
+    assert compare_scalar_exact(a, np.eye(2)) == (None, math.inf, False)
+
 
 def test_equal_up_to_scalar_finds_the_scale():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])

@@ -291,6 +291,40 @@ def test_deterministic_flags_agree_with_probabilities():
     assert out["outcomes"][1]["outcome"] == out["outcomes"][2]["outcome"]
 
 
+@pytest.mark.parametrize("step, why", [
+    ({"gate": "NOPE", "wires": [0]}, "unknown gate 'NOPE'"),
+    ({"wires": [0]}, "unknown gate None"),
+    ("F", "unknown gate None"),
+    ({"gate": "F", "wires": [0, 1]}, "F takes 1 wire"),
+    ({"gate": "CNOT", "wires": [1]}, "CNOT takes 2 wire"),
+    ({"gate": "measure", "wires": []}, "measure takes 1 wire"),
+    ({"gate": "SWAP", "wires": 1}, "SWAP takes 2 wire"),
+    ({"gate": "CNOT", "wires": [0, 0]}, "distinct wires"),
+    ({"gate": "CP", "wires": [1, 1]}, "distinct wires"),
+    ({"gate": "F", "wires": [2]}, "0..1"),
+    ({"gate": "F", "wires": [-1]}, "0..1"),
+    ({"gate": "measure", "wires": [5]}, "0..1"),
+    ({"gate": "Sq", "wires": ["0"], "q": 1}, "0..1"),
+    ({"gate": "Sq", "wires": [0]}, "Sq needs an integer q, got None"),
+    ({"gate": "Sq", "wires": [0], "q": "a"}, "Sq needs an integer q"),
+    ({"gate": "Sq", "wires": [0], "q": 1.5}, "Sq needs an integer q"),
+])
+@pytest.mark.parametrize("oracle", [False, True])
+def test_run_circuit_rejects_bad_steps(step, why, oracle):
+    circuit = [{"gate": "F", "wires": [0]}, step]
+    with pytest.raises(ValueError) as exc:
+        run_circuit(circuit, 2, 3, oracle=oracle)
+    assert str(exc.value).startswith("bad circuit step 1: ")
+    assert why in str(exc.value)
+
+
+@pytest.mark.parametrize("n, dim", [(0, 3), (-1, 3), (1, 0), (1, 1),
+                                    (2, 4), (1, -3)])
+def test_run_circuit_needs_qudits_of_prime_dimension(n, dim):
+    with pytest.raises(ValueError, match="n >= 1 qudits of prime dimension"):
+        run_circuit([], n, dim)
+
+
 # ---------------------------------------------------------------------------
 # Single-qudit stabilizer states and their exact phase coordinates
 
