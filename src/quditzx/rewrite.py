@@ -26,7 +26,7 @@ for either color); simplify() uses it to keep fused diagrams tidy.
 from __future__ import annotations
 
 import hashlib
-import json
+import itertools
 import math
 import random
 import time
@@ -68,22 +68,34 @@ def _joining(d: dg.Diagram, a: int, b: int) -> list:
     return [i for i, _ in d.legs(a) if b in d.edges[i]]
 
 
+def _kind(d: dg.Diagram, v: int):
+    return d.node(v).kind if v in d else None
+
+
 # ---------------------------------------------------------------------------
-# Matchers. Each returns a list of JSON-able site dicts in a canonical
-# order; _check_* re-verifies a single site before application.
+# Matchers. A rule's pattern is its _check_*, and nothing else: a matcher
+# enumerates candidate sites in the canonical order, pruned at most by a
+# cheap necessary condition, and _sites keeps the candidates the check
+# accepts. The applier runs the same check on the site it is given.
+
+def _sites(d: dg.Diagram, check, candidates) -> list:
+    """The candidates that check accepts, in candidate order."""
+    sites = []
+    for site in candidates:
+        try:
+            check(d, site)
+        except RuleMatchError:
+            continue
+        sites.append(site)
+    return sites
+
 
 def _match_s_fuse(d: dg.Diagram) -> list:
-    sites = set()
-    for s, t in d.edges:
-        if s == t:
-            continue
-        if not (_is_spider(d, s) and _is_spider(d, t)):
-            continue
-        if d.node(s).kind != d.node(t).kind:
-            continue
-        sites.add((min(s, t), max(s, t)))
-    return [{"keep": a, "absorb": b, "color": d.node(a).kind}
-            for a, b in sorted(sites)]
+    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
+                    if _kind(d, s) == _kind(d, t)})
+    return _sites(d, _check_s_fuse,
+                  ({"keep": a, "absorb": b, "color": d.node(a).kind}
+                   for a, b in pairs))
 
 
 def _check_s_fuse(d, site):
@@ -111,16 +123,8 @@ def _apply_s_fuse(b_, d, site):
 
 
 def _match_d_identity(d: dg.Diagram) -> list:
-    sites = []
-    for v in sorted(d.nodes):
-        if not _is_spider(d, v):
-            continue
-        if not d.node(v).phase.is_zero:
-            continue
-        ins, outs = d.in_edges(v), d.out_edges(v)
-        if len(ins) == 1 and len(outs) == 1 and ins[0] != outs[0]:
-            sites.append({"node": v})
-    return sites
+    return _sites(d, _check_d_identity,
+                  ({"node": v} for v in sorted(d.nodes) if d.degree(v) == 2))
 
 
 def _check_d_identity(d, site):
@@ -144,14 +148,12 @@ def _apply_d_identity(b_, d, site):
 
 
 def _match_loop_remove(d: dg.Diagram) -> list:
-    sites = []
-    for v in sorted(d.nodes):
-        if not _is_spider(d, v):
-            continue
-        loops = _self_loops(d, v)
-        if loops:
-            sites.append({"node": v, "edge": loops[0]})
-    return sites
+    first_loop = {}
+    for i, (s, t) in enumerate(d.edges):
+        if s == t:
+            first_loop.setdefault(s, i)
+    return _sites(d, _check_loop_remove,
+                  ({"node": v, "edge": e} for v, e in sorted(first_loop.items())))
 
 
 def _check_loop_remove(d, site):
@@ -169,14 +171,9 @@ def _apply_loop_remove(b_, d, site):
 
 
 def _match_f2_cancel(d: dg.Diagram) -> list:
-    sites = set()
-    for s, t in d.edges:
-        if s == t or s not in d or t not in d:
-            continue
-        ks, kt = d.node(s).kind, d.node(t).kind
-        if {ks, kt} == {dg.F, dg.FDAG}:
-            sites.add((min(s, t), max(s, t)))
-    return [{"boxes": [a, b]} for a, b in sorted(sites)]
+    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
+                    if {_kind(d, s), _kind(d, t)} <= dg.BOX_KINDS})
+    return _sites(d, _check_f2_cancel, ({"boxes": [a, b]} for a, b in pairs))
 
 
 def _check_f2_cancel(d, site):
@@ -218,33 +215,7 @@ def _f1_wanted_box(color: str, sign: int) -> str:
 
 
 def _match_f1_color(d: dg.Diagram) -> list:
-    sites = []
-    for v in sorted(d.nodes):
-        if not _is_spider(d, v):
-            continue
-        color = d.node(v).kind
-        ok = True
-        for e, sign in d.legs(v):
-            s, t = d.edges[e]
-            other = t if sign == 1 else s
-            if other == v or other not in d:
-                ok = False
-                break
-            if d.node(other).kind != _f1_wanted_box(color, sign):
-                ok = False
-                break
-            # The box's far edge must leave the spider alone.
-            far = [i for i in d.incident(other) if i != e]
-            if len(far) != 1:
-                ok = False
-                break
-            fs, ft = d.edges[far[0]]
-            if v in (fs, ft):
-                ok = False
-                break
-        if ok:
-            sites.append({"spider": v})
-    return sites
+    return _sites(d, _check_f1_color, ({"spider": v} for v in sorted(d.nodes)))
 
 
 def _check_f1_color(d, site):
@@ -287,23 +258,10 @@ def _apply_f1_color(b_, d, site):
 
 
 def _match_b_copy(d: dg.Diagram) -> list:
-    sites = []
-    for e, (s, v) in enumerate(d.edges):
-        if s == v or not (_is_spider(d, s) and _is_spider(d, v)):
-            continue
-        if d.degree(s) != 1:
-            continue
-        if d.node(s).kind == d.node(v).kind:
-            continue
-        if cyclic_value(d.node(s).phase) is None:
-            continue
-        if not d.node(v).phase.is_zero:
-            continue
-        if _self_loops(d, v):
-            continue
-        sites.append({"state": s, "spider": v, "edge": e})
-    sites.sort(key=lambda x: (x["state"], x["spider"], x["edge"]))
-    return sites
+    found = sorted((s, v, e) for e, (s, v) in enumerate(d.edges)
+                   if d.degree(s) == 1)
+    return _sites(d, _check_b_copy,
+                  ({"state": s, "spider": v, "edge": e} for s, v, e in found))
 
 
 def _check_b_copy(d, site):
@@ -349,32 +307,12 @@ def _apply_b_copy(b_, d, site):
 
 
 def _match_k2_commute(d: dg.Diagram) -> list:
-    sites = []
-    for g in sorted(d.nodes):
-        if not _is_spider(d, g):
-            continue
-        k = cyclic_value(d.node(g).phase)
-        if k is None or k == 0:
-            continue
-        ins, outs = d.in_edges(g), d.out_edges(g)
-        if len(ins) != 1 or len(outs) != 1 or ins[0] == outs[0]:
-            continue
-        for e in (ins[0], outs[0]):
-            s, t = d.edges[e]
-            v = t if s == g else s
-            if v == g or not _is_spider(d, v):
-                continue
-            if d.node(v).kind == d.node(g).kind:
-                continue
-            far = outs[0] if e == ins[0] else ins[0]
-            fs, ft = d.edges[far]
-            if v in (fs, ft):
-                continue
-            if _self_loops(d, v):
-                continue
-            sites.append({"gate": g, "spider": v, "edge": e})
-    sites.sort(key=lambda x: (x["gate"], x["spider"], x["edge"]))
-    return sites
+    # The far end of leg (e, sign) of g is the edge's target when g is
+    # its source (sign +1), else its source.
+    found = sorted((g, d.edges[e][sign == 1], e) for g in d.nodes
+                   if d.degree(g) == 2 for e, sign in d.legs(g))
+    return _sites(d, _check_k2_commute,
+                  ({"gate": g, "spider": v, "edge": e} for g, v, e in found))
 
 
 def _check_k2_commute(d, site):
@@ -442,31 +380,16 @@ def _apply_k2_commute(b_, d, site):
 
 
 def _match_b_bialgebra(d: dg.Diagram) -> list:
-    def eligible(v):
-        return (_is_spider(d, v) and d.node(v).phase.is_zero
-                and d.degree(v) == 3 and not _self_loops(d, v))
-
     def targets(v):
         return {d.edges[i][1] for i in d.out_edges(v)}
 
-    sites = []
-    spiders = [v for v in sorted(d.nodes) if eligible(v)]
-    for ai, a in enumerate(spiders):
-        for b in spiders[ai + 1:]:
-            if d.node(a).kind != d.node(b).kind:
-                continue
-            # Candidate far side: common targets of edges out of a and b.
-            qs = sorted(targets(a) & targets(b))
-            for qi, q1 in enumerate(qs):
-                for q2 in qs[qi + 1:]:
-                    site = {"first": [a, b], "second": [q1, q2],
-                            "color": d.node(a).kind}
-                    try:
-                        _check_b_bialgebra(d, site)
-                    except RuleMatchError:
-                        continue
-                    sites.append(site)
-    return sites
+    # The far side of a square is two common targets of the near side.
+    cubic = [v for v in sorted(d.nodes) if d.degree(v) == 3]
+    return _sites(d, _check_b_bialgebra, (
+        {"first": [a, b], "second": [q1, q2], "color": d.node(a).kind}
+        for a, b in itertools.combinations(cubic, 2)
+        for q1, q2 in itertools.combinations(sorted(targets(a) & targets(b)),
+                                             2)))
 
 
 def _check_b_bialgebra(d, site):
@@ -564,9 +487,14 @@ def find_matches(d: dg.Diagram, rule: str) -> list:
 def apply_rule(d: dg.Diagram, rule: str, site: dict) -> dg.Diagram:
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
+    return _rewrite(d, rule, site)[0]
+
+
+def _rewrite(d: dg.Diagram, rule: str, site: dict) -> tuple:
+    """(diagram, removed, added) after one application at site."""
     b_ = dg.DiagramBuilder.from_diagram(d)
-    _APPLIERS[rule](b_, d, site)
-    return b_.finish()
+    removed, added = _APPLIERS[rule](b_, d, site)
+    return b_.finish(), removed, added
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +558,12 @@ def simplify(d: dg.Diagram) -> tuple:
             if not sites:
                 continue
             site = sites[0]
-            before = len(current.edges)
-            b_ = dg.DiagramBuilder.from_diagram(current)
             try:
-                removed, added = _APPLIERS[rule](b_, current, site)
-                nxt = b_.finish()
+                nxt, removed, added = _rewrite(current, rule, site)
             except ValueError as exc:
                 raise AssertionError(
                     f"{rule} failed at its own match {site}: {exc}") from exc
-            if len(nxt.edges) >= before:
+            if len(nxt.edges) >= len(current.edges):
                 raise AssertionError(
                     f"{rule} did not shrink the diagram; simplify would loop")
             trace.steps.append(TraceStep(rule, site, removed, added))
@@ -656,8 +581,12 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
     if diagram_hash(d) != trace.initial_hash:
         raise ValueError("trace does not start at this diagram")
     current = d
-    for step in trace.steps:
-        current = apply_rule(current, step.rule, step.site)
+    for i, step in enumerate(trace.steps):
+        try:
+            current = apply_rule(current, step.rule, step.site)
+        except RuleMatchError as exc:
+            raise RuleMatchError(
+                f"replay step {i} ({step.rule}): {exc}") from exc
     if diagram_hash(current) != trace.final_hash:
         raise ValueError("replay diverged from the recorded final hash")
     return current

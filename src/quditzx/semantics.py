@@ -374,6 +374,8 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
             break
         _, i, j, shared = best
         ta, tb = tensors[i], tensors[j]
+        # Contract in ta's label order: a set's order follows the hash seed.
+        shared = [l for l in ta.labels if l in shared]
         ax_a = [ta.labels.index(l) for l in shared]
         ax_b = [tb.labels.index(l) for l in shared]
         merged = np.tensordot(ta.array, tb.array, axes=(ax_a, ax_b))

@@ -91,6 +91,8 @@ def synth_zj(j: int, b, route: str = "beta") -> SynthesisResult:
         raise ValueError("need a state of dimension at least 2")
     if not 0 <= j < d:
         raise ValueError(f"target index must be in 0..{d - 1}, got {j}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"state amplitudes must be finite, got {b.tolist()}")
     norm = np.linalg.norm(b)
     if norm == 0:
         raise DegenerateStateError("the zero vector has no target")
@@ -174,6 +176,8 @@ def synth_xj(j: int, phi: float, dim: int) -> PhaseVector:
     """
     if not 0 <= j < dim:
         raise ValueError(f"target index must be in 0..{dim - 1}, got {j}")
+    if not math.isfinite(phi):
+        raise ValueError(f"eigenphase phi must be finite, got {phi}")
     if j == 0:
         return PhaseVector.from_radians(dim, [-phi] * (dim - 1))
     rads = [0.0] * (dim - 1)

@@ -246,6 +246,21 @@ def test_rule_check_json_is_byte_deterministic(capsys):
     assert first == second
 
 
+def test_rule_check_json_does_not_depend_on_the_hash_seed():
+    # the evaluator's contraction order must not follow set iteration
+    outputs = []
+    for hash_seed in ("0", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=(
+            os.path.dirname(os.path.dirname(quditzx.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditzx.cli", "rule-check", "--json",
+             "--rule", "S_fuse", "--dim", "3", "--trials", "20"],
+            capture_output=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -527,6 +542,8 @@ BAD_INPUTS = [
     ("stab-run {sqtext}", None),
     ("stab-run {noqudits}", None),
     ("stab-run {dim0}", None),
+    ("synth --dim 3 --target xj --j 1 --phi nan", None),
+    ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),
 ]
 
 
@@ -534,7 +551,7 @@ BAD_INPUTS = [
     "command, env_tol", BAD_INPUTS,
     ids=[c if t is None else f"QUDITZX_TOL={t} {c}" for c, t in BAD_INPUTS])
 def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
-                                     monkeypatch, capsys):
+                                     monkeypatch, capsys, recwarn):
     if env_tol is None:
         monkeypatch.delenv("QUDITZX_TOL", raising=False)
     else:
@@ -546,6 +563,7 @@ def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert [str(w.message) for w in recwarn] == []
 
 
 # ---------------------------------------------------------------------------

@@ -402,10 +402,27 @@ def test_b_bialgebra_rejects_phased_squares():
 
 @pytest.mark.parametrize("rule", ALL_RULES)
 def test_random_instances_sit_inside_their_own_matches(rule):
-    rng = random.Random(f"match:{rule}")
-    for _ in range(5):
-        d, site = random_rule_instance(rule, 3, rng)
-        assert site in find_matches(d, rule)
+    for dim in (2, 3, 4, 5):
+        rng = random.Random(f"match:{rule}:{dim}")
+        for _ in range(5):
+            d, site = random_rule_instance(rule, dim, rng)
+            sites = find_matches(d, rule)
+            assert site in sites
+            for found in sites:
+                apply_rule(d, rule, found)
+
+
+@pytest.mark.parametrize("rule", ALL_RULES)
+def test_matchers_keep_only_what_the_check_accepts(rule, monkeypatch):
+    # a rule's pattern is its check: refusing every site leaves no match
+    d, _ = random_rule_instance(rule, 3, random.Random(f"refuse:{rule}"))
+    assert find_matches(d, rule) != []
+
+    def refuse(d, site):
+        raise RuleMatchError("refused")
+
+    monkeypatch.setattr(rw, f"_check_{rule.lower()}", refuse)
+    assert find_matches(d, rule) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -518,6 +535,17 @@ def test_simplify_emits_a_replayable_trace():
     assert diagram_hash(replayed) == trace.final_hash
     with pytest.raises(ValueError):
         replay(dg.wire_diagram(3), trace)
+
+
+def test_replay_names_the_step_that_diverged():
+    d = _fusible_chain(3, 4)
+    _, trace = simplify(d)
+    assert len(trace.steps) >= 2
+    trace.steps[1].site = dict(trace.steps[1].site, absorb=10 ** 6)
+    with pytest.raises(RuleMatchError,
+                       match=r"^replay step 1 \(S_fuse\): both nodes must be "
+                             r"spiders$"):
+        replay(d, trace)
 
 
 def test_trace_json_round_trip():
