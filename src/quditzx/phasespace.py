@@ -15,8 +15,8 @@ distribution is uniform over the coset V-perp + v_rep with exact rational
 weights.  Valid transformations are affine symplectic maps m -> Sm + a.
 
 `encode_ontic` bridges phase-space points to the 1-based ontic labels of
-the relational model (x*d + p + 1 per system, mixed-radix for up to three
-systems).
+the relational model, in `toyrel`'s encoding (x*d + p + 1 per system,
+mixed-radix for up to three systems).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import toyrel as tr
 from ._modp import is_prime, nullspace_mod, rank_mod
 
 __all__ = [
@@ -395,31 +396,17 @@ def encode_ontic(m, n: int = 1) -> int:
         raise ValueError("point has the wrong number of systems")
     if n > _BRIDGE_ARITY:
         raise ValueError(f"bridge supports at most {_BRIDGE_ARITY} systems")
-    d = m.d
-    flat = 0
-    for j in range(n):
-        x, p = m.coords[2 * j], m.coords[2 * j + 1]
-        flat = flat * d * d + (x * d + p)
-    return flat + 1
+    c = m.coords
+    return tr.tuple_label(m.d, [tr.ontic_label(m.d, c[2 * j], c[2 * j + 1])
+                                for j in range(n)])
 
 
 def decode_ontic(label: int, d: int, n: int = 1) -> OnticPoint:
     """Inverse of encode_ontic."""
     if n > _BRIDGE_ARITY:
         raise ValueError(f"bridge supports at most {_BRIDGE_ARITY} systems")
-    size = (d * d) ** n
-    if not 1 <= label <= size:
-        raise ValueError(f"label {label} out of range 1..{size}")
-    rest = label - 1
-    coords = []
-    for _ in range(n):
-        per = rest % (d * d)
-        coords.extend((per // d, per % d))
-        rest //= d * d
-    pairs = list(reversed([tuple(coords[i:i + 2])
-                           for i in range(0, len(coords), 2)]))
-    flat = [c for pair in pairs for c in pair]
-    return OnticPoint(d, tuple(flat))
+    return OnticPoint(d, tuple(c for lab in tr.label_tuple(d, n, label)
+                               for c in tr.ontic_coords(d, lab)))
 
 
 def _elementary_symplectics(d: int, n: int) -> list:

@@ -531,9 +531,12 @@ class RewriteTrace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RewriteTrace":
-        steps = [TraceStep(s["rule"], s["site"], s.get("removed", []),
-                           s.get("added", []))
-                 for s in obj["steps"]]
+        steps = []
+        for i, s in enumerate(obj["steps"]):
+            if not isinstance(s, dict) or "rule" not in s or "site" not in s:
+                raise ValueError(f"trace step {i} needs a 'rule' and a 'site'")
+            steps.append(TraceStep(s["rule"], s["site"], s.get("removed", []),
+                                   s.get("added", [])))
         return cls(obj["initialHash"], obj["finalHash"], steps)
 
 
@@ -584,9 +587,13 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
     for i, step in enumerate(trace.steps):
         try:
             current = apply_rule(current, step.rule, step.site)
-        except RuleMatchError as exc:
+        except (ValueError, KeyError, TypeError) as exc:
+            # A site that lacks a key or has the wrong type is as malformed
+            # as one the rule's check refuses.
+            reason = (f"site has no key {exc}" if isinstance(exc, KeyError)
+                      else exc)
             raise RuleMatchError(
-                f"replay step {i} ({step.rule}): {exc}") from exc
+                f"replay step {i} ({step.rule}): {reason}") from exc
     if diagram_hash(current) != trace.final_hash:
         raise ValueError("replay diverged from the recorded final hash")
     return current

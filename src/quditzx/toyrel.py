@@ -50,6 +50,7 @@ __all__ = [
     "classical_point",
     "phase_state",
     "phase_map",
+    "phase_group_law",
     "cap_conjugate",
     "delta_grid",
     "rel_structure_check",
@@ -88,7 +89,7 @@ def label_tuple(D: int, arity: int, flat: int) -> tuple:
     """Inverse of tuple_label for a given arity."""
     size = D * D
     if not 1 <= flat <= size ** arity:
-        raise ValueError(f"index {flat} out of range for arity {arity}")
+        raise ValueError(f"label {flat} out of range 1..{size ** arity}")
     rest = flat - 1
     out = []
     for _ in range(arity):
@@ -156,7 +157,10 @@ class Rel:
     def state(cls, D: int, support: Iterable[int], arity: int = 1) -> "Rel":
         """Relation I -> A^arity with the given 1-based support."""
         r = cls.empty(D, 0, arity)
+        rows = r.matrix.shape[0]
         for lab in support:
+            if not 1 <= lab <= rows:
+                raise ValueError(f"label {lab} out of range 1..{rows}")
             r.matrix[lab - 1, 0] = True
         return r
 
@@ -170,12 +174,7 @@ class Rel:
             images = [mapping(lab) for lab in range(1, size + 1)]
         else:
             images = [mapping[lab] for lab in range(1, size + 1)]
-        if sorted(images) != list(range(1, size + 1)):
-            raise ValueError("mapping is not a bijection on the ontic set")
-        mat = np.zeros((size, size), dtype=bool)
-        for src, dst in enumerate(images, start=1):
-            mat[dst - 1, src - 1] = True
-        return cls(D, 1, 1, mat)
+        return Permutation(D, tuple(images)).to_rel()
 
     # -- algebra --------------------------------------------------------
 
@@ -274,16 +273,19 @@ class Permutation:
             raise ValueError("images must be a bijection on 1..D^2")
 
     def __call__(self, label: int) -> int:
+        if not 1 <= label <= len(self.images):
+            raise ValueError(
+                f"label {label} out of range 1..{len(self.images)}")
         return self.images[label - 1]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for src, dst in enumerate(self.images, start=1):
-            inv[dst - 1] = src
-        return Permutation(self.D, tuple(inv))
+        return Permutation(self.D,
+                           tuple((np.argsort(self.images) + 1).tolist()))
 
     def to_rel(self) -> Rel:
-        return Rel.permutation(self.D, lambda lab: self.images[lab - 1])
+        r = Rel.empty(self.D, 1, 1)
+        r.matrix[np.array(self.images) - 1, np.arange(len(self.images))] = True
+        return r
 
 
 def rel_op(kind: str, *args: Rel) -> Rel:
@@ -313,40 +315,32 @@ def rel_op(kind: str, *args: Rel) -> Rel:
 # generators
 
 
+def _coordinate_permutation(D: int, image: Callable) -> Permutation:
+    """The permutation (x, p) -> image(x, p), from coordinate arrays."""
+    x, p = np.indices((D, D))
+    return Permutation(D, tuple(ontic_label(D, *image(x, p)).ravel().tolist()))
+
+
 def transpose_permutation(D: int) -> Permutation:
     """The coordinate transpose (x, p) -> (p, x)."""
-    images = []
-    for lab in range(1, D * D + 1):
-        x, p = ontic_coords(D, lab)
-        images.append(ontic_label(D, p, x))
-    return Permutation(D, tuple(images))
+    return _coordinate_permutation(D, lambda x, p: (p, x))
 
 
 def negation_permutation(D: int) -> Permutation:
     """Full coordinate negation (x, p) -> (-x, -p); the Hopf antipode."""
-    images = []
-    for lab in range(1, D * D + 1):
-        x, p = ontic_coords(D, lab)
-        images.append(ontic_label(D, -x, -p))
-    return Permutation(D, tuple(images))
+    return _coordinate_permutation(D, lambda x, p: (-x, -p))
 
 
 def _delta(D: int, fibre: str) -> Rel:
     """Copying relation: u ~ (y, z) iff the fibre coordinate agrees on all
     three and the other coordinate adds, u_other = y_other + z_other."""
+    ux, up, a = np.indices((D, D, D))
+    if fibre == "x":
+        y, z = ontic_label(D, ux, a), ontic_label(D, ux, up - a)
+    else:
+        y, z = ontic_label(D, a, up), ontic_label(D, ux - a, up)
     r = Rel.empty(D, 1, 2)
-    for ux in range(D):
-        for up in range(D):
-            u = ontic_label(D, ux, up)
-            for a in range(D):
-                if fibre == "x":
-                    y = ontic_label(D, ux, a)
-                    z = ontic_label(D, ux, up - a)
-                else:
-                    y = ontic_label(D, a, up)
-                    z = ontic_label(D, ux - a, up)
-                row = tuple_label(D, (y, z))
-                r.matrix[row - 1, u - 1] = True
+    r.matrix[(y - 1) * D * D + z - 1, ontic_label(D, ux, up) - 1] = True
     return r
 
 
@@ -364,17 +358,9 @@ def spek_generator(name: str, D: int) -> Rel:
     if name == "delta_x":
         return _delta(D, "p")
     if name == "eps_z":
-        # {(x, 0)} ~ *, i.e. labels 1, D+1, ..., D(D-1)+1
-        mat = np.zeros((1, D * D), dtype=bool)
-        for x in range(D):
-            mat[0, ontic_label(D, x, 0) - 1] = True
-        return Rel(D, 1, 0, mat)
+        return classical_point("X", D, 0).converse()
     if name == "eps_x":
-        # {(0, p)} ~ *, i.e. labels 1..D
-        mat = np.zeros((1, D * D), dtype=bool)
-        for p in range(D):
-            mat[0, ontic_label(D, 0, p) - 1] = True
-        return Rel(D, 1, 0, mat)
+        return classical_point("Z", D, 0).converse()
     if name == "bell":
         return spek_generator("delta_z", D) @ \
             spek_generator("eps_z", D).converse()
@@ -422,6 +408,20 @@ def phase_map(color: str, D: int, sigma: int, t: int) -> Rel:
     return delta.converse() @ psi.tensor(Rel.identity(D))
 
 
+def phase_group_law(color: str, D: int) -> bool:
+    """Whether the color's D^2 phase maps form the group (Z_D)^2: each is
+    a permutation, (0, 0) is the identity, and composition adds indices,
+    map(s1, t1) . map(s2, t2) = map(s1 + s2, t1 + t2)."""
+    maps = {(s, t): phase_map(color, D, s, t)
+            for s in range(D) for t in range(D)}
+    return (all((m.matrix.sum(axis=0) == 1).all()
+                and (m.matrix.sum(axis=1) == 1).all() for m in maps.values())
+            and maps[0, 0] == Rel.identity(D)
+            and all(m1 @ m2 == maps[(s1 + s2) % D, (t1 + t2) % D]
+                    for (s1, t1), m1 in maps.items()
+                    for (s2, t2), m2 in maps.items()))
+
+
 def cap_conjugate(color: str, D: int, psi: Rel) -> Rel:
     """Conjugate a state through the color's own compact cap,
     (psi^dagger x id) . (delta . eps^dagger)."""
@@ -436,14 +436,9 @@ def delta_grid(color: str, D: int) -> np.ndarray:
     u with u ~ (y, z), or 0 where the relation is empty."""
     delta = spek_generator("delta_z" if color == "Z" else "delta_x", D)
     size = D * D
-    grid = np.zeros((size, size), dtype=np.int64)
-    for u in range(1, size + 1):
-        for row in np.nonzero(delta.matrix[:, u - 1])[0]:
-            y, z = label_tuple(D, 2, int(row) + 1)
-            if grid[y - 1, z - 1]:
-                raise AssertionError("copy grid cell is not single-valued")
-            grid[y - 1, z - 1] = u
-    return grid
+    if (delta.matrix.sum(axis=1) > 1).any():
+        raise AssertionError("copy grid cell is not single-valued")
+    return (delta.matrix @ np.arange(1, size + 1)).reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +448,10 @@ def delta_grid(color: str, D: int) -> np.ndarray:
 def _swap(D: int) -> Rel:
     """The symmetry A x A -> A x A."""
     size = D * D
-    mat = np.zeros((size * size, size * size), dtype=bool)
-    for a in range(1, size + 1):
-        for b in range(1, size + 1):
-            mat[tuple_label(D, (b, a)) - 1, tuple_label(D, (a, b)) - 1] = True
-    return Rel(D, 2, 2, mat)
+    a, b = np.indices((size, size))
+    r = Rel.empty(D, 2, 2)
+    r.matrix[b * size + a, a * size + b] = True
+    return r
 
 
 def _strong_complementarity_rhs(delta_other: Rel, mu: Rel) -> np.ndarray:
@@ -517,28 +511,7 @@ def _observable_laws(checks: list, D: int, color: str):
                 ok = False
     _check(checks, f"unbiased_points_{tag}", ok)
 
-    # phase group: maps are permutations, composition is the (Z_D)^2 table,
-    # the counit's adjoint is the unit
-    ok = phase_map(color, D, 0, 0) == ident
-    for s1 in range(D):
-        for t1 in range(D):
-            m1 = phase_map(color, D, s1, t1)
-            if np.any(m1.matrix.sum(axis=0) != 1) or \
-               np.any(m1.matrix.sum(axis=1) != 1):
-                ok = False
-            for s2 in range(D):
-                for t2 in range(D):
-                    m2 = phase_map(color, D, s2, t2)
-                    if m1 @ m2 != phase_map(color, D, s1 + s2, t1 + t2):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    _check(checks, f"phase_group_{tag}", ok,
+    _check(checks, f"phase_group_{tag}", phase_group_law(color, D),
            f"(Z_{D} x Z_{D}) composition table")
 
 
@@ -589,21 +562,14 @@ def rel_structure_check(D: int) -> dict:
     _check(checks, "transpose_involution",
            tr.tensor(tr) @ delta_x @ tr == delta_z)
 
-    # each block of the Z grid is a Latin square on its own D symbols
-    grid = delta_grid("Z", D)
-    ok = True
-    for b in range(D):
-        block = grid[b * D:(b + 1) * D, b * D:(b + 1) * D]
-        symbols = set(range(b * D + 1, b * D + D + 1))
-        for i in range(D):
-            if set(block[i, :].tolist()) != symbols:
-                ok = False
-            if set(block[:, i].tolist()) != symbols:
-                ok = False
-    off_diag = grid.copy()
-    for b in range(D):
-        off_diag[b * D:(b + 1) * D, b * D:(b + 1) * D] = 0
-    ok = ok and not off_diag.any()
+    # each diagonal block of the Z grid is a Latin square on its own D
+    # symbols, and the off-diagonal blocks are empty
+    blocks = delta_grid("Z", D).reshape(D, D, D, D).transpose(0, 2, 1, 3)
+    diag = blocks[np.arange(D), np.arange(D)]          # [block, row, col]
+    symbols = np.arange(D)[:, None] * D + np.arange(1, D + 1)
+    ok = ((np.sort(diag, axis=2) == symbols[:, None, :]).all()
+          and (np.sort(diag, axis=1) == symbols[:, :, None]).all()
+          and not blocks[~np.eye(D, dtype=bool)].any())
     _check(checks, "latin_squares", ok)
 
     # maximal-knowledge preservation: generators keep support at D^arity

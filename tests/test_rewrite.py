@@ -548,12 +548,39 @@ def test_replay_names_the_step_that_diverged():
         replay(d, trace)
 
 
+@pytest.mark.parametrize("rule, site, reason", [
+    ("S_fuse", {}, "site has no key 'keep'"),
+    ("S_fuse", [], "list indices must be integers"),
+    ("S_fuse", None, "not subscriptable"),
+    ("S_fuse", {"keep": [1], "absorb": 2}, "unhashable"),
+    ("Q_magic", {}, "unknown rule 'Q_magic'"),
+], ids=["empty-site", "list-site", "none-site", "list-node", "unknown-rule"])
+def test_replay_names_the_step_of_a_malformed_step(rule, site, reason):
+    d = _fusible_chain(3, 4)
+    _, trace = simplify(d)
+    trace.steps[1].rule = rule
+    trace.steps[1].site = site
+    with pytest.raises(RuleMatchError,
+                       match=rf"^replay step 1 \({rule}\): .*{reason}") as info:
+        replay(d, trace)
+    assert "\n" not in str(info.value)
+
+
 def test_trace_json_round_trip():
     d = _fusible_chain(3, 3)
     _, trace = simplify(d)
     obj = trace.to_json_dict()
     back = RewriteTrace.from_json_dict(obj)
     assert back == trace
+
+
+@pytest.mark.parametrize("missing", ["rule", "site"])
+def test_trace_json_names_a_step_without_rule_or_site(missing):
+    _, trace = simplify(_fusible_chain(3, 4))
+    obj = trace.to_json_dict()
+    del obj["steps"][1][missing]
+    with pytest.raises(ValueError, match=r"^trace step 1 needs a 'rule' "):
+        RewriteTrace.from_json_dict(obj)
 
 
 def test_diagram_hash_tracks_content():

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from quditzx import toyrel
 from quditzx.toyrel import (
     Permutation,
     Rel,
@@ -20,6 +21,7 @@ from quditzx.toyrel import (
     negation_permutation,
     ontic_coords,
     ontic_label,
+    phase_group_law,
     phase_map,
     phase_state,
     rel_op,
@@ -87,6 +89,13 @@ def test_relation_shapes_and_constructors():
     assert s.support() == frozenset({2, 4})
     with pytest.raises(ValueError):
         Rel.from_pairs(2, 1, 1, [[0, 1]])
+    # Label 0 would read index -1, the last state.
+    for bad in (0, -1, 10):
+        with pytest.raises(ValueError, match="out of range 1..9"):
+            Rel.state(3, [bad])
+    assert Rel.state(3, [81], arity=2).support() == {81}
+    with pytest.raises(ValueError, match="out of range 1..81"):
+        Rel.state(3, [82], arity=2)
     with pytest.raises(ValueError):
         Rel(2, 1, 1, np.zeros((3, 4), dtype=bool))
     with pytest.raises(ValueError):
@@ -183,6 +192,9 @@ def test_permutation_class():
                                          for lab in range(1, 10)])
     with pytest.raises(ValueError):
         Permutation(2, (1, 1, 2, 3))
+    for bad in (0, -1, 10):
+        with pytest.raises(ValueError, match="out of range 1..9"):
+            p(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +357,25 @@ def test_phase_map_of_zero_is_identity():
         assert phase_map(color, 3, 0, 0) == Rel.identity(3)
 
 
+def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
+        monkeypatch):
+    D = 3
+    for color in ("Z", "X"):
+        assert phase_group_law(color, D)
+    honest = toyrel.phase_map
+
+    def corrupted(color, D, sigma, t):
+        m = honest(color, D, sigma, t)
+        if (sigma, t) == (1, 2):
+            m = Rel(D, 1, 1, m.matrix.copy())
+            m.matrix[0, :] = True
+        return m
+
+    monkeypatch.setattr(toyrel, "phase_map", corrupted)
+    for color in ("Z", "X"):
+        assert not phase_group_law(color, D)
+
+
 # ---------------------------------------------------------------------------
 # The law battery
 
@@ -381,6 +412,49 @@ def test_strong_complementarity_directly_at_d2():
     lhs = dx @ mu_z
     rhs = rel_op("compose", mu_z.tensor(mu_z), swap_mid, dx.tensor(dx))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The array-built generators against their definitions, label by label
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_array_builders_match_their_definitions(D):
+    size = D * D
+    coords = [ontic_coords(D, lab) for lab in range(1, size + 1)]
+    # delta_Z: u ~ (y, z) iff u_x = y_x = z_x and u_p = y_p + z_p;
+    # delta_X swaps the roles of x and p.
+    for name, fibre in (("delta_z", 0), ("delta_x", 1)):
+        other = 1 - fibre
+        want = set()
+        for u, cu in enumerate(coords, start=1):
+            for y, cy in enumerate(coords, start=1):
+                for z, cz in enumerate(coords, start=1):
+                    if (cu[fibre] == cy[fibre] == cz[fibre]
+                            and cu[other] == (cy[other] + cz[other]) % D):
+                        want.add((u, tuple_label(D, (y, z))))
+        assert set(map(tuple, spek_generator(name, D).pairs())) == want
+
+    assert toyrel._swap(D) == _swap2(D)
+
+    for perm, image in ((transpose_permutation(D), lambda x, p: (p, x)),
+                        (negation_permutation(D), lambda x, p: (-x, -p))):
+        assert perm.images == tuple(ontic_label(D, *image(x, p))
+                                    for x, p in coords)
+        assert perm.to_rel().pairs() == [[lab, perm(lab)]
+                                         for lab in range(1, size + 1)]
+        inverse = perm.inverse()
+        assert all(inverse(perm(lab)) == lab for lab in range(1, size + 1))
+
+    for color in ("Z", "X"):
+        want = np.zeros((size, size), dtype=np.int64)
+        delta = spek_generator(f"delta_{color.lower()}", D)
+        for u, row in delta.pairs():
+            y, z = label_tuple(D, 2, row)
+            assert want[y - 1, z - 1] == 0
+            want[y - 1, z - 1] = u
+        got = delta_grid(color, D)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def _swap2(D):
