@@ -30,6 +30,7 @@ makes cap-induced conjugation (p-negation) satisfy the unbiasedness law.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -186,7 +187,11 @@ class Rel:
             raise ValueError(
                 f"arity mismatch: composing {self.m}-source with "
                 f"{other.n}-target")
-        prod = self.matrix.astype(np.int64) @ other.matrix.astype(np.int64)
+        # float32 takes numpy's BLAS path, which integer products lack.  The
+        # `> 0` test stays exact: an entry is a sum of non-negative 0/1
+        # products, and such a sum cannot round to zero.
+        prod = (self.matrix.astype(np.float32)
+                @ other.matrix.astype(np.float32))
         return Rel(self.D, other.m, self.n, prod > 0)
 
     def __matmul__(self, other: "Rel") -> "Rel":
@@ -344,29 +349,47 @@ def _delta(D: int, fibre: str) -> Rel:
     return r
 
 
+@functools.lru_cache(maxsize=None)
 def spek_generator(name: str, D: int) -> Rel:
     """The generating relations of the toy theory.
 
     delta_z / eps_z and delta_x / eps_x are the two observable structures;
     bell is computed from its definition delta_z . converse(eps_z); mixed
     is the maximally mixed state (full support).
+
+    Each result is built once per (name, D) and shared by every caller, so
+    its matrix is read-only; compose, tensor and converse return new,
+    writable matrices.
     """
     if D < 2:
         raise ValueError("D must be at least 2")
     if name == "delta_z":
-        return _delta(D, "x")
-    if name == "delta_x":
-        return _delta(D, "p")
-    if name == "eps_z":
-        return classical_point("X", D, 0).converse()
-    if name == "eps_x":
-        return classical_point("Z", D, 0).converse()
-    if name == "bell":
-        return spek_generator("delta_z", D) @ \
-            spek_generator("eps_z", D).converse()
-    if name == "mixed":
-        return Rel.state(D, range(1, D * D + 1))
-    raise ValueError(f"unknown generator {name!r}")
+        gen = _delta(D, "x")
+    elif name == "delta_x":
+        gen = _delta(D, "p")
+    elif name == "eps_z":
+        gen = classical_point("X", D, 0).converse()
+    elif name == "eps_x":
+        gen = classical_point("Z", D, 0).converse()
+    elif name == "bell":
+        gen = _cap("Z", D)
+    elif name == "mixed":
+        gen = Rel.state(D, range(1, D * D + 1))
+    else:
+        raise ValueError(f"unknown generator {name!r}")
+    gen.matrix.setflags(write=False)
+    return gen
+
+
+@functools.lru_cache(maxsize=None)
+def _cap(color: str, D: int) -> Rel:
+    """The color's compact cap delta . eps^dagger, built once per (color, D)
+    with a read-only matrix."""
+    tag = "z" if color == "Z" else "x"
+    cap = (spek_generator(f"delta_{tag}", D)
+           @ spek_generator(f"eps_{tag}", D).converse())
+    cap.matrix.setflags(write=False)
+    return cap
 
 
 def classical_point(color: str, D: int, t: int) -> Rel:
@@ -425,10 +448,7 @@ def phase_group_law(color: str, D: int) -> bool:
 def cap_conjugate(color: str, D: int, psi: Rel) -> Rel:
     """Conjugate a state through the color's own compact cap,
     (psi^dagger x id) . (delta . eps^dagger)."""
-    delta = spek_generator("delta_z" if color == "Z" else "delta_x", D)
-    eps = spek_generator("eps_z" if color == "Z" else "eps_x", D)
-    cap = delta @ eps.converse()
-    return psi.converse().tensor(Rel.identity(D)) @ cap
+    return psi.converse().tensor(Rel.identity(D)) @ _cap(color, D)
 
 
 def delta_grid(color: str, D: int) -> np.ndarray:
@@ -456,10 +476,11 @@ def _swap(D: int) -> Rel:
 
 def _strong_complementarity_rhs(delta_other: Rel, mu: Rel) -> np.ndarray:
     """(mu x mu) . (1 x swap x 1) . (delta x delta) without materializing
-    the arity-4 intermediate."""
+    the arity-4 intermediate.  float32 operands keep the contraction on
+    BLAS and, as in Rel.compose, the `> 0` test exact."""
     size = delta_other.D * delta_other.D
-    T = delta_other.tensor_view().astype(np.int64)     # [y, z, u]
-    M = mu.tensor_view().astype(np.int64)              # [u, y, z]
+    T = delta_other.tensor_view().astype(np.float32)   # [y, z, u]
+    M = mu.tensor_view().astype(np.float32)            # [u, y, z]
     out = np.einsum("ija,klb,eik,fjl->efab", T, T, M, M, optimize=True)
     return (out > 0).reshape(size * size, size * size)
 
@@ -515,10 +536,23 @@ def _observable_laws(checks: list, D: int, color: str):
            f"(Z_{D} x Z_{D}) composition table")
 
 
+# The battery's largest operand, ident x mu, has (D^2)^2 x (D^2)^3 = D^10
+# entries.  Above the D=6 size it refuses: D=7 would need 282,475,249
+# entries (1.1 GB as float32) and about 7e11 multiply-adds per product.
+_LAW_BATTERY_CAP = 6 ** 10
+
+
 def rel_structure_check(D: int) -> dict:
     """Verify the observable-structure laws of the toy theory as boolean
     matrix equations, plus coherence, strong complementarity, the Hopf law,
-    cap properties, grid shape invariants, and a negative control."""
+    cap properties, grid shape invariants, and a negative control.
+
+    Raises ValueError, before building anything, when the largest operand
+    (D^10 entries) exceeds the D=6 size."""
+    if D > 1 and D ** 10 > _LAW_BATTERY_CAP:
+        raise ValueError(
+            f"law battery at D={D} needs a {D ** 10}-entry relation (D^10), "
+            f"above the cap of {_LAW_BATTERY_CAP} entries (D=6)")
     checks: list = []
     delta_z = spek_generator("delta_z", D)
     delta_x = spek_generator("delta_x", D)
@@ -575,13 +609,14 @@ def rel_structure_check(D: int) -> dict:
     # maximal-knowledge preservation: generators keep support at D^arity
     ok = True
     for t in range(D):
+        maps = [phase_map("Z", D, sigma, t) for sigma in range(D)]
         for state in (classical_point("Z", D, t), classical_point("X", D, t)):
             if len((delta_z @ state).support()) != D * D:
                 ok = False
             if len((delta_x @ state).support()) != D * D:
                 ok = False
-            for sigma in range(D):
-                if len((phase_map("Z", D, sigma, t) @ state).support()) != D:
+            for m in maps:
+                if len((m @ state).support()) != D:
                     ok = False
     ok = ok and len(bell.support()) == D * D
     _check(checks, "maximal_knowledge", ok)

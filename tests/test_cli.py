@@ -520,6 +520,7 @@ def bad_input_files(tmp_path):
 BAD_INPUTS = [
     ("spek-check --dim 1", None),
     ("spek-check --dim 0", None),
+    ("spek-check --dim 7", None),
     ("phase-space --dim 4", None),
     ("phase-space --n 0", None),
     ("phase-space --cases 0", None),

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditzx import toyrel
 from quditzx.toyrel import (
@@ -115,20 +117,24 @@ def test_composition_is_relational_and_applies_right_factor_first():
     assert st.support() == {3}
 
 
-def test_composition_agrees_with_pair_chasing():
-    rng = np.random.default_rng(0)
-    D = 2
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_composition_agrees_with_pair_chasing(D, m, k, n, density, seed):
+    # a @ b against the pair-set oracle
+    # {(s, t) : exists j with (s, j) in b and (j, t) in a}.
     size = D * D
-    for _ in range(20):
-        a = Rel(D, 1, 1, rng.random((size, size)) < 0.3)
-        b = Rel(D, 1, 1, rng.random((size, size)) < 0.3)
-        got = set(map(tuple, (b @ a).pairs()))
-        want = set()
-        for src, mid in a.pairs():
-            for mid2, dst in b.pairs():
-                if mid == mid2:
-                    want.add((src, dst))
-        assert got == want
+    rng = np.random.default_rng(seed)
+    b = Rel(D, m, k, rng.random((size ** k, size ** m)) < density)
+    a = Rel(D, k, n, rng.random((size ** n, size ** k)) < density)
+    images = {}
+    for mid, dst in a.pairs():
+        images.setdefault(mid, set()).add(dst)
+    want = {(src, dst) for src, mid in b.pairs()
+            for dst in images.get(mid, ())}
+    got = a @ b
+    assert got.matrix.dtype == bool
+    assert set(map(tuple, got.pairs())) == want
 
 
 def test_composition_is_associative():
@@ -379,9 +385,7 @@ def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
 # ---------------------------------------------------------------------------
 # The law battery
 
-# D=5 takes ~2 minutes and is exercised once by the acceptance suite;
-# keep the per-module battery fast.
-@pytest.mark.parametrize("D", [2, 3, 4])
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
 def test_structure_battery_passes(D):
     report = rel_structure_check(D)
     assert report["dim"] == D
@@ -399,6 +403,19 @@ def test_negative_control_is_exercised():
                    if c["id"] == "negative_control")
     assert control["passed"]
     assert control["detail"]
+
+
+def test_battery_refuses_above_the_d6_size_before_building(monkeypatch):
+    def unreachable(name, D):
+        raise AssertionError("the battery built a generator")
+
+    monkeypatch.setattr(toyrel, "spek_generator", unreachable)
+    with pytest.raises(ValueError) as exc:
+        rel_structure_check(7)
+    message = str(exc.value)
+    assert "\n" not in message
+    assert "D=7" in message
+    assert str(7 ** 10) in message and str(6 ** 10) in message
 
 
 def test_strong_complementarity_directly_at_d2():
@@ -455,6 +472,34 @@ def test_array_builders_match_their_definitions(D):
         got = delta_grid(color, D)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_cached_generators_are_read_only_and_results_stay_writable(D):
+    # The uncached definitions: each generator's own body, and the caps
+    # from fresh copies of the copy maps and counits.
+    fresh = spek_generator.__wrapped__
+    caps = {color: fresh(f"delta_{color.lower()}", D)
+            @ fresh(f"eps_{color.lower()}", D).converse()
+            for color in ("Z", "X")}
+    for name in ("delta_z", "delta_x", "eps_z", "eps_x", "bell", "mixed"):
+        gen = spek_generator(name, D)
+        with pytest.raises(ValueError):
+            gen.matrix[0, 0] = not gen.matrix[0, 0]
+        want = caps["Z"] if name == "bell" else fresh(name, D)
+        again = spek_generator(name, D)
+        assert again == want
+        assert again.matrix.dtype == bool
+    for color in ("Z", "X"):
+        assert toyrel._cap(color, D) == caps[color]
+        assert not toyrel._cap(color, D).matrix.flags.writeable
+
+    dz = spek_generator("delta_z", D)
+    eps = spek_generator("eps_z", D)
+    psi = phase_state("Z", D, 1, 1)
+    for built in (dz @ eps.converse(), dz.tensor(eps), dz.converse(),
+                  cap_conjugate("X", D, psi), phase_map("Z", D, 1, 0)):
+        built.matrix[0, 0] = not built.matrix[0, 0]
 
 
 def _swap2(D):
