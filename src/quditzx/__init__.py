@@ -51,7 +51,7 @@ from .stabilizer import (
 )
 from .synthesis import DegenerateStateError, SynthesisResult, synth_xj, \
     synth_zj, verify_decompositions
-from .toyrel import Rel, rel_op, rel_structure_check, spek_generator
+from .toyrel import Rel, rel_structure_check, spek_generator
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,6 @@ __all__ = [
     "enumerate_stabilizer_states", "phase_group", "run_circuit",
     "DegenerateStateError", "SynthesisResult", "synth_xj", "synth_zj",
     "verify_decompositions",
-    "Rel", "rel_op", "rel_structure_check", "spek_generator",
+    "Rel", "rel_structure_check", "spek_generator",
     "__version__",
 ]

@@ -410,21 +410,13 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
 
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
-    """Matrix of a diagram. method is 'fast', 'reference', or 'both'
-    (which runs the two and insists they agree to 1e-10)."""
+    """Matrix of a diagram; method is 'fast' or 'reference'."""
     dg.validate(d)
     if method == "fast":
         return _evaluate_fast(d)
     if method == "reference":
         return _evaluate_reference(d)
-    if method == "both":
-        a = _evaluate_fast(d)
-        b = _evaluate_reference(d)
-        dev = np.max(np.abs(a.matrix - b.matrix)) if a.matrix.size else 0.0
-        if dev > 1e-10:
-            raise AssertionError(f"evaluation paths disagree by {dev}")
-        return a
-    raise ValueError(f"method must be fast/reference/both, got {method!r}")
+    raise ValueError(f"method must be fast or reference, got {method!r}")
 
 
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,

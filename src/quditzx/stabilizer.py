@@ -6,19 +6,22 @@ sqrt(eta) = exp(pi*i/D):
 * X is the down shift X|m> = |m-1>, Z = diag(eta^m), so XZ = eta ZX.
 * A Pauli word is sqrt(eta)^phase * tensor_k X^{x_k} Z^{z_k} with phase
   tracked mod 2D, which closes the group under multiplication for every
-  D including D = 2.
+  D including D = 2. It is stored as one int64 row [x | z | phase]
+  (Aaronson-Gottesman in Stim's layout), and the Pauli algebra is stated
+  once, on rows (`_row_*`). PauliOp is the tuple face of one row.
 
-The tableau tracks n independent commuting generators of the stabilizer
-group of a pure state. Clifford updates are the hand-derived symplectic
-rules; measurement follows the usual pivot argument over Z_D, which is
-why the tableau requires prime D. The dense oracle and the tableau share
-only the gate definitions. F, CNOT and SWAP are the matrices of the
-semantics module's generator table, and powers of eta and sqrt(eta) come
-from semantics.omega.
+The tableau is an n x (2n+1) array of the commuting generators of a pure
+state's stabilizer group; each gate is a column operation on all rows,
+and measurement is the pivot argument over Z_D, so D must be prime. The
+dense oracle shares only the gate definitions with it (F, CNOT and SWAP
+from semantics' generator table, eta from semantics.omega) and applies
+a Pauli word as the monomial it is (PauliOp.act: amplitudes permuted
+and multiplied by phases), building no D^n x D^n projector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -33,6 +36,76 @@ from .semantics import fourier_matrix, generator_matrix, omega
 # The number of wires each circuit step takes; GATES is its unitary part.
 _STEP_WIRES = {"F": 1, "Sq": 1, "CNOT": 2, "CP": 2, "SWAP": 2, "measure": 1}
 GATES = tuple(g for g in _STEP_WIRES if g != "measure")
+
+# The dense oracle refuses a state of more amplitudes than this.
+MAX_DENSE_AMPLITUDES = 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Pauli rows [x | z | phase]; leading axes broadcast
+
+def _row_mul(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Rows of a * b; reordering Z past X costs eta^(-z.x')."""
+    n = a.shape[-1] // 2
+    out = a + b
+    out[..., :-1] %= dim
+    out[..., -1] -= 2 * np.sum(a[..., n:-1] * b[..., :n], axis=-1)
+    out[..., -1] %= 2 * dim
+    return out
+
+
+def _row_pow(rows: np.ndarray, k, dim: int) -> np.ndarray:
+    """rows^k for k >= 0, which broadcasts against the leading axes:
+    x and z scale by k and the phase becomes k*phase - (z.x) k(k-1)."""
+    n = rows.shape[-1] // 2
+    k = np.asarray(k, dtype=np.int64) % (2 * dim)  # every word has g^(2D) = 1
+    out = rows * k[..., None]
+    out[..., :-1] %= dim
+    zx = np.sum(rows[..., n:-1] * rows[..., :n], axis=-1)
+    out[..., -1] = (k * rows[..., -1] - zx * k * (k - 1)) % (2 * dim)
+    return out
+
+
+def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """c with a b = eta^c b a: a number, a vector or a matrix of pairs."""
+    n = a.shape[-1] // 2
+    b_dual = np.concatenate([b[..., n:-1], -b[..., :n]], axis=-1)
+    return (a[..., :-1] @ b_dual.T) % dim
+
+
+def _row_conjugate(rows: np.ndarray, gate: str, wires, q: int | None,
+                   dim: int) -> None:
+    """U P U^dagger in place for every row P and a generator gate U."""
+    d = dim
+    n = rows.shape[-1] // 2
+    x, z, phase = rows[..., :n], rows[..., n:-1], rows[..., -1]
+    if gate == "F":
+        (a,) = wires
+        phase += 2 * x[..., a] * z[..., a]
+        x[..., a], z[..., a] = z[..., a], -x[..., a]
+    elif gate == "Sq":
+        (a,) = wires
+        if q is None or math.gcd(q, d) != 1:
+            raise ValueError(f"Sq needs a unit q mod {d}, got {q}")
+        x[..., a] *= pow(int(q), -1, d)
+        z[..., a] *= int(q) % d
+    elif gate == "CNOT":
+        a, b = wires
+        z[..., a] += z[..., b]
+        x[..., b] -= x[..., a]
+    elif gate == "CP":
+        a, b = wires
+        phase += 2 * x[..., a] * x[..., b]
+        z[..., a] -= x[..., b]
+        z[..., b] -= x[..., a]
+    elif gate == "SWAP":
+        a, b = wires
+        rows[..., [a, b, n + a, n + b]] = rows[..., [b, a, n + b, n + a]]
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    touched = list(wires) + [n + w for w in wires]
+    rows[..., touched] %= d
+    phase %= 2 * d
 
 
 @dataclass(frozen=True)
@@ -49,8 +122,8 @@ class PauliOp:
         if len(self.x) != self.n or len(self.z) != self.n:
             raise ValueError("x and z must each have one entry per qudit")
         object.__setattr__(self, "phase", self.phase % (2 * self.dim))
-        object.__setattr__(self, "x", tuple(v % self.dim for v in self.x))
-        object.__setattr__(self, "z", tuple(v % self.dim for v in self.z))
+        object.__setattr__(self, "x", tuple(int(v) % self.dim for v in self.x))
+        object.__setattr__(self, "z", tuple(int(v) % self.dim for v in self.z))
 
     @classmethod
     def identity(cls, n: int, dim: int) -> "PauliOp":
@@ -65,25 +138,27 @@ class PauliOp:
         zs[wire] = z
         return cls(n, dim, phase, tuple(xs), tuple(zs))
 
+    @classmethod
+    def from_row(cls, dim: int, row) -> "PauliOp":
+        n = len(row) // 2
+        return cls(n, dim, int(row[-1]), tuple(row[:n]), tuple(row[n:-1]))
+
+    @property
+    def row(self) -> np.ndarray:
+        """This word as the int64 row [x | z | phase]."""
+        return np.array(self.x + self.z + (self.phase,), dtype=np.int64)
+
     def mul(self, other: "PauliOp") -> "PauliOp":
-        """Product self * other; reordering Z past X costs eta^(-z.x')."""
+        """Product self * other."""
         if (self.n, self.dim) != (other.n, other.dim):
             raise ValueError("operands act on different systems")
-        cross = sum(a * b for a, b in zip(self.z, other.x))
-        return PauliOp(
-            self.n, self.dim,
-            self.phase + other.phase - 2 * cross,
-            tuple(a + b for a, b in zip(self.x, other.x)),
-            tuple(a + b for a, b in zip(self.z, other.z)),
-        )
+        return PauliOp.from_row(self.dim,
+                                _row_mul(self.row, other.row, self.dim))
 
     def pow(self, k: int) -> "PauliOp":
         if k < 0:
             raise ValueError("negative powers are not supported")
-        out = PauliOp.identity(self.n, self.dim)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
+        return PauliOp.from_row(self.dim, _row_pow(self.row, k, self.dim))
 
     def scaled(self, half_eta_power: int) -> "PauliOp":
         return PauliOp(self.n, self.dim, self.phase + half_eta_power,
@@ -91,9 +166,7 @@ class PauliOp:
 
     def commutation_exponent(self, other: "PauliOp") -> int:
         """c with self other = eta^c other self."""
-        c = sum(xa * zb - za * xb for xa, za, xb, zb
-                in zip(self.x, self.z, other.x, other.z))
-        return c % self.dim
+        return int(_row_commutation(self.row, other.row, self.dim))
 
     @property
     def is_identity_word(self) -> bool:
@@ -101,23 +174,25 @@ class PauliOp:
 
     def order_divides_dim(self) -> bool:
         """Whether self**D is the identity (not a phase times it)."""
-        d = self.dim
-        zx = sum(a * b for a, b in zip(self.z, self.x))
-        if d % 2 == 1:
-            return self.phase % 2 == 0
-        return (self.phase + zx) % 2 == 0
+        return not _row_pow(self.row, self.dim, self.dim).any()
+
+    def act(self, psi: np.ndarray) -> np.ndarray:
+        """This word applied to psi, whose first axis has length D^n (any
+        further axes are carried along). The word is a monomial: it
+        multiplies amplitude m by eta^(z.m) and moves it to m - x."""
+        d, n = self.dim, self.n
+        psi = np.asarray(psi, dtype=complex)
+        out = psi.reshape((d,) * n + psi.shape[1:])
+        for k, (xk, zk) in enumerate(zip(self.x, self.z)):
+            if zk:
+                phases = omega(d, zk * np.arange(d))
+                out = out * phases.reshape((d,) + (1,) * (out.ndim - k - 1))
+            if xk:
+                out = np.roll(out, -xk, axis=k)
+        return omega(2 * d, self.phase) * out.reshape(psi.shape)
 
     def dense(self) -> np.ndarray:
-        d = self.dim
-        xmat = np.zeros((d, d), dtype=complex)
-        for m in range(d):
-            xmat[(m - 1) % d, m] = 1.0
-        zmat = np.diag([omega(d, m) for m in range(d)])
-        out = np.array([[1.0 + 0j]])
-        for xk, zk in zip(self.x, self.z):
-            w = np.linalg.matrix_power(xmat, xk) @ np.linalg.matrix_power(zmat, zk)
-            out = np.kron(out, w)
-        return omega(2 * d, self.phase) * out
+        return self.act(np.eye(self.dim ** self.n, dtype=complex))
 
     def __str__(self) -> str:
         parts = []
@@ -131,6 +206,18 @@ class PauliOp:
                 parts.append(f"{term}[{k}]")
         body = " ".join(parts) if parts else "I"
         return f"w^{self.phase} {body}" if self.phase else body
+
+
+def _eigenprojection(obs: PauliOp, psi: np.ndarray, k: int) -> np.ndarray:
+    """P_k psi = (1/D) sum_m eta^(-km) obs^m psi: the part of psi in the
+    eta^k eigenspace of obs, which must satisfy obs^D = 1."""
+    d = obs.dim
+    acc = np.asarray(psi, dtype=complex)
+    term = acc
+    for m in range(1, d):
+        term = obs.act(term)
+        acc = acc + omega(d, -k * m) * term
+    return acc / d
 
 
 # ---------------------------------------------------------------------------
@@ -165,44 +252,17 @@ def gate_matrix(name: str, dim: int, q: int | None = None) -> np.ndarray:
 def conjugate_pauli(p: PauliOp, gate: str, wires, q: int | None = None
                     ) -> PauliOp:
     """U p U^dagger for a generator gate U, by symplectic update."""
-    d = p.dim
-    x = list(p.x)
-    z = list(p.z)
-    phase = p.phase
-    if gate == "F":
-        (a,) = wires
-        x[a], z[a] = z[a] % d, (-x[a]) % d
-        phase += 2 * p.x[a] * p.z[a]
-    elif gate == "Sq":
-        (a,) = wires
-        if q is None or math.gcd(q, d) != 1:
-            raise ValueError(f"Sq needs a unit q mod {d}, got {q}")
-        qbar = pow(q, -1, d)
-        x[a] = (x[a] * qbar) % d
-        z[a] = (z[a] * q) % d
-    elif gate == "CNOT":
-        a, b = wires
-        z[a] = (z[a] + z[b]) % d
-        x[b] = (x[b] - x[a]) % d
-    elif gate == "CP":
-        a, b = wires
-        z[a] = (z[a] - x[b]) % d
-        z[b] = (z[b] - x[a]) % d
-        phase += 2 * p.x[a] * p.x[b]
-    elif gate == "SWAP":
-        a, b = wires
-        x[a], x[b] = x[b], x[a]
-        z[a], z[b] = z[b], z[a]
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
-    return PauliOp(p.n, d, phase, tuple(x), tuple(z))
+    row = p.row
+    _row_conjugate(row, gate, wires, q, p.dim)
+    return PauliOp.from_row(p.dim, row)
 
 
 # ---------------------------------------------------------------------------
 # Tableau simulator
 
 class Tableau:
-    """Stabilizer state of n qudits of prime dimension D, as n generators."""
+    """Stabilizer state of n qudits of prime dimension D: n generators,
+    one Pauli row [x | z | phase] each, in `rows`."""
 
     def __init__(self, n: int, dim: int, generators):
         if not _modp.is_prime(dim):
@@ -215,65 +275,48 @@ class Tableau:
                 raise ValueError("generator acts on the wrong system")
             if not g.order_divides_dim():
                 raise ValueError(f"generator {g} does not have order dividing D")
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if g.commutation_exponent(h) != 0:
-                    raise ValueError(f"generators {g} and {h} do not commute")
-        mat = np.array([list(g.x) + list(g.z) for g in gens], dtype=np.int64)
-        if _modp.rank_mod(mat, dim) != n:
+        rows = np.array([g.row for g in gens], np.int64).reshape(n, 2 * n + 1)
+        clash = np.argwhere(np.triu(_row_commutation(rows, rows, dim), 1))
+        if len(clash):
+            i, j = clash[0]
+            raise ValueError(f"generators {gens[i]} and {gens[j]} do not "
+                             "commute")
+        if _modp.rank_mod(rows[:, :-1], dim) != n:
             raise ValueError("generators are not independent")
-        self.n = n
-        self.dim = dim
-        self.generators = gens
+        self.n, self.dim, self.rows = n, dim, rows
 
     @classmethod
     def zero_state(cls, n: int, dim: int) -> "Tableau":
         gens = [PauliOp.single(n, dim, k, z=1) for k in range(n)]
         return cls(n, dim, gens)
 
-    def copy(self) -> "Tableau":
-        t = object.__new__(Tableau)
-        t.n, t.dim = self.n, self.dim
-        t.generators = list(self.generators)
-        return t
-
     def apply(self, gate: str, wires, q: int | None = None) -> None:
-        self.generators = [conjugate_pauli(g, gate, wires, q)
-                           for g in self.generators]
+        _row_conjugate(self.rows, gate, wires, q, self.dim)
 
     # -- measurement ------------------------------------------------------
 
     def outcome_distribution(self, obs: PauliOp) -> list:
         """Born probabilities for the eigenvalues eta^k, k = 0..D-1."""
-        det = self._deterministic_outcome(obs)
-        if det is None:
-            return [Fraction(1, self.dim)] * self.dim
-        probs = [Fraction(0)] * self.dim
-        probs[det] = Fraction(1)
+        d = self.dim
+        if _row_commutation(obs.row, self.rows, d).any():
+            return [Fraction(1, d)] * d
+        probs = [Fraction(0)] * d
+        probs[self._deterministic_outcome(obs.row)] = Fraction(1)
         return probs
 
-    def _commutation_vector(self, obs: PauliOp) -> list:
-        return [obs.commutation_exponent(g) for g in self.generators]
-
-    def _deterministic_outcome(self, obs: PauliOp) -> int | None:
+    def _deterministic_outcome(self, obs: np.ndarray) -> int:
+        """Outcome of an observable row commuting with every generator:
+        its word is a combination of them, which fixes its eigenvalue."""
         d = self.dim
-        if any(self._commutation_vector(obs)):
-            return None
-        # obs commutes with the whole group, so its word is a combination
-        # of the generators; recover the exponents over Z_D.
-        mat = np.array([list(g.x) + list(g.z) for g in self.generators],
-                       dtype=np.int64).T
-        target = np.array(list(obs.x) + list(obs.z), dtype=np.int64)
-        coeffs = _modp.solve_mod(mat, target, d)
+        coeffs = _modp.solve_mod(self.rows[:, :-1].T, obs[:-1], d)
         if coeffs is None:
             raise AssertionError("commuting observable outside a full tableau")
-        word = PauliOp.identity(self.n, d)
-        for g, a in zip(self.generators, coeffs):
-            word = word.mul(g.pow(int(a)))
-        diff = (obs.phase - word.phase) % (2 * d)
+        word = functools.reduce(functools.partial(_row_mul, dim=d),
+                                _row_pow(self.rows, coeffs, d))
+        diff = (obs[-1] - word[-1]) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
-        return (diff // 2) % d
+        return int(diff // 2) % d
 
     def measure(self, obs: PauliOp, rng: random.Random) -> tuple:
         """Measure obs (which must satisfy obs^D = 1); returns
@@ -284,43 +327,29 @@ class Tableau:
             raise ValueError("observable must have order dividing D")
         if obs.is_identity_word:
             raise ValueError("cannot measure a scalar")
-        d = self.dim
-        c = self._commutation_vector(obs)
-        det = self._deterministic_outcome(obs) if not any(c) else None
-        if det is not None:
-            return det, True
-        pivot = next(i for i, ci in enumerate(c) if ci)
-        cp_inv = _modp.inv_mod(c[pivot], d)
+        d, rows, row = self.dim, self.rows, obs.row
+        c = _row_commutation(row, rows, d)
+        hit = np.flatnonzero(c)
+        if not len(hit):
+            return self._deterministic_outcome(row), True
+        pivot, others = hit[0], hit[1:]
+        m = (-c[others] * _modp.inv_mod(int(c[pivot]), d)) % d
         k = rng.randrange(d)
-        new_gens = []
-        for i, g in enumerate(self.generators):
-            if i == pivot:
-                new_gens.append(obs.scaled(-2 * k))
-            elif c[i]:
-                m = (-c[i] * cp_inv) % d
-                new_gens.append(g.mul(self.generators[pivot].pow(m)))
-            else:
-                new_gens.append(g)
-        self.generators = new_gens
+        rows[others] = _row_mul(rows[others], _row_pow(rows[pivot], m, d), d)
+        rows[pivot] = row
+        rows[pivot, -1] = (row[-1] - 2 * k) % (2 * d)
         return k, False
 
     # -- dense reconstruction ---------------------------------------------
 
     def dense_state(self) -> np.ndarray:
         """The stabilized state vector, for small n (oracle use only)."""
-        d, n = self.dim, self.n
-        size = d ** n
-        proj = np.eye(size, dtype=complex)
-        for g in self.generators:
-            gd = g.dense()
-            acc = np.zeros_like(proj)
-            term = np.eye(size, dtype=complex)
-            for _ in range(d):
-                acc += term
-                term = term @ gd
-            proj = proj @ (acc / d)
+        size = self.dim ** self.n
+        gens = [PauliOp.from_row(self.dim, r) for r in self.rows]
         for col in range(size):
-            v = proj[:, col]
+            v = np.eye(1, size, col, dtype=complex)[0]
+            for g in gens:
+                v = _eigenprojection(g, v, 0)
             norm = np.linalg.norm(v)
             if norm > 1e-8:
                 return v / norm
@@ -345,6 +374,10 @@ class DenseSimulator:
     """Literal state-vector simulation; the oracle for the tableau."""
 
     def __init__(self, n: int, dim: int):
+        if dim ** n > MAX_DENSE_AMPLITUDES:
+            raise ValueError(f"dense oracle refuses D={dim}, n={n}: D^n = "
+                             f"{dim ** n} amplitudes, above its cap of "
+                             f"{MAX_DENSE_AMPLITUDES}")
         self.n = n
         self.dim = dim
         self.psi = np.zeros(dim ** n, dtype=complex)
@@ -355,28 +388,12 @@ class DenseSimulator:
                                 wires, self.n, self.dim)
 
     def born_probabilities(self, obs: PauliOp) -> list:
-        d = self.dim
-        od = obs.dense()
-        projs = []
-        for k in range(d):
-            acc = np.zeros((d ** self.n, d ** self.n), dtype=complex)
-            term = np.eye(d ** self.n, dtype=complex)
-            for m in range(d):
-                acc += term * omega(d, -k * m)
-                term = term @ od
-            projs.append(acc / d)
-        return [float(np.real(self.psi.conj() @ (pk @ self.psi)))
-                for pk in projs]
+        return [float(np.real(np.vdot(self.psi,
+                                      _eigenprojection(obs, self.psi, k))))
+                for k in range(self.dim)]
 
     def collapse(self, obs: PauliOp, outcome: int) -> None:
-        d = self.dim
-        od = obs.dense()
-        acc = np.zeros((d ** self.n, d ** self.n), dtype=complex)
-        term = np.eye(d ** self.n, dtype=complex)
-        for m in range(d):
-            acc += term * omega(d, -outcome * m)
-            term = term @ od
-        v = (acc / d) @ self.psi
+        v = _eigenprojection(obs, self.psi, outcome)
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise ValueError(f"collapse onto an impossible outcome {outcome}")
@@ -432,9 +449,9 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
     if n < 1 or not _modp.is_prime(dim):
         raise ValueError(f"a circuit needs n >= 1 qudits of prime dimension, "
                          f"got n={n}, dim={dim}")
+    dense = DenseSimulator(n, dim) if oracle else None
     rng = random.Random(seed)
     tab = Tableau.zero_state(n, dim)
-    dense = DenseSimulator(n, dim) if oracle else None
     outcomes = []
     max_dev = 0.0
     for i, step in enumerate(circuit):
@@ -551,13 +568,8 @@ def enumerate_stabilizer_states(dim: int) -> list:
         x_ph = cyclic_vector(d, (d - idx) % d)
         states.append(StabState(d, "Z", idx, vec, None, x_ph))
 
-    x_up = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        x_up[(m + 1) % d, m] = 1.0
-    zmat = np.diag([omega(d, m) for m in range(d)])
-
     for t in range(d):
-        m_t = x_up @ np.linalg.matrix_power(zmat, t)
+        m_t = PauliOp(1, d, 0, (d - 1,), (t,)).dense()  # (up-shift X) Z^t
         parity = (t * (d - 1)) % 2
         for j in range(d):
             kp = parity + 2 * j
@@ -579,36 +591,24 @@ def enumerate_stabilizer_states(dim: int) -> list:
     return states
 
 
+def _partitions(a: int, cap: int) -> list:
+    """The partitions of a into parts of at most cap, largest part first."""
+    if a == 0:
+        return [[]]
+    return [[part] + rest for part in range(min(a, cap), 0, -1)
+            for rest in _partitions(a - part, part)]
+
+
 def _abelian_candidates(n: int) -> list:
     """All abelian groups of order n, as sorted factor lists."""
-    def prime_partitions(a):
-        if a == 0:
-            return [[]]
-        out = []
-        def rec(rest, maxpart, acc):
-            if rest == 0:
-                out.append(list(acc))
-                return
-            for part in range(min(rest, maxpart), 0, -1):
-                rec(rest - part, part, acc + [part])
-        rec(a, a, [])
-        return out
-
-    factors = {}
-    m = n
-    p = 2
-    while m > 1:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1
     groups = [[]]
-    for prime, a in factors.items():
-        new = []
-        for partition in prime_partitions(a):
-            for g in groups:
-                new.append(g + [prime ** part for part in partition])
-        groups = new
+    for prime in range(2, n + 1):
+        a = 0
+        while n % prime == 0:
+            n, a = n // prime, a + 1
+        if a:
+            groups = [g + [prime ** part for part in partition]
+                      for partition in _partitions(a, a) for g in groups]
     return [sorted(g) for g in groups]
 
 
@@ -625,12 +625,8 @@ def phase_group(dim: int) -> dict:
     for st in states:
         if st.z_phases is not None:
             elements.add(tuple(t.fraction for t in st.z_phases))
-    closed = True
-    for a in elements:
-        for b in elements:
-            summed = tuple((fa + fb) % 1 for fa, fb in zip(a, b))
-            if summed not in elements:
-                closed = False
+    closed = all(tuple((fa + fb) % 1 for fa, fb in zip(a, b)) in elements
+                 for a in elements for b in elements)
     n = len(elements)
     profile = {}
     for m in range(1, n + 1):

@@ -44,7 +44,6 @@ __all__ = [
     "ontic_coords",
     "tuple_label",
     "label_tuple",
-    "rel_op",
     "spek_generator",
     "transpose_permutation",
     "negation_permutation",
@@ -291,29 +290,6 @@ class Permutation:
         r = Rel.empty(self.D, 1, 1)
         r.matrix[np.array(self.images) - 1, np.arange(len(self.images))] = True
         return r
-
-
-def rel_op(kind: str, *args: Rel) -> Rel:
-    """Relational algebra entry point: compose, product, converse."""
-    if kind == "compose":
-        if len(args) < 2:
-            raise ValueError("compose needs at least two relations")
-        out = args[0]
-        for r in args[1:]:
-            out = out.compose(r)
-        return out
-    if kind == "product":
-        if len(args) < 2:
-            raise ValueError("product needs at least two relations")
-        out = args[0]
-        for r in args[1:]:
-            out = out.tensor(r)
-        return out
-    if kind == "converse":
-        if len(args) != 1:
-            raise ValueError("converse takes exactly one relation")
-        return args[0].converse()
-    raise ValueError(f"unknown relational operation {kind!r}")
 
 
 # ---------------------------------------------------------------------------

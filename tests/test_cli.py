@@ -514,6 +514,10 @@ def bad_input_files(tmp_path):
             ("noqudits", 0, {"gate": "measure", "wires": [0]})]:
         write(name, json.dumps({"n": n, "dim": 3, "circuit": [step]}))
     write("dim0", json.dumps({"n": 1, "dim": 0, "circuit": []}))
+    # 2^40 amplitudes: past the dense oracle's cap
+    write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
+        {"gate": "F", "wires": [0]},
+        {"gate": "measure", "wires": [0], "basis": "Z"}]}))
     return files
 
 
@@ -543,6 +547,7 @@ BAD_INPUTS = [
     ("stab-run {sqtext}", None),
     ("stab-run {noqudits}", None),
     ("stab-run {dim0}", None),
+    ("stab-run {oracle40} --oracle", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),
     ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),
 ]

@@ -1,5 +1,7 @@
 """Prime-qudit stabilizer machinery against a dense state-vector oracle."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -54,35 +56,45 @@ def test_weyl_commutation_relation(d):
     assert _dev(np.linalg.matrix_power(z, d), np.eye(d)) < 1e-12
 
 
+def _random_pauli(rng, n, d):
+    return PauliOp(n, d, rng.randrange(2 * d),
+                   tuple(rng.randrange(d) for _ in range(n)),
+                   tuple(rng.randrange(d) for _ in range(n)))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_pauli_dense_matches_word_definition(d):
     rng = random.Random(d)
-    for _ in range(10):
-        xv = tuple(rng.randrange(d) for _ in range(2))
-        zv = tuple(rng.randrange(d) for _ in range(2))
-        ph = rng.randrange(2 * d)
-        p = PauliOp(2, d, ph, xv, zv)
-        want = np.array([[1.0 + 0j]])
-        for xk, zk in zip(xv, zv):
-            w = (np.linalg.matrix_power(_xmat(d), xk)
-                 @ np.linalg.matrix_power(_zmat(d), zk))
-            want = np.kron(want, w)
-        want = _eta(2 * d, ph) * want
-        assert _dev(p.dense(), want) < 1e-12
+    for n in (1, 2, 3):
+        for _ in range(10):
+            p = _random_pauli(rng, n, d)
+            want = np.array([[1.0 + 0j]])
+            for xk, zk in zip(p.x, p.z):
+                w = (np.linalg.matrix_power(_xmat(d), xk)
+                     @ np.linalg.matrix_power(_zmat(d), zk))
+                want = np.kron(want, w)
+            want = _eta(2 * d, p.phase) * want
+            assert _dev(p.dense(), want) < 1e-12
+            # act is the same monomial on a stack of vectors
+            psi = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                             for _ in range(2)] for _ in range(d ** n)])
+            assert _dev(p.act(psi), want @ psi) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_pauli_products_track_dense_products(d):
     rng = random.Random(10 + d)
-    for _ in range(10):
-        a = PauliOp(1, d, rng.randrange(2 * d), (rng.randrange(d),),
-                    (rng.randrange(d),))
-        b = PauliOp(1, d, rng.randrange(2 * d), (rng.randrange(d),),
-                    (rng.randrange(d),))
-        assert _dev(a.mul(b).dense(), a.dense() @ b.dense()) < 1e-12
-        c = a.commutation_exponent(b)
-        assert _dev(a.dense() @ b.dense(),
-                    _eta(d, c) * b.dense() @ a.dense()) < 1e-12
+    for n in (1, 2, 3):
+        for _ in range(10):
+            a, b = _random_pauli(rng, n, d), _random_pauli(rng, n, d)
+            assert _dev(a.mul(b).dense(), a.dense() @ b.dense()) < 1e-12
+            c = a.commutation_exponent(b)
+            assert _dev(a.dense() @ b.dense(),
+                        _eta(d, c) * b.dense() @ a.dense()) < 1e-12
+            # the closed-form power, through D = 2's half-phases
+            for k in range(2 * d + 1):
+                assert _dev(a.pow(k).dense(),
+                            np.linalg.matrix_power(a.dense(), k)) < 1e-9
 
 
 def test_pauli_order_divides_dim_flag():
@@ -145,9 +157,7 @@ def test_conjugation_matches_dense_conjugation(d, gate):
     for trial in range(8):
         q = rng.choice([u for u in range(1, d) if math.gcd(u, d) == 1]) \
             if gate == "Sq" else None
-        p = PauliOp(n, d, rng.randrange(2 * d),
-                    tuple(rng.randrange(d) for _ in range(n)),
-                    tuple(rng.randrange(d) for _ in range(n)))
+        p = _random_pauli(rng, n, d)
         wires = list(range(n))
         got = conjugate_pauli(p, gate, wires, q)
         u = gate_matrix(gate, d, q)
@@ -223,6 +233,42 @@ def test_tableau_dense_state_matches_simulator():
         got = tab.dense_state()
         s = got.conj() @ sim.psi
         assert abs(abs(s) - 1.0) < 1e-9  # equal up to global phase
+    # Random gate sequences: the state pins every phase update, which
+    # single-qudit Z and X outcomes alone can miss.
+    for d in (2, 3, 5):
+        rng = random.Random(f"dense-state:{d}")
+        for _ in range(4):
+            tab, sim = Tableau.zero_state(3, d), DenseSimulator(3, d)
+            for step in random_circuit(3, d, rng, depth=12, measurements=0):
+                tab.apply(step["gate"], step["wires"], step.get("q"))
+                sim.apply(step["gate"], step["wires"], step.get("q"))
+            s = tab.dense_state().conj() @ sim.psi
+            assert abs(abs(s) - 1.0) < 1e-9, d
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_oracle_outcome_k_is_the_eta_k_eigenspace(d):
+    # Z|j> = eta^j |j> and X F|j> = eta^j F|j>: outcome j, with certainty.
+    for j in range(d):
+        for basis in ("Z", "X"):
+            sim = DenseSimulator(1, d)
+            sim.psi = np.eye(d, dtype=complex)[j]
+            if basis == "X":
+                sim.apply("F", [0])
+            obs = measurement_observable(basis, 0, 1, d)
+            want = [float(k == j) for k in range(d)]
+            assert _dev(sim.born_probabilities(obs), want) < 1e-12
+            before = sim.psi
+            sim.collapse(obs, j)
+            assert _dev(sim.psi, before) < 1e-12
+            with pytest.raises(ValueError, match="impossible outcome"):
+                sim.collapse(obs, (j + 1) % d)
+
+
+def test_dense_oracle_refuses_above_its_cap():
+    with pytest.raises(ValueError, match=r"D\^n = 2097152 amplitudes"):
+        DenseSimulator(21, 2)
+    assert DenseSimulator(20, 2).psi.shape == (2 ** 20,)
 
 
 def test_tableau_validates_generators():
@@ -265,6 +311,28 @@ def test_run_circuit_is_deterministic_per_seed():
     assert len(a["outcomes"]) == 4
     assert a["n"] == 3 and a["dim"] == 3 and a["seed"] == 11
     assert not a["oracle"]
+
+
+def test_run_circuit_outcomes_are_pinned():
+    # Outcomes and deterministic flags of seeded random circuits, hashed.
+    # The digest was recorded on the tuple-based tableau that the array
+    # tableau replaced, so it pins how measurements consume the rng.
+    rng = random.Random("pinned-outcomes")
+    h = hashlib.sha256()
+    count = 0
+    for d in (2, 3, 5):
+        for n in (1, 2, 3, 5, 8, 12):
+            for trial in range(3):
+                circuit = random_circuit(n, d, rng, depth=6 * n,
+                                         measurements=4 * n)
+                out = run_circuit(circuit, n, d, seed=trial)
+                rec = [(o["outcome"], o["deterministic"])
+                       for o in out["outcomes"]]
+                count += len(rec)
+                h.update(json.dumps([d, n, rec]).encode())
+    assert count == 1116
+    assert h.hexdigest() == ("4e97d25fe812b5f36767ddf5ef299ac1"
+                             "f0a8253d515ec9343fccff17d0051094")
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
