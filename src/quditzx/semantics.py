@@ -16,12 +16,20 @@ significant digit of the row/column index.
 evaluate() offers two independently written paths. "reference" sums a
 weight over every joint edge assignment, one factor per node; it is the
 semantic definition, transcribed. "fast" contracts the tensor network
-pairwise. They share nothing beyond the node tensor helper, and tests
-hold them to each other at 1e-10.
+pairwise, greedily: a heap yields the pair with the smallest merged
+tensor, ties going to the oldest pair. They share nothing beyond the
+node tensor helper, and tests hold them to each other at 1e-10.
+
+Each path refuses with a one-line ValueError before it allocates past
+its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
+assignments (D^E), "fast" any node tensor, merged pair or output
+matrix of more than _FAST_CAP entries.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +38,8 @@ import numpy as np
 from . import diagram as dg
 from .phases import PhaseVector
 
-_REFERENCE_CAP = 2_000_000
+_REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
+_FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
 
 
 @dataclass(frozen=True)
@@ -79,16 +88,19 @@ def omega(dim: int, power: int = 1) -> complex:
     return np.exp(2j * np.pi * (power % dim) / dim)
 
 
-def _phase_exponentials(alpha, dim: int) -> np.ndarray:
+def _phase_exponentials(alpha, dim: int | None = None) -> np.ndarray:
     """exp(i*alpha_j) for j = 0..D-1 from a PhaseVector or raw angles.
 
-    Raw input may be a length D-1 or length D sequence (leading alpha_0)
-    and may be complex, which synthesis uses for non-unitary phase maps.
+    A PhaseVector carries D; raw input needs dim. It may be a length D-1
+    or length D sequence (leading alpha_0) and may be complex, which
+    synthesis uses for non-unitary phase maps.
     """
     if isinstance(alpha, PhaseVector):
-        if alpha.dim != dim:
+        if dim is not None and alpha.dim != dim:
             raise ValueError(f"phase vector dimension {alpha.dim} != {dim}")
         angles = np.array(alpha.radians_full(), dtype=complex)
+    elif dim is None:
+        raise ValueError("dim is required when alpha is not a PhaseVector")
     else:
         arr = np.asarray(alpha, dtype=complex).ravel()
         if arr.shape[0] == dim - 1:
@@ -100,27 +112,23 @@ def _phase_exponentials(alpha, dim: int) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-def c_coefficients(alpha, dim: int) -> np.ndarray:
+def c_coefficients(alpha, dim: int | None = None) -> np.ndarray:
     """c_m(alpha) = sum_j exp(i*alpha_j) eta^(m*j), the X-spider weights."""
     u = _phase_exponentials(alpha, dim)
-    j = np.arange(dim)
-    eta_table = np.exp(2j * np.pi * np.outer(j, j) / dim)
+    j = np.arange(len(u))
+    eta_table = np.exp(2j * np.pi * np.outer(j, j) / len(u))
     return eta_table @ u
 
 
 def lambda_matrix(color: str, alpha, dim: int | None = None) -> np.ndarray:
     """The one-legged phase map: diag(exp(i*alpha_j)) for Z, its Fourier
     twin for X (a circulant with entries c_(r-c)/D)."""
-    if isinstance(alpha, PhaseVector):
-        dim = alpha.dim
-    if dim is None:
-        raise ValueError("dim is required when alpha is not a PhaseVector")
     if color == dg.Z:
         return np.diag(_phase_exponentials(alpha, dim))
     if color == dg.X:
         c = c_coefficients(alpha, dim)
-        idx = (np.arange(dim)[:, None] - np.arange(dim)[None, :]) % dim
-        return c[idx] / dim
+        j = np.arange(len(c))
+        return c[(j[:, None] - j[None, :]) % len(c)] / len(c)
     raise ValueError(f"color must be 'Z' or 'X', got {color!r}")
 
 
@@ -132,9 +140,9 @@ def fourier_matrix(dim: int) -> np.ndarray:
 def phased_state(color: str, alpha, dim: int | None = None) -> np.ndarray:
     """The vector |{alpha}_Z> (entries exp(i*alpha_j)/sqrt(D)) or its
     Fourier transform |{alpha}_X> for color X."""
-    if isinstance(alpha, PhaseVector):
-        dim = alpha.dim
-    u = _phase_exponentials(alpha, dim) / math.sqrt(dim)
+    u = _phase_exponentials(alpha, dim)
+    dim = len(u)
+    u = u / math.sqrt(dim)
     if color == dg.Z:
         return u
     if color == dg.X:
@@ -218,10 +226,9 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         c = c_coefficients(n.phase, dim)
         if k == 0:
             return complex(c[0])
-        grids = np.indices((dim,) * k)
-        total = np.zeros((dim,) * k, dtype=np.int64)
-        for axis, (_, sign) in enumerate(legs):
-            total += sign * grids[axis]
+        # Signed digit sum, one broadcast sign * arange(D) per axis.
+        total = sum((sign * np.arange(dim)).reshape((dim,) + (1,) * (k - 1 - a))
+                    for a, (_, sign) in enumerate(legs))
         return c[total % dim] * (dim ** (-0.5 * k))
     if n.kind in dg.BOX_KINDS:
         f = fourier_matrix(dim)
@@ -250,8 +257,9 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
     n_e = len(d.edges)
     if dim ** n_e > _REFERENCE_CAP:
-        raise ValueError(f"reference path refuses {n_e} edges at dimension "
-                         f"{dim}; use method='fast'")
+        raise ValueError(f"reference path refuses D={dim}, E={n_e}: D^E = "
+                         f"{dim ** n_e} assignments, above its cap of "
+                         f"{_REFERENCE_CAP}; use method='fast'")
     out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
     n_out, n_in = len(out_ids), len(in_ids)
 
@@ -291,119 +299,96 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Fast path: pairwise tensor network contraction
 
-class _Tensor:
-    __slots__ = ("array", "labels")
+def _check_cap(dim: int, rank: int) -> None:
+    """Refuse a fast-path tensor of dim^rank elements above _FAST_CAP."""
+    if dim ** rank > _FAST_CAP:
+        raise ValueError(f"fast path refuses D={dim}: a tensor of {dim}^{rank}"
+                         f" = {dim ** rank} elements is above its cap of "
+                         f"{_FAST_CAP}")
 
-    def __init__(self, array, labels):
-        self.array = array
-        self.labels = list(labels)
 
-    def trace_repeats(self):
-        """Contract any label appearing twice on this tensor."""
-        while True:
-            seen = {}
-            dup = None
-            for i, lab in enumerate(self.labels):
-                if lab in seen:
-                    dup = (seen[lab], i)
-                    break
-                seen[lab] = i
-            if dup is None:
-                return
-            a, b = dup
-            self.array = np.trace(self.array, axis1=a, axis2=b)
-            self.labels = [l for i, l in enumerate(self.labels) if i not in (a, b)]
+def _trace_self_loops(arr, labels: list) -> tuple:
+    """Contract each label a node tensor carries twice (a self-loop)."""
+    while len(set(labels)) < len(labels):
+        b = next(i for i, lab in enumerate(labels) if lab in labels[:i])
+        a = labels.index(labels[b])
+        arr = np.trace(arr, axis1=a, axis2=b)
+        labels = [lab for i, lab in enumerate(labels) if i not in (a, b)]
+    return arr, labels
 
 
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
     out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
     boundary = set(out_ids) | set(in_ids)
+    want = [("out", v) for v in out_ids] + [("in", v) for v in in_ids]
+    # The disconnected parts' outer product is the output matrix.
+    _check_cap(dim, len(want))
 
-    # Label for the open end of a boundary edge.
-    open_label = {}
-    for v, e in zip(out_ids, out_edges):
-        open_label.setdefault(e, []).append(("out", v))
-    for v, e in zip(in_ids, in_edges):
-        open_label.setdefault(e, []).append(("in", v))
+    # Open labels of each boundary edge; one with two is a bare wire.
+    ends = {}
+    for lab, e in zip(want, out_edges + in_edges):
+        ends.setdefault(e, []).append(lab)
 
+    # tensors: creation number -> (array, labels), in creation order;
+    # holders: label -> live tensors carrying it; heap: (merged rank,
+    # older, newer) for each pair sharing a label when the newer was made.
     scalar = complex(d.scalar)
-    tensors = []
+    tensors, holders, heap = {}, {}, []
+    created = itertools.count()
+
+    def add(arr, labels):
+        nonlocal scalar
+        if not labels:
+            scalar *= complex(arr)
+            return
+        c = next(created)
+        shared = {}     # live tensor -> labels it shares with this one
+        for lab in labels:
+            held = holders.setdefault(lab, [])
+            for h in held:
+                shared[h] = shared.get(h, 0) + 1
+            held.append(c)
+        for h, n in shared.items():
+            rank = len(labels) + len(tensors[h][1]) - 2 * n
+            heapq.heappush(heap, (rank, h, c))
+        tensors[c] = (arr, labels)
+
     for v in sorted(d.nodes):
         if v in boundary:
             continue
         legs = d.legs(v)
-        arr = _node_tensor(d, v, legs)
-        if len(legs) == 0:
-            scalar *= arr
-            continue
-        labels = []
-        for e, _sign in legs:
-            s, t = d.edges[e]
-            other = t if _sign == 1 else s
-            if other in boundary and e in open_label and open_label[e]:
-                # Edge runs to a boundary: this leg stays open.
-                labels.append(open_label[e].pop(0))
-            else:
-                labels.append(("e", e))
-        tn = _Tensor(np.asarray(arr), labels)
-        tn.trace_repeats()
-        if not tn.labels:
-            scalar *= complex(tn.array)
-            continue
-        tensors.append(tn)
-
-    # Wires running boundary to boundary need explicit identity tensors.
-    for e, labs in open_label.items():
+        _check_cap(dim, len(legs))
+        labels = [ends[e][0] if e in ends else ("e", e) for e, _ in legs]
+        add(*_trace_self_loops(np.asarray(_node_tensor(d, v, legs)), labels))
+    for labs in ends.values():
         if len(labs) == 2:
-            tensors.append(_Tensor(np.eye(dim, dtype=complex), list(labs)))
+            add(np.eye(dim, dtype=complex), labs)
 
-    # Contract greedily, smallest merged tensor first.
-    while True:
-        best = None
-        for i in range(len(tensors)):
-            for j in range(i + 1, len(tensors)):
-                shared = set(tensors[i].labels) & set(tensors[j].labels)
-                if not shared:
-                    continue
-                size = len(tensors[i].labels) + len(tensors[j].labels) \
-                    - 2 * len(shared)
-                if best is None or size < best[0]:
-                    best = (size, i, j, shared)
-        if best is None:
-            break
-        _, i, j, shared = best
-        ta, tb = tensors[i], tensors[j]
-        # Contract in ta's label order: a set's order follows the hash seed.
-        shared = [l for l in ta.labels if l in shared]
-        ax_a = [ta.labels.index(l) for l in shared]
-        ax_b = [tb.labels.index(l) for l in shared]
-        merged = np.tensordot(ta.array, tb.array, axes=(ax_a, ax_b))
-        labels = ([l for l in ta.labels if l not in shared]
-                  + [l for l in tb.labels if l not in shared])
-        tn = _Tensor(merged, labels)
-        tn.trace_repeats()
-        tensors = [t for k, t in enumerate(tensors) if k not in (i, j)]
-        if not tn.labels:
-            scalar *= complex(tn.array)
-        else:
-            tensors.append(tn)
+    # Contract greedily: smallest merged tensor first, ties to the oldest
+    # pair. A popped pair whose tensor is gone is stale.
+    while heap:
+        rank, i, j = heapq.heappop(heap)
+        if i not in tensors or j not in tensors:
+            continue
+        _check_cap(dim, rank)
+        (a, la), (b, lb) = tensors.pop(i), tensors.pop(j)
+        for c, labs in ((i, la), (j, lb)):
+            for lab in labs:
+                holders[lab].remove(c)
+        shared = [lab for lab in la if lab in lb]
+        merged = np.tensordot(a, b, axes=([la.index(x) for x in shared],
+                                          [lb.index(x) for x in shared]))
+        add(merged, [x for x in la + lb if x not in shared])
 
     # Outer product of the disconnected remainder, then order the axes.
-    if tensors:
-        full = tensors[0].array
-        labels = list(tensors[0].labels)
-        for tn in tensors[1:]:
-            full = np.tensordot(full, tn.array, axes=0)
-            labels += tn.labels
-    else:
-        full = np.array(1.0, dtype=complex)
-        labels = []
-
-    want = [("out", v) for v in out_ids] + [("in", v) for v in in_ids]
-    if sorted(map(repr, labels)) != sorted(map(repr, want)):
+    full, labels = np.array(1.0, dtype=complex), []
+    for k, (arr, labs) in enumerate(tensors.values()):
+        full = arr if k == 0 else np.tensordot(full, arr, axes=0)
+        labels += labs
+    if sorted(labels) != sorted(want):
         raise AssertionError(f"contraction lost track of legs: {labels}")
-    perm = [labels.index(l) for l in want]
+    perm = [labels.index(x) for x in want]
     full = np.transpose(full, perm) if perm else full
     matrix = full.reshape(dim ** len(out_ids), dim ** len(in_ids))
     return DenseOperator(dim, len(in_ids), len(out_ids), matrix * scalar)

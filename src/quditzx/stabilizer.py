@@ -296,27 +296,25 @@ class Tableau:
     # -- measurement ------------------------------------------------------
 
     def outcome_distribution(self, obs: PauliOp) -> list:
-        """Born probabilities for the eigenvalues eta^k, k = 0..D-1."""
-        d = self.dim
-        if _row_commutation(obs.row, self.rows, d).any():
-            return [Fraction(1, d)] * d
-        probs = [Fraction(0)] * d
-        probs[self._deterministic_outcome(obs.row)] = Fraction(1)
-        return probs
+        """Born probabilities for the eigenvalues eta^k, k = 0..D-1.
 
-    def _deterministic_outcome(self, obs: np.ndarray) -> int:
-        """Outcome of an observable row commuting with every generator:
-        its word is a combination of them, which fixes its eigenvalue."""
-        d = self.dim
-        coeffs = _modp.solve_mod(self.rows[:, :-1].T, obs[:-1], d)
+        An observable commuting with every generator is a combination of
+        them, which fixes its eigenvalue; finding that combination is the
+        one O(n^3) solve of a deterministic measurement."""
+        d, row = self.dim, obs.row
+        if _row_commutation(row, self.rows, d).any():
+            return [Fraction(1, d)] * d
+        coeffs = _modp.solve_mod(self.rows[:, :-1].T, row[:-1], d)
         if coeffs is None:
             raise AssertionError("commuting observable outside a full tableau")
         word = functools.reduce(functools.partial(_row_mul, dim=d),
                                 _row_pow(self.rows, coeffs, d))
-        diff = (obs[-1] - word[-1]) % (2 * d)
+        diff = (row[-1] - word[-1]) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
-        return int(diff // 2) % d
+        probs = [Fraction(0)] * d
+        probs[int(diff // 2) % d] = Fraction(1)
+        return probs
 
     def measure(self, obs: PauliOp, rng: random.Random) -> tuple:
         """Measure obs (which must satisfy obs^D = 1); returns
@@ -331,7 +329,7 @@ class Tableau:
         c = _row_commutation(row, rows, d)
         hit = np.flatnonzero(c)
         if not len(hit):
-            return self._deterministic_outcome(row), True
+            return self.outcome_distribution(obs).index(1), True
         pivot, others = hit[0], hit[1:]
         m = (-c[others] * _modp.inv_mod(int(c[pivot]), d)) % d
         k = rng.randrange(d)
@@ -459,8 +457,8 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
         if name == "measure":
             obs = measurement_observable(step.get("basis", "Z"), wires[0],
                                          n, dim)
-            probs = tab.outcome_distribution(obs)
             if dense is not None:
+                probs = tab.outcome_distribution(obs)
                 born = dense.born_probabilities(obs)
                 dev = max(abs(float(p) - q) for p, q in zip(probs, born))
                 max_dev = max(max_dev, dev)

@@ -497,6 +497,8 @@ def bad_input_files(tmp_path):
     chain = b.finish()
     assert len(chain.edges) == 47  # past the reference evaluator's cap
     write("chain47", dg.to_json(chain))
+    # a D=5 spider with 11 legs: 5^11 entries, past the fast path's cap
+    write("spider11", dg.to_json(dg.spider_diagram(5, dg.X, 5, 6)))
     # an F box with one input and two outputs
     write("fbox", json.dumps({
         "dimension": 3, "scalar": [1, 0],
@@ -531,6 +533,7 @@ BAD_INPUTS = [
     ("phase-space --cases -3", None),
     ("eval {chain47} --method reference", None),
     ("eval {fbox}", None),
+    ("eval {spider11}", None),
     ("eval {cnot} --method both", "nan"),
     ("eval {cnot} --method both", "inf"),
     ("simplify {cnot} --out {missing}/x.json", None),

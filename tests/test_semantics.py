@@ -4,13 +4,17 @@ Every closed-form matrix is rebuilt here with explicit loops before being
 compared against the module, so the two computations share no code.
 """
 
+import hashlib
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditzx import diagram as dg
+from quditzx import semantics as sem
 from quditzx.diagram import DiagramBuilder, compose, generator_diagram
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
 from quditzx.semantics import (
@@ -133,8 +137,15 @@ def test_phased_states_in_both_colors():
     assert _dev(z_state, want) < 1e-12
     x_state = phased_state("X", alpha)
     assert _dev(x_state, _oracle_fourier(d) @ want) < 1e-12
+    assert _dev(phased_state("Z", [0.3, 1.1], d), want) < 1e-12
     with pytest.raises(ValueError):
         phased_state("Y", alpha)
+    # Raw angles carry no dimension: every phase helper refuses them alike.
+    for call in (lambda: phased_state("Z", [0.1, 0.2]),
+                 lambda: lambda_matrix("X", [0.1, 0.2]),
+                 lambda: c_coefficients([0.1, 0.2])):
+        with pytest.raises(ValueError, match="dim is required"):
+            call()
 
 
 def test_lambda_x_eigenvectors_are_x_phased_cyclic_states():
@@ -282,6 +293,138 @@ def test_evaluation_handles_disconnected_components():
     d = compose(dg.spider_diagram(3, dg.Z, 0, 0), dg.wire_diagram(3),
                 "parallel")
     assert _dev(evaluate(d).matrix, 3.0 * np.eye(3)) < 1e-12
+
+
+def _random_diagram(rng: random.Random, dim: int) -> dg.Diagram:
+    """A random valid diagram of at most log_D(2^15) edges, and of spiders
+    with at most that many legs unless boundaries and boxes add more:
+    Z and X spiders with random phases, F and Fdag boxes, multi-edges,
+    self-loops (on boxes too), crossing bare wires, degree-0 spiders and
+    disconnected parts."""
+    budget = max(e for e in range(16) if dim ** e <= 2 ** 15)
+    b = DiagramBuilder(dim, complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
+    spiders = [b.add_spider(rng.choice((dg.Z, dg.X)), PhaseVector.from_radians(
+        dim, [rng.uniform(0, 2 * math.pi) for _ in range(dim - 1)]))
+        for _ in range(rng.randint(0, 6))]
+    n_in = rng.randint(0, 2)
+    n_out = rng.randint(0, 2) if spiders else n_in
+    ins = [b.add_input(p) for p in range(n_in)]
+    outs = [b.add_output(p) for p in range(n_out)]
+    rng.shuffle(outs)
+    for i in ins:
+        if outs and (not spiders or rng.random() < 0.3):
+            b.add_edge(i, outs.pop())
+        else:
+            b.add_edge(i, rng.choice(spiders))
+    for o in outs:
+        b.add_edge(rng.choice(spiders), o)
+    if spiders:
+        for _ in range(rng.randint(0, min(2, (budget - len(b.edges)) // 2))):
+            box = b.add_box(rng.choice((dg.F, dg.FDAG)))
+            if rng.random() < 0.2:
+                b.add_edge(box, box)
+            else:
+                b.add_edge(rng.choice(spiders), box)
+                b.add_edge(box, rng.choice(spiders))
+        while len(b.edges) < budget and rng.random() < 0.8:
+            u, v = rng.choice(spiders), rng.choice(spiders)
+            legs = Counter(x for edge in b.edges + [(u, v)] for x in edge)
+            if max(legs[u], legs[v]) <= budget:
+                b.add_edge(u, v)
+    return b.finish()
+
+
+def _seeded_diagrams():
+    return [_random_diagram(random.Random(seed), 2 + seed % 4)
+            for seed in range(200)]
+
+
+def test_random_diagrams_cover_every_shape():
+    diagrams = _seeded_diagrams()
+    boundary = {dg.IN, dg.OUT}
+    assert {d.dimension for d in diagrams} == {2, 3, 4, 5}
+    assert any(s == t for d in diagrams for s, t in d.edges)
+    assert any(d.node(s).kind in dg.BOX_KINDS
+               for d in diagrams for s, t in d.edges if s == t)
+    assert any({d.node(s).kind, d.node(t).kind} <= boundary
+               for d in diagrams for s, t in d.edges)
+    assert any(len(set(d.edges)) < len(d.edges) for d in diagrams)
+    assert any(n.kind in dg.SPIDER_KINDS and not d.legs(v)
+               for d in diagrams for v, n in d.nodes.items())
+
+
+def test_fast_contraction_order_is_pinned(monkeypatch):
+    # Every tensordot call the fast path makes, over 200 seeded diagrams.
+    # The digest was recorded with the all-pairs planner this heap planner
+    # replaced; it pins the contraction sequence and each call's axes.
+    record = []
+    real = np.tensordot
+
+    def spy(a, b, axes=2):
+        norm = axes if isinstance(axes, int) else tuple(map(tuple, axes))
+        record.append((np.shape(a), np.shape(b), norm))
+        return real(a, b, axes=axes)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    for d in _seeded_diagrams():
+        evaluate(d)
+    assert any(axes == 0 for _, _, axes in record)  # a disconnected remainder
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert (len(record), digest) == (
+        473, "861c2daffade127bcc366dc97e637de131e956ec01b19bb570b20c1672da8107")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_fast_matches_reference_on_random_diagrams(dim, seed):
+    d = _random_diagram(random.Random(seed), dim)
+    fast, ref = evaluate(d, "fast"), evaluate(d, "reference")
+    assert (fast.n_in, fast.n_out) == (ref.n_in, ref.n_out)
+    assert _dev(fast.matrix, ref.matrix) < 1e-10
+
+
+def _complete_graph(dim: int, n: int) -> dg.Diagram:
+    b = DiagramBuilder(dim)
+    vs = [b.add_spider(dg.Z) for _ in range(n)]
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            b.add_edge(u, v)
+    return b.finish()
+
+
+def _self_looped_spider(dim: int, loops: int) -> dg.Diagram:
+    b = DiagramBuilder(dim)
+    v = b.add_spider(dg.X)
+    for _ in range(loops):
+        b.add_edge(v, v)
+    b.add_edge(v, b.add_output(0))
+    return b.finish()
+
+
+@pytest.mark.parametrize("diagram, elems", [
+    (dg.spider_diagram(5, dg.X, 5, 6), 5 ** 11),
+    (_self_looped_spider(5, 5), 5 ** 11),
+], ids=["output-matrix", "node-tensor"])
+def test_fast_path_refuses_above_its_cap_before_building(diagram, elems,
+                                                         monkeypatch):
+    def never(*args):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(sem, "_node_tensor", never)
+    with pytest.raises(ValueError) as exc:
+        evaluate(diagram)
+    msg = str(exc.value)
+    assert "\n" not in msg
+    assert "D=5" in msg and str(elems) in msg and str(sem._FAST_CAP) in msg
+
+
+def test_fast_path_refuses_an_over_cap_merge_before_contracting(monkeypatch):
+    # K5 of degree-4 spiders at D=2: every node tensor holds 2^4 entries
+    # and every pair merges into 2^6, above a cap lowered to 2^4.
+    monkeypatch.setattr(sem, "_FAST_CAP", 2 ** 4)
+    monkeypatch.setattr(np, "tensordot", lambda *a, **k: pytest.fail("built"))
+    with pytest.raises(ValueError, match=r"2\^6 = 64 elements .* cap of 16"):
+        evaluate(_complete_graph(2, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quditzx import _modp
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
 from quditzx.stabilizer import (
     GATES,
@@ -333,6 +334,29 @@ def test_run_circuit_outcomes_are_pinned():
     assert count == 1116
     assert h.hexdigest() == ("4e97d25fe812b5f36767ddf5ef299ac1"
                              "f0a8253d515ec9343fccff17d0051094")
+
+
+def test_deterministic_measurement_solves_once(monkeypatch):
+    # Without the oracle, run_circuit finds each deterministic outcome
+    # with a single solve_mod; random outcomes need none.
+    calls = []
+    real = _modp.solve_mod
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_modp, "solve_mod", counted)
+    rng = random.Random("one-solve")
+    deterministic = 0
+    for d in (2, 3, 5):
+        for n in (1, 3, 6):
+            circuit = random_circuit(n, d, rng, depth=4 * n,
+                                     measurements=3 * n)
+            out = run_circuit(circuit, n, d, seed=n)
+            deterministic += sum(o["deterministic"] for o in out["outcomes"])
+    assert deterministic > 0
+    assert len(calls) == deterministic
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
