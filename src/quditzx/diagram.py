@@ -19,6 +19,7 @@ to an X spider generally does.
 from __future__ import annotations
 
 import json
+import types
 from typing import Iterable, Mapping, Sequence
 
 from .phases import PhaseVector
@@ -37,7 +38,7 @@ NODE_KINDS = SPIDER_KINDS | BOX_KINDS | BOUNDARY_KINDS
 
 
 class InvalidDiagramError(ValueError):
-    """Raised by validate(); carries one code per violation."""
+    """Raised by validate(), so by Diagram(); one code per violation."""
 
     def __init__(self, violations: Sequence[tuple]):
         self.violations = tuple(violations)
@@ -90,7 +91,9 @@ class Node:
 
 
 class Diagram:
-    """Immutable-by-convention container; use DiagramBuilder to construct."""
+    """Valid and read-only once built; use DiagramBuilder to construct.
+
+    The constructor runs validate(), so nothing downstream checks again."""
 
     __slots__ = ("dimension", "scalar", "_nodes", "_edges", "_legs")
 
@@ -107,10 +110,11 @@ class Diagram:
             legs.setdefault(s, []).append((i, 1))
             legs.setdefault(t, []).append((i, -1))
         self._legs = {v: tuple(vl) for v, vl in legs.items()}
+        validate(self)
 
     @property
-    def nodes(self) -> dict:
-        return dict(self._nodes)
+    def nodes(self) -> Mapping[int, Node]:
+        return types.MappingProxyType(self._nodes)
 
     @property
     def edges(self) -> tuple:
@@ -181,8 +185,8 @@ def validate(d: Diagram) -> Diagram:
         raise InvalidDiagramError(bad)
 
     for v, n in sorted(d.nodes.items()):
-        n_out = len(d.out_edges(v))
-        n_in = len(d.in_edges(v))
+        signs = [sign for _, sign in d.legs(v)]
+        n_out, n_in = signs.count(1), signs.count(-1)
         if n.kind == IN:
             if n_out != 1 or n_in != 0:
                 bad.append((BAD_BOUNDARY_DEGREE,
@@ -235,7 +239,7 @@ class DiagramBuilder:
     @classmethod
     def from_diagram(cls, d: Diagram) -> "DiagramBuilder":
         b = cls(d.dimension, d.scalar)
-        b.nodes = d.nodes
+        b.nodes = dict(d.nodes)
         b.edges = list(d.edges)
         b._next_id = max(b.nodes, default=-1) + 1
         return b
@@ -275,9 +279,8 @@ class DiagramBuilder:
         doomed = set(indices)
         self.edges = [e for i, e in enumerate(self.edges) if i not in doomed]
 
-    def finish(self, check: bool = True) -> Diagram:
-        d = Diagram(self.dimension, self.nodes, self.edges, self.scalar)
-        return validate(d) if check else d
+    def finish(self) -> Diagram:
+        return Diagram(self.dimension, self.nodes, self.edges, self.scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,7 @@ def _shift(d2: Diagram, offset: int, in_off: int, out_off: int):
 def _compose_parallel(d1: Diagram, d2: Diagram) -> Diagram:
     offset = max(d1.nodes, default=-1) + 1
     nodes2, edges2 = _shift(d2, offset, d1.n_inputs, d1.n_outputs)
-    nodes = d1.nodes
+    nodes = dict(d1.nodes)
     nodes.update(nodes2)
     return Diagram(d1.dimension, nodes, list(d1.edges) + edges2,
                    d1.scalar * d2.scalar)
@@ -326,28 +329,22 @@ def _compose_sequential(d1: Diagram, d2: Diagram) -> Diagram:
             f"cannot plug {d1.n_outputs} outputs into {d2.n_inputs} inputs")
     offset = max(d1.nodes, default=-1) + 1
     nodes2, edges2 = _shift(d2, offset, 0, 0)
-    nodes = d1.nodes
+    nodes = dict(d1.nodes)
     nodes.update(nodes2)
-    edges = list(d1.edges) + edges2
 
-    outs1 = [v for v in d1.boundary_ids(OUT)]
-    ins2 = [v + offset for v in d2.boundary_ids(IN)]
-    for b_out, b_in in zip(outs1, ins2):
-        src = next(s for s, t in edges if t == b_out)
-        dst = next(t for s, t in edges if s == b_in)
-        # Remove exactly one copy of each glue edge, then bridge.
-        edges = _remove_one(edges, (src, b_out))
-        edges = _remove_one(edges, (b_in, dst))
-        edges.append((src, dst))
+    # Each glue pair (d1 output, d2 input) has one edge on either side;
+    # drop both and bridge their far ends, in wire order.
+    glue1, glue2, bridges = set(), set(), []
+    for b_out, b_in in zip(d1.boundary_ids(OUT), d2.boundary_ids(IN)):
+        e1, e2 = d1.in_edges(b_out)[0], d2.out_edges(b_in)[0]
+        glue1.add(e1)
+        glue2.add(e2)
+        bridges.append((d1.edges[e1][0], edges2[e2][1]))
         del nodes[b_out]
-        del nodes[b_in]
+        del nodes[b_in + offset]
+    edges = ([e for i, e in enumerate(d1.edges) if i not in glue1]
+             + [e for i, e in enumerate(edges2) if i not in glue2] + bridges)
     return Diagram(d1.dimension, nodes, edges, d1.scalar * d2.scalar)
-
-
-def _remove_one(edges: list, e: tuple) -> list:
-    out = list(edges)
-    out.remove(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +399,7 @@ def from_json_dict(obj: dict) -> Diagram:
         edges = [(int(e[0]), int(e[1])) for e in obj["edges"]]
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return validate(Diagram(dim, nodes, edges, scalar))
+    return Diagram(dim, nodes, edges, scalar)
 
 
 def to_json(d: Diagram) -> str:

@@ -68,10 +68,6 @@ def _joining(d: dg.Diagram, a: int, b: int) -> list:
     return [i for i, _ in d.legs(a) if b in d.edges[i]]
 
 
-def _kind(d: dg.Diagram, v: int):
-    return d.node(v).kind if v in d else None
-
-
 # ---------------------------------------------------------------------------
 # Matchers. A rule's pattern is its _check_*, and nothing else: a matcher
 # enumerates candidate sites in the canonical order, pruned at most by a
@@ -92,7 +88,7 @@ def _sites(d: dg.Diagram, check, candidates) -> list:
 
 def _match_s_fuse(d: dg.Diagram) -> list:
     pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
-                    if _kind(d, s) == _kind(d, t)})
+                    if d.node(s).kind == d.node(t).kind})
     return _sites(d, _check_s_fuse,
                   ({"keep": a, "absorb": b, "color": d.node(a).kind}
                    for a, b in pairs))
@@ -119,7 +115,6 @@ def _apply_s_fuse(b_, d, site):
         b_.edges[i] = (a if s == absorbed else s, a if t == absorbed else t)
     b_.remove_edges([conn[0]])
     b_.remove_node(absorbed)
-    return [absorbed], []
 
 
 def _match_d_identity(d: dg.Diagram) -> list:
@@ -144,7 +139,6 @@ def _apply_d_identity(b_, d, site):
     b_.remove_edges([e_in, e_out])
     b_.add_edge(u, w)
     b_.remove_node(v)
-    return [v], []
 
 
 def _match_loop_remove(d: dg.Diagram) -> list:
@@ -167,12 +161,11 @@ def _check_loop_remove(d, site):
 def _apply_loop_remove(b_, d, site):
     _v, e = _check_loop_remove(d, site)
     b_.remove_edges([e])
-    return [], []
 
 
 def _match_f2_cancel(d: dg.Diagram) -> list:
     pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
-                    if {_kind(d, s), _kind(d, t)} <= dg.BOX_KINDS})
+                    if {d.node(s).kind, d.node(t).kind} <= dg.BOX_KINDS})
     return _sites(d, _check_f2_cancel, ({"boxes": [a, b]} for a, b in pairs))
 
 
@@ -194,7 +187,7 @@ def _apply_f2_cancel(b_, d, site):
         b_.remove_node(a)
         b_.remove_node(b)
         b_.scalar *= d.dimension
-        return [a, b], []
+        return
     mid = conn[0]
     first, second = d.edges[mid]
     e_in = next(i for i in d.in_edges(first) if i != mid)
@@ -205,7 +198,6 @@ def _apply_f2_cancel(b_, d, site):
     b_.add_edge(u, w)
     b_.remove_node(a)
     b_.remove_node(b)
-    return [a, b], []
 
 
 def _f1_wanted_box(color: str, sign: int) -> str:
@@ -254,7 +246,6 @@ def _apply_f1_color(b_, d, site):
     b_.remove_edges(doomed)
     for s, t in bridges:
         b_.add_edge(s, t)
-    return [box for _, _, box, _ in plan], []
 
 
 def _match_b_copy(d: dg.Diagram) -> list:
@@ -292,7 +283,6 @@ def _apply_b_copy(b_, d, site):
     b_.remove_edges(doomed)
     b_.remove_node(s)
     b_.remove_node(v)
-    added = []
     for sign, w in plans:
         if sign == 1:
             c = b_.add_spider(state_color, ket_phase)
@@ -300,10 +290,8 @@ def _apply_b_copy(b_, d, site):
         else:
             c = b_.add_spider(state_color, bra_phase)
             b_.add_edge(w, c)
-        added.append(c)
     r = len(plans)
     b_.scalar *= d.dimension ** (0.5 * (1 - r))
-    return [s, v], added
 
 
 def _match_k2_commute(d: dg.Diagram) -> list:
@@ -366,7 +354,6 @@ def _apply_k2_commute(b_, d, site):
         b_.add_edge(v, w)
     else:
         b_.add_edge(w, v)
-    added = []
     for sign, far_node, param in plans:
         c = b_.add_spider(gate_color, cyclic_vector(dim, param))
         if sign == 1:
@@ -375,8 +362,6 @@ def _apply_k2_commute(b_, d, site):
         else:
             b_.add_edge(far_node, c)
             b_.add_edge(c, v)
-        added.append(c)
-    return [g], added
 
 
 def _match_b_bialgebra(d: dg.Diagram) -> list:
@@ -452,7 +437,6 @@ def _apply_b_bialgebra(b_, d, site):
         else:
             b_.add_edge(w, target)
     b_.scalar *= d.dimension ** -0.5
-    return [p1, p2, q1, q2], [merge, split]
 
 
 _MATCHERS = {
@@ -487,14 +471,20 @@ def find_matches(d: dg.Diagram, rule: str) -> list:
 def apply_rule(d: dg.Diagram, rule: str, site: dict) -> dg.Diagram:
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
-    return _rewrite(d, rule, site)[0]
+    return _rewrite(d, rule, site)
 
 
-def _rewrite(d: dg.Diagram, rule: str, site: dict) -> tuple:
-    """(diagram, removed, added) after one application at site."""
+def _rewrite(d: dg.Diagram, rule: str, site: dict) -> dg.Diagram:
     b_ = dg.DiagramBuilder.from_diagram(d)
-    removed, added = _APPLIERS[rule](b_, d, site)
-    return b_.finish(), removed, added
+    _APPLIERS[rule](b_, d, site)
+    return b_.finish()
+
+
+def _node_changes(before: dg.Diagram, after: dg.Diagram) -> tuple:
+    """(removed, added): the sorted ids of the nodes a step deletes and
+    creates. Fresh ids exceed every id of ``before``, so no id is both."""
+    return (sorted(before.nodes.keys() - after.nodes.keys()),
+            sorted(after.nodes.keys() - before.nodes.keys()))
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +525,10 @@ class RewriteTrace:
         for i, s in enumerate(obj["steps"]):
             if not isinstance(s, dict) or "rule" not in s or "site" not in s:
                 raise ValueError(f"trace step {i} needs a 'rule' and a 'site'")
-            steps.append(TraceStep(s["rule"], s["site"], s.get("removed", []),
-                                   s.get("added", [])))
+            if "removed" not in s or "added" not in s:
+                raise ValueError(f"trace step {i} needs 'removed' and 'added'")
+            steps.append(TraceStep(s["rule"], s["site"], s["removed"],
+                                   s["added"]))
         return cls(obj["initialHash"], obj["finalHash"], steps)
 
 
@@ -562,14 +554,15 @@ def simplify(d: dg.Diagram) -> tuple:
                 continue
             site = sites[0]
             try:
-                nxt, removed, added = _rewrite(current, rule, site)
+                nxt = _rewrite(current, rule, site)
             except ValueError as exc:
                 raise AssertionError(
                     f"{rule} failed at its own match {site}: {exc}") from exc
             if len(nxt.edges) >= len(current.edges):
                 raise AssertionError(
                     f"{rule} did not shrink the diagram; simplify would loop")
-            trace.steps.append(TraceStep(rule, site, removed, added))
+            trace.steps.append(TraceStep(rule, site,
+                                         *_node_changes(current, nxt)))
             current = nxt
             fired = True
             break
@@ -580,13 +573,14 @@ def simplify(d: dg.Diagram) -> tuple:
 
 
 def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
-    """Re-run a trace, verifying both endpoint hashes."""
+    """Re-run a trace, verifying both endpoint hashes and, at each step,
+    the ids of the nodes it removes and adds (in any order)."""
     if diagram_hash(d) != trace.initial_hash:
         raise ValueError("trace does not start at this diagram")
     current = d
     for i, step in enumerate(trace.steps):
         try:
-            current = apply_rule(current, step.rule, step.site)
+            nxt = apply_rule(current, step.rule, step.site)
         except (ValueError, KeyError, TypeError) as exc:
             # A site that lacks a key or has the wrong type is as malformed
             # as one the rule's check refuses.
@@ -594,6 +588,12 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
                       else exc)
             raise RuleMatchError(
                 f"replay step {i} ({step.rule}): {reason}") from exc
+        removed, added = _node_changes(current, nxt)
+        if (removed, added) != (sorted(step.removed), sorted(step.added)):
+            raise RuleMatchError(
+                f"replay step {i} ({step.rule}): removes {removed} and adds "
+                f"{added}, the trace says {step.removed} and {step.added}")
+        current = nxt
     if diagram_hash(current) != trace.final_hash:
         raise ValueError("replay diverged from the recorded final hash")
     return current

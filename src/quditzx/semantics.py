@@ -229,7 +229,10 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         # Signed digit sum, one broadcast sign * arange(D) per axis.
         total = sum((sign * np.arange(dim)).reshape((dim,) + (1,) * (k - 1 - a))
                     for a, (_, sign) in enumerate(legs))
-        return c[total % dim] * (dim ** (-0.5 * k))
+        # In place: one int and one complex array of the result's shape.
+        t = c[np.remainder(total, dim, out=total)]
+        t *= dim ** (-0.5 * k)
+        return t
     if n.kind in dg.BOX_KINDS:
         f = fourier_matrix(dim)
         if n.kind == dg.FDAG:
@@ -396,7 +399,6 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
     """Matrix of a diagram; method is 'fast' or 'reference'."""
-    dg.validate(d)
     if method == "fast":
         return _evaluate_fast(d)
     if method == "reference":

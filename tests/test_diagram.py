@@ -96,7 +96,7 @@ def test_incidence_index_matches_edge_scans(graph):
         b.add_spider(dg.Z)
     for s, t in edges:
         b.add_edge(s, t)
-    d = b.finish(check=False)
+    d = b.finish()
     for v in range(n + 1):  # node n does not exist and has no legs
         assert list(d.legs(v)) == _scan_legs(edges, v)
         assert d.out_edges(v) == [i for i, (s, _) in enumerate(edges)
@@ -125,28 +125,29 @@ def test_boundary_ids_sorted_by_position():
 # ---------------------------------------------------------------------------
 # Validation
 
-def _violations(d):
+def _violations(build):
+    """Codes of the InvalidDiagramError that build() raises."""
     with pytest.raises(InvalidDiagramError) as exc:
-        validate(d)
+        build()
     return {code for code, *_ in exc.value.violations}
 
 
 def test_dangling_edge_detected():
-    d = Diagram(3, {0: Node(dg.Z, phase=PhaseVector.zero(3))}, [(0, 7)])
-    assert DANGLING_EDGE in _violations(d)
+    assert DANGLING_EDGE in _violations(lambda: Diagram(
+        3, {0: Node(dg.Z, phase=PhaseVector.zero(3))}, [(0, 7)]))
 
 
 def test_bad_boundary_degree_detected():
     b = DiagramBuilder(3)
     b.add_input(0)  # never wired up
-    assert BAD_BOUNDARY_DEGREE in _violations(b.finish(check=False))
+    assert BAD_BOUNDARY_DEGREE in _violations(b.finish)
 
     b = DiagramBuilder(3)
     i = b.add_input(0)
     v = b.add_spider(dg.Z)
     b.add_edge(i, v)
     b.add_edge(i, v)
-    assert BAD_BOUNDARY_DEGREE in _violations(b.finish(check=False))
+    assert BAD_BOUNDARY_DEGREE in _violations(b.finish)
 
 
 def test_bad_box_degree_detected():
@@ -154,12 +155,12 @@ def test_bad_box_degree_detected():
     f = b.add_box(dg.F)
     i = b.add_input(0)
     b.add_edge(i, f)
-    assert BAD_BOX_DEGREE in _violations(b.finish(check=False))
+    assert BAD_BOX_DEGREE in _violations(b.finish)
 
 
 def test_phase_length_mismatch_detected():
-    d = Diagram(4, {0: Node(dg.Z, phase=PhaseVector.zero(3))}, [])
-    assert PHASE_LENGTH_MISMATCH in _violations(d)
+    assert PHASE_LENGTH_MISMATCH in _violations(lambda: Diagram(
+        4, {0: Node(dg.Z, phase=PhaseVector.zero(3))}, []))
 
 
 def test_non_contiguous_boundary_positions_detected():
@@ -168,13 +169,12 @@ def test_non_contiguous_boundary_positions_detected():
     for pos in (0, 2):
         i = b.add_input(pos)
         b.add_edge(i, v)
-    assert NON_CONTIGUOUS_BOUNDARY in _violations(b.finish(check=False))
+    assert NON_CONTIGUOUS_BOUNDARY in _violations(b.finish)
 
 
 def test_all_violations_reported_at_once():
     # An unwired input at a non-zero position breaks two invariants.
-    d = Diagram(3, {0: Node(dg.IN, position=1)}, [])
-    codes = _violations(d)
+    codes = _violations(lambda: Diagram(3, {0: Node(dg.IN, position=1)}, []))
     assert BAD_BOUNDARY_DEGREE in codes
     assert NON_CONTIGUOUS_BOUNDARY in codes
 
@@ -182,13 +182,51 @@ def test_all_violations_reported_at_once():
 def test_dangling_edges_short_circuit_other_checks():
     # Degrees cannot be computed over a broken edge list, so only the
     # dangling edge is reported.
-    d = Diagram(3, {0: Node(dg.IN, position=1)}, [(0, 9)])
-    assert _violations(d) == {DANGLING_EDGE}
+    assert _violations(lambda: Diagram(
+        3, {0: Node(dg.IN, position=1)}, [(0, 9)])) == {DANGLING_EDGE}
 
 
 def test_validate_returns_valid_diagram_unchanged():
     d = wire_diagram(3)
     assert validate(d) is d
+
+
+_UNWIRED_INPUT = ("input 0 must be the source of exactly one edge "
+                  "(has 0 out, 0 in)")
+
+
+def _unchecked(dimension, nodes, edges):
+    """A Diagram that skipped its constructor, so skipped validation."""
+    d = object.__new__(Diagram)
+    d.dimension, d.scalar = dimension, 1.0 + 0.0j
+    d._nodes, d._edges, d._legs = dict(nodes), tuple(edges), {}
+    return d
+
+
+def test_every_way_to_make_a_diagram_validates_it():
+    unwired = {0: Node(dg.IN, position=0)}
+    b = DiagramBuilder(3)
+    b.add_input(0)
+    obj = {"dimension": 3, "nodes": [{"id": 0, "kind": "in", "position": 0}],
+           "edges": []}
+    builds = [lambda: Diagram(3, unwired, []), b.finish,
+              lambda: dg.from_json_dict(obj),
+              lambda: compose(_unchecked(3, unwired, []), wire_diagram(3),
+                              "parallel")]
+    for build in builds:
+        with pytest.raises(InvalidDiagramError) as exc:
+            build()
+        assert exc.value.violations == ((BAD_BOUNDARY_DEGREE, _UNWIRED_INPUT),)
+        assert str(exc.value) == ("invalid diagram: BadBoundaryDegree: "
+                                  + _UNWIRED_INPUT)
+
+
+def test_nodes_is_a_read_only_view():
+    d = generator_diagram("cnot", 3)
+    v = next(iter(d.nodes))
+    with pytest.raises(TypeError):
+        d.nodes[v] = Node(dg.Z, phase=PhaseVector.zero(3))
+    assert d.nodes == DiagramBuilder.from_diagram(d).nodes
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +255,6 @@ def test_builder_finish_checks_by_default():
     b.add_input(0)
     with pytest.raises(InvalidDiagramError):
         b.finish()
-    assert b.finish(check=False).n_inputs == 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +281,15 @@ def test_parallel_composition_tensors_matrices():
     want = np.kron(generator_matrix("fourier", d).matrix,
                    generator_matrix("ket0", d).matrix)
     assert _dev(evaluate(par).matrix, want) < 1e-12
+
+
+def test_sequential_composition_edge_list_is_pinned():
+    # Glue edges go in one filtered rebuild; the bridges follow in wire
+    # order. Node ids and edge order feed rewrite traces, so both are pinned.
+    f, w, cnot = (generator_diagram(n, 3) for n in ("fourier", "id", "cnot"))
+    d = compose(cnot, compose(f, w, "parallel"), "sequential")
+    assert d.edges == ((2, 0), (3, 1), (1, 0), (7, 8), (0, 7), (1, 10))
+    assert sorted(d.nodes) == [0, 1, 2, 3, 7, 8, 10]
 
 
 def test_sequential_composition_checks_arity():

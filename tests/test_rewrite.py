@@ -566,6 +566,51 @@ def test_replay_names_the_step_of_a_malformed_step(rule, site, reason):
     assert "\n" not in str(info.value)
 
 
+def test_replay_names_a_step_whose_node_changes_differ():
+    d = _fusible_chain(3, 4)
+    _, trace = simplify(d)
+    trace.steps[1].removed = trace.steps[1].removed + [10 ** 6]
+    with pytest.raises(RuleMatchError,
+                       match=r"^replay step 1 \(S_fuse\): removes \[\d+\] and "
+                             r"adds \[\], the trace says \[\d+, 1000000\] and "
+                             r"\[\]$"):
+        replay(d, trace)
+
+
+def test_replay_names_a_step_run_at_another_site_of_its_rule():
+    d = _fusible_chain(3, 4)
+    _, trace = simplify(d)
+    site = trace.steps[1].site
+    # Swapping the roles is a valid S_fuse site too, but it removes the
+    # other spider.
+    trace.steps[1].site = dict(site, keep=site["absorb"], absorb=site["keep"])
+    with pytest.raises(RuleMatchError,
+                       match=r"^replay step 1 \(S_fuse\): removes "):
+        replay(d, trace)
+
+
+def test_replay_accepts_a_b_copy_state_numbered_after_its_spider():
+    # The state's id exceeds the spider's, so the nodes B_copy removes are
+    # recorded as the sorted ids [spider, state], not in site order.
+    b = DiagramBuilder(3)
+    i = b.add_input(0)
+    v = b.add_spider(dg.Z)
+    o = b.add_output(0)
+    s = b.add_spider(dg.X, cyclic_vector(3, 1))
+    b.add_edge(i, v)
+    b.add_edge(v, o)
+    b.add_edge(s, v)
+    d = b.finish()
+    simplified, trace = simplify(d)
+    assert trace.steps[0].rule == "B_copy"
+    assert trace.steps[0].site == {"state": s, "spider": v, "edge": 2}
+    assert trace.steps[0].removed == [v, s]
+    assert diagram_hash(replay(d, trace)) == diagram_hash(simplified)
+    # A trace that lists the same ids in another order replays too.
+    trace.steps[0].removed = [s, v]
+    assert diagram_hash(replay(d, trace)) == diagram_hash(simplified)
+
+
 def test_trace_json_round_trip():
     d = _fusible_chain(3, 3)
     _, trace = simplify(d)
@@ -580,6 +625,16 @@ def test_trace_json_names_a_step_without_rule_or_site(missing):
     obj = trace.to_json_dict()
     del obj["steps"][1][missing]
     with pytest.raises(ValueError, match=r"^trace step 1 needs a 'rule' "):
+        RewriteTrace.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("missing", ["removed", "added"])
+def test_trace_json_names_a_step_without_removed_or_added(missing):
+    _, trace = simplify(_fusible_chain(3, 4))
+    obj = trace.to_json_dict()
+    del obj["steps"][1][missing]
+    with pytest.raises(ValueError,
+                       match=r"^trace step 1 needs 'removed' and 'added'$"):
         RewriteTrace.from_json_dict(obj)
 
 

@@ -7,6 +7,7 @@ compared against the module, so the two computations share no code.
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -246,6 +247,20 @@ def test_x_spider_tensor_entries():
                 assert abs(m[a * 3 + b, j_in] - want) < 1e-11
 
 
+def test_x_spider_tensor_is_built_in_place():
+    # One int array and the complex result: at most 1.5x its bytes.
+    d = dg.spider_diagram(5, dg.X, 3, 5, PhaseVector.zero(5))
+    v = next(v for v in d.nodes if d.node(v).kind == dg.X)
+    tracemalloc.start()
+    try:
+        t = sem._node_tensor(d, v, d.legs(v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.shape == (5,) * 8
+    assert peak <= 1.6 * t.nbytes
+
+
 def test_phaseless_degree_zero_spider_is_the_dimension_scalar():
     # Z: sum of D unit phases. X: c_0 of the zero phase, no leg factors.
     for kind in (dg.Z, dg.X):
@@ -253,6 +268,18 @@ def test_phaseless_degree_zero_spider_is_the_dimension_scalar():
         got = evaluate(d).matrix
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - 3.0) < 1e-12
+
+
+def test_evaluate_trusts_the_diagram_to_be_valid(monkeypatch):
+    d = generator_diagram("cnot", 3)
+
+    def refuse(_d):
+        raise AssertionError("evaluate re-validated a Diagram")
+
+    monkeypatch.setattr(dg, "validate", refuse)
+    for method in ("fast", "reference"):
+        want = generator_matrix("cnot", 3).matrix
+        assert _dev(evaluate(d, method).matrix, want) < 1e-12
 
 
 def test_diagram_scalar_multiplies_the_matrix():
