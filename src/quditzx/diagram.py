@@ -95,14 +95,14 @@ class Diagram:
 
     The constructor runs validate(), so nothing downstream checks again."""
 
-    __slots__ = ("dimension", "scalar", "_nodes", "_edges", "_legs")
+    __slots__ = ("_dimension", "_scalar", "_nodes", "_edges", "_legs")
 
     def __init__(self, dimension: int, nodes: Mapping[int, Node],
                  edges: Iterable[tuple], scalar: complex = 1.0):
         if dimension < 2:
             raise ValueError(f"dimension must be >= 2, got {dimension}")
-        self.dimension = int(dimension)
-        self.scalar = complex(scalar)
+        self._dimension = int(dimension)
+        self._scalar = complex(scalar)
         self._nodes = dict(nodes)
         self._edges = tuple((int(s), int(t)) for s, t in edges)
         legs = {}
@@ -111,6 +111,14 @@ class Diagram:
             legs.setdefault(t, []).append((i, -1))
         self._legs = {v: tuple(vl) for v, vl in legs.items()}
         validate(self)
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
+
+    @property
+    def scalar(self) -> complex:
+        return self._scalar
 
     @property
     def nodes(self) -> Mapping[int, Node]:

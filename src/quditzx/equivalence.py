@@ -8,7 +8,9 @@ so every comparison below is zero-tolerance.
 
 The twelve single-trit states of maximal knowledge are matched to the
 twelve qutrit stabilizer states by the unique dictionary that is a group
-homomorphism on both phase tori:
+homomorphism on both phase tori.  `_phi` states it once, on unbiased-point
+indices (sigma, t); each state's color, phases and ket are derived from it
+and from `toyrel`'s unbiased points, which gives:
 
     z_t      <->  X-spider state, red phases  t * (2/3, 1/3)   (|t>)
     x_a      <->  Z-spider state, green phases a * (1/3, 2/3)
@@ -64,13 +66,16 @@ _KET_NAMES = {
 
 
 class Cyclotomic:
-    """Exact arithmetic in Q(eta), eta = exp(2*pi*i/3), as a + b*eta."""
+    """Exact arithmetic in Q(eta), eta = exp(2*pi*i/3), as a + b*eta.
+
+    Integer coefficients stay `int`s, so values in Z[eta] never touch
+    `Fraction`; any other coefficient is converted to `Fraction`."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if isinstance(a, int) else Fraction(a)
+        self.b = b if isinstance(b, int) else Fraction(b)
 
     @classmethod
     def eta_power(cls, k: int) -> "Cyclotomic":
@@ -95,7 +100,7 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         return Cyclotomic(self.a - self.b, -self.b)
 
-    def norm2(self) -> Fraction:
+    def norm2(self) -> int | Fraction:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def is_zero(self) -> bool:
@@ -139,25 +144,6 @@ def _proportional(v, w) -> bool:
                 return False
     # matching zero patterns (cross products miss a zero vs zero mismatch)
     return all(x.is_zero() == y.is_zero() for x, y in zip(v, w))
-
-
-def _green_ket(u: int, v: int) -> tuple:
-    """Unnormalized Z-spider state (1, eta^u, eta^v); squared norm 3."""
-    return (_eta(0), _eta(u), _eta(v))
-
-
-def _red_ket(c: int, d: int) -> tuple:
-    """Unnormalized X-spider state sqrt(3)*F*(1, eta^c, eta^d): the j-th
-    entry is sum_k eta^(j*k + gamma_k) with gamma = (0, c, d); squared
-    norm 9."""
-    gamma = (0, c, d)
-    out = []
-    for j in range(3):
-        acc = Cyclotomic(0)
-        for k in range(3):
-            acc = acc + _eta(j * k + gamma[k])
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -220,29 +206,37 @@ def build_3spek_states() -> dict:
     return literal
 
 
-def _dictionary_phases(name: str) -> tuple:
-    """(color, (u, v)) with u, v in thirds of a turn."""
-    family, idx = name.rsplit("_", 1)
-    t = int(idx)
-    if family == "z":
-        return "X", (2 * t % 3, t % 3)
-    if family == "x":
-        return "Z", (t % 3, 2 * t % 3)
-    if family == "xz":
-        return "Z", ((1 + t) % 3, (1 + 2 * t) % 3)
-    if family == "xz2":
-        return "Z", ((2 + t) % 3, (2 + 2 * t) % 3)
-    raise ValueError(f"unknown family {family!r}")
+def _unbiased_points(supports: dict) -> dict:
+    """color -> {name: (sigma, t)}: the named states that are the color's
+    unbiased points, found by looking up each point's support."""
+    by_support = {support: name for name, support in supports.items()}
+    points = {}
+    for color in ("Z", "X"):
+        found = {by_support.get(tr.phase_state(color, 3, *idx).support()): idx
+                 for idx in product(range(3), repeat=2)}
+        if None in found or len(found) != 9:
+            raise AssertionError(f"the {color} unbiased points are not nine "
+                                 "distinct named states")
+        points[color] = found
+    return points
 
 
 def build_dictionary() -> list:
-    """The twelve matched state pairs, in STATE_NAMES order."""
+    """The twelve matched state pairs, in STATE_NAMES order.
+
+    A state is Z-colored when it is Z-unbiased, otherwise X-colored; its
+    phases are `_phi` of its unbiased-point index, and its ket is its
+    color's phase map applied to the phase-zero state of that color."""
     supports = build_3spek_states()
+    points = _unbiased_points(supports)
+    zero = {"Z": (_eta(0),) * 3,
+            "X": (_eta(0), Cyclotomic(0), Cyclotomic(0))}
     entries = []
     for name in STATE_NAMES:
         family, idx = name.rsplit("_", 1)
-        color, (u, v) = _dictionary_phases(name)
-        ket = _red_ket(u, v) if color == "X" else _green_ket(u, v)
+        color = "Z" if name in points["Z"] else "X"
+        u, v = _phi(color, *points[color][name])
+        ket = _apply(_quantum_phase_matrix(color, u, v), zero[color])
         norm2 = sum((x.norm2() for x in ket), Fraction(0))
         entries.append(StateEntry(
             name=name,
@@ -260,28 +254,6 @@ def build_dictionary() -> list:
 
 # ---------------------------------------------------------------------------
 # phase maps on both sides
-
-
-def _toy_phase_index(color: str, name: str) -> tuple | None:
-    """(sigma, t) of a named state inside the color's phase group, or None
-    if the state is not unbiased for that color."""
-    family, idx = name.rsplit("_", 1)
-    t = int(idx)
-    if color == "Z":
-        if family == "x":
-            return (0, t)
-        if family == "xz":
-            return (1, t)
-        if family == "xz2":
-            return (2, t)
-        return None
-    if family == "z":
-        return (0, t)
-    if family == "xz":
-        return (1, t)
-    if family == "xz2":
-        return (2, 2 * t % 3)
-    return None
 
 
 def _phi(color: str, sigma: int, t: int) -> tuple:
@@ -378,7 +350,8 @@ def run_equivalence_checks() -> dict:
 
     # 3. phase groups: toy (Z_3)^2 composition tables, quantum divisor
     # profile, and the dictionary a homomorphism on each torus
-    group_ok = all(tr.phase_group_law(color, 3) for color in ("Z", "X"))
+    maps = {color: tr.phase_maps(color, 3) for color in ("Z", "X")}
+    group_ok = all(tr.phase_group_law(m) for m in maps.values())
     homomorphism_ok = True
     for color in ("Z", "X"):
         for s1, t1, s2, t2 in product(range(3), repeat=4):
@@ -386,21 +359,6 @@ def run_equivalence_checks() -> dict:
             u2, v2 = _phi(color, s2, t2)
             if _phi(color, s1 + s2, t1 + t2) != ((u1 + u2) % 3,
                                                  (v1 + v2) % 3):
-                homomorphism_ok = False
-        # the dictionary's phase coordinates agree with _phi on every
-        # unbiased named state
-        for e in entries:
-            idx = _toy_phase_index(color, e.name)
-            if idx is None:
-                continue
-            u, v = _phi(color, *idx)
-            if color == e.color:
-                got = (e.phases.alpha(1), e.phases.alpha(2))
-                if got != (Turn.exact(u, 3), Turn.exact(v, 3)):
-                    homomorphism_ok = False
-            # the named support really is that unbiased point
-            psi = tr.phase_state(color, 3, *idx)
-            if psi.support() != e.support:
                 homomorphism_ok = False
     quantum_group = phase_group(3)
     report["phaseGroups"] = {
@@ -416,8 +374,7 @@ def run_equivalence_checks() -> dict:
     equiv_failures = []
     checks = 0
     for color in ("Z", "X"):
-        for sigma, t in product(range(3), repeat=2):
-            toy_map = tr.phase_map(color, 3, sigma, t)
+        for (sigma, t), toy_map in maps[color].items():
             mat = _quantum_phase_matrix(color, *_phi(color, sigma, t))
             for s in entries:
                 checks += 1

@@ -521,15 +521,70 @@ class RewriteTrace:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RewriteTrace":
+        if not (isinstance(obj, dict)
+                and isinstance(obj.get("initialHash"), str)
+                and isinstance(obj.get("finalHash"), str)
+                and isinstance(obj.get("steps"), list)):
+            raise ValueError("a trace needs string 'initialHash' and "
+                             "'finalHash' and a list of 'steps'")
         steps = []
         for i, s in enumerate(obj["steps"]):
             if not isinstance(s, dict) or "rule" not in s or "site" not in s:
                 raise ValueError(f"trace step {i} needs a 'rule' and a 'site'")
             if "removed" not in s or "added" not in s:
                 raise ValueError(f"trace step {i} needs 'removed' and 'added'")
+            _check_step_shape(i, s)
             steps.append(TraceStep(s["rule"], s["site"], s["removed"],
                                    s["added"]))
         return cls(obj["initialHash"], obj["finalHash"], steps)
+
+
+def _is_id(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_id, x))
+
+
+def _is_color(x) -> bool:
+    return isinstance(x, str) and x in dg.SPIDER_KINDS
+
+
+# Each rule's site keys, as its matcher writes them, and a test of each
+# key's value: a node or edge id, a pair of node ids, or a spider color.
+_SITE_SHAPES = {
+    "S_fuse": {"keep": _is_id, "absorb": _is_id, "color": _is_color},
+    "D_identity": {"node": _is_id},
+    "B_copy": {"state": _is_id, "spider": _is_id, "edge": _is_id},
+    "B_bialgebra": {"first": _is_pair, "second": _is_pair,
+                    "color": _is_color},
+    "K2_commute": {"gate": _is_id, "spider": _is_id, "edge": _is_id},
+    "F1_color": {"spider": _is_id},
+    "F2_cancel": {"boxes": _is_pair},
+    "loop_remove": {"node": _is_id, "edge": _is_id},
+}
+
+
+def _check_step_shape(i: int, step: dict):
+    """Refuse, with one line naming step i, a rule that does not exist or
+    a site whose keys or values do not fit the rule."""
+    rule, site = step["rule"], step["site"]
+    if not isinstance(rule, str) or rule not in _SITE_SHAPES:
+        raise ValueError(f"trace step {i}: unknown rule {rule!r}; choose "
+                         f"from {ALL_RULES}")
+    shape = _SITE_SHAPES[rule]
+    if not isinstance(site, dict) or site.keys() != shape.keys():
+        raise ValueError(f"trace step {i} ({rule}): the site must be an "
+                         f"object with keys {sorted(shape)}, got {site!r}")
+    for key, fits in shape.items():
+        if not fits(site[key]):
+            raise ValueError(f"trace step {i} ({rule}): site key {key!r} "
+                             f"has the wrong value {site[key]!r}")
+    if not all(isinstance(ids, list) and all(map(_is_id, ids))
+               for ids in (step["removed"], step["added"])):
+        raise ValueError(f"trace step {i} ({rule}): 'removed' and 'added' "
+                         "must be lists of node ids")
 
 
 # simplify applies only steps that strictly reduce the edge count, which

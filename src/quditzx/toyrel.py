@@ -50,6 +50,7 @@ __all__ = [
     "classical_point",
     "phase_state",
     "phase_map",
+    "phase_maps",
     "phase_group_law",
     "cap_conjugate",
     "delta_grid",
@@ -407,12 +408,18 @@ def phase_map(color: str, D: int, sigma: int, t: int) -> Rel:
     return delta.converse() @ psi.tensor(Rel.identity(D))
 
 
-def phase_group_law(color: str, D: int) -> bool:
-    """Whether the color's D^2 phase maps form the group (Z_D)^2: each is
-    a permutation, (0, 0) is the identity, and composition adds indices,
-    map(s1, t1) . map(s2, t2) = map(s1 + s2, t1 + t2)."""
-    maps = {(s, t): phase_map(color, D, s, t)
+def phase_maps(color: str, D: int) -> dict:
+    """The color's D^2 phase maps, keyed by (sigma, t)."""
+    return {(s, t): phase_map(color, D, s, t)
             for s in range(D) for t in range(D)}
+
+
+def phase_group_law(maps: dict) -> bool:
+    """Whether the D^2 phase maps `maps` (as from `phase_maps`) form the
+    group (Z_D)^2: each is a permutation, (0, 0) is the identity, and
+    composition adds indices, map(s1, t1) . map(s2, t2) = map(s1 + s2,
+    t1 + t2)."""
+    D = maps[0, 0].D
     return (all((m.matrix.sum(axis=0) == 1).all()
                 and (m.matrix.sum(axis=1) == 1).all() for m in maps.values())
             and maps[0, 0] == Rel.identity(D)
@@ -508,7 +515,8 @@ def _observable_laws(checks: list, D: int, color: str):
                 ok = False
     _check(checks, f"unbiased_points_{tag}", ok)
 
-    _check(checks, f"phase_group_{tag}", phase_group_law(color, D),
+    _check(checks, f"phase_group_{tag}",
+           phase_group_law(phase_maps(color, D)),
            f"(Z_{D} x Z_{D}) composition table")
 
 

@@ -8,6 +8,7 @@ Exit-code contract: 0 = checks passed, 1 = a check failed, 2 = unusable
 invocation.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -453,6 +454,20 @@ def test_equiv_json_and_determinism(capsys):
 def test_equiv_text(capsys):
     assert run(["equiv"]) == 0
     assert "operationally equivalent" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["equiv", "--json"],
+     "6b578ee314a31bce0e476ef6733e2b233116b175b95375131f0f3f8e9b85480c"),
+    (["equiv"],
+     "80c3df991038ca2a2650c6bcedf8a14255837d412ca7b6c070b0a706962653ac"),
+])
+def test_equiv_output_is_pinned(argv, sha256, capsys):
+    # Recorded when the dictionary was three hand-written tables; deriving
+    # it from `_phi` and the toy unbiased points must print the same bytes.
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ _UNWIRED_INPUT = ("input 0 must be the source of exactly one edge "
 def _unchecked(dimension, nodes, edges):
     """A Diagram that skipped its constructor, so skipped validation."""
     d = object.__new__(Diagram)
-    d.dimension, d.scalar = dimension, 1.0 + 0.0j
+    d._dimension, d._scalar = dimension, 1.0 + 0.0j
     d._nodes, d._edges, d._legs = dict(nodes), tuple(edges), {}
     return d
 
@@ -219,6 +219,15 @@ def test_every_way_to_make_a_diagram_validates_it():
         assert exc.value.violations == ((BAD_BOUNDARY_DEGREE, _UNWIRED_INPUT),)
         assert str(exc.value) == ("invalid diagram: BadBoundaryDegree: "
                                   + _UNWIRED_INPUT)
+
+
+@pytest.mark.parametrize("attribute, value", [("dimension", 2),
+                                              ("scalar", 2.0 + 0.0j)])
+def test_dimension_and_scalar_are_read_only(attribute, value):
+    d = generator_diagram("fourier", 3)
+    with pytest.raises(AttributeError):
+        setattr(d, attribute, value)
+    assert (d.dimension, d.scalar) == (3, 1.0 + 0.0j)
 
 
 def test_nodes_is_a_read_only_view():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditzx import toyrel
 from quditzx.equivalence import (
     FAMILIES,
     STATE_NAMES,
@@ -75,6 +76,17 @@ def test_norm_is_multiplicative():
     x = Cyclotomic(3, -2)
     y = Cyclotomic(-1, 4)
     assert (x * y).norm2() == x.norm2() * y.norm2()
+
+
+def test_integer_coefficients_stay_integers():
+    x = Cyclotomic(3, -2) * Cyclotomic(-1, 4) + Cyclotomic.eta_power(2)
+    assert type(x.a) is int and type(x.b) is int
+    assert type(x.norm2()) is int
+    assert Cyclotomic(0.5, Fraction(1, 3)) == Cyclotomic(Fraction(1, 2),
+                                                        Fraction(1, 3))
+    assert type(Cyclotomic(0.5).a) is Fraction
+    for e in build_dictionary():
+        assert all(type(c) is int for x in e.ket for c in (x.a, x.b))
 
 
 def test_cyclotomic_equality_and_hash():
@@ -158,6 +170,43 @@ def test_kets_match_the_numeric_spider_states():
         scale = equal_up_to_scalar(exact, numeric, tol=1e-12)
         assert scale is not None
         assert abs(scale) > 1e-9
+
+
+# The module docstring's printed dictionary, transcribed as literal data
+# (phases in thirds of a turn):
+#     z_t      <->  X-spider, t * (2/3, 1/3)
+#     x_a      <->  Z-spider, a * (1/3, 2/3)
+#     (xz)_t   <->  Z-spider, (1/3, 1/3) + t * (1/3, 2/3)
+#     (xz^2)_t <->  Z-spider, (2/3, 2/3) + t * (1/3, 2/3)
+PRINTED_DICTIONARY = {
+    "z_0": ("X", (0, 0)), "z_1": ("X", (2, 1)), "z_2": ("X", (1, 2)),
+    "x_0": ("Z", (0, 0)), "x_1": ("Z", (1, 2)), "x_2": ("Z", (2, 1)),
+    "xz_0": ("Z", (1, 1)), "xz_1": ("Z", (2, 0)), "xz_2": ("Z", (0, 2)),
+    "xz2_0": ("Z", (2, 2)), "xz2_1": ("Z", (0, 1)), "xz2_2": ("Z", (1, 0)),
+}
+
+
+def test_derived_dictionary_matches_the_printed_table():
+    entries = build_dictionary()
+    assert [e.name for e in entries] == list(PRINTED_DICTIONARY)
+    for e in entries:
+        color, (u, v) = PRINTED_DICTIONARY[e.name]
+        assert e.color == color, e.name
+        assert e.phases == PhaseVector(3, [Turn.exact(u, 3),
+                                           Turn.exact(v, 3)]), e.name
+
+
+def test_dictionary_refuses_unbiased_points_that_are_not_distinct(
+        monkeypatch):
+    honest = toyrel.phase_state
+
+    def collapsed(color, D, sigma, t):
+        # every X-unbiased point lands on the (0, t) one
+        return honest(color, D, 0 if color == "X" else sigma, t)
+
+    monkeypatch.setattr(toyrel, "phase_state", collapsed)
+    with pytest.raises(AssertionError, match="the X unbiased points"):
+        build_dictionary()
 
 
 def test_ket_names_are_unique_and_follow_the_legend():
@@ -254,3 +303,17 @@ def test_dictionary_is_equivariant_under_all_phase_maps(report):
 
 def test_battery_passes_overall(report):
     assert report["passed"] is True
+
+
+def test_battery_builds_each_phase_map_once(monkeypatch):
+    honest = toyrel.phase_map
+    calls = []
+
+    def counted(color, D, sigma, t):
+        calls.append((color, sigma, t))
+        return honest(color, D, sigma, t)
+
+    monkeypatch.setattr(toyrel, "phase_map", counted)
+    assert run_equivalence_checks()["passed"] is True
+    assert sorted(calls) == [(c, s, t) for c in ("X", "Z")
+                             for s in range(3) for t in range(3)]

@@ -638,6 +638,65 @@ def test_trace_json_names_a_step_without_removed_or_added(missing):
         RewriteTrace.from_json_dict(obj)
 
 
+@pytest.mark.parametrize("rule, site, message", [
+    ("S_fuse", {}, r" \(S_fuse\): the site must be an object with keys "
+                   r"\['absorb', 'color', 'keep'\], got \{\}"),
+    ("S_fuse", [3, 4], r" \(S_fuse\): the site must be an object"),
+    ("Q_magic", {}, r": unknown rule 'Q_magic'; choose from "),
+    (["S_fuse"], {}, r": unknown rule \['S_fuse'\]"),
+    ("S_fuse", {"keep": [1], "absorb": 2, "color": "Z"},
+     r" \(S_fuse\): site key 'keep' has the wrong value \[1\]"),
+    ("S_fuse", {"keep": 1, "absorb": True, "color": "Z"},
+     r" \(S_fuse\): site key 'absorb' has the wrong value True"),
+    ("S_fuse", {"keep": 1, "absorb": 2, "color": "Y"},
+     r" \(S_fuse\): site key 'color' has the wrong value 'Y'"),
+    ("F2_cancel", {"boxes": [1, 2, 3]},
+     r" \(F2_cancel\): site key 'boxes' has the wrong value \[1, 2, 3\]"),
+    ("D_identity", {"node": 1, "edge": 0},
+     r" \(D_identity\): the site must be an object with keys \['node'\]"),
+], ids=["empty-site", "list-site", "unknown-rule", "list-rule", "list-node",
+        "bool-node", "bad-color", "triple-boxes", "extra-key"])
+def test_trace_json_names_the_step_and_rule_of_a_malformed_site(
+        rule, site, message):
+    _, trace = simplify(_fusible_chain(3, 4))
+    obj = trace.to_json_dict()
+    obj["steps"][1]["rule"] = rule
+    obj["steps"][1]["site"] = site
+    with pytest.raises(ValueError, match=r"^trace step 1" + message) as info:
+        RewriteTrace.from_json_dict(obj)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [("removed", [1, "2"]),
+                                        ("added", None)])
+def test_trace_json_names_a_step_with_bad_node_ids(key, value):
+    _, trace = simplify(_fusible_chain(3, 4))
+    obj = trace.to_json_dict()
+    obj["steps"][1][key] = value
+    with pytest.raises(ValueError,
+                       match=r"^trace step 1 \(S_fuse\): 'removed' and "
+                             r"'added' must be lists of node ids$"):
+        RewriteTrace.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("change", [
+    lambda obj: obj.pop("steps"),
+    lambda obj: obj.update(steps=5),
+    lambda obj: obj.pop("finalHash"),
+    lambda obj: obj.update(initialHash=None),
+], ids=["no-steps", "int-steps", "no-final-hash", "null-initial-hash"])
+def test_trace_json_refuses_a_malformed_trace(change):
+    _, trace = simplify(_fusible_chain(3, 4))
+    obj = trace.to_json_dict()
+    change(obj)
+    with pytest.raises(ValueError, match=r"^a trace needs string "
+                                         r"'initialHash' and 'finalHash' "
+                                         r"and a list of 'steps'$"):
+        RewriteTrace.from_json_dict(obj)
+    with pytest.raises(ValueError, match=r"^a trace needs "):
+        RewriteTrace.from_json_dict([obj])
+
+
 def test_diagram_hash_tracks_content():
     a = _fusible_chain(3, 2)
     assert diagram_hash(a) == diagram_hash(_fusible_chain(3, 2))

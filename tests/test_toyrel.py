@@ -25,6 +25,7 @@ from quditzx.toyrel import (
     ontic_label,
     phase_group_law,
     phase_map,
+    phase_maps,
     phase_state,
     rel_structure_check,
     spek_generator,
@@ -361,7 +362,7 @@ def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
         monkeypatch):
     D = 3
     for color in ("Z", "X"):
-        assert phase_group_law(color, D)
+        assert phase_group_law(phase_maps(color, D))
     honest = toyrel.phase_map
 
     def corrupted(color, D, sigma, t):
@@ -373,7 +374,7 @@ def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
 
     monkeypatch.setattr(toyrel, "phase_map", corrupted)
     for color in ("Z", "X"):
-        assert not phase_group_law(color, D)
+        assert not phase_group_law(phase_maps(color, D))
 
 
 # ---------------------------------------------------------------------------
