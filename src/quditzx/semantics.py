@@ -20,10 +20,19 @@ pairwise, greedily: a heap yields the pair with the smallest merged
 tensor, ties going to the oldest pair. They share nothing beyond the
 node tensor helper, and tests hold them to each other at 1e-10.
 
+"fast" builds each spider's tensor without its self-loops: a loop's
+factor is one for both colours (the loop_remove rule), so a spider whose
+legs are all loops is its degree-0 scalar. A box's self-loop is traced.
+Node tensors of at most _CACHE_ELEMS entries whose phases are exact (or
+absent, for boxes) are built once per (kind, phase, leg signs, D) and
+shared read-only between calls; approximate phases are never cached.
+"reference" builds every tensor afresh, self-loop legs included.
+
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
 assignments (D^E), "fast" any node tensor, merged pair or output
-matrix of more than _FAST_CAP entries.
+matrix of more than _FAST_CAP entries; a refused node tensor names its
+node.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ from .phases import PhaseVector
 
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
+_CACHE_ELEMS = 4096            # elements of the largest cached node tensor
+_CACHE_TENSORS = 1024          # node tensors cached; once full, no more
+_node_tensor_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -302,22 +314,31 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Fast path: pairwise tensor network contraction
 
-def _check_cap(dim: int, rank: int) -> None:
-    """Refuse a fast-path tensor of dim^rank elements above _FAST_CAP."""
+def _check_cap(dim: int, rank: int, what: str = "") -> None:
+    """Refuse a fast-path tensor of dim^rank elements above _FAST_CAP;
+    `what` names its node, if it is one."""
     if dim ** rank > _FAST_CAP:
         raise ValueError(f"fast path refuses D={dim}: a tensor of {dim}^{rank}"
-                         f" = {dim ** rank} elements is above its cap of "
-                         f"{_FAST_CAP}")
+                         f" = {dim ** rank} elements{what} is above its cap "
+                         f"of {_FAST_CAP}")
 
 
-def _trace_self_loops(arr, labels: list) -> tuple:
-    """Contract each label a node tensor carries twice (a self-loop)."""
-    while len(set(labels)) < len(labels):
-        b = next(i for i, lab in enumerate(labels) if lab in labels[:i])
-        a = labels.index(labels[b])
-        arr = np.trace(arr, axis1=a, axis2=b)
-        labels = [lab for i, lab in enumerate(labels) if i not in (a, b)]
-    return arr, labels
+def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
+    """_node_tensor as an array; a small one with an exact phase, or a
+    box's, is built once per (kind, phase, leg signs, D), all it depends
+    on, and shared read-only."""
+    n, dim = d.node(v), d.dimension
+    if dim ** len(legs) > _CACHE_ELEMS or not (n.phase is None
+                                               or n.phase.is_exact):
+        return np.asarray(_node_tensor(d, v, legs))
+    key = (n.kind, n.phase, tuple(sign for _, sign in legs), dim)
+    t = _node_tensor_cache.get(key)
+    if t is None:
+        t = np.asarray(_node_tensor(d, v, legs))
+        if len(_node_tensor_cache) < _CACHE_TENSORS:
+            t.setflags(write=False)
+            _node_tensor_cache[key] = t
+    return t
 
 
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
@@ -360,10 +381,17 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     for v in sorted(d.nodes):
         if v in boundary:
             continue
-        legs = d.legs(v)
-        _check_cap(dim, len(legs))
+        kind, legs = d.node(v).kind, d.legs(v)
+        if kind in dg.SPIDER_KINDS:
+            # A spider self-loop's factor is one: its legs are never built.
+            legs = tuple(leg for leg in legs if d.edges[leg[0]] != (v, v))
+        _check_cap(dim, len(legs), f" for node {v} ({kind}, {len(legs)} "
+                                   f"loop-free legs)")
+        arr = _shared_node_tensor(d, v, legs)
         labels = [ends[e][0] if e in ends else ("e", e) for e, _ in legs]
-        add(*_trace_self_loops(np.asarray(_node_tensor(d, v, legs)), labels))
+        if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
+            arr, labels = np.trace(arr), []
+        add(arr, labels)
     for labs in ends.values():
         if len(labs) == 2:
             add(np.eye(dim, dtype=complex), labs)
@@ -384,7 +412,8 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
                                           [lb.index(x) for x in shared]))
         add(merged, [x for x in la + lb if x not in shared])
 
-    # Outer product of the disconnected remainder, then order the axes.
+    # Outer product of the disconnected remainder, then order the axes and
+    # scale in one copy, which never shares memory with a cached tensor.
     full, labels = np.array(1.0, dtype=complex), []
     for k, (arr, labs) in enumerate(tensors.values()):
         full = arr if k == 0 else np.tensordot(full, arr, axes=0)
@@ -392,9 +421,9 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     if sorted(labels) != sorted(want):
         raise AssertionError(f"contraction lost track of legs: {labels}")
     perm = [labels.index(x) for x in want]
-    full = np.transpose(full, perm) if perm else full
-    matrix = full.reshape(dim ** len(out_ids), dim ** len(in_ids))
-    return DenseOperator(dim, len(in_ids), len(out_ids), matrix * scalar)
+    matrix = np.multiply(np.transpose(full, perm), scalar, order="C")
+    return DenseOperator(dim, len(in_ids), len(out_ids), matrix.reshape(
+        dim ** len(out_ids), dim ** len(in_ids)))
 
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:

@@ -21,8 +21,8 @@ from quditzx.semantics import compare_scalar_exact, evaluate
 from test_semantics import _random_diagram
 
 # Rewritten diagrams are evaluated only within the generator's own size
-# bound, D^legs <= 2^15 per node: fusing two self-looped spiders can ask
-# for a tensor above the fast path's cap, or hundreds of MiB below it.
+# bound, D^legs <= 2^15 per node tensor that the fast path builds, which
+# leaves out spider self-loops: a fused spider can have many.
 _NODE_ELEMS = 2 ** 15
 
 
@@ -44,7 +44,12 @@ spliced_diagrams = st.builds(_spliced, st.integers(2, 5),
 
 
 def _largest_node(d: dg.Diagram) -> int:
-    return d.dimension ** max((d.degree(v) for v in d.nodes), default=0)
+    """Entries of the largest node tensor the fast path builds for d: it
+    builds no leg of a spider's self-loop."""
+    def built(v):
+        box = d.node(v).kind in dg.BOX_KINDS
+        return sum(box or d.edges[e] != (v, v) for e, _ in d.legs(v))
+    return d.dimension ** max(map(built, d.nodes), default=0)
 
 
 def _sites_in_context(d: dg.Diagram) -> list:
@@ -97,3 +102,17 @@ def test_fuzz_cases_give_every_rule_a_site():
         for rule, _site, _d2 in _sites_in_context(d):
             found[rule] += 1
     assert all(found.values()), found
+
+
+def test_fuzz_fused_self_loops_are_checked():
+    # This S_fuse site fuses two spiders into one of 27 legs, 26 of them
+    # on 13 self-loops, in a closed diagram: once outside the node bound
+    # (2^27), it is a 1x1 matrix.
+    _, d = _spliced(2, 1460, "K2_commute")
+    site = {"keep": 0, "absorb": 1, "color": dg.X}
+    d2 = rw.apply_rule(d, "S_fuse", site)
+    assert max(d2.degree(v) for v in d2.nodes) == 27
+    assert ("S_fuse", site) in [(r, s) for r, s, _ in _sites_in_context(d)]
+    after = evaluate(d2).matrix
+    assert after.shape == (1, 1)
+    assert compare_scalar_exact(after, evaluate(d).matrix)[2]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditzx import diagram as dg
+from quditzx import rewrite as rw
 from quditzx import semantics as sem
 from quditzx.diagram import DiagramBuilder, compose, generator_diagram
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
@@ -419,21 +420,22 @@ def _complete_graph(dim: int, n: int) -> dg.Diagram:
     return b.finish()
 
 
-def _self_looped_spider(dim: int, loops: int) -> dg.Diagram:
+def _fed_x_spider(dim: int, legs: int) -> dg.Diagram:
+    """Node 0 an X spider fed by `legs` one-legged Z spiders: a closed
+    diagram whose one large node tensor comes first."""
     b = DiagramBuilder(dim)
     v = b.add_spider(dg.X)
-    for _ in range(loops):
-        b.add_edge(v, v)
-    b.add_edge(v, b.add_output(0))
+    for _ in range(legs):
+        b.add_edge(b.add_spider(dg.Z), v)
     return b.finish()
 
 
-@pytest.mark.parametrize("diagram, elems", [
-    (dg.spider_diagram(5, dg.X, 5, 6), 5 ** 11),
-    (_self_looped_spider(5, 5), 5 ** 11),
+@pytest.mark.parametrize("diagram, elems, named", [
+    (dg.spider_diagram(5, dg.X, 5, 6), 5 ** 11, ""),
+    (_fed_x_spider(5, 11), 5 ** 11, " for node 0 (X, 11 loop-free legs) "),
 ], ids=["output-matrix", "node-tensor"])
 def test_fast_path_refuses_above_its_cap_before_building(diagram, elems,
-                                                         monkeypatch):
+                                                         named, monkeypatch):
     def never(*args):
         raise AssertionError("a tensor was built")
 
@@ -443,6 +445,7 @@ def test_fast_path_refuses_above_its_cap_before_building(diagram, elems,
     msg = str(exc.value)
     assert "\n" not in msg
     assert "D=5" in msg and str(elems) in msg and str(sem._FAST_CAP) in msg
+    assert named in msg
 
 
 def test_fast_path_refuses_an_over_cap_merge_before_contracting(monkeypatch):
@@ -452,6 +455,114 @@ def test_fast_path_refuses_an_over_cap_merge_before_contracting(monkeypatch):
     monkeypatch.setattr(np, "tensordot", lambda *a, **k: pytest.fail("built"))
     with pytest.raises(ValueError, match=r"2\^6 = 64 elements .* cap of 16"):
         evaluate(_complete_graph(2, 5))
+
+
+# ---------------------------------------------------------------------------
+# Loop-free spider tensors and the node-tensor cache
+
+def _self_looped_spider(dim: int, kind: str, loops: int, phase: PhaseVector,
+                        boundary: bool) -> dg.Diagram:
+    """A spider with `loops` self-loops and, if `boundary`, one input and
+    two outputs, its legs in a seeded shuffled order."""
+    b = DiagramBuilder(dim)
+    v = b.add_spider(kind, phase)
+    ends = [(v, v)] * loops
+    if boundary:
+        ends += [(b.add_input(0), v), (v, b.add_output(0)),
+                 (v, b.add_output(1))]
+    random.Random(dim * 100 + loops).shuffle(ends)
+    for s, t in ends:
+        b.add_edge(s, t)
+    return b.finish()
+
+
+def _loops_removed(d: dg.Diagram) -> dg.Diagram:
+    while sites := rw.find_matches(d, "loop_remove"):
+        d = rw.apply_rule(d, "loop_remove", sites[0])
+    return d
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", [dg.Z, dg.X])
+def test_self_looped_spiders_evaluate_without_their_loops(dim, kind,
+                                                          monkeypatch):
+    built = []
+    real = sem._shared_node_tensor
+    monkeypatch.setattr(sem, "_shared_node_tensor", lambda d, v, legs: (
+        built.append(len(legs)), real(d, v, legs))[1])
+    rng = np.random.RandomState(dim)
+    for loops in (0, 1, 2, 5, 12):
+        for boundary in (True, False):
+            phase = (_random_phase_vector(dim, rng) if loops % 2
+                     else cyclic_vector(dim, loops))
+            d = _self_looped_spider(dim, kind, loops, phase, boundary)
+            got = evaluate(d).matrix
+            assert _dev(got, evaluate(_loops_removed(d)).matrix) < 1e-10
+            # the reference path builds the loop legs too
+            if dim ** (2 * loops + 3) <= sem._REFERENCE_CAP:
+                assert _dev(got, evaluate(d, "reference").matrix) < 1e-10
+    assert max(built) <= 3      # the fast path never built a loop leg
+
+
+def test_fused_sfuse_corner_evaluates_in_small_memory():
+    # Two X spiders joined by three edges, three boundary legs each, fused
+    # at D=5: one spider of degree 10 whose two self-loops are not built.
+    rng = np.random.RandomState(5)
+    b = DiagramBuilder(5)
+    keep, absorb = (b.add_spider(dg.X, _random_phase_vector(5, rng))
+                    for _ in range(2))
+    for _ in range(3):
+        b.add_edge(keep, absorb)
+    for pos, v in enumerate((keep, keep, absorb)):
+        b.add_edge(b.add_input(pos), v)
+    for pos, v in enumerate((keep, absorb, absorb)):
+        b.add_edge(v, b.add_output(pos))
+    d = b.finish()
+    fused = rw.apply_rule(d, "S_fuse",
+                          {"keep": keep, "absorb": absorb, "color": dg.X})
+    assert max(fused.degree(v) for v in fused.nodes) == 10
+    tracemalloc.start()
+    try:
+        got = evaluate(fused).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert compare_scalar_exact(got, evaluate(d).matrix)[2]
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(sem, "_node_tensor_cache", cache)
+    return cache
+
+
+def test_cached_node_tensors_are_read_only_and_never_returned(empty_cache):
+    # A one-in, one-out spider's tensor is the whole result, uncontracted.
+    d = dg.spider_diagram(3, dg.Z, 1, 1, cyclic_vector(3, 1))
+    a, b = evaluate(d).matrix, evaluate(d).matrix
+    assert len(empty_cache) == 1
+    assert not any(t.flags.writeable for t in empty_cache.values())
+    assert a.flags.writeable and not np.shares_memory(a, b)
+    assert not any(np.shares_memory(a, t) for t in empty_cache.values())
+    assert np.array_equal(a, b)
+
+
+def test_approximate_and_oversized_node_tensors_are_not_cached(empty_cache):
+    approx = PhaseVector.from_radians(3, [0.5, 1.0])
+    evaluate(dg.spider_diagram(3, dg.X, 1, 1, approx))
+    evaluate(dg.spider_diagram(5, dg.X, 3, 3))     # 5^6 > _CACHE_ELEMS
+    assert empty_cache == {}
+    evaluate(dg.spider_diagram(5, dg.X, 2, 3))     # 5^5 <= _CACHE_ELEMS
+    assert [t.size for t in empty_cache.values()] == [5 ** 5]
+
+
+def test_node_tensor_cache_stops_growing_when_full(empty_cache, monkeypatch):
+    monkeypatch.setattr(sem, "_CACHE_TENSORS", 2)
+    for t in range(3):
+        evaluate(dg.spider_diagram(3, dg.Z, 1, 1, cyclic_vector(3, t)))
+    assert len(empty_cache) == 2
 
 
 # ---------------------------------------------------------------------------
