@@ -18,8 +18,10 @@ to an X spider generally does.
 
 from __future__ import annotations
 
+import bisect
 import json
 import types
+from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
 from .phases import PhaseVector
@@ -90,7 +92,32 @@ class Node:
         return f"Node({', '.join(bits)})"
 
 
-class Diagram:
+class _Incidence:
+    """Queries over legs(v), shared by Diagram and DiagramBuilder."""
+
+    __slots__ = ()
+
+    def degree(self, v: int) -> int:
+        """Number of legs at v; a self-loop contributes two."""
+        return len(self.legs(v))
+
+    def out_edges(self, v: int) -> list:
+        """Ids of edges with source v (v's output legs)."""
+        return [i for i, sign in self.legs(v) if sign == 1]
+
+    def in_edges(self, v: int) -> list:
+        """Ids of edges with target v (v's input legs)."""
+        return [i for i, sign in self.legs(v) if sign == -1]
+
+    def incident(self, v: int) -> list:
+        return list(dict.fromkeys(i for i, _ in self.legs(v)))
+
+    def neighbors(self, v: int) -> set:
+        e = self.edges
+        return {e[i][1] if sign == 1 else e[i][0] for i, sign in self.legs(v)}
+
+
+class Diagram(_Incidence):
     """Valid and read-only once built; use DiagramBuilder to construct.
 
     The constructor runs validate(), so nothing downstream checks again."""
@@ -144,25 +171,6 @@ class Diagram:
         """
         return self._legs.get(v, ())
 
-    def degree(self, v: int) -> int:
-        """Number of legs at v; a self-loop contributes two."""
-        return len(self.legs(v))
-
-    def out_edges(self, v: int) -> list:
-        """Indices of edges with source v (v's output legs)."""
-        return [i for i, sign in self.legs(v) if sign == 1]
-
-    def in_edges(self, v: int) -> list:
-        """Indices of edges with target v (v's input legs)."""
-        return [i for i, sign in self.legs(v) if sign == -1]
-
-    def incident(self, v: int) -> list:
-        return list(dict.fromkeys(i for i, _ in self.legs(v)))
-
-    def neighbors(self, v: int) -> set:
-        e = self._edges
-        return {e[i][1] if sign == 1 else e[i][0] for i, sign in self.legs(v)}
-
     def boundary_ids(self, kind: str) -> list:
         """Boundary node ids of the given kind, sorted by position."""
         found = [(n.position, v) for v, n in self._nodes.items() if n.kind == kind]
@@ -183,74 +191,131 @@ class Diagram:
 
 def validate(d: Diagram) -> Diagram:
     """Check structural invariants; raise InvalidDiagramError listing them all."""
-    bad = []
-    for i, (s, t) in enumerate(d.edges):
-        for v in (s, t):
-            if v not in d:
-                bad.append((DANGLING_EDGE, f"edge {i} endpoint {v} is not a node"))
-    if bad:
+    nodes, legs = d._nodes, d._legs
+    if not legs.keys() <= nodes.keys():
         # Degree computations below would be meaningless.
-        raise InvalidDiagramError(bad)
+        raise InvalidDiagramError([
+            (DANGLING_EDGE, f"edge {i} endpoint {v} is not a node")
+            for i, edge in enumerate(d.edges) for v in edge if v not in nodes])
 
-    for v, n in sorted(d.nodes.items()):
-        signs = [sign for _, sign in d.legs(v)]
-        n_out, n_in = signs.count(1), signs.count(-1)
-        if n.kind == IN:
-            if n_out != 1 or n_in != 0:
-                bad.append((BAD_BOUNDARY_DEGREE,
-                            f"input {v} must be the source of exactly one edge "
-                            f"(has {n_out} out, {n_in} in)"))
-        elif n.kind == OUT:
-            if n_in != 1 or n_out != 0:
-                bad.append((BAD_BOUNDARY_DEGREE,
-                            f"output {v} must be the target of exactly one edge "
-                            f"(has {n_out} out, {n_in} in)"))
-        elif n.kind in BOX_KINDS:
-            if n_in != 1 or n_out != 1:
-                bad.append((BAD_BOX_DEGREE,
-                            f"box {v} needs exactly one incoming and one outgoing "
-                            f"edge (has {n_in} in, {n_out} out)"))
-        else:
+    bad = []
+    positions = {IN: [], OUT: []}
+    for v in sorted(nodes):
+        n = nodes[v]
+        if n.kind in SPIDER_KINDS:
             if n.phase is None or n.phase.dim != d.dimension:
                 have = "none" if n.phase is None else f"dim {n.phase.dim}"
                 bad.append((PHASE_LENGTH_MISMATCH,
                             f"spider {v} needs a phase vector of dimension "
                             f"{d.dimension}, has {have}"))
+            continue
+        signs = [sign for _, sign in legs.get(v, ())]
+        n_out, n_in = signs.count(1), signs.count(-1)
+        if n.kind == IN:
+            positions[IN].append(n.position)
+            if n_out != 1 or n_in != 0:
+                bad.append((BAD_BOUNDARY_DEGREE,
+                            f"input {v} must be the source of exactly one edge "
+                            f"(has {n_out} out, {n_in} in)"))
+        elif n.kind == OUT:
+            positions[OUT].append(n.position)
+            if n_in != 1 or n_out != 0:
+                bad.append((BAD_BOUNDARY_DEGREE,
+                            f"output {v} must be the target of exactly one edge "
+                            f"(has {n_out} out, {n_in} in)"))
+        elif n_in != 1 or n_out != 1:
+            bad.append((BAD_BOX_DEGREE,
+                        f"box {v} needs exactly one incoming and one outgoing "
+                        f"edge (has {n_in} in, {n_out} out)"))
 
     for kind in (IN, OUT):
-        positions = sorted(n.position for n in d.nodes.values() if n.kind == kind)
-        if positions != list(range(len(positions))):
+        got = sorted(positions[kind])
+        if got != list(range(len(got))):
             bad.append((NON_CONTIGUOUS_BOUNDARY,
-                        f"{kind} positions must be 0..{len(positions) - 1}, "
-                        f"got {positions}"))
+                        f"{kind} positions must be 0..{len(got) - 1}, "
+                        f"got {got}"))
 
     if bad:
         raise InvalidDiagramError(bad)
     return d
 
 
-class DiagramBuilder:
-    """Mutable construction buffer for diagrams.
+class DiagramBuilder(_Incidence):
+    """The one mutable diagram: a construction buffer, and the graph that
+    rewrite rules edit in place. finish() validates it into a Diagram.
 
     Node ids are allocated consecutively from max(existing)+1, which keeps
     rewrite traces replayable: the same sequence of operations on the same
     diagram always produces the same ids.
+
+    Each edge has a serial that is never changed or reused. ``edges`` maps
+    serial -> (source, target) in serial order, which is the edge order
+    finish() writes, so an edge's position in the finished diagram is the
+    rank of its serial among the live ones (rank, edge_at). legs(v) lists
+    (serial, sign) in that order, as Diagram.legs does.
+
+    Since the last start_step(), the builder logs the nodes it removed and
+    added, the nodes whose record it replaced or that lost a leg, and the
+    edges it added or re-anchored (whose ends gained one).
     """
 
     def __init__(self, dimension: int, scalar: complex = 1.0):
         self.dimension = dimension
         self.scalar = complex(scalar)
         self.nodes: dict = {}
-        self.edges: list = []
+        self.edges: dict = {}
+        self._live: list = []       # the live serials, ascending
+        self._legs = defaultdict(list)  # node -> [(serial, sign)], by serial
         self._next_id = 0
+        self._next_edge = 0
+        self.start_step()
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "DiagramBuilder":
         b = cls(d.dimension, d.scalar)
         b.nodes = dict(d.nodes)
-        b.edges = list(d.edges)
+        b.edges = dict(enumerate(d.edges))
+        b._live = list(range(len(d.edges)))
+        b._legs.update((v, list(legs)) for v, legs in d._legs.items())
         b._next_id = max(b.nodes, default=-1) + 1
+        b._next_edge = len(d.edges)
         return b
+
+    def start_step(self) -> None:
+        """Clear the change log, and restart fresh ids at max(live ids)+1
+        as from_diagram does, so a removed top id is used again."""
+        self.removed_nodes, self.added_nodes = [], []
+        self.touched_nodes, self.touched_edges = set(), set()
+        while self._next_id and self._next_id - 1 not in self.nodes:
+            self._next_id -= 1
+
+    def node_changes(self) -> tuple:
+        """(removed, added): the sorted ids of the nodes deleted and
+        created since start_step(). Fresh ids exceed every id live at
+        start_step(), so no id is both."""
+        return sorted(self.removed_nodes), sorted(self.added_nodes)
+
+    def node(self, v: int) -> Node:
+        return self.nodes[v]
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.nodes
+
+    def legs(self, v: int) -> list:
+        """(serial, sign) for each leg of v, ordered as Diagram.legs. The
+        list is the builder's own: copy it before editing v's edges."""
+        return self._legs.get(v, ())
+
+    def rank(self, e: int) -> int:
+        """Position of live edge e in finish()'s edge list."""
+        return bisect.bisect_left(self._live, e)
+
+    def edge_at(self, position) -> int | None:
+        """Serial of the edge at this position of finish()'s edge list, or
+        None when there is no such position."""
+        if isinstance(position, int) and 0 <= position < len(self._live):
+            return self._live[position]
+        return None
 
     def fresh_id(self) -> int:
         v = self._next_id
@@ -260,6 +325,7 @@ class DiagramBuilder:
     def add_node(self, node: Node) -> int:
         v = self.fresh_id()
         self.nodes[v] = node
+        self.added_nodes.append(v)
         return v
 
     def add_spider(self, kind: str, phase: PhaseVector | None = None) -> int:
@@ -276,19 +342,58 @@ class DiagramBuilder:
     def add_output(self, position: int) -> int:
         return self.add_node(Node(OUT, position=position))
 
-    def add_edge(self, source: int, target: int) -> int:
-        self.edges.append((source, target))
-        return len(self.edges) - 1
+    def set_node(self, v: int, node: Node) -> None:
+        self.nodes[v] = node
+        self.touched_nodes.add(v)
 
     def remove_node(self, v: int) -> None:
+        """Delete v; its edges are removed or moved separately."""
         del self.nodes[v]
+        self.removed_nodes.append(v)
 
-    def remove_edges(self, indices: Iterable[int]) -> None:
-        doomed = set(indices)
-        self.edges = [e for i, e in enumerate(self.edges) if i not in doomed]
+    def add_edge(self, source: int, target: int) -> int:
+        """Returns the new edge's serial: its position in finish()'s edge
+        list while no edge has been removed."""
+        e = self._next_edge
+        self._next_edge += 1
+        self.edges[e] = (source, target)
+        self._live.append(e)
+        # The largest serial, so its legs go last: (e, +1) then (e, -1).
+        self._legs[source].append((e, 1))
+        self._legs[target].append((e, -1))
+        self.touched_edges.add(e)
+        return e
+
+    def move_edge(self, e: int, source: int, target: int) -> None:
+        """Re-anchor edge e; it keeps its serial, so its position."""
+        self._unlink(e)
+        self.edges[e] = (source, target)
+        for v, legs in (((source, [(e, 1), (e, -1)]),) if source == target
+                        else ((source, [(e, 1)]), (target, [(e, -1)]))):
+            vl = self._legs[v]
+            i = bisect.bisect_left(vl, (e, -2))
+            vl[i:i] = legs
+        self.touched_edges.add(e)
+
+    def remove_edges(self, serials: Iterable[int]) -> None:
+        for e in set(serials):
+            self._unlink(e)
+            del self.edges[e]
+            del self._live[bisect.bisect_left(self._live, e)]
+
+    def _unlink(self, e: int) -> None:
+        # (e, -2) sorts before every leg of edge e and after every leg of
+        # an edge with a smaller serial; a self-loop has two adjacent legs.
+        s, t = self.edges[e]
+        for v in (s,) if s == t else (s, t):
+            vl = self._legs[v]
+            i = bisect.bisect_left(vl, (e, -2))
+            del vl[i:i + 2 if s == t else i + 1]
+        self.touched_nodes.update((s, t))
 
     def finish(self) -> Diagram:
-        return Diagram(self.dimension, self.nodes, self.edges, self.scalar)
+        return Diagram(self.dimension, self.nodes, self.edges.values(),
+                       self.scalar)
 
 
 # ---------------------------------------------------------------------------

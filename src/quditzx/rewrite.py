@@ -26,6 +26,7 @@ for either color); simplify() uses it to keep fused diagrams tidy.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 import random
@@ -51,7 +52,7 @@ def _require(cond: bool, msg: str):
         raise RuleMatchError(msg)
 
 
-def _is_spider(d: dg.Diagram, v: int) -> bool:
+def _is_spider(d: dg.DiagramBuilder, v: int) -> bool:
     return v in d and d.node(v).kind in dg.SPIDER_KINDS
 
 
@@ -59,12 +60,15 @@ def _opposite(color: str) -> str:
     return dg.X if color == dg.Z else dg.Z
 
 
-def _self_loops(d: dg.Diagram, v: int) -> list:
+def _self_loops(d: dg.DiagramBuilder, v: int) -> list:
     return [i for i, sign in d.legs(v) if sign == 1 and d.edges[i] == (v, v)]
 
 
-def _joining(d: dg.Diagram, a: int, b: int) -> list:
-    """Indices of the edges between distinct nodes a and b, either way."""
+def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
+    """Ids of the edges between distinct nodes a and b, either way, in
+    edge order; read from the shorter of the two leg lists."""
+    if len(d.legs(b)) < len(d.legs(a)):
+        a, b = b, a
     return [i for i, _ in d.legs(a) if b in d.edges[i]]
 
 
@@ -72,9 +76,12 @@ def _joining(d: dg.Diagram, a: int, b: int) -> list:
 # Matchers. A rule's pattern is its _check_*, and nothing else: a matcher
 # enumerates candidate sites in the canonical order, pruned at most by a
 # cheap necessary condition, and _sites keeps the candidates the check
-# accepts. The applier runs the same check on the site it is given.
+# accepts. The applier runs the same check on the site it is given, and
+# edits the graph in place. Checks, matchers and appliers all read a
+# DiagramBuilder; a site names an edge by its position in the finished
+# diagram's edge list, which edge_at maps to the builder's serial.
 
-def _sites(d: dg.Diagram, check, candidates) -> list:
+def _sites(d: dg.DiagramBuilder, check, candidates) -> list:
     """The candidates that check accepts, in candidate order."""
     sites = []
     for site in candidates:
@@ -86,8 +93,8 @@ def _sites(d: dg.Diagram, check, candidates) -> list:
     return sites
 
 
-def _match_s_fuse(d: dg.Diagram) -> list:
-    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
+def _match_s_fuse(d: dg.DiagramBuilder) -> list:
+    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges.values()
                     if d.node(s).kind == d.node(t).kind})
     return _sites(d, _check_s_fuse,
                   ({"keep": a, "absorb": b, "color": d.node(a).kind}
@@ -104,20 +111,20 @@ def _check_s_fuse(d, site):
     return a, b, conn
 
 
-def _apply_s_fuse(b_, d, site):
+def _apply_s_fuse(d, site):
     a, absorbed, conn = _check_s_fuse(d, site)
     na, nb = d.node(a), d.node(absorbed)
-    b_.nodes[a] = dg.Node(na.kind, phase=phase_add(na.phase, nb.phase))
-    # Re-anchor the absorbed legs on a; the joining edges become self-loops
-    # of a, and the first of them is spent on the fusion.
-    for i, _ in d.legs(absorbed):
+    d.set_node(a, dg.Node(na.kind, phase=phase_add(na.phase, nb.phase)))
+    # The first joining edge is spent on the fusion. The absorbed legs move
+    # to a, so the other joining edges become self-loops of a.
+    d.remove_edges([conn[0]])
+    for i in d.incident(absorbed):
         s, t = d.edges[i]
-        b_.edges[i] = (a if s == absorbed else s, a if t == absorbed else t)
-    b_.remove_edges([conn[0]])
-    b_.remove_node(absorbed)
+        d.move_edge(i, a if s == absorbed else s, a if t == absorbed else t)
+    d.remove_node(absorbed)
 
 
-def _match_d_identity(d: dg.Diagram) -> list:
+def _match_d_identity(d: dg.DiagramBuilder) -> list:
     return _sites(d, _check_d_identity,
                   ({"node": v} for v in sorted(d.nodes) if d.degree(v) == 2))
 
@@ -132,18 +139,18 @@ def _check_d_identity(d, site):
     return v, ins[0], outs[0]
 
 
-def _apply_d_identity(b_, d, site):
+def _apply_d_identity(d, site):
     v, e_in, e_out = _check_d_identity(d, site)
     u = d.edges[e_in][0]
     w = d.edges[e_out][1]
-    b_.remove_edges([e_in, e_out])
-    b_.add_edge(u, w)
-    b_.remove_node(v)
+    d.remove_edges([e_in, e_out])
+    d.add_edge(u, w)
+    d.remove_node(v)
 
 
-def _match_loop_remove(d: dg.Diagram) -> list:
+def _match_loop_remove(d: dg.DiagramBuilder) -> list:
     first_loop = {}
-    for i, (s, t) in enumerate(d.edges):
+    for i, (s, t) in enumerate(d.edges.values()):
         if s == t:
             first_loop.setdefault(s, i)
     return _sites(d, _check_loop_remove,
@@ -153,18 +160,19 @@ def _match_loop_remove(d: dg.Diagram) -> list:
 def _check_loop_remove(d, site):
     v, e = site["node"], site["edge"]
     _require(_is_spider(d, v), "node must be a spider")
-    _require(0 <= e < len(d.edges) and d.edges[e] == (v, v),
+    e = d.edge_at(e)
+    _require(e is not None and d.edges[e] == (v, v),
              "edge must be a self-loop on the node")
     return v, e
 
 
-def _apply_loop_remove(b_, d, site):
+def _apply_loop_remove(d, site):
     _v, e = _check_loop_remove(d, site)
-    b_.remove_edges([e])
+    d.remove_edges([e])
 
 
-def _match_f2_cancel(d: dg.Diagram) -> list:
-    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges
+def _match_f2_cancel(d: dg.DiagramBuilder) -> list:
+    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges.values()
                     if {d.node(s).kind, d.node(t).kind} <= dg.BOX_KINDS})
     return _sites(d, _check_f2_cancel, ({"boxes": [a, b]} for a, b in pairs))
 
@@ -179,14 +187,14 @@ def _check_f2_cancel(d, site):
     return a, b, conn
 
 
-def _apply_f2_cancel(b_, d, site):
+def _apply_f2_cancel(d, site):
     a, b, conn = _check_f2_cancel(d, site)
     if len(conn) == 2:
         # A closed F/Fdag cycle traces to the scalar D.
-        b_.remove_edges(conn)
-        b_.remove_node(a)
-        b_.remove_node(b)
-        b_.scalar *= d.dimension
+        d.remove_edges(conn)
+        d.remove_node(a)
+        d.remove_node(b)
+        d.scalar *= d.dimension
         return
     mid = conn[0]
     first, second = d.edges[mid]
@@ -194,10 +202,10 @@ def _apply_f2_cancel(b_, d, site):
     e_out = next(i for i in d.out_edges(second) if i != mid)
     u = d.edges[e_in][0]
     w = d.edges[e_out][1]
-    b_.remove_edges([e_in, mid, e_out])
-    b_.add_edge(u, w)
-    b_.remove_node(a)
-    b_.remove_node(b)
+    d.remove_edges([e_in, mid, e_out])
+    d.add_edge(u, w)
+    d.remove_node(a)
+    d.remove_node(b)
 
 
 def _f1_wanted_box(color: str, sign: int) -> str:
@@ -206,7 +214,7 @@ def _f1_wanted_box(color: str, sign: int) -> str:
     return dg.FDAG if sign == 1 else dg.F
 
 
-def _match_f1_color(d: dg.Diagram) -> list:
+def _match_f1_color(d: dg.DiagramBuilder) -> list:
     return _sites(d, _check_f1_color, ({"spider": v} for v in sorted(d.nodes)))
 
 
@@ -229,10 +237,10 @@ def _check_f1_color(d, site):
     return v, color, plan
 
 
-def _apply_f1_color(b_, d, site):
+def _apply_f1_color(d, site):
     v, color, plan = _check_f1_color(d, site)
     n = d.node(v)
-    b_.nodes[v] = dg.Node(_opposite(color), phase=n.phase)
+    d.set_node(v, dg.Node(_opposite(color), phase=n.phase))
     doomed = []
     bridges = []
     for e, sign, box, far in plan:
@@ -242,14 +250,14 @@ def _apply_f1_color(b_, d, site):
             bridges.append((v, ft))
         else:
             bridges.append((fs, v))
-        b_.remove_node(box)
-    b_.remove_edges(doomed)
+        d.remove_node(box)
+    d.remove_edges(doomed)
     for s, t in bridges:
-        b_.add_edge(s, t)
+        d.add_edge(s, t)
 
 
-def _match_b_copy(d: dg.Diagram) -> list:
-    found = sorted((s, v, e) for e, (s, v) in enumerate(d.edges)
+def _match_b_copy(d: dg.DiagramBuilder) -> list:
+    found = sorted((s, v, e) for e, (s, v) in enumerate(d.edges.values())
                    if d.degree(s) == 1)
     return _sites(d, _check_b_copy,
                   ({"state": s, "spider": v, "edge": e} for s, v, e in found))
@@ -258,7 +266,8 @@ def _match_b_copy(d: dg.Diagram) -> list:
 def _check_b_copy(d, site):
     s, v, e = site["state"], site["spider"], site["edge"]
     _require(_is_spider(d, s) and _is_spider(d, v), "need two spiders")
-    _require(0 <= e < len(d.edges) and d.edges[e] == (s, v),
+    e = d.edge_at(e)
+    _require(e is not None and d.edges[e] == (s, v),
              "edge must run from the state into the spider")
     _require(d.degree(s) == 1, "state must have exactly one leg")
     _require(d.node(s).kind != d.node(v).kind, "colors must differ")
@@ -269,7 +278,7 @@ def _check_b_copy(d, site):
     return s, v, e
 
 
-def _apply_b_copy(b_, d, site):
+def _apply_b_copy(d, site):
     s, v, e = _check_b_copy(d, site)
     state_color = d.node(s).kind
     ket_phase = d.node(s).phase
@@ -280,24 +289,24 @@ def _apply_b_copy(b_, d, site):
     for i, sign in other:
         es, et = d.edges[i]
         plans.append((sign, es if sign == -1 else et))
-    b_.remove_edges(doomed)
-    b_.remove_node(s)
-    b_.remove_node(v)
+    d.remove_edges(doomed)
+    d.remove_node(s)
+    d.remove_node(v)
     for sign, w in plans:
         if sign == 1:
-            c = b_.add_spider(state_color, ket_phase)
-            b_.add_edge(c, w)
+            c = d.add_spider(state_color, ket_phase)
+            d.add_edge(c, w)
         else:
-            c = b_.add_spider(state_color, bra_phase)
-            b_.add_edge(w, c)
+            c = d.add_spider(state_color, bra_phase)
+            d.add_edge(w, c)
     r = len(plans)
-    b_.scalar *= d.dimension ** (0.5 * (1 - r))
+    d.scalar *= d.dimension ** (0.5 * (1 - r))
 
 
-def _match_k2_commute(d: dg.Diagram) -> list:
+def _match_k2_commute(d: dg.DiagramBuilder) -> list:
     # The far end of leg (e, sign) of g is the edge's target when g is
     # its source (sign +1), else its source.
-    found = sorted((g, d.edges[e][sign == 1], e) for g in d.nodes
+    found = sorted((g, d.edges[e][sign == 1], d.rank(e)) for g in d.nodes
                    if d.degree(g) == 2 for e, sign in d.legs(g))
     return _sites(d, _check_k2_commute,
                   ({"gate": g, "spider": v, "edge": e} for g, v, e in found))
@@ -311,6 +320,7 @@ def _check_k2_commute(d, site):
     ins, outs = d.in_edges(g), d.out_edges(g)
     _require(len(ins) == 1 and len(outs) == 1 and ins[0] != outs[0],
              "gate must have one leg each way")
+    e = d.edge_at(e)
     _require(e in (ins[0], outs[0]), "edge does not touch the gate")
     s, t = d.edges[e]
     _require(v in (s, t) and g in (s, t) and v != g, "edge must join gate and spider")
@@ -322,7 +332,7 @@ def _check_k2_commute(d, site):
     return g, v, e, far, k
 
 
-def _apply_k2_commute(b_, d, site):
+def _apply_k2_commute(d, site):
     g, v, e, far, k = _check_k2_commute(d, site)
     dim = d.dimension
     nv = d.node(v)
@@ -334,8 +344,8 @@ def _apply_k2_commute(b_, d, site):
     else:
         kappa = k if sign0 == -1 else (dim - k) % dim
 
-    b_.nodes[v] = dg.Node(nv.kind, phase=phase_neg_transform(nv.phase, kappa))
-    b_.scalar *= complex(math.cos(nv.phase.alpha(kappa).radians),
+    d.set_node(v, dg.Node(nv.kind, phase=phase_neg_transform(nv.phase, kappa)))
+    d.scalar *= complex(math.cos(nv.phase.alpha(kappa).radians),
                          math.sin(nv.phase.alpha(kappa).radians))
 
     gate_color = d.node(g).kind
@@ -348,23 +358,23 @@ def _apply_k2_commute(b_, d, site):
         es, et = d.edges[i]
         plans.append((sign, es if sign == -1 else et,
                       (dim - k) % dim if sign == sign0 else k))
-    b_.remove_edges(doomed)
-    b_.remove_node(g)
+    d.remove_edges(doomed)
+    d.remove_node(g)
     if sign0 == 1:
-        b_.add_edge(v, w)
+        d.add_edge(v, w)
     else:
-        b_.add_edge(w, v)
+        d.add_edge(w, v)
     for sign, far_node, param in plans:
-        c = b_.add_spider(gate_color, cyclic_vector(dim, param))
+        c = d.add_spider(gate_color, cyclic_vector(dim, param))
         if sign == 1:
-            b_.add_edge(v, c)
-            b_.add_edge(c, far_node)
+            d.add_edge(v, c)
+            d.add_edge(c, far_node)
         else:
-            b_.add_edge(far_node, c)
-            b_.add_edge(c, v)
+            d.add_edge(far_node, c)
+            d.add_edge(c, v)
 
 
-def _match_b_bialgebra(d: dg.Diagram) -> list:
+def _match_b_bialgebra(d: dg.DiagramBuilder) -> list:
     def targets(v):
         return {d.edges[i][1] for i in d.out_edges(v)}
 
@@ -416,7 +426,7 @@ def _check_b_bialgebra(d, site):
     return (p1, p2, q1, q2, pc, qc, square, ext)
 
 
-def _apply_b_bialgebra(b_, d, site):
+def _apply_b_bialgebra(d, site):
     p1, p2, q1, q2, pc, qc, square, ext = _check_b_bialgebra(d, site)
     doomed = list(square.values()) + [ext[v][0] for v in (p1, p2, q1, q2)]
     plans = []
@@ -424,19 +434,19 @@ def _apply_b_bialgebra(b_, d, site):
         e, sign = ext[v]
         es, et = d.edges[e]
         plans.append((v, sign, es if sign == -1 else et))
-    b_.remove_edges(doomed)
+    d.remove_edges(doomed)
     for v in (p1, p2, q1, q2):
-        b_.remove_node(v)
-    merge = b_.add_spider(qc)
-    split = b_.add_spider(pc)
-    b_.add_edge(merge, split)
+        d.remove_node(v)
+    merge = d.add_spider(qc)
+    split = d.add_spider(pc)
+    d.add_edge(merge, split)
     for v, sign, w in plans:
         target = merge if v in (p1, p2) else split
         if sign == 1:
-            b_.add_edge(target, w)
+            d.add_edge(target, w)
         else:
-            b_.add_edge(w, target)
-    b_.scalar *= d.dimension ** -0.5
+            d.add_edge(w, target)
+    d.scalar *= d.dimension ** -0.5
 
 
 _MATCHERS = {
@@ -465,26 +475,22 @@ _APPLIERS = {
 def find_matches(d: dg.Diagram, rule: str) -> list:
     if rule not in _MATCHERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
-    return _MATCHERS[rule](d)
+    return _MATCHERS[rule](dg.DiagramBuilder.from_diagram(d))
 
 
-def apply_rule(d: dg.Diagram, rule: str, site: dict) -> dg.Diagram:
+def apply_rule(d, rule: str, site: dict):
+    """Apply rule at site. A Diagram is left as it is and the result is a
+    new Diagram; a DiagramBuilder is edited in place, as one step (its
+    change log restarts), and returned."""
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
-    return _rewrite(d, rule, site)
-
-
-def _rewrite(d: dg.Diagram, rule: str, site: dict) -> dg.Diagram:
-    b_ = dg.DiagramBuilder.from_diagram(d)
-    _APPLIERS[rule](b_, d, site)
-    return b_.finish()
-
-
-def _node_changes(before: dg.Diagram, after: dg.Diagram) -> tuple:
-    """(removed, added): the sorted ids of the nodes a step deletes and
-    creates. Fresh ids exceed every id of ``before``, so no id is both."""
-    return (sorted(before.nodes.keys() - after.nodes.keys()),
-            sorted(after.nodes.keys() - before.nodes.keys()))
+    if isinstance(d, dg.Diagram):
+        g = dg.DiagramBuilder.from_diagram(d)
+        _APPLIERS[rule](g, site)
+        return g.finish()
+    d.start_step()
+    _APPLIERS[rule](d, site)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -593,49 +599,150 @@ _SIMPLIFY_ORDER = ("loop_remove", "F2_cancel", "S_fuse", "D_identity",
                    "B_copy")
 
 
+def _key_site(d: dg.DiagramBuilder, rule: str, key):
+    """The site a worklist key stands for, or None once its node or edge
+    is gone."""
+    if rule == "S_fuse":
+        a, b = key
+        return {"keep": a, "absorb": b, "color": d.node(a).kind} \
+            if a in d else None
+    if rule == "F2_cancel":
+        return {"boxes": list(key)}
+    if rule == "D_identity":
+        return {"node": key}
+    if rule == "loop_remove":
+        v, e = key
+        return {"node": v, "edge": d.rank(e)} \
+            if d.edges.get(e) == (v, v) else None
+    s, v, e = key
+    return {"state": s, "spider": v, "edge": d.rank(e)} \
+        if d.edges.get(e) == (s, v) else None
+
+
+class _Worklist:
+    """Candidate keys of the rules in _SIMPLIFY_ORDER, one heap per rule.
+
+    A key sorts as its site does in the rule's matcher: S_fuse and
+    F2_cancel by (low, high) node, D_identity by node, loop_remove by
+    (node, edge serial) and B_copy by (state, spider, edge serial), and
+    serials sort as the positions they stand for. pop() runs the rule's
+    own check on each popped key's site, so the first key it accepts is
+    the matcher's first site.
+
+    That holds while every key that the check would accept is queued.
+    feed() pushes the keys whose pattern a step may have made true: pair
+    and loop keys from the edges added or moved, D_identity and B_copy
+    keys from the nodes touched, B_copy keyed by its state. A B_copy
+    check also reads the spider (its phase and self-loops), so a refused
+    B_copy key waits on its spider and is pushed again when that is
+    touched. No rule here changes a node's kind.
+    """
+
+    def __init__(self, d: dg.DiagramBuilder):
+        self.d = d
+        self.heaps = {rule: [] for rule in _SIMPLIFY_ORDER}
+        self.queued = {rule: set() for rule in _SIMPLIFY_ORDER}
+        self.waiting = {}           # spider -> refused B_copy keys
+        self.feed(d.edges, d.nodes)
+
+    def _push(self, rule: str, key):
+        if key not in self.queued[rule]:
+            self.queued[rule].add(key)
+            heapq.heappush(self.heaps[rule], key)
+
+    def feed(self, edges, nodes):
+        """Push the keys of these edges and nodes and of the edges' ends."""
+        d, push = self.d, self._push
+        nodes = set(nodes)
+        for e in edges:
+            if e not in d.edges:
+                continue
+            s, t = d.edges[e]
+            nodes.update((s, t))
+            ks, kt = d.node(s).kind, d.node(t).kind
+            if ks == kt:
+                push("S_fuse", (min(s, t), max(s, t)))
+            if ks in dg.BOX_KINDS and kt in dg.BOX_KINDS:
+                push("F2_cancel", (min(s, t), max(s, t)))
+            if s == t:
+                push("loop_remove", (s, e))
+        for v in nodes:
+            if v not in d:
+                continue
+            for key in self.waiting.pop(v, ()):
+                push("B_copy", key)
+            legs = d.legs(v)
+            if len(legs) == 2:
+                push("D_identity", v)
+            elif len(legs) == 1 and legs[0][1] == 1:
+                e = legs[0][0]
+                push("B_copy", (v, d.edges[e][1], e))
+
+    def pop(self):
+        """(rule, site) of the next step, or None at the fixpoint."""
+        for rule in _SIMPLIFY_ORDER:
+            heap, queued = self.heaps[rule], self.queued[rule]
+            # looked up here, so that a patched check is the one that runs
+            check = globals()["_check_" + rule.lower()]
+            while heap:
+                key = heapq.heappop(heap)
+                queued.discard(key)
+                site = _key_site(self.d, rule, key)
+                if site is None:
+                    continue
+                try:
+                    check(self.d, site)
+                except RuleMatchError:
+                    if rule == "B_copy":
+                        self.waiting.setdefault(key[1], set()).add(key)
+                    continue
+                return rule, site
+        return None
+
+
 def simplify(d: dg.Diagram) -> tuple:
     """Fixpoint of the shrinking rules; returns (diagram, trace).
 
     Deterministic: at each step the first rule in the fixed order with a
-    match fires at its first site.
+    match fires at its first site. The steps edit one DiagramBuilder in
+    place, and a worklist finds each next site from what the last step
+    changed; the result is validated once, and it must have no site of
+    any rule left.
     """
     trace = RewriteTrace(diagram_hash(d), "")
-    current = d
-    while True:
-        fired = False
-        for rule in _SIMPLIFY_ORDER:
-            sites = find_matches(current, rule)
-            if not sites:
-                continue
-            site = sites[0]
-            try:
-                nxt = _rewrite(current, rule, site)
-            except ValueError as exc:
-                raise AssertionError(
-                    f"{rule} failed at its own match {site}: {exc}") from exc
-            if len(nxt.edges) >= len(current.edges):
-                raise AssertionError(
-                    f"{rule} did not shrink the diagram; simplify would loop")
-            trace.steps.append(TraceStep(rule, site,
-                                         *_node_changes(current, nxt)))
-            current = nxt
-            fired = True
-            break
-        if not fired:
-            break
-    trace.final_hash = diagram_hash(current)
-    return current, trace
+    g = dg.DiagramBuilder.from_diagram(d)
+    work = _Worklist(g)
+    while (found := work.pop()) is not None:
+        rule, site = found
+        n_edges = len(g.edges)
+        g.start_step()
+        try:
+            _APPLIERS[rule](g, site)
+        except ValueError as exc:
+            raise AssertionError(
+                f"{rule} failed at its own match {site}: {exc}") from exc
+        if len(g.edges) >= n_edges:
+            raise AssertionError(
+                f"{rule} did not shrink the diagram; simplify would loop")
+        trace.steps.append(TraceStep(rule, site, *g.node_changes()))
+        work.feed(g.touched_edges, g.touched_nodes)
+    out = g.finish()
+    left = [rule for rule in _SIMPLIFY_ORDER if find_matches(out, rule)]
+    if left:
+        raise AssertionError(f"simplify stopped with sites of {left} left")
+    trace.final_hash = diagram_hash(out)
+    return out, trace
 
 
 def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
-    """Re-run a trace, verifying both endpoint hashes and, at each step,
-    the ids of the nodes it removes and adds (in any order)."""
+    """Re-run a trace in place, verifying both endpoint hashes and, at each
+    step, the ids of the nodes it removes and adds (in any order)."""
     if diagram_hash(d) != trace.initial_hash:
         raise ValueError("trace does not start at this diagram")
-    current = d
+    g = dg.DiagramBuilder.from_diagram(d)
     for i, step in enumerate(trace.steps):
         try:
-            nxt = apply_rule(current, step.rule, step.site)
+            apply_rule(g, step.rule, step.site)
         except (ValueError, KeyError, TypeError) as exc:
             # A site that lacks a key or has the wrong type is as malformed
             # as one the rule's check refuses.
@@ -643,12 +750,12 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
                       else exc)
             raise RuleMatchError(
                 f"replay step {i} ({step.rule}): {reason}") from exc
-        removed, added = _node_changes(current, nxt)
+        removed, added = g.node_changes()
         if (removed, added) != (sorted(step.removed), sorted(step.added)):
             raise RuleMatchError(
                 f"replay step {i} ({step.rule}): removes {removed} and adds "
                 f"{added}, the trace says {step.removed} and {step.added}")
-        current = nxt
+    current = g.finish()
     if diagram_hash(current) != trace.final_hash:
         raise ValueError("replay diverged from the recorded final hash")
     return current

@@ -30,9 +30,10 @@ shared read-only between calls; approximate phases are never cached.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
-assignments (D^E), "fast" any node tensor, merged pair or output
-matrix of more than _FAST_CAP entries; a refused node tensor names its
-node.
+assignments (D^E) or a node tensor of more than _REFERENCE_CAP entries
+(a self-loop's two legs count), "fast" any node tensor, merged pair or
+output matrix of more than _FAST_CAP entries; a refused node tensor
+names its node.
 """
 
 from __future__ import annotations
@@ -292,6 +293,11 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
         if v in boundary:
             continue
         legs = d.legs(v)
+        if dim ** len(legs) > _REFERENCE_CAP:
+            raise ValueError(f"reference path refuses D={dim}: node {v} "
+                             f"({d.node(v).kind}, {len(legs)} legs) needs a "
+                             f"tensor of {dim ** len(legs)} entries, above "
+                             f"its cap of {_REFERENCE_CAP}; use method='fast'")
         tensor = _node_tensor(d, v, legs)
         if len(legs) == 0:
             weight *= tensor

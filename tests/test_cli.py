@@ -225,7 +225,7 @@ def test_rule_check_fails_a_rule_that_refuses_its_site(monkeypatch, capsys):
     # (exit 1), not bad input (exit 2)
     from quditzx import rewrite as rw
 
-    def refusing(b_, d, site):
+    def refusing(d, site):
         raise rw.RuleMatchError("applier refuses its own site")
 
     monkeypatch.setitem(rw._APPLIERS, "S_fuse", refusing)

@@ -5,8 +5,8 @@ Each case is a random diagram from `test_semantics._random_diagram`
 D=2..5) with one `random_rule_instance` spliced in by `compose`, so that
 rules which need exact or zero phases find sites too. On each case the
 two evaluators agree, every site of every rule keeps the matrix with a
-scalar of exactly 1, `simplify` replays, and diagram and trace JSON
-round-trip.
+scalar of exactly 1, `simplify` takes the steps that a full rescan per
+step takes and replays, and diagram and trace JSON round-trip.
 """
 
 import json
@@ -63,6 +63,25 @@ def _sites_in_context(d: dg.Diagram) -> list:
     return found
 
 
+def _rescan_steps(d: dg.Diagram) -> tuple:
+    """simplify's steps and result by definition, the oracle for its
+    worklist: each step rescans every rule in order and fires the first
+    site found."""
+    steps = []
+    while True:
+        for rule in rw._SIMPLIFY_ORDER:
+            sites = rw.find_matches(d, rule)
+            if sites:
+                d2 = rw.apply_rule(d, rule, sites[0])
+                steps.append((rule, sites[0],
+                              sorted(d.nodes.keys() - d2.nodes.keys()),
+                              sorted(d2.nodes.keys() - d.nodes.keys())))
+                d = d2
+                break
+        else:
+            return steps, d
+
+
 @settings(max_examples=200, deadline=None)
 @given(spliced_diagrams)
 def test_fuzz_spliced_random_diagrams(case):
@@ -84,6 +103,10 @@ def test_fuzz_spliced_random_diagrams(case):
                                   sorted(d2.nodes.keys() - d.nodes.keys())))
 
     simplified, trace = rw.simplify(d)
+    rescan, fixpoint = _rescan_steps(d)
+    assert [(s.rule, s.site, s.removed, s.added)
+            for s in trace.steps] == rescan
+    assert rw.diagram_hash(fixpoint) == trace.final_hash
     replayed = rw.replay(d, trace)
     assert rw.diagram_hash(replayed) == trace.final_hash
 

@@ -5,6 +5,8 @@ diagram before and after, which is the ground truth the rules must
 preserve (exactly, since the rules carry their own scalars).
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -452,9 +454,9 @@ def test_soundness_report_fails_a_rule_that_flips_the_scalar(monkeypatch):
     # check can catch it
     applier = rw._APPLIERS["S_fuse"]
 
-    def flipped(b_, d, site):
-        out = applier(b_, d, site)
-        b_.scalar *= -1
+    def flipped(d, site):
+        out = applier(d, site)
+        d.scalar *= -1
         return out
 
     monkeypatch.setitem(rw._APPLIERS, "S_fuse", flipped)
@@ -467,7 +469,7 @@ def test_soundness_report_fails_a_rule_that_flips_the_scalar(monkeypatch):
                for f in rep["failures"])
 
 
-def _refusing(b_, d, site):
+def _refusing(d, site):
     raise rw.RuleMatchError("applier refuses its own site")
 
 
@@ -712,3 +714,148 @@ def test_simplify_shrinks_generator_compositions():
     assert _matrices_equal(d, d2)
     assert [s.rule for s in trace.steps] == ["F2_cancel"]
     assert _dev(evaluate(d2).matrix, np.eye(3)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Pinned traces, edge positions after removals, and work per step
+
+def _cnot_chain(dim, n):
+    """n CNOTs in sequence on two wires, composed by doubling. The scalar
+    is 1: a factor of sqrt(D) per CNOT would overflow on long chains."""
+    cnot = dg.generator_diagram("cnot", dim)
+    power = dg.Diagram(dim, cnot.nodes, cnot.edges)
+    chain = None
+    while n:
+        if n & 1:
+            chain = (power if chain is None
+                     else dg.compose(chain, power, "sequential"))
+        n >>= 1
+        if n:
+            power = dg.compose(power, power, "sequential")
+    return chain
+
+
+def _copy_after_removals(dim=3):
+    """A diagram whose simplify trace runs F2_cancel on the two largest
+    ids, S_fuse on a doubled edge, loop_remove and D_identity, and then
+    B_copy, which reuses the removed ids. The loop_remove and B_copy edges
+    come after edges removed by earlier steps, so their positions shift."""
+    b = DiagramBuilder(dim)
+    in0, v, out0 = b.add_input(0), b.add_spider(dg.Z), b.add_output(0)
+    s = b.add_spider(dg.X, cyclic_vector(dim, 1))
+    in1, out1 = b.add_input(1), b.add_output(1)
+    in2, out2 = b.add_input(2), b.add_output(2)
+    keep, absorb = b.add_spider(dg.Z), b.add_spider(dg.Z)
+    f, fdag = b.add_box(dg.F), b.add_box(dg.FDAG)
+    for edge in ((in1, f), (f, fdag), (fdag, out1), (in2, keep),
+                 (keep, absorb), (keep, absorb), (absorb, out2),
+                 (in0, v), (v, out0), (s, v)):
+        b.add_edge(*edge)
+    return b.finish()
+
+
+def test_replay_maps_edge_positions_after_removals():
+    d = _copy_after_removals()
+    _, trace = simplify(d)
+    assert [s.rule for s in trace.steps] == [
+        "F2_cancel", "S_fuse", "loop_remove", "D_identity", "B_copy"]
+    # D_identity removes the largest id left, and B_copy reuses it and the
+    # one S_fuse removed
+    assert trace.steps[3].removed == [8] and trace.steps[1].removed == [9]
+    assert trace.steps[4].added == [8, 9]
+    # the loop and the copied edge were at positions 5 and 9 at the start
+    shifted = {2: 1, 4: 2}
+    assert {i: trace.steps[i].site["edge"] for i in shifted} == shifted
+    assert diagram_hash(replay(d, trace)) == trace.final_hash
+    for i, position in shifted.items():
+        rule = trace.steps[i].rule
+        before = d
+        for step in trace.steps[:i]:
+            before = apply_rule(before, step.rule, step.site)
+        # off by one either way, or a negative index onto the same edge
+        for wrong in (position - 1, position + 1,
+                      position - len(before.edges)):
+            bad = RewriteTrace.from_json_dict(trace.to_json_dict())
+            bad.steps[i].site = dict(trace.steps[i].site, edge=wrong)
+            with pytest.raises(RuleMatchError,
+                               match=rf"^replay step {i} \({rule}\): edge "):
+                replay(d, bad)
+
+
+def test_simplify_copies_once_a_later_step_clears_the_spiders_phase():
+    # B_copy(s1, v) is refused while v's phase is nonzero; copying s2
+    # through u and fusing the copy into v cancels that phase.
+    b = DiagramBuilder(3)
+    s1 = b.add_spider(dg.X, cyclic_vector(3, 1))
+    s2 = b.add_spider(dg.Z, cyclic_vector(3, 1))
+    v = b.add_spider(dg.Z, cyclic_vector(3, 2))
+    u = b.add_spider(dg.X)
+    o0, o1, o2 = b.add_output(0), b.add_output(1), b.add_output(2)
+    for edge in ((s1, v), (v, o0), (v, o2), (s2, u), (u, v), (u, o1)):
+        b.add_edge(*edge)
+    d = b.finish()
+    d2, trace = simplify(d)
+    assert [(s.rule, s.site) for s in trace.steps] == [
+        ("B_copy", {"state": s2, "spider": u, "edge": 3}),
+        ("S_fuse", {"keep": v, "absorb": 7, "color": dg.Z}),
+        ("B_copy", {"state": s1, "spider": v, "edge": 0})]
+    assert _matrices_equal(d, d2)
+
+
+def test_simplify_refuses_to_stop_before_its_fixpoint(monkeypatch):
+    # the fixpoint check catches a worklist that misses a site
+    monkeypatch.setattr(rw._Worklist, "pop", lambda self: None)
+    with pytest.raises(AssertionError,
+                       match=r"^simplify stopped with sites of \['S_fuse'\] "
+                             r"left$"):
+        simplify(_fusible_chain(3, 2))
+
+
+def test_simplify_checks_per_step_do_not_grow_with_the_chain(monkeypatch):
+    # The worklist checks only what a step changed: the checks per step
+    # on a 1,280-CNOT chain stay within twice those on an 80-CNOT one.
+    calls = []
+    for rule in ALL_RULES:
+        name = f"_check_{rule.lower()}"
+
+        def counted(d, site, check=getattr(rw, name)):
+            calls.append(site)
+            return check(d, site)
+
+        monkeypatch.setattr(rw, name, counted)
+    per_step = []
+    for n in (80, 1280):
+        calls.clear()
+        _, trace = simplify(_cnot_chain(3, n))
+        per_step.append(len(calls) / len(trace.steps))
+    assert per_step[1] <= 2 * per_step[0], per_step
+
+
+def _pinned_inputs():
+    from test_fuzz import _spliced
+
+    cases = [_spliced(2 + seed % 4, seed, ALL_RULES[seed % 8])[1]
+             for seed in range(48)]
+    cases += [_cnot_chain(dim, 6) for dim in (2, 3, 5)]
+    return cases + [_copy_after_removals()]
+
+
+def test_simplify_traces_are_pinned():
+    # Steps and final structure of simplify on fixed inputs; the float
+    # scalar and the hashes are left out.
+    record = []
+    fired = set()
+    for d in _pinned_inputs():
+        out, trace = simplify(d)
+        fired.update(step.rule for step in trace.steps)
+        obj = dg.to_json_dict(out)
+        record.append({"steps": [[s.rule, s.site, s.removed, s.added]
+                                 for s in trace.steps],
+                       "nodes": obj["nodes"], "edges": obj["edges"]})
+    assert {"loop_remove", "B_copy", "F2_cancel"} <= fired
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_TRACES
+
+
+_PINNED_TRACES = ("0014ade015f0f000c65693686ab492ca"
+                  "68a1b0a2ba8418d93aebcff8560dccdd")

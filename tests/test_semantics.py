@@ -8,7 +8,6 @@ import hashlib
 import math
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -356,8 +355,8 @@ def _random_diagram(rng: random.Random, dim: int) -> dg.Diagram:
                 b.add_edge(box, rng.choice(spiders))
         while len(b.edges) < budget and rng.random() < 0.8:
             u, v = rng.choice(spiders), rng.choice(spiders)
-            legs = Counter(x for edge in b.edges + [(u, v)] for x in edge)
-            if max(legs[u], legs[v]) <= budget:
+            # the legs u and v would have with the edge added
+            if max(b.degree(u), b.degree(v)) + 1 + (u == v) <= budget:
                 b.add_edge(u, v)
     return b.finish()
 
@@ -446,6 +445,24 @@ def test_fast_path_refuses_above_its_cap_before_building(diagram, elems,
     assert "\n" not in msg
     assert "D=5" in msg and str(elems) in msg and str(sem._FAST_CAP) in msg
     assert named in msg
+
+
+def test_reference_path_refuses_a_node_tensor_above_its_cap(monkeypatch):
+    # D^E = 5^8 fits the cap, but node 0's legs, each self-loop counted
+    # twice, would need a 5^13 grid
+    d = _self_looped_spider(5, dg.X, 5, PhaseVector.zero(5), True)
+    assert 5 ** len(d.edges) <= sem._REFERENCE_CAP
+
+    def never(*args):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(sem, "_node_tensor", never)
+    with pytest.raises(ValueError) as exc:
+        evaluate(d, "reference")
+    msg = str(exc.value)
+    assert "\n" not in msg
+    assert msg.startswith("reference path refuses D=5: node 0 (X, 13 legs) ")
+    assert str(5 ** 13) in msg and str(sem._REFERENCE_CAP) in msg
 
 
 def test_fast_path_refuses_an_over_cap_merge_before_contracting(monkeypatch):
