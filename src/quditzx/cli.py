@@ -35,6 +35,7 @@ from . import semantics as sem
 from . import stabilizer as st
 from . import synthesis as sy
 from . import toyrel as trel
+from .phases import json_int
 
 __all__ = ["main", "run"]
 
@@ -276,10 +277,10 @@ def _cmd_stab_run(args) -> int:
     tol = _tolerance()
     obj = _load_json_file(args.circuit)
     try:
-        n = int(obj["n"])
-        dim = int(obj["dim"])
+        n = json_int(obj["n"], f"{args.circuit}: n")
+        dim = json_int(obj["dim"], f"{args.circuit}: dim")
         circuit = list(obj["circuit"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValueError(f"{args.circuit}: circuit file needs n, dim and "
                          "circuit fields") from None
     result = st.run_circuit(circuit, n, dim, seed=args.seed,

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .phases import PhaseVector
+from .phases import PhaseVector, is_json_int, json_int
 
 Z = "Z"
 X = "X"
@@ -490,12 +491,15 @@ def to_json_dict(d: Diagram) -> dict:
 
 def from_json_dict(obj: dict) -> Diagram:
     try:
-        dim = int(obj["dimension"])
+        dim = json_int(obj["dimension"], "dimension")
         sc = obj.get("scalar", [1.0, 0.0])
-        scalar = complex(float(sc[0]), float(sc[1]))
+        if not (isinstance(sc, list) and len(sc) == 2 and all(
+                (isinstance(x, float) or is_json_int(x) and abs(x) <= 2 ** 1023)
+                and math.isfinite(x) for x in sc)):
+            raise ValueError(f"scalar must be two finite numbers, got {sc!r}")
         nodes = {}
         for rec in obj["nodes"]:
-            v = int(rec["id"])
+            v = json_int(rec["id"], "node id")
             if v in nodes:
                 raise ValueError(f"duplicate node id {v}")
             kind = rec["kind"]
@@ -503,16 +507,18 @@ def from_json_dict(obj: dict) -> Diagram:
                 phase = PhaseVector.from_json(dim, rec["phase"])
                 nodes[v] = Node(kind, phase=phase)
             elif kind in BOUNDARY_KINDS:
-                nodes[v] = Node(kind, position=int(rec["position"]))
+                nodes[v] = Node(kind, position=json_int(
+                    rec["position"], f"node {v} position"))
             elif kind in BOX_KINDS:
                 # inPort/outPort are redundant with the edge list; ignored.
                 nodes[v] = Node(kind)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
-        edges = [(int(e[0]), int(e[1])) for e in obj["edges"]]
+        edges = [(json_int(s, "edge source"), json_int(t, "edge target"))
+                 for s, t in obj["edges"]]
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return Diagram(dim, nodes, edges, scalar)
+    return Diagram(dim, nodes, edges, complex(*sc))
 
 
 def to_json(d: Diagram) -> str:

@@ -23,6 +23,19 @@ TAU = 2.0 * math.pi
 _WRAP_EPS = 1e-12
 
 
+def is_json_int(x) -> bool:
+    """An integer as JSON gives it: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_int(x, what: str) -> int:
+    """x if it is a JSON integer; a float, string or bool is refused with
+    a one-line ValueError naming what, not truncated."""
+    if not is_json_int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 class Turn:
     """An angle: exact fraction of a turn in [0,1) or float radians in [0,2*pi)."""
 
@@ -132,7 +145,8 @@ class Turn:
         if not isinstance(obj, dict):
             raise ValueError(f"phase entry must be an object, got {obj!r}")
         if "exact" in obj:
-            num, den = (int(k) for k in obj["exact"])
+            num, den = (json_int(k, "an exact phase part")
+                        for k in obj["exact"])
             if den == 0:
                 raise ValueError(
                     f"exact phase has a zero denominator: {obj!r}")

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 from . import diagram as dg
 from .phases import (PhaseVector, Turn, cyclic_value, cyclic_vector,
-                     phase_add, phase_invert, phase_neg_transform)
+                     is_json_int as _is_id, phase_add, phase_invert,
+                     phase_neg_transform)
 
 RULES = ("S_fuse", "D_identity", "B_copy", "B_bialgebra", "K2_commute",
          "F1_color", "F2_cancel")
@@ -73,10 +74,12 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Matchers. A rule's pattern is its _check_*, and nothing else: a matcher
-# enumerates candidate sites in the canonical order, pruned at most by a
-# cheap necessary condition, and _sites keeps the candidates the check
-# accepts. The applier runs the same check on the site it is given, and
+# Matchers. A rule's pattern is its _check_*, and nothing else: candidate
+# sites come in the canonical order, pruned at most by a cheap necessary
+# condition, and _sites keeps the candidates the check accepts. For the
+# rules simplify uses, _keys is the one statement of those conditions,
+# shared by find_matches and simplify's worklist; the other rules have a
+# _match_*. The applier runs the same check on the site it is given, and
 # edits the graph in place. Checks, matchers and appliers all read a
 # DiagramBuilder; a site names an edge by its position in the finished
 # diagram's edge list, which edge_at maps to the builder's serial.
@@ -91,14 +94,6 @@ def _sites(d: dg.DiagramBuilder, check, candidates) -> list:
             continue
         sites.append(site)
     return sites
-
-
-def _match_s_fuse(d: dg.DiagramBuilder) -> list:
-    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges.values()
-                    if d.node(s).kind == d.node(t).kind})
-    return _sites(d, _check_s_fuse,
-                  ({"keep": a, "absorb": b, "color": d.node(a).kind}
-                   for a, b in pairs))
 
 
 def _check_s_fuse(d, site):
@@ -124,11 +119,6 @@ def _apply_s_fuse(d, site):
     d.remove_node(absorbed)
 
 
-def _match_d_identity(d: dg.DiagramBuilder) -> list:
-    return _sites(d, _check_d_identity,
-                  ({"node": v} for v in sorted(d.nodes) if d.degree(v) == 2))
-
-
 def _check_d_identity(d, site):
     v = site["node"]
     _require(_is_spider(d, v), "node must be a spider")
@@ -148,15 +138,6 @@ def _apply_d_identity(d, site):
     d.remove_node(v)
 
 
-def _match_loop_remove(d: dg.DiagramBuilder) -> list:
-    first_loop = {}
-    for i, (s, t) in enumerate(d.edges.values()):
-        if s == t:
-            first_loop.setdefault(s, i)
-    return _sites(d, _check_loop_remove,
-                  ({"node": v, "edge": e} for v, e in sorted(first_loop.items())))
-
-
 def _check_loop_remove(d, site):
     v, e = site["node"], site["edge"]
     _require(_is_spider(d, v), "node must be a spider")
@@ -169,12 +150,6 @@ def _check_loop_remove(d, site):
 def _apply_loop_remove(d, site):
     _v, e = _check_loop_remove(d, site)
     d.remove_edges([e])
-
-
-def _match_f2_cancel(d: dg.DiagramBuilder) -> list:
-    pairs = sorted({(min(s, t), max(s, t)) for s, t in d.edges.values()
-                    if {d.node(s).kind, d.node(t).kind} <= dg.BOX_KINDS})
-    return _sites(d, _check_f2_cancel, ({"boxes": [a, b]} for a, b in pairs))
 
 
 def _check_f2_cancel(d, site):
@@ -254,13 +229,6 @@ def _apply_f1_color(d, site):
     d.remove_edges(doomed)
     for s, t in bridges:
         d.add_edge(s, t)
-
-
-def _match_b_copy(d: dg.DiagramBuilder) -> list:
-    found = sorted((s, v, e) for e, (s, v) in enumerate(d.edges.values())
-                   if d.degree(s) == 1)
-    return _sites(d, _check_b_copy,
-                  ({"state": s, "spider": v, "edge": e} for s, v, e in found))
 
 
 def _check_b_copy(d, site):
@@ -450,14 +418,9 @@ def _apply_b_bialgebra(d, site):
 
 
 _MATCHERS = {
-    "S_fuse": _match_s_fuse,
-    "D_identity": _match_d_identity,
-    "B_copy": _match_b_copy,
     "B_bialgebra": _match_b_bialgebra,
     "K2_commute": _match_k2_commute,
     "F1_color": _match_f1_color,
-    "F2_cancel": _match_f2_cancel,
-    "loop_remove": _match_loop_remove,
 }
 
 _APPLIERS = {
@@ -473,9 +436,15 @@ _APPLIERS = {
 
 
 def find_matches(d: dg.Diagram, rule: str) -> list:
-    if rule not in _MATCHERS:
+    if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
-    return _MATCHERS[rule](dg.DiagramBuilder.from_diagram(d))
+    g = dg.DiagramBuilder.from_diagram(d)
+    if rule in _MATCHERS:
+        return _MATCHERS[rule](g)
+    keys = sorted({key for r, key in _keys(g, g.edges, g.nodes) if r == rule})
+    if rule == "loop_remove":
+        keys = sorted(dict(reversed(keys)).items())  # each node's first loop
+    return _sites(g, _check_of(rule), (_key_site(g, rule, k) for k in keys))
 
 
 def apply_rule(d, rule: str, site: dict):
@@ -545,10 +514,6 @@ class RewriteTrace:
         return cls(obj["initialHash"], obj["finalHash"], steps)
 
 
-def _is_id(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and all(map(_is_id, x))
 
@@ -599,9 +564,36 @@ _SIMPLIFY_ORDER = ("loop_remove", "F2_cancel", "S_fuse", "D_identity",
                    "B_copy")
 
 
+def _keys(d: dg.DiagramBuilder, edges, nodes):
+    """(rule, key) for each candidate of a rule in _SIMPLIFY_ORDER among
+    these edges and nodes: the one statement of their candidate conditions.
+    Pair keys come from an edge, S_fuse when its ends have one kind and
+    F2_cancel when both are boxes, loop_remove keys (node, serial) from a
+    self-loop, D_identity keys from a degree-2 node and B_copy keys from a
+    node whose one leg is an out-leg: that leg fixes the spider and edge."""
+    for e in edges:
+        if e not in d.edges:
+            continue
+        s, t = d.edges[e]
+        ks, kt = d.node(s).kind, d.node(t).kind
+        if ks == kt:
+            yield "S_fuse", (min(s, t), max(s, t))
+        if ks in dg.BOX_KINDS and kt in dg.BOX_KINDS:
+            yield "F2_cancel", (min(s, t), max(s, t))
+        if s == t:
+            yield "loop_remove", (s, e)
+    for v in nodes:
+        if v not in d:
+            continue
+        legs = d.legs(v)
+        if len(legs) == 2:
+            yield "D_identity", v
+        elif len(legs) == 1 and legs[0][1] == 1:
+            yield "B_copy", v
+
+
 def _key_site(d: dg.DiagramBuilder, rule: str, key):
-    """The site a worklist key stands for, or None once its node or edge
-    is gone."""
+    """The site a key stands for, or None once its node or edge is gone."""
     if rule == "S_fuse":
         a, b = key
         return {"keep": a, "absorb": b, "color": d.node(a).kind} \
@@ -612,30 +604,34 @@ def _key_site(d: dg.DiagramBuilder, rule: str, key):
         return {"node": key}
     if rule == "loop_remove":
         v, e = key
-        return {"node": v, "edge": d.rank(e)} \
-            if d.edges.get(e) == (v, v) else None
-    s, v, e = key
-    return {"state": s, "spider": v, "edge": d.rank(e)} \
-        if d.edges.get(e) == (s, v) else None
+        return {"node": v, "edge": d.rank(e)} if e in d.edges else None
+    legs = d.legs(key)
+    if not legs:
+        return None
+    e = legs[0][0]
+    return {"state": key, "spider": d.edges[e][1], "edge": d.rank(e)}
+
+
+def _check_of(rule: str):
+    # looked up at call time, so that a patched check is the one that runs
+    return globals()["_check_" + rule.lower()]
 
 
 class _Worklist:
     """Candidate keys of the rules in _SIMPLIFY_ORDER, one heap per rule.
 
-    A key sorts as its site does in the rule's matcher: S_fuse and
-    F2_cancel by (low, high) node, D_identity by node, loop_remove by
-    (node, edge serial) and B_copy by (state, spider, edge serial), and
-    serials sort as the positions they stand for. pop() runs the rule's
-    own check on each popped key's site, so the first key it accepts is
-    the matcher's first site.
+    The keys are those of _keys, the one candidate definition that
+    find_matches also sorts, so a key sorts as its site does in
+    find_matches (edge serials sort as the positions they stand for).
+    pop() runs the rule's own check on each popped key's site, so the
+    first key it accepts is find_matches' first site.
 
     That holds while every key that the check would accept is queued.
-    feed() pushes the keys whose pattern a step may have made true: pair
-    and loop keys from the edges added or moved, D_identity and B_copy
-    keys from the nodes touched, B_copy keyed by its state. A B_copy
-    check also reads the spider (its phase and self-loops), so a refused
-    B_copy key waits on its spider and is pushed again when that is
-    touched. No rule here changes a node's kind.
+    feed() pushes the keys of the edges and nodes a step touched and of
+    those edges' ends. A B_copy check also reads the spider (its phase and
+    self-loops), so a refused B_copy key waits on the spider its site
+    names and is pushed again when that is touched. No rule here changes a
+    node's kind.
     """
 
     def __init__(self, d: dg.DiagramBuilder):
@@ -652,38 +648,19 @@ class _Worklist:
 
     def feed(self, edges, nodes):
         """Push the keys of these edges and nodes and of the edges' ends."""
-        d, push = self.d, self._push
-        nodes = set(nodes)
-        for e in edges:
-            if e not in d.edges:
-                continue
-            s, t = d.edges[e]
-            nodes.update((s, t))
-            ks, kt = d.node(s).kind, d.node(t).kind
-            if ks == kt:
-                push("S_fuse", (min(s, t), max(s, t)))
-            if ks in dg.BOX_KINDS and kt in dg.BOX_KINDS:
-                push("F2_cancel", (min(s, t), max(s, t)))
-            if s == t:
-                push("loop_remove", (s, e))
+        d = self.d
+        nodes = set(nodes).union(*(d.edges[e] for e in edges if e in d.edges))
         for v in nodes:
-            if v not in d:
-                continue
             for key in self.waiting.pop(v, ()):
-                push("B_copy", key)
-            legs = d.legs(v)
-            if len(legs) == 2:
-                push("D_identity", v)
-            elif len(legs) == 1 and legs[0][1] == 1:
-                e = legs[0][0]
-                push("B_copy", (v, d.edges[e][1], e))
+                self._push("B_copy", key)
+        for rule, key in _keys(d, edges, nodes):
+            self._push(rule, key)
 
     def pop(self):
         """(rule, site) of the next step, or None at the fixpoint."""
         for rule in _SIMPLIFY_ORDER:
             heap, queued = self.heaps[rule], self.queued[rule]
-            # looked up here, so that a patched check is the one that runs
-            check = globals()["_check_" + rule.lower()]
+            check = _check_of(rule)
             while heap:
                 key = heapq.heappop(heap)
                 queued.discard(key)
@@ -694,7 +671,7 @@ class _Worklist:
                     check(self.d, site)
                 except RuleMatchError:
                     if rule == "B_copy":
-                        self.waiting.setdefault(key[1], set()).add(key)
+                        self.waiting.setdefault(site["spider"], set()).add(key)
                     continue
                 return rule, site
         return None

@@ -502,7 +502,25 @@ def bad_input_files(tmp_path):
         path.write_text(text)
         files[name] = str(path)
 
-    write("cnot", dg.to_json(dg.generator_diagram("cnot", 3)))
+    cnot = dg.to_json(dg.generator_diagram("cnot", 3))
+    write("cnot", cnot)
+    # a field that is not a JSON integer, or a scalar that is not two
+    # finite numbers, set at this path of the CNOT diagram
+    for name, path, value in [
+            ("dimfloat", ["dimension"], 3.9),
+            ("dimtext", ["dimension"], "3"),
+            ("idfloat", ["nodes", 5, "id"], 5.7),
+            ("positionbool", ["nodes", 3, "position"], True),
+            ("edgefloat", ["edges", 4, 1], 0.0),
+            ("exactfloat", ["nodes", 0, "phase", 0, "exact"], [1.5, 3]),
+            ("scalarnan", ["scalar"], [math.nan, 0.0]),
+            ("scalarthree", ["scalar"], [1.0, 0.0, 0.0]),
+            ("scalartext", ["scalar"], ["1", 0])]:
+        obj = target = json.loads(cnot)
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        write(name, json.dumps(obj))
     b = dg.DiagramBuilder(3)
     prev = b.add_input(0)
     for _ in range(46):
@@ -532,6 +550,9 @@ def bad_input_files(tmp_path):
             ("noqudits", 0, {"gate": "measure", "wires": [0]})]:
         write(name, json.dumps({"n": n, "dim": 3, "circuit": [step]}))
     write("dim0", json.dumps({"n": 1, "dim": 0, "circuit": []}))
+    write("nfloat", json.dumps({"n": 1.5, "dim": 3, "circuit": []}))
+    write("nbool", json.dumps({"n": True, "dim": 3, "circuit": []}))
+    write("dimtext3", json.dumps({"n": 1, "dim": "3", "circuit": []}))
     # 2^40 amplitudes: past the dense oracle's cap
     write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
         {"gate": "F", "wires": [0]},
@@ -552,6 +573,15 @@ BAD_INPUTS = [
     ("eval {spider11}", None),
     ("eval {cnot} --method both", "nan"),
     ("eval {cnot} --method both", "inf"),
+    ("eval {dimfloat}", None),
+    ("eval {dimtext}", None),
+    ("eval {idfloat}", None),
+    ("eval {positionbool}", None),
+    ("eval {edgefloat}", None),
+    ("eval {exactfloat}", None),
+    ("eval {scalarnan}", None),
+    ("eval {scalarthree}", None),
+    ("eval {scalartext}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
     ("export-dot {cnot} --out {missing}/x.dot", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
@@ -566,6 +596,9 @@ BAD_INPUTS = [
     ("stab-run {sqtext}", None),
     ("stab-run {noqudits}", None),
     ("stab-run {dim0}", None),
+    ("stab-run {nfloat}", None),
+    ("stab-run {nbool}", None),
+    ("stab-run {dimtext3}", None),
     ("stab-run {oracle40} --oracle", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),
     ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),

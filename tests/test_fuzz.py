@@ -4,11 +4,14 @@ Each case is a random diagram from `test_semantics._random_diagram`
 (mixed colours, boxes, multi-edges, self-loops, degree-0 spiders at
 D=2..5) with one `random_rule_instance` spliced in by `compose`, so that
 rules which need exact or zero phases find sites too. On each case the
-two evaluators agree, every site of every rule keeps the matrix with a
-scalar of exactly 1, `simplify` takes the steps that a full rescan per
-step takes and replays, and diagram and trace JSON round-trip.
+two evaluators agree, the matchers of simplify's rules find the sites
+of a brute-force candidate list, every site of every rule keeps the
+matrix with a scalar of exactly 1, `simplify` takes the steps that a
+full rescan per step takes and replays, and diagram and trace JSON
+round-trip.
 """
 
+import itertools
 import json
 import random
 
@@ -80,6 +83,49 @@ def _rescan_steps(d: dg.Diagram) -> tuple:
                 break
         else:
             return steps, d
+
+
+def _brute_force_sites(d: dg.Diagram) -> dict:
+    """The sites of simplify's rules by definition, the oracle for the
+    candidates that find_matches and simplify share: every node, pair of
+    nodes, first self-loop of a node or edge, in order, that the rule's
+    check accepts."""
+    nodes = sorted(d.nodes)
+    pairs = list(itertools.combinations(nodes, 2))
+    loops = {}
+    for i, (s, t) in enumerate(d.edges):
+        if s == t:
+            loops.setdefault(s, i)
+    candidates = {
+        "D_identity": [{"node": v} for v in nodes],
+        "S_fuse": [{"keep": a, "absorb": b, "color": d.node(a).kind}
+                   for a, b in pairs],
+        "F2_cancel": [{"boxes": [a, b]} for a, b in pairs],
+        "loop_remove": [{"node": v, "edge": i}
+                        for v, i in sorted(loops.items())],
+        "B_copy": [{"state": s, "spider": t, "edge": i} for s, t, i in
+                   sorted((s, t, i) for i, (s, t) in enumerate(d.edges))],
+    }
+    g = dg.DiagramBuilder.from_diagram(d)
+    found = {}
+    for rule, sites in candidates.items():
+        check = getattr(rw, "_check_" + rule.lower())
+        found[rule] = []
+        for site in sites:
+            try:
+                check(g, site)
+            except rw.RuleMatchError:
+                continue
+            found[rule].append(site)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(spliced_diagrams)
+def test_fuzz_matchers_equal_brute_force(case):
+    _, d = case
+    for rule, sites in _brute_force_sites(d).items():
+        assert rw.find_matches(d, rule) == sites, rule
 
 
 @settings(max_examples=200, deadline=None)

@@ -859,3 +859,22 @@ def test_simplify_traces_are_pinned():
 
 _PINNED_TRACES = ("0014ade015f0f000c65693686ab492ca"
                   "68a1b0a2ba8418d93aebcff8560dccdd")
+
+
+def test_find_matches_are_pinned():
+    # Every rule's sites on the pinned inputs and on each diagram their
+    # simplify traces pass through.
+    record = []
+    for d in _pinned_inputs():
+        _, trace = simplify(d)
+        diagrams = [d]
+        for step in trace.steps:
+            diagrams.append(apply_rule(diagrams[-1], step.rule, step.site))
+        record += [[find_matches(x, rule) for rule in ALL_RULES]
+                   for x in diagrams]
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_MATCHES
+
+
+_PINNED_MATCHES = ("d42017ec00b5ca6097d51f8e717b1248"
+                   "369b85d3aaf9900322c3ece2b75887ee")
