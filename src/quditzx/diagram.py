@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .phases import PhaseVector, is_json_int, json_int
+from .phases import PhaseVector, is_json_number, json_int
 
 Z = "Z"
 X = "X"
@@ -493,9 +492,8 @@ def from_json_dict(obj: dict) -> Diagram:
     try:
         dim = json_int(obj["dimension"], "dimension")
         sc = obj.get("scalar", [1.0, 0.0])
-        if not (isinstance(sc, list) and len(sc) == 2 and all(
-                (isinstance(x, float) or is_json_int(x) and abs(x) <= 2 ** 1023)
-                and math.isfinite(x) for x in sc)):
+        if not (isinstance(sc, list) and len(sc) == 2
+                and all(map(is_json_number, sc))):
             raise ValueError(f"scalar must be two finite numbers, got {sc!r}")
         nodes = {}
         for rec in obj["nodes"]:
@@ -503,19 +501,24 @@ def from_json_dict(obj: dict) -> Diagram:
             if v in nodes:
                 raise ValueError(f"duplicate node id {v}")
             kind = rec["kind"]
+            if not (isinstance(kind, str) and kind in NODE_KINDS):
+                raise ValueError(f"node {v} has an unknown kind {kind!r}")
             if kind in SPIDER_KINDS:
                 phase = PhaseVector.from_json(dim, rec["phase"])
                 nodes[v] = Node(kind, phase=phase)
             elif kind in BOUNDARY_KINDS:
                 nodes[v] = Node(kind, position=json_int(
                     rec["position"], f"node {v} position"))
-            elif kind in BOX_KINDS:
+            else:
                 # inPort/outPort are redundant with the edge list; ignored.
                 nodes[v] = Node(kind)
-            else:
-                raise ValueError(f"unknown node kind {kind!r}")
-        edges = [(json_int(s, "edge source"), json_int(t, "edge target"))
-                 for s, t in obj["edges"]]
+        edges = []
+        for i, e in enumerate(obj["edges"]):
+            if not (isinstance(e, list) and len(e) == 2):
+                raise ValueError(f"edge {i} must be a [source, target] pair, "
+                                 f"got {e!r}")
+            edges.append((json_int(e[0], f"edge {i} source"),
+                          json_int(e[1], f"edge {i} target")))
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
     return Diagram(dim, nodes, edges, complex(*sc))

@@ -36,6 +36,13 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def is_json_number(x) -> bool:
+    """A finite number as JSON gives it: a float, or an int that is not a
+    bool and fits a float."""
+    return ((isinstance(x, float) or is_json_int(x) and abs(x) <= 2 ** 1023)
+            and math.isfinite(x))
+
+
 class Turn:
     """An angle: exact fraction of a turn in [0,1) or float radians in [0,2*pi)."""
 
@@ -152,10 +159,11 @@ class Turn:
                     f"exact phase has a zero denominator: {obj!r}")
             return cls.exact(num, den)
         if "approx" in obj:
-            rad = float(obj["approx"])
-            if not math.isfinite(rad):
-                raise ValueError(f"approximate phase is not finite: {obj!r}")
-            return cls.approx(rad)
+            rad = obj["approx"]
+            if not is_json_number(rad):
+                raise ValueError(f"approximate phase is not finite or not a "
+                                 f"number: {obj!r}")
+            return cls.approx(float(rad))
         raise ValueError(f"phase entry needs 'exact' or 'approx': {obj!r}")
 
 

@@ -74,26 +74,24 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Matchers. A rule's pattern is its _check_*, and nothing else: candidate
-# sites come in the canonical order, pruned at most by a cheap necessary
-# condition, and _sites keeps the candidates the check accepts. For the
-# rules simplify uses, _keys is the one statement of those conditions,
-# shared by find_matches and simplify's worklist; the other rules have a
-# _match_*. The applier runs the same check on the site it is given, and
-# edits the graph in place. Checks, matchers and appliers all read a
-# DiagramBuilder; a site names an edge by its position in the finished
-# diagram's edge list, which edge_at maps to the builder's serial.
+# Matchers. A rule's pattern is its _check_*, and nothing else. _KEYS[rule]
+# is the one statement of the rule's candidate condition, a cheap necessary
+# one, over the edges and nodes it is given: find_matches sorts the keys of
+# the whole graph, and simplify's worklist those of what a step touched.
+# _key_site turns a key into its site, keys sorting as their sites do, and
+# a site is a match when the check accepts it (_fits). The applier runs the
+# same check on the site it is given, and edits the graph in place. Checks,
+# keys and appliers all read a DiagramBuilder; a site names an edge by its
+# position in the finished diagram's edge list, which edge_at maps to the
+# builder's serial.
 
-def _sites(d: dg.DiagramBuilder, check, candidates) -> list:
-    """The candidates that check accepts, in candidate order."""
-    sites = []
-    for site in candidates:
-        try:
-            check(d, site)
-        except RuleMatchError:
-            continue
-        sites.append(site)
-    return sites
+def _fits(d: dg.DiagramBuilder, check, site) -> bool:
+    """Whether check accepts the site."""
+    try:
+        check(d, site)
+    except RuleMatchError:
+        return False
+    return True
 
 
 def _check_s_fuse(d, site):
@@ -189,10 +187,6 @@ def _f1_wanted_box(color: str, sign: int) -> str:
     return dg.FDAG if sign == 1 else dg.F
 
 
-def _match_f1_color(d: dg.DiagramBuilder) -> list:
-    return _sites(d, _check_f1_color, ({"spider": v} for v in sorted(d.nodes)))
-
-
 def _check_f1_color(d, site):
     v = site["spider"]
     _require(_is_spider(d, v), "node must be a spider")
@@ -271,15 +265,6 @@ def _apply_b_copy(d, site):
     d.scalar *= d.dimension ** (0.5 * (1 - r))
 
 
-def _match_k2_commute(d: dg.DiagramBuilder) -> list:
-    # The far end of leg (e, sign) of g is the edge's target when g is
-    # its source (sign +1), else its source.
-    found = sorted((g, d.edges[e][sign == 1], d.rank(e)) for g in d.nodes
-                   if d.degree(g) == 2 for e, sign in d.legs(g))
-    return _sites(d, _check_k2_commute,
-                  ({"gate": g, "spider": v, "edge": e} for g, v, e in found))
-
-
 def _check_k2_commute(d, site):
     g, v, e = site["gate"], site["spider"], site["edge"]
     _require(_is_spider(d, g) and _is_spider(d, v), "need two spiders")
@@ -340,19 +325,6 @@ def _apply_k2_commute(d, site):
         else:
             d.add_edge(far_node, c)
             d.add_edge(c, v)
-
-
-def _match_b_bialgebra(d: dg.DiagramBuilder) -> list:
-    def targets(v):
-        return {d.edges[i][1] for i in d.out_edges(v)}
-
-    # The far side of a square is two common targets of the near side.
-    cubic = [v for v in sorted(d.nodes) if d.degree(v) == 3]
-    return _sites(d, _check_b_bialgebra, (
-        {"first": [a, b], "second": [q1, q2], "color": d.node(a).kind}
-        for a, b in itertools.combinations(cubic, 2)
-        for q1, q2 in itertools.combinations(sorted(targets(a) & targets(b)),
-                                             2)))
 
 
 def _check_b_bialgebra(d, site):
@@ -417,12 +389,6 @@ def _apply_b_bialgebra(d, site):
     d.scalar *= d.dimension ** -0.5
 
 
-_MATCHERS = {
-    "B_bialgebra": _match_b_bialgebra,
-    "K2_commute": _match_k2_commute,
-    "F1_color": _match_f1_color,
-}
-
 _APPLIERS = {
     "S_fuse": _apply_s_fuse,
     "D_identity": _apply_d_identity,
@@ -435,16 +401,93 @@ _APPLIERS = {
 }
 
 
+def _keys_b_bialgebra(d: dg.DiagramBuilder, _edges, nodes):
+    # The far side of a square is two common targets of the near side.
+    def sources(q):
+        return {d.edges[i][0] for i in d.in_edges(q)}
+
+    for a in nodes:
+        if d.degree(a) == 3:
+            targets = sorted({d.edges[i][1] for i in d.out_edges(a)})
+            for q1, q2 in itertools.combinations(targets, 2):
+                for b in sources(q1) & sources(q2):
+                    if b > a and d.degree(b) == 3:
+                        yield a, b, q1, q2
+
+
+# Each rule's candidate keys among some live edges, a map from serial to
+# (source, target), and live nodes. Pair keys come from an edge, S_fuse when
+# its ends have one kind and F2_cancel when both are boxes; loop_remove keys
+# (node, serial) come from a self-loop. D_identity keys a degree-2 node, and
+# K2_commute keys (gate, far end, serial) each leg of one, the far end of an
+# out-leg being its edge's target. B_copy keys a node whose one leg is an
+# out-leg: that leg fixes the spider and edge. F1_color keys every node, and
+# B_bialgebra a square (a, b, q1, q2) of degree-3 nodes a < b with common
+# out-targets q1 < q2.
+_KEYS = {
+    "S_fuse": lambda d, edges, _nodes: (
+        (min(s, t), max(s, t)) for s, t in edges.values()
+        if d.node(s).kind == d.node(t).kind),
+    "F2_cancel": lambda d, edges, _nodes: (
+        (min(s, t), max(s, t)) for s, t in edges.values()
+        if d.node(s).kind in dg.BOX_KINDS and d.node(t).kind in dg.BOX_KINDS),
+    "loop_remove": lambda d, edges, _nodes: (
+        (s, e) for e, (s, t) in edges.items() if s == t),
+    "D_identity": lambda d, _edges, nodes: (
+        v for v in nodes if d.degree(v) == 2),
+    "K2_commute": lambda d, _edges, nodes: (
+        (g, d.edges[e][sign == 1], e) for g in nodes if d.degree(g) == 2
+        for e, sign in d.legs(g)),
+    "B_copy": lambda d, _edges, nodes: (
+        v for v in nodes if d.degree(v) == 1 and d.legs(v)[0][1] == 1),
+    "F1_color": lambda d, _edges, nodes: iter(nodes),
+    "B_bialgebra": _keys_b_bialgebra,
+}
+
+
+def _key_site(d: dg.DiagramBuilder, rule: str, key):
+    """The site a key stands for, or None once its node or edge is gone."""
+    if rule == "D_identity":
+        return {"node": key}
+    if rule == "F1_color":
+        return {"spider": key}
+    if rule == "F2_cancel":
+        return {"boxes": list(key)}
+    if rule == "S_fuse":
+        a, b = key
+        return {"keep": a, "absorb": b, "color": d.node(a).kind} \
+            if a in d else None
+    if rule == "B_bialgebra":
+        a, b, q1, q2 = key
+        return {"first": [a, b], "second": [q1, q2], "color": d.node(a).kind}
+    if rule == "loop_remove":
+        v, e = key
+        return {"node": v, "edge": d.rank(e)} if e in d.edges else None
+    if rule == "K2_commute":
+        g, v, e = key
+        return {"gate": g, "spider": v, "edge": d.rank(e)}
+    legs = d.legs(key)
+    if not legs:
+        return None
+    e = legs[0][0]
+    return {"state": key, "spider": d.edges[e][1], "edge": d.rank(e)}
+
+
+def _check_of(rule: str):
+    # looked up at call time, so that a patched check is the one that runs
+    return globals()["_check_" + rule.lower()]
+
+
 def find_matches(d: dg.Diagram, rule: str) -> list:
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
     g = dg.DiagramBuilder.from_diagram(d)
-    if rule in _MATCHERS:
-        return _MATCHERS[rule](g)
-    keys = sorted({key for r, key in _keys(g, g.edges, g.nodes) if r == rule})
+    keys = sorted(set(_KEYS[rule](g, g.edges, g.nodes)))
     if rule == "loop_remove":
         keys = sorted(dict(reversed(keys)).items())  # each node's first loop
-    return _sites(g, _check_of(rule), (_key_site(g, rule, k) for k in keys))
+    check = _check_of(rule)
+    return [site for site in (_key_site(g, rule, k) for k in keys)
+            if _fits(g, check, site)]
 
 
 def apply_rule(d, rule: str, site: dict):
@@ -564,74 +607,22 @@ _SIMPLIFY_ORDER = ("loop_remove", "F2_cancel", "S_fuse", "D_identity",
                    "B_copy")
 
 
-def _keys(d: dg.DiagramBuilder, edges, nodes):
-    """(rule, key) for each candidate of a rule in _SIMPLIFY_ORDER among
-    these edges and nodes: the one statement of their candidate conditions.
-    Pair keys come from an edge, S_fuse when its ends have one kind and
-    F2_cancel when both are boxes, loop_remove keys (node, serial) from a
-    self-loop, D_identity keys from a degree-2 node and B_copy keys from a
-    node whose one leg is an out-leg: that leg fixes the spider and edge."""
-    for e in edges:
-        if e not in d.edges:
-            continue
-        s, t = d.edges[e]
-        ks, kt = d.node(s).kind, d.node(t).kind
-        if ks == kt:
-            yield "S_fuse", (min(s, t), max(s, t))
-        if ks in dg.BOX_KINDS and kt in dg.BOX_KINDS:
-            yield "F2_cancel", (min(s, t), max(s, t))
-        if s == t:
-            yield "loop_remove", (s, e)
-    for v in nodes:
-        if v not in d:
-            continue
-        legs = d.legs(v)
-        if len(legs) == 2:
-            yield "D_identity", v
-        elif len(legs) == 1 and legs[0][1] == 1:
-            yield "B_copy", v
-
-
-def _key_site(d: dg.DiagramBuilder, rule: str, key):
-    """The site a key stands for, or None once its node or edge is gone."""
-    if rule == "S_fuse":
-        a, b = key
-        return {"keep": a, "absorb": b, "color": d.node(a).kind} \
-            if a in d else None
-    if rule == "F2_cancel":
-        return {"boxes": list(key)}
-    if rule == "D_identity":
-        return {"node": key}
-    if rule == "loop_remove":
-        v, e = key
-        return {"node": v, "edge": d.rank(e)} if e in d.edges else None
-    legs = d.legs(key)
-    if not legs:
-        return None
-    e = legs[0][0]
-    return {"state": key, "spider": d.edges[e][1], "edge": d.rank(e)}
-
-
-def _check_of(rule: str):
-    # looked up at call time, so that a patched check is the one that runs
-    return globals()["_check_" + rule.lower()]
-
-
 class _Worklist:
     """Candidate keys of the rules in _SIMPLIFY_ORDER, one heap per rule.
 
-    The keys are those of _keys, the one candidate definition that
-    find_matches also sorts, so a key sorts as its site does in
-    find_matches (edge serials sort as the positions they stand for).
-    pop() runs the rule's own check on each popped key's site, so the
-    first key it accepts is find_matches' first site.
+    A rule's keys are its _KEYS, the candidate condition that find_matches
+    also sorts, so a key sorts as its site does in find_matches (edge
+    serials sort as the positions they stand for). pop() runs the rule's
+    own check on each popped key's site, so the first key it accepts is
+    find_matches' first site.
 
     That holds while every key that the check would accept is queued.
     feed() pushes the keys of the edges and nodes a step touched and of
     those edges' ends. A B_copy check also reads the spider (its phase and
     self-loops), so a refused B_copy key waits on the spider its site
     names and is pushed again when that is touched. No rule here changes a
-    node's kind.
+    node's kind. The keys of the rules simplify does not use are never
+    built here.
     """
 
     def __init__(self, d: dg.DiagramBuilder):
@@ -649,12 +640,15 @@ class _Worklist:
     def feed(self, edges, nodes):
         """Push the keys of these edges and nodes and of the edges' ends."""
         d = self.d
-        nodes = set(nodes).union(*(d.edges[e] for e in edges if e in d.edges))
+        edges = {e: d.edges[e] for e in edges if e in d.edges}
+        nodes = set(nodes).union(*edges.values())
         for v in nodes:
             for key in self.waiting.pop(v, ()):
                 self._push("B_copy", key)
-        for rule, key in _keys(d, edges, nodes):
-            self._push(rule, key)
+        nodes = [v for v in nodes if v in d]
+        for rule in _SIMPLIFY_ORDER:
+            for key in _KEYS[rule](d, edges, nodes):
+                self._push(rule, key)
 
     def pop(self):
         """(rule, site) of the next step, or None at the fixpoint."""
@@ -667,13 +661,10 @@ class _Worklist:
                 site = _key_site(self.d, rule, key)
                 if site is None:
                     continue
-                try:
-                    check(self.d, site)
-                except RuleMatchError:
-                    if rule == "B_copy":
-                        self.waiting.setdefault(site["spider"], set()).add(key)
-                    continue
-                return rule, site
+                if _fits(self.d, check, site):
+                    return rule, site
+                if rule == "B_copy":
+                    self.waiting.setdefault(site["spider"], set()).add(key)
         return None
 
 

@@ -128,7 +128,8 @@ def test_eval_invalid_diagram_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("phase", ['{"exact": [1, 0]}', '{"approx": NaN}',
-                                   '{"approx": Infinity}'])
+                                   '{"approx": Infinity}', '{"approx": "1.5"}',
+                                   '{"approx": true}'])
 def test_eval_bad_phase_is_a_usage_error(phase, tmp_path, capsys):
     text = dg.to_json(dg.spider_diagram(2, dg.Z, 1, 1))
     text = text.replace('{"exact":[0,1]}', phase)
@@ -515,7 +516,10 @@ def bad_input_files(tmp_path):
             ("exactfloat", ["nodes", 0, "phase", 0, "exact"], [1.5, 3]),
             ("scalarnan", ["scalar"], [math.nan, 0.0]),
             ("scalarthree", ["scalar"], [1.0, 0.0, 0.0]),
-            ("scalartext", ["scalar"], ["1", 0])]:
+            ("scalartext", ["scalar"], ["1", 0]),
+            ("edgethree", ["edges", 4], [2, 0, 7]),
+            ("edgeint", ["edges", 4], 5),
+            ("kindlist", ["nodes", 3, "kind"], ["Z"])]:
         obj = target = json.loads(cnot)
         for key in path[:-1]:
             target = target[key]
@@ -582,6 +586,9 @@ BAD_INPUTS = [
     ("eval {scalarnan}", None),
     ("eval {scalarthree}", None),
     ("eval {scalartext}", None),
+    ("eval {edgethree}", None),
+    ("eval {edgeint}", None),
+    ("eval {kindlist}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
     ("export-dot {cnot} --out {missing}/x.dot", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
@@ -622,6 +629,14 @@ def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("name, where", [("edgethree", "edge 4"),
+                                         ("edgeint", "edge 4"),
+                                         ("kindlist", "node 3")])
+def test_bad_diagram_field_is_named(name, where, bad_input_files, capsys):
+    assert run(["eval", bad_input_files[name]]) == 2
+    assert where in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

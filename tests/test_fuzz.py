@@ -4,8 +4,8 @@ Each case is a random diagram from `test_semantics._random_diagram`
 (mixed colours, boxes, multi-edges, self-loops, degree-0 spiders at
 D=2..5) with one `random_rule_instance` spliced in by `compose`, so that
 rules which need exact or zero phases find sites too. On each case the
-two evaluators agree, the matchers of simplify's rules find the sites
-of a brute-force candidate list, every site of every rule keeps the
+two evaluators agree, every rule's matcher finds the sites of a
+brute-force candidate list, every site of every rule keeps the
 matrix with a scalar of exactly 1, `simplify` takes the steps that a
 full rescan per step takes and replays, and diagram and trace JSON
 round-trip.
@@ -86,12 +86,15 @@ def _rescan_steps(d: dg.Diagram) -> tuple:
 
 
 def _brute_force_sites(d: dg.Diagram) -> dict:
-    """The sites of simplify's rules by definition, the oracle for the
-    candidates that find_matches and simplify share: every node, pair of
-    nodes, first self-loop of a node or edge, in order, that the rule's
-    check accepts."""
+    """The sites of every rule by definition, the oracle for the candidate
+    keys that find_matches and simplify share: every node, pair of nodes,
+    first self-loop of a node, edge (with either end as K2_commute's gate)
+    or pair of pairs of degree-3 nodes, in order, that the rule's check
+    accepts. B_bialgebra's check needs degree 3 at all four nodes."""
     nodes = sorted(d.nodes)
     pairs = list(itertools.combinations(nodes, 2))
+    cubic = list(itertools.combinations(
+        [v for v in nodes if d.degree(v) == 3], 2))
     loops = {}
     for i, (s, t) in enumerate(d.edges):
         if s == t:
@@ -105,6 +108,13 @@ def _brute_force_sites(d: dg.Diagram) -> dict:
                         for v, i in sorted(loops.items())],
         "B_copy": [{"state": s, "spider": t, "edge": i} for s, t, i in
                    sorted((s, t, i) for i, (s, t) in enumerate(d.edges))],
+        "F1_color": [{"spider": v} for v in nodes],
+        "K2_commute": [{"gate": g, "spider": v, "edge": i} for g, v, i in
+                       sorted((g, v, i) for i, (s, t) in enumerate(d.edges)
+                              for g, v in ((s, t), (t, s)))],
+        "B_bialgebra": [{"first": [a, b], "second": [q1, q2],
+                         "color": d.node(a).kind}
+                        for a, b in cubic for q1, q2 in cubic],
     }
     g = dg.DiagramBuilder.from_diagram(d)
     found = {}
