@@ -58,21 +58,6 @@ def rank_mod(a, p: int) -> int:
     return len(pivots)
 
 
-def solve_mod(a, b, p: int):
-    """One solution x of a @ x = b mod p, or None if inconsistent."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(rows, 1)], axis=1)
-    r, pivots = rref_mod(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for row, col in enumerate(pivots):
-        x[col] = r[row, cols]
-    return x
-
-
 def nullspace_mod(a, p: int):
     """Basis of the right null space mod p, as rows of the result."""
     a = np.array(a, dtype=np.int64) % p

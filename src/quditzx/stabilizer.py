@@ -10,18 +10,23 @@ sqrt(eta) = exp(pi*i/D):
   (Aaronson-Gottesman in Stim's layout), and the Pauli algebra is stated
   once, on rows (`_row_*`). PauliOp is the tuple face of one row.
 
-The tableau is an n x (2n+1) array of the commuting generators of a pure
-state's stabilizer group; each gate is a column operation on all rows,
-and measurement is the pivot argument over Z_D, so D must be prime. The
-dense oracle shares only the gate definitions with it (F, CNOT and SWAP
-from semantics' generator table, eta from semantics.omega) and applies
-a Pauli word as the monomial it is (PauliOp.act: amplitudes permuted
-and multiplied by phases), building no D^n x D^n projector.
+The tableau is a 2n x (2n+1) array: n destabilizer rows, then the n
+commuting generators of a pure state's stabilizer group, destabilizer i
+failing to commute with generator i alone (Aaronson-Gottesman,
+quant-ph/0406196; de Beaudrap, arXiv:1102.3354, for qudits). Each gate
+is a column operation on all 2n rows. A measurement costs O(n^2) and no
+elimination: a deterministic outcome is the product of the generators
+that the destabilizers' commutation exponents name, and a random one
+replaces a pivot generator, which divides by a commutation exponent mod
+D, so D must be prime. The dense oracle shares only the gate definitions
+with it (F, CNOT and SWAP from semantics' generator table, eta from
+semantics.omega) and applies a Pauli word as the monomial it is
+(PauliOp.act: amplitudes permuted and multiplied by phases), building no
+D^n x D^n projector.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _modp
-from .phases import PhaseVector, Turn, cyclic_vector
+from .phases import PhaseVector, Turn, cyclic_vector, is_json_int
 from .semantics import fourier_matrix, generator_matrix, omega
 
 # The number of wires each circuit step takes; GATES is its unitary part.
@@ -67,10 +72,12 @@ def _row_pow(rows: np.ndarray, k, dim: int) -> np.ndarray:
 
 
 def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
-    """c with a b = eta^c b a: a number, a vector or a matrix of pairs."""
+    """c with a b = eta^c b a: a number, a vector or a matrix of pairs.
+    Only the columns of b where some a is nonzero are read."""
     n = a.shape[-1] // 2
-    b_dual = np.concatenate([b[..., n:-1], -b[..., :n]], axis=-1)
-    return (a[..., :-1] @ b_dual.T) % dim
+    a_dual = np.concatenate([-a[..., n:-1], a[..., :n]], axis=-1)
+    cols = np.flatnonzero(a_dual.any(axis=tuple(range(a_dual.ndim - 1))))
+    return (a_dual[..., cols] @ b[..., cols].T) % dim
 
 
 def _row_conjugate(rows: np.ndarray, gate: str, wires, q: int | None,
@@ -261,8 +268,11 @@ def conjugate_pauli(p: PauliOp, gate: str, wires, q: int | None = None
 # Tableau simulator
 
 class Tableau:
-    """Stabilizer state of n qudits of prime dimension D: n generators,
-    one Pauli row [x | z | phase] each, in `rows`."""
+    """Stabilizer state of n qudits of prime dimension D, one Pauli row
+    [x | z | phase] per generator in a 2n x (2n+1) table: n destabilizers
+    (`destab`) first, then the n stabilizers (`rows`). Destabilizer i
+    has commutation exponent 1 with stabilizer i and 0 with the others;
+    destabilizer phases are never read."""
 
     def __init__(self, n: int, dim: int, generators):
         if not _modp.is_prime(dim):
@@ -281,35 +291,58 @@ class Tableau:
             i, j = clash[0]
             raise ValueError(f"generators {gens[i]} and {gens[j]} do not "
                              "commute")
-        if _modp.rank_mod(rows[:, :-1], dim) != n:
+        # Elimination takes [rows_dual | I] to [E rows_dual | E], and E
+        # rows_dual is the identity on the pivot columns. So destabilizers
+        # that hold E's columns there and zeros elsewhere commute with
+        # the rows as destab @ rows_dual.T = I; a pivot among the last n
+        # columns means the rows are dependent.
+        rows_dual = np.concatenate([rows[:, n:-1], -rows[:, :n]], axis=1)
+        reduced, pivots = _modp.rref_mod(
+            np.concatenate([rows_dual, np.eye(n, dtype=np.int64)], axis=1),
+            dim)
+        if any(col >= 2 * n for col in pivots):
             raise ValueError("generators are not independent")
-        self.n, self.dim, self.rows = n, dim, rows
+        table = np.zeros((2 * n, 2 * n + 1), np.int64)
+        table[:n, pivots] = reduced[:, 2 * n:].T
+        table[n:] = rows
+        self._set(n, dim, table)
+
+    def _set(self, n: int, dim: int, table: np.ndarray) -> None:
+        self.n, self.dim, self.table = n, dim, table
+        self.destab, self.rows = table[:n], table[n:]
 
     @classmethod
     def zero_state(cls, n: int, dim: int) -> "Tableau":
-        gens = [PauliOp.single(n, dim, k, z=1) for k in range(n)]
-        return cls(n, dim, gens)
+        """|0...0>: destabilizers X_k, stabilizers Z_k."""
+        tab = cls.__new__(cls)
+        tab._set(n, dim, np.eye(2 * n, 2 * n + 1, dtype=np.int64))
+        return tab
 
     def apply(self, gate: str, wires, q: int | None = None) -> None:
-        _row_conjugate(self.rows, gate, wires, q, self.dim)
+        _row_conjugate(self.table, gate, wires, q, self.dim)
 
     # -- measurement ------------------------------------------------------
 
     def outcome_distribution(self, obs: PauliOp) -> list:
         """Born probabilities for the eigenvalues eta^k, k = 0..D-1.
 
-        An observable commuting with every generator is a combination of
-        them, which fixes its eigenvalue; finding that combination is the
-        one O(n^3) solve of a deterministic measurement."""
-        d, row = self.dim, obs.row
+        An observable commuting with every stabilizer is the product
+        prod_i rows[i]^a_i with a_i its commutation exponent with
+        destab[i], which fixes its eigenvalue in O(n^2)."""
+        d, n, row = self.dim, self.n, obs.row
         if _row_commutation(row, self.rows, d).any():
             return [Fraction(1, d)] * d
-        coeffs = _modp.solve_mod(self.rows[:, :-1].T, row[:-1], d)
-        if coeffs is None:
+        coeffs = -_row_commutation(row, self.destab, d) % d
+        used = np.flatnonzero(coeffs)
+        powered = _row_pow(self.rows[used], coeffs[used], d)
+        if ((powered[:, :-1].sum(axis=0) - row[:-1]) % d).any():
             raise AssertionError("commuting observable outside a full tableau")
-        word = functools.reduce(functools.partial(_row_mul, dim=d),
-                                _row_pow(self.rows, coeffs, d))
-        diff = (row[-1] - word[-1]) % (2 * d)
+        # The phase of powered[0] * powered[1] * ...: reordering each z
+        # past the x of every later factor costs eta^(-z.x).
+        z, x = powered[:, n:-1], powered[:, :n]
+        z_before = np.cumsum(z, axis=0) - z
+        phase = powered[:, -1].sum() - 2 * np.sum(z_before * x)
+        diff = (row[-1] - phase) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
         probs = [Fraction(0)] * d
@@ -325,17 +358,25 @@ class Tableau:
             raise ValueError("observable must have order dividing D")
         if obs.is_identity_word:
             raise ValueError("cannot measure a scalar")
-        d, rows, row = self.dim, self.rows, obs.row
-        c = _row_commutation(row, rows, d)
-        hit = np.flatnonzero(c)
+        d, n, row = self.dim, self.n, obs.row
+        c = _row_commutation(row, self.table, d)
+        hit = np.flatnonzero(c[n:])
         if not len(hit):
             return self.outcome_distribution(obs).index(1), True
-        pivot, others = hit[0], hit[1:]
-        m = (-c[others] * _modp.inv_mod(int(c[pivot]), d)) % d
+        # The first non-commuting stabilizer is the pivot p; multiplying
+        # by powers of it makes every other row commute with obs. The
+        # old rows[p] becomes destab[p] and obs takes its place.
+        pivot = n + hit[0]
+        fix = np.flatnonzero(c)
+        fix = fix[(fix != pivot) & (fix != pivot - n)]
+        inv = _modp.inv_mod(int(c[pivot]), d)
+        m = (-c[fix] * inv) % d
         k = rng.randrange(d)
-        rows[others] = _row_mul(rows[others], _row_pow(rows[pivot], m, d), d)
-        rows[pivot] = row
-        rows[pivot, -1] = (row[-1] - 2 * k) % (2 * d)
+        table, old = self.table, self.table[pivot].copy()
+        table[fix] = _row_mul(table[fix], _row_pow(old, m, d), d)
+        table[pivot - n] = _row_pow(old, -inv % d, d)
+        table[pivot] = row
+        table[pivot, -1] = (row[-1] - 2 * k) % (2 * d)
         return k, False
 
     # -- dense reconstruction ---------------------------------------------
@@ -409,8 +450,10 @@ def measurement_observable(basis: str, wire: int, n: int, dim: int) -> PauliOp:
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
-def _circuit_step(i: int, step, n: int) -> tuple:
-    """The gate name and wires of circuit step i, checked against n qudits."""
+def _circuit_step(i: int, step, n: int, dim: int) -> tuple:
+    """The gate name, wires and parameter of circuit step i, checked
+    against n qudits of dimension dim; the parameter is q for Sq, the
+    basis for a measurement and None otherwise."""
     name = step.get("gate") if isinstance(step, dict) else None
     if name not in _STEP_WIRES:
         raise ValueError(f"bad circuit step {i}: unknown gate {name!r}; "
@@ -420,17 +463,27 @@ def _circuit_step(i: int, step, n: int) -> tuple:
     if not isinstance(wires, (list, tuple)) or len(wires) != arity:
         raise ValueError(f"bad circuit step {i}: {name} takes {arity} "
                          f"wire(s), got {wires!r}")
-    if not all(isinstance(w, (int, np.integer)) and 0 <= w < n
-               for w in wires):
-        raise ValueError(f"bad circuit step {i}: wires must lie in "
+    if not all(is_json_int(w) and 0 <= w < n for w in wires):
+        raise ValueError(f"bad circuit step {i}: wires must be integers in "
                          f"0..{n - 1}, got {wires!r}")
     if len(set(wires)) != arity:
         raise ValueError(f"bad circuit step {i}: {name} needs distinct "
                          f"wires, got {wires!r}")
-    if name == "Sq" and not isinstance(step.get("q"), (int, np.integer)):
-        raise ValueError(f"bad circuit step {i}: Sq needs an integer q, "
-                         f"got {step.get('q')!r}")
-    return name, list(wires)
+    param = None
+    if name == "Sq":
+        param = step.get("q")
+        if not is_json_int(param):
+            raise ValueError(f"bad circuit step {i}: Sq needs an integer q, "
+                             f"got {param!r}")
+        if math.gcd(param, dim) != 1:
+            raise ValueError(f"bad circuit step {i}: Sq needs a unit q mod "
+                             f"{dim}, got {param}")
+    elif name == "measure":
+        param = step.get("basis", "Z")
+        if param not in ("Z", "X"):
+            raise ValueError(f"bad circuit step {i}: basis must be 'Z' or "
+                             f"'X', got {param!r}")
+    return name, list(wires), param
 
 
 def run_circuit(circuit, n: int, dim: int, seed: int = 0,
@@ -441,8 +494,8 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
     Circuit steps are dicts: {"gate": name, "wires": [...]} with "q" for
     Sq, or {"gate": "measure", "wires": [w], "basis": "Z"|"X"}. A step
     with an unknown gate, the wrong number of wires, a repeated wire, a
-    wire outside 0..n-1 or a non-integer q raises ValueError naming the
-    step.
+    wire that is not an integer in 0..n-1, a q that is not an integer
+    unit mod dim or another basis raises ValueError naming the step.
     """
     if n < 1 or not _modp.is_prime(dim):
         raise ValueError(f"a circuit needs n >= 1 qudits of prime dimension, "
@@ -453,10 +506,9 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
     outcomes = []
     max_dev = 0.0
     for i, step in enumerate(circuit):
-        name, wires = _circuit_step(i, step, n)
+        name, wires, param = _circuit_step(i, step, n, dim)
         if name == "measure":
-            obs = measurement_observable(step.get("basis", "Z"), wires[0],
-                                         n, dim)
+            obs = measurement_observable(param, wires[0], n, dim)
             if dense is not None:
                 probs = tab.outcome_distribution(obs)
                 born = dense.born_probabilities(obs)
@@ -465,13 +517,12 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
             k, deterministic = tab.measure(obs, rng)
             if dense is not None:
                 dense.collapse(obs, k)
-            outcomes.append({"wire": wires[0], "basis": step.get("basis", "Z"),
+            outcomes.append({"wire": wires[0], "basis": param,
                              "outcome": k, "deterministic": deterministic})
         else:
-            q = step.get("q")
-            tab.apply(name, wires, q)
+            tab.apply(name, wires, param)
             if dense is not None:
-                dense.apply(name, wires, q)
+                dense.apply(name, wires, param)
     return {
         "n": n,
         "dim": dim,

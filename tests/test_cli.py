@@ -493,6 +493,9 @@ def test_export_dot_to_file(cnot_file, tmp_path, capsys):
 # bad input: every one ends in run's single handler
 
 
+DROP = object()
+
+
 @pytest.fixture()
 def bad_input_files(tmp_path):
     """Paths for the bad-input table, keyed by the name used in its argv."""
@@ -506,7 +509,8 @@ def bad_input_files(tmp_path):
     cnot = dg.to_json(dg.generator_diagram("cnot", 3))
     write("cnot", cnot)
     # a field that is not a JSON integer, or a scalar that is not two
-    # finite numbers, set at this path of the CNOT diagram
+    # finite numbers, set at this path of the CNOT diagram; DROP deletes
+    # the field instead
     for name, path, value in [
             ("dimfloat", ["dimension"], 3.9),
             ("dimtext", ["dimension"], "3"),
@@ -519,11 +523,19 @@ def bad_input_files(tmp_path):
             ("scalartext", ["scalar"], ["1", 0]),
             ("edgethree", ["edges", 4], [2, 0, 7]),
             ("edgeint", ["edges", 4], 5),
-            ("kindlist", ["nodes", 3, "kind"], ["Z"])]:
+            ("kindlist", ["nodes", 3, "kind"], ["Z"]),
+            ("noderecint", ["nodes", 3], 5),
+            ("nodesint", ["nodes"], 5),
+            ("edgesint", ["edges"], 5),
+            ("nokind", ["nodes", 3, "kind"], DROP),
+            ("noposition", ["nodes", 3, "position"], DROP)]:
         obj = target = json.loads(cnot)
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         write(name, json.dumps(obj))
     b = dg.DiagramBuilder(3)
     prev = b.add_input(0)
@@ -551,7 +563,11 @@ def bad_input_files(tmp_path):
             ("wireneg", 2, {"gate": "F", "wires": [-1]}),
             ("measure0", 2, {"gate": "measure", "wires": []}),
             ("sqtext", 2, {"gate": "Sq", "wires": [0], "q": "a"}),
-            ("noqudits", 0, {"gate": "measure", "wires": [0]})]:
+            ("noqudits", 0, {"gate": "measure", "wires": [0]}),
+            ("sqbool", 2, {"gate": "Sq", "wires": [0], "q": True}),
+            ("sqthree", 2, {"gate": "Sq", "wires": [0], "q": 3}),
+            ("wirebool", 2, {"gate": "F", "wires": [True]}),
+            ("basisy", 2, {"gate": "measure", "wires": [0], "basis": "Y"})]:
         write(name, json.dumps({"n": n, "dim": 3, "circuit": [step]}))
     write("dim0", json.dumps({"n": 1, "dim": 0, "circuit": []}))
     write("nfloat", json.dumps({"n": 1.5, "dim": 3, "circuit": []}))
@@ -589,6 +605,11 @@ BAD_INPUTS = [
     ("eval {edgethree}", None),
     ("eval {edgeint}", None),
     ("eval {kindlist}", None),
+    ("eval {noderecint}", None),
+    ("eval {nodesint}", None),
+    ("eval {edgesint}", None),
+    ("eval {nokind}", None),
+    ("eval {noposition}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
     ("export-dot {cnot} --out {missing}/x.dot", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
@@ -602,6 +623,10 @@ BAD_INPUTS = [
     ("stab-run {measure0}", None),
     ("stab-run {sqtext}", None),
     ("stab-run {noqudits}", None),
+    ("stab-run {sqbool}", None),
+    ("stab-run {sqthree}", None),
+    ("stab-run {wirebool}", None),
+    ("stab-run {basisy}", None),
     ("stab-run {dim0}", None),
     ("stab-run {nfloat}", None),
     ("stab-run {nbool}", None),
@@ -631,9 +656,15 @@ def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
     assert [str(w.message) for w in recwarn] == []
 
 
-@pytest.mark.parametrize("name, where", [("edgethree", "edge 4"),
-                                         ("edgeint", "edge 4"),
-                                         ("kindlist", "node 3")])
+@pytest.mark.parametrize("name, where", [
+    ("edgethree", "edge 4"),
+    ("edgeint", "edge 4"),
+    ("kindlist", "node 3"),
+    ("noderecint", "node record 3"),
+    ("nodesint", "nodes must be a list"),
+    ("edgesint", "edges must be a list"),
+    ("nokind", "node 3 has no 'kind'"),
+    ("noposition", "node 3 has no 'position'")])
 def test_bad_diagram_field_is_named(name, where, bad_input_files, capsys):
     assert run(["eval", bad_input_files[name]]) == 2
     assert where in capsys.readouterr().err

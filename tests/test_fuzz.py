@@ -3,7 +3,9 @@
 Each case is a random diagram from `test_semantics._random_diagram`
 (mixed colours, boxes, multi-edges, self-loops, degree-0 spiders at
 D=2..5) with one `random_rule_instance` spliced in by `compose`, so that
-rules which need exact or zero phases find sites too. On each case the
+rules which need exact or zero phases find sites too, and its node ids
+shuffled, so that no matcher may rely on an instance's nodes being
+numbered one after the other. On each case the
 two evaluators agree, every rule's matcher finds the sites of a
 brute-force candidate list, every site of every rule keeps the
 matrix with a scalar of exactly 1, `simplify` takes the steps that a
@@ -29,16 +31,25 @@ from test_semantics import _random_diagram
 _NODE_ELEMS = 2 ** 15
 
 
-def _spliced(dim: int, seed: int, rule: str) -> tuple:
+def _spliced(dim: int, seed: int, rule: str, shuffle: bool = True) -> tuple:
     """(context, diagram): the random context drawn from `seed`, and the
     context with a random instance of `rule` composed after it (wired
-    output to input where the counts agree, else side by side)."""
+    output to input where the counts agree, else side by side). With
+    shuffle, the diagram's node ids are then permuted, also from `seed`,
+    so that the instance's nodes are not numbered one after the other."""
     rng = random.Random(seed)
     context = _random_diagram(rng, dim)
     instance, _site = rw.random_rule_instance(rule, dim, rng)
     mode = ("sequential" if context.n_outputs == instance.n_inputs
             else "parallel")
-    return context, dg.compose(context, instance, mode)
+    d = dg.compose(context, instance, mode)
+    if not shuffle:
+        return context, d
+    ids = sorted(d.nodes)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    nodes = sorted((new[v], node) for v, node in d.nodes.items())
+    edges = [(new[s], new[t]) for s, t in d.edges]
+    return context, dg.Diagram(dim, dict(nodes), edges, d.scalar)
 
 
 spliced_diagrams = st.builds(_spliced, st.integers(2, 5),
@@ -188,10 +199,10 @@ def test_fuzz_fused_self_loops_are_checked():
     # on 13 self-loops, in a closed diagram: once outside the node bound
     # (2^27), it is a 1x1 matrix.
     _, d = _spliced(2, 1460, "K2_commute")
-    site = {"keep": 0, "absorb": 1, "color": dg.X}
-    d2 = rw.apply_rule(d, "S_fuse", site)
-    assert max(d2.degree(v) for v in d2.nodes) == 27
-    assert ("S_fuse", site) in [(r, s) for r, s, _ in _sites_in_context(d)]
+    fused = [d2 for rule, _site, d2 in _sites_in_context(d)
+             if rule == "S_fuse" and max(map(d2.degree, d2.nodes)) == 27]
+    assert len(fused) == 1
+    d2 = fused[0]
     after = evaluate(d2).matrix
     assert after.shape == (1, 1)
     assert compare_scalar_exact(after, evaluate(d).matrix)[2]

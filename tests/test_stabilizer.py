@@ -1,5 +1,6 @@
 """Prime-qudit stabilizer machinery against a dense state-vector oracle."""
 
+import functools
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditzx import _modp
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
@@ -16,6 +18,9 @@ from quditzx.stabilizer import (
     DenseSimulator,
     PauliOp,
     Tableau,
+    _row_commutation,
+    _row_mul,
+    _row_pow,
     conjugate_pauli,
     enumerate_stabilizer_states,
     gate_matrix,
@@ -336,27 +341,85 @@ def test_run_circuit_outcomes_are_pinned():
                              "f0a8253d515ec9343fccff17d0051094")
 
 
-def test_deterministic_measurement_solves_once(monkeypatch):
-    # Without the oracle, run_circuit finds each deterministic outcome
-    # with a single solve_mod; random outcomes need none.
+@pytest.mark.parametrize("oracle", [False, True])
+def test_measurements_run_no_elimination(monkeypatch, oracle):
+    # The destabilizers give every outcome, deterministic or random, in
+    # O(n^2): run_circuit never row-reduces over Z_D.
     calls = []
-    real = _modp.solve_mod
+    real = _modp.rref_mod
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(_modp, "solve_mod", counted)
-    rng = random.Random("one-solve")
+    monkeypatch.setattr(_modp, "rref_mod", counted)
+    rng = random.Random("no-elimination")
     deterministic = 0
     for d in (2, 3, 5):
-        for n in (1, 3, 6):
+        for n in (1, 3, 4):
             circuit = random_circuit(n, d, rng, depth=4 * n,
                                      measurements=3 * n)
-            out = run_circuit(circuit, n, d, seed=n)
+            out = run_circuit(circuit, n, d, seed=n, oracle=oracle)
             deterministic += sum(o["deterministic"] for o in out["outcomes"])
     assert deterministic > 0
-    assert len(calls) == deterministic
+    assert calls == []
+
+
+def _check_tableau(tab, rng):
+    d, n = tab.dim, tab.n
+    assert (_row_commutation(tab.destab, tab.rows, d)
+            == np.eye(n, dtype=np.int64)).all()
+    assert not _row_commutation(tab.rows, tab.rows, d).any()
+    rebuilt = Tableau(n, d, [PauliOp.from_row(d, r) for r in tab.rows])
+    for wire in range(n):
+        for basis in ("Z", "X"):
+            obs = measurement_observable(basis, wire, n, d)
+            assert (rebuilt.outcome_distribution(obs)
+                    == tab.outcome_distribution(obs)), (basis, wire)
+    # A product of powers of the stabilizers, taken one _row_mul at a
+    # time, is in the group: outcome 0 with certainty.
+    powers = [rng.randrange(d) for _ in range(n)]
+    word = functools.reduce(functools.partial(_row_mul, dim=d),
+                            _row_pow(tab.rows, powers, d))
+    assert tab.outcome_distribution(PauliOp.from_row(d, word))[0] == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stabilizer_group_elements_measure_zero(d):
+    # Deep circuits leave generators with z.x != 0 mod D, where the
+    # product's phase needs every reordering term.
+    rng = random.Random(f"group:{d}")
+    for trial in range(20):
+        n = rng.randint(2, 6)
+        tab = Tableau.zero_state(n, d)
+        for step in random_circuit(n, d, rng, depth=30, measurements=0):
+            tab.apply(step["gate"], step["wires"], step.get("q"))
+        for _ in range(3):
+            powers = [rng.randrange(d) for _ in range(n)]
+            word = functools.reduce(functools.partial(_row_mul, dim=d),
+                                    _row_pow(tab.rows, powers, d))
+            probs = tab.outcome_distribution(PauliOp.from_row(d, word))
+            assert probs[0] == 1, (trial, powers)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 12), st.integers(0, 2 ** 32))
+@settings(max_examples=20, deadline=None)
+def test_destabilizers_survive_gates_and_measurements(d, n, seed):
+    # After every step: destab[i] fails to commute with rows[i] alone,
+    # the rows commute, a tableau rebuilt from the rows (whose
+    # destabilizers come from elimination) gives the same outcomes, and
+    # the group's elements measure 0.
+    rng = random.Random(seed)
+    tab = Tableau.zero_state(n, d)
+    _check_tableau(tab, rng)
+    for step in random_circuit(n, d, rng, depth=2 * n + 10, measurements=n):
+        wires = step["wires"]
+        if step["gate"] == "measure":
+            obs = measurement_observable(step["basis"], wires[0], n, d)
+            tab.measure(obs, rng)
+        else:
+            tab.apply(step["gate"], wires, step.get("q"))
+        _check_tableau(tab, rng)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -400,6 +463,10 @@ def test_deterministic_flags_agree_with_probabilities():
     ({"gate": "Sq", "wires": [0]}, "Sq needs an integer q, got None"),
     ({"gate": "Sq", "wires": [0], "q": "a"}, "Sq needs an integer q"),
     ({"gate": "Sq", "wires": [0], "q": 1.5}, "Sq needs an integer q"),
+    ({"gate": "Sq", "wires": [0], "q": True}, "Sq needs an integer q"),
+    ({"gate": "Sq", "wires": [0], "q": 3}, "unit q mod 3, got 3"),
+    ({"gate": "F", "wires": [True]}, "0..1"),
+    ({"gate": "measure", "wires": [0], "basis": "Y"}, "basis must be"),
 ])
 @pytest.mark.parametrize("oracle", [False, True])
 def test_run_circuit_rejects_bad_steps(step, why, oracle):
