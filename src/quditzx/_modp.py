@@ -53,11 +53,6 @@ def rref_mod(a, p: int):
     return r, pivots
 
 
-def rank_mod(a, p: int) -> int:
-    _, pivots = rref_mod(a, p)
-    return len(pivots)
-
-
 def nullspace_mod(a, p: int):
     """Basis of the right null space mod p, as rows of the result."""
     a = np.array(a, dtype=np.int64) % p

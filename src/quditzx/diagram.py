@@ -24,7 +24,7 @@ import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .phases import PhaseVector, is_json_number, json_int
+from .phases import PhaseVector, is_json_number, json_int, json_list
 
 Z = "Z"
 X = "X"
@@ -498,12 +498,6 @@ def _json_field(rec, key: str, where: str):
     return rec[key]
 
 
-def _json_list(x, what: str) -> list:
-    if not isinstance(x, list):
-        raise ValueError(f"{what} must be a list, got {x!r}")
-    return x
-
-
 def from_json_dict(obj: dict) -> Diagram:
     try:
         dim = json_int(_json_field(obj, "dimension", "diagram JSON"),
@@ -513,7 +507,7 @@ def from_json_dict(obj: dict) -> Diagram:
                 and all(map(is_json_number, sc))):
             raise ValueError(f"scalar must be two finite numbers, got {sc!r}")
         nodes = {}
-        records = _json_list(_json_field(obj, "nodes", "diagram JSON"),
+        records = json_list(_json_field(obj, "nodes", "diagram JSON"),
                              "nodes")
         for i, rec in enumerate(records):
             v = json_int(_json_field(rec, "id", f"node record {i}"),
@@ -535,7 +529,7 @@ def from_json_dict(obj: dict) -> Diagram:
                 # inPort/outPort are redundant with the edge list; ignored.
                 nodes[v] = Node(kind)
         edges = []
-        pairs = _json_list(_json_field(obj, "edges", "diagram JSON"),
+        pairs = json_list(_json_field(obj, "edges", "diagram JSON"),
                            "edges")
         for i, e in enumerate(pairs):
             if not (isinstance(e, list) and len(e) == 2):

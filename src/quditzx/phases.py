@@ -36,6 +36,20 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_list(x, what: str) -> list:
+    """x if it is a JSON list; anything else is refused with a one-line
+    ValueError naming what."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
+def json_int_list(x, what: str) -> list:
+    """x if it is a JSON list of integers, refused as json_list and
+    json_int refuse otherwise."""
+    return [json_int(v, f"{what} entry") for v in json_list(x, what)]
+
+
 def is_json_number(x) -> bool:
     """A finite number as JSON gives it: a float, or an int that is not a
     bool and fits a float."""

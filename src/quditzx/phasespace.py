@@ -31,7 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import toyrel as tr
-from ._modp import is_prime, nullspace_mod, rank_mod
+from ._modp import is_prime, nullspace_mod
+from .phases import json_int, json_int_list, json_list
 
 __all__ = [
     "OnticPoint",
@@ -272,7 +273,9 @@ class EpistemicState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EpistemicState":
-        return cls(int(obj["d"]), int(obj["n"]), obj["V"], obj["v_rep"])
+        V = [json_int_list(F, "V row") for F in json_list(obj["V"], "V")]
+        return cls(json_int(obj["d"], "d"), json_int(obj["n"], "n"), V,
+                   json_int_list(obj["v_rep"], "v_rep"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True,

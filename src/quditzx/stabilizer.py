@@ -80,6 +80,12 @@ def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return (a_dual[..., cols] @ b[..., cols].T) % dim
 
 
+def _check_unit(q, dim: int) -> None:
+    """Sq's parameter q must be a unit mod D."""
+    if q is None or math.gcd(q, dim) != 1:
+        raise ValueError(f"Sq needs a unit q mod {dim}, got {q}")
+
+
 def _row_conjugate(rows: np.ndarray, gate: str, wires, q: int | None,
                    dim: int) -> None:
     """U P U^dagger in place for every row P and a generator gate U."""
@@ -92,8 +98,7 @@ def _row_conjugate(rows: np.ndarray, gate: str, wires, q: int | None,
         x[..., a], z[..., a] = z[..., a], -x[..., a]
     elif gate == "Sq":
         (a,) = wires
-        if q is None or math.gcd(q, d) != 1:
-            raise ValueError(f"Sq needs a unit q mod {d}, got {q}")
+        _check_unit(q, d)
         x[..., a] *= pow(int(q), -1, d)
         z[..., a] *= int(q) % d
     elif gate == "CNOT":
@@ -175,10 +180,6 @@ class PauliOp:
         """c with self other = eta^c other self."""
         return int(_row_commutation(self.row, other.row, self.dim))
 
-    @property
-    def is_identity_word(self) -> bool:
-        return all(v == 0 for v in self.x) and all(v == 0 for v in self.z)
-
     def order_divides_dim(self) -> bool:
         """Whether self**D is the identity (not a phase times it)."""
         return not _row_pow(self.row, self.dim, self.dim).any()
@@ -240,8 +241,7 @@ def gate_matrix(name: str, dim: int, q: int | None = None) -> np.ndarray:
     if name == "F":
         return fourier_matrix(d)
     if name == "Sq":
-        if q is None or math.gcd(q, d) != 1:
-            raise ValueError(f"Sq needs a unit q mod {d}, got {q}")
+        _check_unit(q, d)
         m = np.zeros((d, d), dtype=complex)
         for j in range(d):
             m[j, (j * q) % d] = 1.0
@@ -323,16 +323,20 @@ class Tableau:
 
     # -- measurement ------------------------------------------------------
 
-    def outcome_distribution(self, obs: PauliOp) -> list:
-        """Born probabilities for the eigenvalues eta^k, k = 0..D-1.
-
-        An observable commuting with every stabilizer is the product
-        prod_i rows[i]^a_i with a_i its commutation exponent with
-        destab[i], which fixes its eigenvalue in O(n^2)."""
+    def _commutation(self, obs: PauliOp) -> tuple:
+        """Check obs (this system, obs^D = 1); return its row, its
+        commutation exponents c with all 2n rows, and its eigenvalue
+        exponent k, or None if a stabilizer fails to commute with it. A
+        commuting obs is prod_i rows[i]^-c[i] (i < n), so k is O(n^2)."""
+        if (obs.n, obs.dim) != (self.n, self.dim):
+            raise ValueError("observable acts on the wrong system")
         d, n, row = self.dim, self.n, obs.row
-        if _row_commutation(row, self.rows, d).any():
-            return [Fraction(1, d)] * d
-        coeffs = -_row_commutation(row, self.destab, d) % d
+        if _row_pow(row, d, d).any():
+            raise ValueError("observable must have order dividing D")
+        c = _row_commutation(row, self.table, d)
+        if c[n:].any():
+            return row, c, None
+        coeffs = -c[:n] % d
         used = np.flatnonzero(coeffs)
         powered = _row_pow(self.rows[used], coeffs[used], d)
         if ((powered[:, :-1].sum(axis=0) - row[:-1]) % d).any():
@@ -345,28 +349,29 @@ class Tableau:
         diff = (row[-1] - phase) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
-        probs = [Fraction(0)] * d
-        probs[int(diff // 2) % d] = Fraction(1)
-        return probs
+        return row, c, int(diff // 2) % d
+
+    def outcome_distribution(self, obs: PauliOp) -> list:
+        """Born probabilities for the eigenvalues eta^k, k = 0..D-1, of an
+        observable with obs^D = 1."""
+        k = self._commutation(obs)[2]
+        if k is None:
+            return [Fraction(1, self.dim)] * self.dim
+        return [Fraction(int(j == k)) for j in range(self.dim)]
 
     def measure(self, obs: PauliOp, rng: random.Random) -> tuple:
         """Measure obs (which must satisfy obs^D = 1); returns
         (outcome k, deterministic flag). Collapses the tableau."""
-        if (obs.n, obs.dim) != (self.n, self.dim):
-            raise ValueError("observable acts on the wrong system")
-        if not obs.order_divides_dim():
-            raise ValueError("observable must have order dividing D")
-        if obs.is_identity_word:
+        row, c, k = self._commutation(obs)
+        if not row[:-1].any():
             raise ValueError("cannot measure a scalar")
-        d, n, row = self.dim, self.n, obs.row
-        c = _row_commutation(row, self.table, d)
-        hit = np.flatnonzero(c[n:])
-        if not len(hit):
-            return self.outcome_distribution(obs).index(1), True
+        if k is not None:
+            return k, True
         # The first non-commuting stabilizer is the pivot p; multiplying
         # by powers of it makes every other row commute with obs. The
         # old rows[p] becomes destab[p] and obs takes its place.
-        pivot = n + hit[0]
+        d, n = self.dim, self.n
+        pivot = n + np.flatnonzero(c[n:])[0]
         fix = np.flatnonzero(c)
         fix = fix[(fix != pivot) & (fix != pivot - n)]
         inv = _modp.inv_mod(int(c[pivot]), d)
@@ -454,35 +459,32 @@ def _circuit_step(i: int, step, n: int, dim: int) -> tuple:
     """The gate name, wires and parameter of circuit step i, checked
     against n qudits of dimension dim; the parameter is q for Sq, the
     basis for a measurement and None otherwise."""
-    name = step.get("gate") if isinstance(step, dict) else None
-    if name not in _STEP_WIRES:
-        raise ValueError(f"bad circuit step {i}: unknown gate {name!r}; "
-                         f"choose from {tuple(_STEP_WIRES)}")
-    wires = step.get("wires", [])
-    arity = _STEP_WIRES[name]
-    if not isinstance(wires, (list, tuple)) or len(wires) != arity:
-        raise ValueError(f"bad circuit step {i}: {name} takes {arity} "
-                         f"wire(s), got {wires!r}")
-    if not all(is_json_int(w) and 0 <= w < n for w in wires):
-        raise ValueError(f"bad circuit step {i}: wires must be integers in "
-                         f"0..{n - 1}, got {wires!r}")
-    if len(set(wires)) != arity:
-        raise ValueError(f"bad circuit step {i}: {name} needs distinct "
-                         f"wires, got {wires!r}")
-    param = None
-    if name == "Sq":
-        param = step.get("q")
-        if not is_json_int(param):
-            raise ValueError(f"bad circuit step {i}: Sq needs an integer q, "
-                             f"got {param!r}")
-        if math.gcd(param, dim) != 1:
-            raise ValueError(f"bad circuit step {i}: Sq needs a unit q mod "
-                             f"{dim}, got {param}")
-    elif name == "measure":
-        param = step.get("basis", "Z")
-        if param not in ("Z", "X"):
-            raise ValueError(f"bad circuit step {i}: basis must be 'Z' or "
-                             f"'X', got {param!r}")
+    try:
+        name = step.get("gate") if isinstance(step, dict) else None
+        if name not in _STEP_WIRES:
+            raise ValueError(f"unknown gate {name!r}; choose from "
+                             f"{tuple(_STEP_WIRES)}")
+        wires = step.get("wires", [])
+        arity = _STEP_WIRES[name]
+        if not isinstance(wires, (list, tuple)) or len(wires) != arity:
+            raise ValueError(f"{name} takes {arity} wire(s), got {wires!r}")
+        if not all(is_json_int(w) and 0 <= w < n for w in wires):
+            raise ValueError(f"wires must be integers in 0..{n - 1}, got "
+                             f"{wires!r}")
+        if len(set(wires)) != arity:
+            raise ValueError(f"{name} needs distinct wires, got {wires!r}")
+        param = None
+        if name == "Sq":
+            param = step.get("q")
+            if not is_json_int(param):
+                raise ValueError(f"Sq needs an integer q, got {param!r}")
+            _check_unit(param, dim)
+        elif name == "measure":
+            param = step.get("basis", "Z")
+            if param not in ("Z", "X"):
+                raise ValueError(f"basis must be 'Z' or 'X', got {param!r}")
+    except ValueError as err:
+        raise ValueError(f"bad circuit step {i}: {err}") from None
     return name, list(wires), param
 
 

@@ -37,6 +37,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .phases import json_int, json_int_list, json_list
+
 __all__ = [
     "Rel",
     "Permutation",
@@ -253,8 +255,10 @@ class Rel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Rel":
-        return cls.from_pairs(int(obj["D"]), int(obj["m"]), int(obj["n"]),
-                              obj["pairs"])
+        D, m, n = (json_int(obj[k], k) for k in ("D", "m", "n"))
+        pairs = [json_int_list(p, "pair")
+                 for p in json_list(obj["pairs"], "pairs")]
+        return cls.from_pairs(D, m, n, pairs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True,

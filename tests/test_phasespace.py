@@ -293,6 +293,25 @@ def test_state_json_round_trip():
     assert t.to_json() == s.to_json()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d", 3.5, "d must be an integer, got 3.5"),
+    ("n", True, "n must be an integer, got True"),
+    ("V", 5, "V must be a list, got 5"),
+    ("V", [5], "V row must be a list, got 5"),
+    ("V", [[1.5, 0]], "V row entry must be an integer, got 1.5"),
+    ("v_rep", [0.9, 0], "v_rep entry must be an integer, got 0.9"),
+    ("v_rep", 0, "v_rep must be a list, got 0"),
+])
+def test_state_json_refuses_bad_fields(field, value, message):
+    # A float or bool is refused, not truncated, with one line naming
+    # the field.
+    obj = EpistemicState(3, 1, [(1, 0)], (2, 0)).to_json_dict()
+    obj[field] = value
+    with pytest.raises(ValueError) as err:
+        EpistemicState.from_json_dict(obj)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # label bridge to the relational model
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditzx import _modp
+from quditzx import _modp, stabilizer
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
 from quditzx.stabilizer import (
     GATES,
@@ -296,11 +296,28 @@ def test_tableau_validates_generators():
 
 
 def test_measure_rejects_bad_observables():
+    # measure and outcome_distribution share one check: each bad
+    # observable is refused by both, with the same one-line message.
+    bad = [
+        (3, PauliOp.single(2, 3, 0, z=1), "acts on the wrong system"),
+        (3, PauliOp.single(2, 3, 1, z=1), "acts on the wrong system"),
+        (3, PauliOp.single(1, 5, 0, z=1), "acts on the wrong system"),
+        (2, PauliOp(1, 2, 1, (0,), (1,)), "order dividing D"),  # iZ
+        (3, PauliOp.single(1, 3, 0, z=1, phase=1), "order dividing D"),
+    ]
+    for d, obs, message in bad:
+        for method in ("outcome_distribution", "measure"):
+            tab = Tableau.zero_state(1, d)
+            args = (obs, random.Random(0))[:1 + (method == "measure")]
+            with pytest.raises(ValueError, match=message) as err:
+                getattr(tab, method)(*args)
+            assert "\n" not in str(err.value)
+            assert (tab.table == np.eye(2, 3, dtype=np.int64)).all()
+    # A scalar is not measured, though its outcome is certain.
     tab = Tableau.zero_state(1, 3)
-    with pytest.raises(ValueError):
+    assert tab.outcome_distribution(PauliOp.identity(1, 3))[0] == 1
+    with pytest.raises(ValueError, match="cannot measure a scalar"):
         tab.measure(PauliOp.identity(1, 3), random.Random(0))
-    with pytest.raises(ValueError):
-        tab.measure(PauliOp.single(2, 3, 0, z=1), random.Random(0))
     with pytest.raises(ValueError):
         measurement_observable("Y", 0, 1, 3)
 
@@ -363,6 +380,40 @@ def test_measurements_run_no_elimination(monkeypatch, oracle):
             deterministic += sum(o["deterministic"] for o in out["outcomes"])
     assert deterministic > 0
     assert calls == []
+
+
+def test_each_measurement_is_one_commutation_pass(monkeypatch):
+    # measure and outcome_distribution check the observable, commute it
+    # with all 2n rows and read a deterministic outcome from that one
+    # vector, so each makes exactly one _row_commutation call.
+    calls = []
+    real = stabilizer._row_commutation
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stabilizer, "_row_commutation", counted)
+    rng = random.Random("one-commutation-pass")
+    seen = set()
+    for d in (2, 3, 5):
+        for n in (1, 3, 6):
+            tab = Tableau.zero_state(n, d)
+            for step in random_circuit(n, d, rng, depth=4 * n,
+                                       measurements=3 * n):
+                if step["gate"] != "measure":
+                    tab.apply(step["gate"], step["wires"], step.get("q"))
+                    continue
+                obs = measurement_observable(step["basis"],
+                                             step["wires"][0], n, d)
+                calls.clear()
+                tab.outcome_distribution(obs)
+                assert len(calls) == 1
+                calls.clear()
+                _, deterministic = tab.measure(obs, rng)
+                assert len(calls) == 1, deterministic
+                seen.add(deterministic)
+    assert seen == {True, False}
 
 
 def _check_tableau(tab, rng):

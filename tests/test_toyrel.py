@@ -176,6 +176,24 @@ def test_rel_json_round_trip():
     assert obj["pairs"] == sorted(obj["pairs"])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("D", 2.9, "D must be an integer, got 2.9"),
+    ("m", True, "m must be an integer, got True"),
+    ("n", "1", "n must be an integer, got '1'"),
+    ("pairs", 5, "pairs must be a list, got 5"),
+    ("pairs", [5], "pair must be a list, got 5"),
+    ("pairs", [[1.5, 2]], "pair entry must be an integer, got 1.5"),
+])
+def test_rel_json_refuses_bad_fields(field, value, message):
+    # A float or bool is refused, not truncated, with one line naming
+    # the field.
+    obj = json.loads(Rel.identity(2).to_json())
+    obj[field] = value
+    with pytest.raises(ValueError) as err:
+        Rel.from_json_dict(obj)
+    assert str(err.value) == message
+
+
 def test_special_law_and_identity_tensor():
     d3 = spek_generator("delta_z", 3)
     assert d3.converse().converse() == d3
