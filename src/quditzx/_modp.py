@@ -1,7 +1,8 @@
 """Small dense linear algebra over the prime field Z_p.
 
 Everything works on numpy int64 arrays with entries reduced mod p.
-p is assumed prime; inverses come from Fermat's little theorem.
+p is assumed prime; inverses come from pow(a, -1, p), which raises
+ValueError for a non-unit.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ def is_prime(p: int) -> bool:
             return False
         k += 1
     return True
-
-
-def inv_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
 
 
 def rref_mod(a, p: int):
@@ -44,7 +38,7 @@ def rref_mod(a, p: int):
         if pivot is None:
             continue
         r[[lead, pivot]] = r[[pivot, lead]]
-        r[lead] = (r[lead] * inv_mod(int(r[lead, col]), p)) % p
+        r[lead] = (r[lead] * pow(int(r[lead, col]), -1, p)) % p
         for i in range(rows):
             if i != lead and r[i, col] % p:
                 r[i] = (r[i] - r[i, col] * r[lead]) % p

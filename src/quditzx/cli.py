@@ -1,13 +1,19 @@
 """Command-line front end.
 
-One subcommand per invocation; every subcommand offers a --json mode that
-prints a single machine-readable object (sorted keys, compact separators,
-byte-identical across runs given the same --seed).  Each subcommand parses
-its arguments, calls one library function and prints the report it gets.
+One subcommand per invocation; every subcommand but export-dot offers a
+--json mode that prints a single machine-readable object (sorted keys,
+compact separators, byte-identical across runs given the same --seed).
+Each subcommand parses its arguments, calls one library function and
+returns the report it gets, which always holds "passed", with the
+report's text lines; it prints nothing.
 
-`run` alone maps exceptions to exit codes.  Exit code 0 means everything
-the invocation checked passed and 1 means a check failed.  A ValueError
-(bad arguments, invalid JSON or diagrams, sizes the library refuses) or an
+`run` alone prints and maps results to exit codes: it prints the report
+under --json and the lines otherwise.  Exit code 0 means the report's
+"passed" holds, that is everything the invocation checked passed, and 1
+means a check failed.  Neither mode builds the costly part of the other:
+eval's matrix text is built lazily, and a report keeps a matrix, diagram
+or trace unconverted until `_emit_json` converts it.  A ValueError (bad
+arguments, invalid JSON or diagrams, sizes the library refuses) or an
 OSError (unreadable or unwritable files) means the invocation itself was
 unusable: one `error:` line on stderr, nothing on stdout, exit code 2.  An
 AssertionError is a broken internal invariant and stays a traceback.
@@ -56,8 +62,20 @@ def _tolerance(flag: float | None = None) -> float:
     return tol
 
 
+def _jsonable(obj):
+    """json.dumps' fallback for what a report keeps unconverted until it
+    is printed: a complex matrix as rows of [re, im] pairs, a diagram or
+    a trace as its JSON object."""
+    if isinstance(obj, np.ndarray):
+        return np.stack([obj.real, obj.imag], axis=-1).tolist()
+    if isinstance(obj, dg.Diagram):
+        return dg.to_json_dict(obj)
+    return obj.to_json_dict()
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                     default=_jsonable))
 
 
 def _load_json_file(path: str) -> dict:
@@ -72,7 +90,7 @@ def _load_diagram(path: str) -> dg.Diagram:
     obj = _load_json_file(path)
     try:
         return dg.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: not a valid diagram: {exc}") from exc
 
 
@@ -86,96 +104,70 @@ def _parse_dims(raw: str) -> list:
     return dims
 
 
-def _print_matrix(matrix: np.ndarray) -> None:
-    print(np.array2string(np.round(matrix, 10), max_line_width=120,
-                          suppress_small=True))
-
-
-def _report_checks(args, report: dict, label: str, holds: str) -> int:
-    """Print a {"checks": [...], "passed": ...} report; its exit code."""
-    if args.json:
-        _emit_json(report)
-    else:
-        for check in report["checks"]:
-            status = "pass" if check["passed"] else "FAIL"
-            detail = f"  ({check['detail']})" if check["detail"] else ""
-            print(f"{check['id']:<36} {status}{detail}")
-        print(f"{label}: "
-              + (f"all {holds} hold" if report["passed"] else "FAILURES"))
-    return 0 if report["passed"] else 1
+def _check_lines(report: dict, label: str, holds: str) -> list:
+    """The text of a {"checks": [...], "passed": ...} report."""
+    lines = []
+    for check in report["checks"]:
+        status = "pass" if check["passed"] else "FAIL"
+        detail = f"  ({check['detail']})" if check["detail"] else ""
+        lines.append(f"{check['id']:<36} {status}{detail}")
+    lines.append(f"{label}: "
+                 + (f"all {holds} hold" if report["passed"] else "FAILURES"))
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report, lines), the object printed under
+# --json and the lines printed otherwise; run prints one of them
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     d = _load_diagram(args.diagram)
     tol = _tolerance()
+    op = sem.evaluate(d, "fast" if args.method == "both" else args.method)
+    report = {"dim": op.dim, "nIn": op.n_in, "nOut": op.n_out,
+              "matrix": op.matrix, "method": args.method, "passed": True}
     if args.method == "both":
-        fast = sem.evaluate(d, "fast")
         ref = sem.evaluate(d, "reference")
-        deviation = float(np.max(np.abs(fast.matrix - ref.matrix)))
-        passed = deviation <= tol
-        op = fast
-    else:
-        op = sem.evaluate(d, args.method)
-        deviation = None
-        passed = True
-    if args.json:
-        out = op.to_json_dict()
-        out["method"] = args.method
-        if deviation is not None:
-            out["crossDeviation"] = deviation
-        out["passed"] = passed
-        _emit_json(out)
-    else:
-        print(f"dimension {op.dim}, {op.n_in} inputs -> {op.n_out} outputs")
-        _print_matrix(op.matrix)
-        if deviation is not None:
-            print(f"fast vs reference deviation: {deviation:.3e} "
-                  f"({'ok' if passed else 'FAIL'} at tol {tol:g})")
-    return 0 if passed else 1
+        deviation = float(np.max(np.abs(op.matrix - ref.matrix)))
+        report.update(crossDeviation=deviation, passed=deviation <= tol)
+
+    def lines():
+        yield f"dimension {op.dim}, {op.n_in} inputs -> {op.n_out} outputs"
+        yield np.array2string(np.round(op.matrix, 10), max_line_width=120,
+                              suppress_small=True)
+        if "crossDeviation" in report:
+            yield (f"fast vs reference deviation: "
+                   f"{report['crossDeviation']:.3e} "
+                   f"({'ok' if report['passed'] else 'FAIL'} at tol {tol:g})")
+    return report, lines()
 
 
-def _cmd_simplify(args) -> int:
+def _cmd_simplify(args) -> tuple:
     d = _load_diagram(args.diagram)
     tol = _tolerance()
     simplified, trace = rw.simplify(d)
-    scale, deviation, passed = None, None, True
+    report = {"diagram": simplified, "trace": trace,
+              "steps": len(trace.steps), "edgesBefore": len(d.edges),
+              "edgesAfter": len(simplified.edges), "passed": True}
+    lines = [f"{len(trace.steps)} rewrite steps, edges "
+             f"{len(d.edges)} -> {len(simplified.edges)}"]
+    lines += [f"  {step.rule} at {step.site}" for step in trace.steps]
     if args.verify:
-        scale, deviation, passed = sem.compare_scalar_exact(
+        scale, deviation, report["passed"] = sem.compare_scalar_exact(
             sem.evaluate(d).matrix, sem.evaluate(simplified).matrix, tol)
-    out = {
-        "diagram": dg.to_json_dict(simplified),
-        "trace": trace.to_json_dict(),
-        "steps": len(trace.steps),
-        "edgesBefore": len(d.edges),
-        "edgesAfter": len(simplified.edges),
-        "passed": passed,
-    }
-    if scale is not None:
-        out["verifyDeviation"] = deviation
+        if scale is not None:
+            report["verifyDeviation"] = deviation
+            lines.append(f"semantics preserved to {deviation:.3e}")
+    if not report["passed"]:
+        lines.append("verification FAILED")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out["diagram"], fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-    if args.json:
-        _emit_json(out)
-    else:
-        print(f"{len(trace.steps)} rewrite steps, edges "
-              f"{len(d.edges)} -> {len(simplified.edges)}")
-        for step in trace.steps:
-            print(f"  {step.rule} at {step.site}")
-        if scale is not None:
-            print(f"semantics preserved to {deviation:.3e}")
-        if not passed:
-            print("verification FAILED")
-    return 0 if passed else 1
+            fh.write(dg.to_json(simplified) + "\n")
+    return report, lines
 
 
-def _cmd_rule_check(args) -> int:
+def _cmd_rule_check(args) -> tuple:
     tol = _tolerance(args.tol)
     dims = _parse_dims(args.dim)
     if args.trials < 1:
@@ -184,21 +176,14 @@ def _cmd_rule_check(args) -> int:
     reports = [rw.soundness_report(rule, dim, trials=args.trials,
                                    seed=args.seed, tol=tol)
                for rule in rules for dim in dims]
-    all_passed = all(r["passed"] for r in reports)
-    if args.json:
-        _emit_json({
-            "tol": tol,
+    passed = all(r["passed"] for r in reports)
+    lines = [f"{r['rule']:<12} D={r['dim']}  trials={r['trials']}  "
+             f"max deviation {r['maxDeviation']:.3e}  "
+             + ("pass" if r["passed"] else "FAIL") for r in reports]
+    lines.append("all rules sound" if passed else "soundness FAILURES")
+    return {"tol": tol, "passed": passed,
             "reports": [{k: v for k, v in r.items() if k != "elapsed"}
-                        for r in reports],
-            "passed": all_passed,
-        })
-    else:
-        for r in reports:
-            status = "pass" if r["passed"] else "FAIL"
-            print(f"{r['rule']:<12} D={r['dim']}  trials={r['trials']}  "
-                  f"max deviation {r['maxDeviation']:.3e}  {status}")
-        print("all rules sound" if all_passed else "soundness FAILURES")
-    return 0 if all_passed else 1
+                        for r in reports]}, lines
 
 
 def _parse_state(raw: str, dim: int) -> np.ndarray:
@@ -213,24 +198,15 @@ def _parse_state(raw: str, dim: int) -> np.ndarray:
     return np.array(entries, dtype=complex)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple:
     tol = _tolerance()
     if args.target == "xj":
         pv = sy.synth_xj(args.j, args.phi, args.dim)
-        out = {
-            "dim": args.dim,
-            "target": f"x_{args.j}",
-            "phi": args.phi,
-            "alphaTurns": pv.to_json(),
-            "alphaRadians": [t.radians for t in pv],
-            "passed": True,
-        }
-        if args.json:
-            _emit_json(out)
-        else:
-            print(f"X_{args.j} eigenphase {args.phi:g}: Z-spider phases "
-                  + ", ".join(str(t) for t in pv))
-        return 0
+        return {"dim": args.dim, "target": f"x_{args.j}", "phi": args.phi,
+                "alphaTurns": pv.to_json(),
+                "alphaRadians": [t.radians for t in pv], "passed": True}, [
+            f"X_{args.j} eigenphase {args.phi:g}: Z-spider phases "
+            + ", ".join(str(t) for t in pv)]
     if args.state is not None:
         b = _parse_state(args.state, args.dim)
     else:
@@ -239,15 +215,11 @@ def _cmd_synth(args) -> int:
     try:
         result = sy.synth_zj(args.j, b, route=args.route)
     except sy.DegenerateStateError as exc:
-        out = {"dim": args.dim, "target": f"z_{args.j}",
-               "degenerate": True, "reason": str(exc), "passed": False}
-        if args.json:
-            _emit_json(out)
-        else:
-            print(f"degenerate input state: {exc}")
-        return 1
+        return {"dim": args.dim, "target": f"z_{args.j}", "degenerate": True,
+                "reason": str(exc), "passed": False}, [
+            f"degenerate input state: {exc}"]
     passed = result.residual <= max(tol, 1e-6)
-    out = {
+    report = {
         "dim": result.dim,
         "target": f"z_{args.j}",
         "route": result.route,
@@ -259,21 +231,18 @@ def _cmd_synth(args) -> int:
         "passed": passed,
     }
     if result.phase_vector is not None:
-        out["alphaTurns"] = result.phase_vector.to_json()
-    if args.json:
-        _emit_json(out)
-    else:
-        print(f"alpha (radians, alpha_0 = 0): "
-              + ", ".join(f"{float(a.real):.6f}" for a in result.alpha))
-        if not result.unitary:
-            print("note: alpha is complex; the map is invertible but not "
-                  "unitary")
-        print(f"residual to e_{args.j}: {result.residual:.3e} "
-              f"({'ok' if passed else 'FAIL'})")
-    return 0 if passed else 1
+        report["alphaTurns"] = result.phase_vector.to_json()
+    lines = ["alpha (radians, alpha_0 = 0): "
+             + ", ".join(f"{float(a.real):.6f}" for a in result.alpha)]
+    if not result.unitary:
+        lines.append("note: alpha is complex; the map is invertible but not "
+                     "unitary")
+    lines.append(f"residual to e_{args.j}: {result.residual:.3e} "
+                 f"({'ok' if passed else 'FAIL'})")
+    return report, lines
 
 
-def _cmd_stab_run(args) -> int:
+def _cmd_stab_run(args) -> tuple:
     tol = _tolerance()
     obj = _load_json_file(args.circuit)
     try:
@@ -283,71 +252,60 @@ def _cmd_stab_run(args) -> int:
     except (KeyError, TypeError):
         raise ValueError(f"{args.circuit}: circuit file needs n, dim and "
                          "circuit fields") from None
-    result = st.run_circuit(circuit, n, dim, seed=args.seed,
+    report = st.run_circuit(circuit, n, dim, seed=args.seed,
                             oracle=args.oracle)
-    passed = (not args.oracle
-              or result["maxProbabilityDeviation"] <= tol)
-    result["passed"] = passed
-    if args.json:
-        _emit_json(result)
-    else:
-        for outcome in result["outcomes"]:
-            kind = "deterministic" if outcome["deterministic"] else "random"
-            print(f"measured wire {outcome['wire']} in {outcome['basis']}: "
-                  f"{outcome['outcome']} ({kind})")
-        if args.oracle:
-            print(f"tableau vs dense deviation: "
-                  f"{result['maxProbabilityDeviation']:.3e} "
-                  f"({'ok' if passed else 'FAIL'})")
-    return 0 if passed else 1
+    report["passed"] = (not args.oracle
+                        or report["maxProbabilityDeviation"] <= tol)
+    lines = [f"measured wire {o['wire']} in {o['basis']}: {o['outcome']} "
+             f"({'deterministic' if o['deterministic'] else 'random'})"
+             for o in report["outcomes"]]
+    if args.oracle:
+        lines.append(f"tableau vs dense deviation: "
+                     f"{report['maxProbabilityDeviation']:.3e} "
+                     f"({'ok' if report['passed'] else 'FAIL'})")
+    return report, lines
 
 
-def _cmd_spek_check(args) -> int:
-    return _report_checks(args, trel.rel_structure_check(args.dim),
-                          f"D={args.dim}", "laws")
+def _cmd_spek_check(args) -> tuple:
+    report = trel.rel_structure_check(args.dim)
+    return report, _check_lines(report, f"D={args.dim}", "laws")
 
 
-def _cmd_phase_space(args) -> int:
+def _cmd_phase_space(args) -> tuple:
     report = ps.phase_space_report(args.dim, args.n, seed=args.seed,
                                    cases=args.cases)
-    return _report_checks(args, report, f"d={args.dim}, n={args.n}",
-                          "properties")
+    return report, _check_lines(report, f"d={args.dim}, n={args.n}",
+                                "properties")
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple:
     report = eqv.run_equivalence_checks()
-    if args.json:
-        _emit_json(report)
-    else:
-        poss = report["possibilistic"]
-        prob = report["probabilities"]
-        groups = report["phaseGroups"]
-        equi = report["equivariance"]
-        print(f"possibilistic pairs: "
-              f"{poss['pairs'] - len(poss['failures'])}/{poss['pairs']} "
-              "consistent")
-        print(f"exact probabilities: "
-              f"{prob['pairs'] - len(prob['failures'])}/{prob['pairs']} "
-              f"matching, values {{{', '.join(prob['valuesSeen'])}}}")
-        print(f"phase groups: toy Z_3 x Z_3, quantum factors "
-              f"{groups['quantumFactors']}, dictionary homomorphism "
-              f"{'holds' if groups['dictionaryHomomorphism'] else 'FAILS'}")
-        print(f"equivariance: {equi['stateChecks']} map/state checks, "
-              f"{len(equi['failures'])} failures")
-        print("operationally equivalent" if report["passed"]
-              else "equivalence FAILURES")
-    return 0 if report["passed"] else 1
+    poss = report["possibilistic"]
+    prob = report["probabilities"]
+    groups = report["phaseGroups"]
+    equi = report["equivariance"]
+    return report, [
+        f"possibilistic pairs: {poss['pairs'] - len(poss['failures'])}/"
+        f"{poss['pairs']} consistent",
+        f"exact probabilities: {prob['pairs'] - len(prob['failures'])}/"
+        f"{prob['pairs']} matching, values "
+        f"{{{', '.join(prob['valuesSeen'])}}}",
+        f"phase groups: toy Z_3 x Z_3, quantum factors "
+        f"{groups['quantumFactors']}, dictionary homomorphism "
+        f"{'holds' if groups['dictionaryHomomorphism'] else 'FAILS'}",
+        f"equivariance: {equi['stateChecks']} map/state checks, "
+        f"{len(equi['failures'])} failures",
+        "operationally equivalent" if report["passed"]
+        else "equivalence FAILURES"]
 
 
-def _cmd_export_dot(args) -> int:
-    d = _load_diagram(args.diagram)
-    text = dg.export_dot(d)
+def _cmd_export_dot(args) -> tuple:
+    text = dg.export_dot(_load_diagram(args.diagram))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+        return {"passed": True}, []
+    return {"passed": True}, text.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram", help="diagram JSON file")
     p.add_argument("--method", choices=("fast", "reference", "both"),
                    default="fast")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simplify", help="run the shrinking rewrite loop")
@@ -373,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="evaluate before and after and compare")
     p.add_argument("--out", help="write the simplified diagram JSON here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("rule-check", help="rewrite-rule soundness battery")
@@ -385,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None,
                    help="override QUDITZX_TOL for this run")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rule_check)
 
     p = sub.add_parser("synth", help="solve for spider phases hitting a "
@@ -401,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="random input state when --state is omitted")
     p.add_argument("--route", choices=("beta", "qutrit"), default="beta")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("stab-run", help="run a Clifford circuit on the "
@@ -411,13 +365,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cross-check every measurement against the dense "
                         "simulator")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stab_run)
 
     p = sub.add_parser("spek-check", help="relational observable-structure "
                                           "law battery")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_spek_check)
 
     p = sub.add_parser("phase-space", help="epistemic phase-space property "
@@ -426,18 +378,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=25)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_phase_space)
 
     p = sub.add_parser("equiv", help="toy theory vs qutrit stabilizer "
                                      "equivalence checks")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_equiv)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("export-dot", help="render a diagram as Graphviz DOT")
     p.add_argument("diagram", help="diagram JSON file")
     p.add_argument("--out", help="write DOT here instead of stdout")
-    p.set_defaults(func=_cmd_export_dot)
+    p.set_defaults(func=_cmd_export_dot, json=False)
 
     return parser
 
@@ -445,10 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, lines = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        _emit_json(report)
+    else:
+        for line in lines:
+            print(line)
+    return 0 if report["passed"] else 1
 
 
 def main(argv=None) -> int:

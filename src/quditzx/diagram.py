@@ -24,7 +24,8 @@ import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .phases import PhaseVector, is_json_number, json_int, json_list
+from .phases import (PhaseVector, is_json_number, json_field, json_int,
+                     json_list)
 
 Z = "Z"
 X = "X"
@@ -488,48 +489,38 @@ def to_json_dict(d: Diagram) -> dict:
     }
 
 
-def _json_field(rec, key: str, where: str):
-    """rec[key] of a JSON object; a record that is not an object, or lacks
-    the key, is refused with a one-line ValueError naming where."""
-    if not isinstance(rec, dict):
-        raise ValueError(f"{where} must be an object, got {rec!r}")
-    if key not in rec:
-        raise ValueError(f"{where} has no {key!r} field")
-    return rec[key]
-
-
 def from_json_dict(obj: dict) -> Diagram:
     try:
-        dim = json_int(_json_field(obj, "dimension", "diagram JSON"),
+        dim = json_int(json_field(obj, "dimension", "diagram JSON"),
                        "dimension")
         sc = obj.get("scalar", [1.0, 0.0])
         if not (isinstance(sc, list) and len(sc) == 2
                 and all(map(is_json_number, sc))):
             raise ValueError(f"scalar must be two finite numbers, got {sc!r}")
         nodes = {}
-        records = json_list(_json_field(obj, "nodes", "diagram JSON"),
+        records = json_list(json_field(obj, "nodes", "diagram JSON"),
                              "nodes")
         for i, rec in enumerate(records):
-            v = json_int(_json_field(rec, "id", f"node record {i}"),
+            v = json_int(json_field(rec, "id", f"node record {i}"),
                          "node id")
             if v in nodes:
                 raise ValueError(f"duplicate node id {v}")
-            kind = _json_field(rec, "kind", f"node {v}")
+            kind = json_field(rec, "kind", f"node {v}")
             if not (isinstance(kind, str) and kind in NODE_KINDS):
                 raise ValueError(f"node {v} has an unknown kind {kind!r}")
             if kind in SPIDER_KINDS:
                 phase = PhaseVector.from_json(
-                    dim, _json_field(rec, "phase", f"node {v}"))
+                    dim, json_field(rec, "phase", f"node {v}"))
                 nodes[v] = Node(kind, phase=phase)
             elif kind in BOUNDARY_KINDS:
                 nodes[v] = Node(kind, position=json_int(
-                    _json_field(rec, "position", f"node {v}"),
+                    json_field(rec, "position", f"node {v}"),
                     f"node {v} position"))
             else:
                 # inPort/outPort are redundant with the edge list; ignored.
                 nodes[v] = Node(kind)
         edges = []
-        pairs = json_list(_json_field(obj, "edges", "diagram JSON"),
+        pairs = json_list(json_field(obj, "edges", "diagram JSON"),
                            "edges")
         for i, e in enumerate(pairs):
             if not (isinstance(e, list) and len(e) == 2):

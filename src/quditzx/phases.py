@@ -36,6 +36,16 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_field(rec, key: str, where: str):
+    """rec[key] of a JSON object; a record that is not an object, or lacks
+    the key, is refused with a one-line ValueError naming where."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} must be an object, got {rec!r}")
+    if key not in rec:
+        raise ValueError(f"{where} has no {key!r} field")
+    return rec[key]
+
+
 def json_list(x, what: str) -> list:
     """x if it is a JSON list; anything else is refused with a one-line
     ValueError naming what."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import toyrel as tr
 from ._modp import is_prime, nullspace_mod
-from .phases import json_int, json_int_list, json_list
+from .phases import json_field, json_int, json_int_list, json_list
 
 __all__ = [
     "OnticPoint",
@@ -273,9 +273,11 @@ class EpistemicState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "EpistemicState":
-        V = [json_int_list(F, "V row") for F in json_list(obj["V"], "V")]
-        return cls(json_int(obj["d"], "d"), json_int(obj["n"], "n"), V,
-                   json_int_list(obj["v_rep"], "v_rep"))
+        V, d, n, v_rep = (json_field(obj, key, "state JSON")
+                          for key in ("V", "d", "n", "v_rep"))
+        V = [json_int_list(F, "V row") for F in json_list(V, "V")]
+        return cls(json_int(d, "d"), json_int(n, "n"), V,
+                   json_int_list(v_rep, "v_rep"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True,
@@ -454,17 +456,15 @@ def _elementary_symplectics(d: int, n: int) -> list:
     return gens
 
 
-def random_symplectic(d: int, n: int, rng: random.Random,
-                      factors: int = 12, affine: bool = True
+def random_symplectic(d: int, n: int, rng: random.Random
                       ) -> SymplecticAffine:
-    """A random affine symplectic map, built as a product of elementary
-    generators (validated by the constructor)."""
+    """A random affine symplectic map, built as a product of 12 elementary
+    generators and a random shift (validated by the constructor)."""
     gens = _elementary_symplectics(d, n)
     S = np.eye(2 * n, dtype=np.int64)
-    for _ in range(factors):
+    for _ in range(12):
         S = (rng.choice(gens) @ S) % d
-    a = [rng.randrange(d) for _ in range(2 * n)] if affine else None
-    return SymplecticAffine(d, S, a)
+    return SymplecticAffine(d, S, [rng.randrange(d) for _ in range(2 * n)])
 
 
 def all_maximal_states(d: int) -> list:

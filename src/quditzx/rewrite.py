@@ -732,9 +732,8 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
 # ---------------------------------------------------------------------------
 # Randomized soundness checking
 
-def _random_phase(dim: int, rng: random.Random,
-                  exact_only: bool = False) -> PhaseVector:
-    if exact_only or rng.random() < 0.7:
+def _random_phase(dim: int, rng: random.Random) -> PhaseVector:
+    if rng.random() < 0.7:
         return PhaseVector(
             dim, [Turn.exact(rng.randrange(dim), dim) for _ in range(dim - 1)])
     return PhaseVector.from_radians(

@@ -18,11 +18,15 @@ is a column operation on all 2n rows. A measurement costs O(n^2) and no
 elimination: a deterministic outcome is the product of the generators
 that the destabilizers' commutation exponents name, and a random one
 replaces a pivot generator, which divides by a commutation exponent mod
-D, so D must be prime. The dense oracle shares only the gate definitions
-with it (F, CNOT and SWAP from semantics' generator table, eta from
-semantics.omega) and applies a Pauli word as the monomial it is
-(PauliOp.act: amplitudes permuted and multiplied by phases), building no
-D^n x D^n projector.
+D, so D must be prime. Rows are int64, so every entry that takes D
+refuses a system whose arithmetic could leave int64 (`_check_int64`:
+D < 2^20 and 2 n D^2 < 2^63) before it tests D for primality, and a
+tableau refuses more than MAX_TABLEAU_QUDITS qudits before it allocates.
+
+The dense oracle shares only the gate definitions with it (F, CNOT and
+SWAP from semantics' generator table, eta from semantics.omega) and
+applies a Pauli word as the monomial it is (PauliOp.act: amplitudes
+permuted and multiplied by phases), building no D^n x D^n projector.
 """
 
 from __future__ import annotations
@@ -45,6 +49,23 @@ GATES = tuple(g for g in _STEP_WIRES if g != "measure")
 # The dense oracle refuses a state of more amplitudes than this.
 MAX_DENSE_AMPLITUDES = 2 ** 20
 
+# The tableau refuses more qudits than this; its 2n x (2n+1) int64 table
+# takes 512 MiB at the cap.
+MAX_TABLEAU_QUDITS = 2 ** 12
+
+
+def _check_int64(n: int, dim: int) -> None:
+    """Refuse n qudits of dimension D whose row arithmetic could leave
+    int64. Row entries lie below 2D; the largest intermediates are
+    _row_pow's zx k (k-1) with zx and k reduced mod 2D, below 8 D^3, and
+    n-term sums of products below D^2 (in _row_pow, _row_mul, each row of
+    Tableau._commutation's phase sum) or 2n-term ones (_row_commutation),
+    below 2 n D^2. So D < 2^20, and n < 2^62 / D^2."""
+    if max(8 * dim ** 3, 2 * n * dim ** 2) >= 2 ** 63:
+        raise ValueError(f"stabilizer rows refuse n={n}, D={dim}: their "
+                         "int64 arithmetic needs 8 D^3 and 2 n D^2 below "
+                         "2^63")
+
 
 # ---------------------------------------------------------------------------
 # Pauli rows [x | z | phase]; leading axes broadcast
@@ -66,7 +87,7 @@ def _row_pow(rows: np.ndarray, k, dim: int) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64) % (2 * dim)  # every word has g^(2D) = 1
     out = rows * k[..., None]
     out[..., :-1] %= dim
-    zx = np.sum(rows[..., n:-1] * rows[..., :n], axis=-1)
+    zx = np.sum(rows[..., n:-1] * rows[..., :n], axis=-1) % (2 * dim)
     out[..., -1] = (k * rows[..., -1] - zx * k * (k - 1)) % (2 * dim)
     return out
 
@@ -131,6 +152,7 @@ class PauliOp:
     z: tuple
 
     def __post_init__(self):
+        _check_int64(self.n, self.dim)
         if len(self.x) != self.n or len(self.z) != self.n:
             raise ValueError("x and z must each have one entry per qudit")
         object.__setattr__(self, "phase", self.phase % (2 * self.dim))
@@ -267,6 +289,18 @@ def conjugate_pauli(p: PauliOp, gate: str, wires, q: int | None = None
 # ---------------------------------------------------------------------------
 # Tableau simulator
 
+def _check_system(n: int, dim: int) -> None:
+    """What both tableau constructors check, cheapest first: the int64
+    bound, the size cap, then that D is prime."""
+    _check_int64(n, dim)
+    if n > MAX_TABLEAU_QUDITS:
+        raise ValueError(f"tableau refuses n={n} qudits of D={dim}: its "
+                         f"2n x (2n+1) table is above the cap of "
+                         f"{MAX_TABLEAU_QUDITS} qudits")
+    if not _modp.is_prime(dim):
+        raise ValueError(f"tableau needs prime dimension, got {dim}")
+
+
 class Tableau:
     """Stabilizer state of n qudits of prime dimension D, one Pauli row
     [x | z | phase] per generator in a 2n x (2n+1) table: n destabilizers
@@ -275,8 +309,7 @@ class Tableau:
     destabilizer phases are never read."""
 
     def __init__(self, n: int, dim: int, generators):
-        if not _modp.is_prime(dim):
-            raise ValueError(f"tableau needs prime dimension, got {dim}")
+        _check_system(n, dim)
         gens = list(generators)
         if len(gens) != n:
             raise ValueError(f"need exactly {n} generators, got {len(gens)}")
@@ -314,6 +347,7 @@ class Tableau:
     @classmethod
     def zero_state(cls, n: int, dim: int) -> "Tableau":
         """|0...0>: destabilizers X_k, stabilizers Z_k."""
+        _check_system(n, dim)
         tab = cls.__new__(cls)
         tab._set(n, dim, np.eye(2 * n, 2 * n + 1, dtype=np.int64))
         return tab
@@ -344,8 +378,9 @@ class Tableau:
         # The phase of powered[0] * powered[1] * ...: reordering each z
         # past the x of every later factor costs eta^(-z.x).
         z, x = powered[:, n:-1], powered[:, :n]
-        z_before = np.cumsum(z, axis=0) - z
-        phase = powered[:, -1].sum() - 2 * np.sum(z_before * x)
+        z_before = (np.cumsum(z, axis=0) - z) % d
+        zx = np.sum(z_before * x, axis=1) % d
+        phase = powered[:, -1].sum() - 2 * zx.sum()
         diff = (row[-1] - phase) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
@@ -374,7 +409,7 @@ class Tableau:
         pivot = n + np.flatnonzero(c[n:])[0]
         fix = np.flatnonzero(c)
         fix = fix[(fix != pivot) & (fix != pivot - n)]
-        inv = _modp.inv_mod(int(c[pivot]), d)
+        inv = pow(int(c[pivot]), -1, d)
         m = (-c[fix] * inv) % d
         k = rng.randrange(d)
         table, old = self.table, self.table[pivot].copy()
@@ -499,6 +534,7 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
     wire that is not an integer in 0..n-1, a q that is not an integer
     unit mod dim or another basis raises ValueError naming the step.
     """
+    _check_int64(n, dim)
     if n < 1 or not _modp.is_prime(dim):
         raise ValueError(f"a circuit needs n >= 1 qudits of prime dimension, "
                          f"got n={n}, dim={dim}")
@@ -607,6 +643,7 @@ def enumerate_stabilizer_states(dim: int) -> list:
     e_m = -k'm + t m(m-1) mod 2D, where the eigenvalue is sqrt(eta)^(k')
     and k' must match t(D-1) mod 2.
     """
+    _check_int64(1, dim)
     if not _modp.is_prime(dim):
         raise ValueError(f"stabilizer state enumeration needs prime D, got {dim}")
     d = dim

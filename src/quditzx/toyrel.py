@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .phases import json_int, json_int_list, json_list
+from .phases import json_field, json_int, json_int_list, json_list
 
 __all__ = [
     "Rel",
@@ -255,9 +255,10 @@ class Rel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Rel":
-        D, m, n = (json_int(obj[k], k) for k in ("D", "m", "n"))
-        pairs = [json_int_list(p, "pair")
-                 for p in json_list(obj["pairs"], "pairs")]
+        D, m, n = (json_int(json_field(obj, k, "relation JSON"), k)
+                   for k in ("D", "m", "n"))
+        pairs = [json_int_list(p, "pair") for p in json_list(
+            json_field(obj, "pairs", "relation JSON"), "pairs")]
         return cls.from_pairs(D, m, n, pairs)
 
     def to_json(self) -> str:

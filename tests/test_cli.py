@@ -108,6 +108,30 @@ def test_eval_text_mode(cnot_file, capsys):
     assert "dimension 3, 2 inputs -> 2 outputs" in captured.out
 
 
+def test_eval_builds_only_what_its_mode_prints(cnot_file, monkeypatch,
+                                               capsys):
+    # text mode never converts the matrix to [re, im] lists, and --json
+    # never renders it as text
+    from quditzx import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built output that this mode does not print")
+
+    monkeypatch.setattr(cli, "_jsonable", refuse)
+    monkeypatch.setattr(sem.DenseOperator, "to_json_dict", refuse)
+    assert run(["eval", cnot_file, "--method", "both"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("dimension 3, 2 inputs -> 2 outputs\n[[")
+    assert "fast vs reference deviation" in out
+    with pytest.raises(AssertionError):
+        run(["eval", cnot_file, "--json"])
+    capsys.readouterr()
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "array2string", refuse)
+    assert run(["eval", cnot_file, "--json"]) == 0
+    assert _json_out(capsys)["nOut"] == 2
+
+
 def test_eval_missing_file_is_a_usage_error(tmp_path, capsys):
     assert run(["eval", str(tmp_path / "nope.json"), "--json"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -472,6 +496,132 @@ def test_equiv_output_is_pinned(argv, sha256, capsys):
 
 
 # ---------------------------------------------------------------------------
+# pinned output of every subcommand
+
+
+def _pin_files(tmp_path):
+    """The fixed input files of the pin table, keyed by the name in its
+    argv; the printed bytes name no path."""
+    files = {}
+    b = dg.DiagramBuilder(3)
+    i = b.add_input(0)
+    o = b.add_output(0)
+    third = PhaseVector(3, [Turn.exact(1, 3), Turn.zero()])
+    v1 = b.add_spider(dg.Z, third)
+    v2 = b.add_spider(dg.Z, third)
+    b.add_edge(i, v1)
+    b.add_edge(v1, v2)
+    b.add_edge(v2, o)
+    for name, text in [
+            ("cnot", dg.to_json(dg.generator_diagram("cnot", 3))),
+            ("chain", dg.to_json(b.finish())),
+            ("circuit", json.dumps({"n": 2, "dim": 3, "circuit": [
+                {"gate": "F", "wires": [0]},
+                {"gate": "CNOT", "wires": [0, 1]},
+                {"gate": "Sq", "wires": [1], "q": 2},
+                {"gate": "measure", "wires": [0], "basis": "X"},
+                {"gate": "measure", "wires": [1], "basis": "Z"},
+                {"gate": "measure", "wires": [1], "basis": "Z"}]}))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        files[name] = str(path)
+    files["out"] = str(tmp_path / "out")
+    return files
+
+
+# (command, QUDITZX_TOL or None, exit code, sha256 of stdout, of stderr),
+# recorded before the subcommands shared one output path; EMPTY is the
+# sha256 of no output
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+OUTPUT_PINS = [
+    ("eval {cnot}", None, 0,
+     "d6dc9c166a9b8013331dd41db43b25b8569e173803e229f12e431255e701cfc6", EMPTY),
+    ("eval {cnot} --json", None, 0,
+     "2f86034bce2b4e2a6564842b1c9030409a0d7c18f6774e8ff666bf19020f0233", EMPTY),
+    ("eval {cnot} --method both", None, 0,
+     "2cccae3efe68493629e8c7d59718366b21eabf4ba3a12591526799d253f5da04", EMPTY),
+    ("eval {cnot} --method both --json", None, 0,
+     "0b2ba11f4d30995cf5f1730bceaadfe43561fd6539d437d78cf5b82c01bd8fca", EMPTY),
+    ("eval {chain} --method reference", None, 0,
+     "06dbf03b8f99bce7934ae2c4b713c84a9ddfb086dd94cc32e575eed4212842bd", EMPTY),
+    ("simplify {chain} --verify", None, 0,
+     "f9aaab8de5de459bd60af5869c0e7ea01e965ddd0ee4c746059faf29f8b49975", EMPTY),
+    ("simplify {chain} --verify --json", None, 0,
+     "706a46e26ce2e6262b4ffe39a559a135ee86bcd98aca87c667fc98a3d59820c8", EMPTY),
+    ("simplify {chain} --verify", "1e-300", 1,
+     "bad7f5303ecdbc6b3ad4ab50b1f4b6592a635c7b9f1678732e22e4ddcdb33f0d", EMPTY),
+    ("simplify {cnot} --out {out}", None, 0,
+     "0774fadde89e08ad9dcddcecaad6f237ee50296637c43b72afd78bb9b30f1c5d", EMPTY),
+    ("rule-check --rule B_copy --dim 2,3 --trials 3 --seed 11", None, 0,
+     "d554ff3d760116e736cc274adff6ac3d67a43388bc10370df54caf95aaba4ed4", EMPTY),
+    ("rule-check --rule B_copy --dim 2,3 --trials 3 --seed 11 --json", None, 0,
+     "a1a163af8ebb169b42eb5f50248399edacf55c36b150a87ea2193f8a71ffebc8", EMPTY),
+    ("rule-check --rule S_fuse --dim 2 --trials 2 --tol 1e-300", None, 1,
+     "2a7ecd053a37177e12e954bcac10903dac82cdcadad5536b343f6abbe418353c", EMPTY),
+    ("synth --dim 4 --target xj --j 1 --phi 0.7", None, 0,
+     "a112d723c3b3429bdeefd8ca96776e6b52afc8dab3627e07a82b0e8631e8158b", EMPTY),
+    ("synth --dim 4 --target xj --j 1 --phi 0.7 --json", None, 0,
+     "3824f9bf232c2607ecf6a6240e5f5320ed15f604c981b3d967da4f217cd1d1b2", EMPTY),
+    ("synth --dim 4 --target zj --j 2 --seed 5", None, 0,
+     "46479967634fb777a7132cc8f402df03df903aacb21e709b3216537d76641234", EMPTY),
+    ("synth --dim 4 --target zj --j 2 --seed 5 --json", None, 0,
+     "1de4831a857d7030d4bb306631f5e426ecb6311c9b4c1f6b339234e0a26ceba5", EMPTY),
+    ("synth --dim 3 --target zj --j 1 --route qutrit --seed 2", None, 0,
+     "27ca5b773f3783f9cfa09071c00121b8fe14592c2ae1886666fcdf1bb21b6f81", EMPTY),
+    ("synth --dim 3 --target zj --j 1 --state 1,1,1", None, 1,
+     "ed1c93ae856314f049cd800766a7f37a79601ab2397df8e6e80c68ee429ea3ff", EMPTY),
+    ("synth --dim 3 --target zj --j 1 --state 1,1,1 --json", None, 1,
+     "75c76fd627180a1f17c2b1540ea19ca51640f0ba4a2502b89e6b1d44d3216252", EMPTY),
+    ("stab-run {circuit} --seed 3", None, 0,
+     "b5cb2c14a12d3ec51a8d9567882098dfc08747e575581eb810410870399b749f", EMPTY),
+    ("stab-run {circuit} --seed 3 --json", None, 0,
+     "d459f3d370111019fdf4f3c64d20b2ec40c92ac26d350432e31722f8eb52597e", EMPTY),
+    ("stab-run {circuit} --oracle --seed 1", None, 0,
+     "dc72581b257979c7bb29e17b0681728d8d6bb0f6b217c862ea7db23fab42da7b", EMPTY),
+    ("stab-run {circuit} --oracle --seed 1 --json", None, 0,
+     "97d226c014fe8840680276a56726c9fc896f61aea69d518e880007be7428816f", EMPTY),
+    ("spek-check --dim 2", None, 0,
+     "522e5045c190edcf4bd0684a23dfbc43c4c0eb575313984893048bc123ad8069", EMPTY),
+    ("spek-check --dim 2 --json", None, 0,
+     "70c508e7cfd4ecc1f8b7b817b20752be09f39693420e8752555458623e973cb2", EMPTY),
+    ("phase-space --dim 3 --n 1 --seed 1 --cases 5", None, 0,
+     "b3f784ed1eb9f85940361ea33ab5d5119f40db17d3e4131835f36bdf52cf4e65", EMPTY),
+    ("phase-space --dim 3 --n 2 --seed 2 --cases 3 --json", None, 0,
+     "573411650a571594f00bd803e989689019389aca827423ce213e73fdc2f22cf0", EMPTY),
+    ("equiv", None, 0,
+     "80c3df991038ca2a2650c6bcedf8a14255837d412ca7b6c070b0a706962653ac", EMPTY),
+    ("equiv --json", None, 0,
+     "6b578ee314a31bce0e476ef6733e2b233116b175b95375131f0f3f8e9b85480c", EMPTY),
+    ("export-dot {cnot}", None, 0,
+     "8bae9afe552660a46d766b16ee86b275cb1ff41dbebfa3ba63d111294aacf0f8", EMPTY),
+    ("export-dot {cnot} --out {out}", None, 0, EMPTY, EMPTY),
+    ("rule-check --rule S_fuse --dim 2 --trials 0", None, 2, EMPTY,
+     "f42408d67433934ff716963f71d6224e60acf34a35226afcf2417724182f8346"),
+    ("spek-check --dim 1 --json", None, 2, EMPTY,
+     "16c7dfe6940e2006cac3fc205db6266fb253b6725d199626b692df8adef6012c"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, env_tol, code, out_sha, err_sha", OUTPUT_PINS,
+    ids=[c if t is None else f"QUDITZX_TOL={t} {c}"
+         for c, t, *_ in OUTPUT_PINS])
+def test_output_is_pinned(command, env_tol, code, out_sha, err_sha,
+                          tmp_path, monkeypatch, capsys):
+    if env_tol is None:
+        monkeypatch.delenv("QUDITZX_TOL", raising=False)
+    else:
+        monkeypatch.setenv("QUDITZX_TOL", env_tol)
+    files = _pin_files(tmp_path)
+    argv = [part.format(**files) for part in command.split()]
+    got = run(argv)
+    captured = capsys.readouterr()
+    assert (got, hashlib.sha256(captured.out.encode()).hexdigest(),
+            hashlib.sha256(captured.err.encode()).hexdigest()) == (
+        code, out_sha, err_sha), (captured.out[:400], captured.err)
+
+
+# ---------------------------------------------------------------------------
 # export-dot
 
 
@@ -573,6 +723,10 @@ def bad_input_files(tmp_path):
     write("nfloat", json.dumps({"n": 1.5, "dim": 3, "circuit": []}))
     write("nbool", json.dumps({"n": True, "dim": 3, "circuit": []}))
     write("dimtext3", json.dumps({"n": 1, "dim": "3", "circuit": []}))
+    # primes past the tableau's int64 bound D < 2^20
+    for name, dim in [("dimbound", 1048583), ("dimhuge", 10 ** 18 + 9)]:
+        write(name, json.dumps({"n": 1, "dim": dim, "circuit": [
+            {"gate": "measure", "wires": [0], "basis": "X"}]}))
     # 2^40 amplitudes: past the dense oracle's cap
     write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
         {"gate": "F", "wires": [0]},
@@ -632,6 +786,8 @@ BAD_INPUTS = [
     ("stab-run {nbool}", None),
     ("stab-run {dimtext3}", None),
     ("stab-run {oracle40} --oracle", None),
+    ("stab-run {dimbound}", None),
+    ("stab-run {dimhuge}", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),
     ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),
 ]

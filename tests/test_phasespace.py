@@ -301,12 +301,19 @@ def test_state_json_round_trip():
     ("V", [[1.5, 0]], "V row entry must be an integer, got 1.5"),
     ("v_rep", [0.9, 0], "v_rep entry must be an integer, got 0.9"),
     ("v_rep", 0, "v_rep must be a list, got 0"),
+    # field None: value is the whole object
+    (None, {"d": 3, "n": 1}, "state JSON has no 'V' field"),
+    (None, [], "state JSON must be an object, got []"),
 ])
 def test_state_json_refuses_bad_fields(field, value, message):
-    # A float or bool is refused, not truncated, with one line naming
+    # A float or bool is refused, not truncated, and a missing field or a
+    # record that is not an object is refused, each with one line naming
     # the field.
     obj = EpistemicState(3, 1, [(1, 0)], (2, 0)).to_json_dict()
-    obj[field] = value
+    if field is None:
+        obj = value
+    else:
+        obj[field] = value
     with pytest.raises(ValueError) as err:
         EpistemicState.from_json_dict(obj)
     assert str(err.value) == message

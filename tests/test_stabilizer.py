@@ -536,6 +536,92 @@ def test_run_circuit_needs_qudits_of_prime_dimension(n, dim):
 
 
 # ---------------------------------------------------------------------------
+# int64 bound and size cap
+
+# the largest prime below the int64 bound D < 2^20, and the next prime
+BIG_PRIME, PAST_BOUND = 1048573, 1048583
+
+
+@pytest.mark.parametrize("d", [1000003, BIG_PRIME])
+def test_order_check_stays_in_int64(d):
+    # (up-shift X)(Z^-1) has order D; z.x k(k-1) at k = D is about D^4
+    assert PauliOp(1, d, 0, (d - 1,), (d - 1,)).order_divides_dim()
+
+
+def test_large_prime_circuits_run_without_overflow():
+    # Any numpy overflow warning fails the test (warnings are errors).
+    for s in range(200):
+        circuit = random_circuit(3, 1000003, random.Random(s), depth=20,
+                                 measurements=6)
+        out = run_circuit(circuit, 3, 1000003, seed=s)
+        assert len(out["outcomes"]) == 6
+        assert all(0 <= o["outcome"] < 1000003 for o in out["outcomes"])
+
+
+def test_long_stabilizer_product_at_the_bound_measures_zero():
+    # The eigenvalue phase of a product of 400 dense generators sums
+    # about n^3 D^2 / 8 terms, past 2^63 unless each row's sum is reduced
+    # mod D; numpy integer arrays wrap without a warning.
+    n, d = 400, BIG_PRIME
+    rng = random.Random(0)
+    tab = Tableau.zero_state(n, d)
+    for step in random_circuit(n, d, rng, depth=12000, measurements=0):
+        tab.apply(step["gate"], step["wires"], step.get("q"))
+    powers = [rng.randrange(d) for _ in range(n)]
+    word = functools.reduce(functools.partial(_row_mul, dim=d),
+                            _row_pow(tab.rows, powers, d))
+    assert tab.measure(PauliOp.from_row(d, word), rng) == (0, True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: PauliOp(1, d, 0, (0,), (0,)),
+    lambda d: Tableau.zero_state(1, d),
+    lambda d: Tableau(1, d, []),
+    lambda d: run_circuit([], 1, d),
+    lambda d: enumerate_stabilizer_states(d),
+], ids=["PauliOp", "zero_state", "Tableau", "run_circuit", "enumerate"])
+@pytest.mark.parametrize("d", [PAST_BOUND, 10 ** 18 + 9])
+def test_every_entry_refuses_a_prime_past_the_int64_bound(build, d):
+    # checked before the primality test, whose trial division would take
+    # about 10^9 steps at D = 10^18 + 9
+    with pytest.raises(ValueError, match=f"refuse n=1, D={d}: their int64"):
+        build(d)
+
+
+def test_pauli_word_refuses_n_past_the_int64_bound():
+    # refused before x and z are read
+    with pytest.raises(ValueError, match=r"n=4611686018427387904, D=3"):
+        PauliOp(2 ** 62, 3, 0, (), ())
+
+
+def test_tableau_cap_is_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(stabilizer, "MAX_TABLEAU_QUDITS", 4)
+    assert Tableau.zero_state(4, 3).table.shape == (8, 9)
+    message = "tableau refuses n=5 qudits of D=3: .* cap of 4 qudits"
+    gens = [PauliOp.single(5, 3, w, z=1) for w in range(5)]
+    for build in (lambda: Tableau.zero_state(5, 3),
+                  lambda: Tableau(5, 3, gens),
+                  lambda: run_circuit([], 5, 3)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("build", [lambda: Tableau.zero_state(1, 4),
+                                   lambda: Tableau(1, 4, [])],
+                         ids=["zero_state", "Tableau"])
+def test_both_tableau_constructors_need_a_prime(build):
+    with pytest.raises(ValueError, match="tableau needs prime dimension"):
+        build()
+
+
+def test_elimination_refuses_a_non_unit_pivot():
+    # pow(a, -1, p) raises where Fermat's a^(p-2) gave a wrong inverse
+    with pytest.raises(ValueError, match="not invertible"):
+        _modp.rref_mod([[2, 1]], 4)
+    assert _modp.rref_mod([[3, 1]], 4)[0].tolist() == [[1, 3]]
+
+
+# ---------------------------------------------------------------------------
 # Single-qudit stabilizer states and their exact phase coordinates
 
 @pytest.mark.parametrize("d", [2, 3, 5])

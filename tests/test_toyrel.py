@@ -183,12 +183,19 @@ def test_rel_json_round_trip():
     ("pairs", 5, "pairs must be a list, got 5"),
     ("pairs", [5], "pair must be a list, got 5"),
     ("pairs", [[1.5, 2]], "pair entry must be an integer, got 1.5"),
+    # field None: value is the whole object
+    (None, {"D": 3}, "relation JSON has no 'm' field"),
+    (None, 5, "relation JSON must be an object, got 5"),
 ])
 def test_rel_json_refuses_bad_fields(field, value, message):
-    # A float or bool is refused, not truncated, with one line naming
+    # A float or bool is refused, not truncated, and a missing field or a
+    # record that is not an object is refused, each with one line naming
     # the field.
     obj = json.loads(Rel.identity(2).to_json())
-    obj[field] = value
+    if field is None:
+        obj = value
+    else:
+        obj[field] = value
     with pytest.raises(ValueError) as err:
         Rel.from_json_dict(obj)
     assert str(err.value) == message
