@@ -46,8 +46,14 @@ from .semantics import fourier_matrix, generator_matrix, omega
 _STEP_WIRES = {"F": 1, "Sq": 1, "CNOT": 2, "CP": 2, "SWAP": 2, "measure": 1}
 GATES = tuple(g for g in _STEP_WIRES if g != "measure")
 
-# The dense oracle refuses a state of more amplitudes than this.
+# The dense oracle refuses a state of more amplitudes than this, a
+# two-qudit gate matrix of more than MAX_DENSE_GATE_ENTRIES entries (16 MiB
+# as complex), and a Born distribution of more than MAX_DENSE_WORK amplitude
+# updates: D outcomes each apply the observable D - 1 times to D^n
+# amplitudes, about D^(n+2) updates (n=1, D=401 takes about 3 s).
 MAX_DENSE_AMPLITUDES = 2 ** 20
+MAX_DENSE_GATE_ENTRIES = 2 ** 20
+MAX_DENSE_WORK = 2 ** 26
 
 # The tableau refuses more qudits than this; its 2n x (2n+1) int64 table
 # takes 512 MiB at the cap.
@@ -453,10 +459,20 @@ class DenseSimulator:
     """Literal state-vector simulation; the oracle for the tableau."""
 
     def __init__(self, n: int, dim: int):
+        def refuse(what: str, cap: int) -> ValueError:
+            return ValueError(f"dense oracle refuses D={dim}, n={n}: {what}, "
+                              f"above its cap of {cap}")
+
+        # in this order, so that each size is computed only below the caps
+        # before it
         if dim ** n > MAX_DENSE_AMPLITUDES:
-            raise ValueError(f"dense oracle refuses D={dim}, n={n}: D^n = "
-                             f"{dim ** n} amplitudes, above its cap of "
-                             f"{MAX_DENSE_AMPLITUDES}")
+            raise refuse(f"D^n = {dim ** n} amplitudes", MAX_DENSE_AMPLITUDES)
+        if n > 1 and dim ** 4 > MAX_DENSE_GATE_ENTRIES:
+            raise refuse(f"D^4 = {dim ** 4} entries in a two-qudit gate "
+                         f"matrix", MAX_DENSE_GATE_ENTRIES)
+        if dim ** (n + 2) > MAX_DENSE_WORK:
+            raise refuse(f"D^(n+2) = {dim ** (n + 2)} updates per Born "
+                         f"distribution", MAX_DENSE_WORK)
         self.n = n
         self.dim = dim
         self.psi = np.zeros(dim ** n, dtype=complex)

@@ -462,15 +462,27 @@ def _swap(D: int) -> Rel:
     return r
 
 
-def _strong_complementarity_rhs(delta_other: Rel, mu: Rel) -> np.ndarray:
-    """(mu x mu) . (1 x swap x 1) . (delta x delta) without materializing
-    the arity-4 intermediate.  float32 operands keep the contraction on
+def _contract(spec: str, *rels: Rel) -> np.ndarray:
+    """The boolean tensor of the relations' tensor views contracted by the
+    einsum `spec`, so that a whiskered composite such as (1 x mu) . (delta x
+    1) never builds its tensored operand.  float32 operands keep einsum on
     BLAS and, as in Rel.compose, the `> 0` test exact."""
-    size = delta_other.D * delta_other.D
-    T = delta_other.tensor_view().astype(np.float32)   # [y, z, u]
-    M = mu.tensor_view().astype(np.float32)            # [u, y, z]
-    out = np.einsum("ija,klb,eik,fjl->efab", T, T, M, M, optimize=True)
-    return (out > 0).reshape(size * size, size * size)
+    views = [r.tensor_view().astype(np.float32) for r in rels]
+    return np.einsum(spec, *views, optimize=True) > 0
+
+
+def _coassociators(delta: Rel) -> tuple:
+    """(delta x 1) . delta and (1 x delta) . delta, over delta's view
+    [y, z, u], as tensors [y, z, w, s]."""
+    return (_contract("yzu,uws->yzws", delta, delta),
+            _contract("zwu,yus->yzws", delta, delta))
+
+
+def _frobenius_sides(delta: Rel, mu: Rel) -> tuple:
+    """(1 x mu) . (delta x 1) and (mu x 1) . (1 x delta), over the views
+    delta[y, z, u] and mu[u, y, z], as tensors [a, b, u, w]."""
+    return (_contract("azu,bzw->abuw", delta, mu),
+            _contract("aup,pbw->abuw", mu, delta))
 
 
 def _check(checks: list, check_id: str, passed: bool, detail: str = ""):
@@ -482,21 +494,18 @@ def _observable_laws(checks: list, D: int, color: str):
     eps = spek_generator(f"eps_{color.lower()}", D)
     ident = Rel.identity(D)
     mu = delta.converse()
-    swap = _swap(D)
     tag = color.lower()
 
-    left = delta.tensor(ident) @ delta
-    right = ident.tensor(delta) @ delta
-    _check(checks, f"coassociativity_{tag}", left == right)
-    _check(checks, f"cocommutativity_{tag}", swap @ delta == delta)
+    _check(checks, f"coassociativity_{tag}",
+           np.array_equal(*_coassociators(delta)))
+    _check(checks, f"cocommutativity_{tag}", _swap(D) @ delta == delta)
     _check(checks, f"counit_left_{tag}", eps.tensor(ident) @ delta == ident)
     _check(checks, f"counit_right_{tag}", ident.tensor(eps) @ delta == ident)
     _check(checks, f"special_{tag}", mu @ delta == Rel.identity(D))
-    frob_mid = delta @ mu
-    frob_l = ident.tensor(mu) @ delta.tensor(ident)
-    frob_r = mu.tensor(ident) @ ident.tensor(delta)
+    frob_mid = (delta @ mu).tensor_view()
     _check(checks, f"frobenius_{tag}",
-           frob_l == frob_mid and frob_r == frob_mid)
+           all(np.array_equal(side, frob_mid)
+               for side in _frobenius_sides(delta, mu)))
 
     # classical points: copied, deleted, and fixed by cap conjugation
     ok = True
@@ -525,10 +534,13 @@ def _observable_laws(checks: list, D: int, color: str):
            f"(Z_{D} x Z_{D}) composition table")
 
 
-# The battery's largest operand, ident x mu, has (D^2)^2 x (D^2)^3 = D^10
-# entries.  Above the D=6 size it refuses: D=7 would need 282,475,249
-# entries (1.1 GB as float32) and about 7e11 multiply-adds per product.
-_LAW_BATTERY_CAP = 6 ** 10
+# The battery's largest operands, such as the snake's bell^dagger x 1,
+# tr x tr, delta . mu and the strong-complementarity square, have
+# (D^2)^4 = D^8 entries; the whiskered composites are contracted from the generators'
+# tensor views and never built.  Above the D=7 size it refuses: D=8 would
+# need 16,777,216 entries per operand and about 1.1e9 multiply-adds per
+# product.
+_LAW_BATTERY_CAP = 7 ** 8
 
 
 def rel_structure_check(D: int) -> dict:
@@ -537,11 +549,11 @@ def rel_structure_check(D: int) -> dict:
     cap properties, grid shape invariants, and a negative control.
 
     Raises ValueError, before building anything, when the largest operand
-    (D^10 entries) exceeds the D=6 size."""
-    if D > 1 and D ** 10 > _LAW_BATTERY_CAP:
+    (D^8 entries) exceeds the D=7 size."""
+    if D > 1 and D ** 8 > _LAW_BATTERY_CAP:
         raise ValueError(
-            f"law battery at D={D} needs a {D ** 10}-entry relation (D^10), "
-            f"above the cap of {_LAW_BATTERY_CAP} entries (D=6)")
+            f"law battery at D={D} needs a {D ** 8}-entry relation (D^8), "
+            f"above the cap of {_LAW_BATTERY_CAP} entries (D=7)")
     checks: list = []
     delta_z = spek_generator("delta_z", D)
     delta_x = spek_generator("delta_x", D)
@@ -561,11 +573,12 @@ def rel_structure_check(D: int) -> dict:
     ok = ok and (eps_z @ eps_x.converse()).scalar_true()
     _check(checks, "coherence", ok)
 
-    # strong complementarity square
-    lhs = delta_x @ delta_z.converse()
-    rhs = _strong_complementarity_rhs(delta_x, delta_z.converse())
+    # strong complementarity square; its right side (mu x mu) . (1 x swap x
+    # 1) . (delta x delta) is contracted without the arity-4 intermediate
+    mu_z = delta_z.converse()
+    rhs = _contract("ija,klb,eik,fjl->efab", delta_x, delta_x, mu_z, mu_z)
     _check(checks, "strong_complementarity",
-           bool(np.array_equal(lhs.matrix, rhs)))
+           np.array_equal((delta_x @ mu_z).tensor_view(), rhs))
 
     # Hopf law with the full negation as antipode
     antipode = negation_permutation(D).to_rel()
@@ -616,7 +629,7 @@ def rel_structure_check(D: int) -> dict:
     row = tuple_label(D, (u, u))
     bad.matrix[row - 1, u - 1] = False
     bad.matrix[row - 1, ontic_label(D, 0, 1) - 1] = True
-    broke = not (bad.tensor(ident) @ bad == ident.tensor(bad) @ bad
+    broke = not (np.array_equal(*_coassociators(bad))
                  and eps_z.tensor(ident) @ bad == ident
                  and ident.tensor(eps_z) @ bad == ident)
     _check(checks, "negative_control", broke,

@@ -731,13 +731,18 @@ def bad_input_files(tmp_path):
     write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
         {"gate": "F", "wires": [0]},
         {"gate": "measure", "wires": [0], "basis": "Z"}]}))
+    # 1021^2 amplitudes pass the dense oracle's cap; its CNOT matrix of
+    # 1021^4 entries does not
+    write("oracle1021", json.dumps({"n": 2, "dim": 1021, "circuit": [
+        {"gate": "CNOT", "wires": [0, 1]},
+        {"gate": "measure", "wires": [0], "basis": "Z"}]}))
     return files
 
 
 BAD_INPUTS = [
     ("spek-check --dim 1", None),
     ("spek-check --dim 0", None),
-    ("spek-check --dim 7", None),
+    ("spek-check --dim 8", None),
     ("phase-space --dim 4", None),
     ("phase-space --n 0", None),
     ("phase-space --cases 0", None),
@@ -786,6 +791,7 @@ BAD_INPUTS = [
     ("stab-run {nbool}", None),
     ("stab-run {dimtext3}", None),
     ("stab-run {oracle40} --oracle", None),
+    ("stab-run {oracle1021} --oracle", None),
     ("stab-run {dimbound}", None),
     ("stab-run {dimhuge}", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),

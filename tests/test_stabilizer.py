@@ -277,6 +277,28 @@ def test_dense_oracle_refuses_above_its_cap():
     assert DenseSimulator(20, 2).psi.shape == (2 ** 20,)
 
 
+@pytest.mark.parametrize("n, d, message", [
+    (2, 1021, r"D=1021, n=2: D\^4 = 1086683238481 entries in a two-qudit "
+              r"gate matrix, above its cap of 1048576$"),
+    (2, 37, r"D=37, n=2: D\^4 = 1874161 entries"),
+    (1, 409, r"D=409, n=1: D\^\(n\+2\) = 68417929 updates per Born "
+             r"distribution, above its cap of 67108864$"),
+    (9, 7, r"D=7, n=9: D\^n = 40353607 amplitudes"),
+], ids=["gate-D1021", "gate-D37", "born-D409", "amplitudes-D7"])
+def test_dense_oracle_refuses_work_above_its_caps(n, d, message):
+    # A state within the amplitude cap can still need a gate matrix or a
+    # Born distribution the oracle cannot finish; both are refused at
+    # construction, in one line.
+    with pytest.raises(ValueError, match=message) as exc:
+        DenseSimulator(n, d)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("n, d", [(2, 31), (1, 401), (7, 7), (12, 3)])
+def test_dense_oracle_builds_up_to_its_caps(n, d):
+    assert DenseSimulator(n, d).psi.shape == (d ** n,)
+
+
 def test_tableau_validates_generators():
     d = 3
     with pytest.raises(ValueError):

@@ -425,17 +425,17 @@ def test_negative_control_is_exercised():
     assert control["detail"]
 
 
-def test_battery_refuses_above_the_d6_size_before_building(monkeypatch):
+def test_battery_refuses_above_the_d7_size_before_building(monkeypatch):
     def unreachable(name, D):
         raise AssertionError("the battery built a generator")
 
     monkeypatch.setattr(toyrel, "spek_generator", unreachable)
     with pytest.raises(ValueError) as exc:
-        rel_structure_check(7)
+        rel_structure_check(8)
     message = str(exc.value)
     assert "\n" not in message
-    assert "D=7" in message
-    assert str(7 ** 10) in message and str(6 ** 10) in message
+    assert "D=8" in message
+    assert str(8 ** 8) in message and str(7 ** 8) in message
 
 
 def test_strong_complementarity_directly_at_d2():
@@ -449,6 +449,75 @@ def test_strong_complementarity_directly_at_d2():
     lhs = dx @ mu_z
     rhs = mu_z.tensor(mu_z).compose(swap_mid).compose(dx.tensor(dx))
     assert lhs == rhs
+
+
+def test_battery_passes_at_d7():
+    report = rel_structure_check(7)
+    assert sorted(c["id"] for c in report["checks"]) == sorted(CHECK_IDS)
+    assert report["passed"]
+
+
+def test_battery_builds_no_relation_above_d8_entries(monkeypatch):
+    # The whiskered composites such as (delta x 1) . delta are contracted
+    # from the generators' views; the D^10 operands they replace are never
+    # built, and the D^8 operands are.
+    sizes = []
+    init = Rel.__init__
+
+    def spy(self, D, m, n, matrix):
+        sizes.append(np.size(matrix))
+        init(self, D, m, n, matrix)
+
+    monkeypatch.setattr(Rel, "__init__", spy)
+    assert rel_structure_check(4)["passed"]
+    assert max(sizes) == 4 ** 8
+
+
+# ---------------------------------------------------------------------------
+# The battery's contractions against the relation algebra they replace
+
+def _corrupted_copy(D):
+    """The negative control's copy map: delta_z with its pair
+    (0, 0) ~ ((0, 0), (0, 0)) moved to the source (0, 1)."""
+    bad = Rel(D, 1, 2, spek_generator("delta_z", D).matrix.copy())
+    u = ontic_label(D, 0, 0)
+    row = tuple_label(D, (u, u))
+    bad.matrix[row - 1, u - 1] = False
+    bad.matrix[row - 1, ontic_label(D, 0, 1) - 1] = True
+    return bad
+
+
+def _check_whiskered_composites(delta):
+    """Each contracted composite equals its kron + compose form; returns
+    whether delta is coassociative."""
+    ident = Rel.identity(delta.D)
+    mu = delta.converse()
+    dense = [delta.tensor(ident) @ delta,
+             ident.tensor(delta) @ delta,
+             ident.tensor(mu) @ delta.tensor(ident),
+             mu.tensor(ident) @ ident.tensor(delta)]
+    got = toyrel._coassociators(delta) + toyrel._frobenius_sides(delta, mu)
+    for contracted, rel in zip(got, dense):
+        assert contracted.dtype == bool
+        assert np.array_equal(contracted, rel.tensor_view())
+    return dense[0] == dense[1]
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_whiskered_contractions_match_the_relation_algebra(D):
+    for name in ("delta_z", "delta_x"):
+        assert _check_whiskered_composites(spek_generator(name, D))
+    assert not _check_whiskered_composites(_corrupted_copy(D))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_whiskered_contractions_on_random_copy_relations(D, density, seed):
+    size = D * D
+    rng = np.random.default_rng(seed)
+    _check_whiskered_composites(
+        Rel(D, 1, 2, rng.random((size * size, size)) < density))
 
 
 # ---------------------------------------------------------------------------
