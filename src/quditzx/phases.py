@@ -1,7 +1,8 @@
 """Exact and approximate phase arithmetic for spider decorations.
 
 A phase is a point on the circle, stored either as an exact fraction of a
-full turn or as a float in radians. A spider in dimension D carries a
+full turn, held as a reduced pair of ints (a Fraction is built only when
+asked for), or as a float in radians. A spider in dimension D carries a
 vector of D-1 phases (alpha_1 .. alpha_{D-1}); alpha_0 is fixed to zero
 and is never stored.
 
@@ -68,24 +69,27 @@ def is_json_number(x) -> bool:
 
 
 class Turn:
-    """An angle: exact fraction of a turn in [0,1) or float radians in [0,2*pi)."""
+    """An angle: an exact fraction num/den of a turn in [0,1), held as a
+    reduced pair of ints with den > 0, or float radians in [0,2*pi)."""
 
-    __slots__ = ("_frac", "_rad")
+    __slots__ = ("_num", "_den", "_rad")
 
-    def __init__(self, frac: Fraction | None, rad: float | None):
-        if (frac is None) == (rad is None):
-            raise ValueError("Turn needs exactly one of fraction / radians")
-        self._frac = frac
-        self._rad = rad
+    def __init__(self, num: int | None, den: int | None, rad: float | None):
+        """Unchecked; build a Turn with the classmethods."""
+        self._num, self._den, self._rad = num, den, rad
 
     @classmethod
     def exact(cls, numerator: int, denominator: int = 1) -> "Turn":
-        f = Fraction(numerator, denominator) % 1
-        return cls(f, None)
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        numerator %= denominator
+        g = math.gcd(numerator, denominator)
+        return cls(numerator // g, denominator // g, None)
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "Turn":
-        return cls(Fraction(f) % 1, None)
+        f = Fraction(f)
+        return cls.exact(f.numerator, f.denominator)
 
     @classmethod
     def approx(cls, radians: float) -> "Turn":
@@ -94,40 +98,41 @@ class Turn:
             r += TAU
         if r < _WRAP_EPS or TAU - r < _WRAP_EPS:
             r = 0.0
-        return cls(None, r)
+        return cls(None, None, r)
 
     @classmethod
     def zero(cls) -> "Turn":
-        return cls(Fraction(0), None)
+        return cls(0, 1, None)
 
     @property
     def is_exact(self) -> bool:
-        return self._frac is not None
+        return self._den is not None
 
     @property
     def fraction(self) -> Fraction:
         """Exact value in turns; raises on approximate phases."""
-        if self._frac is None:
+        if self._den is None:
             raise ValueError("approximate phase has no exact fraction")
-        return self._frac
+        return Fraction(self._num, self._den)
 
     @property
     def radians(self) -> float:
-        if self._frac is not None:
-            return float(self._frac) * TAU
+        if self._den is not None:
+            return self._num / self._den * TAU
         return self._rad
 
     @property
     def is_zero(self) -> bool:
-        if self._frac is not None:
-            return self._frac == 0
+        if self._den is not None:
+            return self._num == 0
         return self._rad == 0.0
 
     def __add__(self, other: "Turn") -> "Turn":
         if not isinstance(other, Turn):
             return NotImplemented
-        if self._frac is not None and other._frac is not None:
-            return Turn.from_fraction(self._frac + other._frac)
+        if self._den is not None and other._den is not None:
+            return Turn.exact(self._num * other._den + other._num * self._den,
+                              self._den * other._den)
         return Turn.approx(self.radians + other.radians)
 
     def __sub__(self, other: "Turn") -> "Turn":
@@ -136,39 +141,33 @@ class Turn:
         return self + (-other)
 
     def __neg__(self) -> "Turn":
-        if self._frac is not None:
-            return Turn.from_fraction(-self._frac)
+        if self._den is not None:
+            return Turn((-self._num) % self._den, self._den, None)
         return Turn.approx(-self._rad)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Turn):
             return NotImplemented
-        if self.is_exact != other.is_exact:
-            return False
-        if self.is_exact:
-            return self._frac == other._frac
-        return self._rad == other._rad
+        if self._den is None or other._den is None:
+            return self._rad == other._rad
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        if self._frac is not None:
-            return hash(("turn-exact", self._frac))
-        return hash(("turn-approx", self._rad))
+        return hash((self._num, self._den, self._rad))
 
     def __repr__(self) -> str:
-        if self._frac is not None:
-            return f"Turn.exact({self._frac.numerator}, {self._frac.denominator})"
+        if self._den is not None:
+            return f"Turn.exact({self._num}, {self._den})"
         return f"Turn.approx({self._rad!r})"
 
     def __str__(self) -> str:
-        if self._frac is not None:
-            if self._frac == 0:
-                return "0"
-            return f"{self._frac.numerator}/{self._frac.denominator}"
+        if self._den is not None:
+            return f"{self._num}/{self._den}" if self._num else "0"
         return f"{self._rad:.6g}rad"
 
     def to_json(self) -> dict:
-        if self._frac is not None:
-            return {"exact": [self._frac.numerator, self._frac.denominator]}
+        if self._den is not None:
+            return {"exact": [self._num, self._den]}
         return {"approx": self._rad}
 
     @classmethod

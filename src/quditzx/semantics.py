@@ -18,7 +18,14 @@ weight over every joint edge assignment, one factor per node; it is the
 semantic definition, transcribed. "fast" contracts the tensor network
 pairwise, greedily: a heap yields the pair with the smallest merged
 tensor, ties going to the oldest pair. They share nothing beyond the
-node tensor helper, and tests hold them to each other at 1e-10.
+node tensor helper, and tests hold them to each other at 1e-10. What
+"fast" has left once no pair shares a leg, the disconnected parts of
+the output, is folded into the output smallest part first, by one
+broadcasting multiply per part with its axes at their boundary
+positions: no outer product of the parts, and no transposed copy of
+one, is built. equal_up_to_scalar and compare_scalar_exact read their
+matrices in fixed blocks of _COMPARE_BLOCK entries, so a comparison
+builds no temporary of the matrices' size.
 
 "fast" builds each spider's tensor without its self-loops: a loop's
 factor is one for both colours (the loop_remove rule), so a spider whose
@@ -52,6 +59,7 @@ _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
 _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
 _CACHE_TENSORS = 1024          # node tensors cached; once full, no more
+_COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
 _node_tensor_cache: dict = {}
 
 
@@ -86,14 +94,6 @@ class DenseOperator:
     def dagger(self) -> "DenseOperator":
         return DenseOperator(self.dim, self.n_out, self.n_in,
                              self.matrix.conj().T)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "nIn": self.n_in,
-            "nOut": self.n_out,
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
 
 
 def omega(dim: int, power: int = 1) -> complex:
@@ -418,18 +418,40 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
                                           [lb.index(x) for x in shared]))
         add(merged, [x for x in la + lb if x not in shared])
 
-    # Outer product of the disconnected remainder, then order the axes and
-    # scale in one copy, which never shares memory with a cached tensor.
-    full, labels = np.array(1.0, dtype=complex), []
-    for k, (arr, labs) in enumerate(tensors.values()):
-        full = arr if k == 0 else np.tensordot(full, arr, axes=0)
-        labels += labs
-    if sorted(labels) != sorted(want):
-        raise AssertionError(f"contraction lost track of legs: {labels}")
-    perm = [labels.index(x) for x in want]
-    matrix = np.multiply(np.transpose(full, perm), scalar, order="C")
+    matrix = _assemble(list(tensors.values()), want, scalar)
     return DenseOperator(dim, len(in_ids), len(out_ids), matrix.reshape(
         dim ** len(out_ids), dim ** len(in_ids)))
+
+
+def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:
+    """The output tensor, axes in `want` order, of the disconnected
+    remainder `parts`, (array, labels) pairs whose labels make up `want`,
+    times the scalar.
+
+    Smallest part first, each part's axes go to their positions in `want`,
+    with size-1 axes for the others, and one broadcasting multiply per
+    further part writes the output: no outer product and no transposed
+    copy of it is built. The scalar multiplies last, in place when the
+    fold made the array; a lone part is a view of a tensor that may be
+    cached, so it is scaled into a new array.
+    """
+    parts = sorted(parts, key=lambda part: part[0].size)
+    labels = [lab for _, labs in parts for lab in labs]
+    if sorted(labels) != sorted(want):
+        raise AssertionError(f"contraction lost track of legs: {labels}")
+    position = {lab: i for i, lab in enumerate(want)}
+    matrix = np.array(1.0, dtype=complex)
+    for k, (arr, labs) in enumerate(parts):
+        perm = sorted(range(len(labs)), key=lambda a: position[labs[a]])
+        shape = [1] * len(want)
+        for a in perm:
+            shape[position[labs[a]]] = arr.shape[a]
+        part = np.transpose(arr, perm).reshape(shape)
+        matrix = part if k == 0 else np.multiply(part, matrix, order="C")
+    if len(parts) > 1:
+        matrix *= scalar
+        return matrix
+    return np.multiply(matrix, scalar, order="C")
 
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
@@ -441,13 +463,50 @@ def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
     raise ValueError(f"method must be fast or reference, got {method!r}")
 
 
+def _blocks(*arrays):
+    """Aligned slices of _COMPARE_BLOCK entries of equal-size arrays, read
+    flat, so that a comparison's temporaries stay one block large."""
+    flat = [x.reshape(-1) for x in arrays]
+    for i in range(0, flat[0].size, _COMPARE_BLOCK):
+        yield [x[i:i + _COMPARE_BLOCK] for x in flat]
+
+
+def _pivot(b: np.ndarray) -> int:
+    """Flat index of b's first entry of largest modulus, or of its first
+    NaN modulus, as np.argmax(np.abs(b)) picks it."""
+    best, top = 0, -1.0
+    for i, (blk,) in enumerate(_blocks(b)):
+        mags = np.abs(blk)
+        k = int(np.argmax(mags))
+        if np.isnan(mags[k]):
+            return i * _COMPARE_BLOCK + k
+        if mags[k] > top:
+            best, top = i * _COMPARE_BLOCK + k, mags[k]
+    return best
+
+
+def _blockwise_max(f, *arrays):
+    """np.max(f(*arrays)) taken block by block, and 0.0 for empty arrays;
+    np.maximum lets a NaN propagate."""
+    m = 0.0
+    for blks in _blocks(*arrays):
+        m = np.maximum(m, np.max(f(*blks)))
+    return m
+
+
+def _max_deviation(a: np.ndarray, b: np.ndarray, s: complex):
+    """max|a - s*b| over all entries."""
+    return _blockwise_max(lambda x, y: np.abs(x - s * y), a, b)
+
+
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
                        tol: float = 1e-9) -> complex | None:
     """The s with a == s*b entrywise within tol, or None.
 
     Two all-zero matrices compare equal with s = 1. The pivot is b's
     largest entry, so a zero a against a nonzero b returns None via the
-    entrywise check, not a division blowup.
+    entrywise check, not a division blowup. Both matrices are read in
+    blocks, so no temporary of their size is built.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -455,14 +514,15 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
         return None
     if a.size == 0:
         return 1.0 + 0.0j
-    pivot = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    a, b = a.reshape(-1), b.reshape(-1)
+    pivot = _pivot(b)
     if abs(b[pivot]) < tol:
-        return (1.0 + 0.0j) if np.max(np.abs(a)) < tol else None
+        return (1.0 + 0.0j) if _blockwise_max(np.abs, a) < tol else None
     s = a[pivot] / b[pivot]
     if abs(s) <= tol:
         # a vanishes while b does not: refuse the zero scalar.
         return None
-    if np.max(np.abs(a - s * b)) <= tol * max(1.0, np.max(np.abs(a))):
+    if _max_deviation(a, b, s) <= tol * max(1.0, _blockwise_max(np.abs, a)):
         return complex(s)
     return None
 
@@ -481,7 +541,7 @@ def compare_scalar_exact(a: np.ndarray, b: np.ndarray,
     s = equal_up_to_scalar(a, b, tol)
     if s is None:
         return None, math.inf, False
-    deviation = float(np.max(np.abs(a - s * b), initial=0.0))
+    deviation = float(_max_deviation(a, b, s))
     return s, deviation, deviation <= tol and abs(s - 1.0) <= tol
 
 

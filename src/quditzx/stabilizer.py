@@ -459,20 +459,24 @@ class DenseSimulator:
     """Literal state-vector simulation; the oracle for the tableau."""
 
     def __init__(self, n: int, dim: int):
-        def refuse(what: str, cap: int) -> ValueError:
-            return ValueError(f"dense oracle refuses D={dim}, n={n}: {what}, "
-                              f"above its cap of {cap}")
+        def check(power: int, what: str, cap: int) -> None:
+            # Sizes are compared as exponents first: D >= 2 with a power
+            # past the cap's bit length is above the cap, and D^power is
+            # only built for smaller powers. A size of 15 or more digits
+            # is named as D^power, not written out.
+            if dim > 1 and power > cap.bit_length() or dim ** power > cap:
+                size = (dim ** power if power * math.log10(dim) < 15
+                        else f"{dim}^{power}")
+                raise ValueError(f"dense oracle refuses D={dim}, n={n}: "
+                                 f"{what.format(size)}, above its cap of "
+                                 f"{cap}")
 
-        # in this order, so that each size is computed only below the caps
-        # before it
-        if dim ** n > MAX_DENSE_AMPLITUDES:
-            raise refuse(f"D^n = {dim ** n} amplitudes", MAX_DENSE_AMPLITUDES)
-        if n > 1 and dim ** 4 > MAX_DENSE_GATE_ENTRIES:
-            raise refuse(f"D^4 = {dim ** 4} entries in a two-qudit gate "
-                         f"matrix", MAX_DENSE_GATE_ENTRIES)
-        if dim ** (n + 2) > MAX_DENSE_WORK:
-            raise refuse(f"D^(n+2) = {dim ** (n + 2)} updates per Born "
-                         f"distribution", MAX_DENSE_WORK)
+        check(n, "D^n = {} amplitudes", MAX_DENSE_AMPLITUDES)
+        if n > 1:
+            check(4, "D^4 = {} entries in a two-qudit gate matrix",
+                  MAX_DENSE_GATE_ENTRIES)
+        check(n + 2, "D^(n+2) = {} updates per Born distribution",
+              MAX_DENSE_WORK)
         self.n = n
         self.dim = dim
         self.psi = np.zeros(dim ** n, dtype=complex)
@@ -554,6 +558,7 @@ def run_circuit(circuit, n: int, dim: int, seed: int = 0,
     if n < 1 or not _modp.is_prime(dim):
         raise ValueError(f"a circuit needs n >= 1 qudits of prime dimension, "
                          f"got n={n}, dim={dim}")
+    _check_system(n, dim)       # the tableau's qudit cap, before the oracle
     dense = DenseSimulator(n, dim) if oracle else None
     rng = random.Random(seed)
     tab = Tableau.zero_state(n, dim)

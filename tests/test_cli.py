@@ -118,7 +118,6 @@ def test_eval_builds_only_what_its_mode_prints(cnot_file, monkeypatch,
         raise AssertionError("built output that this mode does not print")
 
     monkeypatch.setattr(cli, "_jsonable", refuse)
-    monkeypatch.setattr(sem.DenseOperator, "to_json_dict", refuse)
     assert run(["eval", cnot_file, "--method", "both"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("dimension 3, 2 inputs -> 2 outputs\n[[")
@@ -731,6 +730,11 @@ def bad_input_files(tmp_path):
     write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
         {"gate": "F", "wires": [0]},
         {"gate": "measure", "wires": [0], "basis": "Z"}]}))
+    # past the tableau's 4096-qudit cap, and past the dense oracle's cap
+    # by a D^n of 1432 digits
+    for n in (10000, 3000):
+        write(f"oracle{n}", json.dumps({"n": n, "dim": 3, "circuit": [
+            {"gate": "measure", "wires": [0], "basis": "Z"}]}))
     # 1021^2 amplitudes pass the dense oracle's cap; its CNOT matrix of
     # 1021^4 entries does not
     write("oracle1021", json.dumps({"n": 2, "dim": 1021, "circuit": [
@@ -792,6 +796,8 @@ BAD_INPUTS = [
     ("stab-run {dimtext3}", None),
     ("stab-run {oracle40} --oracle", None),
     ("stab-run {oracle1021} --oracle", None),
+    ("stab-run {oracle10000} --oracle", None),
+    ("stab-run {oracle3000} --oracle", None),
     ("stab-run {dimbound}", None),
     ("stab-run {dimhuge}", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),

@@ -119,6 +119,32 @@ def test_exact_addition_matches_fraction_arithmetic(n1, d1, n2, d2):
     assert got.fraction == (Fraction(n1, d1) + Fraction(n2, d2)) % 1
 
 
+_DENOMINATORS = st.integers(-60, 60).filter(bool)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), _DENOMINATORS,
+       st.integers(-10 ** 6, 10 ** 6), _DENOMINATORS)
+def test_exact_turns_match_fraction_arithmetic(n1, d1, n2, d2):
+    # Negative and unreduced denominators included; Fraction is the oracle.
+    f1, f2 = Fraction(n1, d1) % 1, Fraction(n2, d2) % 1
+    t1, t2 = Turn.exact(n1, d1), Turn.exact(n2, d2)
+    assert (t1.fraction, t2.fraction) == (f1, f2)
+    assert (t1 + t2).fraction == (f1 + f2) % 1
+    assert (t1 - t2).fraction == (f1 - f2) % 1
+    assert (-t1).fraction == -f1 % 1
+    assert (t1 == t2) == (f1 == f2)
+    assert t1 == Turn.exact(3 * n1, 3 * d1) == Turn.from_fraction(f1)
+    assert hash(t1) == hash(Turn.exact(3 * n1, 3 * d1))
+    assert (t1 + t2 - t2 == t1) and hash(t1 + t2 - t2) == hash(t1)
+    assert str(t1) == ("0" if f1 == 0 else f"{f1.numerator}/{f1.denominator}")
+    assert repr(t1) == f"Turn.exact({f1.numerator}, {f1.denominator})"
+    assert t1.to_json() == {"exact": [f1.numerator, f1.denominator]}
+    assert Turn.from_json({"exact": [n1, d1]}) == t1
+    assert Turn.from_json(t1.to_json()) == t1
+    assert t1.radians == float(f1) * TAU
+    assert t1.is_zero == (f1 == 0) and t1 != Turn.approx(t1.radians)
+
+
 @given(st.floats(-50.0, 50.0, allow_nan=False))
 def test_approx_radians_stay_in_range(r):
     rad = Turn.approx(r).radians

@@ -380,10 +380,31 @@ def test_random_diagrams_cover_every_shape():
                for d in diagrams for v, n in d.nodes.items())
 
 
+def _open_parts(d: dg.Diagram) -> int:
+    """How many connected pieces carry d's open legs once its boundary
+    nodes are removed; a bare wire is a piece of its own."""
+    boundary = set(d.boundary_ids(dg.IN)) | set(d.boundary_ids(dg.OUT))
+    root = {v: v for v in d.nodes}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for s, t in d.edges:
+        if s not in boundary and t not in boundary:
+            root[find(s)] = find(t)
+    return len({("wire", s) if {s, t} <= boundary else
+                find(t if s in boundary else s)
+                for s, t in d.edges if boundary & {s, t}})
+
+
 def test_fast_contraction_order_is_pinned(monkeypatch):
-    # Every tensordot call the fast path makes, over 200 seeded diagrams.
-    # The digest was recorded with the all-pairs planner this heap planner
-    # replaced; it pins the contraction sequence and each call's axes.
+    # Every tensordot call the fast path makes, over 200 seeded diagrams:
+    # contractions only, as an output's disconnected parts are folded in
+    # without tensordot. The digest was recorded with the all-pairs planner
+    # this heap planner replaced; it pins the contraction sequence and each
+    # call's axes.
     record = []
     real = np.tensordot
 
@@ -393,12 +414,13 @@ def test_fast_contraction_order_is_pinned(monkeypatch):
         return real(a, b, axes=axes)
 
     monkeypatch.setattr(np, "tensordot", spy)
-    for d in _seeded_diagrams():
+    diagrams = _seeded_diagrams()
+    for d in diagrams:
         evaluate(d)
-    assert any(axes == 0 for _, _, axes in record)  # a disconnected remainder
+    assert any(_open_parts(d) > 1 for d in diagrams)
     digest = hashlib.sha256(repr(record).encode()).hexdigest()
     assert (len(record), digest) == (
-        473, "861c2daffade127bcc366dc97e637de131e956ec01b19bb570b20c1672da8107")
+        399, "fdca6c3cb4f0556f737126236a09f1ca39d4b7816a973d1f3ac9369d52cbb513")
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,6 +430,76 @@ def test_fast_matches_reference_on_random_diagrams(dim, seed):
     fast, ref = evaluate(d, "fast"), evaluate(d, "reference")
     assert (fast.n_in, fast.n_out) == (ref.n_in, ref.n_out)
     assert _dev(fast.matrix, ref.matrix) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+def test_parallel_compositions_match_their_pieces(dim, count, seed):
+    # The pieces' reference matrices, tensored, are the oracle for an
+    # output the fast path assembles from several disconnected parts.
+    rng = random.Random(seed)
+    pieces = []
+    while len(pieces) < count:
+        piece = _random_diagram(rng, dim)
+        legs = sum(len(p.boundary_ids(dg.IN)) + len(p.boundary_ids(dg.OUT))
+                   for p in pieces + [piece])
+        if dim ** legs <= 2 ** 14:
+            pieces.append(piece)
+    d = pieces[0]
+    for piece in pieces[1:]:
+        d = compose(d, piece, "parallel")
+    want = evaluate(pieces[0], "reference").matrix
+    for piece in pieces[1:]:
+        want = np.kron(want, evaluate(piece, "reference").matrix)
+    got = evaluate(d).matrix
+    assert got.shape == want.shape
+    assert _dev(got, want) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not any(np.shares_memory(got, t)
+                   for t in sem._node_tensor_cache.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_one_part_output_is_its_scaled_transposed_copy(dim, rank, seed):
+    # Bit for bit, signed zeros and non-finite entries included.
+    rng = np.random.default_rng(seed)
+    arr = (rng.standard_normal((dim,) * rank)
+           + 1j * rng.standard_normal((dim,) * rank))
+    specials = [-0.0, complex(0.0, -0.0), complex(-0.0, 5.0), math.inf,
+                complex(-math.inf, 1.0), math.nan]
+    flat = arr.reshape(-1)
+    for v in specials[:rng.integers(len(specials) + 1)]:
+        flat[rng.integers(flat.size)] = v
+    want = [("out", p) for p in range(rank)]
+    labels = [want[i] for i in rng.permutation(rank)]
+    perm = [labels.index(x) for x in want]
+    scalar = complex(*rng.standard_normal(2))
+    with np.errstate(invalid="ignore"):
+        got = sem._assemble([(arr, labels)], want, scalar)
+        expect = np.multiply(np.transpose(arr, perm), scalar, order="C")
+    assert got.tobytes() == expect.tobytes()
+    assert got.flags.c_contiguous and not np.shares_memory(got, arr)
+    closed = sem._assemble([], [], scalar)
+    assert closed.tobytes() == np.multiply(np.array(1.0, dtype=complex),
+                                           scalar).tobytes()
+
+
+def test_disconnected_output_is_built_in_one_array():
+    # Two parts of 3^6 entries each: the output's 3^12 entries are the
+    # only large allocation, with no outer product and no transposed copy.
+    part = dg.spider_diagram(3, dg.X, 3, 3, cyclic_vector(3, 1))
+    d = compose(part, part, "parallel")
+    evaluate(d)
+    tracemalloc.start()
+    try:
+        got = evaluate(d).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * got.nbytes
+    assert _dev(got, np.kron(evaluate(part).matrix, evaluate(part).matrix)) \
+        < 1e-12
 
 
 def _complete_graph(dim: int, n: int) -> dg.Diagram:
@@ -618,6 +710,90 @@ def test_equal_up_to_scalar_on_random_proportional_pairs(d, seed):
     assert s is not None and abs(s - z) < 1e-9 * max(1.0, abs(z))
 
 
+def _equal_one_shot(a, b, tol):
+    """equal_up_to_scalar as one formula over whole arrays: the oracle
+    for its blockwise reading."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return None
+    if a.size == 0:
+        return 1.0 + 0.0j
+    pivot = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[pivot]) < tol:
+        return (1.0 + 0.0j) if np.max(np.abs(a)) < tol else None
+    s = a[pivot] / b[pivot]
+    if abs(s) <= tol:
+        return None
+    if np.max(np.abs(a - s * b)) <= tol * max(1.0, np.max(np.abs(a))):
+        return complex(s)
+    return None
+
+
+def _compare_one_shot(a, b, tol):
+    s = _equal_one_shot(a, b, tol)
+    if s is None:
+        return None, math.inf, False
+    deviation = float(np.max(np.abs(a - s * b), initial=0.0))
+    return s, deviation, deviation <= tol and abs(s - 1.0) <= tol
+
+
+def _comparison_cases():
+    """(a, b) pairs on either side of each block boundary: proportional,
+    nearly so, all-zero, NaN or inf in the first, a middle and the last
+    block of either matrix, and b's largest modulus tied across blocks."""
+    block = sem._COMPARE_BLOCK
+    rng = np.random.default_rng(21)
+    for n in (1, block - 1, block, block + 1, 3 * block + 5):
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = complex(*rng.standard_normal(2))
+        zero = np.zeros(n, dtype=complex)
+        yield from [(z * b, b), (z * b + 1e-6 * rng.standard_normal(n), b),
+                    (zero, zero), (zero, b), (b, zero), (b, b)]
+        for at in sorted({0, n // 2, n - 1}):
+            for bad in (math.nan, math.inf, complex(math.inf, -math.inf)):
+                for base in ((z * b, b), (zero, zero)):
+                    for which in (0, 1):
+                        pair = [x.copy() for x in base]
+                        pair[which][at] = bad
+                        yield tuple(pair)
+        if n > block:
+            tied = b / (2 * np.max(np.abs(b)))
+            tied[[1, n // 2, n - 1]] = [3, 3j, -3]    # |3| each, exactly
+            yield z * tied, tied
+            a = z * tied
+            a[[1, n - 1]] *= [1 + 1e-11, 1 - 1e-11]   # s depends on the pivot
+            yield a, tied
+
+
+def test_blockwise_comparisons_match_the_whole_array_formula():
+    cases = list(_comparison_cases())
+    assert len(cases) >= 63
+    for i, (a, b) in enumerate(cases):
+        if a.size % 2 == 0:
+            a, b = a.reshape(2, -1), b.reshape(2, -1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = (equal_up_to_scalar(a, b), compare_scalar_exact(a, b))
+            want = (_equal_one_shot(a, b, 1e-9),
+                    _compare_one_shot(a, b, 1e-9))
+        assert repr(got) == repr(want), (i, a.shape)
+
+
+def test_equal_up_to_scalar_builds_no_matrix_sized_temporary():
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(3 ** 12) + 1j * rng.standard_normal(3 ** 12)
+    a = (0.5 - 2j) * b
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = equal_up_to_scalar(a, b)
+        extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert abs(s - (0.5 - 2j)) < 1e-12
+    assert extra < 4 * 2 ** 20 < a.nbytes
+
+
 # ---------------------------------------------------------------------------
 # DenseOperator plumbing
 
@@ -630,13 +806,6 @@ def test_dense_operator_validates_shape():
     assert op.dagger().matrix.shape == (2, 4)
     with pytest.raises(ValueError):
         op @ op
-
-
-def test_dense_operator_json_shape():
-    op = DenseOperator(2, 0, 1, np.array([[1.0], [1.0j]]))
-    obj = op.to_json_dict()
-    assert obj["dim"] == 2 and obj["nIn"] == 0 and obj["nOut"] == 1
-    assert obj["matrix"] == [[[1.0, 0.0]], [[0.0, 1.0]]]
 
 
 # ---------------------------------------------------------------------------

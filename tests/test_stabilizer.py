@@ -284,7 +284,10 @@ def test_dense_oracle_refuses_above_its_cap():
     (1, 409, r"D=409, n=1: D\^\(n\+2\) = 68417929 updates per Born "
              r"distribution, above its cap of 67108864$"),
     (9, 7, r"D=7, n=9: D\^n = 40353607 amplitudes"),
-], ids=["gate-D1021", "gate-D37", "born-D409", "amplitudes-D7"])
+    (3000, 3, r"D=3, n=3000: D\^n = 3\^3000 amplitudes, above its cap of "
+              r"1048576$"),
+], ids=["gate-D1021", "gate-D37", "born-D409", "amplitudes-D7",
+        "amplitudes-n3000"])
 def test_dense_oracle_refuses_work_above_its_caps(n, d, message):
     # A state within the amplitude cap can still need a gate matrix or a
     # Born distribution the oracle cannot finish; both are refused at
