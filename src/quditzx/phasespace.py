@@ -22,6 +22,7 @@ mixed-radix for up to three systems).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -486,16 +487,36 @@ def all_maximal_states(d: int) -> list:
     return states
 
 
+# Point evaluations of phase_space_report: each case tabulates two linear
+# functionals over all d^(2n) points, in Python, about 25 us a point, so
+# the cap keeps a run within about two seconds.
+_PHASE_SPACE_CAP = 2 ** 16
+
+
 def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
                        ) -> dict:
     """Seeded property battery: exact normalization of epistemic
     distributions, rejection of a non-isotropic known set, symplectic
     bracket preservation, and the finite-difference bracket of linear
     functionals against F^T J G.  Returns {"checks": [...], "passed": ...}
-    with one {"id", "passed", "detail"} entry per property."""
-    if not is_prime(d) or n < 1 or cases < 1:
-        raise ValueError("the phase-space battery needs prime d, n >= 1 and "
-                         f"cases >= 1; got d={d}, n={n}, cases={cases}")
+    with one {"id", "passed", "detail"} entry per property.
+
+    Raises ValueError, before drawing anything, when cases*d^(2n) is above
+    _PHASE_SPACE_CAP; the sizes are compared as exponents first, so no
+    power of d is computed that the cap would refuse."""
+    bad = ValueError("the phase-space battery needs prime d, n >= 1 and "
+                     f"cases >= 1; got d={d}, n={n}, cases={cases}")
+    if d < 2 or n < 1 or cases < 1:
+        raise bad
+    if (math.log2(cases) + 2 * n * math.log2(d)
+            > math.log2(_PHASE_SPACE_CAP) + 1
+            or cases * d ** (2 * n) > _PHASE_SPACE_CAP):
+        raise ValueError(
+            f"the phase-space battery at d={d}, n={n}, cases={cases} needs "
+            f"cases*d^(2n) = {cases}*{d}^{2 * n} point evaluations, above "
+            f"its cap of {_PHASE_SPACE_CAP}")
+    if not is_prime(d):
+        raise bad
     rng = random.Random(seed)
 
     def draw() -> tuple:

@@ -45,6 +45,7 @@ names its node.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagram as dg
+from .laws import LAWS, Law, Model, check
 from .phases import PhaseVector
 
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
@@ -557,152 +559,100 @@ class CheckReport:
     note: str = ""
 
 
-def _g(name, dim):
-    return generator_matrix(name, dim)
+# The Frobenius laws in the order a frobenius row compares them, each with
+# its name in the row's note, which names the first law of largest
+# deviation.
+_FROBENIUS = (("coassociativity", "coassoc"), ("cocommutativity", "cocommute"),
+              ("counit_left", "counit_l"), ("counit_right", "counit_r"),
+              ("frobenius", "frobenius"), ("special", "special"))
+
+# The laws that the battery checks: the shared ones, and those that hold
+# in Hilbert space only: the dualizer s[k, a] = (cap_Z x 1)(1 x cup_X) is
+# the antipode S, and S^dagger s = 1; both circles cup^dagger cup equal
+# D; and Fourier conjugation turns delta_Z into delta_X.
+_DUALIZER = ("delta_z*", "eps_z", "delta_x", "eps_x*")
+_LAWS = {
+    **LAWS,
+    "dualizer": Law(0, (("amu,u,mkv,v->ka", _DUALIZER),
+                        ("ka->ka", ("antipode",)))),
+    "dualizer_unitary": Law(0, (("jk,amu,u,mjv,v->ka",
+                                 ("antipode*",) + _DUALIZER),
+                                ("ka->ka", ("id",)))),
+    **{f"circle_{c}": Law(1, (("abu,u,abv,v->", (f"delta_{c}*", f"eps_{c}",
+                                                 f"delta_{c}", f"eps_{c}*")),
+                              ("->", ())))
+       for c in "zx"},
+    "fourier_delta": Law(-0.5, (("ai,bj,iju,vu->abv",
+                                 ("fourier", "fourier", "delta_z",
+                                  "fourier*")),
+                                ("abv->abv", ("delta_x",)))),
+}
+
+# Check id -> (the laws it checks, its note).
+_LAW_ROWS = {
+    **{f"frobenius_{c}": ([f"{law}_{c}" for law, _ in _FROBENIUS], "")
+       for c in "zx"},
+    "classical_copy": ([f"classical_{k}_{c}" for c in "zx"
+                        for k in ("copy", "delete", "conjugate")], ""),
+    "unbiased_points": (["unbiased_points_z", "unbiased_points_x"], ""),
+    "bialgebra_units": (["coherence_z", "coherence_x", "counit_scalar"],
+                        "up to scalar"),
+    "hopf": (["hopf"], ""),
+    "strong_complementarity": (["strong_complementarity"],
+                               "exact, scalar one"),
+    "dualizer": (["dualizer", "dualizer_unitary"],
+                 "negation matrix, unitary"),
+    "dim_independence": (["circle_z", "circle_x"], ""),
+    "fourier_delta": (["fourier_delta"], "equal up to sqrt(D)"),
+}
+
+
+def _law_model(d: int) -> Model:
+    """Hilbert space as a model of `laws.LAWS`: the generators' complex
+    views, the classical points |t> and sqrt(D)|+_k>, and twelve seeded
+    random unbiased points per colour, |{alpha}_Z> and its Fourier
+    transform, each unnormalised."""
+    ops = {name: generator_matrix(name, d) for name in
+           ("delta_z", "delta_x", "eps_z", "eps_x", "id", "fourier")}
+    views = {name: op.matrix.reshape((d,) * (op.n_out + op.n_in))
+             for name, op in ops.items()}
+    views["antipode"] = np.eye(d)[-np.arange(d) % d]     # |j> -> |-j>
+    fmat = fourier_matrix(d)
+    rng = np.random.default_rng(11)
+    flat = np.array([_phase_exponentials(rng.uniform(0, 2 * np.pi, d - 1), d)
+                     for _ in range(12)])
+    points = {"classical_z": np.eye(d), "classical_x": math.sqrt(d) * fmat.T,
+              "unbiased_z": flat, "unbiased_x": flat @ fmat.T}
+    return Model(views, points,
+                 contract=lambda spec, views: np.einsum(spec, *views,
+                                                        optimize=True),
+                 compare=functools.partial(_law_deviation, d))
+
+
+def _law_deviation(d: int, scale, results: list) -> float:
+    """max|first - D**scale * other| over the other results, or
+    compare_scalar_exact's deviation when the scale is None."""
+    first, rest = results[0], results[1:]
+    if scale is None:
+        return max(compare_scalar_exact(first, r)[1] for r in rest)
+    return max(_dev(first, d ** scale * r) for r in rest)
 
 
 def _dev(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def _frobenius_family(dim: int, col: str) -> list:
-    d = dim
-    eye = np.eye(d, dtype=complex)
-    delta = _g("delta_z" if col == dg.Z else "delta_x", d).matrix
-    eps = _g("eps_z" if col == dg.Z else "eps_x", d).matrix
-    mu = delta.conj().T
-    swap = _g("swap", d).matrix
-    checks = []
-    coassoc = _dev(np.kron(delta, eye) @ delta, np.kron(eye, delta) @ delta)
-    checks.append(("coassoc", coassoc))
-    checks.append(("cocommute", _dev(swap @ delta, delta)))
-    checks.append(("counit_l", _dev(np.kron(eps, eye) @ delta, eye)))
-    checks.append(("counit_r", _dev(np.kron(eye, eps) @ delta, eye)))
-    frob_l = np.kron(mu, eye) @ np.kron(eye, delta)
-    frob_r = delta @ mu
-    checks.append(("frobenius", _dev(frob_l, frob_r)))
-    special = mu @ delta
-    target = eye if col == dg.Z else d * eye
-    checks.append(("special", _dev(special, target)))
-    return checks
-
-
 def structure_check(check_id: str, dim: int) -> CheckReport:
     d = dim
-    eye = np.eye(d, dtype=complex)
-    fmat = fourier_matrix(d)
+    model = _law_model(d)
 
-    if check_id in ("frobenius_z", "frobenius_x"):
-        col = dg.Z if check_id.endswith("z") else dg.X
-        checks = _frobenius_family(d, col)
-        dev = max(v for _, v in checks)
-        worst = max(checks, key=lambda kv: kv[1])[0]
-        return CheckReport(check_id, d, dev < 1e-10, dev,
-                           f"worst law: {worst}")
-
-    if check_id == "classical_copy":
-        # The Z family copies the computational basis points |t> and the
-        # X family copies the Fourier points sqrt(D)|+_k>, both exactly,
-        # with counit 1 on each point.
-        delta_x = _g("delta_x", d).matrix
-        eps_x = _g("eps_x", d).matrix
-        dev = 0.0
-        for k in range(d):
-            s = math.sqrt(d) * fmat[:, k]
-            dev = max(dev, _dev(delta_x @ s, np.kron(s, s)))
-            dev = max(dev, _dev(eps_x @ s, np.array([1.0])))
-        delta_z = _g("delta_z", d).matrix
-        eps_z = _g("eps_z", d).matrix
-        for t in range(d):
-            s = np.zeros(d, dtype=complex)
-            s[t] = 1.0
-            dev = max(dev, _dev(delta_z @ s, np.kron(s, s)))
-            dev = max(dev, _dev(eps_z @ s, np.array([1.0])))
-        return CheckReport(check_id, d, dev < 1e-10, dev)
-
-    if check_id == "unbiased_points":
-        # mu(s (x) s_dual) lands on eps^dagger for any state that is flat
-        # for the family: the algebraic form of unbiasedness. The Z dual
-        # is the entrywise conjugate; the X dual flips the group element
-        # (s_dual[b] = conj(s[-b])) and the law holds up to the norm D.
-        rng = np.random.default_rng(11)
-        dev = 0.0
-        mu_z = _g("delta_z", d).matrix.conj().T
-        eps_z_dag = _g("eps_z", d).matrix.conj().T.ravel()
-        mu_x = _g("delta_x", d).matrix.conj().T
-        eps_x_dag = _g("eps_x", d).matrix.conj().T.ravel()
-        for trial in range(12):
-            alpha = rng.uniform(0, 2 * np.pi, size=d - 1)
-            s = _phase_exponentials(alpha, d)
-            dev = max(dev, _dev(mu_z @ np.kron(s, s.conj()), eps_z_dag))
-            sx = fmat @ s
-            sx_dual = np.array([sx[(-b) % d] for b in range(d)]).conj()
-            dev = max(dev, _dev(mu_x @ np.kron(sx, sx_dual), d * eps_x_dag))
-        return CheckReport(check_id, d, dev < 1e-10, dev)
-
-    if check_id == "bialgebra_units":
-        # The four unit coherence laws between the two families, each up
-        # to a scalar: each family's unit is a classical point of the
-        # other family.
-        delta_z = _g("delta_z", d).matrix
-        delta_x = _g("delta_x", d).matrix
-        eps_z = _g("eps_z", d).matrix
-        eps_x = _g("eps_x", d).matrix
-        ket0 = _g("ket0", d).matrix
-        ketplus = _g("ketplus", d).matrix
-        pairs = [
-            (delta_z @ ket0, np.kron(ket0, ket0)),
-            (delta_x @ ketplus, np.kron(ketplus, ketplus)),
-            (eps_z @ ket0, np.array([[1.0]])),
-            (eps_x @ ketplus, np.array([[1.0]])),
-        ]
-        dev = max(compare_scalar_exact(a, b)[1] for a, b in pairs)
-        return CheckReport(check_id, d, dev < 1e-10, dev,
-                           "up to scalar")
-
-    if check_id == "hopf":
-        # mu_X (S (x) id) delta_Z = eps_X^dagger eps_Z with the antipode
-        # S|j> = |-j>; exact, scalar one.
-        delta_z = _g("delta_z", d).matrix
-        mu_x = _g("delta_x", d).matrix.conj().T
-        eps_z = _g("eps_z", d).matrix
-        eps_x_dag = _g("eps_x", d).matrix.conj().T
-        anti = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            anti[(-j) % d, j] = 1.0
-        lhs = mu_x @ np.kron(anti, eye) @ delta_z
-        rhs = eps_x_dag @ eps_z
-        return CheckReport(check_id, d, _dev(lhs, rhs) < 1e-10, _dev(lhs, rhs))
-
-    if check_id == "strong_complementarity":
-        delta_x = _g("delta_x", d).matrix
-        mu_z = _g("delta_z", d).matrix.conj().T
-        swap = _g("swap", d).matrix
-        lhs = delta_x @ mu_z
-        mid = np.kron(np.kron(eye, swap), eye)
-        rhs = np.kron(mu_z, mu_z) @ mid @ np.kron(delta_x, delta_x)
-        dev = _dev(lhs, rhs)
-        return CheckReport(check_id, d, dev < 1e-10, dev, "exact, scalar one")
-
-    if check_id == "dualizer":
-        # Bending a wire with the X cup then the Z cap gives the
-        # negation permutation, which is unitary.
-        s = _dualizer(d)
-        anti = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            anti[(-j) % d, j] = 1.0
-        dev = _dev(s, anti)
-        unit = _dev(s.conj().T @ s, eye)
-        return CheckReport(check_id, d, max(dev, unit) < 1e-10,
-                           max(dev, unit), "negation matrix, unitary")
-
-    if check_id == "dim_independence":
-        # Both families' circle scalars equal D.
-        cup_z = _g("delta_z", d).matrix @ _g("ketplus", d).matrix
-        cup_x = _g("delta_x", d).matrix @ _g("ket0", d).matrix / math.sqrt(d)
-        dev = max(abs(cup_z.conj().T @ cup_z - d).max(),
-                  abs(cup_x.conj().T @ cup_x - d).max())
-        return CheckReport(check_id, d, dev < 1e-10, float(dev))
+    if check_id in _LAW_ROWS:
+        names, note = _LAW_ROWS[check_id]
+        devs = [check(model, _LAWS[name]) for name in names]
+        dev = max(devs)
+        if check_id.startswith("frobenius"):
+            note = f"worst law: {_FROBENIUS[devs.index(dev)][1]}"
+        return CheckReport(check_id, d, dev < 1e-10, dev, note)
 
     if check_id == "cyclic_points":
         # The X-family classical points, read as Z phases, form Z_D under
@@ -718,29 +668,18 @@ def structure_check(check_id: str, dim: int) -> CheckReport:
         return CheckReport(check_id, d, dev < 1e-10, dev)
 
     if check_id == "cup_mismatch":
-        # The two families' cups sum |jj> and |j,-j>; they agree at D=2
-        # and differ for D>=3.
-        cup_z = (_g("delta_z", d).matrix @ _g("ketplus", d).matrix).ravel()
-        cup_x = (_g("delta_x", d).matrix @ _g("ket0", d).matrix
-                 / math.sqrt(d)).ravel()
-        same = _dev(cup_z, cup_x) < 1e-10
-        expect_same = (d == 2)
-        return CheckReport(check_id, d, same == expect_same,
-                           _dev(cup_z, cup_x),
+        # The two families' cups delta eps^dagger sum |jj> and |j,-j>; they
+        # agree at D=2 and differ for D>=3.
+        cup_z, cup_x = (model.contract("abu,u->ab", [
+            model.views[f"delta_{c}"], model.views[f"eps_{c}"].conj()])
+            for c in "zx")
+        dev = _dev(cup_z, cup_x)
+        return CheckReport(check_id, d, (dev < 1e-10) == (d == 2), dev,
                            "equal exactly when D = 2")
-
-    if check_id == "fourier_delta":
-        # (F (x) F) delta_Z F^dagger = sqrt(D) * (X-spider delta), i.e.
-        # Fourier conjugation reproduces delta_x up to 1/sqrt(D).
-        delta_z = _g("delta_z", d).matrix
-        delta_x = _g("delta_x", d).matrix
-        lhs = np.kron(fmat, fmat) @ delta_z @ fmat.conj().T
-        dev = _dev(lhs * math.sqrt(d), delta_x)
-        return CheckReport(check_id, d, dev < 1e-10, dev,
-                           "equal up to sqrt(D)")
 
     if check_id == "fourier_phase_state":
         # F|{a}_Z> = |{a}_X> exactly, on a fixed grid of test phases.
+        fmat = fourier_matrix(d)
         rng = np.random.default_rng(7)
         dev = 0.0
         for _ in range(20):
@@ -750,16 +689,6 @@ def structure_check(check_id: str, dim: int) -> CheckReport:
         return CheckReport(check_id, d, dev < 1e-10, dev)
 
     raise ValueError(f"unknown structure check {check_id!r}")
-
-
-def _dualizer(d: int) -> np.ndarray:
-    """(cap_Z (x) id)(id (x) cup_X) as a matrix."""
-    cup_x = (generator_matrix("delta_x", d).matrix
-             @ generator_matrix("ket0", d).matrix / math.sqrt(d)).reshape(d, d)
-    cap_z = (generator_matrix("eps_z", d).matrix
-             @ generator_matrix("delta_z", d).matrix.conj().T).reshape(d, d)
-    # s[j, k] = sum_m cap[m, j] cup[m, k] with cup |m,k> amplitudes.
-    return np.einsum("mj,mk->jk", cap_z, cup_x)
 
 
 STRUCTURE_CHECKS = (

@@ -16,11 +16,14 @@ The two observable structures live on the coordinate fibrations:
     eps_X   : {(0, p) : p}  ~  *
 
 delta_X is the conjugate of delta_Z under the coordinate transpose
-(x, p) -> (p, x).  `rel_structure_check` verifies the whole law battery
-(Frobenius laws, counits, specialness, classical and unbiased points,
-coherence, strong complementarity, Hopf with full negation as antipode)
-as boolean matrix equations, plus a deliberately corrupted copy map as a
-negative control.
+(x, p) -> (p, x).  `rel_structure_check` runs the shared laws of
+`laws.LAWS` (Frobenius laws, counits, specialness, classical and unbiased
+points, coherence, strong complementarity, Hopf with full negation as
+antipode) in the toy model: each law's networks are einsum contractions
+of the relations' float32 tensor views, compared after a `> 0` test.  It
+adds the toy theory's own checks (the cap and snake, the transpose, the
+phase groups, Latin-square grids, maximal knowledge) and, as a negative
+control, the shared laws with a corrupted delta_Z, which must fail.
 
 The compact cap is computed honestly from its definition, bell =
 delta_Z . converse(eps_Z), which gives the p-twisted pair relation
@@ -30,6 +33,7 @@ makes cap-induced conjugation (p-negation) satisfy the unbiasedness law.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -37,6 +41,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .laws import FROBENIUS, LAWS, Law, Model, check
 from .phases import json_field, json_int, json_int_list, json_list
 
 __all__ = [
@@ -354,24 +359,14 @@ def spek_generator(name: str, D: int) -> Rel:
     elif name == "eps_x":
         gen = classical_point("Z", D, 0).converse()
     elif name == "bell":
-        gen = _cap("Z", D)
+        gen = (spek_generator("delta_z", D)
+               @ spek_generator("eps_z", D).converse())
     elif name == "mixed":
         gen = Rel.state(D, range(1, D * D + 1))
     else:
         raise ValueError(f"unknown generator {name!r}")
     gen.matrix.setflags(write=False)
     return gen
-
-
-@functools.lru_cache(maxsize=None)
-def _cap(color: str, D: int) -> Rel:
-    """The color's compact cap delta . eps^dagger, built once per (color, D)
-    with a read-only matrix."""
-    tag = "z" if color == "Z" else "x"
-    cap = (spek_generator(f"delta_{tag}", D)
-           @ spek_generator(f"eps_{tag}", D).converse())
-    cap.matrix.setflags(write=False)
-    return cap
 
 
 def classical_point(color: str, D: int, t: int) -> Rel:
@@ -436,7 +431,10 @@ def phase_group_law(maps: dict) -> bool:
 def cap_conjugate(color: str, D: int, psi: Rel) -> Rel:
     """Conjugate a state through the color's own compact cap,
     (psi^dagger x id) . (delta . eps^dagger)."""
-    return psi.converse().tensor(Rel.identity(D)) @ _cap(color, D)
+    tag = color.lower()
+    cap = (spek_generator(f"delta_{tag}", D)
+           @ spek_generator(f"eps_{tag}", D).converse())
+    return psi.converse().tensor(Rel.identity(D)) @ cap
 
 
 def delta_grid(color: str, D: int) -> np.ndarray:
@@ -452,151 +450,95 @@ def delta_grid(color: str, D: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # law battery
 
-
-def _swap(D: int) -> Rel:
-    """The symmetry A x A -> A x A."""
-    size = D * D
-    a, b = np.indices((size, size))
-    r = Rel.empty(D, 2, 2)
-    r.matrix[b * size + a, a * size + b] = True
-    return r
-
-
-def _contract(spec: str, *rels: Rel) -> np.ndarray:
-    """The boolean tensor of the relations' tensor views contracted by the
-    einsum `spec`, so that a whiskered composite such as (1 x mu) . (delta x
-    1) never builds its tensored operand.  float32 operands keep einsum on
-    BLAS and, as in Rel.compose, the `> 0` test exact."""
-    views = [r.tensor_view().astype(np.float32) for r in rels]
-    return np.einsum(spec, *views, optimize=True) > 0
+# The laws that the battery checks: the shared ones, and those of the toy
+# theory only: the Z cap (bell) is symmetric and satisfies the snake
+# equation, and the coordinate transpose conjugates delta_X into delta_Z.
+_LAWS = {
+    **LAWS,
+    "cap_symmetric": Law(0, (("ba->ab", ("bell",)), ("ab->ab", ("bell",)))),
+    "snake": Law(0, (("ab,bc->ca", ("bell", "bell")), ("ca->ca", ("id",)))),
+    "transpose_involution": Law(0, (
+        ("ay,bz,yzv,vu->abu", ("transpose", "transpose", "delta_x",
+                               "transpose")),
+        ("abu->abu", ("delta_z",)))),
+}
 
 
-def _coassociators(delta: Rel) -> tuple:
-    """(delta x 1) . delta and (1 x delta) . delta, over delta's view
-    [y, z, u], as tensors [y, z, w, s]."""
-    return (_contract("yzu,uws->yzws", delta, delta),
-            _contract("zwu,yus->yzws", delta, delta))
+def _law_model(D: int) -> Model:
+    """The toy theory as a model of `laws.LAWS`: each relation's float32
+    tensor view, contracted by einsum and tested `> 0`.  float32 keeps
+    einsum on BLAS, and as in Rel.compose the test stays exact: an entry is
+    a sum of non-negative 0/1 products, which cannot round to zero."""
+    rels = {name: spek_generator(name, D)
+            for name in ("delta_z", "delta_x", "eps_z", "eps_x", "bell")}
+    rels.update(antipode=negation_permutation(D).to_rel(),
+                transpose=transpose_permutation(D).to_rel(),
+                id=Rel.identity(D))
+    points = {}
+    for color in ("Z", "X"):
+        tag = color.lower()
+        points[f"classical_{tag}"] = [classical_point(color, D, t)
+                                      for t in range(D)]
+        points[f"unbiased_{tag}"] = [phase_state(color, D, sigma, t)
+                                     for sigma in range(D) for t in range(D)]
 
+    def view(rel):
+        return rel.tensor_view().astype(np.float32)
 
-def _frobenius_sides(delta: Rel, mu: Rel) -> tuple:
-    """(1 x mu) . (delta x 1) and (mu x 1) . (1 x delta), over the views
-    delta[y, z, u] and mu[u, y, z], as tensors [a, b, u, w]."""
-    return (_contract("azu,bzw->abuw", delta, mu),
-            _contract("aup,pbw->abuw", mu, delta))
+    return Model(
+        views={name: view(rel) for name, rel in rels.items()},
+        points={name: np.stack([view(rel) for rel in family])
+                for name, family in points.items()},
+        contract=lambda spec, views: np.einsum(spec, *views,
+                                               optimize=True) > 0,
+        compare=lambda scale, results: all(np.array_equal(results[0], r)
+                                           for r in results[1:]))
 
 
 def _check(checks: list, check_id: str, passed: bool, detail: str = ""):
     checks.append({"id": check_id, "passed": bool(passed), "detail": detail})
 
 
-def _observable_laws(checks: list, D: int, color: str):
-    delta = spek_generator(f"delta_{color.lower()}", D)
-    eps = spek_generator(f"eps_{color.lower()}", D)
-    ident = Rel.identity(D)
-    mu = delta.converse()
-    tag = color.lower()
-
-    _check(checks, f"coassociativity_{tag}",
-           np.array_equal(*_coassociators(delta)))
-    _check(checks, f"cocommutativity_{tag}", _swap(D) @ delta == delta)
-    _check(checks, f"counit_left_{tag}", eps.tensor(ident) @ delta == ident)
-    _check(checks, f"counit_right_{tag}", ident.tensor(eps) @ delta == ident)
-    _check(checks, f"special_{tag}", mu @ delta == Rel.identity(D))
-    frob_mid = (delta @ mu).tensor_view()
-    _check(checks, f"frobenius_{tag}",
-           all(np.array_equal(side, frob_mid)
-               for side in _frobenius_sides(delta, mu)))
-
-    # classical points: copied, deleted, and fixed by cap conjugation
-    ok = True
-    for t in range(D):
-        k = classical_point(color, D, t)
-        if delta @ k != k.tensor(k):
-            ok = False
-        if not (eps @ k).scalar_true():
-            ok = False
-        if cap_conjugate(color, D, k) != k:
-            ok = False
-    _check(checks, f"classical_points_{tag}", ok)
-
-    # unbiased points: mu(psi x psi*) = eps^dagger, psi* the cap conjugate
-    ok = True
-    eps_dag = eps.converse()
-    for sigma in range(D):
-        for t in range(D):
-            psi = phase_state(color, D, sigma, t)
-            if mu @ psi.tensor(cap_conjugate(color, D, psi)) != eps_dag:
-                ok = False
-    _check(checks, f"unbiased_points_{tag}", ok)
-
-    _check(checks, f"phase_group_{tag}",
-           phase_group_law(phase_maps(color, D)),
-           f"(Z_{D} x Z_{D}) composition table")
-
-
-# The battery's largest operands, such as the snake's bell^dagger x 1,
-# tr x tr, delta . mu and the strong-complementarity square, have
-# (D^2)^4 = D^8 entries; the whiskered composites are contracted from the generators'
-# tensor views and never built.  Above the D=7 size it refuses: D=8 would
-# need 16,777,216 entries per operand and about 1.1e9 multiply-adds per
-# product.
+# The battery's largest tensors, the four-wire sides of the
+# coassociativity, Frobenius and strong-complementarity laws, have
+# (D^2)^4 = D^8 entries.  Above the D=7 size it refuses: D=8 would need
+# 16,777,216 entries per side and about 6.9e10 multiply-adds for the
+# strong-complementarity square.
 _LAW_BATTERY_CAP = 7 ** 8
 
 
 def rel_structure_check(D: int) -> dict:
-    """Verify the observable-structure laws of the toy theory as boolean
-    matrix equations, plus coherence, strong complementarity, the Hopf law,
-    cap properties, grid shape invariants, and a negative control.
+    """Verify the shared laws `laws.LAWS` in the toy theory as boolean
+    tensor equations, plus the phase groups, the cap, the transpose, grid
+    shape invariants, maximal knowledge and a negative control.
 
-    Raises ValueError, before building anything, when the largest operand
+    Raises ValueError, before building anything, when the largest tensor
     (D^8 entries) exceeds the D=7 size."""
     if D > 1 and D ** 8 > _LAW_BATTERY_CAP:
         raise ValueError(
             f"law battery at D={D} needs a {D ** 8}-entry relation (D^8), "
             f"above the cap of {_LAW_BATTERY_CAP} entries (D=7)")
     checks: list = []
-    delta_z = spek_generator("delta_z", D)
-    delta_x = spek_generator("delta_x", D)
-    eps_z = spek_generator("eps_z", D)
-    eps_x = spek_generator("eps_x", D)
-    ident = Rel.identity(D)
+    model = _law_model(D)
 
-    _observable_laws(checks, D, "Z")
-    _observable_laws(checks, D, "X")
+    def row(check_id, *names):
+        _check(checks, check_id, all(check(model, _LAWS[n]) for n in names))
 
-    # coherence: each counit's adjoint is a classical point of the other
-    # color, and the two counits compose to a nonzero scalar
-    ok = (delta_z @ eps_x.converse()
-          == eps_x.converse().tensor(eps_x.converse()))
-    ok = ok and (delta_x @ eps_z.converse()
-                 == eps_z.converse().tensor(eps_z.converse()))
-    ok = ok and (eps_z @ eps_x.converse()).scalar_true()
-    _check(checks, "coherence", ok)
-
-    # strong complementarity square; its right side (mu x mu) . (1 x swap x
-    # 1) . (delta x delta) is contracted without the arity-4 intermediate
-    mu_z = delta_z.converse()
-    rhs = _contract("ija,klb,eik,fjl->efab", delta_x, delta_x, mu_z, mu_z)
-    _check(checks, "strong_complementarity",
-           np.array_equal((delta_x @ mu_z).tensor_view(), rhs))
-
-    # Hopf law with the full negation as antipode
-    antipode = negation_permutation(D).to_rel()
-    hopf_lhs = delta_x.converse() @ antipode.tensor(ident) @ delta_z
-    hopf_rhs = eps_x.converse() @ eps_z
-    _check(checks, "hopf_antipode", hopf_lhs == hopf_rhs)
-
-    # cap: symmetric, and the snake equation holds
-    bell = spek_generator("bell", D)
-    ok = _swap(D) @ bell == bell
-    snake = bell.converse().tensor(ident) @ ident.tensor(bell)
-    ok = ok and snake == ident
-    _check(checks, "cap_snake", ok)
-
-    # conjugating delta_X by the coordinate transpose returns delta_Z
-    tr = transpose_permutation(D).to_rel()
-    _check(checks, "transpose_involution",
-           tr.tensor(tr) @ delta_x @ tr == delta_z)
+    for color in ("Z", "X"):
+        tag = color.lower()
+        for law in FROBENIUS:
+            row(f"{law}_{tag}", f"{law}_{tag}")
+        row(f"classical_points_{tag}", *(f"classical_{k}_{tag}" for k in
+                                         ("copy", "delete", "conjugate")))
+        row(f"unbiased_points_{tag}", f"unbiased_points_{tag}")
+        _check(checks, f"phase_group_{tag}",
+               phase_group_law(phase_maps(color, D)),
+               f"(Z_{D} x Z_{D}) composition table")
+    row("coherence", "coherence_z", "coherence_x", "counit_scalar")
+    row("strong_complementarity", "strong_complementarity")
+    row("hopf_antipode", "hopf")
+    row("cap_snake", "cap_symmetric", "snake")
+    row("transpose_involution", "transpose_involution")
 
     # each diagonal block of the Z grid is a Latin square on its own D
     # symbols, and the off-diagonal blocks are empty
@@ -609,6 +551,8 @@ def rel_structure_check(D: int) -> dict:
     _check(checks, "latin_squares", ok)
 
     # maximal-knowledge preservation: generators keep support at D^arity
+    delta_z = spek_generator("delta_z", D)
+    delta_x = spek_generator("delta_x", D)
     ok = True
     for t in range(D):
         maps = [phase_map("Z", D, sigma, t) for sigma in range(D)]
@@ -620,19 +564,17 @@ def rel_structure_check(D: int) -> dict:
             for m in maps:
                 if len((m @ state).support()) != D:
                     ok = False
-    ok = ok and len(bell.support()) == D * D
+    ok = ok and len(spek_generator("bell", D).support()) == D * D
     _check(checks, "maximal_knowledge", ok)
 
-    # negative control: one corrupted pair must break the law battery
-    bad = Rel(D, 1, 2, delta_z.matrix.copy())
-    u = ontic_label(D, 0, 0)
-    row = tuple_label(D, (u, u))
-    bad.matrix[row - 1, u - 1] = False
-    bad.matrix[row - 1, ontic_label(D, 0, 1) - 1] = True
-    broke = not (np.array_equal(*_coassociators(bad))
-                 and eps_z.tensor(ident) @ bad == ident
-                 and ident.tensor(eps_z) @ bad == ident)
-    _check(checks, "negative_control", broke,
+    # negative control: the shared laws must fail once delta_Z has its pair
+    # (0, 0) ~ ((0, 0), (0, 0)) moved to the source (0, 1)
+    bad = model.views["delta_z"].copy()
+    bad[0, 0, 0], bad[0, 0, 1] = 0, 1
+    bad_model = dataclasses.replace(model,
+                                    views={**model.views, "delta_z": bad})
+    _check(checks, "negative_control",
+           not all(check(bad_model, law) for law in LAWS.values()),
            "corrupted copy map fails the laws")
 
     return {

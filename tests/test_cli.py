@@ -751,6 +751,8 @@ BAD_INPUTS = [
     ("phase-space --n 0", None),
     ("phase-space --cases 0", None),
     ("phase-space --cases -3", None),
+    ("phase-space --dim 3 --n 50 --cases 1", None),
+    ("phase-space --dim 3 --n 1 --cases 100000000", None),
     ("eval {chain47} --method reference", None),
     ("eval {fbox}", None),
     ("eval {spider11}", None),

@@ -14,12 +14,14 @@ Oracles used here:
 from fractions import Fraction
 from itertools import product
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditzx import phasespace
 from quditzx.phasespace import (
     DualVector,
     EpistemicState,
@@ -557,6 +559,30 @@ def test_round_trip_encode_decode_property(d, data):
 def test_phase_space_report_rejects_what_it_cannot_check(d, n, cases):
     with pytest.raises(ValueError, match="prime d, n >= 1 and cases >= 1"):
         phase_space_report(d, n, cases=cases)
+
+
+@pytest.mark.parametrize("d, n, cases, size", [
+    (3, 50, 1, "1*3^100"), (3, 1, 100_000_000, "100000000*3^2"),
+    (1_000_000_007, 1, 1, "1*1000000007^2"), (2, 9, 1, "1*2^18"),
+    (3, 10 ** 12, 1, "1*3^2000000000000")])
+def test_phase_space_report_refuses_work_above_its_cap(d, n, cases, size):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        phase_space_report(d, n, cases=cases)
+    assert time.perf_counter() - start < 1.0
+    message = str(exc.value)
+    assert "\n" not in message
+    for part in (f"d={d}", f"n={n}", f"cases={cases}", size, "65536"):
+        assert part in message
+
+
+def test_phase_space_report_runs_up_to_its_cap(monkeypatch):
+    # The cap is exact: 3^4 point evaluations pass a cap of 81, and twice
+    # that is refused.
+    monkeypatch.setattr(phasespace, "_PHASE_SPACE_CAP", 81)
+    assert phase_space_report(3, 2, cases=1)["passed"]
+    with pytest.raises(ValueError, match="2\\*3\\^4 point evaluations"):
+        phase_space_report(3, 2, cases=2)
 
 
 def test_phase_space_report_is_seed_deterministic():

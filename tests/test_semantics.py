@@ -811,12 +811,33 @@ def test_dense_operator_validates_shape():
 # ---------------------------------------------------------------------------
 # Structure-check battery
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+# (check id, passed, note) of every structure check, at every D.
+STRUCTURE_REPORT = [
+    ("frobenius_z", True, "worst law: coassoc"),
+    ("frobenius_x", True, "worst law: coassoc"),
+    ("classical_copy", True, ""),
+    ("unbiased_points", True, ""),
+    ("bialgebra_units", True, "up to scalar"),
+    ("hopf", True, ""),
+    ("strong_complementarity", True, "exact, scalar one"),
+    ("dualizer", True, "negation matrix, unitary"),
+    ("dim_independence", True, ""),
+    ("cyclic_points", True, ""),
+    ("cup_mismatch", True, "equal exactly when D = 2"),
+    ("fourier_delta", True, "equal up to sqrt(D)"),
+    ("fourier_phase_state", True, ""),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_structure_checks_pass(dim):
     reports = run_structure_checks(dim)
     assert [r.check_id for r in reports] == list(STRUCTURE_CHECKS)
+    assert [(r.check_id, r.passed, r.note)
+            for r in reports] == STRUCTURE_REPORT
     for r in reports:
-        assert r.passed, (r.check_id, dim, r.deviation, r.note)
+        assert type(r.passed) is bool, r.check_id
+        assert type(r.deviation) is float, r.check_id
         if r.check_id != "cup_mismatch":
             # cup_mismatch records the distance between the two families'
             # cups, which is expected to be large for D >= 3.

@@ -5,6 +5,8 @@ and the structural laws are checked through the module's own battery
 plus independent spot checks of supports and grids.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditzx import toyrel
+from quditzx.laws import LAWS, results
 from quditzx.toyrel import (
     Permutation,
     Rel,
@@ -405,7 +408,23 @@ def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
 # ---------------------------------------------------------------------------
 # The law battery
 
-@pytest.mark.parametrize("D", [2, 3, 4, 5])
+# sha256 of each report's sorted JSON: ids, order, verdicts and details.
+REPORT_DIGESTS = {
+    2: "551d4ff77cdf9598383eb21c3656a0001a316399dfc3b996a2fd3c6ad9c91133",
+    3: "2ad67f02f9ddd40d2268da3f5710535d58d77ae9f5dd91554d3a1361b01d7644",
+    4: "08a4887c54f95ac655dc06c3c10f4e71dbb22c1e0f0f17ed14f98946a26a83e1",
+    5: "5f5eae42158eb32a8a362a4071acab93446a5e1e8bb651ca49b98c10f9670445",
+    6: "a9ac2a5677a7ace2a68a95d49aae279fb0cdd0740e8cd3930431b08837ed119f",
+    7: "b07a5fe73b6d3103b1bdd1970c20b71783b59cba6ab91df3e3437eb829d3c360",
+}
+
+
+def _report_digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
 def test_structure_battery_passes(D):
     report = rel_structure_check(D)
     assert report["dim"] == D
@@ -414,6 +433,7 @@ def test_structure_battery_passes(D):
     assert set(by_id) == set(CHECK_IDS)
     for cid, c in by_id.items():
         assert c["passed"], (D, cid, c.get("detail"))
+    assert _report_digest(report) == REPORT_DIGESTS[D]
 
 
 def test_negative_control_is_exercised():
@@ -455,22 +475,31 @@ def test_battery_passes_at_d7():
     report = rel_structure_check(7)
     assert sorted(c["id"] for c in report["checks"]) == sorted(CHECK_IDS)
     assert report["passed"]
+    assert _report_digest(report) == REPORT_DIGESTS[7]
 
 
 def test_battery_builds_no_relation_above_d8_entries(monkeypatch):
-    # The whiskered composites such as (delta x 1) . delta are contracted
-    # from the generators' views; the D^10 operands they replace are never
-    # built, and the D^8 operands are.
-    sizes = []
-    init = Rel.__init__
+    # The laws are contracted from the generators' views: the whiskered
+    # composites' D^10 operands, such as delta x 1, are never built as
+    # relations, and no contraction returns more than the D^8 entries of
+    # a four-wire side, which the largest laws reach.
+    sizes, outputs = [], []
+    init, einsum = Rel.__init__, np.einsum
 
     def spy(self, D, m, n, matrix):
         sizes.append(np.size(matrix))
         init(self, D, m, n, matrix)
 
+    def einsum_spy(*args, **kwargs):
+        out = einsum(*args, **kwargs)
+        outputs.append(np.size(out))
+        return out
+
     monkeypatch.setattr(Rel, "__init__", spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
     assert rel_structure_check(4)["passed"]
-    assert max(sizes) == 4 ** 8
+    assert sizes and max(sizes) <= 4 ** 8
+    assert max(outputs) == 4 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +517,21 @@ def _corrupted_copy(D):
 
 
 def _check_whiskered_composites(delta):
-    """Each contracted composite equals its kron + compose form; returns
-    whether delta is coassociative."""
+    """Each contracted composite, the coassociativity law's two networks
+    and the Frobenius law's two whiskered ones in the toy model with delta
+    as delta_z, equals its kron + compose form; returns whether delta is
+    coassociative."""
     ident = Rel.identity(delta.D)
     mu = delta.converse()
     dense = [delta.tensor(ident) @ delta,
              ident.tensor(delta) @ delta,
              ident.tensor(mu) @ delta.tensor(ident),
              mu.tensor(ident) @ ident.tensor(delta)]
-    got = toyrel._coassociators(delta) + toyrel._frobenius_sides(delta, mu)
+    model = toyrel._law_model(delta.D)
+    model = dataclasses.replace(model, views={
+        **model.views, "delta_z": delta.tensor_view().astype(np.float32)})
+    got = (results(model, LAWS["coassociativity_z"])
+           + results(model, LAWS["frobenius_z"])[:2])
     for contracted, rel in zip(got, dense):
         assert contracted.dtype == bool
         assert np.array_equal(contracted, rel.tensor_view())
@@ -540,8 +575,6 @@ def test_array_builders_match_their_definitions(D):
                         want.add((u, tuple_label(D, (y, z))))
         assert set(map(tuple, spek_generator(name, D).pairs())) == want
 
-    assert toyrel._swap(D) == _swap2(D)
-
     for perm, image in ((transpose_permutation(D), lambda x, p: (p, x)),
                         (negation_permutation(D), lambda x, p: (-x, -p))):
         assert perm.images == tuple(ontic_label(D, *image(x, p))
@@ -580,8 +613,9 @@ def test_cached_generators_are_read_only_and_results_stay_writable(D):
         assert again == want
         assert again.matrix.dtype == bool
     for color in ("Z", "X"):
-        assert toyrel._cap(color, D) == caps[color]
-        assert not toyrel._cap(color, D).matrix.flags.writeable
+        psi = phase_state(color, D, 1, 1)
+        assert cap_conjugate(color, D, psi) == (
+            psi.converse().tensor(Rel.identity(D)) @ caps[color])
 
     dz = spek_generator("delta_z", D)
     eps = spek_generator("eps_z", D)
