@@ -200,6 +200,7 @@ def _parse_state(raw: str, dim: int) -> np.ndarray:
 
 def _cmd_synth(args) -> tuple:
     tol = _tolerance()
+    sy.check_dim(args.dim)
     if args.target == "xj":
         pv = sy.synth_xj(args.j, args.phi, args.dim)
         return {"dim": args.dim, "target": f"x_{args.j}", "phi": args.phi,

@@ -325,12 +325,12 @@ def run_equivalence_checks() -> dict:
     prob_failures = []
     values_seen = set()
     allowed = {Fraction(0), Fraction(1, 3), Fraction(1)}
+    mus = {s.name: _phasespace_state(s.name).distribution() for s in entries}
     for family, coeffs in FAMILIES.items():
         indicators = ps.basis_indicators(coeffs, 3, 1)
         effect_names = [f"{family}_{k}" for k in range(3)]
         for s in entries:
-            mu = _phasespace_state(s.name).distribution()
-            toy_probs = ps.measure_probabilities(mu, indicators)
+            toy_probs = ps.measure_probabilities(mus[s.name], indicators)
             for k, effect_name in enumerate(effect_names):
                 e = by_name[effect_name]
                 toy_p = toy_probs[k]

@@ -14,6 +14,11 @@ variables V plus a valuation, stored as one representative point; its
 distribution is uniform over the coset V-perp + v_rep with exact rational
 weights.  Valid transformations are affine symplectic maps m -> Sm + a.
 
+Whole grids are numpy int64 arrays: a functional's table has one axis per
+coordinate (`linear_table`), `bracket_table` takes the finite-difference
+bracket at every point at once, and a coset is an array with one row per
+point.  Random symplectic maps are products of transvections.
+
 `encode_ontic` bridges phase-space points to the 1-based ontic labels of
 the relational model, in `toyrel`'s encoding (x*d + p + 1 per system,
 mixed-radix for up to three systems).
@@ -26,8 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +47,9 @@ __all__ = [
     "symplectic_form",
     "symplectic_product",
     "linear_table",
+    "bracket_table",
     "poisson_bracket",
     "orthocomplement",
-    "epistemic_distribution",
     "apply_transform",
     "basis_indicators",
     "measure_probabilities",
@@ -148,50 +152,48 @@ def symplectic_product(F, G, d: int | None = None) -> int:
 
 def linear_table(F: DualVector) -> np.ndarray:
     """Full table of a linear functional, shape (d,) * 2n."""
-    d, size = F.d, len(F.coeffs)
-    table = np.zeros((d,) * size, dtype=np.int64)
-    for m in product(range(d), repeat=size):
-        table[m] = F(m)
-    return table
+    grid = np.indices((F.d,) * len(F.coeffs))
+    return np.tensordot(np.array(F.coeffs, dtype=np.int64), grid, 1) % F.d
+
+
+def bracket_table(F_table: np.ndarray, G_table: np.ndarray,
+                  d: int) -> np.ndarray:
+    """Finite-difference Poisson bracket of two functional tables at every
+    point: sum_j (D_xj F D_pj G - D_pj F D_xj G) mod d, where D_i f is the
+    forward difference f(m + e_i) - f(m), taken cyclically."""
+    F_table = np.asarray(F_table, dtype=np.int64)
+    G_table = np.asarray(G_table, dtype=np.int64)
+    if F_table.shape != G_table.shape or F_table.ndim % 2:
+        raise ValueError("functional tables need one shape with an even "
+                         "number of axes")
+
+    def diff(table, axis):
+        return np.roll(table, -1, axis) - table
+
+    total = np.zeros_like(F_table)
+    for x in range(0, F_table.ndim, 2):
+        total += (diff(F_table, x) * diff(G_table, x + 1)
+                  - diff(F_table, x + 1) * diff(G_table, x))
+    return total % d
 
 
 def poisson_bracket(F_table: np.ndarray, G_table: np.ndarray, m,
                     d: int) -> int:
-    """Finite-difference Poisson bracket of two functional tables at m."""
-    F_table = np.asarray(F_table)
-    G_table = np.asarray(G_table)
-    if F_table.shape != G_table.shape:
-        raise ValueError("functional tables have different shapes")
+    """Finite-difference Poisson bracket of two functional tables at m:
+    `bracket_table` read at one point."""
     coords = tuple(m.coords if isinstance(m, OnticPoint) else m)
-    if len(coords) != F_table.ndim:
+    if len(coords) != np.ndim(F_table):
         raise ValueError("point size does not match table arity")
-
-    def shifted(table, pos):
-        idx = list(coords)
-        idx[pos] = (idx[pos] + 1) % d
-        return int(table[tuple(idx)])
-
-    f0 = int(F_table[coords])
-    g0 = int(G_table[coords])
-    total = 0
-    for j in range(len(coords) // 2):
-        xj, pj = 2 * j, 2 * j + 1
-        total += (shifted(F_table, xj) - f0) * (shifted(G_table, pj) - g0)
-        total -= (shifted(F_table, pj) - f0) * (shifted(G_table, xj) - g0)
-    return total % d
+    return int(bracket_table(F_table, G_table, d)[coords])
 
 
 def orthocomplement(V: Sequence, d: int, n: int) -> list:
     """Basis of {m : F^T m = 0 for all F in V} over prime d."""
     if not is_prime(d):
         raise ValueError("orthocomplement needs prime d")
-    duals = [_coerce_dual(F, d, n) for F in V]
-    if not duals:
-        basis = np.eye(2 * n, dtype=np.int64)
-    else:
-        rows = np.array([F.coeffs for F in duals], dtype=np.int64)
-        basis = nullspace_mod(rows, d)
-    return [tuple(int(v) for v in row) for row in basis]
+    rows = [_coerce_dual(F, d, n).coeffs for F in V]
+    basis = nullspace_mod(np.reshape(rows, (len(rows), 2 * n)), d)
+    return list(map(tuple, basis.tolist()))
 
 
 class EpistemicState:
@@ -202,7 +204,7 @@ class EpistemicState:
     rejects non-commuting V (classical complementarity).
     """
 
-    __slots__ = ("d", "n", "V", "v_rep")
+    __slots__ = ("d", "n", "V", "v_rep", "_coset")
 
     def __init__(self, d: int, n: int, V: Sequence, v_rep):
         if not is_prime(d):
@@ -224,23 +226,25 @@ class EpistemicState:
         self.n = n
         self.V = duals
         self.v_rep = point
+        self._coset = None
 
     def valuation(self, F) -> int:
         return _coerce_dual(F, self.d, self.n)(self.v_rep)
 
+    def _points(self) -> np.ndarray:
+        """The coset V-perp + v_rep as an int64 array, one row per point,
+        rows in lexicographic order; built on first use and then shared."""
+        if self._coset is None:
+            basis = np.array(orthocomplement(self.V, self.d, self.n))
+            combos = np.indices((self.d,) * len(basis)).reshape(len(basis),
+                                                                -1)
+            rows = (combos.T @ basis + self.v_rep.coords) % self.d
+            self._coset = rows[np.lexsort(rows.T[::-1])]
+        return self._coset
+
     def support(self) -> list:
         """All consistent points, sorted: the coset V-perp + v_rep."""
-        d = self.d
-        basis = orthocomplement(self.V, d, self.n)
-        points = set()
-        for combo in product(range(d), repeat=len(basis)):
-            shift = [0] * (2 * self.n)
-            for c, vec in zip(combo, basis):
-                for i, entry in enumerate(vec):
-                    shift[i] += c * entry
-            points.add(tuple((s + v) % d
-                             for s, v in zip(shift, self.v_rep.coords)))
-        return sorted(points)
+        return list(map(tuple, self._points().tolist()))
 
     def distribution(self) -> dict:
         """Uniform exact distribution over the support."""
@@ -257,7 +261,7 @@ class EpistemicState:
         if not isinstance(other, EpistemicState):
             return NotImplemented
         return (self.d == other.d and self.n == other.n
-                and self.support() == other.support())
+                and np.array_equal(self._points(), other._points()))
 
     def __repr__(self) -> str:
         known = ", ".join(str(F.coeffs) for F in self.V)
@@ -287,10 +291,6 @@ class EpistemicState:
     @classmethod
     def from_json(cls, text: str) -> "EpistemicState":
         return cls.from_json_dict(json.loads(text))
-
-
-def epistemic_distribution(s: EpistemicState) -> dict:
-    return s.distribution()
 
 
 class SymplecticAffine:
@@ -351,7 +351,8 @@ def apply_transform(s: EpistemicState, t: SymplecticAffine
     new_V = [DualVector(d, tuple(int(v) for v in (s_inv_t @ F.coeffs) % d))
              for F in s.V]
     out = EpistemicState(d, s.n, new_V, t(s.v_rep))
-    assert sorted(t(m) for m in s.support()) == out.support(), \
+    image = (s._points() @ t.S.T + t.a) % d
+    assert np.array_equal(image[np.lexsort(image.T[::-1])], out._points()), \
         "transformed coset does not match pointwise image"
     return out
 
@@ -367,8 +368,8 @@ def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
     """Outcome probabilities p_k = sum_m mu(m) xi_k(m), exact.
 
     mu is a mapping point-tuple -> Fraction (as produced by
-    epistemic_distribution); indicators are 0/1 tables that must sum to
-    the all-ones table.
+    EpistemicState.distribution); indicators are 0/1 tables that must sum
+    to the all-ones table.
     """
     if not indicators:
         raise ValueError("at least one indicator required")
@@ -415,57 +416,21 @@ def decode_ontic(label: int, d: int, n: int = 1) -> OnticPoint:
                                for c in tr.ontic_coords(d, lab)))
 
 
-def _elementary_symplectics(d: int, n: int) -> list:
-    """Generating set for the symplectic group on (Z_d)^{2n}."""
-    gens = []
-    for j in range(n):
-        for q in range(1, d):
-            # x-shear and p-shear on system j
-            for upper in (True, False):
-                S = np.eye(2 * n, dtype=np.int64)
-                if upper:
-                    S[2 * j, 2 * j + 1] = q
-                else:
-                    S[2 * j + 1, 2 * j] = q
-                gens.append(S % d)
-        # quarter rotation on system j
-        S = np.eye(2 * n, dtype=np.int64)
-        S[2 * j, 2 * j] = 0
-        S[2 * j + 1, 2 * j + 1] = 0
-        S[2 * j, 2 * j + 1] = d - 1
-        S[2 * j + 1, 2 * j] = 1
-        gens.append(S)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # CZ-type coupling: p_i += x_j, p_j += x_i
-            S = np.eye(2 * n, dtype=np.int64)
-            S[2 * i + 1, 2 * j] = 1
-            S[2 * j + 1, 2 * i] = 1
-            gens.append(S)
-            # CNOT-type coupling: x_j += x_i, p_i -= p_j
-            S = np.eye(2 * n, dtype=np.int64)
-            S[2 * j, 2 * i] = 1
-            S[2 * i + 1, 2 * j + 1] = d - 1
-            gens.append(S)
-            # swap systems i and j
-            S = np.zeros((2 * n, 2 * n), dtype=np.int64)
-            for k in range(n):
-                t = j if k == i else i if k == j else k
-                S[2 * t, 2 * k] = 1
-                S[2 * t + 1, 2 * k + 1] = 1
-            gens.append(S)
-    return gens
-
-
 def random_symplectic(d: int, n: int, rng: random.Random
                       ) -> SymplecticAffine:
-    """A random affine symplectic map, built as a product of 12 elementary
-    generators and a random shift (validated by the constructor)."""
-    gens = _elementary_symplectics(d, n)
-    S = np.eye(2 * n, dtype=np.int64)
-    for _ in range(12):
-        S = (rng.choice(gens) @ S) % d
-    return SymplecticAffine(d, S, [rng.randrange(d) for _ in range(2 * n)])
+    """A random affine symplectic map: a product of 12 random symplectic
+    transvections m -> m + {m, v} v, which generate Sp(2n, Z_d) for prime
+    d, and a random shift (validated by the constructor)."""
+    size = 2 * n
+    draws = np.array(rng.choices(range(d), k=13 * size),
+                     dtype=np.int64).reshape(13, size)
+    v = draws[:12]
+    # transvection by v is I + v (J v)^T; pair the 12 factors up twice
+    T = (np.eye(size, dtype=np.int64)
+         + v[:, :, None] * (v @ symplectic_form(n, d).T)[:, None, :]) % d
+    for _ in range(2):
+        T = T[0::2] @ T[1::2] % d
+    return SymplecticAffine(d, T[0] @ T[1] % d @ T[2] % d, draws[12])
 
 
 def all_maximal_states(d: int) -> list:
@@ -487,10 +452,11 @@ def all_maximal_states(d: int) -> list:
     return states
 
 
-# Point evaluations of phase_space_report: each case tabulates two linear
-# functionals over all d^(2n) points, in Python, about 25 us a point, so
-# the cap keeps a run within about two seconds.
-_PHASE_SPACE_CAP = 2 ** 16
+# Work of phase_space_report, in point evaluations: each case costs its
+# d^(2n) grid points plus _CASE_COST for its draws, transforms and states,
+# so the cap keeps a run within about two seconds at either extreme.
+_CASE_COST = 64
+_PHASE_SPACE_CAP = 2 ** 18
 
 
 def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
@@ -501,20 +467,21 @@ def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
     functionals against F^T J G.  Returns {"checks": [...], "passed": ...}
     with one {"id", "passed", "detail"} entry per property.
 
-    Raises ValueError, before drawing anything, when cases*d^(2n) is above
-    _PHASE_SPACE_CAP; the sizes are compared as exponents first, so no
-    power of d is computed that the cap would refuse."""
+    Raises ValueError, before drawing anything, when
+    cases*d^(2n) + _CASE_COST*cases is above _PHASE_SPACE_CAP; d^(2n) is
+    compared as an exponent first, so no power of d is computed that the
+    cap would refuse."""
     bad = ValueError("the phase-space battery needs prime d, n >= 1 and "
                      f"cases >= 1; got d={d}, n={n}, cases={cases}")
     if d < 2 or n < 1 or cases < 1:
         raise bad
-    if (math.log2(cases) + 2 * n * math.log2(d)
-            > math.log2(_PHASE_SPACE_CAP) + 1
-            or cases * d ** (2 * n) > _PHASE_SPACE_CAP):
+    if (2 * n * math.log2(d) > math.log2(_PHASE_SPACE_CAP) + 1
+            or cases * (_CASE_COST + d ** (2 * n)) > _PHASE_SPACE_CAP):
         raise ValueError(
             f"the phase-space battery at d={d}, n={n}, cases={cases} needs "
-            f"cases*d^(2n) = {cases}*{d}^{2 * n} point evaluations, above "
-            f"its cap of {_PHASE_SPACE_CAP}")
+            f"cases*d^(2n) + {_CASE_COST}*cases = {cases}*{d}^{2 * n} + "
+            f"{_CASE_COST}*{cases} point evaluations, above its cap of "
+            f"{_PHASE_SPACE_CAP}")
     if not is_prime(d):
         raise bad
     rng = random.Random(seed)
@@ -558,10 +525,8 @@ def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
     ok = True
     for _ in range(cases):
         F, G = DualVector(d, draw()), DualVector(d, draw())
-        tf, tg = linear_table(F), linear_table(G)
-        want = symplectic_product(F, G)
-        ok = ok and all(poisson_bracket(tf, tg, m, d) == want
-                        for m in product(range(d), repeat=2 * n))
+        table = bracket_table(linear_table(F), linear_table(G), d)
+        ok = ok and bool((table == symplectic_product(F, G)).all())
     checks.append({"id": "bracket_equals_symplectic_product", "passed": ok,
                    "detail": f"{cases} random pairs, all points"})
 

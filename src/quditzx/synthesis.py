@@ -34,6 +34,12 @@ from .semantics import lambda_matrix
 
 _RATIO_WINDOW = 1e6
 
+# Largest D that synth_zj and synth_xj accept. synth_zj builds D x D
+# complex matrices (the Fourier sum and the X phase map): at this D that
+# takes about 0.7 s and 170 MiB with one BLAS thread, and each doubling of
+# D costs about four times as much.
+MAX_DIM = 2048
+
 
 class DegenerateStateError(ValueError):
     """The target equations have no solution for this state."""
@@ -53,6 +59,13 @@ class SynthesisResult:
     @property
     def unitary(self) -> bool:
         return self.phase_vector is not None
+
+
+def check_dim(dim: int) -> None:
+    """Refuse a D above MAX_DIM, before anything of size D is built."""
+    if dim > MAX_DIM:
+        raise ValueError(f"synthesis at D={dim} is above its cap of "
+                         f"D={MAX_DIM}")
 
 
 def fourier_coefficients(b) -> np.ndarray:
@@ -85,6 +98,7 @@ def synth_zj(j: int, b, route: str = "beta") -> SynthesisResult:
     route "beta" works in any dimension; route "qutrit" uses the
     explicit D = 3 closed forms.
     """
+    check_dim(np.size(b))
     b = np.asarray(b, dtype=complex).ravel()
     d = b.shape[0]
     if d < 2:
@@ -174,6 +188,7 @@ def synth_xj(j: int, phi: float, dim: int) -> PhaseVector:
     eigenvalue down by phi instead, which is the same map up to the
     global phase exp(i*phi).
     """
+    check_dim(dim)
     if not 0 <= j < dim:
         raise ValueError(f"target index must be in 0..{dim - 1}, got {j}")
     if not math.isfinite(phi):

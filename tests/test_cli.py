@@ -753,6 +753,7 @@ BAD_INPUTS = [
     ("phase-space --cases -3", None),
     ("phase-space --dim 3 --n 50 --cases 1", None),
     ("phase-space --dim 3 --n 1 --cases 100000000", None),
+    ("phase-space --dim 2 --n 1 --cases 16384", None),
     ("eval {chain47} --method reference", None),
     ("eval {fbox}", None),
     ("eval {spider11}", None),
@@ -804,6 +805,8 @@ BAD_INPUTS = [
     ("stab-run {dimhuge}", None),
     ("synth --dim 3 --target xj --j 1 --phi nan", None),
     ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),
+    ("synth --dim 100000 --target zj --j 0", None),
+    ("synth --dim 100000 --target xj --j 1 --phi 0.5", None),
 ]
 
 

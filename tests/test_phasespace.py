@@ -30,9 +30,9 @@ from quditzx.phasespace import (
     all_maximal_states,
     apply_transform,
     basis_indicators,
+    bracket_table,
     decode_ontic,
     encode_ontic,
-    epistemic_distribution,
     linear_table,
     measure_probabilities,
     orthocomplement,
@@ -162,6 +162,48 @@ def test_poisson_bracket_of_linear_functionals_is_symplectic_product(d, n):
             assert poisson_bracket(tf, tg, m, d) == want
 
 
+def _bracket_at(F_table, G_table, m, d):
+    """Per-point finite-difference bracket, one shifted lookup at a time:
+    the oracle for bracket_table."""
+    def shifted(table, pos):
+        idx = list(m)
+        idx[pos] = (idx[pos] + 1) % d
+        return int(table[tuple(idx)])
+
+    f0, g0 = int(F_table[m]), int(G_table[m])
+    total = 0
+    for x in range(0, len(m), 2):
+        total += (shifted(F_table, x) - f0) * (shifted(G_table, x + 1) - g0)
+        total -= (shifted(F_table, x + 1) - f0) * (shifted(G_table, x) - g0)
+    return total % d
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bracket_table_matches_the_per_point_oracle(d, n, seed):
+    # arbitrary functionals, not only linear ones, so that every forward
+    # difference is exercised
+    rng = np.random.default_rng(seed)
+    tf, tg = rng.integers(0, d, size=(2, ) + (d,) * (2 * n))
+    table = bracket_table(tf, tg, d)
+    assert table.shape == tf.shape
+    for m in product(range(d), repeat=2 * n):
+        assert table[m] == _bracket_at(tf, tg, m, d)
+    m = tuple(int(c) for c in rng.integers(0, d, size=2 * n))
+    assert poisson_bracket(tf, tg, m, d) == _bracket_at(tf, tg, m, d)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_linear_table_matches_the_functional_at_every_point(d, n, data):
+    F = DualVector(d, data.draw(st.tuples(*[st.integers(0, d - 1)] * (2 * n))))
+    table = linear_table(F)
+    assert table.shape == (d,) * (2 * n)
+    for m in product(range(d), repeat=2 * n):
+        assert table[m] == F(m)
+
+
 def test_linear_table_shape_and_values():
     F = DualVector(3, (1, 2))
     table = linear_table(F)
@@ -178,6 +220,8 @@ def test_poisson_bracket_validation():
         poisson_bracket(t, np.zeros((3, 3, 3)), (0, 0), 3)
     with pytest.raises(ValueError):
         poisson_bracket(t, t, (0, 0, 0), 3)
+    with pytest.raises(ValueError):
+        bracket_table(np.zeros((3,) * 3), np.zeros((3,) * 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +302,7 @@ def test_distribution_is_uniform_and_sums_to_exactly_one():
     assert len(mu) == 3 ** 3  # one constraint on a 4-dim space
     assert all(w == Fraction(1, 27) for w in mu.values())
     assert sum(mu.values()) == 1
-    assert epistemic_distribution(s) == mu
+    assert s.distribution() == mu
 
 
 def test_conjugate_variables_cannot_be_jointly_known():
@@ -421,6 +465,20 @@ def test_random_symplectic_satisfies_the_defining_relation():
                 assert np.array_equal((t.S.T @ J @ t.S) % d, J)
 
 
+@pytest.mark.parametrize("d, order", [(3, 24), (5, 120)])
+def test_random_symplectic_reaches_the_whole_group(d, order):
+    # Sp(2, d) = SL(2, d) has d(d^2 - 1) elements; products of random
+    # transvections reach all of them
+    rng = random.Random(d)
+    J = symplectic_form(1, d)
+    seen = set()
+    for _ in range(2000):
+        S = random_symplectic(d, 1, rng).S
+        assert np.array_equal((S.T @ J @ S) % d, J)
+        seen.add(S.tobytes())
+    assert len(seen) == order
+
+
 def test_random_symplectic_is_seed_deterministic():
     a = random_symplectic(3, 2, random.Random(42))
     b = random_symplectic(3, 2, random.Random(42))
@@ -443,6 +501,29 @@ def test_transforms_map_supports_pointwise():
                 assert sorted(t(m) for m in s.support()) == out.support()
                 # the image is again a valid state of the same knowledge size
                 assert len(out.support()) == len(s.support())
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_transform_matches_the_pointwise_image(d, n, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # the x-columns of a symplectic matrix are isotropic
+    S0 = random_symplectic(d, n, rng).S
+    V = [tuple(S0[:, 2 * j]) for j in range(data.draw(st.integers(0, n)))]
+    s = EpistemicState(d, n, V, [rng.randrange(d) for _ in range(2 * n)])
+    t = random_symplectic(d, n, rng)
+    assert apply_transform(s, t).support() \
+        == sorted(t(m) for m in s.support())
+
+
+def test_apply_transform_checks_the_image():
+    # a map that is not symplectic sends the coset elsewhere than the new
+    # known variables say, and the image check catches it
+    s = EpistemicState(3, 1, [(1, 0)], (0, 0))
+    t = SymplecticAffine.identity(3, 1)
+    t.S = np.array([[1, 0], [0, 0]])
+    with pytest.raises(AssertionError, match="pointwise image"):
+        apply_transform(s, t)
 
 
 def test_transform_preserves_number_of_known_variables():
@@ -564,7 +645,7 @@ def test_phase_space_report_rejects_what_it_cannot_check(d, n, cases):
 @pytest.mark.parametrize("d, n, cases, size", [
     (3, 50, 1, "1*3^100"), (3, 1, 100_000_000, "100000000*3^2"),
     (1_000_000_007, 1, 1, "1*1000000007^2"), (2, 9, 1, "1*2^18"),
-    (3, 10 ** 12, 1, "1*3^2000000000000")])
+    (3, 10 ** 12, 1, "1*3^2000000000000"), (2, 1, 3856, "3856*2^2")])
 def test_phase_space_report_refuses_work_above_its_cap(d, n, cases, size):
     start = time.perf_counter()
     with pytest.raises(ValueError) as exc:
@@ -572,16 +653,18 @@ def test_phase_space_report_refuses_work_above_its_cap(d, n, cases, size):
     assert time.perf_counter() - start < 1.0
     message = str(exc.value)
     assert "\n" not in message
-    for part in (f"d={d}", f"n={n}", f"cases={cases}", size, "65536"):
+    for part in (f"d={d}", f"n={n}", f"cases={cases}",
+                 f"{size} + 64*{cases}", "262144"):
         assert part in message
 
 
 def test_phase_space_report_runs_up_to_its_cap(monkeypatch):
-    # The cap is exact: 3^4 point evaluations pass a cap of 81, and twice
-    # that is refused.
-    monkeypatch.setattr(phasespace, "_PHASE_SPACE_CAP", 81)
+    # The cap is exact: 3^4 + 64 point evaluations pass a cap of 145, and
+    # twice that is refused.
+    monkeypatch.setattr(phasespace, "_PHASE_SPACE_CAP", 145)
     assert phase_space_report(3, 2, cases=1)["passed"]
-    with pytest.raises(ValueError, match="2\\*3\\^4 point evaluations"):
+    with pytest.raises(ValueError,
+                       match="2\\*3\\^4 \\+ 64\\*2 point evaluations"):
         phase_space_report(3, 2, cases=2)
 
 

@@ -13,6 +13,7 @@ import pytest
 from quditzx.phases import PhaseVector
 from quditzx.semantics import fourier_matrix, lambda_matrix
 from quditzx.synthesis import (
+    MAX_DIM,
     DegenerateStateError,
     fourier_coefficients,
     residual_to_target,
@@ -233,6 +234,17 @@ def test_synth_xj_validates_j():
         synth_xj(3, 0.1, 3)
     with pytest.raises(ValueError):
         synth_xj(-1, 0.1, 3)
+
+
+def test_both_targets_refuse_d_above_the_cap():
+    assert synth_xj(1, 0.5, MAX_DIM).dim == MAX_DIM
+    message = f"synthesis at D={MAX_DIM + 1} is above its cap of D={MAX_DIM}"
+    with pytest.raises(ValueError) as err:
+        synth_xj(1, 0.5, MAX_DIM + 1)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        synth_zj(0, np.ones(MAX_DIM + 1))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
