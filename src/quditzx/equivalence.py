@@ -3,8 +3,10 @@ stabilizer theory.
 
 Both sides are built independently.  The toy side runs on relations and
 exact rational phase-space distributions; the quantum side runs on exact
-cyclotomic arithmetic in Z[eta] (eta = exp(2*pi*i/3), eta^2 = -1 - eta),
-so every comparison below is zero-tolerance.
+integer arrays over Z[eta] (eta = exp(2*pi*i/3), eta^2 = -1 - eta), so
+every comparison below is zero-tolerance.  A trailing axis holds (a, b) of
+a + b*eta, and all brakets and phase-map images are a few array products;
+`Cyclotomic` is the scalar type of the ring and the kernel's exact oracle.
 
 The twelve single-trit states of maximal knowledge are matched to the
 twelve qutrit stabilizer states by the unique dictionary that is a group
@@ -22,7 +24,8 @@ all 144 state/effect pairs (toy composite relation nonempty iff quantum
 inner product nonzero), exact measurement probabilities (all values in
 {0, 1/3, 1}, toy coset counting vs quantum Born rule), both phase groups
 equal to Z_3 x Z_3 with the dictionary a group isomorphism, and
-equivariance of the dictionary under all 18 phase maps.
+equivariance of the dictionary under all 18 phase maps.  Each toy pair is
+its own relational composite.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from . import phasespace as ps
 from . import toyrel as tr
@@ -122,28 +127,39 @@ class Cyclotomic:
         return f"({self.a} + {self.b}*eta)"
 
 
-def _eta(k: int) -> Cyclotomic:
-    return Cyclotomic.eta_power(k)
+# ---------------------------------------------------------------------------
+# Z[eta] on int64 arrays: a trailing axis holds (a, b) of a + b*eta
+
+_ETA = np.array([(x.a, x.b) for x in map(Cyclotomic.eta_power, range(3))],
+                dtype=np.int64)
 
 
-def _inner(e, s) -> Cyclotomic:
-    """<e|s> = sum conj(e_j) * s_j."""
-    out = Cyclotomic(0)
-    for ej, sj in zip(e, s):
-        out = out + ej.conj() * sj
-    return out
+def _zmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise (broadcast) product; (a1 + b1 e)(a2 + b2 e) with
+    e^2 = -1 - e."""
+    a1, b1, a2, b2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack((a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2), axis=-1)
 
 
-def _proportional(v, w) -> bool:
-    """Exact test that v = lambda * w for some nonzero complex lambda."""
-    if all(x.is_zero() for x in v) or all(x.is_zero() for x in w):
-        return False
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            if not (v[i] * w[j] - v[j] * w[i]).is_zero():
-                return False
-    # matching zero patterns (cross products miss a zero vs zero mismatch)
-    return all(x.is_zero() == y.is_zero() for x, y in zip(v, w))
+def _zconj(x: np.ndarray) -> np.ndarray:
+    return np.stack((x[..., 0] - x[..., 1], -x[..., 1]), axis=-1)
+
+
+def _znorm2(x: np.ndarray) -> np.ndarray:
+    a, b = x[..., 0], x[..., 1]
+    return a * a - a * b + b * b
+
+
+def _braket_table(kets: np.ndarray) -> np.ndarray:
+    """<e|s> = sum_j conj(e_j) s_j for every pair of rows of an (n, 3, 2)
+    ket array, as an (n, n, 2) array indexed [e, s]."""
+    return _zmul(_zconj(kets)[:, None], kets[None]).sum(axis=2)
+
+
+def _apply_arrays(matrices: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Every (3, 3, 2) matrix of a stack applied to every (3, 2) ket: an
+    (..., n, 3, 2) array indexed [matrix, ket]."""
+    return _zmul(matrices[..., None, :, :, :], kets[:, None]).sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -229,15 +245,14 @@ def build_dictionary() -> list:
     color's phase map applied to the phase-zero state of that color."""
     supports = build_3spek_states()
     points = _unbiased_points(supports)
-    zero = {"Z": (_eta(0),) * 3,
-            "X": (_eta(0), Cyclotomic(0), Cyclotomic(0))}
+    zero = {"Z": np.array([_ETA[0]] * 3),
+            "X": np.array([_ETA[0], (0, 0), (0, 0)])}
     entries = []
     for name in STATE_NAMES:
         family, idx = name.rsplit("_", 1)
         color = "Z" if name in points["Z"] else "X"
         u, v = _phi(color, *points[color][name])
-        ket = _apply(_quantum_phase_matrix(color, u, v), zero[color])
-        norm2 = sum((x.norm2() for x in ket), Fraction(0))
+        ket = _apply_arrays(_phase_array(color, u, v), zero[color][None])[0]
         entries.append(StateEntry(
             name=name,
             family=family,
@@ -245,8 +260,8 @@ def build_dictionary() -> list:
             support=supports[name],
             color=color,
             phases=PhaseVector(3, [Turn.exact(u, 3), Turn.exact(v, 3)]),
-            ket=ket,
-            norm2=norm2,
+            ket=tuple(Cyclotomic(int(a), int(b)) for a, b in ket),
+            norm2=Fraction(int(_znorm2(ket).sum())),
             ket_name=_KET_NAMES[name],
         ))
     return entries
@@ -264,36 +279,14 @@ def _phi(color: str, sigma: int, t: int) -> tuple:
     return ((2 * sigma + 2 * t) % 3, (2 * sigma + t) % 3)
 
 
-def _quantum_phase_matrix(color: str, u: int, v: int) -> list:
-    """Exact 3x3 matrix of the phase map with phases (u, v) thirds; the X
-    matrix carries a harmless overall factor of 3."""
-    gamma = (0, u, v)
+def _phase_array(color: str, u: int, v: int) -> np.ndarray:
+    """Exact 3x3 matrix of the phase map with phases (u, v) thirds, as a
+    (3, 3, 2) array; the X matrix carries a harmless overall factor of 3."""
+    gamma = np.array((0, u, v))
     if color == "Z":
-        rows = []
-        for j in range(3):
-            rows.append([_eta(gamma[j]) if j == m else Cyclotomic(0)
-                         for m in range(3)])
-        return rows
-    rows = []
-    for j in range(3):
-        row = []
-        for m in range(3):
-            acc = Cyclotomic(0)
-            for k in range(3):
-                acc = acc + _eta((j - m) * k + gamma[k])
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
-def _apply(matrix: list, ket: tuple) -> tuple:
-    out = []
-    for row in matrix:
-        acc = Cyclotomic(0)
-        for mv, kv in zip(row, ket):
-            acc = acc + mv * kv
-        out.append(acc)
-    return tuple(out)
+        return np.eye(3, dtype=np.int64)[..., None] * _ETA[gamma][:, None]
+    j, m, k = np.ogrid[:3, :3, :3]
+    return _ETA[((j - m) * k + gamma[k]) % 3].sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +295,22 @@ def _apply(matrix: list, ket: tuple) -> tuple:
 
 def run_equivalence_checks() -> dict:
     entries = build_dictionary()
-    by_name = {e.name: e for e in entries}
-    by_support = {e.support: e.name for e in entries}
+    by_support = {e.support: i for i, e in enumerate(entries)}
+    kets = np.array([[(x.a, x.b) for x in e.ket] for e in entries],
+                    dtype=np.int64)
+    # |<e|s>|^2 for all 144 pairs, indexed [e, s]
+    braket2 = _znorm2(_braket_table(kets)).tolist()
     report: dict = {"dim": 3}
 
     # 1. possibilistic agreement on all 144 pairs, toy side computed as an
     # honest relational composite effect . state
-    toy_states = {e.name: tr.Rel.state(3, e.support) for e in entries}
+    toy_states = [tr.Rel.state(3, e.support) for e in entries]
     failures = []
-    for e in entries:
-        effect = toy_states[e.name].converse()
-        for s in entries:
-            toy_possible = (effect @ toy_states[s.name]).scalar_true()
-            quantum_possible = not _inner(e.ket, s.ket).is_zero()
+    for i, e in enumerate(entries):
+        effect = toy_states[i].converse()
+        for j, s in enumerate(entries):
+            toy_possible = (effect @ toy_states[j]).scalar_true()
+            quantum_possible = braket2[i][j] != 0
             if toy_possible != quantum_possible:
                 failures.append({"effect": e.name, "state": s.name,
                                  "toy": toy_possible,
@@ -325,20 +321,19 @@ def run_equivalence_checks() -> dict:
     prob_failures = []
     values_seen = set()
     allowed = {Fraction(0), Fraction(1, 3), Fraction(1)}
-    mus = {s.name: _phasespace_state(s.name).distribution() for s in entries}
+    mus = [_phasespace_state(s.name).distribution() for s in entries]
     for family, coeffs in FAMILIES.items():
         indicators = ps.basis_indicators(coeffs, 3, 1)
         effect_names = [f"{family}_{k}" for k in range(3)]
-        for s in entries:
-            toy_probs = ps.measure_probabilities(mus[s.name], indicators)
-            for k, effect_name in enumerate(effect_names):
-                e = by_name[effect_name]
+        effects = [STATE_NAMES.index(name) for name in effect_names]
+        for j, s in enumerate(entries):
+            toy_probs = ps.measure_probabilities(mus[j], indicators)
+            for k, i in enumerate(effects):
                 toy_p = toy_probs[k]
-                braket = _inner(e.ket, s.ket)
-                quantum_p = braket.norm2() / (e.norm2 * s.norm2)
+                quantum_p = braket2[i][j] / (entries[i].norm2 * s.norm2)
                 values_seen.update({toy_p, quantum_p})
                 if toy_p != quantum_p or toy_p not in allowed:
-                    prob_failures.append({"effect": effect_name,
+                    prob_failures.append({"effect": effect_names[k],
                                           "state": s.name,
                                           "toy": str(toy_p),
                                           "quantum": str(quantum_p)})
@@ -370,31 +365,35 @@ def run_equivalence_checks() -> dict:
                        and quantum_group["factors"] == [3, 3]),
     }
 
-    # 4. equivariance of the dictionary under all 18 phase maps
+    # 4. equivariance of the dictionary under all 18 phase maps: the toy
+    # image of each state names a target, and the quantum image of its
+    # ket must be parallel to the target's ket
+    keyed = [(color, key, toy_map) for color in ("Z", "X")
+             for key, toy_map in maps[color].items()]
+    targets = [[by_support.get((toy_map @ state).support())
+                for state in toy_states] for _, _, toy_map in keyed]
+    images = _apply_arrays(np.array([_phase_array(c, *_phi(c, *key))
+                                     for c, key, _ in keyed]), kets)
+    wanted = kets[[[0 if t is None else t for t in row] for row in targets]]
+    # two nonzero vectors are parallel iff all their 2x2 minors vanish
+    minors = (_zmul(images[..., :, None, :], wanted[..., None, :, :])
+              - _zmul(images[..., None, :, :], wanted[..., :, None, :]))
+    parallel = ((minors == 0).all(axis=(2, 3, 4))
+                & (images != 0).any(axis=(2, 3))
+                & (wanted != 0).any(axis=(2, 3)))
     equiv_failures = []
-    checks = 0
-    for color in ("Z", "X"):
-        for (sigma, t), toy_map in maps[color].items():
-            mat = _quantum_phase_matrix(color, *_phi(color, sigma, t))
-            for s in entries:
-                checks += 1
-                image_support = (toy_map @ toy_states[s.name]).support()
-                target_name = by_support.get(image_support)
-                if target_name is None:
-                    equiv_failures.append({"color": color,
-                                           "map": [sigma, t],
-                                           "state": s.name,
-                                           "reason": "image not a state"})
-                    continue
-                image_ket = _apply(mat, s.ket)
-                if not _proportional(image_ket,
-                                     by_name[target_name].ket):
-                    equiv_failures.append({"color": color,
-                                           "map": [sigma, t],
-                                           "state": s.name,
-                                           "target": target_name,
-                                           "reason": "kets not parallel"})
-    report["equivariance"] = {"maps": 18, "stateChecks": checks,
+    for (color, (sigma, t), _), row, ok_row in zip(keyed, targets,
+                                                   parallel.tolist()):
+        for s, target, ok in zip(entries, row, ok_row):
+            failure = {"color": color, "map": [sigma, t], "state": s.name}
+            if target is None:
+                equiv_failures.append({**failure,
+                                       "reason": "image not a state"})
+            elif not ok:
+                equiv_failures.append({**failure,
+                                       "target": entries[target].name,
+                                       "reason": "kets not parallel"})
+    report["equivariance"] = {"maps": 18, "stateChecks": len(keyed) * 12,
                               "failures": equiv_failures}
 
     report["passed"] = (not failures and not prob_failures

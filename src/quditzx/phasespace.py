@@ -369,7 +369,8 @@ def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
 
     mu is a mapping point-tuple -> Fraction (as produced by
     EpistemicState.distribution); indicators are 0/1 tables that must sum
-    to the all-ones table.
+    to the all-ones table.  The weights are summed as integer numerators
+    over their common denominator, at the distribution's points only.
     """
     if not indicators:
         raise ValueError("at least one indicator required")
@@ -378,17 +379,21 @@ def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
     for x in stack:
         if x.shape != shape:
             raise ValueError("indicator tables have different shapes")
-        if not np.isin(x, (0, 1)).all():
+        if not ((x == 0) | (x == 1)).all():
             raise ValueError("indicators must be 0/1 valued")
-    total = sum(stack)
-    if not (total == 1).all():
+    stack = np.stack(stack)
+    if not (stack.sum(axis=0) == 1).all():
         raise ValueError("indicators do not partition phase space")
-    probs = []
-    for x in stack:
-        p = Fraction(0)
-        for m, w in mu.items():
-            p += w * int(x[tuple(m)])
-        probs.append(p)
+    weights = [Fraction(w) for w in mu.values()]
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    # a 0/1 selection of the numerators stays below their absolute sum
+    exact = np.int64 if sum(map(abs, nums)) < 2 ** 63 else object
+    points = np.array([tuple(m) for m in mu], dtype=np.int64).reshape(
+        len(nums), stack.ndim - 1)
+    hits = stack[(slice(None), *points.T)]
+    counts = hits.astype(exact) @ np.array(nums, dtype=exact)
+    probs = [Fraction(int(c), den) for c in counts]
     if sum(probs) != 1:
         raise AssertionError("measurement probabilities do not sum to 1")
     return probs

@@ -2,12 +2,16 @@
 
 The layer is supposed to be zero-tolerance: every comparison is exact
 rational or exact cyclotomic arithmetic.  These tests re-derive small
-oracles with plain complex numbers, check the dictionary rows against the
-independently built numeric states, and then require the exhaustive check
-battery to come back entirely green.
+oracles with plain complex numbers, check the Z[eta] array kernel against
+`Cyclotomic` and against per-entry loops, check the dictionary rows
+against the independently built numeric states, require the exhaustive
+check battery to come back entirely green, and require it to report the
+pinned failures when the dictionary is corrupted on purpose.
 """
 
 import cmath
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditzx import toyrel
+from quditzx import equivalence, toyrel
 from quditzx.equivalence import (
     FAMILIES,
     STATE_NAMES,
     Cyclotomic,
+    _braket_table,
+    _phase_array,
+    _zconj,
+    _zmul,
+    _znorm2,
     build_3spek_states,
     build_dictionary,
     run_equivalence_checks,
@@ -95,6 +104,96 @@ def test_cyclotomic_equality_and_hash():
     assert hash(Cyclotomic(1, 2)) == hash(Cyclotomic(Fraction(1), 2))
     assert Cyclotomic(0, 0).is_zero()
     assert not Cyclotomic(0, 1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the Z[eta] array kernel against its Cyclotomic oracle
+
+
+def _cyclotomics(x):
+    """An array with a trailing (a, b) axis as nested lists of
+    Cyclotomic."""
+    if x.ndim == 1:
+        return Cyclotomic(int(x[0]), int(x[1]))
+    return [_cyclotomics(y) for y in x]
+
+
+def _inner(e, s):
+    """<e|s> = sum conj(e_j) * s_j, one Cyclotomic at a time."""
+    out = Cyclotomic(0)
+    for ej, sj in zip(e, s):
+        out = out + ej.conj() * sj
+    return out
+
+
+def _quantum_phase_matrix(color, u, v):
+    """The phase map with phases (u, v) thirds, entry by entry: diagonal
+    eta^gamma_j for Z, sum_k eta^((j - m) k + gamma_k) for X."""
+    gamma = (0, u, v)
+    eta = Cyclotomic.eta_power
+    if color == "Z":
+        return [[eta(gamma[j]) if j == m else Cyclotomic(0)
+                 for m in range(3)] for j in range(3)]
+    rows = []
+    for j in range(3):
+        row = []
+        for m in range(3):
+            acc = Cyclotomic(0)
+            for k in range(3):
+                acc = acc + eta((j - m) * k + gamma[k])
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+_z_arrays = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.integers(-10 ** 4, 10 ** 4), min_size=2 * n, max_size=2 * n)).map(
+        lambda v: np.array(v, dtype=np.int64).reshape(-1, 2))
+
+
+@given(_z_arrays, _z_arrays)
+@settings(max_examples=80, deadline=None)
+def test_z_kernel_agrees_with_cyclotomic(x, y):
+    n = min(len(x), len(y))
+    x, y = x[:n], y[:n]
+    for got, a, b in zip(_cyclotomics(_zmul(x, y)), _cyclotomics(x),
+                         _cyclotomics(y)):
+        assert got == a * b
+    assert _cyclotomics(_zconj(x)) == [a.conj() for a in _cyclotomics(x)]
+    assert _znorm2(x).tolist() == [a.norm2() for a in _cyclotomics(x)]
+
+
+def test_phase_array_equals_the_entrywise_phase_matrix():
+    for color in ("Z", "X"):
+        for u in range(3):
+            for v in range(3):
+                got = _phase_array(color, u, v)
+                assert got.shape == (3, 3, 2)
+                assert got.dtype == np.int64
+                assert _cyclotomics(got) == _quantum_phase_matrix(color, u, v)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.integers(-50, 50), min_size=6 * n, max_size=6 * n)))
+@settings(max_examples=60, deadline=None)
+def test_braket_table_equals_the_per_pair_inner_product(values):
+    kets = np.array(values, dtype=np.int64).reshape(-1, 3, 2)
+    table = _braket_table(kets)
+    rows = _cyclotomics(kets)
+    assert table.shape == (len(rows), len(rows), 2)
+    for i, e in enumerate(rows):
+        for j, s in enumerate(rows):
+            assert _cyclotomics(table[i, j]) == _inner(e, s)
+
+
+def test_braket_table_of_the_dictionary_kets():
+    entries = build_dictionary()
+    kets = np.array([[(x.a, x.b) for x in e.ket] for e in entries])
+    table = _braket_table(kets)
+    for i, e in enumerate(entries):
+        for j, s in enumerate(entries):
+            assert _cyclotomics(table[i, j]) == _inner(e.ket, s.ket)
+        assert table[i, i].tolist() == [e.norm2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +416,50 @@ def test_battery_builds_each_phase_map_once(monkeypatch):
     assert run_equivalence_checks()["passed"] is True
     assert sorted(calls) == [(c, s, t) for c in ("X", "Z")
                              for s in range(3) for t in range(3)]
+
+
+def _digest(failures):
+    return hashlib.sha256(json.dumps(failures).encode()).hexdigest()
+
+
+def test_battery_fails_every_section_on_a_corrupted_dictionary(monkeypatch):
+    # shift the first X phase of every X-colored image by one third: the
+    # basis kets stop being basis vectors and the map stops being a
+    # homomorphism. The failure lists, in loop order, are pinned from the
+    # entry-by-entry Cyclotomic battery.
+    honest = equivalence._phi
+
+    def shifted(color, sigma, t):
+        u, v = honest(color, sigma, t)
+        return ((u + 1) % 3, v) if color == "X" else (u, v)
+
+    monkeypatch.setattr(equivalence, "_phi", shifted)
+    report = run_equivalence_checks()
+    assert report["passed"] is False
+    pairs = [(f["effect"], f["state"])
+             for f in report["possibilistic"]["failures"]]
+    assert pairs == [
+        ("z_0", "xz_0"), ("z_0", "xz_2"), ("z_1", "xz_0"), ("z_1", "xz_1"),
+        ("z_2", "xz_1"), ("z_2", "xz_2"), ("xz_0", "z_0"), ("xz_0", "z_1"),
+        ("xz_1", "z_1"), ("xz_1", "z_2"), ("xz_2", "z_0"), ("xz_2", "z_2")]
+    assert all(f["toy"] is True and f["quantum"] is False
+               for f in report["possibilistic"]["failures"])
+    probs = report["probabilities"]
+    assert len(probs["failures"]) == 18
+    assert probs["failures"][2] == {"effect": "z_2", "state": "xz_0",
+                                    "toy": "1/3", "quantum": "1"}
+    assert probs["valuesSeen"] == ["0", "1", "1/3"]
+    assert report["phaseGroups"]["dictionaryHomomorphism"] is False
+    assert report["phaseGroups"]["isomorphic"] is False
+    equi = report["equivariance"]
+    assert equi["stateChecks"] == 216
+    assert len(equi["failures"]) == 87
+    assert equi["failures"][0] == {"color": "Z", "map": [0, 1],
+                                   "state": "z_0", "target": "z_0",
+                                   "reason": "kets not parallel"}
+    assert [_digest(report[k]["failures"]) for k in
+            ("possibilistic", "probabilities", "equivariance")] == [
+        "1cbf0a1c7795b9b5523212ec699915d01abffa52117f303cb07b07cd16ecce7a",
+        "efc4feae57c30f19b3cf90ec48153c1cfbaf4f87083353bff5de2c6a41271475",
+        "c1beb62b5c0903671e886158914cfa81942edb144c14e43b21d9983d5e0798f5",
+    ]

@@ -587,6 +587,30 @@ def test_measurement_probabilities_are_exact_and_sum_to_one():
                 assert probs == [Fraction(1, d)] * d
 
 
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2),
+       st.sampled_from([10, 10 ** 6]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_measure_probabilities_matches_the_per_point_fraction_sum(
+        d, n, bound, seed):
+    # non-uniform weights on a random subset of (Z_d)^{2n}; at the larger
+    # bound the common denominator outgrows int64
+    rng = random.Random(seed)
+    points = [m for m in product(range(d), repeat=2 * n)
+              if rng.random() < 0.6] or [(0,) * (2 * n)]
+    raw = [Fraction(rng.randint(1, bound), rng.randint(1, bound))
+           for _ in points]
+    mu = {m: r / sum(raw) for m, r in zip(points, raw)}
+    outcomes = rng.randint(1, 4)
+    labels = np.array([rng.randrange(outcomes) for _ in
+                       range(d ** (2 * n))]).reshape((d,) * (2 * n))
+    indicators = [(labels == k).astype(np.int64) for k in range(outcomes)]
+    want = [sum((w * int(x[m]) for m, w in mu.items()), Fraction(0))
+            for x in indicators]
+    got = measure_probabilities(mu, indicators)
+    assert got == want
+    assert all(type(p) is Fraction for p in got)
+
+
 def test_measure_probabilities_validates_partitions():
     d = 3
     mu = EpistemicState(d, 1, [(1, 0)], (0, 0)).distribution()
