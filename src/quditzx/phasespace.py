@@ -384,19 +384,31 @@ def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
     stack = np.stack(stack)
     if not (stack.sum(axis=0) == 1).all():
         raise ValueError("indicators do not partition phase space")
-    weights = [Fraction(w) for w in mu.values()]
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (den // w.denominator) for w in weights]
+    nums, den = _common_numerators([Fraction(w) for w in mu.values()])
     # a 0/1 selection of the numerators stays below their absolute sum
     exact = np.int64 if sum(map(abs, nums)) < 2 ** 63 else object
     points = np.array([tuple(m) for m in mu], dtype=np.int64).reshape(
         len(nums), stack.ndim - 1)
     hits = stack[(slice(None), *points.T)]
     counts = hits.astype(exact) @ np.array(nums, dtype=exact)
-    probs = [Fraction(int(c), den) for c in counts]
-    if sum(probs) != 1:
+    if sum(map(int, counts)) != den:
         raise AssertionError("measurement probabilities do not sum to 1")
-    return probs
+    return [Fraction(int(c), den) for c in counts]
+
+
+def _common_numerators(weights: list) -> tuple:
+    """(nums, den): exact weights, Fractions or ints, as integer numerators
+    over their least common denominator, in order."""
+    den = math.lcm(*{w.denominator for w in weights})
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+def _sums_to_one(mu) -> bool:
+    """Whether the exact weights of a distribution (as produced by
+    EpistemicState.distribution) add up to 1, summed as integer
+    numerators over their common denominator."""
+    nums, den = _common_numerators(list(mu.values()))
+    return sum(nums) == den
 
 
 def encode_ontic(m, n: int = 1) -> int:
@@ -459,7 +471,7 @@ def all_maximal_states(d: int) -> list:
 
 # Work of phase_space_report, in point evaluations: each case costs its
 # d^(2n) grid points plus _CASE_COST for its draws, transforms and states,
-# so the cap keeps a run within about two seconds at either extreme.
+# so the cap keeps a run within about 1.5 s at either extreme.
 _CASE_COST = 64
 _PHASE_SPACE_CAP = 2 ** 18
 
@@ -504,7 +516,7 @@ def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
         state = EpistemicState(d, n, V, draw())
         states += [state, apply_transform(state, random_symplectic(d, n, rng))]
     checks.append({"id": "distributions_sum_to_one",
-                   "passed": all(sum(s.distribution().values()) == 1
+                   "passed": all(_sums_to_one(s.distribution())
                                  for s in states),
                    "detail": f"{len(states)} states"})
 

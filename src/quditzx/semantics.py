@@ -23,9 +23,12 @@ node tensor helper, and tests hold them to each other at 1e-10. What
 the output, is folded into the output smallest part first, by one
 broadcasting multiply per part with its axes at their boundary
 positions: no outer product of the parts, and no transposed copy of
-one, is built. equal_up_to_scalar and compare_scalar_exact read their
-matrices in fixed blocks of _COMPARE_BLOCK entries, so a comparison
-builds no temporary of the matrices' size.
+one, is built; a lone part is scaled into a new array by one multiply.
+equal_up_to_scalar and compare_scalar_exact read their matrices in fixed
+blocks of _COMPARE_BLOCK entries, so a comparison builds no temporary of
+the matrices' size. Small matrices, the common case, fill one block, so
+each block loop runs once; a deviation within tol passes without reading
+|a| for the bound.
 
 "fast" builds each spider's tensor without its self-loops: a loop's
 factor is one for both colours (the loop_remove rule), so a spider whose
@@ -33,7 +36,9 @@ legs are all loops is its degree-0 scalar. A box's self-loop is traced.
 Node tensors of at most _CACHE_ELEMS entries whose phases are exact (or
 absent, for boxes) are built once per (kind, phase, leg signs, D) and
 shared read-only between calls; approximate phases are never cached.
-"reference" builds every tensor afresh, self-loop legs included.
+"reference" builds every tensor afresh, self-loop legs included. Both
+read the D x D table eta^(m*j) behind c_coefficients and fourier_matrix
+from a read-only copy that is built once per D.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
@@ -127,12 +132,20 @@ def _phase_exponentials(alpha, dim: int | None = None) -> np.ndarray:
     return np.exp(1j * angles)
 
 
+@functools.lru_cache(maxsize=8)
+def _eta_table(dim: int) -> np.ndarray:
+    """eta^(m*j) for m, j = 0..D-1, built once per D and read-only; the
+    tables of the eight dimensions used last are kept."""
+    j = np.arange(dim)
+    table = np.exp(2j * np.pi * np.outer(j, j) / dim)
+    table.setflags(write=False)
+    return table
+
+
 def c_coefficients(alpha, dim: int | None = None) -> np.ndarray:
     """c_m(alpha) = sum_j exp(i*alpha_j) eta^(m*j), the X-spider weights."""
     u = _phase_exponentials(alpha, dim)
-    j = np.arange(len(u))
-    eta_table = np.exp(2j * np.pi * np.outer(j, j) / len(u))
-    return eta_table @ u
+    return _eta_table(len(u)) @ u
 
 
 def lambda_matrix(color: str, alpha, dim: int | None = None) -> np.ndarray:
@@ -148,8 +161,7 @@ def lambda_matrix(color: str, alpha, dim: int | None = None) -> np.ndarray:
 
 
 def fourier_matrix(dim: int) -> np.ndarray:
-    j = np.arange(dim)
-    return np.exp(2j * np.pi * np.outer(j, j) / dim) / math.sqrt(dim)
+    return _eta_table(dim) / math.sqrt(dim)
 
 
 def phased_state(color: str, alpha, dim: int | None = None) -> np.ndarray:
@@ -233,17 +245,20 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         u = _phase_exponentials(n.phase, dim)
         if k == 0:
             return complex(u.sum())
-        t = np.zeros((dim,) * k, dtype=complex)
-        for j in range(dim):
-            t[(j,) * k] = u[j]
-        return t
+        # Flat, the diagonal entry (j,)*k sits at j * sum_{a<k} D^a.
+        t = np.zeros(dim ** k, dtype=complex)
+        t[::(dim ** k - 1) // (dim - 1)] = u
+        return t.reshape((dim,) * k)
     if n.kind == dg.X:
         c = c_coefficients(n.phase, dim)
         if k == 0:
             return complex(c[0])
-        # Signed digit sum, one broadcast sign * arange(D) per axis.
-        total = sum((sign * np.arange(dim)).reshape((dim,) + (1,) * (k - 1 - a))
-                    for a, (_, sign) in enumerate(legs))
+        # Signed digit sum, one outer sum or difference with arange(D)
+        # per further axis.
+        r = np.arange(dim)
+        total = r if legs[0][1] == 1 else -r
+        for _, sign in legs[1:]:
+            total = (np.add if sign == 1 else np.subtract).outer(total, r)
         # In place: one int and one complex array of the result's shape.
         t = c[np.remainder(total, dim, out=total)]
         t *= dim ** (-0.5 * k)
@@ -322,10 +337,12 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Fast path: pairwise tensor network contraction
 
-def _check_cap(dim: int, rank: int, what: str = "") -> None:
+def _check_cap(dim: int, rank: int, node: tuple = ()) -> None:
     """Refuse a fast-path tensor of dim^rank elements above _FAST_CAP;
-    `what` names its node, if it is one."""
+    `node`, its (id, kind) if it is a node's, is named in the refusal."""
     if dim ** rank > _FAST_CAP:
+        what = (f" for node {node[0]} ({node[1]}, {rank} loop-free legs)"
+                if node else "")
         raise ValueError(f"fast path refuses D={dim}: a tensor of {dim}^{rank}"
                          f" = {dim ** rank} elements{what} is above its cap "
                          f"of {_FAST_CAP}")
@@ -336,14 +353,16 @@ def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     box's, is built once per (kind, phase, leg signs, D), all it depends
     on, and shared read-only."""
     n, dim = d.node(v), d.dimension
-    if dim ** len(legs) > _CACHE_ELEMS or not (n.phase is None
-                                               or n.phase.is_exact):
+    if dim ** len(legs) > _CACHE_ELEMS:
         return np.asarray(_node_tensor(d, v, legs))
-    key = (n.kind, n.phase, tuple(sign for _, sign in legs), dim)
+    # An approximate phase is never equal to an exact one, so its key
+    # misses; is_exact is asked only of a tensor that could be stored.
+    key = (n.kind, n.phase, tuple([sign for _, sign in legs]), dim)
     t = _node_tensor_cache.get(key)
     if t is None:
         t = np.asarray(_node_tensor(d, v, legs))
-        if len(_node_tensor_cache) < _CACHE_TENSORS:
+        if len(_node_tensor_cache) < _CACHE_TENSORS and (n.phase is None or
+                                                         n.phase.is_exact):
             t.setflags(write=False)
             _node_tensor_cache[key] = t
     return t
@@ -352,7 +371,6 @@ def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
     out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
-    boundary = set(out_ids) | set(in_ids)
     want = [("out", v) for v in out_ids] + [("in", v) for v in in_ids]
     # The disconnected parts' outer product is the output matrix.
     _check_cap(dim, len(want))
@@ -386,15 +404,14 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
             heapq.heappush(heap, (rank, h, c))
         tensors[c] = (arr, labels)
 
-    for v in sorted(d.nodes):
-        if v in boundary:
-            continue
-        kind, legs = d.node(v).kind, d.legs(v)
-        if kind in dg.SPIDER_KINDS:
+    edges = d.edges
+    for v, kind in [(v, n.kind) for v, n in sorted(d.nodes.items())
+                    if n.kind not in dg.BOUNDARY_KINDS]:
+        legs = d.legs(v)
+        if kind in dg.SPIDER_KINDS and (v, v) in edges:
             # A spider self-loop's factor is one: its legs are never built.
-            legs = tuple(leg for leg in legs if d.edges[leg[0]] != (v, v))
-        _check_cap(dim, len(legs), f" for node {v} ({kind}, {len(legs)} "
-                                   f"loop-free legs)")
+            legs = tuple(leg for leg in legs if edges[leg[0]] != (v, v))
+        _check_cap(dim, len(legs), (v, kind))
         arr = _shared_node_tensor(d, v, legs)
         labels = [ends[e][0] if e in ends else ("e", e) for e, _ in legs]
         if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
@@ -433,14 +450,18 @@ def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:
     Smallest part first, each part's axes go to their positions in `want`,
     with size-1 axes for the others, and one broadcasting multiply per
     further part writes the output: no outer product and no transposed
-    copy of it is built. The scalar multiplies last, in place when the
-    fold made the array; a lone part is a view of a tensor that may be
-    cached, so it is scaled into a new array.
+    copy of it is built. The scalar multiplies last, in place. A lone
+    part is a view of a tensor that may be cached, so one multiply scales
+    its transpose into a new array; it needs no sort and no shapes.
     """
-    parts = sorted(parts, key=lambda part: part[0].size)
     labels = [lab for _, labs in parts for lab in labs]
     if sorted(labels) != sorted(want):
         raise AssertionError(f"contraction lost track of legs: {labels}")
+    if len(parts) == 1:
+        arr, labs = parts[0]
+        return np.multiply(arr.transpose([labs.index(lab) for lab in want]),
+                           scalar, order="C")
+    parts = sorted(parts, key=lambda part: part[0].size)
     position = {lab: i for i, lab in enumerate(want)}
     matrix = np.array(1.0, dtype=complex)
     for k, (arr, labs) in enumerate(parts):
@@ -450,10 +471,8 @@ def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:
             shape[position[labs[a]]] = arr.shape[a]
         part = np.transpose(arr, perm).reshape(shape)
         matrix = part if k == 0 else np.multiply(part, matrix, order="C")
-    if len(parts) > 1:
-        matrix *= scalar
-        return matrix
-    return np.multiply(matrix, scalar, order="C")
+    matrix *= scalar
+    return matrix
 
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
@@ -465,39 +484,35 @@ def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:
     raise ValueError(f"method must be fast or reference, got {method!r}")
 
 
-def _blocks(*arrays):
-    """Aligned slices of _COMPARE_BLOCK entries of equal-size arrays, read
-    flat, so that a comparison's temporaries stay one block large."""
-    flat = [x.reshape(-1) for x in arrays]
-    for i in range(0, flat[0].size, _COMPARE_BLOCK):
-        yield [x[i:i + _COMPARE_BLOCK] for x in flat]
-
-
 def _pivot(b: np.ndarray) -> int:
-    """Flat index of b's first entry of largest modulus, or of its first
-    NaN modulus, as np.argmax(np.abs(b)) picks it."""
-    best, top = 0, -1.0
-    for i, (blk,) in enumerate(_blocks(b)):
-        mags = np.abs(blk)
-        k = int(np.argmax(mags))
+    """Index of flat b's first entry of largest modulus, or of its first
+    NaN modulus, as np.argmax(np.abs(b)) picks it; b is read in blocks of
+    _COMPARE_BLOCK entries, so that a comparison's temporaries stay one
+    block large."""
+    pivot, top = 0, -1.0
+    for i in range(0, b.size, _COMPARE_BLOCK):
+        mags = np.abs(b[i:i + _COMPARE_BLOCK])
+        k = int(mags.argmax())
         if np.isnan(mags[k]):
-            return i * _COMPARE_BLOCK + k
+            return i + k
         if mags[k] > top:
-            best, top = i * _COMPARE_BLOCK + k, mags[k]
-    return best
+            pivot, top = i + k, mags[k]
+    return pivot
 
 
 def _blockwise_max(f, *arrays):
-    """np.max(f(*arrays)) taken block by block, and 0.0 for empty arrays;
-    np.maximum lets a NaN propagate."""
+    """np.max(f(*arrays)) over flat arrays of equal size, block by block as
+    in _pivot, and 0.0 for empty arrays; np.maximum lets a NaN
+    propagate."""
     m = 0.0
-    for blks in _blocks(*arrays):
-        m = np.maximum(m, np.max(f(*blks)))
+    for i in range(0, arrays[0].size, _COMPARE_BLOCK):
+        m = np.maximum.reduce(f(*[x[i:i + _COMPARE_BLOCK] for x in arrays]),
+                              initial=m)
     return m
 
 
 def _max_deviation(a: np.ndarray, b: np.ndarray, s: complex):
-    """max|a - s*b| over all entries."""
+    """max|a - s*b| over all entries of flat a and b."""
     return _blockwise_max(lambda x, y: np.abs(x - s * y), a, b)
 
 
@@ -524,7 +539,11 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
     if abs(s) <= tol:
         # a vanishes while b does not: refuse the zero scalar.
         return None
-    if _max_deviation(a, b, s) <= tol * max(1.0, _blockwise_max(np.abs, a)):
+    # The bound is tol * max(1, max|a|) >= tol: a deviation within tol
+    # passes without reading |a|.
+    deviation = _max_deviation(a, b, s)
+    if deviation <= tol or deviation <= tol * max(
+            1.0, _blockwise_max(np.abs, a)):
         return complex(s)
     return None
 
@@ -543,7 +562,7 @@ def compare_scalar_exact(a: np.ndarray, b: np.ndarray,
     s = equal_up_to_scalar(a, b, tol)
     if s is None:
         return None, math.inf, False
-    deviation = float(_max_deviation(a, b, s))
+    deviation = float(_max_deviation(a.reshape(-1), b.reshape(-1), s))
     return s, deviation, deviation <= tol and abs(s - 1.0) <= tol
 
 

@@ -611,6 +611,30 @@ def test_measure_probabilities_matches_the_per_point_fraction_sum(
     assert all(type(p) is Fraction for p in got)
 
 
+@given(st.lists(st.tuples(st.integers(0, 10 ** 20), st.integers(1, 10 ** 20)),
+                min_size=1, max_size=30), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_normalization_check_is_the_exact_fraction_sum(raw, normalize):
+    # Weights with unrelated denominators, past int64; normalized ones sum
+    # to exactly 1, and the others almost never do.
+    weights = [Fraction(p, q) for p, q in raw]
+    total = sum(weights, Fraction(0))
+    if normalize and total:
+        weights = [w / total for w in weights]
+    mu = dict(enumerate(weights))
+    assert phasespace._sums_to_one(mu) == (sum(weights, Fraction(0)) == 1)
+
+
+def test_normalization_check_sees_one_part_in_the_denominator():
+    # Off by 1/(3 * 10^30) from 1: a float sum would not notice.
+    mu = {0: Fraction(1, 3), 1: Fraction(1, 3),
+          2: Fraction(1, 3) - Fraction(1, 3 * 10 ** 30)}
+    assert not phasespace._sums_to_one(mu)
+    assert float(sum(mu.values())) == 1.0
+    assert phasespace._sums_to_one(EpistemicState(3, 2, [(1, 0, 0, 0)],
+                                                  (1, 2, 0, 1)).distribution())
+
+
 def test_measure_probabilities_validates_partitions():
     d = 3
     mu = EpistemicState(d, 1, [(1, 0)], (0, 0)).distribution()

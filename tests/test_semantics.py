@@ -5,13 +5,14 @@ compared against the module, so the two computations share no code.
 """
 
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quditzx import diagram as dg
 from quditzx import rewrite as rw
@@ -259,6 +260,60 @@ def test_x_spider_tensor_is_built_in_place():
         tracemalloc.stop()
     assert t.shape == (5,) * 8
     assert peak <= 1.6 * t.nbytes
+
+
+_TURNS = st.one_of(
+    st.builds(Turn.exact, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Turn.approx, st.floats(0, 2 * math.pi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(2, 5), st.sampled_from((dg.Z, dg.X)),
+       st.lists(st.sampled_from((1, -1)), max_size=5))
+def test_node_tensors_follow_the_spider_definitions(data, dim, kind, signs):
+    # The module docstring's formulas, entry by entry, for a spider whose
+    # legs have the given signs in edge order: +1 an output leg, -1 an
+    # input leg.
+    phase = PhaseVector(dim, data.draw(st.lists(_TURNS, min_size=dim - 1,
+                                                max_size=dim - 1)))
+    b = DiagramBuilder(dim)
+    v = b.add_spider(kind, phase)
+    for i, sign in enumerate(signs):
+        if sign == 1:
+            b.add_edge(v, b.add_output(signs[:i].count(1)))
+        else:
+            b.add_edge(b.add_input(signs[:i].count(-1)), v)
+    d = b.finish()
+    legs = d.legs(v)
+    assert [sign for _, sign in legs] == signs
+    k = len(signs)
+    t = sem._node_tensor(d, v, legs)
+
+    u = np.exp(1j * np.array(phase.radians_full(), dtype=complex))
+    if kind == dg.Z:
+        # exp(i*alpha_j) where every leg carries digit j, else zero: the
+        # entries are placed, so they match exactly. With no legs every j
+        # qualifies, and the D terms' sum may round in another order.
+        if k == 0:
+            assert abs(t - sum(u)) < 1e-12
+            return
+        want = np.zeros((dim,) * k, dtype=complex)
+        for j in range(dim):
+            want[(j,) * k] = u[j]
+        assert t.shape == want.shape and np.array_equal(t, want)
+        return
+    # (1/sqrt(D))^k * c_m, m = (output digits - input digits) mod D, and
+    # c_m = sum_j exp(i*alpha_j) * eta^(m*j).
+    c = [sum(u[j] * np.exp(2j * np.pi * m * j / dim) for j in range(dim))
+         for m in range(dim)]
+    if k == 0:
+        assert abs(t - c[0]) < 1e-12
+        return
+    want = np.empty((dim,) * k, dtype=complex)
+    for digits in itertools.product(range(dim), repeat=k):
+        m = sum(sign * j for sign, j in zip(signs, digits)) % dim
+        want[digits] = dim ** (-k / 2) * c[m]
+    assert t.shape == want.shape and np.max(np.abs(t - want)) < 1e-12
 
 
 def test_phaseless_degree_zero_spider_is_the_dimension_scalar():
@@ -777,6 +832,67 @@ def test_blockwise_comparisons_match_the_whole_array_formula():
             want = (_equal_one_shot(a, b, 1e-9),
                     _compare_one_shot(a, b, 1e-9))
         assert repr(got) == repr(want), (i, a.shape)
+
+
+_SPECIAL = (0.0, math.nan, math.inf, complex(-math.inf, math.inf),
+            complex(0.0, math.nan))
+
+
+@st.composite
+def _comparison_inputs(draw):
+    """(a, b, tol) with a and b of 1-64 entries: b random, maybe zero or
+    with tied maxima; a a random multiple of b, maybe perturbed throughout
+    or by a multiple of tol at one entry; then zero, NaN and inf entries
+    placed at random in either; a 2-row shape when the size is even."""
+    tol = draw(st.sampled_from((1e-9, 1e-6)))
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if draw(st.booleans()):
+        # Up to three entries share b's largest modulus, exactly.
+        b /= 2 * np.max(np.abs(b))
+        at = rng.choice(n, size=min(n, draw(st.integers(1, 3))),
+                        replace=False)
+        b[at] = [3, 3j, -3][:len(at)]
+    b *= draw(st.sampled_from((0.0, 1e-12, 1.0, 1e6)))
+    z = complex(*rng.standard_normal(2)) * draw(
+        st.sampled_from((0.0, 1e-12, 1e-3, 1.0, 1e6)))
+    a = z * b + draw(st.sampled_from((0.0, 1e-12, 1e-8, 1.0))) * (
+        rng.standard_normal(n))
+    if draw(st.booleans()):
+        # A deviation on either side of tol and of 2*tol.
+        a[draw(st.integers(0, n - 1))] += tol * draw(
+            st.sampled_from((0.5, 1.0, 1.5, 3.0)))
+    for _ in range(draw(st.integers(0, 3))):
+        x = a if draw(st.booleans()) else b
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_SPECIAL))
+    if n % 2 == 0 and draw(st.booleans()):
+        a, b = a.reshape(2, -1), b.reshape(2, -1)
+    return a, b, tol
+
+
+def _deviation_above_tol():
+    """a = s*b but for one entry off by 1.5*tol, with max|a| < 1, so that
+    the deviation bound is tol itself: a is not equal to s*b."""
+    b = np.exp(1j * np.arange(9.0))
+    a = 1e-3 * b
+    a[4] += 1.5e-9
+    return a, b, 1e-9
+
+
+@pytest.mark.parametrize("block", [sem._COMPARE_BLOCK, 7])
+@settings(max_examples=300, deadline=None)
+@given(_comparison_inputs())
+@example(_deviation_above_tol())
+def test_comparisons_match_the_whole_array_formula_on_random_pairs(
+        block, inputs):
+    a, b, tol = inputs
+    with pytest.MonkeyPatch.context() as mp, np.errstate(
+            invalid="ignore", over="ignore"):
+        mp.setattr(sem, "_COMPARE_BLOCK", block)
+        got = (equal_up_to_scalar(a, b, tol), compare_scalar_exact(a, b, tol))
+        want = (_equal_one_shot(a, b, tol), _compare_one_shot(a, b, tol))
+    assert repr(got) == repr(want)
 
 
 def test_equal_up_to_scalar_builds_no_matrix_sized_temporary():
