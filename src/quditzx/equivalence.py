@@ -10,9 +10,12 @@ a + b*eta, and all brakets and phase-map images are a few array products;
 
 The twelve single-trit states of maximal knowledge are matched to the
 twelve qutrit stabilizer states by the unique dictionary that is a group
-homomorphism on both phase tori.  `_phi` states it once, on unbiased-point
-indices (sigma, t); each state's color, phases and ket are derived from it
-and from `toyrel`'s unbiased points, which gives:
+homomorphism on both phase tori.  `_phi` derives it on unbiased-point
+indices (sigma, t): the point's line has a canonical variable (alpha,
+beta), and its image is the torus point of the eta^t eigenstate of the
+Weyl row eta^(-alpha beta / 2) X^beta Z^alpha, read by
+`stabilizer.torus_exponents`.  Each state's color, phases and ket are
+derived from `_phi` and from `toyrel`'s unbiased points, which gives:
 
     z_t      <->  X-spider state, red phases  t * (2/3, 1/3)   (|t>)
     x_a      <->  Z-spider state, green phases a * (1/3, 2/3)
@@ -39,7 +42,7 @@ import numpy as np
 from . import phasespace as ps
 from . import toyrel as tr
 from .phases import PhaseVector, Turn
-from .stabilizer import phase_group
+from .stabilizer import phase_group, torus_exponents
 
 __all__ = [
     "STATE_NAMES",
@@ -206,12 +209,17 @@ def _phasespace_state(name: str) -> ps.EpistemicState:
     raise AssertionError("canonical variable has no level-t point")
 
 
-def build_3spek_states() -> dict:
-    """Name -> support for the twelve toy states, derived from the
-    epistemic restriction and cross-checked against the literal lists."""
+def _epistemic_states() -> dict:
+    """Name -> phase-space state for the twelve toy states, each built
+    once: its coset gives both its support and its distribution."""
+    return {name: _phasespace_state(name) for name in STATE_NAMES}
+
+
+def _checked_supports(states: dict) -> dict:
+    """The literal support table, checked against the states' supports
+    and against the enumeration of all maximal-knowledge states."""
     literal = _printed_supports()
-    derived = {name: _phasespace_state(name).labels()
-               for name in STATE_NAMES}
+    derived = {name: s.labels() for name, s in states.items()}
     if derived != literal:
         raise AssertionError("phase-space derivation disagrees with the "
                              "literal support table")
@@ -220,6 +228,12 @@ def build_3spek_states() -> dict:
         raise AssertionError("maximal-state enumeration disagrees with the "
                              "support table")
     return literal
+
+
+def build_3spek_states() -> dict:
+    """Name -> support for the twelve toy states, derived from the
+    epistemic restriction and cross-checked against the literal lists."""
+    return _checked_supports(_epistemic_states())
 
 
 def _unbiased_points(supports: dict) -> dict:
@@ -243,7 +257,10 @@ def build_dictionary() -> list:
     A state is Z-colored when it is Z-unbiased, otherwise X-colored; its
     phases are `_phi` of its unbiased-point index, and its ket is its
     color's phase map applied to the phase-zero state of that color."""
-    supports = build_3spek_states()
+    return _dictionary(build_3spek_states())
+
+
+def _dictionary(supports: dict) -> list:
     points = _unbiased_points(supports)
     zero = {"Z": np.array([_ETA[0]] * 3),
             "X": np.array([_ETA[0], (0, 0), (0, 0)])}
@@ -273,10 +290,15 @@ def build_dictionary() -> list:
 
 def _phi(color: str, sigma: int, t: int) -> tuple:
     """Dictionary image of the (sigma, t) unbiased point, as integer
-    thirds on the matching torus."""
-    if color == "Z":
-        return ((sigma + t) % 3, (sigma + 2 * t) % 3)
-    return ((2 * sigma + 2 * t) % 3, (2 * sigma + t) % 3)
+    thirds on the matching torus. The Z point is the line sigma x + p = t
+    and the X point the line x + sigma p = t; for that line's canonical
+    variable (alpha, beta), the image is the torus point of the eta^t
+    eigenstate of the Weyl operator eta^(-alpha beta / 2) X^beta Z^alpha,
+    the +1 eigenstate of the Pauli row below (1/2 = 2 mod 3, so its
+    sqrt(eta) exponent is -4 alpha beta - 2t)."""
+    alpha, beta = (sigma, 1) if color == "Z" else (1, sigma)
+    exps = torus_exponents([beta, alpha, -4 * alpha * beta - 2 * t], 3, color)
+    return tuple(e // 2 for e in exps)
 
 
 def _phase_array(color: str, u: int, v: int) -> np.ndarray:
@@ -294,7 +316,8 @@ def _phase_array(color: str, u: int, v: int) -> np.ndarray:
 
 
 def run_equivalence_checks() -> dict:
-    entries = build_dictionary()
+    states = _epistemic_states()
+    entries = _dictionary(_checked_supports(states))
     by_support = {e.support: i for i, e in enumerate(entries)}
     kets = np.array([[(x.a, x.b) for x in e.ket] for e in entries],
                     dtype=np.int64)
@@ -321,7 +344,7 @@ def run_equivalence_checks() -> dict:
     prob_failures = []
     values_seen = set()
     allowed = {Fraction(0), Fraction(1, 3), Fraction(1)}
-    mus = [_phasespace_state(s.name).distribution() for s in entries]
+    mus = [states[s.name].distribution() for s in entries]
     for family, coeffs in FAMILIES.items():
         indicators = ps.basis_indicators(coeffs, 3, 1)
         effect_names = [f"{family}_{k}" for k in range(3)]
@@ -347,14 +370,15 @@ def run_equivalence_checks() -> dict:
     # profile, and the dictionary a homomorphism on each torus
     maps = {color: tr.phase_maps(color, 3) for color in ("Z", "X")}
     group_ok = all(tr.phase_group_law(m) for m in maps.values())
-    homomorphism_ok = True
-    for color in ("Z", "X"):
-        for s1, t1, s2, t2 in product(range(3), repeat=4):
-            u1, v1 = _phi(color, s1, t1)
-            u2, v2 = _phi(color, s2, t2)
-            if _phi(color, s1 + s2, t1 + t2) != ((u1 + u2) % 3,
-                                                 (v1 + v2) % 3):
-                homomorphism_ok = False
+    points = list(product(range(3), repeat=2))
+    phi = {(c, key): _phi(c, *key) for c in ("Z", "X") for key in points}
+
+    def add(a, b):
+        return tuple((x + y) % 3 for x, y in zip(a, b))
+
+    homomorphism_ok = all(phi[c, add(a, b)] == add(phi[c, a], phi[c, b])
+                          for c in ("Z", "X")
+                          for a, b in product(points, repeat=2))
     quantum_group = phase_group(3)
     report["phaseGroups"] = {
         "toyGroupLaw": group_ok,
@@ -372,7 +396,7 @@ def run_equivalence_checks() -> dict:
              for key, toy_map in maps[color].items()]
     targets = [[by_support.get((toy_map @ state).support())
                 for state in toy_states] for _, _, toy_map in keyed]
-    images = _apply_arrays(np.array([_phase_array(c, *_phi(c, *key))
+    images = _apply_arrays(np.array([_phase_array(c, *phi[c, key])
                                      for c, key, _ in keyed]), kets)
     wanted = kets[[[0 if t is None else t for t in row] for row in targets]]
     # two nonzero vectors are parallel iff all their 2x2 minors vanish

@@ -44,8 +44,9 @@ Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
 assignments (D^E) or a node tensor of more than _REFERENCE_CAP entries
 (a self-loop's two legs count), "fast" any node tensor, merged pair or
-output matrix of more than _FAST_CAP entries; a refused node tensor
-names its node.
+output matrix of more than _FAST_CAP entries, and either path an X
+spider whose D x D eta table would pass _FAST_CAP entries; a refused node
+tensor or table names its node.
 """
 
 from __future__ import annotations
@@ -250,6 +251,10 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         t[::(dim ** k - 1) // (dim - 1)] = u
         return t.reshape((dim,) * k)
     if n.kind == dg.X:
+        if dim * dim > _FAST_CAP:
+            raise ValueError(f"evaluation refuses D={dim}: node {v} (X) needs "
+                             f"an eta table of {dim}^2 = {dim * dim} entries, "
+                             f"above its cap of {_FAST_CAP}")
         c = c_coefficients(n.phase, dim)
         if k == 0:
             return complex(c[0])

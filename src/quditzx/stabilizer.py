@@ -23,6 +23,11 @@ refuses a system whose arithmetic could leave int64 (`_check_int64`:
 D < 2^20 and 2 n D^2 < 2^63) before it tests D for primality, and a
 tableau refuses more than MAX_TABLEAU_QUDITS qudits before it allocates.
 
+A single-qudit stabilizer state is the +1 eigenstate of one Pauli row,
+and its points on the Z and X phase tori are read from that row in
+closed form, in integers (torus_exponents), which the state enumeration
+and phase_group share.
+
 The dense oracle shares only the gate definitions with it (F, CNOT and
 SWAP from semantics' generator table, eta from semantics.omega) and
 applies a Pauli word as the monomial it is (PauliOp.act: amplitudes
@@ -39,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _modp
-from .phases import PhaseVector, Turn, cyclic_vector, is_json_int
+from .phases import PhaseVector, Turn, is_json_int
 from .semantics import fourier_matrix, generator_matrix, omega
 
 # The number of wires each circuit step takes; GATES is its unitary part.
@@ -622,9 +627,10 @@ class StabState:
     """One single-qudit stabilizer state with exact phase coordinates.
 
     family is "Z" for the computational basis or an integer t for the
-    eigenbasis of (up-shift X) Z^t. half_exponents holds the 2D-th turn
+    eigenbasis of (up-shift X) Z^t. z_phases holds the 2D-th turn
     exponents e_m of the amplitudes sqrt(eta)^{e_m}/sqrt(D) when the
-    state is flat in the computational basis.
+    state is flat in the computational basis, and x_phases those of its
+    preimage under F when that is flat.
     """
 
     dim: int
@@ -643,119 +649,105 @@ class StabState:
         return self.x_phases is not None
 
 
-def _snap_turns(values: np.ndarray, grid: int) -> list | None:
-    """Snap angles (radians) to multiples of 1/grid turn, or None."""
-    turns = []
-    for v in values:
-        t = (v / (2 * np.pi)) % 1.0
-        num = round(t * grid)
-        if abs(t * grid - num) > grid * 1e-10:
-            return None
-        turns.append(Turn.exact(int(num) % grid, grid))
-    return turns
+def torus_exponents(row, dim: int, color: str = "Z") -> tuple | None:
+    """The point on the colour's D-torus of the +1 eigenstate of a
+    single-qudit Pauli row [x, z, phase] whose D-th power is 1: the
+    exponents e_1..e_(D-1) mod 2D of psi_m = sqrt(eta)^(e_m) / sqrt(D),
+    e_0 = 0, or None when the state is not flat there (x = 0 in the row
+    the torus reads). x must be 0 or a unit mod D.
+
+    P psi = psi reads e_(m+x) = e_m - phase - 2z(m+x), so along the orbit
+    m = kx, e_(kx) = -(k phase + z x k(k+1)) mod 2D. The X torus holds
+    the Z coordinates of F^dagger psi, which is F psi at -m (F^2 is the
+    parity), and F psi is the +1 eigenstate of F P F^dagger."""
+    x, z, phase = (int(v) for v in row)
+    if color == "X":
+        conjugated = np.array(row, dtype=np.int64)
+        _row_conjugate(conjugated, "F", [0], None, dim)
+        x, z, phase = (int(v) for v in conjugated)
+    x, z = x % dim, z % dim
+    if (phase - z * x * (dim - 1)) % 2 or math.gcd(x, dim) not in (1, dim):
+        raise ValueError(f"Pauli row {[int(v) for v in row]} needs order "
+                         f"dividing D={dim} and x a unit or 0 mod D")
+    if x == 0:
+        return None
+    exps = [0] * dim
+    for k in range(dim):
+        exps[k * x % dim] = -(k * phase + z * x * k * (k + 1)) % (2 * dim)
+    return tuple(exps[:0:-1] if color == "X" else exps[1:])
+
+
+def _stabilizer_rows(dim: int) -> list:
+    """(family, index, Pauli row) of each single-qudit stabilizer state
+    of prime D, the state being the row's +1 eigenstate: |j> for Z^j's
+    eta^j, and state j of family t for the eigenvalue sqrt(eta)^k' of
+    M_t = (up-shift X) Z^t, k' = 2j + t(D-1) mod 2 (Z's parity)."""
+    _check_int64(1, dim)
+    if not _modp.is_prime(dim):
+        raise ValueError(f"stabilizer state enumeration needs prime D, got "
+                         f"{dim}")
+    d = dim
+    return ([("Z", j, [0, 1, -2 * j]) for j in range(d)]
+            + [(t, j, [d - 1, t, -(2 * j + t * (d - 1) % 2)])
+               for t in range(d) for j in range(d)])
 
 
 def enumerate_stabilizer_states(dim: int) -> list:
-    """All D(D+1) single-qudit stabilizer states for prime D.
-
-    The D+1 bases are the computational basis and, for t = 0..D-1, the
-    eigenbasis of M_t = (up-shift X) Z^t. The M_t eigenvectors have the
-    closed form psi_m = sqrt(eta)^(e_m)/sqrt(D) with
-    e_m = -k'm + t m(m-1) mod 2D, where the eigenvalue is sqrt(eta)^(k')
-    and k' must match t(D-1) mod 2.
-    """
-    _check_int64(1, dim)
-    if not _modp.is_prime(dim):
-        raise ValueError(f"stabilizer state enumeration needs prime D, got {dim}")
+    """All D(D+1) single-qudit stabilizer states for prime D: the
+    computational basis and, for t = 0..D-1, the eigenbasis of
+    M_t = (up-shift X) Z^t, with both tori's coordinates read from each
+    state's Pauli row by torus_exponents."""
     d = dim
-    fmat = gate_matrix("F", d)
     states = []
-
-    for idx in range(d):
-        vec = np.zeros(d, dtype=complex)
-        vec[idx] = 1.0
-        x_ph = cyclic_vector(d, (d - idx) % d)
-        states.append(StabState(d, "Z", idx, vec, None, x_ph))
-
-    for t in range(d):
-        m_t = PauliOp(1, d, 0, (d - 1,), (t,)).dense()  # (up-shift X) Z^t
-        parity = (t * (d - 1)) % 2
-        for j in range(d):
-            kp = parity + 2 * j
-            exps = [(-kp * m + t * m * (m - 1)) % (2 * d) for m in range(d)]
-            vec = np.array([omega(2 * d, e) for e in exps]) / math.sqrt(d)
-            assert np.allclose(m_t @ vec, omega(2 * d, kp) * vec, atol=1e-10)
-            z_ph = PhaseVector(d, [Turn.exact(e, 2 * d) for e in exps[1:]])
-            x_ph = None
-            fvec = fmat.conj().T @ vec
-            mags = np.abs(fvec)
-            if np.max(np.abs(mags - 1 / math.sqrt(d))) < 1e-10:
-                rel = np.angle(fvec[1:] / fvec[0])
-                snapped = _snap_turns(rel, 2 * d)
-                if snapped is None:
-                    raise AssertionError(
-                        "Fourier phases fell off the exact grid")
-                x_ph = PhaseVector(d, snapped)
-            states.append(StabState(d, t, j, vec, z_ph, x_ph))
+    for family, index, row in _stabilizer_rows(d):
+        z_exps, x_exps = (torus_exponents(row, d, c) for c in ("Z", "X"))
+        if z_exps is None:
+            vec = np.zeros(d, dtype=complex)
+            vec[index] = 1.0
+        else:
+            vec = np.array([omega(2 * d, e) for e in (0, *z_exps)])
+            vec /= math.sqrt(d)
+        z_ph, x_ph = (e if e is None else PhaseVector(
+            d, [Turn.exact(v, 2 * d) for v in e])
+            for e in (z_exps, x_exps))
+        states.append(StabState(d, family, index, vec, z_ph, x_ph))
     return states
-
-
-def _partitions(a: int, cap: int) -> list:
-    """The partitions of a into parts of at most cap, largest part first."""
-    if a == 0:
-        return [[]]
-    return [[part] + rest for part in range(min(a, cap), 0, -1)
-            for rest in _partitions(a - part, part)]
-
-
-def _abelian_candidates(n: int) -> list:
-    """All abelian groups of order n, as sorted factor lists."""
-    groups = [[]]
-    for prime in range(2, n + 1):
-        a = 0
-        while n % prime == 0:
-            n, a = n // prime, a + 1
-        if a:
-            groups = [g + [prime ** part for part in partition]
-                      for partition in _partitions(a, a) for g in groups]
-    return [sorted(g) for g in groups]
 
 
 def phase_group(dim: int) -> dict:
     """The group of phase vectors realized by flat stabilizer states.
 
-    Collects the exact Z-phase coordinates of every computational-basis
-    unbiased stabilizer state, verifies closure under addition, and
-    matches the divisor profile against every abelian group of that
-    order to name the isomorphism class.
+    Stacks the Z-torus exponents (mod 2D) of every Z-unbiased stabilizer
+    state, checks closure under addition with one broadcast sum, and
+    names the isomorphism class from the divisor profile: profile[m]
+    counts the elements e with m e = 0, which for a product of cyclic
+    groups Z_c is prod gcd(c, m), so profile[p^j] / profile[p^(j-1)] is p
+    to the number of factors divisible by p^j. The factors so read are
+    checked against the whole profile, and are None if it disagrees.
     """
-    states = enumerate_stabilizer_states(dim)
-    elements = set()
-    for st in states:
-        if st.z_phases is not None:
-            elements.add(tuple(t.fraction for t in st.z_phases))
-    closed = all(tuple((fa + fb) % 1 for fa, fb in zip(a, b)) in elements
-                 for a in elements for b in elements)
-    n = len(elements)
-    profile = {}
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        profile[m] = sum(
-            1 for el in elements
-            if all((m * f) % 1 == 0 for f in el))
-    match = None
-    for cand in _abelian_candidates(n):
-        ok = all(
-            profile[m] == math.prod(math.gcd(c, m) for c in cand)
-            for m in profile)
-        if ok:
-            match = cand
-            break
+    d2 = 2 * dim
+    exps = np.unique([e for _, _, row in _stabilizer_rows(dim)
+                      if (e := torus_exponents(row, dim)) is not None], axis=0)
+    sums = (exps[:, None] + exps[None]).reshape(-1, dim - 1) % d2
+    closed = len(np.unique(np.concatenate([exps, sums]), axis=0)) == len(exps)
+    n = len(exps)
+    profile = {m: int((m * exps % d2 == 0).all(axis=1).sum())
+               for m in range(1, n + 1) if n % m == 0}
+    factors = []
+    for p in filter(_modp.is_prime, profile):
+        # above[j - 1]: the number of factors divisible by p^j
+        above = [round(math.log(profile[p ** j] / profile[p ** (j - 1)], p))
+                 for j in range(1, n.bit_length()) if p ** j in profile] + [0]
+        factors += [p ** j for j in range(1, len(above))
+                    for _ in range(above[j - 1] - above[j])]
+    if any(profile[m] != math.prod(math.gcd(c, m) for c in factors)
+           for m in profile):
+        factors = None
     return {
         "dim": dim,
         "order": n,
         "closed": closed,
-        "factors": match,
-        "elements": sorted(elements),
+        "factors": None if factors is None else sorted(factors),
+        "elements": [tuple(Fraction(e, d2) for e in el)
+                     for el in exps.tolist()],
     }

@@ -488,7 +488,9 @@ def test_equiv_text(capsys):
 ])
 def test_equiv_output_is_pinned(argv, sha256, capsys):
     # Recorded when the dictionary was three hand-written tables; deriving
-    # it from `_phi` and the toy unbiased points must print the same bytes.
+    # it from Weyl rows (`_phi` reads each image's torus point with
+    # `stabilizer.torus_exponents`) and the toy unbiased points must print
+    # the same bytes.
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -295,6 +295,16 @@ def test_derived_dictionary_matches_the_printed_table():
                                            Turn.exact(v, 3)]), e.name
 
 
+def test_phi_equals_the_hand_written_torus_map():
+    # The 18 values of the table _phi was before it was derived from
+    # Weyl rows: Z (sigma + t, sigma + 2t), X (2 sigma + 2t, 2 sigma + t).
+    assert [equivalence._phi(color, sigma, t) for color in ("Z", "X")
+            for sigma in range(3) for t in range(3)] == [
+        (0, 0), (1, 2), (2, 1), (1, 1), (2, 0), (0, 2), (2, 2), (0, 1), (1, 0),
+        (0, 0), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0),
+    ]
+
+
 def test_dictionary_refuses_unbiased_points_that_are_not_distinct(
         monkeypatch):
     honest = toyrel.phase_state

@@ -621,6 +621,23 @@ def test_fast_path_refuses_an_over_cap_merge_before_contracting(monkeypatch):
         evaluate(_complete_graph(2, 5))
 
 
+@pytest.mark.parametrize("method", ["fast", "reference"])
+def test_x_spider_eta_table_counts_against_the_cap(method, monkeypatch):
+    # A one-legged X spider at D=11 has a tensor of 11 entries, within a
+    # cap lowered to 2^6, but its weights come from an 11 x 11 eta table.
+    # An approximate phase keeps the tensor out of the node cache.
+    monkeypatch.setattr(sem, "_FAST_CAP", 2 ** 6)
+    monkeypatch.setattr(sem, "c_coefficients",
+                        lambda *a: pytest.fail("the eta table was built"))
+    d = dg.spider_diagram(11, dg.X, 0, 1,
+                          PhaseVector.from_radians(11, [0.5] * 10))
+    with pytest.raises(ValueError) as exc:
+        evaluate(d, method)
+    assert str(exc.value) == (
+        "evaluation refuses D=11: node 0 (X) needs an eta table of 11^2 = "
+        "121 entries, above its cap of 64")
+
+
 # ---------------------------------------------------------------------------
 # Loop-free spider tensors and the node-tensor cache
 

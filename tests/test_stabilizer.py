@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditzx import _modp, stabilizer
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
+from quditzx.semantics import fourier_matrix
 from quditzx.stabilizer import (
     GATES,
     DenseSimulator,
@@ -28,6 +30,7 @@ from quditzx.stabilizer import (
     phase_group,
     random_circuit,
     run_circuit,
+    torus_exponents,
 )
 
 
@@ -649,7 +652,7 @@ def test_elimination_refuses_a_non_unit_pivot():
 # ---------------------------------------------------------------------------
 # Single-qudit stabilizer states and their exact phase coordinates
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_enumeration_counts_and_exactness(d):
     states = enumerate_stabilizer_states(d)
     assert len(states) == d * (d + 1)
@@ -700,7 +703,7 @@ def test_x_coordinates_match_fourier_transform():
     # If a state has X coordinates, its Fourier preimage must be the
     # flat state with those Z coordinates.
     from quditzx.semantics import fourier_matrix, phased_state
-    for d in (2, 3, 5):
+    for d in (2, 3, 5, 7):
         f = fourier_matrix(d)
         for st in enumerate_stabilizer_states(d):
             if st.x_phases is None:
@@ -713,6 +716,55 @@ def test_x_coordinates_match_fourier_transform():
 def test_enumeration_requires_prime_dimension():
     with pytest.raises(ValueError):
         enumerate_stabilizer_states(4)
+
+
+def _flat(exps, d):
+    """The flat state sqrt(eta)^(e_m) / sqrt(D), e_0 = 0."""
+    return np.exp(1j * np.pi * np.array((0, *exps)) / d) / math.sqrt(d)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_torus_exponents_give_the_plus_one_eigenstate(d, data):
+    x, z = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+                     .filter(any))
+    # P^D = 1 fixes the parity of the phase: phase = z x (D-1) mod 2
+    phase = 2 * data.draw(st.integers(0, d - 1)) + z * x * (d - 1) % 2
+    p = PauliOp(1, d, phase, (x,), (z,))
+    assert p.order_divides_dim()
+    z_exps, x_exps = (torus_exponents(p.row, d, c) for c in ("Z", "X"))
+    assert (z_exps is None) == (x == 0) and (x_exps is None) == (z == 0)
+    states = []
+    if z_exps is not None:
+        states.append(_flat(z_exps, d))
+    if x_exps is not None:
+        states.append(fourier_matrix(d) @ _flat(x_exps, d))
+    for psi in states:
+        assert _dev(p.dense() @ psi, psi) < 1e-12
+
+
+def test_torus_exponents_refuse_a_row_without_a_plus_one_eigenstate():
+    # sqrt(eta) X at D=3 cubes to -1
+    with pytest.raises(ValueError, match=r"\[1, 0, 1\] needs order"):
+        torus_exponents([1, 0, 1], 3)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_flat_states_with_nonnegative_wigner_function_are_the_phase_group(d):
+    # Discrete Hudson theorem (Gross, quant-ph/0602001): of the D^(D-1)
+    # flat states with D-th-root phases, entry 0 pinned, exactly the D^2
+    # stabilizer states have W(q, p) >= 0, with
+    # W(q, p) = (1/D) sum_y eta^(-2py) psi(q+y) conj(psi(q-y)).
+    a = np.array(list(itertools.product(range(d), repeat=d - 1)), dtype=int)
+    psi = _eta(d, np.concatenate([np.zeros((len(a), 1), int), a], axis=1))
+    q, y = np.ogrid[:d, :d]
+    pairs = psi[:, (q + y) % d] * psi[:, (q - y) % d].conj()
+    wigner = pairs @ _eta(d, -2 * np.outer(np.arange(d), np.arange(d))) / d
+    assert _dev(wigner.imag, 0) < 1e-12
+    positive = (wigner.real >= -1e-12).all(axis=(1, 2))
+    assert positive.sum() == d * d
+    assert ({tuple(Fraction(int(v), d) for v in row) for row in a[positive]}
+            == set(phase_group(d)["elements"]))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +785,9 @@ def test_qubit_phase_group_is_cyclic_four():
 
 
 def test_phase_group_elements_are_exact_fractions():
-    g = phase_group(5)
-    assert g["closed"]
-    for el in g["elements"]:
-        assert all(isinstance(f, Fraction) for f in el)
+    for d in (5, 7):
+        g = phase_group(d)
+        assert g["closed"]
+        assert g["order"] == d * d and g["factors"] == [d, d]
+        for el in g["elements"]:
+            assert all(isinstance(f, Fraction) for f in el)
