@@ -30,18 +30,17 @@ def rref_mod(a, p: int):
     for col in range(cols):
         if lead >= rows:
             break
-        pivot = None
-        for i in range(lead, rows):
-            if r[i, col] % p:
-                pivot = i
-                break
-        if pivot is None:
+        below = np.flatnonzero(r[lead:, col])
+        if not below.size:
             continue
-        r[[lead, pivot]] = r[[pivot, lead]]
-        r[lead] = (r[lead] * pow(int(r[lead, col]), -1, p)) % p
-        for i in range(rows):
-            if i != lead and r[i, col] % p:
-                r[i] = (r[i] - r[i, col] * r[lead]) % p
+        pivot = lead + below[0]
+        if pivot != lead:
+            r[[lead, pivot]] = r[[pivot, lead]]
+        # scale the pivot row to 1 and clear the column in every row with
+        # one broadcast; that empties the pivot row, which is then put back
+        row = r[lead] * pow(int(r[lead, col]), -1, p) % p
+        r = (r - r[:, col, None] * row) % p
+        r[lead] = row
         pivots.append(col)
         lead += 1
     return r, pivots

@@ -27,8 +27,9 @@ all 144 state/effect pairs (toy composite relation nonempty iff quantum
 inner product nonzero), exact measurement probabilities (all values in
 {0, 1/3, 1}, toy coset counting vs quantum Born rule), both phase groups
 equal to Z_3 x Z_3 with the dictionary a group isomorphism, and
-equivariance of the dictionary under all 18 phase maps.  Each toy pair is
-its own relational composite.
+equivariance of the dictionary under all 18 phase maps.  The toy side of
+all 144 pairs is one stacked relational product of the twelve states, and
+the 216 toy images are one stacked product of the 18 maps with them.
 """
 
 from __future__ import annotations
@@ -318,22 +319,23 @@ def _phase_array(color: str, u: int, v: int) -> np.ndarray:
 def run_equivalence_checks() -> dict:
     states = _epistemic_states()
     entries = _dictionary(_checked_supports(states))
-    by_support = {e.support: i for i, e in enumerate(entries)}
     kets = np.array([[(x.a, x.b) for x in e.ket] for e in entries],
                     dtype=np.int64)
     # |<e|s>|^2 for all 144 pairs, indexed [e, s]
     braket2 = _znorm2(_braket_table(kets)).tolist()
     report: dict = {"dim": 3}
 
-    # 1. possibilistic agreement on all 144 pairs, toy side computed as an
-    # honest relational composite effect . state
-    toy_states = [tr.Rel.state(3, e.support) for e in entries]
+    # 1. possibilistic agreement on all 144 pairs, toy side computed as the
+    # relational composites effect . state of the stacked states, S^T . S
+    supports = np.hstack([tr.Rel.state(3, e.support).matrix for e in entries])
+    # a column's support is looked up by its bitmask, one int
+    bits = 1 << np.arange(9)
+    by_support = {c: i for i, c in enumerate((bits @ supports).tolist())}
+    possible = tr.or_and(supports.T, supports).tolist()
     failures = []
-    for i, e in enumerate(entries):
-        effect = toy_states[i].converse()
-        for j, s in enumerate(entries):
-            toy_possible = (effect @ toy_states[j]).scalar_true()
-            quantum_possible = braket2[i][j] != 0
+    for e, toy_row, braket_row in zip(entries, possible, braket2):
+        for s, toy_possible, b2 in zip(entries, toy_row, braket_row):
+            quantum_possible = b2 != 0
             if toy_possible != quantum_possible:
                 failures.append({"effect": e.name, "state": s.name,
                                  "toy": toy_possible,
@@ -390,12 +392,15 @@ def run_equivalence_checks() -> dict:
     }
 
     # 4. equivariance of the dictionary under all 18 phase maps: the toy
-    # image of each state names a target, and the quantum image of its
-    # ket must be parallel to the target's ket
+    # image of each state, one stacked product of the maps with the states,
+    # names a target, and the quantum image of its ket must be parallel to
+    # the target's ket
     keyed = [(color, key, toy_map) for color in ("Z", "X")
              for key, toy_map in maps[color].items()]
-    targets = [[by_support.get((toy_map @ state).support())
-                for state in toy_states] for _, _, toy_map in keyed]
+    toy_images = tr.or_and(np.stack([m.matrix for _, _, m in keyed]),
+                           supports)
+    targets = [[by_support.get(c) for c in row]
+               for row in (bits @ toy_images).tolist()]
     images = _apply_arrays(np.array([_phase_array(c, *phi[c, key])
                                      for c, key, _ in keyed]), kets)
     wanted = kets[[[0 if t is None else t for t in row] for row in targets]]

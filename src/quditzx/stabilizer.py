@@ -714,6 +714,12 @@ def enumerate_stabilizer_states(dim: int) -> list:
     return states
 
 
+# phase_group's closure check sums every pair of the D^2 exponent rows,
+# a D^4 x (D-1) int64 array: 1,336,336 entries (10 MiB) at D=17, the
+# largest prime it accepts; D=19 would need 2,345,778.
+_PHASE_GROUP_CAP = 2 ** 21
+
+
 def phase_group(dim: int) -> dict:
     """The group of phase vectors realized by flat stabilizer states.
 
@@ -724,7 +730,15 @@ def phase_group(dim: int) -> dict:
     groups Z_c is prod gcd(c, m), so profile[p^j] / profile[p^(j-1)] is p
     to the number of factors divisible by p^j. The factors so read are
     checked against the whole profile, and are None if it disagrees.
+
+    Raises ValueError, before building anything, when the closure array
+    (D^4 (D-1) entries) is above _PHASE_GROUP_CAP.
     """
+    if dim ** 4 * (dim - 1) > _PHASE_GROUP_CAP:
+        raise ValueError(
+            f"phase_group refuses D={dim}: its closure check needs "
+            f"{dim ** 4 * (dim - 1)} entries (D^4 (D-1)), above its cap of "
+            f"{_PHASE_GROUP_CAP}")
     d2 = 2 * dim
     exps = np.unique([e for _, _, row in _stabilizer_rows(dim)
                       if (e := torus_exponents(row, dim)) is not None], axis=0)

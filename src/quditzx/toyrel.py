@@ -46,6 +46,7 @@ from .phases import json_field, json_int, json_int_list, json_list
 
 __all__ = [
     "Rel",
+    "or_and",
     "Permutation",
     "ontic_label",
     "ontic_coords",
@@ -108,6 +109,16 @@ def label_tuple(D: int, arity: int, flat: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # relations
+
+
+def or_and(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """OR-AND product of boolean matrices, broadcast over leading axes as
+    `@` is: relational composition, one matrix or a whole stack at once.
+
+    float32 takes numpy's BLAS path, which integer products lack.  The
+    `> 0` test stays exact: an entry is a sum of non-negative 0/1
+    products, and such a sum cannot round to zero."""
+    return np.matmul(a, b, dtype=np.float32) > 0
 
 
 class Rel:
@@ -194,12 +205,7 @@ class Rel:
             raise ValueError(
                 f"arity mismatch: composing {self.m}-source with "
                 f"{other.n}-target")
-        # float32 takes numpy's BLAS path, which integer products lack.  The
-        # `> 0` test stays exact: an entry is a sum of non-negative 0/1
-        # products, and such a sum cannot round to zero.
-        prod = (self.matrix.astype(np.float32)
-                @ other.matrix.astype(np.float32))
-        return Rel(self.D, other.m, self.n, prod > 0)
+        return Rel(self.D, other.m, self.n, or_and(self.matrix, other.matrix))
 
     def __matmul__(self, other: "Rel") -> "Rel":
         return self.compose(other)
@@ -418,14 +424,20 @@ def phase_group_law(maps: dict) -> bool:
     """Whether the D^2 phase maps `maps` (as from `phase_maps`) form the
     group (Z_D)^2: each is a permutation, (0, 0) is the identity, and
     composition adds indices, map(s1, t1) . map(s2, t2) = map(s1 + s2,
-    t1 + t2)."""
+    t1 + t2).
+
+    The maps are stacked in (sigma, t) order and, once each is known to be
+    a permutation, read as index arrays: all D^4 products are one gather,
+    compared with the table of index sums in one `array_equal`."""
     D = maps[0, 0].D
-    return (all((m.matrix.sum(axis=0) == 1).all()
-                and (m.matrix.sum(axis=1) == 1).all() for m in maps.values())
-            and maps[0, 0] == Rel.identity(D)
-            and all(m1 @ m2 == maps[(s1 + s2) % D, (t1 + t2) % D]
-                    for (s1, t1), m1 in maps.items()
-                    for (s2, t2), m2 in maps.items()))
+    stack = np.stack([maps[s, t].matrix for s in range(D) for t in range(D)])
+    if not ((stack.sum(axis=1) == 1).all() and (stack.sum(axis=2) == 1).all()
+            and np.array_equal(stack[0], np.eye(D * D, dtype=bool))):
+        return False
+    image = stack.argmax(axis=1)            # image[k, u]: where map k sends u
+    s, t = np.divmod(np.arange(D * D), D)
+    table = (s[:, None] + s) % D * D + (t[:, None] + t) % D
+    return bool(np.array_equal(image[:, image], image[table]))
 
 
 def cap_conjugate(color: str, D: int, psi: Rel) -> Rel:
@@ -466,9 +478,8 @@ _LAWS = {
 
 def _law_model(D: int) -> Model:
     """The toy theory as a model of `laws.LAWS`: each relation's float32
-    tensor view, contracted by einsum and tested `> 0`.  float32 keeps
-    einsum on BLAS, and as in Rel.compose the test stays exact: an entry is
-    a sum of non-negative 0/1 products, which cannot round to zero."""
+    tensor view, contracted by einsum and tested `> 0`, which stays exact
+    for the reason `or_and` gives."""
     rels = {name: spek_generator(name, D)
             for name in ("delta_z", "delta_x", "eps_z", "eps_x", "bell")}
     rels.update(antipode=negation_permutation(D).to_rel(),
@@ -524,6 +535,7 @@ def rel_structure_check(D: int) -> dict:
     def row(check_id, *names):
         _check(checks, check_id, all(check(model, _LAWS[n]) for n in names))
 
+    maps = {color: phase_maps(color, D) for color in ("Z", "X")}
     for color in ("Z", "X"):
         tag = color.lower()
         for law in FROBENIUS:
@@ -531,8 +543,7 @@ def rel_structure_check(D: int) -> dict:
         row(f"classical_points_{tag}", *(f"classical_{k}_{tag}" for k in
                                          ("copy", "delete", "conjugate")))
         row(f"unbiased_points_{tag}", f"unbiased_points_{tag}")
-        _check(checks, f"phase_group_{tag}",
-               phase_group_law(phase_maps(color, D)),
+        _check(checks, f"phase_group_{tag}", phase_group_law(maps[color]),
                f"(Z_{D} x Z_{D}) composition table")
     row("coherence", "coherence_z", "coherence_x", "counit_scalar")
     row("strong_complementarity", "strong_complementarity")
@@ -550,21 +561,19 @@ def rel_structure_check(D: int) -> dict:
           and not blocks[~np.eye(D, dtype=bool)].any())
     _check(checks, "latin_squares", ok)
 
-    # maximal-knowledge preservation: generators keep support at D^arity
-    delta_z = spek_generator("delta_z", D)
-    delta_x = spek_generator("delta_x", D)
-    ok = True
-    for t in range(D):
-        maps = [phase_map("Z", D, sigma, t) for sigma in range(D)]
-        for state in (classical_point("Z", D, t), classical_point("X", D, t)):
-            if len((delta_z @ state).support()) != D * D:
-                ok = False
-            if len((delta_x @ state).support()) != D * D:
-                ok = False
-            for m in maps:
-                if len((m @ state).support()) != D:
-                    ok = False
-    ok = ok and len(spek_generator("bell", D).support()) == D * D
+    # maximal-knowledge preservation: generators keep support at D^arity.
+    # points[t] holds the classical points z_t and x_t as two columns; both
+    # copy maps take all 2D of them, and the Z phase maps at t take those
+    # at t, in two stacked products
+    points = np.stack([np.hstack([classical_point(c, D, t).matrix
+                                  for c in ("Z", "X")]) for t in range(D)])
+    copies = or_and(np.stack([spek_generator(f"delta_{c}", D).matrix
+                              for c in ("z", "x")])[:, None], points)
+    phased = or_and(np.stack([[maps["Z"][s, t].matrix for s in range(D)]
+                              for t in range(D)]), points[:, None])
+    ok = ((copies.sum(axis=-2) == D * D).all()
+          and (phased.sum(axis=-2) == D).all()
+          and len(spek_generator("bell", D).support()) == D * D)
     _check(checks, "maximal_knowledge", ok)
 
     # negative control: the shared laws must fail once delta_Z has its pair

@@ -10,6 +10,7 @@ pinned failures when the dictionary is corrupted on purpose.
 """
 
 import cmath
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -426,6 +427,61 @@ def test_battery_builds_each_phase_map_once(monkeypatch):
     assert run_equivalence_checks()["passed"] is True
     assert sorted(calls) == [(c, s, t) for c in ("X", "Z")
                              for s in range(3) for t in range(3)]
+
+
+_HONEST_SUPPORTS = sorted(map(sorted, build_3spek_states().values()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_HONEST_SUPPORTS),
+                          st.lists(st.integers(1, 9), unique=True)),
+                min_size=12, max_size=12))
+def test_stacked_toy_tables_match_per_pair_composites(supports):
+    # Give the twelve entries random supports, some of them the supports of
+    # other entries: the possibilistic failures and the equivariance
+    # targets, read from the battery's stacked products, must be those of
+    # one Rel composite per pair, in the battery's loop order.
+    honest = equivalence._dictionary
+
+    def relabelled(checked):
+        return [dataclasses.replace(e, support=frozenset(support))
+                for e, support in zip(honest(checked), supports)]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalence, "_dictionary", relabelled)
+        report = run_equivalence_checks()
+    entries = relabelled(build_3spek_states())
+    states = [toyrel.Rel.state(3, e.support) for e in entries]
+
+    possibilistic = []
+    for e, effect in zip(entries, states):
+        for s, state in zip(entries, states):
+            toy = (effect.converse() @ state).scalar_true()
+            quantum = not _inner(e.ket, s.ket).is_zero()
+            if toy != quantum:
+                possibilistic.append({"effect": e.name, "state": s.name,
+                                      "toy": toy, "quantum": quantum})
+    assert report["possibilistic"]["failures"] == possibilistic
+
+    by_support = {e.support: i for i, e in enumerate(entries)}
+    targets = {(color, (sigma, t), e.name):
+               by_support.get((toy_map @ state).support())
+               for color in ("Z", "X")
+               for (sigma, t), toy_map in toyrel.phase_maps(color, 3).items()
+               for e, state in zip(entries, states)}
+    failures = report["equivariance"]["failures"]
+    keys = [(f["color"], tuple(f["map"]), f["state"]) for f in failures]
+    assert keys == [k for k in targets if k in keys]      # loop order
+    for key, f in zip(keys, failures):
+        if targets[key] is None:
+            assert f["reason"] == "image not a state"
+        else:
+            assert f == {"color": key[0], "map": list(key[1]),
+                         "state": key[2],
+                         "target": entries[targets[key]].name,
+                         "reason": "kets not parallel"}
+    assert all(target is not None for key, target in targets.items()
+               if key not in keys)
 
 
 def _digest(failures):

@@ -649,6 +649,55 @@ def test_elimination_refuses_a_non_unit_pivot():
     assert _modp.rref_mod([[3, 1]], 4)[0].tolist() == [[1, 3]]
 
 
+def _rref_oracle(rows, cols, p):
+    """Row-reduced echelon form mod p on lists of Python ints, one row
+    operation at a time; returns (R, pivot_columns)."""
+    r = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(cols):
+        lead = len(pivots)
+        pivot = next((i for i in range(lead, len(r)) if r[i][col]), None)
+        if pivot is None:
+            continue
+        r[lead], r[pivot] = r[pivot], r[lead]
+        inverse = pow(r[lead][col], -1, p)
+        r[lead] = [v * inverse % p for v in r[lead]]
+        for i in range(len(r)):
+            if i != lead and r[i][col]:
+                factor = r[i][col]
+                r[i] = [(v - factor * w) % p for v, w in zip(r[i], r[lead])]
+        pivots.append(col)
+    return r, pivots
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """A prime p and a matrix of 0..6 rows and 0..7 columns, with many
+    zeros and some repeated rows, so every rank turns up."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.integers(-3 * p, 3 * p))
+    matrix = [draw(st.lists(entry, min_size=cols, max_size=cols))
+              for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        matrix[-1] = list(matrix[0])
+    return p, np.array(matrix, dtype=np.int64).reshape(rows, cols)
+
+
+@given(_matrices_mod_p())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_a_python_int_oracle(drawn):
+    # The RREF is unique, so the broadcast row updates must give the
+    # oracle's matrix and pivots exactly, zero rows and columns included.
+    p, a = drawn
+    r, pivots = _modp.rref_mod(a, p)
+    want, want_pivots = _rref_oracle(a.tolist(), a.shape[1], p)
+    assert r.dtype == np.int64 and r.shape == a.shape
+    assert r.tolist() == want
+    assert pivots == want_pivots
+    assert all(type(c) is int for c in pivots)
+
+
 # ---------------------------------------------------------------------------
 # Single-qudit stabilizer states and their exact phase coordinates
 
@@ -791,3 +840,24 @@ def test_phase_group_elements_are_exact_fractions():
         assert g["order"] == d * d and g["factors"] == [d, d]
         for el in g["elements"]:
             assert all(isinstance(f, Fraction) for f in el)
+
+
+def test_phase_group_refuses_a_closure_array_above_its_cap(monkeypatch):
+    # The closure check sums every pair of the D^2 exponent rows, D^4 (D-1)
+    # entries: the cap admits D=17 and refuses D=19. With the cap lowered
+    # to the D=3 size, D=5 is refused before any row is built.
+    assert 17 ** 4 * 16 <= stabilizer._PHASE_GROUP_CAP < 19 ** 4 * 18
+    monkeypatch.setattr(stabilizer, "_PHASE_GROUP_CAP", 3 ** 4 * 2)
+    rows = stabilizer._stabilizer_rows
+
+    def unreachable(dim):
+        raise AssertionError(f"rows built for D={dim}")
+
+    monkeypatch.setattr(stabilizer, "_stabilizer_rows", unreachable)
+    with pytest.raises(ValueError) as refused:
+        phase_group(5)
+    assert str(refused.value) == (
+        "phase_group refuses D=5: its closure check needs 2500 entries "
+        "(D^4 (D-1)), above its cap of 162")
+    monkeypatch.setattr(stabilizer, "_stabilizer_rows", rows)
+    assert phase_group(3)["factors"] == [3, 3]

@@ -6,6 +6,7 @@ plus independent spot checks of supports and grids.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -405,6 +406,74 @@ def test_phase_group_law_fails_for_a_map_that_is_not_a_permutation(
         assert not phase_group_law(phase_maps(color, D))
 
 
+def _per_pair_phase_group_law(maps):
+    """The phase-group law one Rel.compose and one Rel.__eq__ per pair:
+    each map a permutation, (0, 0) the identity, and map(s1, t1) .
+    map(s2, t2) = map(s1 + s2, t1 + t2)."""
+    D = maps[0, 0].D
+    return (all((m.matrix.sum(axis=0) == 1).all()
+                and (m.matrix.sum(axis=1) == 1).all() for m in maps.values())
+            and maps[0, 0] == Rel.identity(D)
+            and all(m1 @ m2 == maps[(s1 + s2) % D, (t1 + t2) % D]
+                    for (s1, t1), m1 in maps.items()
+                    for (s2, t2), m2 in maps.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _honest_maps(color, D):
+    return phase_maps(color, D)
+
+
+@st.composite
+def _phase_map_dicts(draw):
+    """A color's honest phase maps at D = 2..5, or a corrupted copy: one
+    entry flipped, a row filled, two maps swapped, a non-identity (0, 0),
+    or every index negated (an automorphism, so the law still holds)."""
+    color = draw(st.sampled_from(["Z", "X"]))
+    D = draw(st.integers(2, 5))
+    maps = dict(_honest_maps(color, D))
+    keys = sorted(maps)
+    size = D * D
+    kind = draw(st.sampled_from(["honest", "flip", "fill_row", "swap",
+                                 "non_identity", "negate"]))
+    if kind in ("flip", "fill_row"):
+        key = draw(st.sampled_from(keys))
+        matrix = maps[key].matrix.copy()
+        i = draw(st.integers(0, size - 1))
+        if kind == "flip":
+            j = draw(st.integers(0, size - 1))
+            matrix[i, j] = not matrix[i, j]
+        else:
+            matrix[i, :] = True
+        maps[key] = Rel(D, 1, 1, matrix)
+    elif kind == "swap":
+        a, b = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2,
+                             unique=True))
+        maps[a], maps[b] = maps[b], maps[a]
+    elif kind == "non_identity":
+        images = draw(st.permutations(range(1, size + 1)))
+        if list(images) == list(range(1, size + 1)):
+            images = images[1:] + images[:1]
+        maps[0, 0] = Permutation(D, tuple(images)).to_rel()
+    elif kind == "negate":
+        maps = {(s, t): maps[-s % D, -t % D] for s, t in keys}
+    return kind, maps
+
+
+@settings(max_examples=120, deadline=None)
+@given(_phase_map_dicts())
+def test_stacked_phase_group_law_matches_the_per_pair_law(drawn):
+    # The gather over the stacked maps against one Rel.compose per pair,
+    # on honest and corrupted map dicts at D = 2..5.
+    kind, maps = drawn
+    want = _per_pair_phase_group_law(maps)
+    assert phase_group_law(maps) is want
+    if kind in ("honest", "negate"):
+        assert want is True
+    if kind in ("flip", "fill_row", "non_identity"):
+        assert want is False
+
+
 # ---------------------------------------------------------------------------
 # The law battery
 
@@ -434,6 +503,28 @@ def test_structure_battery_passes(D):
     for cid, c in by_id.items():
         assert c["passed"], (D, cid, c.get("detail"))
     assert _report_digest(report) == REPORT_DIGESTS[D]
+
+
+def test_maximal_knowledge_pairs_each_z_phase_map_with_the_points_at_its_t(
+        monkeypatch):
+    # The Z phase map (sigma, t) = (0, 1) loses the images of (1, p), p != 0:
+    # it still keeps z_0, x_0 and x_1 at D labels, but not z_1. Maximal
+    # knowledge applies each map to the classical points at its own t, so
+    # it must fail, and the phase group with it; every other check holds.
+    D = 3
+    honest = toyrel.phase_map
+
+    def lossy(color, D, sigma, t):
+        m = honest(color, D, sigma, t)
+        if (color, sigma, t) == ("Z", 0, 1):
+            m = Rel(D, 1, 1, m.matrix.copy())
+            m.matrix[:, [ontic_label(D, 1, p) - 1 for p in range(1, D)]] = 0
+        return m
+
+    monkeypatch.setattr(toyrel, "phase_map", lossy)
+    report = rel_structure_check(D)
+    assert {c["id"] for c in report["checks"] if not c["passed"]} == {
+        "phase_group_z", "maximal_knowledge"}
 
 
 def test_negative_control_is_exercised():
