@@ -19,6 +19,7 @@ to an X spider generally does.
 from __future__ import annotations
 
 import bisect
+import cmath
 import json
 import types
 from collections import defaultdict
@@ -55,10 +56,13 @@ BAD_BOUNDARY_DEGREE = "BadBoundaryDegree"
 BAD_BOX_DEGREE = "BadBoxDegree"
 PHASE_LENGTH_MISMATCH = "PhaseLengthMismatch"
 NON_CONTIGUOUS_BOUNDARY = "NonContiguousBoundary"
+NON_FINITE_SCALAR = "NonFiniteScalar"
 
 
 class Node:
-    """One vertex: a spider (kind Z/X, with phase), box, or boundary marker."""
+    """One vertex: a spider (kind Z/X, with phase), box, or boundary marker.
+
+    Read-only once built, so a Diagram's cached JSON cannot go stale."""
 
     __slots__ = ("kind", "phase", "position")
 
@@ -74,9 +78,12 @@ class Node:
             raise ValueError(f"{kind} boundary needs a position")
         if kind not in BOUNDARY_KINDS and position is not None:
             raise ValueError(f"{kind} node cannot carry a position")
-        self.kind = kind
-        self.phase = phase
-        self.position = position
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "position", position)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Node is read-only; cannot set {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -121,9 +128,11 @@ class _Incidence:
 class Diagram(_Incidence):
     """Valid and read-only once built; use DiagramBuilder to construct.
 
-    The constructor runs validate(), so nothing downstream checks again."""
+    The constructor runs validate(), so nothing downstream checks again.
+    to_json() stores the canonical JSON in _json on its first call."""
 
-    __slots__ = ("_dimension", "_scalar", "_nodes", "_edges", "_legs")
+    __slots__ = ("_dimension", "_scalar", "_nodes", "_edges", "_legs",
+                 "_json")
 
     def __init__(self, dimension: int, nodes: Mapping[int, Node],
                  edges: Iterable[tuple], scalar: complex = 1.0):
@@ -200,6 +209,9 @@ def validate(d: Diagram) -> Diagram:
             for i, edge in enumerate(d.edges) for v in edge if v not in nodes])
 
     bad = []
+    if not cmath.isfinite(d.scalar):
+        bad.append((NON_FINITE_SCALAR,
+                    f"scalar must be finite, got {d.scalar!r}"))
     positions = {IN: [], OUT: []}
     for v in sorted(nodes):
         n = nodes[v]
@@ -534,7 +546,14 @@ def from_json_dict(obj: dict) -> Diagram:
 
 
 def to_json(d: Diagram) -> str:
-    return json.dumps(to_json_dict(d), sort_keys=True, separators=(",", ":"))
+    """The canonical JSON text, built on the first call and kept on d: a
+    Diagram and its Nodes are read-only, so the text cannot go stale."""
+    try:
+        return d._json
+    except AttributeError:
+        d._json = json.dumps(to_json_dict(d), sort_keys=True,
+                             separators=(",", ":"))
+        return d._json
 
 
 def from_json(text: str) -> Diagram:

@@ -38,7 +38,8 @@ absent, for boxes) are built once per (kind, phase, leg signs, D) and
 shared read-only between calls; approximate phases are never cached.
 "reference" builds every tensor afresh, self-loop legs included. Both
 read the D x D table eta^(m*j) behind c_coefficients and fourier_matrix
-from a read-only copy that is built once per D.
+from a read-only copy, built once per D and kept when it holds at most
+_ETA_KEEP entries.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
@@ -67,6 +68,7 @@ _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
 _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
 _CACHE_TENSORS = 1024          # node tensors cached; once full, no more
+_ETA_KEEP = 2 ** 16            # entries (1 MiB) of the largest kept eta table
 _COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
 _node_tensor_cache: dict = {}
 
@@ -133,14 +135,23 @@ def _phase_exponentials(alpha, dim: int | None = None) -> np.ndarray:
     return np.exp(1j * angles)
 
 
-@functools.lru_cache(maxsize=8)
 def _eta_table(dim: int) -> np.ndarray:
-    """eta^(m*j) for m, j = 0..D-1, built once per D and read-only; the
-    tables of the eight dimensions used last are kept."""
+    """eta^(m*j) for m, j = 0..D-1, read-only. A table of at most
+    _ETA_KEEP entries is built once per D, and those of the eight
+    dimensions used last are kept; a larger one is built per call."""
+    if dim * dim > _ETA_KEEP:
+        return _build_eta_table(dim)
+    return _kept_eta_table(dim)
+
+
+def _build_eta_table(dim: int) -> np.ndarray:
     j = np.arange(dim)
     table = np.exp(2j * np.pi * np.outer(j, j) / dim)
     table.setflags(write=False)
     return table
+
+
+_kept_eta_table = functools.lru_cache(maxsize=8)(_build_eta_table)
 
 
 def c_coefficients(alpha, dim: int | None = None) -> np.ndarray:
@@ -410,10 +421,11 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
         tensors[c] = (arr, labels)
 
     edges = d.edges
+    looped = {s for s, t in edges if s == t}
     for v, kind in [(v, n.kind) for v, n in sorted(d.nodes.items())
                     if n.kind not in dg.BOUNDARY_KINDS]:
         legs = d.legs(v)
-        if kind in dg.SPIDER_KINDS and (v, v) in edges:
+        if kind in dg.SPIDER_KINDS and v in looped:
             # A spider self-loop's factor is one: its legs are never built.
             legs = tuple(leg for leg in legs if edges[leg[0]] != (v, v))
         _check_cap(dim, len(legs), (v, kind))

@@ -708,6 +708,12 @@ def bad_input_files(tmp_path):
                   {"id": 2, "kind": "out", "position": 0},
                   {"id": 3, "kind": "out", "position": 1}],
         "edges": [[0, 1], [1, 2], [1, 3]]}))
+    # a closed F/Fdag cycle whose F2_cancel multiplies the scalar by D,
+    # past the largest float
+    write("fcycle", json.dumps({
+        "dimension": 3, "scalar": [1e308, 0.0],
+        "nodes": [{"id": 0, "kind": "F"}, {"id": 1, "kind": "Fdag"}],
+        "edges": [[0, 1], [1, 0]]}))
     for name, n, step in [
             ("cnot00", 2, {"gate": "CNOT", "wires": [0, 0]}),
             ("wire5", 2, {"gate": "F", "wires": [5]}),
@@ -779,6 +785,7 @@ BAD_INPUTS = [
     ("eval {nokind}", None),
     ("eval {noposition}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
+    ("simplify {fcycle}", None),
     ("export-dot {cnot} --out {missing}/x.dot", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol -1", None),

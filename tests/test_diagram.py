@@ -10,6 +10,7 @@ from quditzx.diagram import (
     BAD_BOX_DEGREE,
     DANGLING_EDGE,
     NON_CONTIGUOUS_BOUNDARY,
+    NON_FINITE_SCALAR,
     PHASE_LENGTH_MISMATCH,
     Diagram,
     DiagramBuilder,
@@ -53,6 +54,16 @@ def test_node_field_misuse_is_rejected():
         Node(dg.Z, phase=PhaseVector.zero(3), position=1)
     with pytest.raises(ValueError):
         Node("Y")
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("kind", dg.X), ("phase", PhaseVector.zero(3)), ("position", 1)])
+def test_nodes_are_read_only(attribute, value):
+    phase = PhaseVector(3, [Turn.exact(1, 3), Turn.exact(1, 2)])
+    n = Node(dg.Z, phase=phase)
+    with pytest.raises(AttributeError):
+        setattr(n, attribute, value)
+    assert (n.kind, n.phase, n.position) == (dg.Z, phase, None)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,22 @@ def test_sequential_composition_checks_arity():
 def test_composition_requires_matching_dimension():
     with pytest.raises(ValueError):
         compose(wire_diagram(2), wire_diagram(3), "parallel")
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_composition_refuses_a_scalar_that_overflows(mode):
+    big = spider_diagram(3, dg.Z, 1, 1, scalar=1e300)
+    with pytest.raises(InvalidDiagramError) as exc:
+        compose(big, big, mode)
+    assert exc.value.violations == (
+        (NON_FINITE_SCALAR, "scalar must be finite, got (inf+0j)"),)
+
+
+@pytest.mark.parametrize("scalar", [complex("inf"), complex(0, float("nan"))])
+def test_non_finite_scalar_detected(scalar):
+    with pytest.raises(InvalidDiagramError) as exc:
+        DiagramBuilder(3, scalar).finish()
+    assert [code for code, _ in exc.value.violations] == [NON_FINITE_SCALAR]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from quditzx.rewrite import (
     soundness_report,
 )
 from quditzx.semantics import equal_up_to_scalar, evaluate, lambda_matrix
+from test_semantics import _random_diagram
 
 
 def _dev(a, b):
@@ -879,3 +880,43 @@ def test_find_matches_are_pinned():
 
 _PINNED_MATCHES = ("d42017ec00b5ca6097d51f8e717b1248"
                    "369b85d3aaf9900322c3ece2b75887ee")
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON, built once per diagram
+
+def test_each_diagram_builds_its_json_once(monkeypatch):
+    # As a zx-circuits case reads them: simplify hashes its input and its
+    # output, replay the input again and its own output, and the output's
+    # text and both final hashes come from the text each diagram keeps.
+    built, build = [], dg.to_json_dict
+
+    def counted(d):
+        built.append(d)
+        return build(d)
+
+    monkeypatch.setattr(dg, "to_json_dict", counted)
+    d = _cnot_chain(3, 6)
+    simplified, trace = simplify(d)
+    assert len(built) == 2
+    replayed = replay(d, trace)
+    assert len(built) == 3
+    dg.to_json(simplified)
+    assert diagram_hash(replayed) == diagram_hash(simplified)
+    assert len(built) == 3
+    assert all(x is y for x, y in zip(built, (d, simplified, replayed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_kept_json_is_the_canonical_json(dim, seed):
+    d = _random_diagram(random.Random(seed), dim)
+    simplified, trace = simplify(d)
+    replayed = replay(d, trace)
+    evaluate(d)
+    evaluate(simplified)
+    for x in (d, simplified, replayed):
+        text = dg.to_json(x)
+        assert text == json.dumps(dg.to_json_dict(x), sort_keys=True,
+                                  separators=(",", ":"))
+        assert dg.to_json(x) is text

@@ -638,6 +638,20 @@ def test_x_spider_eta_table_counts_against_the_cap(method, monkeypatch):
         "121 entries, above its cap of 64")
 
 
+def test_only_small_eta_tables_are_kept(monkeypatch):
+    # With the bound lowered to 16 entries, D=4 is kept and D=5 is built
+    # per call, with the same values, and never enters the kept tables.
+    monkeypatch.setattr(sem, "_ETA_KEEP", 16)
+    kept = sem._kept_eta_table.cache_info()
+    large = sem._eta_table(5)
+    assert sem._eta_table(5) is not large
+    assert sem._kept_eta_table.cache_info()[:2] == kept[:2]
+    assert not large.flags.writeable
+    assert np.array_equal(large, sem._kept_eta_table(5))
+    small = sem._eta_table(4)
+    assert sem._eta_table(4) is small and not small.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Loop-free spider tensors and the node-tensor cache
 
