@@ -14,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from quditzx import _modp, stabilizer
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
-from quditzx.semantics import fourier_matrix
+from quditzx.semantics import fourier_matrix, omega
 from quditzx.stabilizer import (
     GATES,
     DenseSimulator,
     PauliOp,
     Tableau,
+    _order_divides_dim,
     _row_commutation,
+    _row_conjugate,
     _row_mul,
     _row_pow,
     conjugate_pauli,
@@ -118,6 +120,36 @@ def test_pauli_order_divides_dim_flag():
     assert _dev(q.pow(3).dense(), np.eye(3)) < 1e-12
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_order_check_matches_the_dth_power(d, n, data):
+    # Reduced x and z, and a phase that need not be reduced: at D = 2 the
+    # z.x term decides, at odd D the phase's parity alone.
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    x, z = data.draw(entries), data.draw(entries)
+    phase = data.draw(st.integers(-6 * d, 6 * d))
+    row = np.array(x + z + [phase], dtype=np.int64)
+    want = not _row_pow(row, d, d).any()
+    assert _order_divides_dim(row, d) == want
+    assert PauliOp(n, d, phase, tuple(x), tuple(z)).order_divides_dim() == want
+
+
+@pytest.mark.parametrize("d, row, want", [
+    (2, [1, 1, 0], False),   # XZ squares to -1
+    (2, [1, 1, 1], True),    # i XZ squares to 1
+    (2, [1, 1, -3], True),
+    (2, [1, 0, 2], True),    # -X
+    (2, [1, 1, 1, 1, 0], True),  # (XZ)(XZ): the two -1s cancel
+    (3, [1, 2, 1], False),   # sqrt(eta) XZ^2 cubes to -1
+    (3, [1, 2, 4], True),
+    (7, [3, 5, 6, 2, -2], True),
+])
+def test_order_check_examples(d, row, want):
+    row = np.array(row, dtype=np.int64)
+    assert _order_divides_dim(row, d) == want
+    assert (not _row_pow(row, d, d).any()) == want
+
+
 def test_pauli_validation_and_str():
     with pytest.raises(ValueError):
         PauliOp(2, 3, 0, (1,), (0, 0))
@@ -177,6 +209,70 @@ def test_conjugation_matches_dense_conjugation(d, gate):
 def test_conjugation_rejects_unknown_gate():
     with pytest.raises(ValueError):
         conjugate_pauli(PauliOp.identity(1, 3), "HADAMARD", [0])
+
+
+def _row_conjugate_oracle(rows, gate, wires, q, dim):
+    """The gate update as first written: every touched column reduced mod
+    D and every phase mod 2D, whatever the gate changed."""
+    d = dim
+    n = rows.shape[-1] // 2
+    x, z, phase = rows[..., :n], rows[..., n:-1], rows[..., -1]
+    if gate == "F":
+        (a,) = wires
+        phase += 2 * x[..., a] * z[..., a]
+        x[..., a], z[..., a] = z[..., a], -x[..., a]
+    elif gate == "Sq":
+        (a,) = wires
+        x[..., a] *= pow(int(q), -1, d)
+        z[..., a] *= int(q) % d
+    elif gate == "CNOT":
+        a, b = wires
+        z[..., a] += z[..., b]
+        x[..., b] -= x[..., a]
+    elif gate == "CP":
+        a, b = wires
+        phase += 2 * x[..., a] * x[..., b]
+        z[..., a] -= x[..., b]
+        z[..., b] -= x[..., a]
+    elif gate == "SWAP":
+        a, b = wires
+        rows[..., [a, b, n + a, n + b]] = rows[..., [b, a, n + b, n + a]]
+    touched = list(wires) + [n + w for w in wires]
+    rows[..., touched] %= d
+    phase %= 2 * d
+
+
+@st.composite
+def _reduced_rows_and_a_gate(draw):
+    """Reduced rows on n = 1..64 qudits (a table of 1..2n rows, or one 1-D
+    row as conjugate_pauli passes) and a gate at random wires."""
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    gate = draw(st.sampled_from(GATES))
+    arity = 1 if gate in ("F", "Sq") else 2
+    n = draw(st.integers(arity, 64))
+    wires = draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                          max_size=arity, unique=True))
+    q = draw(st.integers(1, d - 1)) if gate == "Sq" else None
+    shape = () if draw(st.booleans()) else (draw(st.integers(1, 2 * n)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.integers(0, d, size=shape + (2 * n + 1,))
+    rows[..., -1] = rng.integers(0, 2 * d, size=shape)
+    return rows, gate, wires, q, d
+
+
+@given(_reduced_rows_and_a_gate())
+@settings(max_examples=400, deadline=None)
+def test_gates_reduce_what_they_change_like_the_full_update(drawn):
+    # Reducing only the changed columns, and the phase only under F and
+    # CP, must leave every entry as the full reduction does: an entry
+    # left unreduced, or one reduced by the wrong modulus, differs here,
+    # though dense() would hide it.
+    rows, gate, wires, q, d = drawn
+    want = rows.copy()
+    _row_conjugate_oracle(want, gate, wires, q, d)
+    _row_conjugate(rows, gate, wires, q, d)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, want)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +368,52 @@ def test_oracle_outcome_k_is_the_eta_k_eigenspace(d):
             assert _dev(sim.psi, before) < 1e-12
             with pytest.raises(ValueError, match="impossible outcome"):
                 sim.collapse(obs, (j + 1) % d)
+
+
+def _eigenprojection_oracle(obs, psi, k):
+    """P_k psi with obs applied anew for each outcome, as the Born
+    distribution first did."""
+    d = obs.dim
+    acc = np.asarray(psi, dtype=complex)
+    term = acc
+    for m in range(1, d):
+        term = obs.act(term)
+        acc = acc + omega(d, -k * m) * term
+    return acc / d
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_born_probabilities_match_per_outcome_projections(d, n, data):
+    # Sharing the powers obs^m psi among the D outcomes keeps each
+    # outcome's sum in its order, so the floats are equal, not just close.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sim = DenseSimulator(n, d)
+    psi = rng.normal(size=d ** n) + 1j * rng.normal(size=d ** n)
+    sim.psi = psi / np.linalg.norm(psi)
+    x, z = rng.integers(0, d, size=n), rng.integers(0, d, size=n)
+    phase = 2 * int(rng.integers(d)) + (d - 1) * int(z @ x) % 2
+    obs = PauliOp(n, d, phase, tuple(x), tuple(z))
+    assert obs.order_divides_dim()
+    want = [float(np.real(np.vdot(sim.psi,
+                                  _eigenprojection_oracle(obs, sim.psi, k))))
+            for k in range(d)]
+    assert sim.born_probabilities(obs) == want
+    k = int(np.argmax(want))
+    v = _eigenprojection_oracle(obs, sim.psi, k)
+    sim.collapse(obs, k)
+    assert np.array_equal(sim.psi, v / np.linalg.norm(v))
+
+
+def test_born_distribution_at_the_work_cap_sums_to_one():
+    # n=1, D=401 is the largest D the Born work cap admits at one qudit.
+    rng = np.random.default_rng(401)
+    sim = DenseSimulator(1, 401)
+    psi = rng.normal(size=401) + 1j * rng.normal(size=401)
+    sim.psi = psi / np.linalg.norm(psi)
+    probs = sim.born_probabilities(measurement_observable("X", 0, 1, 401))
+    assert len(probs) == 401 and min(probs) > -1e-12
+    assert abs(sum(probs) - 1) < 1e-12
 
 
 def test_dense_oracle_refuses_above_its_cap():
