@@ -120,9 +120,13 @@ class _Incidence:
     def incident(self, v: int) -> list:
         return list(dict.fromkeys(i for i, _ in self.legs(v)))
 
+    def far_end(self, e: int, sign: int) -> int:
+        """The other end of a leg (e, sign): edge e's target when the leg
+        is an output (sign +1), its source when it is an input."""
+        return self.edges[e][sign == 1]
+
     def neighbors(self, v: int) -> set:
-        e = self.edges
-        return {e[i][1] if sign == 1 else e[i][0] for i, sign in self.legs(v)}
+        return {self.far_end(i, sign) for i, sign in self.legs(v)}
 
 
 class Diagram(_Incidence):
@@ -376,6 +380,11 @@ class DiagramBuilder(_Incidence):
         self._legs[target].append((e, -1))
         self.touched_edges.add(e)
         return e
+
+    def add_leg(self, v: int, w: int, sign: int) -> int:
+        """Give v a new leg to w: the edge v -> w for an output leg (sign
+        +1), w -> v for an input leg. Returns its serial, as add_edge."""
+        return self.add_edge(v, w) if sign == 1 else self.add_edge(w, v)
 
     def move_edge(self, e: int, source: int, target: int) -> None:
         """Re-anchor edge e; it keeps its serial, so its position."""

@@ -80,10 +80,12 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
 # the whole graph, and simplify's worklist those of what a step touched.
 # _key_site turns a key into its site, keys sorting as their sites do, and
 # a site is a match when the check accepts it (_fits). The applier runs the
-# same check on the site it is given, and edits the graph in place. Checks,
-# keys and appliers all read a DiagramBuilder; a site names an edge by its
-# position in the finished diagram's edge list, which edge_at maps to the
-# builder's serial.
+# same check on the site it is given, and edits the graph in place: it cuts
+# legs (edge, sign) and re-links their far ends with add_leg, so a sign
+# fixes an edge's direction in far_end and add_leg alone. Checks, keys and
+# appliers all read a DiagramBuilder; a site names an edge by its position
+# in the finished diagram's edge list, which edge_at maps to the builder's
+# serial, and rank back.
 
 def _fits(d: dg.DiagramBuilder, check, site) -> bool:
     """Whether check accepts the site."""
@@ -129,8 +131,7 @@ def _check_d_identity(d, site):
 
 def _apply_d_identity(d, site):
     v, e_in, e_out = _check_d_identity(d, site)
-    u = d.edges[e_in][0]
-    w = d.edges[e_out][1]
+    u, w = d.far_end(e_in, -1), d.far_end(e_out, 1)
     d.remove_edges([e_in, e_out])
     d.add_edge(u, w)
     d.remove_node(v)
@@ -173,8 +174,7 @@ def _apply_f2_cancel(d, site):
     first, second = d.edges[mid]
     e_in = next(i for i in d.in_edges(first) if i != mid)
     e_out = next(i for i in d.out_edges(second) if i != mid)
-    u = d.edges[e_in][0]
-    w = d.edges[e_out][1]
+    u, w = d.far_end(e_in, -1), d.far_end(e_out, 1)
     d.remove_edges([e_in, mid, e_out])
     d.add_edge(u, w)
     d.remove_node(a)
@@ -193,36 +193,26 @@ def _check_f1_color(d, site):
     color = d.node(v).kind
     plan = []
     for e, sign in d.legs(v):
-        s, t = d.edges[e]
-        other = t if sign == 1 else s
-        _require(other != v and other in d, "self-loops cannot carry boxes")
-        _require(d.node(other).kind == _f1_wanted_box(color, sign),
-                 f"leg {e} needs a {_f1_wanted_box(color, sign)} box")
-        far = [i for i in d.incident(other) if i != e]
+        box = d.far_end(e, sign)
+        _require(box != v and box in d, "self-loops cannot carry boxes")
+        _require(d.node(box).kind == _f1_wanted_box(color, sign),
+                 f"leg {d.rank(e)} needs a {_f1_wanted_box(color, sign)} box")
+        far = [i for i in d.incident(box) if i != e]
         _require(len(far) == 1, "box must have exactly one far edge")
-        fs, ft = d.edges[far[0]]
-        _require(v not in (fs, ft), "box wraps back onto the spider")
-        plan.append((e, sign, other, far[0]))
+        # The box passes v's leg on: its far leg has the same sign.
+        w = d.far_end(far[0], sign)
+        _require(w != v, "box wraps back onto the spider")
+        plan.append((e, far[0], box, sign, w))
     return v, color, plan
 
 
 def _apply_f1_color(d, site):
     v, color, plan = _check_f1_color(d, site)
-    n = d.node(v)
-    d.set_node(v, dg.Node(_opposite(color), phase=n.phase))
-    doomed = []
-    bridges = []
-    for e, sign, box, far in plan:
-        doomed += [e, far]
-        fs, ft = d.edges[far]
-        if sign == 1:
-            bridges.append((v, ft))
-        else:
-            bridges.append((fs, v))
+    d.set_node(v, dg.Node(_opposite(color), phase=d.node(v).phase))
+    d.remove_edges([i for e, far, *_ in plan for i in (e, far)])
+    for _e, _far, box, sign, w in plan:
         d.remove_node(box)
-    d.remove_edges(doomed)
-    for s, t in bridges:
-        d.add_edge(s, t)
+        d.add_leg(v, w, sign)
 
 
 def _check_b_copy(d, site):
@@ -246,21 +236,13 @@ def _apply_b_copy(d, site):
     ket_phase = d.node(s).phase
     bra_phase = phase_invert(ket_phase)
     other = [(i, sign) for i, sign in d.legs(v) if i != e]
-    doomed = [e] + [i for i, _ in other]
-    plans = []
-    for i, sign in other:
-        es, et = d.edges[i]
-        plans.append((sign, es if sign == -1 else et))
-    d.remove_edges(doomed)
+    plans = [(sign, d.far_end(i, sign)) for i, sign in other]
+    d.remove_edges([e] + [i for i, _ in other])
     d.remove_node(s)
     d.remove_node(v)
     for sign, w in plans:
-        if sign == 1:
-            c = d.add_spider(state_color, ket_phase)
-            d.add_edge(c, w)
-        else:
-            c = d.add_spider(state_color, bra_phase)
-            d.add_edge(w, c)
+        c = d.add_spider(state_color, ket_phase if sign == 1 else bra_phase)
+        d.add_leg(c, w, sign)
     r = len(plans)
     d.scalar *= d.dimension ** (0.5 * (1 - r))
 
@@ -275,27 +257,23 @@ def _check_k2_commute(d, site):
              "gate must have one leg each way")
     e = d.edge_at(e)
     _require(e in (ins[0], outs[0]), "edge does not touch the gate")
-    s, t = d.edges[e]
-    _require(v in (s, t) and g in (s, t) and v != g, "edge must join gate and spider")
+    # sign: v's leg on e, +1 when the gate sits on an output leg of v; the
+    # gate passes it on to w over its far leg.
+    sign, far = (1, outs[0]) if e == ins[0] else (-1, ins[0])
+    _require(v != g and d.far_end(e, -sign) == v,
+             "edge must join gate and spider")
     _require(d.node(v).kind != d.node(g).kind, "colors must differ")
-    far = outs[0] if e == ins[0] else ins[0]
-    fs, ft = d.edges[far]
-    _require(v not in (fs, ft), "gate is doubly attached to the spider")
+    w = d.far_end(far, sign)
+    _require(w != v, "gate is doubly attached to the spider")
     _require(not _self_loops(d, v), "spider must have no self-loops")
-    return g, v, e, far, k
+    return g, v, e, far, k, sign, w
 
 
 def _apply_k2_commute(d, site):
-    g, v, e, far, k = _check_k2_commute(d, site)
+    g, v, e, far, k, sign0, w = _check_k2_commute(d, site)
     dim = d.dimension
     nv = d.node(v)
-    src, _dst = d.edges[e]
-    sign0 = 1 if src == v else -1  # +1: gate sits on an output leg of v.
-
-    if nv.kind == dg.Z:
-        kappa = k if sign0 == 1 else (dim - k) % dim
-    else:
-        kappa = k if sign0 == -1 else (dim - k) % dim
+    kappa = k if (sign0 == 1) == (nv.kind == dg.Z) else (dim - k) % dim
 
     d.set_node(v, dg.Node(nv.kind, phase=phase_neg_transform(nv.phase, kappa)))
     d.scalar *= complex(math.cos(nv.phase.alpha(kappa).radians),
@@ -303,28 +281,17 @@ def _apply_k2_commute(d, site):
 
     gate_color = d.node(g).kind
     other = [(i, sign) for i, sign in d.legs(v) if i != e]
-    doomed = [e, far] + [i for i, _ in other]
-    fs, ft = d.edges[far]
-    w = ft if sign0 == 1 else fs
-    plans = []
-    for i, sign in other:
-        es, et = d.edges[i]
-        plans.append((sign, es if sign == -1 else et,
-                      (dim - k) % dim if sign == sign0 else k))
-    d.remove_edges(doomed)
+    plans = [(sign, d.far_end(i, sign),
+              (dim - k) % dim if sign == sign0 else k) for i, sign in other]
+    d.remove_edges([e, far] + [i for i, _ in other])
     d.remove_node(g)
-    if sign0 == 1:
-        d.add_edge(v, w)
-    else:
-        d.add_edge(w, v)
+    d.add_leg(v, w, sign0)
     for sign, far_node, param in plans:
         c = d.add_spider(gate_color, cyclic_vector(dim, param))
-        if sign == 1:
-            d.add_edge(v, c)
-            d.add_edge(c, far_node)
-        else:
-            d.add_edge(far_node, c)
-            d.add_edge(c, v)
+        # v's leg now runs through c. Its two edges are added in the
+        # leg's direction, upstream first: that order fixes their positions.
+        for a, b in ((v, c), (c, far_node))[::sign]:
+            d.add_leg(a, b, sign)
 
 
 def _check_b_bialgebra(d, site):
@@ -368,24 +335,16 @@ def _check_b_bialgebra(d, site):
 
 def _apply_b_bialgebra(d, site):
     p1, p2, q1, q2, pc, qc, square, ext = _check_b_bialgebra(d, site)
-    doomed = list(square.values()) + [ext[v][0] for v in (p1, p2, q1, q2)]
-    plans = []
-    for v in (p1, p2, q1, q2):
-        e, sign = ext[v]
-        es, et = d.edges[e]
-        plans.append((v, sign, es if sign == -1 else et))
-    d.remove_edges(doomed)
-    for v in (p1, p2, q1, q2):
+    plans = [(v in (p1, p2), sign, d.far_end(e, sign))
+             for v, (e, sign) in ext.items()]
+    d.remove_edges(list(square.values()) + [e for e, _ in ext.values()])
+    for v in ext:
         d.remove_node(v)
     merge = d.add_spider(qc)
     split = d.add_spider(pc)
     d.add_edge(merge, split)
-    for v, sign, w in plans:
-        target = merge if v in (p1, p2) else split
-        if sign == 1:
-            d.add_edge(target, w)
-        else:
-            d.add_edge(w, target)
+    for first, sign, w in plans:
+        d.add_leg(merge if first else split, w, sign)
     d.scalar *= d.dimension ** -0.5
 
 
@@ -419,9 +378,8 @@ def _keys_b_bialgebra(d: dg.DiagramBuilder, _edges, nodes):
 # (source, target), and live nodes. Pair keys come from an edge, S_fuse when
 # its ends have one kind and F2_cancel when both are boxes; loop_remove keys
 # (node, serial) come from a self-loop. D_identity keys a degree-2 node, and
-# K2_commute keys (gate, far end, serial) each leg of one, the far end of an
-# out-leg being its edge's target. B_copy keys a node whose one leg is an
-# out-leg: that leg fixes the spider and edge. F1_color keys every node, and
+# K2_commute keys (gate, far end, serial) each leg of one. B_copy keys a node
+# whose one leg is an out-leg: that leg fixes the spider and edge. F1_color keys every node, and
 # B_bialgebra a square (a, b, q1, q2) of degree-3 nodes a < b with common
 # out-targets q1 < q2.
 _KEYS = {
@@ -436,7 +394,7 @@ _KEYS = {
     "D_identity": lambda d, _edges, nodes: (
         v for v in nodes if d.degree(v) == 2),
     "K2_commute": lambda d, _edges, nodes: (
-        (g, d.edges[e][sign == 1], e) for g in nodes if d.degree(g) == 2
+        (g, d.far_end(e, sign), e) for g in nodes if d.degree(g) == 2
         for e, sign in d.legs(g)),
     "B_copy": lambda d, _edges, nodes: (
         v for v in nodes if d.degree(v) == 1 and d.legs(v)[0][1] == 1),
@@ -751,13 +709,12 @@ class _Ctx:
     def attach(self, v: int, sign: int):
         """Give v one external leg: sign +1 adds an output beyond v."""
         if sign == 1:
-            o = self.b.add_output(self.n_out)
+            w = self.b.add_output(self.n_out)
             self.n_out += 1
-            self.b.add_edge(v, o)
         else:
-            i = self.b.add_input(self.n_in)
+            w = self.b.add_input(self.n_in)
             self.n_in += 1
-            self.b.add_edge(i, v)
+        self.b.add_leg(v, w, sign)
 
     def attach_random(self, v: int, count: int, rng: random.Random):
         for _ in range(count):
@@ -776,10 +733,7 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
         a = b_.add_spider(color, _random_phase(dim, rng))
         c = b_.add_spider(color, _random_phase(dim, rng))
         for _ in range(rng.randint(1, 3)):
-            if rng.random() < 0.5:
-                b_.add_edge(a, c)
-            else:
-                b_.add_edge(c, a)
+            b_.add_leg(a, c, 1 if rng.random() < 0.5 else -1)
         ctx.attach_random(a, rng.randint(0, 3), rng)
         ctx.attach_random(c, rng.randint(0, 3), rng)
         site = {"keep": min(a, c), "absorb": max(a, c), "color": color}
@@ -818,12 +772,8 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
         for _ in range(rng.randint(0, 4)):
             sign = rng.choice((1, -1))
             box = b_.add_box(_f1_wanted_box(color, sign))
-            if sign == 1:
-                b_.add_edge(v, box)
-                ctx.attach(box, 1)
-            else:
-                b_.add_edge(box, v)
-                ctx.attach(box, -1)
+            b_.add_leg(v, box, sign)
+            ctx.attach(box, sign)
         return b_.finish(), {"spider": v}
 
     if rule == "B_copy":
@@ -839,12 +789,9 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
         k = rng.randrange(1, dim)
         g = b_.add_spider(gate_color, cyclic_vector(dim, k))
         v = b_.add_spider(_opposite(gate_color), _random_phase(dim, rng))
-        if rng.random() < 0.5:
-            e = b_.add_edge(v, g)
-            ctx.attach(g, 1)
-        else:
-            e = b_.add_edge(g, v)
-            ctx.attach(g, -1)
+        sign = 1 if rng.random() < 0.5 else -1  # the gate's far leg
+        e = b_.add_leg(g, v, -sign)
+        ctx.attach(g, sign)
         ctx.attach_random(v, rng.randint(0, 3), rng)
         return b_.finish(), {"gate": g, "spider": v, "edge": e}
 

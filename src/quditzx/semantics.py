@@ -533,36 +533,44 @@ def _max_deviation(a: np.ndarray, b: np.ndarray, s: complex):
     return _blockwise_max(lambda x, y: np.abs(x - s * y), a, b)
 
 
-def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
-                       tol: float = 1e-9) -> complex | None:
-    """The s with a == s*b entrywise within tol, or None.
+def _fit_scalar(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
+    """(s, max|a - s*b|) for the s with a == s*b entrywise within tol, or
+    (None, inf).
 
     Two all-zero matrices compare equal with s = 1. The pivot is b's
-    largest entry, so a zero a against a nonzero b returns None via the
+    largest entry, so a zero a against a nonzero b gives None via the
     entrywise check, not a division blowup. Both matrices are read in
     blocks, so no temporary of their size is built.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
-        return None
+        return None, math.inf
     if a.size == 0:
-        return 1.0 + 0.0j
+        return 1.0 + 0.0j, 0.0
     a, b = a.reshape(-1), b.reshape(-1)
     pivot = _pivot(b)
     if abs(b[pivot]) < tol:
-        return (1.0 + 0.0j) if _blockwise_max(np.abs, a) < tol else None
+        if not _blockwise_max(np.abs, a) < tol:
+            return None, math.inf
+        return 1.0 + 0.0j, float(_max_deviation(a, b, 1.0 + 0.0j))
     s = a[pivot] / b[pivot]
     if abs(s) <= tol:
         # a vanishes while b does not: refuse the zero scalar.
-        return None
+        return None, math.inf
     # The bound is tol * max(1, max|a|) >= tol: a deviation within tol
     # passes without reading |a|.
-    deviation = _max_deviation(a, b, s)
+    deviation = float(_max_deviation(a, b, s))
     if deviation <= tol or deviation <= tol * max(
             1.0, _blockwise_max(np.abs, a)):
-        return complex(s)
-    return None
+        return complex(s), deviation
+    return None, math.inf
+
+
+def equal_up_to_scalar(a: np.ndarray, b: np.ndarray,
+                       tol: float = 1e-9) -> complex | None:
+    """The s with a == s*b entrywise within tol, or None (_fit_scalar)."""
+    return _fit_scalar(a, b, tol)[0]
 
 
 def compare_scalar_exact(a: np.ndarray, b: np.ndarray,
@@ -574,12 +582,9 @@ def compare_scalar_exact(a: np.ndarray, b: np.ndarray,
     as a scalar-exact rewrite requires. Matrices that are not proportional
     give (None, inf, False).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    s = equal_up_to_scalar(a, b, tol)
+    s, deviation = _fit_scalar(a, b, tol)
     if s is None:
         return None, math.inf, False
-    deviation = float(_max_deviation(a.reshape(-1), b.reshape(-1), s))
     return s, deviation, deviation <= tol and abs(s - 1.0) <= tol
 
 
@@ -714,14 +719,18 @@ def structure_check(check_id: str, dim: int) -> CheckReport:
                            "equal exactly when D = 2")
 
     if check_id == "fourier_phase_state":
-        # F|{a}_Z> = |{a}_X> exactly, on a fixed grid of test phases.
+        # F|{a}_Z> = |{a}_X> exactly, on a fixed grid of test phases: the
+        # F box on the one-legged Z spider against the X spider.
         fmat = fourier_matrix(d)
         rng = np.random.default_rng(7)
         dev = 0.0
         for _ in range(20):
-            alpha = rng.uniform(0, 2 * np.pi, size=d - 1)
-            dev = max(dev, _dev(fmat @ phased_state(dg.Z, alpha, d),
-                                phased_state(dg.X, alpha, d)))
+            alpha = PhaseVector.from_radians(
+                d, rng.uniform(0, 2 * np.pi, size=d - 1))
+            z_state, x_state = (
+                evaluate(dg.spider_diagram(d, color, 0, 1, alpha)).matrix
+                for color in (dg.Z, dg.X))
+            dev = max(dev, _dev(fmat @ z_state, x_state))
         return CheckReport(check_id, d, dev < 1e-10, dev)
 
     raise ValueError(f"unknown structure check {check_id!r}")

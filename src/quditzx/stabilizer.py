@@ -759,12 +759,15 @@ def phase_group(dim: int) -> dict:
             f"{dim ** 4 * (dim - 1)} entries (D^4 (D-1)), above its cap of "
             f"{_PHASE_GROUP_CAP}")
     d2 = 2 * dim
-    exps = np.unique([e for _, _, row in _stabilizer_rows(dim)
-                      if (e := torus_exponents(row, dim)) is not None], axis=0)
-    sums = (exps[:, None] + exps[None]).reshape(-1, dim - 1) % d2
-    closed = len(np.unique(np.concatenate([exps, sums]), axis=0)) == len(exps)
+    # Python int tuples for the distinct rows and the closure test:
+    # np.unique(axis=0) would import numpy.ma on its first call.
+    exps = sorted({e for _, _, row in _stabilizer_rows(dim)
+                   if (e := torus_exponents(row, dim)) is not None})
+    rows = np.array(exps)
+    sums = (rows[:, None] + rows[None]).reshape(-1, dim - 1) % d2
+    closed = set(map(tuple, sums.tolist())) <= set(exps)
     n = len(exps)
-    profile = {m: int((m * exps % d2 == 0).all(axis=1).sum())
+    profile = {m: int((m * rows % d2 == 0).all(axis=1).sum())
                for m in range(1, n + 1) if n % m == 0}
     factors = []
     for p in filter(_modp.is_prime, profile):
@@ -781,6 +784,5 @@ def phase_group(dim: int) -> dict:
         "order": n,
         "closed": closed,
         "factors": None if factors is None else sorted(factors),
-        "elements": [tuple(Fraction(e, d2) for e in el)
-                     for el in exps.tolist()],
+        "elements": [tuple(Fraction(e, d2) for e in el) for el in exps],
     }

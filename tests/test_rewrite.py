@@ -783,6 +783,28 @@ def test_replay_maps_edge_positions_after_removals():
                 replay(d, bad)
 
 
+def test_f1_color_names_a_refused_leg_by_its_position():
+    # v's un-boxed out-leg is edge 3; once loop_remove has taken edge 0 it
+    # sits at position 2, and a refusal names that position.
+    b = DiagramBuilder(3)
+    u, v = b.add_spider(dg.Z), b.add_spider(dg.Z)
+    i0, o0, o1 = b.add_input(0), b.add_output(0), b.add_output(1)
+    for edge in ((u, u), (i0, u), (u, o0), (v, o1)):
+        b.add_edge(*edge)
+    d = b.finish()
+    g = DiagramBuilder.from_diagram(d)
+    g.remove_edges([0])
+    with pytest.raises(RuleMatchError, match=r"^leg 2 needs a F box$"):
+        rw._check_f1_color(g, {"spider": v})
+    trace = RewriteTrace(diagram_hash(d), "", [
+        rw.TraceStep("loop_remove", {"node": u, "edge": 0}, [], []),
+        rw.TraceStep("F1_color", {"spider": v}, [], [])])
+    with pytest.raises(RuleMatchError,
+                       match=r"^replay step 1 \(F1_color\): leg 2 needs a F "
+                             r"box$"):
+        replay(d, trace)
+
+
 def test_simplify_copies_once_a_later_step_clears_the_spiders_phase():
     # B_copy(s1, v) is refused while v's phase is nonzero; copying s2
     # through u and fusing the copy into v cancels that phase.
@@ -880,6 +902,24 @@ def test_find_matches_are_pinned():
 
 _PINNED_MATCHES = ("d42017ec00b5ca6097d51f8e717b1248"
                    "369b85d3aaf9900322c3ece2b75887ee")
+
+
+def test_applier_outputs_are_pinned():
+    # The whole graph each applier builds, node ids, edge order and
+    # direction included, on seeded random instances of every rule.
+    h = hashlib.sha256()
+    for rule in ALL_RULES:
+        for dim in (2, 3, 4, 5):
+            rng = random.Random(f"pin:{rule}:{dim}")
+            for _ in range(25):
+                d, site = random_rule_instance(rule, dim, rng)
+                h.update(dg.to_json(d).encode())
+                h.update(dg.to_json(apply_rule(d, rule, site)).encode())
+    assert h.hexdigest() == _PINNED_APPLIER_OUTPUTS
+
+
+_PINNED_APPLIER_OUTPUTS = ("526626597defd74d6b7b716fd98e1d5c"
+                           "5c03717aa667e8887bea1b0c03523cb9")
 
 
 # ---------------------------------------------------------------------------

@@ -926,6 +926,21 @@ def test_comparisons_match_the_whole_array_formula_on_random_pairs(
     assert repr(got) == repr(want)
 
 
+def test_compare_scalar_exact_measures_the_deviation_once(monkeypatch):
+    calls, deviation = [], sem._max_deviation
+
+    def counted(*args):
+        calls.append(args)
+        return deviation(*args)
+
+    monkeypatch.setattr(sem, "_max_deviation", counted)
+    b = np.exp(1j * np.arange(12.0)).reshape(3, 4)
+    for a, passed in ((b, True), (2j * b, False)):
+        calls.clear()
+        assert compare_scalar_exact(a, b)[2] is passed
+        assert len(calls) == 1
+
+
 def test_equal_up_to_scalar_builds_no_matrix_sized_temporary():
     rng = np.random.default_rng(3)
     b = rng.standard_normal(3 ** 12) + 1j * rng.standard_normal(3 ** 12)
@@ -989,6 +1004,15 @@ def test_structure_checks_pass(dim):
             # cup_mismatch records the distance between the two families'
             # cups, which is expected to be large for D >= 3.
             assert r.deviation < 1e-9
+
+
+def test_fourier_phase_state_check_can_fail(monkeypatch):
+    # The X state is the X spider's own tensor, not fourier_matrix times
+    # the Z state, so the check sees a Fourier matrix that is wrong.
+    fmat = sem.fourier_matrix
+    monkeypatch.setattr(sem, "fourier_matrix", lambda d: fmat(d).conj())
+    report = structure_check("fourier_phase_state", 3)
+    assert not report.passed and report.deviation > 0.1
 
 
 def test_structure_check_rejects_unknown_id():

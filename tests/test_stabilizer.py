@@ -5,13 +5,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quditzx
 from quditzx import _modp, stabilizer
 from quditzx.phases import PhaseVector, Turn, cyclic_vector
 from quditzx.semantics import fourier_matrix, omega
@@ -982,6 +986,21 @@ def test_phase_group_elements_are_exact_fractions():
         assert g["order"] == d * d and g["factors"] == [d, d]
         for el in g["elements"]:
             assert all(isinstance(f, Fraction) for f in el)
+
+
+def test_phase_group_does_not_load_numpy_ma():
+    # np.unique(axis=0) imports numpy.ma on its first call, which took
+    # most of a first phase_group(3); a fresh process shows the import.
+    code = ("import sys\n"
+            "from quditzx.stabilizer import phase_group\n"
+            "assert phase_group(3)['factors'] == [3, 3]\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(quditzx.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_phase_group_refuses_a_closure_array_above_its_cap(monkeypatch):
