@@ -80,10 +80,18 @@ def _emit_json(obj) -> None:
 
 def _load_json_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError:
+        # json reads an integer literal with int(), which refuses more
+        # digits than the interpreter's limit for integer strings.
+        raise ValueError(f"{path}: invalid JSON: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _load_diagram(path: str) -> dg.Diagram:

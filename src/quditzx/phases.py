@@ -61,6 +61,31 @@ def json_int_list(x, what: str) -> list:
     return [json_int(v, f"{what} entry") for v in json_list(x, what)]
 
 
+def check_size(base: int, power: int, cap: int, refusal: str, *fields,
+               times: int = 1, plus: int = 0) -> None:
+    """Refuse, with a one-line ValueError, a size of times*(base^power +
+    plus) above cap, for times >= 1 and plus >= 0. A base of 2 or more
+    with a power past cap's bit length is above it, so base^power is only
+    built for smaller powers.
+
+    refusal is formatted only when it refuses, with fields by position
+    and base, power, size and cap by name. A size of 15 or more digits
+    is named as times*(base^power + plus), without the parts that are 1
+    or 0, and a template's own "{base}^{power} = " before it is dropped,
+    so no power is printed twice."""
+    if (power > cap.bit_length() and base > 1
+            or times * (base ** power + plus) > cap):
+        size = (times * (base ** power + plus)
+                if base < 2 or (base.bit_length() - 1) * power < 47
+                else 10 ** 14)
+        if size >= 10 ** 14:
+            size = f"({base}^{power} + {plus})" if plus else f"{base}^{power}"
+            size = size if times == 1 else f"{times}*{size}"
+            refusal = refusal.replace("{base}^{power} = {size}", "{size}")
+        raise ValueError(refusal.format(*fields, base=base, power=power,
+                                        size=size, cap=cap))
+
+
 def is_json_number(x) -> bool:
     """A finite number as JSON gives it: a float, or an int that is not a
     bool and fits a float."""

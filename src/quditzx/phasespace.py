@@ -37,7 +37,7 @@ import numpy as np
 
 from . import toyrel as tr
 from ._modp import is_prime, nullspace_mod
-from .phases import json_field, json_int, json_int_list, json_list
+from .phases import check_size, json_field, json_int, json_int_list, json_list
 
 __all__ = [
     "OnticPoint",
@@ -485,20 +485,17 @@ def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
     with one {"id", "passed", "detail"} entry per property.
 
     Raises ValueError, before drawing anything, when
-    cases*d^(2n) + _CASE_COST*cases is above _PHASE_SPACE_CAP; d^(2n) is
-    compared as an exponent first, so no power of d is computed that the
-    cap would refuse."""
+    cases*d^(2n) + _CASE_COST*cases is above _PHASE_SPACE_CAP, by
+    phases.check_size, so d^(2n) is not built for a 2n past the cap's bit
+    length."""
     bad = ValueError("the phase-space battery needs prime d, n >= 1 and "
                      f"cases >= 1; got d={d}, n={n}, cases={cases}")
     if d < 2 or n < 1 or cases < 1:
         raise bad
-    if (2 * n * math.log2(d) > math.log2(_PHASE_SPACE_CAP) + 1
-            or cases * (_CASE_COST + d ** (2 * n)) > _PHASE_SPACE_CAP):
-        raise ValueError(
-            f"the phase-space battery at d={d}, n={n}, cases={cases} needs "
-            f"cases*d^(2n) + {_CASE_COST}*cases = {cases}*{d}^{2 * n} + "
-            f"{_CASE_COST}*{cases} point evaluations, above its cap of "
-            f"{_PHASE_SPACE_CAP}")
+    check_size(d, 2 * n, _PHASE_SPACE_CAP, "the phase-space battery at "
+               "d={base}, n={0}, cases={1} needs cases*d^(2n) + {2}*cases = "
+               "{1}*{base}^{power} + {2}*{1} point evaluations, above its cap "
+               "of {cap}", n, cases, _CASE_COST, times=cases, plus=_CASE_COST)
     if not is_prime(d):
         raise bad
     rng = random.Random(seed)

@@ -34,9 +34,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import diagram as dg
-from .phases import (PhaseVector, Turn, cyclic_value, cyclic_vector,
-                     is_json_int as _is_id, phase_add, phase_invert,
-                     phase_neg_transform)
+from .phases import (PhaseVector, Turn, check_size, cyclic_value,
+                     cyclic_vector, is_json_int as _is_id, phase_add,
+                     phase_invert, phase_neg_transform)
 
 RULES = ("S_fuse", "D_identity", "B_copy", "B_bialgebra", "K2_commute",
          "F1_color", "F2_cancel")
@@ -820,9 +820,13 @@ def soundness_report(rule: str, dim: int, trials: int = 50,
                      seed: int = 0, tol: float = 1e-9) -> dict:
     """Random instantiations of one rule: evaluate before and after; a
     trial passes when the matrices agree entrywise and the scalar between
-    them is 1 (rules carry their own scalars)."""
-    from .semantics import compare_scalar_exact, evaluate
+    them is 1 (rules carry their own scalars). A D whose D x D eta table
+    the evaluator would refuse is refused before any instance is drawn."""
+    from .semantics import _FAST_CAP, compare_scalar_exact, evaluate
 
+    check_size(dim, 2, _FAST_CAP, "rule soundness refuses D={base}: an X "
+               "spider's eta table of {base}^{power} = {size} entries is "
+               "above the evaluator's cap of {cap}")
     rng = random.Random(f"{rule}:{dim}:{seed}")
     t0 = time.perf_counter()
     failures = []

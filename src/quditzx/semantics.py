@@ -62,7 +62,7 @@ import numpy as np
 
 from . import diagram as dg
 from .laws import LAWS, Law, Model, check
-from .phases import PhaseVector
+from .phases import PhaseVector, check_size, cyclic_vector
 
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
@@ -262,10 +262,9 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         t[::(dim ** k - 1) // (dim - 1)] = u
         return t.reshape((dim,) * k)
     if n.kind == dg.X:
-        if dim * dim > _FAST_CAP:
-            raise ValueError(f"evaluation refuses D={dim}: node {v} (X) needs "
-                             f"an eta table of {dim}^2 = {dim * dim} entries, "
-                             f"above its cap of {_FAST_CAP}")
+        check_size(dim, 2, _FAST_CAP, "evaluation refuses D={base}: node {0} "
+                   "(X) needs an eta table of {base}^{power} = {size} "
+                   "entries, above its cap of {cap}", v)
         c = c_coefficients(n.phase, dim)
         if k == 0:
             return complex(c[0])
@@ -305,10 +304,9 @@ def _boundary_order(d: dg.Diagram):
 def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
     n_e = len(d.edges)
-    if dim ** n_e > _REFERENCE_CAP:
-        raise ValueError(f"reference path refuses D={dim}, E={n_e}: D^E = "
-                         f"{dim ** n_e} assignments, above its cap of "
-                         f"{_REFERENCE_CAP}; use method='fast'")
+    check_size(dim, n_e, _REFERENCE_CAP, "reference path refuses D={base}, "
+               "E={power}: D^E = {size} assignments, above its cap of {cap}; "
+               "use method='fast'")
     out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
     n_out, n_in = len(out_ids), len(in_ids)
 
@@ -326,11 +324,10 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
         if v in boundary:
             continue
         legs = d.legs(v)
-        if dim ** len(legs) > _REFERENCE_CAP:
-            raise ValueError(f"reference path refuses D={dim}: node {v} "
-                             f"({d.node(v).kind}, {len(legs)} legs) needs a "
-                             f"tensor of {dim ** len(legs)} entries, above "
-                             f"its cap of {_REFERENCE_CAP}; use method='fast'")
+        check_size(dim, len(legs), _REFERENCE_CAP, "reference path refuses "
+                   "D={base}: node {0} ({1}, {power} legs) needs a tensor of "
+                   "{size} entries, above its cap of {cap}; use method='fast'",
+                   v, d.node(v).kind)
         tensor = _node_tensor(d, v, legs)
         if len(legs) == 0:
             weight *= tensor
@@ -353,15 +350,12 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Fast path: pairwise tensor network contraction
 
-def _check_cap(dim: int, rank: int, node: tuple = ()) -> None:
-    """Refuse a fast-path tensor of dim^rank elements above _FAST_CAP;
-    `node`, its (id, kind) if it is a node's, is named in the refusal."""
-    if dim ** rank > _FAST_CAP:
-        what = (f" for node {node[0]} ({node[1]}, {rank} loop-free legs)"
-                if node else "")
-        raise ValueError(f"fast path refuses D={dim}: a tensor of {dim}^{rank}"
-                         f" = {dim ** rank} elements{what} is above its cap "
-                         f"of {_FAST_CAP}")
+# The fast path's refusals of a tensor above _FAST_CAP, and of a node's.
+_FAST_REFUSAL = ("fast path refuses D={base}: a tensor of {base}^{power} = "
+                 "{size} elements is above its cap of {cap}")
+_NODE_REFUSAL = ("fast path refuses D={base}: a tensor of {base}^{power} = "
+                 "{size} elements for node {0} ({1}, {power} loop-free legs) "
+                 "is above its cap of {cap}")
 
 
 def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
@@ -389,7 +383,7 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
     want = [("out", v) for v in out_ids] + [("in", v) for v in in_ids]
     # The disconnected parts' outer product is the output matrix.
-    _check_cap(dim, len(want))
+    check_size(dim, len(want), _FAST_CAP, _FAST_REFUSAL)
 
     # Open labels of each boundary edge; one with two is a bare wire.
     ends = {}
@@ -428,7 +422,7 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
         if kind in dg.SPIDER_KINDS and v in looped:
             # A spider self-loop's factor is one: its legs are never built.
             legs = tuple(leg for leg in legs if edges[leg[0]] != (v, v))
-        _check_cap(dim, len(legs), (v, kind))
+        check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
         arr = _shared_node_tensor(d, v, legs)
         labels = [ends[e][0] if e in ends else ("e", e) for e, _ in legs]
         if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
@@ -444,7 +438,7 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
         rank, i, j = heapq.heappop(heap)
         if i not in tensors or j not in tensors:
             continue
-        _check_cap(dim, rank)
+        check_size(dim, rank, _FAST_CAP, _FAST_REFUSAL)
         (a, la), (b, lb) = tensors.pop(i), tensors.pop(j)
         for c, labs in ((i, la), (j, lb)):
             for lab in labs:
@@ -696,16 +690,11 @@ def structure_check(check_id: str, dim: int) -> CheckReport:
         return CheckReport(check_id, d, dev < 1e-10, dev, note)
 
     if check_id == "cyclic_points":
-        # The X-family classical points, read as Z phases, form Z_D under
-        # phase addition: matrix-level closure of cyclic_vector.
-        from .phases import cyclic_vector, phase_add
-        dev = 0.0
-        for a in range(d):
-            for b in range(d):
-                lhs = lambda_matrix(dg.Z, phase_add(cyclic_vector(d, a),
-                                                    cyclic_vector(d, b)), d)
-                rhs = lambda_matrix(dg.Z, cyclic_vector(d, (a + b) % d), d)
-                dev = max(dev, _dev(lhs, rhs))
+        # The X-family classical points are the Z phased states of the
+        # cyclic vectors: |{cyclic_vector(D, t)}_Z> is column t of F.
+        fmat = fourier_matrix(d)
+        dev = max(_dev(phased_state(dg.Z, cyclic_vector(d, t)), fmat.T[t])
+                  for t in range(d))
         return CheckReport(check_id, d, dev < 1e-10, dev)
 
     if check_id == "cup_mismatch":

@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _modp
-from .phases import PhaseVector, Turn, is_json_int
+from .phases import PhaseVector, Turn, check_size, is_json_int
 from .semantics import fourier_matrix, generator_matrix, omega
 
 # The number of wires each circuit step takes; GATES is its unitary part.
@@ -483,24 +483,15 @@ class DenseSimulator:
     """Literal state-vector simulation; the oracle for the tableau."""
 
     def __init__(self, n: int, dim: int):
-        def check(power: int, what: str, cap: int) -> None:
-            # Sizes are compared as exponents first: D >= 2 with a power
-            # past the cap's bit length is above the cap, and D^power is
-            # only built for smaller powers. A size of 15 or more digits
-            # is named as D^power, not written out.
-            if dim > 1 and power > cap.bit_length() or dim ** power > cap:
-                size = (dim ** power if power * math.log10(dim) < 15
-                        else f"{dim}^{power}")
-                raise ValueError(f"dense oracle refuses D={dim}, n={n}: "
-                                 f"{what.format(size)}, above its cap of "
-                                 f"{cap}")
-
-        check(n, "D^n = {} amplitudes", MAX_DENSE_AMPLITUDES)
+        refusal = ("dense oracle refuses D={base}, n={0}: {1} = {size} {2}, "
+                   "above its cap of {cap}")
+        check_size(dim, n, MAX_DENSE_AMPLITUDES, refusal, n, "D^n",
+                   "amplitudes")
         if n > 1:
-            check(4, "D^4 = {} entries in a two-qudit gate matrix",
-                  MAX_DENSE_GATE_ENTRIES)
-        check(n + 2, "D^(n+2) = {} updates per Born distribution",
-              MAX_DENSE_WORK)
+            check_size(dim, 4, MAX_DENSE_GATE_ENTRIES, refusal, n, "D^4",
+                       "entries in a two-qudit gate matrix")
+        check_size(dim, n + 2, MAX_DENSE_WORK, refusal, n, "D^(n+2)",
+                   "updates per Born distribution")
         self.n = n
         self.dim = dim
         self.psi = np.zeros(dim ** n, dtype=complex)
@@ -540,7 +531,7 @@ def _circuit_step(i: int, step, n: int, dim: int) -> tuple:
     basis for a measurement and None otherwise."""
     try:
         name = step.get("gate") if isinstance(step, dict) else None
-        if name not in _STEP_WIRES:
+        if not isinstance(name, str) or name not in _STEP_WIRES:
             raise ValueError(f"unknown gate {name!r}; choose from "
                              f"{tuple(_STEP_WIRES)}")
         wires = step.get("wires", [])
@@ -753,11 +744,9 @@ def phase_group(dim: int) -> dict:
     Raises ValueError, before building anything, when the closure array
     (D^4 (D-1) entries) is above _PHASE_GROUP_CAP.
     """
-    if dim ** 4 * (dim - 1) > _PHASE_GROUP_CAP:
-        raise ValueError(
-            f"phase_group refuses D={dim}: its closure check needs "
-            f"{dim ** 4 * (dim - 1)} entries (D^4 (D-1)), above its cap of "
-            f"{_PHASE_GROUP_CAP}")
+    check_size(dim, 4, _PHASE_GROUP_CAP, "phase_group refuses D={base}: its "
+               "closure check needs {size} entries (D^4 (D-1)), above its cap "
+               "of {cap}", times=dim - 1)
     d2 = 2 * dim
     # Python int tuples for the distinct rows and the closure test:
     # np.unique(axis=0) would import numpy.ma on its first call.

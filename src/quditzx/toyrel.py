@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .laws import FROBENIUS, LAWS, Law, Model, check
-from .phases import json_field, json_int, json_int_list, json_list
+from .phases import check_size, json_field, json_int, json_int_list, json_list
 
 __all__ = [
     "Rel",
@@ -98,7 +98,7 @@ def label_tuple(D: int, arity: int, flat: int) -> tuple:
     """Inverse of tuple_label for a given arity."""
     size = D * D
     if not 1 <= flat <= size ** arity:
-        raise ValueError(f"label {flat} out of range 1..{size ** arity}")
+        raise ValueError(f"label {flat} out of range 1..{size}^{arity}")
     rest = flat - 1
     out = []
     for _ in range(arity):
@@ -525,10 +525,10 @@ def rel_structure_check(D: int) -> dict:
 
     Raises ValueError, before building anything, when the largest tensor
     (D^8 entries) exceeds the D=7 size."""
-    if D > 1 and D ** 8 > _LAW_BATTERY_CAP:
-        raise ValueError(
-            f"law battery at D={D} needs a {D ** 8}-entry relation (D^8), "
-            f"above the cap of {_LAW_BATTERY_CAP} entries (D=7)")
+    if D > 1:
+        check_size(D, 8, _LAW_BATTERY_CAP, "law battery at D={base} needs a "
+                   "{size}-entry relation (D^8), above the cap of {cap} "
+                   "entries (D=7)")
     checks: list = []
     model = _law_model(D)
 

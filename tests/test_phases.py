@@ -5,6 +5,7 @@ assertion is independent of the module under test.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from quditzx.phases import (
     TAU,
     PhaseVector,
     Turn,
+    check_size,
     cyclic_value,
     cyclic_vector,
     phase_add,
@@ -276,3 +278,49 @@ def test_cyclic_vectors_form_a_subgroup():
             for t in range(dim):
                 assert (cyclic_vector(dim, s) + cyclic_vector(dim, t)
                         == cyclic_vector(dim, (s + t) % dim))
+
+
+# ---------------------------------------------------------------------------
+# check_size: one rule for every size cap
+
+_SIZE = "{base}^{power} = {size} of {cap}"
+
+
+@pytest.mark.parametrize("base, power, kw", [
+    (2, 24, {}), (3, 4, {"times": 2}), (3, 4, {"times": 2, "plus": 64})])
+def test_check_size_passes_at_its_cap_and_refuses_above_it(base, power, kw):
+    size = kw.get("times", 1) * (base ** power + kw.get("plus", 0))
+    check_size(base, power, size, "{9}", **kw)    # the template is unread
+    with pytest.raises(ValueError, match=f"^{size} of {size - 1}$"):
+        check_size(base, power, size - 1, "{size} of {cap}", **kw)
+
+
+@pytest.mark.parametrize("power, named", [
+    (13, "10^13 = 10000000000000"),      # 14 digits: written out
+    (14, "10^14"),                       # 15 digits: named, not repeated
+])
+def test_check_size_names_a_size_of_15_or_more_digits(power, named):
+    with pytest.raises(ValueError) as exc:
+        check_size(10, power, 1, _SIZE)
+    assert str(exc.value) == f"{named} of 1"
+    with pytest.raises(ValueError) as exc:
+        check_size(10, power, 1, "{size}", times=7, plus=3)
+    assert str(exc.value) == (f"7*(10^{power} + 3)" if power == 14
+                              else str(7 * (10 ** power + 3)))
+
+
+def test_check_size_takes_bases_zero_and_one_exactly():
+    start = time.perf_counter()
+    check_size(0, 10 ** 12, 0, "")
+    check_size(1, 10 ** 12, 1, "")
+    with pytest.raises(ValueError, match="^1 of 0$"):
+        check_size(1, 10 ** 12, 0, "{size} of {cap}")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_check_size_refuses_a_huge_power_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        check_size(3, 10 ** 12, 2 ** 24, "{0}: " + _SIZE, "node 0")
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == "node 0: 3^1000000000000 of 16777216"

@@ -483,6 +483,23 @@ def test_soundness_report_fails_a_rule_that_refuses_its_site(monkeypatch):
         "applier refuses its own site"] * 3
 
 
+def test_soundness_report_refuses_an_eta_table_above_the_cap_first(
+        monkeypatch):
+    # At D=4097 every X spider's eta table passes the evaluator's cap, so
+    # no instance is drawn; D=4096 is drawn and refused later, as before.
+    def unreachable(rule, dim, rng):
+        raise AssertionError(f"an instance was drawn at D={dim}")
+
+    monkeypatch.setattr(rw, "random_rule_instance", unreachable)
+    with pytest.raises(ValueError) as exc:
+        soundness_report("S_fuse", 4097, trials=1)
+    assert str(exc.value) == (
+        "rule soundness refuses D=4097: an X spider's eta table of 4097^2 = "
+        "16785409 entries is above the evaluator's cap of 16777216")
+    with pytest.raises(AssertionError, match="drawn at D=4096"):
+        soundness_report("S_fuse", 4096, trials=1)
+
+
 def test_simplify_reports_a_refused_own_match_as_a_bug(monkeypatch):
     # simplify finds its sites itself, so a refusal is a broken invariant
     d, _ = random_rule_instance("S_fuse", 3, random.Random(0))

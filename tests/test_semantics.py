@@ -1015,6 +1015,16 @@ def test_fourier_phase_state_check_can_fail(monkeypatch):
     assert not report.passed and report.deviation > 0.1
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_cyclic_points_check_can_fail(dim, monkeypatch):
+    # Phases t*j^2/D turns are closed under addition as t*j/D are, but
+    # are not the X classical points; at D=2, j^2 = j.
+    monkeypatch.setattr(sem, "cyclic_vector", lambda d, t: PhaseVector(
+        d, [Turn.exact(t * j * j, d) for j in range(1, d)]))
+    report = structure_check("cyclic_points", dim)
+    assert not report.passed and report.deviation > 0.5
+
+
 def test_structure_check_rejects_unknown_id():
     with pytest.raises(ValueError):
         structure_check("associativity_of_tea", 3)
