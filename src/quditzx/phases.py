@@ -79,7 +79,8 @@ def check_size(base: int, power: int, cap: int, refusal: str, *fields,
                 if base < 2 or (base.bit_length() - 1) * power < 47
                 else 10 ** 14)
         if size >= 10 ** 14:
-            size = f"({base}^{power} + {plus})" if plus else f"{base}^{power}"
+            size = f"{base}^{power}" if power != 1 else f"{base}"
+            size = f"({size} + {plus})" if plus else size
             size = size if times == 1 else f"{times}*{size}"
             refusal = refusal.replace("{base}^{power} = {size}", "{size}")
         raise ValueError(refusal.format(*fields, base=base, power=power,

@@ -30,8 +30,8 @@ import heapq
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import diagram as dg
 from .phases import (PhaseVector, Turn, check_size, cyclic_value,
@@ -74,18 +74,19 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Matchers. A rule's pattern is its _check_*, and nothing else. _KEYS[rule]
-# is the one statement of the rule's candidate condition, a cheap necessary
-# one, over the edges and nodes it is given: find_matches sorts the keys of
-# the whole graph, and simplify's worklist those of what a step touched.
-# _key_site turns a key into its site, keys sorting as their sites do, and
-# a site is a match when the check accepts it (_fits). The applier runs the
-# same check on the site it is given, and edits the graph in place: it cuts
-# legs (edge, sign) and re-links their far ends with add_leg, so a sign
-# fixes an edge's direction in far_end and add_leg alone. Checks, keys and
-# appliers all read a DiagramBuilder; a site names an edge by its position
-# in the finished diagram's edge list, which edge_at maps to the builder's
-# serial, and rank back.
+# Matchers. Everything about a rule is its _RULES record. Its check is the
+# rule's pattern, and nothing else. Its keys are the one statement of the
+# rule's candidate condition, a cheap necessary one, over the edges and
+# nodes it is given: find_matches sorts the keys of the whole graph, and
+# simplify's worklist those of what a step touched. Its site turns a key
+# into a site, keys sorting as their sites do, and a site is a match when
+# the check accepts it (_fits). The applier runs the same check on the site
+# it is given, and edits the graph in place: it cuts legs (edge, sign) and
+# re-links their far ends with add_leg, so a sign fixes an edge's direction
+# in far_end and add_leg alone. Checks, keys and appliers all read a
+# DiagramBuilder; a site names an edge by its position in the finished
+# diagram's edge list, which edge_at maps to the builder's serial, and rank
+# back.
 
 def _fits(d: dg.DiagramBuilder, check, site) -> bool:
     """Whether check accepts the site."""
@@ -348,18 +349,6 @@ def _apply_b_bialgebra(d, site):
     d.scalar *= d.dimension ** -0.5
 
 
-_APPLIERS = {
-    "S_fuse": _apply_s_fuse,
-    "D_identity": _apply_d_identity,
-    "B_copy": _apply_b_copy,
-    "B_bialgebra": _apply_b_bialgebra,
-    "K2_commute": _apply_k2_commute,
-    "F1_color": _apply_f1_color,
-    "F2_cancel": _apply_f2_cancel,
-    "loop_remove": _apply_loop_remove,
-}
-
-
 def _keys_b_bialgebra(d: dg.DiagramBuilder, _edges, nodes):
     # The far side of a square is two common targets of the near side.
     def sources(q):
@@ -374,92 +363,130 @@ def _keys_b_bialgebra(d: dg.DiagramBuilder, _edges, nodes):
                         yield a, b, q1, q2
 
 
-# Each rule's candidate keys among some live edges, a map from serial to
-# (source, target), and live nodes. Pair keys come from an edge, S_fuse when
-# its ends have one kind and F2_cancel when both are boxes; loop_remove keys
-# (node, serial) come from a self-loop. D_identity keys a degree-2 node, and
-# K2_commute keys (gate, far end, serial) each leg of one. B_copy keys a node
-# whose one leg is an out-leg: that leg fixes the spider and edge. F1_color keys every node, and
-# B_bialgebra a square (a, b, q1, q2) of degree-3 nodes a < b with common
-# out-targets q1 < q2.
-_KEYS = {
-    "S_fuse": lambda d, edges, _nodes: (
-        (min(s, t), max(s, t)) for s, t in edges.values()
-        if d.node(s).kind == d.node(t).kind),
-    "F2_cancel": lambda d, edges, _nodes: (
-        (min(s, t), max(s, t)) for s, t in edges.values()
-        if d.node(s).kind in dg.BOX_KINDS and d.node(t).kind in dg.BOX_KINDS),
-    "loop_remove": lambda d, edges, _nodes: (
-        (s, e) for e, (s, t) in edges.items() if s == t),
-    "D_identity": lambda d, _edges, nodes: (
-        v for v in nodes if d.degree(v) == 2),
-    "K2_commute": lambda d, _edges, nodes: (
-        (g, d.far_end(e, sign), e) for g in nodes if d.degree(g) == 2
-        for e, sign in d.legs(g)),
-    "B_copy": lambda d, _edges, nodes: (
-        v for v in nodes if d.degree(v) == 1 and d.legs(v)[0][1] == 1),
-    "F1_color": lambda d, _edges, nodes: iter(nodes),
-    "B_bialgebra": _keys_b_bialgebra,
-}
-
-
-def _key_site(d: dg.DiagramBuilder, rule: str, key):
-    """The site a key stands for, or None once its node or edge is gone."""
-    if rule == "D_identity":
-        return {"node": key}
-    if rule == "F1_color":
-        return {"spider": key}
-    if rule == "F2_cancel":
-        return {"boxes": list(key)}
-    if rule == "S_fuse":
-        a, b = key
-        return {"keep": a, "absorb": b, "color": d.node(a).kind} \
-            if a in d else None
-    if rule == "B_bialgebra":
-        a, b, q1, q2 = key
-        return {"first": [a, b], "second": [q1, q2], "color": d.node(a).kind}
-    if rule == "loop_remove":
-        v, e = key
-        return {"node": v, "edge": d.rank(e)} if e in d.edges else None
-    if rule == "K2_commute":
-        g, v, e = key
-        return {"gate": g, "spider": v, "edge": d.rank(e)}
-    legs = d.legs(key)
+def _site_b_copy(d: dg.DiagramBuilder, s: int):
+    legs = d.legs(s)
     if not legs:
         return None
     e = legs[0][0]
-    return {"state": key, "spider": d.edges[e][1], "edge": d.rank(e)}
+    return {"state": s, "spider": d.edges[e][1], "edge": d.rank(e)}
 
 
-def _check_of(rule: str):
-    # looked up at call time, so that a patched check is the one that runs
-    return globals()["_check_" + rule.lower()]
+def _site_loop_remove(d: dg.DiagramBuilder, v: int):
+    loops = _self_loops(d, v)
+    return {"node": v, "edge": d.rank(loops[0])} if loops else None
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_id, x))
+
+
+def _is_color(x) -> bool:
+    return isinstance(x, str) and x in dg.SPIDER_KINDS
+
+
+class _Rule(NamedTuple):
+    """One rewrite rule. check(d, site) is its pattern: it returns what the
+    applier needs, or raises RuleMatchError. apply(d, site) edits d in
+    place. keys(d, edges, nodes) yields candidate keys among some live
+    edges, a map from serial to (source, target), and live nodes.
+    site(d, key) is the site a key stands for, or None once its node or
+    edge is gone. shape maps each site key, as a trace writes it, to a
+    test of its value: a node or edge id, a pair of node ids, or a spider
+    color."""
+    check: Callable
+    apply: Callable
+    keys: Callable
+    site: Callable
+    shape: dict
+
+
+# Pair keys come from an edge: S_fuse when its ends have one kind and
+# F2_cancel when both are boxes. D_identity keys a degree-2 node, and
+# K2_commute keys (gate, far end, serial) each leg of one. B_copy keys a
+# node whose one leg is an out-leg: that leg fixes the spider and edge.
+# loop_remove keys a node with a self-loop, its site the node's first
+# loop. F1_color keys every node, and B_bialgebra a square (a, b, q1, q2)
+# of degree-3 nodes a < b with common out-targets q1 < q2.
+_RULES = {
+    "S_fuse": _Rule(
+        _check_s_fuse, _apply_s_fuse,
+        lambda d, edges, _nodes: (
+            (min(s, t), max(s, t)) for s, t in edges.values()
+            if d.node(s).kind == d.node(t).kind),
+        lambda d, key: {"keep": key[0], "absorb": key[1],
+                        "color": d.node(key[0]).kind} if key[0] in d else None,
+        {"keep": _is_id, "absorb": _is_id, "color": _is_color}),
+    "D_identity": _Rule(
+        _check_d_identity, _apply_d_identity,
+        lambda d, _edges, nodes: (v for v in nodes if d.degree(v) == 2),
+        lambda d, v: {"node": v},
+        {"node": _is_id}),
+    "B_copy": _Rule(
+        _check_b_copy, _apply_b_copy,
+        lambda d, _edges, nodes: (
+            v for v in nodes if d.degree(v) == 1 and d.legs(v)[0][1] == 1),
+        _site_b_copy,
+        {"state": _is_id, "spider": _is_id, "edge": _is_id}),
+    "B_bialgebra": _Rule(
+        _check_b_bialgebra, _apply_b_bialgebra, _keys_b_bialgebra,
+        lambda d, key: {"first": list(key[:2]), "second": list(key[2:]),
+                        "color": d.node(key[0]).kind},
+        {"first": _is_pair, "second": _is_pair, "color": _is_color}),
+    "K2_commute": _Rule(
+        _check_k2_commute, _apply_k2_commute,
+        lambda d, _edges, nodes: (
+            (g, d.far_end(e, sign), e) for g in nodes if d.degree(g) == 2
+            for e, sign in d.legs(g)),
+        lambda d, key: {"gate": key[0], "spider": key[1],
+                        "edge": d.rank(key[2])},
+        {"gate": _is_id, "spider": _is_id, "edge": _is_id}),
+    "F1_color": _Rule(
+        _check_f1_color, _apply_f1_color,
+        lambda d, _edges, nodes: iter(nodes),
+        lambda d, v: {"spider": v},
+        {"spider": _is_id}),
+    "F2_cancel": _Rule(
+        _check_f2_cancel, _apply_f2_cancel,
+        lambda d, edges, _nodes: (
+            (min(s, t), max(s, t)) for s, t in edges.values()
+            if d.node(s).kind in dg.BOX_KINDS
+            and d.node(t).kind in dg.BOX_KINDS),
+        lambda d, key: {"boxes": list(key)},
+        {"boxes": _is_pair}),
+    "loop_remove": _Rule(
+        _check_loop_remove, _apply_loop_remove,
+        lambda d, _edges, nodes: (v for v in nodes if _self_loops(d, v)),
+        _site_loop_remove,
+        {"node": _is_id, "edge": _is_id}),
+}
+
+
+def _rule(rule) -> _Rule:
+    """The record of a rule; anything else is refused with one line."""
+    if isinstance(rule, str) and rule in _RULES:
+        return _RULES[rule]
+    raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
 
 
 def find_matches(d: dg.Diagram, rule: str) -> list:
-    if rule not in _APPLIERS:
-        raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
+    r = _rule(rule)
     g = dg.DiagramBuilder.from_diagram(d)
-    keys = sorted(set(_KEYS[rule](g, g.edges, g.nodes)))
-    if rule == "loop_remove":
-        keys = sorted(dict(reversed(keys)).items())  # each node's first loop
-    check = _check_of(rule)
-    return [site for site in (_key_site(g, rule, k) for k in keys)
-            if _fits(g, check, site)]
+    keys = sorted(set(r.keys(g, g.edges, g.nodes)))
+    return [site for site in (r.site(g, k) for k in keys)
+            if _fits(g, r.check, site)]
 
 
 def apply_rule(d, rule: str, site: dict):
     """Apply rule at site. A Diagram is left as it is and the result is a
     new Diagram; a DiagramBuilder is edited in place, as one step (its
     change log restarts), and returned."""
-    if rule not in _APPLIERS:
-        raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
+    apply = _rule(rule).apply
     if isinstance(d, dg.Diagram):
         g = dg.DiagramBuilder.from_diagram(d)
-        _APPLIERS[rule](g, site)
+        apply(g, site)
         return g.finish()
     d.start_step()
-    _APPLIERS[rule](d, site)
+    apply(d, site)
     return d
 
 
@@ -515,37 +542,14 @@ class RewriteTrace:
         return cls(obj["initialHash"], obj["finalHash"], steps)
 
 
-def _is_pair(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(map(_is_id, x))
-
-
-def _is_color(x) -> bool:
-    return isinstance(x, str) and x in dg.SPIDER_KINDS
-
-
-# Each rule's site keys, as its matcher writes them, and a test of each
-# key's value: a node or edge id, a pair of node ids, or a spider color.
-_SITE_SHAPES = {
-    "S_fuse": {"keep": _is_id, "absorb": _is_id, "color": _is_color},
-    "D_identity": {"node": _is_id},
-    "B_copy": {"state": _is_id, "spider": _is_id, "edge": _is_id},
-    "B_bialgebra": {"first": _is_pair, "second": _is_pair,
-                    "color": _is_color},
-    "K2_commute": {"gate": _is_id, "spider": _is_id, "edge": _is_id},
-    "F1_color": {"spider": _is_id},
-    "F2_cancel": {"boxes": _is_pair},
-    "loop_remove": {"node": _is_id, "edge": _is_id},
-}
-
-
 def _check_step_shape(i: int, step: dict):
     """Refuse, with one line naming step i, a rule that does not exist or
     a site whose keys or values do not fit the rule."""
     rule, site = step["rule"], step["site"]
-    if not isinstance(rule, str) or rule not in _SITE_SHAPES:
-        raise ValueError(f"trace step {i}: unknown rule {rule!r}; choose "
-                         f"from {ALL_RULES}")
-    shape = _SITE_SHAPES[rule]
+    try:
+        shape = _rule(rule).shape
+    except ValueError as exc:
+        raise ValueError(f"trace step {i}: {exc}") from None
     if not isinstance(site, dict) or site.keys() != shape.keys():
         raise ValueError(f"trace step {i} ({rule}): the site must be an "
                          f"object with keys {sorted(shape)}, got {site!r}")
@@ -568,11 +572,11 @@ _SIMPLIFY_ORDER = ("loop_remove", "F2_cancel", "S_fuse", "D_identity",
 class _Worklist:
     """Candidate keys of the rules in _SIMPLIFY_ORDER, one heap per rule.
 
-    A rule's keys are its _KEYS, the candidate condition that find_matches
-    also sorts, so a key sorts as its site does in find_matches (edge
-    serials sort as the positions they stand for). pop() runs the rule's
-    own check on each popped key's site, so the first key it accepts is
-    find_matches' first site.
+    A rule's keys are its _RULES record's, the candidate condition that
+    find_matches also sorts, so a key sorts as its site does in
+    find_matches (edge serials sort as the positions they stand for).
+    pop() runs the rule's own check on each popped key's site, so the
+    first key it accepts is find_matches' first site.
 
     That holds while every key that the check would accept is queued.
     feed() pushes the keys of the edges and nodes a step touched and of
@@ -605,21 +609,21 @@ class _Worklist:
                 self._push("B_copy", key)
         nodes = [v for v in nodes if v in d]
         for rule in _SIMPLIFY_ORDER:
-            for key in _KEYS[rule](d, edges, nodes):
+            for key in _rule(rule).keys(d, edges, nodes):
                 self._push(rule, key)
 
     def pop(self):
         """(rule, site) of the next step, or None at the fixpoint."""
         for rule in _SIMPLIFY_ORDER:
             heap, queued = self.heaps[rule], self.queued[rule]
-            check = _check_of(rule)
+            r = _rule(rule)
             while heap:
                 key = heapq.heappop(heap)
                 queued.discard(key)
-                site = _key_site(self.d, rule, key)
+                site = r.site(self.d, key)
                 if site is None:
                     continue
-                if _fits(self.d, check, site):
+                if _fits(self.d, r.check, site):
                     return rule, site
                 if rule == "B_copy":
                     self.waiting.setdefault(site["spider"], set()).add(key)
@@ -643,7 +647,7 @@ def simplify(d: dg.Diagram) -> tuple:
         n_edges = len(g.edges)
         g.start_step()
         try:
-            _APPLIERS[rule](g, site)
+            _rule(rule).apply(g, site)
         except ValueError as exc:
             raise AssertionError(
                 f"{rule} failed at its own match {site}: {exc}") from exc
@@ -828,7 +832,6 @@ def soundness_report(rule: str, dim: int, trials: int = 50,
                "spider's eta table of {base}^{power} = {size} entries is "
                "above the evaluator's cap of {cap}")
     rng = random.Random(f"{rule}:{dim}:{seed}")
-    t0 = time.perf_counter()
     failures = []
     worst = 0.0
     worst_drift = 0.0
@@ -862,5 +865,4 @@ def soundness_report(rule: str, dim: int, trials: int = 50,
         "maxDeviation": worst,
         "maxScalarDrift": worst_drift,
         "passed": not failures,
-        "elapsed": time.perf_counter() - t0,
     }

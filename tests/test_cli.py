@@ -244,6 +244,39 @@ def test_rule_check_rejects_non_positive_trials(trials, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _no_draw(rule, dim, rng):
+    raise AssertionError(f"an instance was drawn at D={dim}")
+
+
+def test_rule_check_refuses_more_instances_than_its_cap_first(monkeypatch,
+                                                              capsys):
+    # 715 x 7 x 2 = 10,010 instances are refused before any is drawn;
+    # 5,000 x 1 x 2 = 10,000 are drawn.
+    from quditzx import rewrite as rw
+
+    monkeypatch.setattr(rw, "random_rule_instance", _no_draw)
+    assert run(["rule-check", "--dim", "2,3", "--trials", "715"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rule-check refuses 715 trials x 7 rules x 2 dimensions = "
+        "10010 instances, above its cap of 10000\n")
+    with pytest.raises(AssertionError, match="drawn at D=2"):
+        run(["rule-check", "--rule", "S_fuse", "--dim", "2,3",
+             "--trials", "5000"])
+
+
+def test_rule_check_names_a_huge_instance_count_in_one_line(monkeypatch,
+                                                            capsys):
+    from quditzx import rewrite as rw
+
+    monkeypatch.setattr(rw, "random_rule_instance", _no_draw)
+    trials = "9" * 4300
+    assert run(["rule-check", "--dim", "2,3", "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: rule-check refuses {trials} trials x 7 rules x 2 "
+                   f"dimensions = 14*{trials} instances, above its cap of "
+                   "10000\n")
+
+
 def test_rule_check_fails_a_rule_that_refuses_its_site(monkeypatch, capsys):
     # rule-check builds every site itself, so a refusal is a failed check
     # (exit 1), not bad input (exit 2)
@@ -252,7 +285,8 @@ def test_rule_check_fails_a_rule_that_refuses_its_site(monkeypatch, capsys):
     def refusing(d, site):
         raise rw.RuleMatchError("applier refuses its own site")
 
-    monkeypatch.setitem(rw._APPLIERS, "S_fuse", refusing)
+    monkeypatch.setitem(rw._RULES, "S_fuse",
+                        rw._RULES["S_fuse"]._replace(apply=refusing))
     assert run(["rule-check", "--rule", "S_fuse", "--dim", "3",
                 "--trials", "2", "--json"]) == 1
     captured = capsys.readouterr()

@@ -12,9 +12,10 @@ prints exactly one stderr line, never Python's int-limit advice, and
 nothing on stdout.
 
 Argument values stay within what argparse parses, since its own usage
-errors are two lines by design, and --trials stays small, since its work
-is linear in the count given. The pinned examples once printed Python's
-int-limit error, ran for more than 30 s or ended in a traceback.
+errors are two lines by design. --trials is drawn like any other integer:
+rule-check refuses more than a fixed number of instances before it draws
+one. The pinned examples once printed Python's int-limit error, ran for
+more than 30 s or ended in a traceback.
 """
 
 import contextlib
@@ -176,7 +177,7 @@ def _size_case(draw) -> tuple:
                         lambda ds: ",".join(map(str, ds)))
     rules = st.sampled_from(list(rw.RULES) + ["all", "x"])
     return [which, draw(_opt("dim", dims)), draw(_opt("rule", rules)),
-            draw(_opt("trials", st.integers(-2, 2))),
+            draw(_opt("trials", _ints)),
             draw(_opt("seed", _ints)),
             draw(_opt("tol", st.one_of(_floats, st.just(1e-9))))], None
 
@@ -204,6 +205,8 @@ _cases = st.one_of(_diagram_case(), _circuit_case(), _size_case())
 @example(case=(["stab-run", "{file}"],
                '{"n": ' + "7" * 5000 + ', "dim": 3, "circuit": []}'))
 @example(case=(["rule-check", "--dim", "100000000", "--trials", "1"], None))
+@example(case=(["rule-check", "--dim", "2", "--trials", "9" * 4300], None))
+@example(case=(["phase-space", "--n", "9" * 4300], None))
 @example(case=(["stab-run", "{file}"],
                '{"n": 1, "dim": 3, "circuit": [{"gate": [], "wires": [0]}]}'))
 @example(case=(["eval", "{file}"], "[" * 100000 + "]" * 100000))

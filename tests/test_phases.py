@@ -309,6 +309,12 @@ def test_check_size_names_a_size_of_15_or_more_digits(power, named):
                               else str(7 * (10 ** power + 3)))
 
 
+def test_check_size_names_a_first_power_as_its_base():
+    with pytest.raises(ValueError) as exc:
+        check_size(10 ** 14, 1, 1, "{size}", times=7)
+    assert str(exc.value) == f"7*{10 ** 14}"
+
+
 def test_check_size_takes_bases_zero_and_one_exactly():
     start = time.perf_counter()
     check_size(0, 10 ** 12, 0, "")

@@ -706,6 +706,17 @@ def test_phase_space_report_refuses_work_above_its_cap(d, n, cases, size):
         assert part in message
 
 
+@pytest.mark.parametrize("n", [10 ** 14, 10 ** 4300 - 1])
+def test_phase_space_report_refuses_an_n_of_15_digits_unprinted(n):
+    # 2n may have more digits than Python prints; the line names d and
+    # the cap instead.
+    with pytest.raises(ValueError) as exc:
+        phase_space_report(3, n, cases=1)
+    assert str(exc.value) == (
+        "the phase-space battery at d=3 refuses an n of 15 or more digits: "
+        "cases*d^(2n) point evaluations are above its cap of 262144")
+
+
 def test_phase_space_report_runs_up_to_its_cap(monkeypatch):
     # The cap is exact: 3^4 + 64 point evaluations pass a cap of 145, and
     # twice that is refused.

@@ -424,7 +424,8 @@ def test_matchers_keep_only_what_the_check_accepts(rule, monkeypatch):
     def refuse(d, site):
         raise RuleMatchError("refused")
 
-    monkeypatch.setattr(rw, f"_check_{rule.lower()}", refuse)
+    monkeypatch.setitem(rw._RULES, rule,
+                        rw._RULES[rule]._replace(check=refuse))
     assert find_matches(d, rule) == []
 
 
@@ -447,20 +448,20 @@ def test_soundness_report_shape():
     assert rep["passed"] and rep["failures"] == []
     assert rep["maxDeviation"] < 1e-9
     assert rep["maxScalarDrift"] < 1e-9
-    assert rep["elapsed"] > 0
 
 
 def test_soundness_report_fails_a_rule_that_flips_the_scalar(monkeypatch):
     # after = -before is entrywise exact up to s = -1: only the scalar
     # check can catch it
-    applier = rw._APPLIERS["S_fuse"]
+    applier = rw._RULES["S_fuse"].apply
 
     def flipped(d, site):
         out = applier(d, site)
         d.scalar *= -1
         return out
 
-    monkeypatch.setitem(rw._APPLIERS, "S_fuse", flipped)
+    monkeypatch.setitem(rw._RULES, "S_fuse",
+                        rw._RULES["S_fuse"]._replace(apply=flipped))
     rep = soundness_report("S_fuse", 3, trials=4, seed=1)
     assert not rep["passed"]
     assert len(rep["failures"]) == 4
@@ -470,13 +471,34 @@ def test_soundness_report_fails_a_rule_that_flips_the_scalar(monkeypatch):
                for f in rep["failures"])
 
 
+@pytest.mark.parametrize("rule", ALL_RULES)
+def test_soundness_report_fails_every_rule_whose_scalar_drifts(rule,
+                                                               monkeypatch):
+    # Each rule's check can fail: a scalar off by one part in a million is
+    # caught at every D.
+    apply = rw._RULES[rule].apply
+
+    def drifted(d, site):
+        apply(d, site)
+        d.scalar *= 1 + 1e-6
+
+    monkeypatch.setitem(rw._RULES, rule,
+                        rw._RULES[rule]._replace(apply=drifted))
+    for dim in (2, 3, 4, 5):
+        rep = soundness_report(rule, dim, trials=3, seed=1)
+        assert not rep["passed"]
+        assert len(rep["failures"]) == 3
+        assert rep["maxScalarDrift"] == pytest.approx(1e-6, rel=1e-3)
+
+
 def _refusing(d, site):
     raise rw.RuleMatchError("applier refuses its own site")
 
 
 def test_soundness_report_fails_a_rule_that_refuses_its_site(monkeypatch):
     # the instances are built to match, so a refusal is a failed check
-    monkeypatch.setitem(rw._APPLIERS, "S_fuse", _refusing)
+    monkeypatch.setitem(rw._RULES, "S_fuse",
+                        rw._RULES["S_fuse"]._replace(apply=_refusing))
     rep = soundness_report("S_fuse", 3, trials=3, seed=1)
     assert not rep["passed"]
     assert [f["reason"] for f in rep["failures"]] == [
@@ -503,7 +525,8 @@ def test_soundness_report_refuses_an_eta_table_above_the_cap_first(
 def test_simplify_reports_a_refused_own_match_as_a_bug(monkeypatch):
     # simplify finds its sites itself, so a refusal is a broken invariant
     d, _ = random_rule_instance("S_fuse", 3, random.Random(0))
-    monkeypatch.setitem(rw._APPLIERS, "S_fuse", _refusing)
+    monkeypatch.setitem(rw._RULES, "S_fuse",
+                        rw._RULES["S_fuse"]._replace(apply=_refusing))
     with pytest.raises(AssertionError, match="S_fuse failed at its own match"):
         rw.simplify(d)
 
@@ -856,13 +879,12 @@ def test_simplify_checks_per_step_do_not_grow_with_the_chain(monkeypatch):
     # on a 1,280-CNOT chain stay within twice those on an 80-CNOT one.
     calls = []
     for rule in ALL_RULES:
-        name = f"_check_{rule.lower()}"
-
-        def counted(d, site, check=getattr(rw, name)):
+        def counted(d, site, check=rw._RULES[rule].check):
             calls.append(site)
             return check(d, site)
 
-        monkeypatch.setattr(rw, name, counted)
+        monkeypatch.setitem(rw._RULES, rule,
+                            rw._RULES[rule]._replace(check=counted))
     per_step = []
     for n in (80, 1280):
         calls.clear()
