@@ -27,12 +27,22 @@ In Hilbert space a law holds with the first network equal to
 D**scale times each other one, or up to a nonzero scalar when `scale`
 is None. A relation is nonzero or not, so the toy model ignores the
 scale.
+
+Both models evaluate a network with `contract`. `plan` finds its
+pairwise path once per spec and operand shapes (Smith & Gray,
+"opt_einsum", JOSS 3(26):753, 2018): numpy's greedy path, the one an
+optimizing `einsum` takes, read off zero-stride stand-ins for the
+operands and kept as one `np.matmul` per pair, so a repeated network
+pays for its contractions only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +88,95 @@ def _view(model: Model, name: str, points):
     base = name.rstrip("*")
     view = points if base == "point" else model.views[base]
     return np.conj(view) if name.endswith("*") else view
+
+
+class Step(NamedTuple):
+    """One pairwise contraction of a plan: operands `pair` (i < j) leave
+    the operand list and their product joins its end. Each side first
+    takes its own diagonals and sums the letters that no one else reads,
+    by the one-operand einsum spec `reduce` where it needs one, then is
+    permuted to (batch, free, summed) or (batch, summed, free) and
+    reshaped to `shapes[0]` or `shapes[1]` for one np.matmul, whose
+    result is reshaped to `shapes[2]`, axes batch, free of i, free of j."""
+
+    pair: tuple
+    reduce: tuple    # (spec or None, spec or None)
+    perms: tuple     # (axes of i, axes of j)
+    shapes: tuple    # (i's matmul shape, j's, the result's)
+
+
+@functools.lru_cache(maxsize=1024)
+def plan(spec: str, shapes: tuple) -> tuple:
+    """The steps that contract a network of two or more operands of
+    these shapes, and the final permutation of the last product's axes
+    to the spec's output letters."""
+    inputs, output = spec.split("->")
+    terms = inputs.split(",")
+    size = {c: n for term, shape in zip(terms, shapes)
+            for c, n in zip(term, shape)}
+    stand_ins = [np.broadcast_to(np.zeros(()), shape) for shape in shapes]
+    path = np.einsum_path(spec, *stand_ins, optimize="greedy")[0][1:]
+    # each operand's and product's id, in operand-list order
+    ids, fresh = list(range(len(terms))), itertools.count(len(terms))
+    steps = []
+    for group in path:
+        # numpy leaves a network with nothing to sum as one group of all
+        # its operands; it is taken a pair at a time, like any other
+        cur, *rest = [ids[k] for k in group]
+        for other in rest:
+            i, j = sorted((ids.index(cur), ids.index(other)))
+            a, b = terms[i], terms[j]
+            others = terms[:i] + terms[i + 1:j] + terms[j + 1:]
+            keep = set(output).union(*others)
+            a2, b2 = ("".join(c for c in dict.fromkeys(t)
+                              if c in u or c in keep)
+                      for t, u in ((a, b), (b, a)))
+            batch = [c for c in a2 if c in b2 and c in keep]
+            summed = [c for c in a2 if c in b2 and c not in keep]
+            free_a = [c for c in a2 if c not in b2]
+            free_b = [c for c in b2 if c not in a2]
+            n = [prod(size[c] for c in cs)
+                 for cs in (batch, free_a, summed, free_b)]
+            steps.append(Step(
+                (i, j),
+                tuple(None if t == t2 else f"{t}->{t2}"
+                      for t, t2 in ((a, a2), (b, b2))),
+                (tuple(a2.index(c) for c in batch + free_a + summed),
+                 tuple(b2.index(c) for c in batch + summed + free_b)),
+                ((n[0], n[1], n[2]), (n[0], n[2], n[3]),
+                 tuple(size[c] for c in batch + free_a + free_b))))
+            del terms[j], terms[i], ids[j], ids[i]
+            terms.append("".join(batch + free_a + free_b))
+            cur = next(fresh)
+            ids.append(cur)
+    return tuple(steps), tuple(terms[0].index(c) for c in output)
+
+
+def _step(step: Step, a, b):
+    """One step's product of its operands a and b."""
+    (reduce_a, reduce_b), (perm_a, perm_b), (shape_a, shape_b, shape) = (
+        step.reduce, step.perms, step.shapes)
+    if reduce_a:
+        a = np.einsum(reduce_a, a)
+    if reduce_b:
+        b = np.einsum(reduce_b, b)
+    return np.matmul(a.transpose(perm_a).reshape(shape_a),
+                     b.transpose(perm_b).reshape(shape_b)).reshape(shape)
+
+
+def contract(spec: str, views) -> np.ndarray:
+    """The network's value, as `np.einsum(spec, *views)` gives it: a
+    network of two or more operands runs its plan, one of fewer runs
+    einsum itself."""
+    if len(views) < 2:
+        return np.einsum(spec, *views)
+    steps, perm = plan(spec, tuple(np.shape(v) for v in views))
+    ops = list(views)
+    for step in steps:
+        i, j = step.pair
+        b, a = ops.pop(j), ops.pop(i)
+        ops.append(_step(step, a, b))
+    return ops[0].transpose(perm)
 
 
 # The six Frobenius-algebra laws of one colour, in report order.

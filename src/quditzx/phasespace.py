@@ -487,22 +487,33 @@ def phase_space_report(d: int, n: int, seed: int = 0, cases: int = 25
     Raises ValueError, before drawing anything, when
     cases*d^(2n) + _CASE_COST*cases is above _PHASE_SPACE_CAP, by
     phases.check_size, so d^(2n) is not built for a 2n past the cap's bit
-    length; an n of 15 or more digits is refused without being printed."""
-    bad = ValueError("the phase-space battery needs prime d, n >= 1 and "
-                     f"cases >= 1; got d={d}, n={n}, cases={cases}")
+    length; a d, n or cases of 15 or more digits is refused without
+    being printed."""
+    def shown(x: int) -> str:
+        # Python refuses to print an int of more than 4300 digits
+        return str(x) if abs(x) < 10 ** 14 else "(15 or more digits)"
+
+    def bad() -> ValueError:
+        return ValueError("the phase-space battery needs prime d, n >= 1 and "
+                          f"cases >= 1; got d={shown(d)}, n={shown(n)}, "
+                          f"cases={shown(cases)}")
+
     if d < 2 or n < 1 or cases < 1:
-        raise bad
-    if n >= 10 ** 14:
-        # d^(2n) is past any cap, and 2n may have too many digits to print
-        raise ValueError(f"the phase-space battery at d={d} refuses an n of "
-                         "15 or more digits: cases*d^(2n) point evaluations "
-                         f"are above its cap of {_PHASE_SPACE_CAP}")
+        raise bad()
+    battery = "the phase-space battery" + (f" at d={d}" if d < 10 ** 14
+                                           else "")
+    for what, x in (("an n", n), ("a number of cases", cases), ("a d", d)):
+        if x >= 10 ** 14:
+            # cases*d^(2n) is past any cap, and x may not print
+            raise ValueError(f"{battery} refuses {what} of 15 or more "
+                             "digits: cases*d^(2n) point evaluations are "
+                             f"above its cap of {_PHASE_SPACE_CAP}")
     check_size(d, 2 * n, _PHASE_SPACE_CAP, "the phase-space battery at "
                "d={base}, n={0}, cases={1} needs cases*d^(2n) + {2}*cases = "
                "{1}*{base}^{power} + {2}*{1} point evaluations, above its cap "
                "of {cap}", n, cases, _CASE_COST, times=cases, plus=_CASE_COST)
     if not is_prime(d):
-        raise bad
+        raise bad()
     rng = random.Random(seed)
 
     def draw() -> tuple:

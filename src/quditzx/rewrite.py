@@ -820,17 +820,26 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
     raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
 
 
+# The most loop-free legs at one node of a random_rule_instance draw, and
+# at the spider S_fuse makes of it: S_fuse joins its two spiders by up to
+# 3 legs and attaches up to 3 more to each. No other tensor the evaluator
+# builds for a draw, an X spider's D x D eta table included, is larger.
+_INSTANCE_LEGS = 6
+
+
 def soundness_report(rule: str, dim: int, trials: int = 50,
                      seed: int = 0, tol: float = 1e-9) -> dict:
     """Random instantiations of one rule: evaluate before and after; a
     trial passes when the matrices agree entrywise and the scalar between
-    them is 1 (rules carry their own scalars). A D whose D x D eta table
-    the evaluator would refuse is refused before any instance is drawn."""
+    them is 1 (rules carry their own scalars). A D whose D^_INSTANCE_LEGS
+    tensor the evaluator would refuse is refused before any instance is
+    drawn."""
     from .semantics import _FAST_CAP, compare_scalar_exact, evaluate
 
-    check_size(dim, 2, _FAST_CAP, "rule soundness refuses D={base}: an X "
-               "spider's eta table of {base}^{power} = {size} entries is "
-               "above the evaluator's cap of {cap}")
+    check_size(dim, _INSTANCE_LEGS, _FAST_CAP, "rule soundness refuses "
+               "D={base}: a random instance can need a tensor of "
+               "{base}^{power} = {size} entries, above the evaluator's cap "
+               "of {cap}")
     rng = random.Random(f"{rule}:{dim}:{seed}")
     failures = []
     worst = 0.0

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagram as dg
-from .laws import LAWS, Law, Model, check
+from .laws import LAWS, Law, Model, check, contract
 from .phases import PhaseVector, check_size, cyclic_vector
 
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
@@ -658,9 +658,7 @@ def _law_model(d: int) -> Model:
                      for _ in range(12)])
     points = {"classical_z": np.eye(d), "classical_x": math.sqrt(d) * fmat.T,
               "unbiased_z": flat, "unbiased_x": flat @ fmat.T}
-    return Model(views, points,
-                 contract=lambda spec, views: np.einsum(spec, *views,
-                                                        optimize=True),
+    return Model(views, points, contract=contract,
                  compare=functools.partial(_law_deviation, d))
 
 

@@ -19,11 +19,12 @@ delta_X is the conjugate of delta_Z under the coordinate transpose
 (x, p) -> (p, x).  `rel_structure_check` runs the shared laws of
 `laws.LAWS` (Frobenius laws, counits, specialness, classical and unbiased
 points, coherence, strong complementarity, Hopf with full negation as
-antipode) in the toy model: each law's networks are einsum contractions
-of the relations' float32 tensor views, compared after a `> 0` test.  It
-adds the toy theory's own checks (the cap and snake, the transpose, the
-phase groups, Latin-square grids, maximal knowledge) and, as a negative
-control, the shared laws with a corrupted delta_Z, which must fail.
+antipode) in the toy model: each law's networks are contractions of the
+relations' float32 tensor views, planned once by `laws.plan`, compared
+after a `> 0` test.  It adds the toy theory's own checks (the cap and
+snake, the transpose, the phase groups, Latin-square grids, maximal
+knowledge) and, as a negative control, the shared laws with a corrupted
+delta_Z, which must fail.
 
 The compact cap is computed honestly from its definition, bell =
 delta_Z . converse(eps_Z), which gives the p-twisted pair relation
@@ -41,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .laws import FROBENIUS, LAWS, Law, Model, check
+from .laws import FROBENIUS, LAWS, Law, Model, check, contract
 from .phases import check_size, json_field, json_int, json_int_list, json_list
 
 __all__ = [
@@ -478,8 +479,8 @@ _LAWS = {
 
 def _law_model(D: int) -> Model:
     """The toy theory as a model of `laws.LAWS`: each relation's float32
-    tensor view, contracted by einsum and tested `> 0`, which stays exact
-    for the reason `or_and` gives."""
+    tensor view, contracted by `laws.contract` and tested `> 0`, which
+    stays exact for the reason `or_and` gives."""
     rels = {name: spek_generator(name, D)
             for name in ("delta_z", "delta_x", "eps_z", "eps_x", "bell")}
     rels.update(antipode=negation_permutation(D).to_rel(),
@@ -500,8 +501,7 @@ def _law_model(D: int) -> Model:
         views={name: view(rel) for name, rel in rels.items()},
         points={name: np.stack([view(rel) for rel in family])
                 for name, family in points.items()},
-        contract=lambda spec, views: np.einsum(spec, *views,
-                                               optimize=True) > 0,
+        contract=lambda spec, views: contract(spec, views) > 0,
         compare=lambda scale, results: all(np.array_equal(results[0], r)
                                            for r in results[1:]))
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quditzx import laws as lw
@@ -269,3 +269,67 @@ def test_each_law_fails_under_some_corruption(kind, D):
                       model, views={**model.views,
                                     **corrupt(model.views)}), law))]
         assert broken, (kind, D, name)
+
+
+# ---------------------------------------------------------------------------
+# The planner: laws.contract against plain einsum
+
+LETTERS = "abcdef"
+
+
+@st.composite
+def _networks(draw):
+    """A spec over one to five operands of letters a-f, with repeated
+    letters (diagonals), letters read by one operand only, and sometimes
+    a batch axis P shared by some operands and the output."""
+    terms = [draw(st.text(LETTERS, max_size=3))
+             for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        batched = draw(st.lists(st.integers(0, len(terms) - 1), min_size=1,
+                                unique=True))
+        terms = ["P" + t if k in batched else t for k, t in enumerate(terms)]
+    used = sorted(set("".join(terms)))
+    output = "".join(draw(st.lists(st.sampled_from(used), unique=True))
+                     if used else [])
+    if "P" in used and "P" not in output:
+        output = "P" + output
+    return ",".join(terms) + "->" + output
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks(), st.integers(2, 5), st.integers(1, 4), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example("->", 2, 1, True, 0)
+@example("->", 3, 1, False, 0)
+@example("aab,bc,Pc->Pa", 3, 2, True, 1)
+def test_contract_matches_einsum(spec, D, points, boolean, seed):
+    rng = np.random.default_rng(seed)
+    terms = spec.split("->")[0].split(",")
+    shapes = [tuple(points if c == "P" else D for c in t) for t in terms]
+    if boolean:
+        ops = [(rng.random(s) < 0.5).astype(np.float32) for s in shapes]
+        got = lw.contract(spec, ops) > 0
+        assert got.dtype == bool
+        assert np.array_equal(got, np.einsum(spec, *ops) > 0)
+    else:
+        ops = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        got, want = lw.contract(spec, ops), np.einsum(spec, *ops)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_each_network_is_planned_once(monkeypatch):
+    # After one pass, a second pass of both batteries finds every plan in
+    # the cache, and numpy's path search does not run again.
+    toyrel.rel_structure_check(3)
+    sem.run_structure_checks(3)
+    searches = []
+    einsum_path = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *a, **k: searches.append(a[0])
+                        or einsum_path(*a, **k))
+    misses = lw.plan.cache_info().misses
+    assert toyrel.rel_structure_check(3)["passed"]
+    assert all(r.passed for r in sem.run_structure_checks(3))
+    assert lw.plan.cache_info().misses == misses
+    assert searches == []

@@ -717,6 +717,36 @@ def test_phase_space_report_refuses_an_n_of_15_digits_unprinted(n):
         "cases*d^(2n) point evaluations are above its cap of 262144")
 
 
+@pytest.mark.parametrize("d, n, cases, refusal", [
+    (3, 10 ** 5000, 1, "the phase-space battery at d=3 refuses an n"),
+    (3, 1, 10 ** 5000,
+     "the phase-space battery at d=3 refuses a number of cases"),
+    (10 ** 5000, 1, 1, "the phase-space battery refuses a d")],
+    ids=["n", "cases", "d"])
+def test_phase_space_report_refuses_5001_digits_unprinted(d, n, cases,
+                                                          refusal):
+    # Python refuses to print an int of more than 4300 digits, so no
+    # refusal may print the argument.
+    with pytest.raises(ValueError) as exc:
+        phase_space_report(d, n, cases=cases)
+    assert str(exc.value) == (
+        f"{refusal} of 15 or more digits: cases*d^(2n) point evaluations "
+        "are above its cap of 262144")
+
+
+@pytest.mark.parametrize("d, n, cases", [(-10 ** 5000, 1, 1),
+                                         (3, -10 ** 5000, 1),
+                                         (3, 1, -10 ** 5000)],
+                         ids=["d", "n", "cases"])
+def test_phase_space_report_rejects_5001_digits_unprinted(d, n, cases):
+    with pytest.raises(ValueError) as exc:
+        phase_space_report(d, n, cases=cases)
+    message = str(exc.value)
+    assert message.startswith("the phase-space battery needs prime d, "
+                              "n >= 1 and cases >= 1; got ")
+    assert "(15 or more digits)" in message and len(message) < 200
+
+
 def test_phase_space_report_runs_up_to_its_cap(monkeypatch):
     # The cap is exact: 3^4 + 64 point evaluations pass a cap of 145, and
     # twice that is refused.

@@ -505,21 +505,40 @@ def test_soundness_report_fails_a_rule_that_refuses_its_site(monkeypatch):
         "applier refuses its own site"] * 3
 
 
-def test_soundness_report_refuses_an_eta_table_above_the_cap_first(
+def test_soundness_report_refuses_a_tensor_above_the_cap_first(
         monkeypatch):
-    # At D=4097 every X spider's eta table passes the evaluator's cap, so
-    # no instance is drawn; D=4096 is drawn and refused later, as before.
+    # At D=17 an S_fuse draw's six-legged spider has 17^6 entries, past
+    # the evaluator's cap, so no instance is drawn and the line names D,
+    # not a node; D=16, at 2^24 entries, is drawn.
     def unreachable(rule, dim, rng):
         raise AssertionError(f"an instance was drawn at D={dim}")
 
     monkeypatch.setattr(rw, "random_rule_instance", unreachable)
-    with pytest.raises(ValueError) as exc:
-        soundness_report("S_fuse", 4097, trials=1)
-    assert str(exc.value) == (
-        "rule soundness refuses D=4097: an X spider's eta table of 4097^2 = "
-        "16785409 entries is above the evaluator's cap of 16777216")
-    with pytest.raises(AssertionError, match="drawn at D=4096"):
-        soundness_report("S_fuse", 4096, trials=1)
+    for rule in ("D_identity", "S_fuse"):
+        with pytest.raises(ValueError) as exc:
+            soundness_report(rule, 17, trials=1)
+        assert str(exc.value) == (
+            "rule soundness refuses D=17: a random instance can need a "
+            "tensor of 17^6 = 24137569 entries, above the evaluator's cap "
+            "of 16777216")
+    with pytest.raises(AssertionError, match="drawn at D=16"):
+        soundness_report("S_fuse", 16, trials=1)
+
+
+def test_no_draw_has_a_node_of_more_legs_than_the_cap_assumes():
+    # soundness_report refuses D by D^_INSTANCE_LEGS: no draw, before or
+    # after its rule, has a node with more loop-free legs, and S_fuse
+    # reaches that many.
+    rng = random.Random(3)
+    most = 0
+    for rule in ALL_RULES:
+        for _ in range(200):
+            d, site = random_rule_instance(rule, 2, rng)
+            for diagram in (d, apply_rule(d, rule, site)):
+                for v in diagram.nodes:
+                    most = max(most, sum(diagram.far_end(e, s) != v
+                                         for e, s in diagram.legs(v)))
+    assert most == rw._INSTANCE_LEGS
 
 
 def test_simplify_reports_a_refused_own_match_as_a_bug(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditzx import toyrel
+from quditzx import laws, toyrel
 from quditzx.laws import LAWS, results
 from quditzx.toyrel import (
     Permutation,
@@ -572,22 +572,22 @@ def test_battery_passes_at_d7():
 def test_battery_builds_no_relation_above_d8_entries(monkeypatch):
     # The laws are contracted from the generators' views: the whiskered
     # composites' D^10 operands, such as delta x 1, are never built as
-    # relations, and no contraction returns more than the D^8 entries of
-    # a four-wire side, which the largest laws reach.
+    # relations, and no step of a contraction returns more than the D^8
+    # entries of a four-wire side, which the largest laws reach.
     sizes, outputs = [], []
-    init, einsum = Rel.__init__, np.einsum
+    init, step = Rel.__init__, laws._step
 
     def spy(self, D, m, n, matrix):
         sizes.append(np.size(matrix))
         init(self, D, m, n, matrix)
 
-    def einsum_spy(*args, **kwargs):
-        out = einsum(*args, **kwargs)
+    def step_spy(*args):
+        out = step(*args)
         outputs.append(np.size(out))
         return out
 
     monkeypatch.setattr(Rel, "__init__", spy)
-    monkeypatch.setattr(np, "einsum", einsum_spy)
+    monkeypatch.setattr(laws, "_step", step_spy)
     assert rel_structure_check(4)["passed"]
     assert sizes and max(sizes) <= 4 ** 8
     assert max(outputs) == 4 ** 8
