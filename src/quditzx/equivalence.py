@@ -2,11 +2,12 @@
 stabilizer theory.
 
 Both sides are built independently.  The toy side runs on relations and
-exact rational phase-space distributions; the quantum side runs on exact
-integer arrays over Z[eta] (eta = exp(2*pi*i/3), eta^2 = -1 - eta), so
-every comparison below is zero-tolerance.  A trailing axis holds (a, b) of
-a + b*eta, and all brakets and phase-map images are a few array products;
-`Cyclotomic` is the scalar type of the ring and the kernel's exact oracle.
+phase-space cosets, a probability being an integer count of coset points
+over the coset's size; the quantum side runs on exact integer arrays over
+Z[eta] (eta = exp(2*pi*i/3), eta^2 = -1 - eta), so every comparison below
+is zero-tolerance.  A trailing axis holds (a, b) of a + b*eta, and all
+brakets and phase-map images are a few array products; `Cyclotomic` is
+the scalar type of the ring and the kernel's exact oracle.
 
 The twelve single-trit states of maximal knowledge are matched to the
 twelve qutrit stabilizer states by the unique dictionary that is a group
@@ -177,7 +178,7 @@ class StateEntry:
     color: str          # spider color of the quantum state
     phases: PhaseVector  # exact phase vector of that spider
     ket: tuple          # unnormalized exact ket in Z[eta]
-    norm2: Fraction
+    norm2: int          # squared norm of the ket
     ket_name: str
 
 
@@ -224,8 +225,10 @@ def _checked_supports(states: dict) -> dict:
     if derived != literal:
         raise AssertionError("phase-space derivation disagrees with the "
                              "literal support table")
-    enumerated = {s.labels() for s in ps.all_maximal_states(3)}
-    if enumerated != set(literal.values()):
+    # labels are one-to-one on cosets, so the enumeration has the literal
+    # supports iff it has the named states' cosets
+    enumerated = {tuple(s.support()) for s in ps.all_maximal_states(3)}
+    if enumerated != {tuple(s.support()) for s in states.values()}:
         raise AssertionError("maximal-state enumeration disagrees with the "
                              "support table")
     return literal
@@ -279,7 +282,7 @@ def _dictionary(supports: dict) -> list:
             color=color,
             phases=PhaseVector(3, [Turn.exact(u, 3), Turn.exact(v, 3)]),
             ket=tuple(Cyclotomic(int(a), int(b)) for a, b in ket),
-            norm2=Fraction(int(_znorm2(ket).sum())),
+            norm2=int(_znorm2(ket).sum()),
             ket_name=_KET_NAMES[name],
         ))
     return entries
@@ -322,7 +325,7 @@ def run_equivalence_checks() -> dict:
     kets = np.array([[(x.a, x.b) for x in e.ket] for e in entries],
                     dtype=np.int64)
     # |<e|s>|^2 for all 144 pairs, indexed [e, s]
-    braket2 = _znorm2(_braket_table(kets)).tolist()
+    braket2 = _znorm2(_braket_table(kets))
     report: dict = {"dim": 3}
 
     # 1. possibilistic agreement on all 144 pairs, toy side computed as the
@@ -331,56 +334,62 @@ def run_equivalence_checks() -> dict:
     # a column's support is looked up by its bitmask, one int
     bits = 1 << np.arange(9)
     by_support = {c: i for i, c in enumerate((bits @ supports).tolist())}
-    possible = tr.or_and(supports.T, supports).tolist()
-    failures = []
-    for e, toy_row, braket_row in zip(entries, possible, braket2):
-        for s, toy_possible, b2 in zip(entries, toy_row, braket_row):
-            quantum_possible = b2 != 0
-            if toy_possible != quantum_possible:
-                failures.append({"effect": e.name, "state": s.name,
-                                 "toy": toy_possible,
-                                 "quantum": quantum_possible})
+    possible = tr.or_and(supports.T, supports)
+    failures = [{"effect": entries[i].name, "state": entries[j].name,
+                 "toy": bool(possible[i, j]),
+                 "quantum": bool(braket2[i, j] != 0)}
+                for i, j in np.argwhere(possible != (braket2 != 0)).tolist()]
     report["possibilistic"] = {"pairs": 144, "failures": failures}
 
-    # 2. exact probabilities: toy coset measurement vs quantum Born rule
-    prob_failures = []
-    values_seen = set()
-    allowed = {Fraction(0), Fraction(1, 3), Fraction(1)}
-    mus = [states[s.name].distribution() for s in entries]
-    for family, coeffs in FAMILIES.items():
-        indicators = ps.basis_indicators(coeffs, 3, 1)
-        effect_names = [f"{family}_{k}" for k in range(3)]
-        effects = [STATE_NAMES.index(name) for name in effect_names]
-        for j, s in enumerate(entries):
-            toy_probs = ps.measure_probabilities(mus[j], indicators)
-            for k, i in enumerate(effects):
-                toy_p = toy_probs[k]
-                quantum_p = braket2[i][j] / (entries[i].norm2 * s.norm2)
-                values_seen.update({toy_p, quantum_p})
-                if toy_p != quantum_p or toy_p not in allowed:
-                    prob_failures.append({"effect": effect_names[k],
-                                          "state": s.name,
-                                          "toy": str(toy_p),
-                                          "quantum": str(quantum_p)})
+    # 2. exact probabilities: toy coset counting vs quantum Born rule, in
+    # integers. Outcome k of a family on state s has toy probability
+    # count / |coset|, count being the coset points where the family's
+    # variable is k, and quantum probability |<e|s>|^2 / (N_e N_s) for its
+    # effect e; each is a [numerator, denominator] pair indexed [family,
+    # state, outcome], compared by cross-multiplication
+    cosets = np.stack([states[s.name]._points() for s in entries])
+    size = cosets.shape[1]
+    indicators = [ps.basis_indicators(coeffs, 3, 1)
+                  for coeffs in FAMILIES.values()]
+    counts = ps._outcome_hits(indicators, cosets, batch=1).reshape(
+        len(FAMILIES), 3, len(entries), size).sum(axis=3).transpose(0, 2, 1)
+    effects = np.array([[STATE_NAMES.index(f"{family}_{k}")
+                         for k in range(3)] for family in FAMILIES])
+    norms = np.array([e.norm2 for e in entries])
+    toy = np.stack((counts, np.full_like(counts, size)))
+    quantum = np.stack((
+        braket2[effects[:, None], np.arange(len(entries))[:, None]],
+        norms[effects][:, None] * norms[:, None]))
+    failing = ((toy[0] * quantum[1] != quantum[0] * toy[1])
+               | ~((counts == 0) | (3 * counts == size) | (counts == size)))
+    prob_failures = [{"effect": STATE_NAMES[effects[f, k]],
+                      "state": entries[j].name,
+                      "toy": str(Fraction(*toy[:, f, j, k].tolist())),
+                      "quantum": str(Fraction(*quantum[:, f, j, k].tolist()))}
+                     for f, j, k in np.argwhere(failing).tolist()]
+    # one Fraction per distinct value: the pairs reduced to lowest terms
+    pairs = np.hstack((toy.reshape(2, -1), quantum.reshape(2, -1)))
+    pairs //= np.gcd(*pairs)
     report["probabilities"] = {
         "pairs": 144,
         "failures": prob_failures,
-        "valuesSeen": sorted(str(v) for v in values_seen),
+        "valuesSeen": sorted(str(Fraction(n, d))
+                             for n, d in set(zip(*pairs.tolist()))),
     }
 
     # 3. phase groups: toy (Z_3)^2 composition tables, quantum divisor
     # profile, and the dictionary a homomorphism on each torus
-    maps = {color: tr.phase_maps(color, 3) for color in ("Z", "X")}
+    colors = ("Z", "X")
+    maps = {color: tr.phase_maps(color, 3) for color in colors}
     group_ok = all(tr.phase_group_law(m) for m in maps.values())
-    points = list(product(range(3), repeat=2))
-    phi = {(c, key): _phi(c, *key) for c in ("Z", "X") for key in points}
-
-    def add(a, b):
-        return tuple((x + y) % 3 for x, y in zip(a, b))
-
-    homomorphism_ok = all(phi[c, add(a, b)] == add(phi[c, a], phi[c, b])
-                          for c in ("Z", "X")
-                          for a, b in product(points, repeat=2))
+    # phi[c, sigma, t] is _phi's image of the unbiased point (sigma, t)
+    phi = np.array([[[_phi(c, sigma, t) for t in range(3)]
+                     for sigma in range(3)] for c in colors])
+    # phi(a + b) against phi(a) + phi(b), indexed [c, a1, a2, b1, b2]
+    total = (np.arange(3)[:, None] + np.arange(3)) % 3
+    homomorphism_ok = bool(
+        (phi[:, total[:, None, :, None], total[None, :, None, :]]
+         == (phi[:, :, :, None, None] + phi[:, None, None]) % 3).all())
     quantum_group = phase_group(3)
     report["phaseGroups"] = {
         "toyGroupLaw": group_ok,
@@ -395,14 +404,15 @@ def run_equivalence_checks() -> dict:
     # image of each state, one stacked product of the maps with the states,
     # names a target, and the quantum image of its ket must be parallel to
     # the target's ket
-    keyed = [(color, key, toy_map) for color in ("Z", "X")
+    keyed = [(color, key, toy_map) for color in colors
              for key, toy_map in maps[color].items()]
     toy_images = tr.or_and(np.stack([m.matrix for _, _, m in keyed]),
                            supports)
     targets = [[by_support.get(c) for c in row]
                for row in (bits @ toy_images).tolist()]
-    images = _apply_arrays(np.array([_phase_array(c, *phi[c, key])
-                                     for c, key, _ in keyed]), kets)
+    images = _apply_arrays(np.array([_phase_array(color, *phi[c][key])
+                                     for c, color in enumerate(colors)
+                                     for key in maps[color]]), kets)
     wanted = kets[[[0 if t is None else t for t in row] for row in targets]]
     # two nonzero vectors are parallel iff all their 2x2 minors vanish
     minors = (_zmul(images[..., :, None, :], wanted[..., None, :, :])
@@ -410,18 +420,18 @@ def run_equivalence_checks() -> dict:
     parallel = ((minors == 0).all(axis=(2, 3, 4))
                 & (images != 0).any(axis=(2, 3))
                 & (wanted != 0).any(axis=(2, 3)))
+    found = np.array([[t is not None for t in row] for row in targets])
     equiv_failures = []
-    for (color, (sigma, t), _), row, ok_row in zip(keyed, targets,
-                                                   parallel.tolist()):
-        for s, target, ok in zip(entries, row, ok_row):
-            failure = {"color": color, "map": [sigma, t], "state": s.name}
-            if target is None:
-                equiv_failures.append({**failure,
-                                       "reason": "image not a state"})
-            elif not ok:
-                equiv_failures.append({**failure,
-                                       "target": entries[target].name,
-                                       "reason": "kets not parallel"})
+    for m, j in np.argwhere(~(found & parallel)).tolist():
+        color, (sigma, t), _ = keyed[m]
+        failure = {"color": color, "map": [sigma, t],
+                   "state": entries[j].name}
+        if targets[m][j] is None:
+            failure["reason"] = "image not a state"
+        else:
+            failure.update(target=entries[targets[m][j]].name,
+                           reason="kets not parallel")
+        equiv_failures.append(failure)
     report["equivariance"] = {"maps": 18, "stateChecks": len(keyed) * 12,
                               "failures": equiv_failures}
 

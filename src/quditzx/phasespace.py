@@ -364,6 +364,28 @@ def basis_indicators(F, d: int, n: int) -> list:
     return [(table == k).astype(np.int64) for k in range(d)]
 
 
+def _outcome_hits(indicators, points, batch: int = 0) -> np.ndarray:
+    """Indicator tables read at phase-space points, after checking them.
+
+    indicators has shape (*B, K, *grid) with len(B) == batch: the K
+    outcome tables of each of B measurements, which must be 0/1 valued
+    and sum to the all-ones table over their K outcomes.  points holds one
+    point's coordinates per row (or in the last axis).  Returns hits of
+    shape (*B, K, P) for the P points, in order."""
+    if len(indicators) == 0:
+        raise ValueError("at least one indicator required")
+    if len({np.shape(x) for x in indicators}) > 1:
+        raise ValueError("indicator tables have different shapes")
+    stack = np.asarray(indicators, dtype=np.int64)
+    if not ((stack == 0) | (stack == 1)).all():
+        raise ValueError("indicators must be 0/1 valued")
+    if not (stack.sum(axis=batch) == 1).all():
+        raise ValueError("indicators do not partition phase space")
+    coords = np.asarray(points, dtype=np.int64).reshape(
+        -1, stack.ndim - batch - 1)
+    return stack[(..., *coords.T)]
+
+
 def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
     """Outcome probabilities p_k = sum_m mu(m) xi_k(m), exact.
 
@@ -372,24 +394,10 @@ def measure_probabilities(mu, indicators: Sequence[np.ndarray]) -> list:
     to the all-ones table.  The weights are summed as integer numerators
     over their common denominator, at the distribution's points only.
     """
-    if not indicators:
-        raise ValueError("at least one indicator required")
-    stack = [np.asarray(x, dtype=np.int64) for x in indicators]
-    shape = stack[0].shape
-    for x in stack:
-        if x.shape != shape:
-            raise ValueError("indicator tables have different shapes")
-        if not ((x == 0) | (x == 1)).all():
-            raise ValueError("indicators must be 0/1 valued")
-    stack = np.stack(stack)
-    if not (stack.sum(axis=0) == 1).all():
-        raise ValueError("indicators do not partition phase space")
+    hits = _outcome_hits(indicators, [tuple(m) for m in mu])
     nums, den = _common_numerators([Fraction(w) for w in mu.values()])
     # a 0/1 selection of the numerators stays below their absolute sum
     exact = np.int64 if sum(map(abs, nums)) < 2 ** 63 else object
-    points = np.array([tuple(m) for m in mu], dtype=np.int64).reshape(
-        len(nums), stack.ndim - 1)
-    hits = stack[(slice(None), *points.T)]
     counts = hits.astype(exact) @ np.array(nums, dtype=exact)
     if sum(map(int, counts)) != den:
         raise AssertionError("measurement probabilities do not sum to 1")

@@ -827,19 +827,26 @@ def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
 _INSTANCE_LEGS = 6
 
 
-def soundness_report(rule: str, dim: int, trials: int = 50,
-                     seed: int = 0, tol: float = 1e-9) -> dict:
-    """Random instantiations of one rule: evaluate before and after; a
-    trial passes when the matrices agree entrywise and the scalar between
-    them is 1 (rules carry their own scalars). A D whose D^_INSTANCE_LEGS
-    tensor the evaluator would refuse is refused before any instance is
-    drawn."""
-    from .semantics import _FAST_CAP, compare_scalar_exact, evaluate
+def check_instance_dim(dim: int) -> None:
+    """Refuse, in one line that names D, a D whose D^_INSTANCE_LEGS
+    tensor the evaluator would refuse."""
+    from .semantics import _FAST_CAP
 
     check_size(dim, _INSTANCE_LEGS, _FAST_CAP, "rule soundness refuses "
                "D={base}: a random instance can need a tensor of "
                "{base}^{power} = {size} entries, above the evaluator's cap "
                "of {cap}")
+
+
+def soundness_report(rule: str, dim: int, trials: int = 50,
+                     seed: int = 0, tol: float = 1e-9) -> dict:
+    """Random instantiations of one rule: evaluate before and after; a
+    trial passes when the matrices agree entrywise and the scalar between
+    them is 1 (rules carry their own scalars). A D that
+    check_instance_dim refuses is refused before any instance is drawn."""
+    from .semantics import compare_scalar_exact, evaluate
+
+    check_instance_dim(dim)
     rng = random.Random(f"{rule}:{dim}:{seed}")
     failures = []
     worst = 0.0

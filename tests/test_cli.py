@@ -277,6 +277,36 @@ def test_rule_check_names_a_huge_instance_count_in_one_line(monkeypatch,
                    "10000\n")
 
 
+def test_rule_check_weighs_d_before_it_draws(monkeypatch, capsys):
+    # trials x rules x the sum of D^6: 50 x 7 x 16^6 is refused before any
+    # instance is drawn; 2 x 7 x 16^6 and CI's 200 x 7 x (2^6 + ... + 5^6)
+    # are drawn.
+    from quditzx import rewrite as rw
+
+    monkeypatch.setattr(rw, "random_rule_instance", _no_draw)
+    assert run(["rule-check", "--dim", "16", "--trials", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rule-check refuses 50 trials x 7 rules at D=16: trials x "
+        "rules x the sum of D^6 = 5872025600 tensor entries, above its cap "
+        "of 268435456\n")
+    for dims, trials in (("16", "2"), ("2,3,4,5", "200")):
+        with pytest.raises(AssertionError, match="drawn at D="):
+            run(["rule-check", "--dim", dims, "--trials", trials])
+
+
+def test_rule_check_refuses_every_d_above_the_cap_before_it_draws(
+        monkeypatch, capsys):
+    # D=32 comes after D=2, yet no D=2 instance is drawn first
+    from quditzx import rewrite as rw
+
+    monkeypatch.setattr(rw, "random_rule_instance", _no_draw)
+    assert run(["rule-check", "--dim", "2,32", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rule soundness refuses D=32: a random instance can need a "
+        "tensor of 32^6 = 1073741824 entries, above the evaluator's cap of "
+        "16777216\n")
+
+
 def test_rule_check_fails_a_rule_that_refuses_its_site(monkeypatch, capsys):
     # rule-check builds every site itself, so a refusal is a failed check
     # (exit 1), not bad input (exit 2)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditzx import equivalence, toyrel
+from quditzx import equivalence, phasespace, toyrel
 from quditzx.equivalence import (
     FAMILIES,
     STATE_NAMES,
@@ -427,6 +427,102 @@ def test_battery_builds_each_phase_map_once(monkeypatch):
     assert run_equivalence_checks()["passed"] is True
     assert sorted(calls) == [(c, s, t) for c in ("X", "Z")
                              for s in range(3) for t in range(3)]
+
+
+def test_passing_battery_builds_a_fraction_per_value_seen(monkeypatch):
+    # Section 2 compares integer counts: a passing run measures nothing
+    # through measure_probabilities and builds one Fraction per distinct
+    # value it reports.
+    def unreachable(mu, indicators):
+        raise AssertionError("the battery called measure_probabilities")
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(phasespace, "measure_probabilities", unreachable)
+    monkeypatch.setattr(equivalence, "Fraction", counted)
+    report = run_equivalence_checks()
+    assert report["passed"] is True
+    assert report["probabilities"]["valuesSeen"] == ["0", "1", "1/3"]
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("victim, donor", [("z_0", "z_1"), ("xz2_2", "x_0")])
+def test_probabilities_fail_on_a_state_with_another_valuation(victim, donor):
+    # The toy state named `victim` gets the coset of `donor`, while the
+    # dictionary stays honest. The probability failures must be those of
+    # a per-pair measure_probabilities loop, in its order: family, then
+    # state, then outcome.
+    honest = equivalence._epistemic_states
+
+    def swapped():
+        states = honest()
+        states[victim] = states[donor]
+        return states
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalence, "_epistemic_states", swapped)
+        mp.setattr(equivalence, "_checked_supports",
+                   lambda states: equivalence._printed_supports())
+        report = run_equivalence_checks()
+    states = swapped()
+    entries = build_dictionary()
+    by_name = {e.name: e for e in entries}
+    want = []
+    for family, coeffs in FAMILIES.items():
+        indicators = phasespace.basis_indicators(coeffs, 3, 1)
+        for s in entries:
+            toy = phasespace.measure_probabilities(
+                states[s.name].distribution(), indicators)
+            for k, toy_p in enumerate(toy):
+                e = by_name[f"{family}_{k}"]
+                quantum_p = Fraction(_inner(e.ket, s.ket).norm2(),
+                                     e.norm2 * s.norm2)
+                if toy_p != quantum_p or toy_p not in (0, Fraction(1, 3), 1):
+                    want.append({"effect": e.name, "state": s.name,
+                                 "toy": str(toy_p), "quantum": str(quantum_p)})
+    assert want
+    assert report["probabilities"]["failures"] == want
+    assert report["possibilistic"]["failures"] == []
+    assert report["passed"] is False
+
+
+def test_probabilities_fail_on_agreeing_values_outside_the_three(
+        monkeypatch):
+    # Give x_0 three points, two on x=0, and the ket (2, 1, 1) of norm 6:
+    # effect z_0 reads 2/3 on it on both sides, which still fails, since
+    # every qutrit probability is 0, 1/3 or 1.
+    honest_states, honest_dictionary = (equivalence._epistemic_states,
+                                        equivalence._dictionary)
+    points = np.array([(0, 0), (0, 1), (1, 0)])
+
+    class Points:
+        def _points(self):
+            return points
+
+        def distribution(self):
+            return {tuple(m): Fraction(1, 3) for m in points.tolist()}
+
+    def states():
+        out = honest_states()
+        out["x_0"] = Points()
+        return out
+
+    def dictionary(checked):
+        ket = tuple(map(Cyclotomic, (2, 1, 1)))
+        return [dataclasses.replace(e, ket=ket, norm2=6)
+                if e.name == "x_0" else e for e in honest_dictionary(checked)]
+
+    monkeypatch.setattr(equivalence, "_epistemic_states", states)
+    monkeypatch.setattr(equivalence, "_dictionary", dictionary)
+    monkeypatch.setattr(equivalence, "_checked_supports",
+                        lambda states: equivalence._printed_supports())
+    failures = run_equivalence_checks()["probabilities"]["failures"]
+    assert {"effect": "z_0", "state": "x_0", "toy": "2/3",
+            "quantum": "2/3"} in failures
 
 
 _HONEST_SUPPORTS = sorted(map(sorted, build_3spek_states().values()))

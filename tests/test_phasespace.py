@@ -649,6 +649,60 @@ def test_measure_probabilities_validates_partitions():
         measure_probabilities(mu, [good[0], np.ones((d, d, d), dtype=int)])
 
 
+def _assert_stacked_counts_match(d, states):
+    # One _outcome_hits call per coset size over every measured variable of
+    # a system: each state's hits, summed over its coset and divided by its
+    # size, must be measure_probabilities of its distribution, exactly.
+    families = [(0, 1)] + [(1, b) for b in range(d)]
+    indicators = [basis_indicators(F, d, 1) for F in families]
+    for size in {len(s.support()) for s in states}:
+        group = [s for s in states if len(s.support()) == size]
+        hits = phasespace._outcome_hits(
+            indicators, np.stack([s._points() for s in group]), batch=1)
+        counts = hits.reshape(len(families), d, len(group), size).sum(axis=3)
+        for f, table in enumerate(indicators):
+            for j, s in enumerate(group):
+                assert ([Fraction(c, size) for c in counts[f, :, j].tolist()]
+                        == measure_probabilities(s.distribution(), table))
+
+
+@st.composite
+def _states_at_one_d(draw):
+    # A known variable of (0, 0) stands for knowing nothing: the state is
+    # uniform over the whole plane, a coset of d^2 points.
+    d = draw(st.sampled_from([3, 5, 7]))
+    point = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        F = draw(point)
+        states.append(EpistemicState(d, 1, [F] if any(F) else [],
+                                     draw(point)))
+    return d, states
+
+
+@given(_states_at_one_d())
+@settings(max_examples=25, deadline=None)
+def test_stacked_outcome_counts_equal_measure_probabilities(case):
+    _assert_stacked_counts_match(*case)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_stacked_counts_of_every_maximal_state(d):
+    _assert_stacked_counts_match(d, all_maximal_states(d))
+
+
+def test_stacked_indicators_are_checked_per_measurement():
+    good = basis_indicators((1, 0), 3, 1)
+    points = np.zeros((1, 2), dtype=np.int64)
+    assert phasespace._outcome_hits([good, good], points, batch=1).shape == \
+        (2, 3, 1)
+    with pytest.raises(ValueError, match="do not partition"):
+        phasespace._outcome_hits([good, [good[0], good[0], good[2]]],
+                                 points, batch=1)
+    with pytest.raises(ValueError, match="different shapes"):
+        phasespace._outcome_hits([good, good[:2]], points, batch=1)
+
+
 # ---------------------------------------------------------------------------
 # enumeration of maximal states
 
