@@ -48,12 +48,13 @@ __all__ = ["main", "run"]
 # The most rule instances one rule-check draws, trials x rules x
 # dimensions: CI's sweep of 200 x 7 x 4 = 5,600 takes about 3 s.
 _RULE_CHECK_CAP = 10_000
-# The most tensor entries its instances may need, trials x rules x the sum
-# of D^6 over the dimensions, D^6 being an instance's largest tensor: the
-# sweep above needs 28,719,600. At D=16 it admits 2 trials of each rule
-# (about 0.5 s) or 16 of S_fuse alone (2-10 s), where the instance cap
-# alone would admit runs of many minutes.
-_RULE_WORK_CAP = 2 ** 28
+# The most tensor entries its instances may need, trials x the sum over
+# rules and dimensions of D^legs, where a rule's record bounds the legs at
+# one node of its draws (rewrite.draw_work): the sweep above needs
+# 4,756,000. At D=16 it admits 2 trials of each rule (about 0.5 s) or 4 of
+# S_fuse alone (0.3-6 s), where the instance cap alone would admit runs of
+# many minutes.
+_RULE_WORK_CAP = 2 ** 26
 
 
 def _tolerance(flag: float | None = None) -> float:
@@ -198,10 +199,10 @@ def _cmd_rule_check(args) -> tuple:
     for dim in dims:
         rw.check_instance_dim(dim)
     check_size(args.trials, 1, _RULE_WORK_CAP, "rule-check refuses {base} "
-               "trials x {0} rules at D={1}: trials x rules x the sum of D^6 "
-               "= {size} tensor entries, above its cap of {cap}", len(rules),
-               ",".join(map(str, dims)),
-               times=len(rules) * sum(dim ** 6 for dim in dims))
+               "trials x {0} rules at D={1}: trials x the sum of D^legs over "
+               "rules and D = {size} tensor entries, above its cap of {cap}",
+               len(rules), ",".join(map(str, dims)),
+               times=rw.draw_work(rules, dims))
     reports = [rw.soundness_report(rule, dim, trials=args.trials,
                                    seed=args.seed, tol=tol)
                for rule in rules for dim in dims]

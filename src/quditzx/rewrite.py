@@ -38,11 +38,6 @@ from .phases import (PhaseVector, Turn, check_size, cyclic_value,
                      cyclic_vector, is_json_int as _is_id, phase_add,
                      phase_invert, phase_neg_transform)
 
-RULES = ("S_fuse", "D_identity", "B_copy", "B_bialgebra", "K2_commute",
-         "F1_color", "F2_cancel")
-AUX_RULES = ("loop_remove",)
-ALL_RULES = RULES + AUX_RULES
-
 
 class RuleMatchError(ValueError):
     """The given site does not match the rule's pattern."""
@@ -73,6 +68,14 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
     return [i for i, _ in d.legs(a) if b in d.edges[i]]
 
 
+def _random_phase(dim: int, rng: random.Random) -> PhaseVector:
+    if rng.random() < 0.7:
+        return PhaseVector(
+            dim, [Turn.exact(rng.randrange(dim), dim) for _ in range(dim - 1)])
+    return PhaseVector.from_radians(
+        dim, [rng.uniform(0.0, 2.0 * math.pi) for _ in range(dim - 1)])
+
+
 # ---------------------------------------------------------------------------
 # Matchers. Everything about a rule is its _RULES record. Its check is the
 # rule's pattern, and nothing else. Its keys are the one statement of the
@@ -86,7 +89,8 @@ def _joining(d: dg.DiagramBuilder, a: int, b: int) -> list:
 # in far_end and add_leg alone. Checks, keys and appliers all read a
 # DiagramBuilder; a site names an edge by its position in the finished
 # diagram's edge list, which edge_at maps to the builder's serial, and rank
-# back.
+# back. Its draw builds a random instance of the rule, for the soundness
+# battery, and returns the site of its one match.
 
 def _fits(d: dg.DiagramBuilder, check, site) -> bool:
     """Whether check accepts the site."""
@@ -120,6 +124,17 @@ def _apply_s_fuse(d, site):
     d.remove_node(absorbed)
 
 
+def _draw_s_fuse(b, ctx, dim, rng):
+    color = rng.choice((dg.Z, dg.X))
+    a = b.add_spider(color, _random_phase(dim, rng))
+    c = b.add_spider(color, _random_phase(dim, rng))
+    for _ in range(rng.randint(1, 3)):
+        b.add_leg(a, c, 1 if rng.random() < 0.5 else -1)
+    ctx.attach_random(a, rng.randint(0, 3), rng)
+    ctx.attach_random(c, rng.randint(0, 3), rng)
+    return {"keep": min(a, c), "absorb": max(a, c), "color": color}
+
+
 def _check_d_identity(d, site):
     v = site["node"]
     _require(_is_spider(d, v), "node must be a spider")
@@ -138,6 +153,14 @@ def _apply_d_identity(d, site):
     d.remove_node(v)
 
 
+def _draw_d_identity(b, ctx, dim, rng):
+    color = rng.choice((dg.Z, dg.X))
+    v = b.add_spider(color, PhaseVector.zero(dim))
+    ctx.attach(v, -1)
+    ctx.attach(v, 1)
+    return {"node": v}
+
+
 def _check_loop_remove(d, site):
     v, e = site["node"], site["edge"]
     _require(_is_spider(d, v), "node must be a spider")
@@ -150,6 +173,14 @@ def _check_loop_remove(d, site):
 def _apply_loop_remove(d, site):
     _v, e = _check_loop_remove(d, site)
     d.remove_edges([e])
+
+
+def _draw_loop_remove(b, ctx, dim, rng):
+    color = rng.choice((dg.Z, dg.X))
+    v = b.add_spider(color, _random_phase(dim, rng))
+    e = b.add_edge(v, v)
+    ctx.attach_random(v, rng.randint(0, 3), rng)
+    return {"node": v, "edge": e}
 
 
 def _check_f2_cancel(d, site):
@@ -180,6 +211,20 @@ def _apply_f2_cancel(d, site):
     d.add_edge(u, w)
     d.remove_node(a)
     d.remove_node(b)
+
+
+def _draw_f2_cancel(b, ctx, dim, rng):
+    kinds = rng.choice(((dg.F, dg.FDAG), (dg.FDAG, dg.F)))
+    b1 = b.add_box(kinds[0])
+    b2 = b.add_box(kinds[1])
+    if rng.random() < 0.25:
+        b.add_edge(b1, b2)
+        b.add_edge(b2, b1)
+    else:
+        b.add_edge(b1, b2)
+        ctx.attach(b1, -1)
+        ctx.attach(b2, 1)
+    return {"boxes": sorted((b1, b2))}
 
 
 def _f1_wanted_box(color: str, sign: int) -> str:
@@ -216,6 +261,17 @@ def _apply_f1_color(d, site):
         d.add_leg(v, w, sign)
 
 
+def _draw_f1_color(b, ctx, dim, rng):
+    color = rng.choice((dg.Z, dg.X))
+    v = b.add_spider(color, _random_phase(dim, rng))
+    for _ in range(rng.randint(0, 4)):
+        sign = rng.choice((1, -1))
+        box = b.add_box(_f1_wanted_box(color, sign))
+        b.add_leg(v, box, sign)
+        ctx.attach(box, sign)
+    return {"spider": v}
+
+
 def _check_b_copy(d, site):
     s, v, e = site["state"], site["spider"], site["edge"]
     _require(_is_spider(d, s) and _is_spider(d, v), "need two spiders")
@@ -246,6 +302,15 @@ def _apply_b_copy(d, site):
         d.add_leg(c, w, sign)
     r = len(plans)
     d.scalar *= d.dimension ** (0.5 * (1 - r))
+
+
+def _draw_b_copy(b, ctx, dim, rng):
+    color = rng.choice((dg.Z, dg.X))
+    s = b.add_spider(color, cyclic_vector(dim, rng.randrange(dim)))
+    v = b.add_spider(_opposite(color), PhaseVector.zero(dim))
+    e = b.add_edge(s, v)
+    ctx.attach_random(v, rng.randint(0, 3), rng)
+    return {"state": s, "spider": v, "edge": e}
 
 
 def _check_k2_commute(d, site):
@@ -293,6 +358,18 @@ def _apply_k2_commute(d, site):
         # leg's direction, upstream first: that order fixes their positions.
         for a, b in ((v, c), (c, far_node))[::sign]:
             d.add_leg(a, b, sign)
+
+
+def _draw_k2_commute(b, ctx, dim, rng):
+    gate_color = rng.choice((dg.Z, dg.X))
+    k = rng.randrange(1, dim)
+    g = b.add_spider(gate_color, cyclic_vector(dim, k))
+    v = b.add_spider(_opposite(gate_color), _random_phase(dim, rng))
+    sign = 1 if rng.random() < 0.5 else -1  # the gate's far leg
+    e = b.add_leg(g, v, -sign)
+    ctx.attach(g, sign)
+    ctx.attach_random(v, rng.randint(0, 3), rng)
+    return {"gate": g, "spider": v, "edge": e}
 
 
 def _check_b_bialgebra(d, site):
@@ -349,6 +426,24 @@ def _apply_b_bialgebra(d, site):
     d.scalar *= d.dimension ** -0.5
 
 
+def _draw_b_bialgebra(b, ctx, dim, rng):
+    pc = rng.choice((dg.Z, dg.X))
+    qc = _opposite(pc)
+    p1 = b.add_spider(pc)
+    p2 = b.add_spider(pc)
+    q1 = b.add_spider(qc)
+    q2 = b.add_spider(qc)
+    for p in (p1, p2):
+        for q in (q1, q2):
+            b.add_edge(p, q)
+    sigma = rng.choice((1, -1))
+    for p in (p1, p2):
+        ctx.attach(p, sigma)
+    for q in (q1, q2):
+        ctx.attach(q, -sigma)
+    return {"first": [p1, p2], "second": [q1, q2], "color": pc}
+
+
 def _keys_b_bialgebra(d: dg.DiagramBuilder, _edges, nodes):
     # The far side of a square is two common targets of the near side.
     def sources(q):
@@ -392,12 +487,22 @@ class _Rule(NamedTuple):
     site(d, key) is the site a key stands for, or None once its node or
     edge is gone. shape maps each site key, as a trace writes it, to a
     test of its value: a node or edge id, a pair of node ids, or a spider
-    color."""
+    color.
+
+    draw(b, ctx, dim, rng) adds a random instance of the rule to the
+    builder b, its boundary through ctx (a _Ctx), and returns the site.
+    legs is the most loop-free legs one node of a draw has, before or
+    after the rule, so a draw needs no tensor above D^legs entries.
+    waits_on is the site key of the node whose touch re-queues a refused
+    key (the check reads that node beyond the key's condition), or None."""
     check: Callable
     apply: Callable
     keys: Callable
     site: Callable
     shape: dict
+    draw: Callable
+    legs: int
+    waits_on: str | None = None
 
 
 # Pair keys come from an edge: S_fuse when its ends have one kind and
@@ -415,23 +520,26 @@ _RULES = {
             if d.node(s).kind == d.node(t).kind),
         lambda d, key: {"keep": key[0], "absorb": key[1],
                         "color": d.node(key[0]).kind} if key[0] in d else None,
-        {"keep": _is_id, "absorb": _is_id, "color": _is_color}),
+        {"keep": _is_id, "absorb": _is_id, "color": _is_color},
+        _draw_s_fuse, 6),
     "D_identity": _Rule(
         _check_d_identity, _apply_d_identity,
         lambda d, _edges, nodes: (v for v in nodes if d.degree(v) == 2),
         lambda d, v: {"node": v},
-        {"node": _is_id}),
+        {"node": _is_id}, _draw_d_identity, 2),
     "B_copy": _Rule(
         _check_b_copy, _apply_b_copy,
         lambda d, _edges, nodes: (
             v for v in nodes if d.degree(v) == 1 and d.legs(v)[0][1] == 1),
         _site_b_copy,
-        {"state": _is_id, "spider": _is_id, "edge": _is_id}),
+        {"state": _is_id, "spider": _is_id, "edge": _is_id},
+        _draw_b_copy, 4, "spider"),
     "B_bialgebra": _Rule(
         _check_b_bialgebra, _apply_b_bialgebra, _keys_b_bialgebra,
         lambda d, key: {"first": list(key[:2]), "second": list(key[2:]),
                         "color": d.node(key[0]).kind},
-        {"first": _is_pair, "second": _is_pair, "color": _is_color}),
+        {"first": _is_pair, "second": _is_pair, "color": _is_color},
+        _draw_b_bialgebra, 3),
     "K2_commute": _Rule(
         _check_k2_commute, _apply_k2_commute,
         lambda d, _edges, nodes: (
@@ -439,12 +547,13 @@ _RULES = {
             for e, sign in d.legs(g)),
         lambda d, key: {"gate": key[0], "spider": key[1],
                         "edge": d.rank(key[2])},
-        {"gate": _is_id, "spider": _is_id, "edge": _is_id}),
+        {"gate": _is_id, "spider": _is_id, "edge": _is_id},
+        _draw_k2_commute, 4),
     "F1_color": _Rule(
         _check_f1_color, _apply_f1_color,
         lambda d, _edges, nodes: iter(nodes),
         lambda d, v: {"spider": v},
-        {"spider": _is_id}),
+        {"spider": _is_id}, _draw_f1_color, 4),
     "F2_cancel": _Rule(
         _check_f2_cancel, _apply_f2_cancel,
         lambda d, edges, _nodes: (
@@ -452,13 +561,16 @@ _RULES = {
             if d.node(s).kind in dg.BOX_KINDS
             and d.node(t).kind in dg.BOX_KINDS),
         lambda d, key: {"boxes": list(key)},
-        {"boxes": _is_pair}),
+        {"boxes": _is_pair}, _draw_f2_cancel, 2),
     "loop_remove": _Rule(
         _check_loop_remove, _apply_loop_remove,
         lambda d, _edges, nodes: (v for v in nodes if _self_loops(d, v)),
         _site_loop_remove,
-        {"node": _is_id, "edge": _is_id}),
+        {"node": _is_id, "edge": _is_id}, _draw_loop_remove, 3),
 }
+# The public rules, then the auxiliary step simplify uses.
+ALL_RULES = tuple(_RULES)
+RULES, AUX_RULES = ALL_RULES[:-1], ALL_RULES[-1:]
 
 
 def _rule(rule) -> _Rule:
@@ -580,8 +692,9 @@ class _Worklist:
 
     That holds while every key that the check would accept is queued.
     feed() pushes the keys of the edges and nodes a step touched and of
-    those edges' ends. A B_copy check also reads the spider (its phase and
-    self-loops), so a refused B_copy key waits on the spider its site
+    those edges' ends. A check may also read a node its key does not
+    (B_copy's reads the spider's phase and self-loops): the record's
+    waits_on names that site key, and a refused key waits on the node it
     names and is pushed again when that is touched. No rule here changes a
     node's kind. The keys of the rules simplify does not use are never
     built here.
@@ -591,7 +704,7 @@ class _Worklist:
         self.d = d
         self.heaps = {rule: [] for rule in _SIMPLIFY_ORDER}
         self.queued = {rule: set() for rule in _SIMPLIFY_ORDER}
-        self.waiting = {}           # spider -> refused B_copy keys
+        self.waiting = {}           # node -> refused (rule, key) pairs
         self.feed(d.edges, d.nodes)
 
     def _push(self, rule: str, key):
@@ -605,8 +718,8 @@ class _Worklist:
         edges = {e: d.edges[e] for e in edges if e in d.edges}
         nodes = set(nodes).union(*edges.values())
         for v in nodes:
-            for key in self.waiting.pop(v, ()):
-                self._push("B_copy", key)
+            for rule, key in self.waiting.pop(v, ()):
+                self._push(rule, key)
         nodes = [v for v in nodes if v in d]
         for rule in _SIMPLIFY_ORDER:
             for key in _rule(rule).keys(d, edges, nodes):
@@ -625,8 +738,9 @@ class _Worklist:
                     continue
                 if _fits(self.d, r.check, site):
                     return rule, site
-                if rule == "B_copy":
-                    self.waiting.setdefault(site["spider"], set()).add(key)
+                if r.waits_on:
+                    self.waiting.setdefault(site[r.waits_on],
+                                            set()).add((rule, key))
         return None
 
 
@@ -694,14 +808,6 @@ def replay(d: dg.Diagram, trace: RewriteTrace) -> dg.Diagram:
 # ---------------------------------------------------------------------------
 # Randomized soundness checking
 
-def _random_phase(dim: int, rng: random.Random) -> PhaseVector:
-    if rng.random() < 0.7:
-        return PhaseVector(
-            dim, [Turn.exact(rng.randrange(dim), dim) for _ in range(dim - 1)])
-    return PhaseVector.from_radians(
-        dim, [rng.uniform(0.0, 2.0 * math.pi) for _ in range(dim - 1)])
-
-
 class _Ctx:
     """Tracks boundary positions while building a random instance."""
 
@@ -727,104 +833,25 @@ class _Ctx:
 
 def random_rule_instance(rule: str, dim: int, rng: random.Random) -> tuple:
     """A small random diagram containing one match of the rule, plus the
-    site. Arities stay at most 4; phases mix exact multiples of 1/D with
+    site, as the rule's record draws it. No node has more loop-free legs
+    than the record's legs; phases mix exact multiples of 1/D with
     occasional irrational angles where the rule allows them."""
-    b_ = dg.DiagramBuilder(dim)
-    ctx = _Ctx(b_)
-
-    if rule == "S_fuse":
-        color = rng.choice((dg.Z, dg.X))
-        a = b_.add_spider(color, _random_phase(dim, rng))
-        c = b_.add_spider(color, _random_phase(dim, rng))
-        for _ in range(rng.randint(1, 3)):
-            b_.add_leg(a, c, 1 if rng.random() < 0.5 else -1)
-        ctx.attach_random(a, rng.randint(0, 3), rng)
-        ctx.attach_random(c, rng.randint(0, 3), rng)
-        site = {"keep": min(a, c), "absorb": max(a, c), "color": color}
-        return b_.finish(), site
-
-    if rule == "D_identity":
-        color = rng.choice((dg.Z, dg.X))
-        v = b_.add_spider(color, PhaseVector.zero(dim))
-        ctx.attach(v, -1)
-        ctx.attach(v, 1)
-        return b_.finish(), {"node": v}
-
-    if rule == "loop_remove":
-        color = rng.choice((dg.Z, dg.X))
-        v = b_.add_spider(color, _random_phase(dim, rng))
-        e = b_.add_edge(v, v)
-        ctx.attach_random(v, rng.randint(0, 3), rng)
-        return b_.finish(), {"node": v, "edge": e}
-
-    if rule == "F2_cancel":
-        kinds = rng.choice(((dg.F, dg.FDAG), (dg.FDAG, dg.F)))
-        b1 = b_.add_box(kinds[0])
-        b2 = b_.add_box(kinds[1])
-        if rng.random() < 0.25:
-            b_.add_edge(b1, b2)
-            b_.add_edge(b2, b1)
-        else:
-            b_.add_edge(b1, b2)
-            ctx.attach(b1, -1)
-            ctx.attach(b2, 1)
-        return b_.finish(), {"boxes": sorted((b1, b2))}
-
-    if rule == "F1_color":
-        color = rng.choice((dg.Z, dg.X))
-        v = b_.add_spider(color, _random_phase(dim, rng))
-        for _ in range(rng.randint(0, 4)):
-            sign = rng.choice((1, -1))
-            box = b_.add_box(_f1_wanted_box(color, sign))
-            b_.add_leg(v, box, sign)
-            ctx.attach(box, sign)
-        return b_.finish(), {"spider": v}
-
-    if rule == "B_copy":
-        color = rng.choice((dg.Z, dg.X))
-        s = b_.add_spider(color, cyclic_vector(dim, rng.randrange(dim)))
-        v = b_.add_spider(_opposite(color), PhaseVector.zero(dim))
-        e = b_.add_edge(s, v)
-        ctx.attach_random(v, rng.randint(0, 3), rng)
-        return b_.finish(), {"state": s, "spider": v, "edge": e}
-
-    if rule == "K2_commute":
-        gate_color = rng.choice((dg.Z, dg.X))
-        k = rng.randrange(1, dim)
-        g = b_.add_spider(gate_color, cyclic_vector(dim, k))
-        v = b_.add_spider(_opposite(gate_color), _random_phase(dim, rng))
-        sign = 1 if rng.random() < 0.5 else -1  # the gate's far leg
-        e = b_.add_leg(g, v, -sign)
-        ctx.attach(g, sign)
-        ctx.attach_random(v, rng.randint(0, 3), rng)
-        return b_.finish(), {"gate": g, "spider": v, "edge": e}
-
-    if rule == "B_bialgebra":
-        pc = rng.choice((dg.Z, dg.X))
-        qc = _opposite(pc)
-        p1 = b_.add_spider(pc)
-        p2 = b_.add_spider(pc)
-        q1 = b_.add_spider(qc)
-        q2 = b_.add_spider(qc)
-        for p in (p1, p2):
-            for q in (q1, q2):
-                b_.add_edge(p, q)
-        sigma = rng.choice((1, -1))
-        for p in (p1, p2):
-            ctx.attach(p, sigma)
-        for q in (q1, q2):
-            ctx.attach(q, -sigma)
-        return b_.finish(), {"first": [p1, p2], "second": [q1, q2],
-                             "color": pc}
-
-    raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
+    b = dg.DiagramBuilder(dim)
+    site = _rule(rule).draw(b, _Ctx(b), dim, rng)
+    return b.finish(), site
 
 
-# The most loop-free legs at one node of a random_rule_instance draw, and
-# at the spider S_fuse makes of it: S_fuse joins its two spiders by up to
-# 3 legs and attaches up to 3 more to each. No other tensor the evaluator
-# builds for a draw, an X spider's D x D eta table included, is larger.
-_INSTANCE_LEGS = 6
+# The most loop-free legs at one node of any rule's draw, before or after
+# the rule: S_fuse's, whose two spiders share up to 3 legs and have up to 3
+# more each. No other tensor the evaluator builds for a draw, an X spider's
+# D x D eta table included, is larger.
+_INSTANCE_LEGS = max(r.legs for r in _RULES.values())
+
+
+def draw_work(rules, dims) -> int:
+    """The tensor entries one draw of each rule at each D can need: the
+    sum of D^legs over the rules' records and the dimensions."""
+    return sum(dim ** _rule(rule).legs for rule in rules for dim in dims)
 
 
 def check_instance_dim(dim: int) -> None:

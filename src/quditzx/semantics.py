@@ -676,9 +676,11 @@ def _dev(a, b) -> float:
 
 
 def structure_check(check_id: str, dim: int) -> CheckReport:
-    d = dim
-    model = _law_model(d)
+    return _structure_check(check_id, dim, _law_model(dim))
 
+
+def _structure_check(check_id: str, d: int, model: Model) -> CheckReport:
+    """One row of the battery, its laws checked in the given law model."""
     if check_id in _LAW_ROWS:
         names, note = _LAW_ROWS[check_id]
         devs = [check(model, _LAWS[name]) for name in names]
@@ -732,4 +734,6 @@ STRUCTURE_CHECKS = (
 
 
 def run_structure_checks(dim: int) -> list:
-    return [structure_check(c, dim) for c in STRUCTURE_CHECKS]
+    """Every row of the battery, over one law model built once."""
+    model = _law_model(dim)
+    return [_structure_check(c, dim, model) for c in STRUCTURE_CHECKS]

@@ -278,20 +278,29 @@ def test_rule_check_names_a_huge_instance_count_in_one_line(monkeypatch,
 
 
 def test_rule_check_weighs_d_before_it_draws(monkeypatch, capsys):
-    # trials x rules x the sum of D^6: 50 x 7 x 16^6 is refused before any
-    # instance is drawn; 2 x 7 x 16^6 and CI's 200 x 7 x (2^6 + ... + 5^6)
-    # are drawn.
+    # trials x the sum of D^legs over rules and D, each rule's legs from its
+    # record: 50 x 7 rules and 16 x S_fuse (16 x 16^6) at D=16 are refused
+    # before any instance is drawn; 4 x S_fuse and 2 x 7 rules at D=16 and
+    # CI's 200 x 7 rules at D=2..5 are drawn.
     from quditzx import rewrite as rw
 
     monkeypatch.setattr(rw, "random_rule_instance", _no_draw)
     assert run(["rule-check", "--dim", "16", "--trials", "50"]) == 2
     assert capsys.readouterr().err == (
         "error: rule-check refuses 50 trials x 7 rules at D=16: trials x "
-        "rules x the sum of D^6 = 5872025600 tensor entries, above its cap "
-        "of 268435456\n")
-    for dims, trials in (("16", "2"), ("2,3,4,5", "200")):
+        "the sum of D^legs over rules and D = 848921600 tensor entries, "
+        "above its cap of 67108864\n")
+    assert run(["rule-check", "--rule", "S_fuse", "--dim", "16",
+                "--trials", "16"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rule-check refuses 16 trials x 1 rules at D=16: trials x "
+        "the sum of D^legs over rules and D = 268435456 tensor entries, "
+        "above its cap of 67108864\n")
+    for rule, dims, trials in (("S_fuse", "16", "4"), ("all", "16", "2"),
+                               ("all", "2,3,4,5", "200")):
         with pytest.raises(AssertionError, match="drawn at D="):
-            run(["rule-check", "--dim", dims, "--trials", trials])
+            run(["rule-check", "--rule", rule, "--dim", dims,
+                 "--trials", trials])
 
 
 def test_rule_check_refuses_every_d_above_the_cap_before_it_draws(

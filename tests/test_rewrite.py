@@ -541,6 +541,23 @@ def test_no_draw_has_a_node_of_more_legs_than_the_cap_assumes():
     assert most == rw._INSTANCE_LEGS
 
 
+def test_each_rule_record_bounds_its_draws():
+    # A record's legs is the most loop-free legs at one node of its rule's
+    # draws, before or after the rule, and draws at D=2..5 reach it.
+    most = dict.fromkeys(ALL_RULES, 0)
+    for rule in ALL_RULES:
+        for dim in range(2, 6):
+            rng = random.Random(f"legs:{rule}:{dim}")
+            for _ in range(300):
+                d, site = random_rule_instance(rule, dim, rng)
+                for diagram in (d, apply_rule(d, rule, site)):
+                    for v in diagram.nodes:
+                        most[rule] = max(most[rule], sum(
+                            diagram.far_end(e, s) != v
+                            for e, s in diagram.legs(v)))
+    assert most == {rule: rw._RULES[rule].legs for rule in ALL_RULES}
+
+
 def test_simplify_reports_a_refused_own_match_as_a_bug(monkeypatch):
     # simplify finds its sites itself, so a refusal is a broken invariant
     d, _ = random_rule_instance("S_fuse", 3, random.Random(0))

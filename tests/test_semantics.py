@@ -1006,6 +1006,18 @@ def test_structure_checks_pass(dim):
             assert r.deviation < 1e-9
 
 
+def test_structure_battery_builds_one_law_model(monkeypatch):
+    # One run_structure_checks call shares one Hilbert law model across
+    # its rows, and its reports equal those of one structure_check per row.
+    built = []
+    law_model = sem._law_model
+    monkeypatch.setattr(sem, "_law_model",
+                        lambda d: built.append(d) or law_model(d))
+    reports = run_structure_checks(4)
+    assert built == [4]
+    assert reports == [structure_check(c, 4) for c in STRUCTURE_CHECKS]
+
+
 def test_fourier_phase_state_check_can_fail(monkeypatch):
     # The X state is the X spider's own tensor, not fourier_matrix times
     # the Z state, so the check sees a Fourier matrix that is wrong.
