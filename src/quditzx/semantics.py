@@ -35,11 +35,15 @@ factor is one for both colours (the loop_remove rule), so a spider whose
 legs are all loops is its degree-0 scalar. A box's self-loop is traced.
 Node tensors of at most _CACHE_ELEMS entries whose phases are exact (or
 absent, for boxes) are built once per (kind, phase, leg signs, D) and
-shared read-only between calls; approximate phases are never cached.
-"reference" builds every tensor afresh, self-loop legs included. Both
-read the D x D table eta^(m*j) behind c_coefficients and fourier_matrix
-from a read-only copy, built once per D and kept when it holds at most
-_ETA_KEEP entries.
+shared read-only between calls; approximate phases are never cached. The
+cache is bounded by the entries it holds, _CACHE_ENTRIES in all: it
+fills until a tensor would pass that budget, refuses that one, still
+stores a later one that fits, and never evicts. "fast" labels each leg
+by an int: edge e by e, and the k-th open wire by ~k, outputs by
+position first, then inputs. "reference" builds every tensor afresh,
+self-loop legs included. Both read the D x D table eta^(m*j) behind
+c_coefficients and fourier_matrix from a read-only copy, built once per
+D and kept when it holds at most _ETA_KEEP entries.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
@@ -67,10 +71,11 @@ from .phases import PhaseVector, check_size, cyclic_vector
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
 _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
-_CACHE_TENSORS = 1024          # node tensors cached; once full, no more
+_CACHE_ENTRIES = 2 ** 20       # elements (16 MiB) of all cached node tensors
 _ETA_KEEP = 2 ** 16            # entries (1 MiB) of the largest kept eta table
 _COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
 _node_tensor_cache: dict = {}
+_cached_entries = 0            # elements the cache holds
 
 
 @dataclass(frozen=True)
@@ -361,7 +366,8 @@ _NODE_REFUSAL = ("fast path refuses D={base}: a tensor of {base}^{power} = "
 def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     """_node_tensor as an array; a small one with an exact phase, or a
     box's, is built once per (kind, phase, leg signs, D), all it depends
-    on, and shared read-only."""
+    on, and shared read-only while the cache has room for it."""
+    global _cached_entries
     n, dim = d.node(v), d.dimension
     if dim ** len(legs) > _CACHE_ELEMS:
         return np.asarray(_node_tensor(d, v, legs))
@@ -371,24 +377,36 @@ def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     t = _node_tensor_cache.get(key)
     if t is None:
         t = np.asarray(_node_tensor(d, v, legs))
-        if len(_node_tensor_cache) < _CACHE_TENSORS and (n.phase is None or
-                                                         n.phase.is_exact):
+        if (_cached_entries + t.size <= _CACHE_ENTRIES
+                and (n.phase is None or n.phase.is_exact)):
             t.setflags(write=False)
             _node_tensor_cache[key] = t
+            _cached_entries += t.size
     return t
 
 
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
-    out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
-    want = [("out", v) for v in out_ids] + [("in", v) for v in in_ids]
+    # One pass in node order: each boundary's edge at its position, and
+    # the inner nodes.
+    out_edges, in_edges, inner = {}, {}, []
+    for v, n in sorted(d.nodes.items()):
+        if n.kind == dg.OUT:
+            out_edges[n.position] = d.in_edges(v)[0]
+        elif n.kind == dg.IN:
+            in_edges[n.position] = d.out_edges(v)[0]
+        else:
+            inner.append((v, n.kind))
+    n_out, n_in = len(out_edges), len(in_edges)
     # The disconnected parts' outer product is the output matrix.
-    check_size(dim, len(want), _FAST_CAP, _FAST_REFUSAL)
+    check_size(dim, n_out + n_in, _FAST_CAP, _FAST_REFUSAL)
 
-    # Open labels of each boundary edge; one with two is a bare wire.
+    # Open labels of each boundary edge, ~k for the k-th open wire; an
+    # edge with two is a bare wire.
     ends = {}
-    for lab, e in zip(want, out_edges + in_edges):
-        ends.setdefault(e, []).append(lab)
+    for k, e in enumerate([out_edges[p] for p in range(n_out)]
+                          + [in_edges[p] for p in range(n_in)]):
+        ends.setdefault(e, []).append(~k)
 
     # tensors: creation number -> (array, labels), in creation order;
     # holders: label -> live tensors carrying it; heap: (merged rank,
@@ -416,15 +434,14 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
 
     edges = d.edges
     looped = {s for s, t in edges if s == t}
-    for v, kind in [(v, n.kind) for v, n in sorted(d.nodes.items())
-                    if n.kind not in dg.BOUNDARY_KINDS]:
+    for v, kind in inner:
         legs = d.legs(v)
         if kind in dg.SPIDER_KINDS and v in looped:
             # A spider self-loop's factor is one: its legs are never built.
             legs = tuple(leg for leg in legs if edges[leg[0]] != (v, v))
         check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
         arr = _shared_node_tensor(d, v, legs)
-        labels = [ends[e][0] if e in ends else ("e", e) for e, _ in legs]
+        labels = [ends[e][0] if e in ends else e for e, _ in legs]
         if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
             arr, labels = np.trace(arr), []
         add(arr, labels)
@@ -448,9 +465,10 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
                                           [lb.index(x) for x in shared]))
         add(merged, [x for x in la + lb if x not in shared])
 
+    want = [~k for k in range(n_out + n_in)]
     matrix = _assemble(list(tensors.values()), want, scalar)
-    return DenseOperator(dim, len(in_ids), len(out_ids), matrix.reshape(
-        dim ** len(out_ids), dim ** len(in_ids)))
+    return DenseOperator(dim, n_in, n_out, matrix.reshape(
+        dim ** n_out, dim ** n_in))
 
 
 def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:

@@ -730,6 +730,7 @@ def test_fused_sfuse_corner_evaluates_in_small_memory():
 def empty_cache(monkeypatch):
     cache = {}
     monkeypatch.setattr(sem, "_node_tensor_cache", cache)
+    monkeypatch.setattr(sem, "_cached_entries", 0)
     return cache
 
 
@@ -754,10 +755,50 @@ def test_approximate_and_oversized_node_tensors_are_not_cached(empty_cache):
 
 
 def test_node_tensor_cache_stops_growing_when_full(empty_cache, monkeypatch):
-    monkeypatch.setattr(sem, "_CACHE_TENSORS", 2)
+    # Three 9-entry tensors against a budget of 18 entries.
+    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 18)
     for t in range(3):
         evaluate(dg.spider_diagram(3, dg.Z, 1, 1, cyclic_vector(3, t)))
     assert len(empty_cache) == 2
+
+
+def test_node_tensor_cache_refuses_what_passes_its_room_only(empty_cache,
+                                                             monkeypatch):
+    # 9 entries stored, 27 refused (9 + 27 > 18), then 3 still stored.
+    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 18)
+    for n_out in (1, 2, 0):
+        evaluate(dg.spider_diagram(3, dg.Z, 1, n_out, cyclic_vector(3, 1)))
+    assert [t.size for t in empty_cache.values()] == [9, 3]
+    assert sem._cached_entries == 12
+
+
+def _exact_phases(d: dg.Diagram, den: int = 8) -> dg.Diagram:
+    """d with each spider phase rounded to a multiple of 1/den turn, so
+    that its node tensors can be cached."""
+    nodes = {v: n if n.phase is None else dg.Node(n.kind, PhaseVector(
+        d.dimension, [Turn.exact(round(t.radians / math.tau * den), den)
+                      for t in n.phase]))
+             for v, n in d.nodes.items()}
+    return dg.Diagram(d.dimension, nodes, d.edges, d.scalar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_a_warm_cache_never_changes_a_result(dim, seed):
+    d = _exact_phases(_random_diagram(random.Random(seed), dim))
+    saved = sem._node_tensor_cache, sem._cached_entries
+    sem._node_tensor_cache, sem._cached_entries = {}, 0
+    try:
+        cold = evaluate(d).matrix
+        stored = len(sem._node_tensor_cache)
+        warm = evaluate(d).matrix
+    finally:
+        sem._node_tensor_cache, sem._cached_entries = saved
+    # Every node tensor of at most _CACHE_ELEMS entries is stored.
+    assert stored or all(dim ** len(d.legs(v)) > sem._CACHE_ELEMS
+                         for v, n in d.nodes.items()
+                         if n.kind not in dg.BOUNDARY_KINDS)
+    assert cold.shape == warm.shape and cold.tobytes() == warm.tobytes()
 
 
 # ---------------------------------------------------------------------------
