@@ -230,11 +230,9 @@ def _coerce_turn(value: TurnLike) -> Turn:
 
 
 class PhaseVector:
-    """The D-1 phases alpha_1..alpha_{D-1} decorating a spider of dimension D.
+    """The D-1 phases alpha_1..alpha_{D-1} decorating a spider of dimension D."""
 
-    Read-only once built; its hash is computed on first use and kept."""
-
-    __slots__ = ("_dim", "_entries", "_hash")
+    __slots__ = ("_dim", "_entries")
 
     def __init__(self, dim: int, entries: Sequence[TurnLike]):
         if dim < 2:
@@ -247,7 +245,6 @@ class PhaseVector:
             )
         self._dim = dim
         self._entries = turns
-        self._hash = None
 
     @classmethod
     def zero(cls, dim: int) -> "PhaseVector":
@@ -296,14 +293,7 @@ class PhaseVector:
         return self._dim == other._dim and self._entries == other._entries
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._dim, self._entries))
-        return self._hash
-
-    def __reduce__(self):
-        # Before Python 3.12 hash(None), and so a Turn's hash, differs
-        # from process to process: a copy computes its own.
-        return PhaseVector, (self._dim, self._entries)
+        return hash((self._dim, self._entries))
 
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
         return phase_add(self, other)

@@ -36,14 +36,16 @@ legs are all loops is its degree-0 scalar. A box's self-loop is traced.
 Node tensors of at most _CACHE_ELEMS entries whose phases are exact (or
 absent, for boxes) are built once per (kind, phase, leg signs, D) and
 shared read-only between calls; approximate phases are never cached. The
-cache is bounded by the entries it holds, _CACHE_ENTRIES in all: it
-fills until a tensor would pass that budget, refuses that one, still
+cache charges each tensor it stores its entries plus 64 + 16*D for its
+key (_cache_charge), and holds at most _CACHE_ENTRIES charged entries:
+it fills until a tensor would pass that budget, refuses that one, still
 stores a later one that fits, and never evicts. "fast" labels each leg
 by an int: edge e by e, and the k-th open wire by ~k, outputs by
-position first, then inputs. "reference" builds every tensor afresh,
-self-loop legs included. Both read the D x D table eta^(m*j) behind
-c_coefficients and fourier_matrix from a read-only copy, built once per
-D and kept when it holds at most _ETA_KEEP entries.
+position first, then inputs. Both paths sort boundaries and inner nodes
+out in one pass (_boundary_order). "reference" builds every tensor
+afresh, self-loop legs included. Both read the D x D table eta^(m*j)
+behind c_coefficients and fourier_matrix from a read-only copy, built
+once per D and kept when it holds at most _ETA_KEEP entries.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
@@ -71,11 +73,11 @@ from .phases import PhaseVector, check_size, cyclic_vector
 _REFERENCE_CAP = 2_000_000     # joint edge assignments, D^E
 _FAST_CAP = 2 ** 24            # elements of any one fast-path tensor
 _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
-_CACHE_ENTRIES = 2 ** 20       # elements (16 MiB) of all cached node tensors
+_CACHE_ENTRIES = 2 ** 20       # entries (16 MiB) charged to the cache in all
 _ETA_KEEP = 2 ** 16            # entries (1 MiB) of the largest kept eta table
 _COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
 _node_tensor_cache: dict = {}
-_cached_entries = 0            # elements the cache holds
+_cache_charged = 0             # entries charged to what the cache holds
 
 
 @dataclass(frozen=True)
@@ -295,12 +297,20 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
 
 
 def _boundary_order(d: dg.Diagram):
-    """For each boundary node, its single edge index; in position order."""
-    out_ids = d.boundary_ids(dg.OUT)
-    in_ids = d.boundary_ids(dg.IN)
-    out_edges = [d.in_edges(v)[0] for v in out_ids]
-    in_edges = [d.out_edges(v)[0] for v in in_ids]
-    return out_ids, in_ids, out_edges, in_edges
+    """One pass over the nodes in id order: the outputs' and the inputs'
+    single edges, each in position order, and the inner nodes as
+    (id, kind)."""
+    outs, ins, inner = {}, {}, []
+    for v, n in sorted(d.nodes.items()):
+        if n.kind == dg.OUT:
+            outs[n.position] = d.in_edges(v)[0]
+        elif n.kind == dg.IN:
+            ins[n.position] = d.out_edges(v)[0]
+        else:
+            inner.append((v, n.kind))
+    # Positions of each kind are 0..n-1 in a valid diagram.
+    return ([outs[p] for p in range(len(outs))],
+            [ins[p] for p in range(len(ins))], inner)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +322,8 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
     check_size(dim, n_e, _REFERENCE_CAP, "reference path refuses D={base}, "
                "E={power}: D^E = {size} assignments, above its cap of {cap}; "
                "use method='fast'")
-    out_ids, in_ids, out_edges, in_edges = _boundary_order(d)
-    n_out, n_in = len(out_ids), len(in_ids)
+    out_edges, in_edges, inner = _boundary_order(d)
+    n_out, n_in = len(out_edges), len(in_edges)
 
     # digits[a, e] = value carried by edge e under joint assignment a.
     count = dim ** n_e
@@ -324,15 +334,12 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
         digits = np.zeros((1, 0), dtype=np.int64)
 
     weight = np.full(count, d.scalar, dtype=complex)
-    boundary = set(out_ids) | set(in_ids)
-    for v in sorted(d.nodes):
-        if v in boundary:
-            continue
+    for v, kind in inner:
         legs = d.legs(v)
         check_size(dim, len(legs), _REFERENCE_CAP, "reference path refuses "
                    "D={base}: node {0} ({1}, {power} legs) needs a tensor of "
                    "{size} entries, above its cap of {cap}; use method='fast'",
-                   v, d.node(v).kind)
+                   v, kind)
         tensor = _node_tensor(d, v, legs)
         if len(legs) == 0:
             weight *= tensor
@@ -363,11 +370,21 @@ _NODE_REFUSAL = ("fast path refuses D={base}: a tensor of {base}^{power} = "
                  "is above its cap of {cap}")
 
 
+def _cache_charge(size: int, dim: int) -> int:
+    """Entries charged for caching a tensor of `size` entries at dimension
+    D: its own, plus 64 + 16*D (1 KiB + 256 B per D) for its key, the
+    key's phase of D-1 Turns, the array's header and the dict's slot,
+    which measure at most about 0.5 KiB + 136 B per Turn. So a budget of
+    2^20 entries holds about 16 MiB at most, in at most 2^20 / 97
+    (10,810) keys."""
+    return size + 64 + 16 * dim
+
+
 def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     """_node_tensor as an array; a small one with an exact phase, or a
     box's, is built once per (kind, phase, leg signs, D), all it depends
     on, and shared read-only while the cache has room for it."""
-    global _cached_entries
+    global _cache_charged
     n, dim = d.node(v), d.dimension
     if dim ** len(legs) > _CACHE_ELEMS:
         return np.asarray(_node_tensor(d, v, legs))
@@ -377,26 +394,18 @@ def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     t = _node_tensor_cache.get(key)
     if t is None:
         t = np.asarray(_node_tensor(d, v, legs))
-        if (_cached_entries + t.size <= _CACHE_ENTRIES
+        charge = _cache_charge(t.size, dim)
+        if (_cache_charged + charge <= _CACHE_ENTRIES
                 and (n.phase is None or n.phase.is_exact)):
             t.setflags(write=False)
             _node_tensor_cache[key] = t
-            _cached_entries += t.size
+            _cache_charged += charge
     return t
 
 
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     dim = d.dimension
-    # One pass in node order: each boundary's edge at its position, and
-    # the inner nodes.
-    out_edges, in_edges, inner = {}, {}, []
-    for v, n in sorted(d.nodes.items()):
-        if n.kind == dg.OUT:
-            out_edges[n.position] = d.in_edges(v)[0]
-        elif n.kind == dg.IN:
-            in_edges[n.position] = d.out_edges(v)[0]
-        else:
-            inner.append((v, n.kind))
+    out_edges, in_edges, inner = _boundary_order(d)
     n_out, n_in = len(out_edges), len(in_edges)
     # The disconnected parts' outer product is the output matrix.
     check_size(dim, n_out + n_in, _FAST_CAP, _FAST_REFUSAL)
@@ -404,8 +413,7 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     # Open labels of each boundary edge, ~k for the k-th open wire; an
     # edge with two is a bare wire.
     ends = {}
-    for k, e in enumerate([out_edges[p] for p in range(n_out)]
-                          + [in_edges[p] for p in range(n_in)]):
+    for k, e in enumerate(out_edges + in_edges):
         ends.setdefault(e, []).append(~k)
 
     # tensors: creation number -> (array, labels), in creation order;

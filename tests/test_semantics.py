@@ -4,6 +4,7 @@ Every closed-form matrix is rebuilt here with explicit loops before being
 compared against the module, so the two computations share no code.
 """
 
+import gc
 import hashlib
 import itertools
 import math
@@ -730,7 +731,7 @@ def test_fused_sfuse_corner_evaluates_in_small_memory():
 def empty_cache(monkeypatch):
     cache = {}
     monkeypatch.setattr(sem, "_node_tensor_cache", cache)
-    monkeypatch.setattr(sem, "_cached_entries", 0)
+    monkeypatch.setattr(sem, "_cache_charged", 0)
     return cache
 
 
@@ -755,8 +756,8 @@ def test_approximate_and_oversized_node_tensors_are_not_cached(empty_cache):
 
 
 def test_node_tensor_cache_stops_growing_when_full(empty_cache, monkeypatch):
-    # Three 9-entry tensors against a budget of 18 entries.
-    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 18)
+    # Three 9-entry tensors against a budget of two.
+    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 2 * sem._cache_charge(9, 3))
     for t in range(3):
         evaluate(dg.spider_diagram(3, dg.Z, 1, 1, cyclic_vector(3, t)))
     assert len(empty_cache) == 2
@@ -764,12 +765,47 @@ def test_node_tensor_cache_stops_growing_when_full(empty_cache, monkeypatch):
 
 def test_node_tensor_cache_refuses_what_passes_its_room_only(empty_cache,
                                                              monkeypatch):
-    # 9 entries stored, 27 refused (9 + 27 > 18), then 3 still stored.
-    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 18)
+    # 9 entries stored, 27 refused, then 3 still stored.
+    room = sem._cache_charge(9, 3) + sem._cache_charge(3, 3)
+    monkeypatch.setattr(sem, "_CACHE_ENTRIES", room)
     for n_out in (1, 2, 0):
         evaluate(dg.spider_diagram(3, dg.Z, 1, n_out, cyclic_vector(3, 1)))
     assert [t.size for t in empty_cache.values()] == [9, 3]
-    assert sem._cached_entries == 12
+    assert sem._cache_charged == room
+
+
+def _scalar_spiders(dim: int, count: int) -> list:
+    """count legless Z spiders of dimension dim with distinct exact phases."""
+    return [dg.spider_diagram(dim, dg.Z, 0, 0, PhaseVector(
+        dim, [Turn.exact(k, count) for _ in range(dim - 1)]))
+        for k in range(count)]
+
+
+def test_node_tensor_cache_charges_each_key(empty_cache, monkeypatch):
+    # 1-entry tensors fill a budget of 1,000 entries with 1,000 // 113
+    # keys, not 1,000.
+    monkeypatch.setattr(sem, "_CACHE_ENTRIES", 1000)
+    for d in _scalar_spiders(3, 30):
+        evaluate(d)
+    assert sem._cache_charge(1, 3) == 113
+    assert len(empty_cache) == 8
+    assert sem._cache_charged == 8 * 113
+
+
+def test_a_full_cache_of_scalars_holds_under_its_budget(empty_cache):
+    # The most keys a full cache can hold at D=32, 2^20 // (1 + 64 + 16*32)
+    # 1-entry tensors whose phases hold 31 Turns each, take less than the
+    # budget's 16 MiB.
+    tracemalloc.start()
+    try:
+        for d in _scalar_spiders(32, 1827):
+            evaluate(d)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(empty_cache) == 1817
+    assert held < 16 * sem._CACHE_ENTRIES
 
 
 def _exact_phases(d: dg.Diagram, den: int = 8) -> dg.Diagram:
@@ -786,14 +822,14 @@ def _exact_phases(d: dg.Diagram, den: int = 8) -> dg.Diagram:
 @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
 def test_a_warm_cache_never_changes_a_result(dim, seed):
     d = _exact_phases(_random_diagram(random.Random(seed), dim))
-    saved = sem._node_tensor_cache, sem._cached_entries
-    sem._node_tensor_cache, sem._cached_entries = {}, 0
+    saved = sem._node_tensor_cache, sem._cache_charged
+    sem._node_tensor_cache, sem._cache_charged = {}, 0
     try:
         cold = evaluate(d).matrix
         stored = len(sem._node_tensor_cache)
         warm = evaluate(d).matrix
     finally:
-        sem._node_tensor_cache, sem._cached_entries = saved
+        sem._node_tensor_cache, sem._cache_charged = saved
     # Every node tensor of at most _CACHE_ELEMS entries is stored.
     assert stored or all(dim ** len(d.legs(v)) > sem._CACHE_ELEMS
                          for v, n in d.nodes.items()
