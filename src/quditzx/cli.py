@@ -13,10 +13,11 @@ under --json and the lines otherwise.  Exit code 0 means the report's
 means a check failed.  Neither mode builds the costly part of the other:
 eval's matrix text is built lazily, and a report keeps a matrix, diagram
 or trace unconverted until `_emit_json` converts it.  A ValueError (bad
-arguments, invalid JSON or diagrams, sizes the library refuses) or an
-OSError (unreadable or unwritable files) means the invocation itself was
-unusable: one `error:` line on stderr, nothing on stdout, exit code 2.  An
-AssertionError is a broken internal invariant and stays a traceback.
+arguments, invalid JSON or diagrams, sizes the library refuses, a diagram
+whose matrix overflows) or an OSError (unreadable or unwritable files)
+means the invocation itself was unusable: one `error:` line on stderr,
+nothing on stdout, exit code 2.  An AssertionError is a broken internal
+invariant and stays a traceback.
 
 The comparison tolerance defaults to 1e-9 and can be overridden with the
 QUDITZX_TOL environment variable (rule-check also takes --tol); it must be
@@ -135,6 +136,28 @@ def _check_lines(report: dict, label: str, holds: str) -> list:
     return lines
 
 
+def _evaluate(d: dg.Diagram, method: str = "fast"):
+    """The diagram's operator, refused with one line when an entry of its
+    matrix overflows: a finite scalar and finite tensors can still have a
+    product past the largest float, which would print as inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = sem.evaluate(d, method)
+    if not np.isfinite(op.matrix).all():
+        raise ValueError(f"the diagram's matrix overflows: the {method} "
+                         "evaluation has an entry past the largest float "
+                         f"({np.finfo(float).max:.3g})")
+    return op
+
+
+def _matrix_text(matrix: np.ndarray) -> str:
+    """The matrix rounded to 10 decimals, but for entries too large to
+    scale by 10^10, which are printed as they are."""
+    with np.errstate(over="ignore"):
+        rounded = np.round(matrix, 10)
+    shown = np.where(np.isfinite(rounded), rounded, matrix)
+    return np.array2string(shown, max_line_width=120, suppress_small=True)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each returns (report, lines), the object printed under
 # --json and the lines printed otherwise; run prints one of them
@@ -143,18 +166,17 @@ def _check_lines(report: dict, label: str, holds: str) -> list:
 def _cmd_eval(args) -> tuple:
     d = _load_diagram(args.diagram)
     tol = _tolerance()
-    op = sem.evaluate(d, "fast" if args.method == "both" else args.method)
+    op = _evaluate(d, "fast" if args.method == "both" else args.method)
     report = {"dim": op.dim, "nIn": op.n_in, "nOut": op.n_out,
               "matrix": op.matrix, "method": args.method, "passed": True}
     if args.method == "both":
-        ref = sem.evaluate(d, "reference")
+        ref = _evaluate(d, "reference")
         deviation = float(np.max(np.abs(op.matrix - ref.matrix)))
         report.update(crossDeviation=deviation, passed=deviation <= tol)
 
     def lines():
         yield f"dimension {op.dim}, {op.n_in} inputs -> {op.n_out} outputs"
-        yield np.array2string(np.round(op.matrix, 10), max_line_width=120,
-                              suppress_small=True)
+        yield _matrix_text(op.matrix)
         if "crossDeviation" in report:
             yield (f"fast vs reference deviation: "
                    f"{report['crossDeviation']:.3e} "
@@ -174,7 +196,7 @@ def _cmd_simplify(args) -> tuple:
     lines += [f"  {step.rule} at {step.site}" for step in trace.steps]
     if args.verify:
         scale, deviation, report["passed"] = sem.compare_scalar_exact(
-            sem.evaluate(d).matrix, sem.evaluate(simplified).matrix, tol)
+            _evaluate(d).matrix, _evaluate(simplified).matrix, tol)
         if scale is not None:
             report["verifyDeviation"] = deviation
             lines.append(f"semantics preserved to {deviation:.3e}")

@@ -580,9 +580,11 @@ def _rule(rule) -> _Rule:
     raise ValueError(f"unknown rule {rule!r}; choose from {ALL_RULES}")
 
 
-def find_matches(d: dg.Diagram, rule: str) -> list:
+def find_matches(d: dg.Diagram | dg.DiagramBuilder, rule: str) -> list:
+    """The rule's sites in d, in order. A Diagram is read through a new
+    DiagramBuilder; a DiagramBuilder is read as it is, and left as it is."""
     r = _rule(rule)
-    g = dg.DiagramBuilder.from_diagram(d)
+    g = dg.DiagramBuilder.from_diagram(d) if isinstance(d, dg.Diagram) else d
     keys = sorted(set(r.keys(g, g.edges, g.nodes)))
     return [site for site in (r.site(g, k) for k in keys)
             if _fits(g, r.check, site)]
@@ -771,7 +773,9 @@ def simplify(d: dg.Diagram) -> tuple:
         trace.steps.append(TraceStep(rule, site, *g.node_changes()))
         work.feed(g.touched_edges, g.touched_nodes)
     out = g.finish()
-    left = [rule for rule in _SIMPLIFY_ORDER if find_matches(out, rule)]
+    # one copy of the result serves the five fixpoint searches
+    final = dg.DiagramBuilder.from_diagram(out)
+    left = [rule for rule in _SIMPLIFY_ORDER if find_matches(final, rule)]
     if left:
         raise AssertionError(f"simplify stopped with sites of {left} left")
     trace.final_hash = diagram_hash(out)

@@ -214,8 +214,12 @@ class Rel:
     def tensor(self, other: "Rel") -> "Rel":
         if self.D != other.D:
             raise ValueError("dimension mismatch in tensor product")
+        # the Kronecker product of boolean matrices as one broadcast AND:
+        # entry ((i, k), (j, l)) is a[i, j] & b[k, l], in a fresh array
+        a, b = self.matrix, other.matrix
         return Rel(self.D, self.m + other.m, self.n + other.n,
-                   np.kron(self.matrix, other.matrix))
+                   (a[:, None, :, None] & b[None, :, None, :]).reshape(
+                       a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
     def converse(self) -> "Rel":
         return Rel(self.D, self.n, self.m, self.matrix.T.copy())
@@ -477,6 +481,15 @@ _LAWS = {
 }
 
 
+def _same(scale, results) -> bool:
+    """Whether each later result equals the first, as `np.array_equal`
+    gives it: the same shape, then one `==` reduction.  A relation is
+    nonzero or not, so the scale is ignored."""
+    first = results[0]
+    return all(r.shape == first.shape and bool((r == first).all())
+               for r in results[1:])
+
+
 def _law_model(D: int) -> Model:
     """The toy theory as a model of `laws.LAWS`: each relation's float32
     tensor view, contracted by `laws.contract` and tested `> 0`, which
@@ -502,8 +515,7 @@ def _law_model(D: int) -> Model:
         points={name: np.stack([view(rel) for rel in family])
                 for name, family in points.items()},
         contract=lambda spec, views: contract(spec, views) > 0,
-        compare=lambda scale, results: all(np.array_equal(results[0], r)
-                                           for r in results[1:]))
+        compare=_same)
 
 
 def _check(checks: list, check_id: str, passed: bool, detail: str = ""):

@@ -108,6 +108,39 @@ def test_eval_text_mode(cnot_file, capsys):
     assert "dimension 3, 2 inputs -> 2 outputs" in captured.out
 
 
+def _scaled_spider(tmp_path, wired, scale):
+    """A Z spider at D=3, on one wire or legless, times this real scalar."""
+    b = dg.DiagramBuilder(3)
+    v = b.add_spider(dg.Z)
+    if wired:
+        b.add_edge(b.add_input(0), v)
+        b.add_edge(v, b.add_output(0))
+    obj = dg.to_json_dict(b.finish())
+    obj["scalar"] = [scale, 0.0]
+    path = tmp_path / "spider.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_eval_text_prints_a_large_finite_entry_as_it_is(tmp_path, capsys,
+                                                        recwarn):
+    # Rounding to 10 decimals scales by 10^10, which would turn 1e308 into
+    # inf; such an entry is printed unrounded.
+    assert run(["eval", _scaled_spider(tmp_path, True, 1e308)]) == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out and out.count("1.e+308") == 3
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_eval_names_an_overflowing_matrix(tmp_path, capsys):
+    # finite as written; the legless spider is worth D times its scalar
+    path = _scaled_spider(tmp_path, False, 1e308)
+    for method in ("fast", "reference", "both"):
+        assert run(["eval", path, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert "overflows" in err and err.count("\n") == 1
+
+
 def test_eval_builds_only_what_its_mode_prints(cnot_file, monkeypatch,
                                                capsys):
     # text mode never converts the matrix to [re, im] lists, and --json
@@ -787,6 +820,13 @@ def bad_input_files(tmp_path):
         "dimension": 3, "scalar": [1e308, 0.0],
         "nodes": [{"id": 0, "kind": "F"}, {"id": 1, "kind": "Fdag"}],
         "edges": [[0, 1], [1, 0]]}))
+    # a legless Z spider, worth D times its scalar: finite as written, and
+    # its matrix past the largest float
+    b = dg.DiagramBuilder(3)
+    b.add_spider(dg.Z)
+    zbig = dg.to_json_dict(b.finish())
+    zbig["scalar"] = [1e308, 1e308]
+    write("zbig", json.dumps(zbig))
     for name, n, step in [
             ("cnot00", 2, {"gate": "CNOT", "wires": [0, 0]}),
             ("wire5", 2, {"gate": "F", "wires": [5]}),
@@ -859,6 +899,11 @@ BAD_INPUTS = [
     ("eval {noposition}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
     ("simplify {fcycle}", None),
+    ("eval {fcycle}", None),
+    ("eval {fcycle} --json", None),
+    ("eval --method both {fcycle}", None),
+    ("eval {zbig} --method reference", None),
+    ("simplify --verify {zbig}", None),
     ("export-dot {cnot} --out {missing}/x.dot", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
     ("rule-check --rule S_fuse --dim 2 --trials 1 --tol -1", None),

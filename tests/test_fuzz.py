@@ -149,6 +149,25 @@ def test_fuzz_matchers_equal_brute_force(case):
         assert rw.find_matches(d, rule) == sites, rule
 
 
+@settings(max_examples=100, deadline=None)
+@given(spliced_diagrams)
+def test_find_matches_reads_a_builder_as_it_is(case):
+    # A DiagramBuilder, as simplify's fixpoint check passes one, gives the
+    # sites of the diagram it would finish and is left as it is, also once
+    # a rewrite in place has made its edge serials differ from positions.
+    _, d = case
+    g = dg.DiagramBuilder.from_diagram(d)
+    for step in range(2):
+        before = dg.to_json(g.finish())
+        sites = {r: rw.find_matches(g, r) for r in rw.ALL_RULES}
+        assert sites == {r: rw.find_matches(g.finish(), r)
+                         for r in rw.ALL_RULES}
+        assert dg.to_json(g.finish()) == before
+        if step == 0:
+            rule = next(r for r in rw.ALL_RULES if sites[r])
+            rw.apply_rule(g, rule, sites[rule][0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(spliced_diagrams)
 def test_fuzz_spliced_random_diagrams(case):

@@ -163,6 +163,59 @@ def test_tensor_and_converse():
     assert (c @ a).converse() == a.converse() @ c.converse()
 
 
+# The most entries of a drawn tensor product: 16^5, which keeps D=4 to
+# five systems in all and D=3 to six, and leaves D=2 at arity 2 a side.
+_TENSOR_ENTRIES = 16 ** 5
+
+
+@st.composite
+def _tensor_operands(draw):
+    """Two relations at one D = 2..4, each of arities 0..2 on each side
+    while the product stays under _TENSOR_ENTRIES, each empty, full or
+    random, and laid out in C or Fortran order, writable or not."""
+    D = draw(st.integers(2, 4))
+    size = D * D
+    budget, rels = _TENSOR_ENTRIES, []
+    for _ in range(2):
+        arities = []
+        for _ in range(2):
+            top = max(k for k in range(3) if size ** k <= budget)
+            arities.append(draw(st.integers(0, top)))
+            budget //= size ** arities[-1]
+        m, n = arities
+        shape = (size ** n, size ** m)
+        kind = draw(st.sampled_from(["empty", "full", "random"]))
+        if kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            matrix = rng.random(shape) < draw(st.floats(0.0, 1.0))
+        else:
+            matrix = np.full(shape, kind == "full")
+        if draw(st.booleans()):
+            matrix = np.asfortranarray(matrix)
+        if draw(st.booleans()):
+            matrix.setflags(write=False)
+        rels.append(Rel(D, m, n, matrix))
+    return tuple(rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_operands())
+def test_tensor_is_the_kronecker_product(operands):
+    # The Kronecker product, the form tensor once called, is the oracle.
+    a, b = operands
+    t = a.tensor(b)
+    assert (t.D, t.m, t.n) == (a.D, a.m + b.m, a.n + b.n)
+    want = np.kron(a.matrix, b.matrix)
+    assert t.matrix.dtype == bool and t.matrix.shape == want.shape
+    assert np.array_equal(t.matrix, want)
+    # a new matrix: writable, and sharing no memory with either operand
+    assert t.matrix.flags.writeable
+    assert not np.shares_memory(t.matrix, a.matrix)
+    assert not np.shares_memory(t.matrix, b.matrix)
+    t.matrix[0, 0] = not t.matrix[0, 0]
+    assert t.matrix[0, 0] != want[0, 0]
+
+
 def test_scalar_relations():
     yes = Rel(2, 0, 0, np.ones((1, 1), dtype=bool))
     no = Rel.empty(2, 0, 0)
@@ -644,6 +697,20 @@ def test_whiskered_contractions_on_random_copy_relations(D, density, seed):
     rng = np.random.default_rng(seed)
     _check_whiskered_composites(
         Rel(D, 1, 2, rng.random((size * size, size)) < density))
+
+
+def test_law_model_compare_refuses_results_of_different_shapes():
+    # As np.array_equal did: results of different shapes are unequal, also
+    # where they would broadcast to equal arrays or not broadcast at all.
+    compare = toyrel._law_model(2).compare
+    full = np.ones((4, 4), dtype=bool)
+    assert compare(0, [full, full.copy()]) is True
+    assert compare(None, [full, full.copy(), full.copy()]) is True
+    assert compare(0, [full, ~full]) is False
+    for other in (np.ones(4, dtype=bool), np.ones((1, 4, 4), dtype=bool),
+                  np.ones((4, 1), dtype=bool), np.ones((2, 8), dtype=bool)):
+        assert compare(0, [full, other]) is False
+        assert compare(0, [full, full.copy(), other]) is False
 
 
 # ---------------------------------------------------------------------------
