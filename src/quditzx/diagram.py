@@ -25,8 +25,8 @@ import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
 
-from .phases import (PhaseVector, is_json_number, json_field, json_int,
-                     json_list)
+from .phases import (PhaseVector, Turn, is_json_number, json_field, json_int,
+                     json_list, json_turn)
 
 Z = "Z"
 X = "X"
@@ -133,10 +133,11 @@ class Diagram(_Incidence):
     """Valid and read-only once built; use DiagramBuilder to construct.
 
     The constructor runs validate(), so nothing downstream checks again.
-    to_json() stores the canonical JSON in _json on its first call."""
+    to_json() stores the canonical JSON in _json on its first call, and
+    rewrite.diagram_hash its sha256 in _hash."""
 
     __slots__ = ("_dimension", "_scalar", "_nodes", "_edges", "_legs",
-                 "_json")
+                 "_json", "_hash")
 
     def __init__(self, dimension: int, nodes: Mapping[int, Node],
                  edges: Iterable[tuple], scalar: complex = 1.0):
@@ -511,6 +512,14 @@ def to_json_dict(d: Diagram) -> dict:
 
 
 def from_json_dict(obj: dict) -> Diagram:
+    """The Diagram of a JSON object, each field list checked in one pass.
+
+    A field is checked inline by its exact JSON type (a bool is not an
+    int); when that fails, the json_* helper that checks it builds the
+    refusal. Each phase is checked, and each distinct one built once: one
+    Turn per distinct entry, one PhaseVector, and one Node per kind, as
+    is one Node per box kind. The memos key only on checked values, and
+    Nodes are read-only, so sharing them is safe."""
     try:
         dim = json_int(json_field(obj, "dimension", "diagram JSON"),
                        "dimension")
@@ -519,39 +528,104 @@ def from_json_dict(obj: dict) -> Diagram:
                 and all(map(is_json_number, sc))):
             raise ValueError(f"scalar must be two finite numbers, got {sc!r}")
         nodes = {}
+        shared = {}   # (kind, phase key) -> Node; kind -> Node for a box
+        vectors = {}  # phase key: its entries' keys -> PhaseVector
+        turns = {}    # entry key, as json_turn gives it -> Turn
         records = json_list(json_field(obj, "nodes", "diagram JSON"),
                              "nodes")
         for i, rec in enumerate(records):
-            v = json_int(json_field(rec, "id", f"node record {i}"),
-                         "node id")
+            v = rec.get("id") if type(rec) is dict else None
+            if type(v) is not int:
+                v = json_int(json_field(rec, "id", f"node record {i}"),
+                             "node id")
             if v in nodes:
                 raise ValueError(f"duplicate node id {v}")
-            kind = json_field(rec, "kind", f"node {v}")
-            if not (isinstance(kind, str) and kind in NODE_KINDS):
-                raise ValueError(f"node {v} has an unknown kind {kind!r}")
+            kind = rec.get("kind")
+            if type(kind) is not str or kind not in NODE_KINDS:
+                kind = json_field(rec, "kind", f"node {v}")
+                if not (isinstance(kind, str) and kind in NODE_KINDS):
+                    raise ValueError(f"node {v} has an unknown kind {kind!r}")
             if kind in SPIDER_KINDS:
-                phase = PhaseVector.from_json(
-                    dim, json_field(rec, "phase", f"node {v}"))
-                nodes[v] = Node(kind, phase=phase)
+                entries = rec.get("phase")
+                if type(entries) is not list:
+                    entries = json_list(json_field(rec, "phase", f"node {v}"),
+                                        f"node {v} phase")
+                phase = []
+                for j, t in enumerate(entries):
+                    pair = t.get("exact") if type(t) is dict else None
+                    if (type(pair) is list and len(pair) == 2
+                            and type(pair[0]) is int and type(pair[1]) is int
+                            and pair[1]):
+                        phase.append((pair[0], pair[1]))
+                    else:
+                        phase.append(json_turn(t, f"node {v} phase entry {j}"))
+                phase = tuple(phase)
+                node = shared.get((kind, phase))
+                if node is None:
+                    if phase not in vectors:
+                        for k in phase:
+                            if k not in turns:
+                                turns[k] = Turn.from_key(k)
+                        vectors[phase] = PhaseVector(
+                            dim, [turns[k] for k in phase])
+                    node = shared[kind, phase] = Node(kind,
+                                                      phase=vectors[phase])
+                nodes[v] = node
             elif kind in BOUNDARY_KINDS:
-                nodes[v] = Node(kind, position=json_int(
-                    json_field(rec, "position", f"node {v}"),
-                    f"node {v} position"))
+                position = rec.get("position")
+                if type(position) is not int:
+                    position = json_int(
+                        json_field(rec, "position", f"node {v}"),
+                        f"node {v} position")
+                nodes[v] = Node(kind, position=position)
             else:
                 # inPort/outPort are redundant with the edge list; ignored.
-                nodes[v] = Node(kind)
-        edges = []
+                nodes[v] = shared.get(kind) or shared.setdefault(kind,
+                                                                 Node(kind))
         pairs = json_list(json_field(obj, "edges", "diagram JSON"),
-                           "edges")
+                          "edges")
         for i, e in enumerate(pairs):
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValueError(f"edge {i} must be a [source, target] pair, "
-                                 f"got {e!r}")
-            edges.append((json_int(e[0], f"edge {i} source"),
-                          json_int(e[1], f"edge {i} target")))
+            if not (type(e) is list and len(e) == 2 and type(e[0]) is int
+                    and type(e[1]) is int):
+                if not (isinstance(e, list) and len(e) == 2):
+                    raise ValueError(f"edge {i} must be a [source, target] "
+                                     f"pair, got {e!r}")
+                json_int(e[0], f"edge {i} source")
+                json_int(e[1], f"edge {i} target")
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed diagram JSON: {exc}") from exc
-    return Diagram(dim, nodes, edges, complex(*sc))
+    return Diagram(dim, nodes, pairs, complex(*sc))
+
+
+def _canonical_json(d: Diagram) -> str:
+    """The text json.dumps(to_json_dict(d), sort_keys=True,
+    separators=(",", ":")) gives, written directly: every object's keys in
+    sorted order, and each distinct phase's text built once per call."""
+    texts = {}  # id(PhaseVector) -> its text; d keeps each one alive
+    recs = []
+    for v in sorted(d._nodes):
+        n = d._nodes[v]
+        if n.phase is not None:
+            text = texts.get(id(n.phase))
+            if text is None:
+                text = texts[id(n.phase)] = n.phase.json_text()
+            recs.append(f'{{"id":{v},"kind":"{n.kind}","phase":{text}}}')
+        elif n.position is not None:
+            recs.append(f'{{"id":{v},"kind":"{n.kind}",'
+                        f'"position":{n.position}}}')
+        else:
+            legs = d.legs(v)
+            ins = [e for e, sign in legs if sign == -1]
+            outs = [e for e, sign in legs if sign == 1]
+            recs.append(f'{{"id":{v}'
+                        + (f',"inPort":{ins[0]}' if len(ins) == 1 else "")
+                        + f',"kind":"{n.kind}"'
+                        + (f',"outPort":{outs[0]}' if len(outs) == 1 else "")
+                        + "}")
+    edges = ",".join([f"[{s},{t}]" for s, t in d._edges])
+    return (f'{{"dimension":{d._dimension},"edges":[{edges}],'
+            f'"nodes":[{",".join(recs)}],'
+            f'"scalar":[{d._scalar.real!r},{d._scalar.imag!r}]}}')
 
 
 def to_json(d: Diagram) -> str:
@@ -560,8 +634,7 @@ def to_json(d: Diagram) -> str:
     try:
         return d._json
     except AttributeError:
-        d._json = json.dumps(to_json_dict(d), sort_keys=True,
-                             separators=(",", ":"))
+        d._json = _canonical_json(d)
         return d._json
 
 

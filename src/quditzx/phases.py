@@ -94,6 +94,33 @@ def is_json_number(x) -> bool:
             and math.isfinite(x))
 
 
+def json_turn(obj, where: str):
+    """A JSON phase entry, checked, as the key a Turn is built from
+    (Turn.from_key): the ints (numerator, denominator) of {"exact": [n, d]},
+    or the float radians of {"approx": r}. Anything else is refused with
+    a one-line ValueError; a malformed exact pair is named by where."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"phase entry must be an object, got {obj!r}")
+    if "exact" in obj:
+        pair = obj["exact"]
+        parts = [json_int(k, "an exact phase part")
+                 for k in (pair if isinstance(pair, list) else ())]
+        if len(parts) != 2:
+            raise ValueError(f"{where}: an exact phase must be a "
+                             f"[numerator, denominator] pair of integers, "
+                             f"got {pair!r}")
+        if parts[1] == 0:
+            raise ValueError(f"exact phase has a zero denominator: {obj!r}")
+        return tuple(parts)
+    if "approx" in obj:
+        rad = obj["approx"]
+        if not is_json_number(rad):
+            raise ValueError(f"approximate phase is not finite or not a "
+                             f"number: {obj!r}")
+        return float(rad)
+    raise ValueError(f"phase entry needs 'exact' or 'approx': {obj!r}")
+
+
 class Turn:
     """An angle: an exact fraction num/den of a turn in [0,1), held as a
     reduced pair of ints with den > 0, or float radians in [0,2*pi)."""
@@ -196,24 +223,23 @@ class Turn:
             return {"exact": [self._num, self._den]}
         return {"approx": self._rad}
 
+    def json_text(self) -> str:
+        """The canonical JSON text of to_json(), as json.dumps writes it
+        with sorted keys and no spaces."""
+        if self._den is not None:
+            return f'{{"exact":[{self._num},{self._den}]}}'
+        return f'{{"approx":{self._rad!r}}}'
+
+    @classmethod
+    def from_key(cls, key) -> "Turn":
+        """The Turn of a key that json_turn returned."""
+        if type(key) is float:
+            return cls.approx(key)
+        return cls.exact(*key)
+
     @classmethod
     def from_json(cls, obj: dict) -> "Turn":
-        if not isinstance(obj, dict):
-            raise ValueError(f"phase entry must be an object, got {obj!r}")
-        if "exact" in obj:
-            num, den = (json_int(k, "an exact phase part")
-                        for k in obj["exact"])
-            if den == 0:
-                raise ValueError(
-                    f"exact phase has a zero denominator: {obj!r}")
-            return cls.exact(num, den)
-        if "approx" in obj:
-            rad = obj["approx"]
-            if not is_json_number(rad):
-                raise ValueError(f"approximate phase is not finite or not a "
-                                 f"number: {obj!r}")
-            return cls.approx(float(rad))
-        raise ValueError(f"phase entry needs 'exact' or 'approx': {obj!r}")
+        return cls.from_key(json_turn(obj, "phase entry"))
 
 
 TurnLike = Union[Turn, Fraction, int, float]
@@ -307,9 +333,13 @@ class PhaseVector:
     def to_json(self) -> list:
         return [t.to_json() for t in self._entries]
 
+    def json_text(self) -> str:
+        """The canonical JSON text of to_json()."""
+        return "[" + ",".join([t.json_text() for t in self._entries]) + "]"
+
     @classmethod
     def from_json(cls, dim: int, obj: list) -> "PhaseVector":
-        return cls(dim, [Turn.from_json(t) for t in obj])
+        return cls(dim, [Turn.from_json(t) for t in json_list(obj, "phase")])
 
 
 def phase_add(a: PhaseVector, b: PhaseVector) -> PhaseVector:

@@ -608,7 +608,13 @@ def apply_rule(d, rule: str, site: dict):
 # Traces and simplification
 
 def diagram_hash(d: dg.Diagram) -> str:
-    return hashlib.sha256(dg.to_json(d).encode()).hexdigest()
+    """sha256 of d's canonical JSON, computed on the first call and kept
+    on d beside the text, which cannot go stale."""
+    try:
+        return d._hash
+    except AttributeError:
+        d._hash = hashlib.sha256(dg.to_json(d).encode()).hexdigest()
+        return d._hash
 
 
 @dataclass

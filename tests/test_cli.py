@@ -751,6 +751,107 @@ def test_export_dot_to_file(cnot_file, tmp_path, capsys):
 
 
 DROP = object()
+_EXACT = ["nodes", 0, "phase", 0, "exact"]
+_PART = "an exact phase part must be an integer, got "
+_PAIR = ("node 0 phase entry 0: an exact phase must be a [numerator, "
+         "denominator] pair of integers, got ")
+# Diagrams that from_json refuses, each the CNOT diagram with a field set
+# at each path (DROP deletes it instead), by the name the bad-input table
+# uses, and the refusal's exact text. Node 0 is its Z spider, node 1 its
+# X spider and node 3 an input; both spiders' phases are [0/1, 0/1].
+DIAGRAM_FAULTS = [
+    ("dimfloat", [(["dimension"], 3.9)],
+     "dimension must be an integer, got 3.9"),
+    ("dimtext", [(["dimension"], "3")],
+     "dimension must be an integer, got '3'"),
+    ("idfloat", [(["nodes", 5, "id"], 5.7)],
+     "node id must be an integer, got 5.7"),
+    ("positionbool", [(["nodes", 3, "position"], True)],
+     "node 3 position must be an integer, got True"),
+    ("edgefloat", [(["edges", 4, 1], 0.0)],
+     "edge 4 target must be an integer, got 0.0"),
+    ("exactfloat", [(_EXACT, [1.5, 3])], _PART + "1.5"),
+    ("scalarnan", [(["scalar"], [math.nan, 0.0])],
+     "scalar must be two finite numbers, got [nan, 0.0]"),
+    ("scalarthree", [(["scalar"], [1.0, 0.0, 0.0])],
+     "scalar must be two finite numbers, got [1.0, 0.0, 0.0]"),
+    ("scalartext", [(["scalar"], ["1", 0])],
+     "scalar must be two finite numbers, got ['1', 0]"),
+    ("edgethree", [(["edges", 4], [2, 0, 7])],
+     "edge 4 must be a [source, target] pair, got [2, 0, 7]"),
+    ("edgeint", [(["edges", 4], 5)],
+     "edge 4 must be a [source, target] pair, got 5"),
+    ("kindlist", [(["nodes", 3, "kind"], ["Z"])],
+     "node 3 has an unknown kind ['Z']"),
+    ("noderecint", [(["nodes", 3], 5)],
+     "node record 3 must be an object, got 5"),
+    ("nodesint", [(["nodes"], 5)], "nodes must be a list, got 5"),
+    ("edgesint", [(["edges"], 5)], "edges must be a list, got 5"),
+    ("nokind", [(["nodes", 3, "kind"], DROP)], "node 3 has no 'kind' field"),
+    ("noposition", [(["nodes", 3, "position"], DROP)],
+     "node 3 has no 'position' field"),
+    # a later spider repeating an earlier phase with a part that equals
+    # the earlier one in Python, but is not a JSON integer
+    ("repeatfloat", [(["nodes", 1, "phase", 0, "exact"], [0, 1.0])],
+     _PART + "1.0"),
+    ("repeatbool", [(["nodes", 1, "phase", 0, "exact"], [0, True])],
+     _PART + "True"),
+    ("repeatfalse", [(["nodes", 1, "phase", 0, "exact"], [False, 1])],
+     _PART + "False"),
+    ("repeattext", [(["nodes", 1, "phase", 0, "exact"], [0, "1"])],
+     _PART + "'1'"),
+    ("repeatapprox", [(["nodes", 0, "phase"], [{"approx": 1}] * 2),
+                      (["nodes", 1, "phase"], [{"approx": True}] * 2)],
+     "approximate phase is not finite or not a number: {'approx': True}"),
+    # malformed phases, each named by its node
+    ("exactthree", [(_EXACT, [1, 2, 3])], _PAIR + "[1, 2, 3]"),
+    ("exactone", [(_EXACT, [1])], _PAIR + "[1]"),
+    ("exactint", [(_EXACT, 5)], _PAIR + "5"),
+    ("phaseobject", [(["nodes", 0, "phase"], {"exact": [1, 2]})],
+     "node 0 phase must be a list, got {'exact': [1, 2]}"),
+    ("phasetext", [(["nodes", 0, "phase"], "1/3")],
+     "node 0 phase must be a list, got '1/3'"),
+]
+# Whole documents that from_json refuses, and the refusal's exact text.
+DIAGRAM_DOCS = [
+    ("empty", {}, "diagram JSON has no 'dimension' field"),
+    ("kindY", {"dimension": 3, "nodes": [{"id": 0, "kind": "Y"}],
+               "edges": []},
+     "node 0 has an unknown kind 'Y'"),
+    ("dangling", {"dimension": 3, "nodes": [], "edges": [[0, 1]]},
+     "invalid diagram: DanglingEdge: edge 0 endpoint 0 is not a node; "
+     "DanglingEdge: edge 0 endpoint 1 is not a node"),
+    ("duplicate", {"dimension": 3,
+                   "nodes": [{"id": 0, "kind": "in", "position": 0},
+                             {"id": 0, "kind": "out", "position": 0}],
+                   "edges": []},
+     "duplicate node id 0"),
+]
+
+
+def _cnot_with(changes) -> dict:
+    """The CNOT diagram's JSON object with each (path, value) set."""
+    obj = json.loads(dg.to_json(dg.generator_diagram("cnot", 3)))
+    for path, value in changes:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [(_cnot_with(changes), text) for _, changes, text in DIAGRAM_FAULTS]
+    + [(doc, text) for _, doc, text in DIAGRAM_DOCS],
+    ids=[name for name, _, _ in DIAGRAM_FAULTS + DIAGRAM_DOCS])
+def test_diagram_refusal_text_is_pinned(doc, text):
+    with pytest.raises(ValueError) as exc:
+        dg.from_json(json.dumps(doc))
+    assert str(exc.value) == text
 
 
 @pytest.fixture()
@@ -765,35 +866,8 @@ def bad_input_files(tmp_path):
 
     cnot = dg.to_json(dg.generator_diagram("cnot", 3))
     write("cnot", cnot)
-    # a field that is not a JSON integer, or a scalar that is not two
-    # finite numbers, set at this path of the CNOT diagram; DROP deletes
-    # the field instead
-    for name, path, value in [
-            ("dimfloat", ["dimension"], 3.9),
-            ("dimtext", ["dimension"], "3"),
-            ("idfloat", ["nodes", 5, "id"], 5.7),
-            ("positionbool", ["nodes", 3, "position"], True),
-            ("edgefloat", ["edges", 4, 1], 0.0),
-            ("exactfloat", ["nodes", 0, "phase", 0, "exact"], [1.5, 3]),
-            ("scalarnan", ["scalar"], [math.nan, 0.0]),
-            ("scalarthree", ["scalar"], [1.0, 0.0, 0.0]),
-            ("scalartext", ["scalar"], ["1", 0]),
-            ("edgethree", ["edges", 4], [2, 0, 7]),
-            ("edgeint", ["edges", 4], 5),
-            ("kindlist", ["nodes", 3, "kind"], ["Z"]),
-            ("noderecint", ["nodes", 3], 5),
-            ("nodesint", ["nodes"], 5),
-            ("edgesint", ["edges"], 5),
-            ("nokind", ["nodes", 3, "kind"], DROP),
-            ("noposition", ["nodes", 3, "position"], DROP)]:
-        obj = target = json.loads(cnot)
-        for key in path[:-1]:
-            target = target[key]
-        if value is DROP:
-            del target[path[-1]]
-        else:
-            target[path[-1]] = value
-        write(name, json.dumps(obj))
+    for name, changes, _ in DIAGRAM_FAULTS:
+        write(name, json.dumps(_cnot_with(changes)))
     b = dg.DiagramBuilder(3)
     prev = b.add_input(0)
     for _ in range(46):
@@ -897,6 +971,11 @@ BAD_INPUTS = [
     ("eval {edgesint}", None),
     ("eval {nokind}", None),
     ("eval {noposition}", None),
+    ("eval {exactthree}", None),
+    ("eval {exactone}", None),
+    ("eval {exactint}", None),
+    ("eval {phaseobject}", None),
+    ("eval {phasetext}", None),
     ("simplify {cnot} --out {missing}/x.json", None),
     ("simplify {fcycle}", None),
     ("eval {fcycle}", None),

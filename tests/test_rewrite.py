@@ -1004,13 +1004,13 @@ def test_each_diagram_builds_its_json_once(monkeypatch):
     # As a zx-circuits case reads them: simplify hashes its input and its
     # output, replay the input again and its own output, and the output's
     # text and both final hashes come from the text each diagram keeps.
-    built, build = [], dg.to_json_dict
+    built, build = [], dg._canonical_json
 
     def counted(d):
         built.append(d)
         return build(d)
 
-    monkeypatch.setattr(dg, "to_json_dict", counted)
+    monkeypatch.setattr(dg, "_canonical_json", counted)
     d = _cnot_chain(3, 6)
     simplified, trace = simplify(d)
     assert len(built) == 2
@@ -1022,6 +1022,30 @@ def test_each_diagram_builds_its_json_once(monkeypatch):
     assert all(x is y for x, y in zip(built, (d, simplified, replayed)))
 
 
+def _json_corner_diagrams(dim):
+    """Diagrams whose text turns on json.dumps's rules for floats, big
+    ints, ports and key order: extreme scalars, approximate phases of 17
+    significant digits, exact parts of 70 bits, an F box whose one edge
+    is a self-loop, diagrams without legs, and negative node ids."""
+    wire = dg.wire_diagram(dim)
+    out = [dg.Diagram(dim, wire.nodes, wire.edges, scalar)
+           for scalar in (complex(-0.0, 5e-324), complex(1e308, -0.0))]
+    approx = PhaseVector(dim, [Turn.approx(0.1 + 0.2)] * (dim - 1))
+    exact = PhaseVector(dim, [Turn.exact(2 ** 70 - 3, 2 ** 70 - 1)]
+                        + [Turn.approx(2 * math.pi / 3)] * (dim - 2))
+    b = DiagramBuilder(dim)
+    f = b.add_box(dg.F)
+    b.add_edge(f, f)
+    b.add_spider(dg.X, approx)
+    out.append(b.finish())
+    out.append(DiagramBuilder(dim, -0.0).finish())
+    out.append(dg.Diagram(dim, {-7: dg.Node(dg.IN, position=0),
+                                -2: dg.Node(dg.Z, phase=exact),
+                                -1: dg.Node(dg.OUT, position=0)},
+                          [(-7, -2), (-2, -1)]))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
 def test_kept_json_is_the_canonical_json(dim, seed):
@@ -1030,8 +1054,28 @@ def test_kept_json_is_the_canonical_json(dim, seed):
     replayed = replay(d, trace)
     evaluate(d)
     evaluate(simplified)
-    for x in (d, simplified, replayed):
+    for x in (d, simplified, replayed, *_json_corner_diagrams(dim)):
         text = dg.to_json(x)
         assert text == json.dumps(dg.to_json_dict(x), sort_keys=True,
                                   separators=(",", ":"))
         assert dg.to_json(x) is text
+        assert dg.to_json(dg.from_json(text)) == text
+
+
+def test_each_diagram_is_hashed_once(monkeypatch):
+    hashed, sha256 = [], hashlib.sha256
+
+    def counted(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(rw.hashlib, "sha256", counted)
+    d = _cnot_chain(3, 6)
+    first = diagram_hash(d)
+    assert diagram_hash(d) == first
+    assert hashed == [dg.to_json(d).encode()]
+    simplified, trace = simplify(d)
+    assert len(hashed) == 2
+    replayed = replay(d, trace)
+    assert diagram_hash(replayed) == trace.final_hash
+    assert len(hashed) == 3
