@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import json
+import operator
 import types
 from collections import defaultdict
 from typing import Iterable, Mapping, Sequence
@@ -146,11 +147,14 @@ class Diagram(_Incidence):
         self._dimension = int(dimension)
         self._scalar = complex(scalar)
         self._nodes = dict(nodes)
-        self._edges = tuple((int(s), int(t)) for s, t in edges)
-        legs = {}
-        for i, (s, t) in enumerate(self._edges):
+        pairs, legs = [], {}
+        for i, (s, t) in enumerate(edges):
+            if type(s) is not int or type(t) is not int:
+                s, t = _endpoints(i, s, t)
+            pairs.append((s, t))
             legs.setdefault(s, []).append((i, 1))
             legs.setdefault(t, []).append((i, -1))
+        self._edges = tuple(pairs)
         self._legs = {v: tuple(vl) for v, vl in legs.items()}
         validate(self)
 
@@ -202,6 +206,19 @@ class Diagram(_Incidence):
     def __repr__(self) -> str:
         return (f"<Diagram dim={self.dimension} nodes={len(self._nodes)} "
                 f"edges={len(self._edges)} {self.n_inputs}->{self.n_outputs}>")
+
+
+def _endpoints(i: int, s, t) -> tuple:
+    """Edge i's endpoints as ints: an integer of another type, such as a
+    numpy int, is taken, and a float, str or bool is refused in one line
+    rather than truncated."""
+    try:
+        if not isinstance(s, bool) and not isinstance(t, bool):
+            return operator.index(s), operator.index(t)
+    except TypeError:
+        pass
+    raise ValueError(f"edge {i} endpoints must be integers, got ({s!r}, "
+                     f"{t!r})")
 
 
 def validate(d: Diagram) -> Diagram:

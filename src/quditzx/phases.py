@@ -384,11 +384,15 @@ def cyclic_vector(dim: int, t: int) -> PhaseVector:
 def cyclic_value(pv: PhaseVector) -> int | None:
     """Inverse of cyclic_vector: the t with pv == cyclic_vector(dim, t), or None.
 
-    Only exact phase vectors are ever recognized.
+    Only exact phase vectors are ever recognized. Entry 1 is t/dim turns,
+    which names t; entry j must then be t*j/dim, checked in integers.
     """
-    if not pv.is_exact:
+    d = pv.dim
+    num, den = pv._entries[0]._num, pv._entries[0]._den
+    if den is None or d % den:
         return None
-    for t in range(pv.dim):
-        if pv == cyclic_vector(pv.dim, t):
-            return t
-    return None
+    t = num * (d // den)
+    for j, turn in enumerate(pv._entries, 1):
+        if turn._den is None or turn._num * d != t * j % d * turn._den:
+            return None
+    return t

@@ -8,7 +8,9 @@ sqrt(eta) = exp(pi*i/D):
   tracked mod 2D, which closes the group under multiplication for every
   D including D = 2. It is stored as one int64 row [x | z | phase]
   (Aaronson-Gottesman in Stim's layout), and the Pauli algebra is stated
-  once, on rows (`_row_*`). PauliOp is the tuple face of one row.
+  once, on rows (`_row_*`). PauliOp is row-first: each word reduces one
+  row once, keeps it read-only, and reads its x, z and phase tuples off
+  it; its `row` is a fresh copy.
 
 The tableau is a 2n x (2n+1) array: n destabilizer rows, then the n
 commuting generators of a pure state's stabilizer group, destabilizer i
@@ -18,10 +20,15 @@ is a column operation on all 2n rows. A measurement costs O(n^2) and no
 elimination: a deterministic outcome is the product of the generators
 that the destabilizers' commutation exponents name, and a random one
 replaces a pivot generator, which divides by a commutation exponent mod
-D, so D must be prime. Rows are int64, so every entry that takes D
-refuses a system whose arithmetic could leave int64 (`_check_int64`:
-D < 2^20 and 2 n D^2 < 2^63) before it tests D for primality, and a
-tableau refuses more than MAX_TABLEAU_QUDITS qudits before it allocates.
+D, so D must be prime. Either takes a fixed number of array operations
+over the rows it uses, after one commutation pass over all 2n: the
+product's x|z is one k @ rows product and its phase one prefix pass,
+O(|used| n); a random outcome is one affine update of the rows that do
+not commute with the observable. Rows are int64, so every entry that
+takes D refuses a system whose arithmetic could leave int64
+(`_check_int64`: D < 2^20 and 2 n D^2 < 2^63) before it tests D for
+primality, and a tableau refuses more than MAX_TABLEAU_QUDITS qudits
+before it allocates.
 
 A single-qudit stabilizer state is the +1 eigenstate of one Pauli row,
 and its points on the Z and X phase tori are read from that row in
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -69,12 +76,20 @@ MAX_TABLEAU_QUDITS = 2 ** 12
 
 def _check_int64(n: int, dim: int) -> None:
     """Refuse n qudits of dimension D whose row arithmetic could leave
-    int64. Row entries lie below 2D; the largest intermediates are
-    _row_pow's zx k (k-1) with zx and k reduced mod 2D, below 8 D^3, and
-    n-term sums of products below D^2 (in _row_pow, _row_mul,
-    _order_divides_dim, each row of Tableau._commutation's phase sum) or
-    2n-term ones (_row_commutation), below 2 n D^2. So D < 2^20, and
-    n < 2^62 / D^2."""
+    int64. Row entries lie below 2D, and the intermediates below 8 D^3 or
+    2 n D^2:
+    - products of a few reduced entries: _row_pow's zx k (k-1) with zx
+      and k reduced mod 2D, below 8 D^3, and Tableau.measure's phase
+      gain m (p - zx (m-1) - 2 (z.x mod D)), below 2 D^3;
+    - n-term sums of products of two entries below D: z.x in _row_pow,
+      _row_mul, _order_divides_dim and measure, and each used row's z.x
+      and x.s with the prefix s reduced mod D in Tableau._commutation,
+      below n D^2; that prefix itself, at most n terms k_i z_i below D^2,
+      also below n D^2;
+    - sums of at most 2n products of an entry below D with one below 2D:
+      _row_commutation, and _commutation's k @ rows[used] and its phase
+      sum k @ w with w reduced mod 2D, below 2 n D^2.
+    So D < 2^20, and n < 2^62 / D^2."""
     if max(8 * dim ** 3, 2 * n * dim ** 2) >= 2 ** 63:
         raise ValueError(f"stabilizer rows refuse n={n}, D={dim}: their "
                          "int64 arithmetic needs 8 D^3 and 2 n D^2 below "
@@ -83,6 +98,13 @@ def _check_int64(n: int, dim: int) -> None:
 
 # ---------------------------------------------------------------------------
 # Pauli rows [x | z | phase]; leading axes broadcast
+
+def _reduce(rows: np.ndarray, dim: int) -> np.ndarray:
+    """rows with x and z reduced mod D and the phase mod 2D, in place."""
+    rows[..., :-1] %= dim
+    rows[..., -1] %= 2 * dim
+    return rows
+
 
 def _row_mul(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     """Rows of a * b; reordering Z past X costs eta^(-z.x')."""
@@ -109,9 +131,12 @@ def _row_pow(rows: np.ndarray, k, dim: int) -> np.ndarray:
 def _order_divides_dim(row: np.ndarray, dim: int) -> bool:
     """Whether row^D is the identity, not a phase times it. By _row_pow
     at k = D, its x and z are 0 mod D and its phase is D phase - (z.x)
-    D(D-1) mod 2D, which is 0 exactly when phase - (D-1) z.x is even."""
+    D(D-1) mod 2D, which is 0 exactly when phase - (D-1) z.x is even:
+    when the phase is even, for odd D."""
+    if dim % 2:
+        return not row[-1] % 2
     n = row.shape[-1] // 2
-    return not (row[-1] - (dim - 1) % 2 * (row[n:-1] @ row[:n])) % 2
+    return not (row[-1] - row[n:-1] @ row[:n]) % 2
 
 
 def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
@@ -119,7 +144,8 @@ def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     Only the columns of b where some a is nonzero are read."""
     n = a.shape[-1] // 2
     a_dual = np.concatenate([-a[..., n:-1], a[..., :n]], axis=-1)
-    cols = np.flatnonzero(a_dual.any(axis=tuple(range(a_dual.ndim - 1))))
+    live = a_dual if a.ndim == 1 else a_dual.any(axis=tuple(range(a.ndim - 1)))
+    cols = live.nonzero()[0]
     return (a_dual[..., cols] @ b[..., cols].T) % dim
 
 
@@ -166,21 +192,45 @@ def _row_conjugate(rows: np.ndarray, gate: str, wires, q: int | None,
 
 @dataclass(frozen=True)
 class PauliOp:
-    """sqrt(eta)^phase * X^x Z^z on n qudits; phase lives mod 2D."""
+    """sqrt(eta)^phase * X^x Z^z on n qudits; phase lives mod 2D.
+
+    Each word holds its reduced int64 row [x | z | phase], read-only, and
+    x, z and phase are read off it."""
 
     n: int
     dim: int
     phase: int
     x: tuple
     z: tuple
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_int64(self.n, self.dim)
         if len(self.x) != self.n or len(self.z) != self.n:
             raise ValueError("x and z must each have one entry per qudit")
-        object.__setattr__(self, "phase", self.phase % (2 * self.dim))
-        object.__setattr__(self, "x", tuple(int(v) % self.dim for v in self.x))
-        object.__setattr__(self, "z", tuple(int(v) % self.dim for v in self.z))
+        row = np.array([*self.x, *self.z, self.phase], dtype=np.int64)
+        self._adopt(_reduce(row, self.dim))
+
+    def _adopt(self, row: np.ndarray) -> None:
+        """Keep a reduced row that no one else holds, read-only, as this
+        word's row, and read x, z and phase off it."""
+        n = self.n
+        row.flags.writeable = False
+        entries = row.tolist()
+        object.__setattr__(self, "x", tuple(entries[:n]))
+        object.__setattr__(self, "z", tuple(entries[n:-1]))
+        object.__setattr__(self, "phase", entries[-1])
+        object.__setattr__(self, "_row", row)
+
+    @classmethod
+    def _of_row(cls, dim: int, row: np.ndarray) -> "PauliOp":
+        """The word of a reduced int64 row that no one else holds, on a
+        system that _check_int64 has passed."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", len(row) // 2)
+        object.__setattr__(op, "dim", dim)
+        op._adopt(row)
+        return op
 
     @classmethod
     def identity(cls, n: int, dim: int) -> "PauliOp":
@@ -189,33 +239,34 @@ class PauliOp:
     @classmethod
     def single(cls, n: int, dim: int, wire: int, x: int = 0, z: int = 0,
                phase: int = 0) -> "PauliOp":
-        xs = [0] * n
-        zs = [0] * n
-        xs[wire] = x
-        zs[wire] = z
-        return cls(n, dim, phase, tuple(xs), tuple(zs))
+        _check_int64(n, dim)
+        row = np.zeros(2 * n + 1, dtype=np.int64)
+        wire = range(n)[wire]
+        row[wire], row[n + wire] = x % dim, z % dim
+        row[-1] = phase % (2 * dim)
+        return cls._of_row(dim, row)
 
     @classmethod
     def from_row(cls, dim: int, row) -> "PauliOp":
-        n = len(row) // 2
-        return cls(n, dim, int(row[-1]), tuple(row[:n]), tuple(row[n:-1]))
+        _check_int64(len(row) // 2, dim)
+        return cls._of_row(dim, _reduce(np.array(row, dtype=np.int64), dim))
 
     @property
     def row(self) -> np.ndarray:
-        """This word as the int64 row [x | z | phase]."""
-        return np.array(self.x + self.z + (self.phase,), dtype=np.int64)
+        """This word as the int64 row [x | z | phase], a fresh copy."""
+        return self._row.copy()
 
     def mul(self, other: "PauliOp") -> "PauliOp":
         """Product self * other."""
         if (self.n, self.dim) != (other.n, other.dim):
             raise ValueError("operands act on different systems")
-        return PauliOp.from_row(self.dim,
-                                _row_mul(self.row, other.row, self.dim))
+        return PauliOp._of_row(self.dim,
+                               _row_mul(self._row, other._row, self.dim))
 
     def pow(self, k: int) -> "PauliOp":
         if k < 0:
             raise ValueError("negative powers are not supported")
-        return PauliOp.from_row(self.dim, _row_pow(self.row, k, self.dim))
+        return PauliOp._of_row(self.dim, _row_pow(self._row, k, self.dim))
 
     def scaled(self, half_eta_power: int) -> "PauliOp":
         return PauliOp(self.n, self.dim, self.phase + half_eta_power,
@@ -223,11 +274,11 @@ class PauliOp:
 
     def commutation_exponent(self, other: "PauliOp") -> int:
         """c with self other = eta^c other self."""
-        return int(_row_commutation(self.row, other.row, self.dim))
+        return int(_row_commutation(self._row, other._row, self.dim))
 
     def order_divides_dim(self) -> bool:
         """Whether self**D is the identity (not a phase times it)."""
-        return _order_divides_dim(self.row, self.dim)
+        return _order_divides_dim(self._row, self.dim)
 
     def act(self, psi: np.ndarray) -> np.ndarray:
         """This word applied to psi, whose first axis has length D^n (any
@@ -313,7 +364,7 @@ def conjugate_pauli(p: PauliOp, gate: str, wires, q: int | None = None
     """U p U^dagger for a generator gate U, by symplectic update."""
     row = p.row
     _row_conjugate(row, gate, wires, q, p.dim)
-    return PauliOp.from_row(p.dim, row)
+    return PauliOp._of_row(p.dim, row)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +399,7 @@ class Tableau:
                 raise ValueError("generator acts on the wrong system")
             if not g.order_divides_dim():
                 raise ValueError(f"generator {g} does not have order dividing D")
-        rows = np.array([g.row for g in gens], np.int64).reshape(n, 2 * n + 1)
+        rows = np.array([g._row for g in gens], np.int64).reshape(n, 2 * n + 1)
         clash = np.argwhere(np.triu(_row_commutation(rows, rows, dim), 1))
         if len(clash):
             i, j = clash[0]
@@ -389,37 +440,48 @@ class Tableau:
 
     def _commutation(self, obs: PauliOp) -> tuple:
         """Check obs (this system, obs^D = 1); return its row, its
-        commutation exponents c with all 2n rows, and its eigenvalue
-        exponent k, or None if a stabilizer fails to commute with it. A
-        commuting obs is prod_i rows[i]^-c[i] (i < n), so k is O(n^2)."""
+        commutation exponents c with all 2n rows, the indices where c is
+        nonzero (none exactly when obs is a scalar, as the rows span all
+        words) and its eigenvalue exponent k, or None if a stabilizer
+        fails to commute with it. A commuting obs is prod_i rows[i]^-c[i]
+        (i < n), so k is O(n^2)."""
         if (obs.n, obs.dim) != (self.n, self.dim):
             raise ValueError("observable acts on the wrong system")
-        d, n, row = self.dim, self.n, obs.row
+        d, n, row = self.dim, self.n, obs._row
         if not _order_divides_dim(row, d):
             raise ValueError("observable must have order dividing D")
         c = _row_commutation(row, self.table, d)
-        if c[n:].any():
-            return row, c, None
-        coeffs = -c[:n] % d
-        used = np.flatnonzero(coeffs)
-        powered = _row_pow(self.rows[used], coeffs[used], d)
-        if ((powered[:, :-1].sum(axis=0) - row[:-1]) % d).any():
+        used = c.nonzero()[0]
+        if used.size and used[-1] >= n:
+            return row, c, used, None
+        k, rows = d - c[used], self.rows[used]
+        # The product g_0^k_0 g_1^k_1 ... of the used rows g_i: its x|z
+        # is k @ rows mod D, and its phase sums each factor's power,
+        # k p - (z.x) k(k-1), and the cost eta^(-z.x') of moving the z of
+        # each factor past the x of every later one. With the inclusive
+        # prefix s_j = sum_(i<=j) k_i z_i, those costs are
+        # sum_j k_j x_j.s_j - k_j^2 z_j.x_j, so the phase is
+        # k.p + sum_j (z_j.x_j) k_j(k_j+1) - 2 k_j x_j.s_j mod 2D.
+        total = k @ rows
+        if ((total[:-1] - row[:-1]) % d).any():
             raise AssertionError("commuting observable outside a full tableau")
-        # The phase of powered[0] * powered[1] * ...: reordering each z
-        # past the x of every later factor costs eta^(-z.x).
-        z, x = powered[:, n:-1], powered[:, :n]
-        z_before = (np.cumsum(z, axis=0) - z) % d
-        zx = np.sum(z_before * x, axis=1) % d
-        phase = powered[:, -1].sum() - 2 * zx.sum()
-        diff = (row[-1] - phase) % (2 * d)
+        x, z = rows[:, :n], rows[:, n:-1]
+        prefix = z * k[:, None]
+        np.add.accumulate(prefix, axis=0, out=prefix)
+        prefix %= d
+        zx = np.einsum("ij,ij->i", z, x) % d
+        later = np.einsum("ij,ij->i", x, prefix) % d
+        phase = int(total[-1]) + int(k @ ((zx * (k + 1) - 2 * later)
+                                          % (2 * d)))
+        diff = (int(row[-1]) - phase) % (2 * d)
         if diff % 2:
             raise AssertionError("inconsistent phase parity in measurement")
-        return row, c, int(diff // 2) % d
+        return row, c, used, diff // 2 % d
 
     def outcome_distribution(self, obs: PauliOp) -> list:
         """Born probabilities for the eigenvalues eta^k, k = 0..D-1, of an
         observable with obs^D = 1."""
-        k = self._commutation(obs)[2]
+        k = self._commutation(obs)[3]
         if k is None:
             return [Fraction(1, self.dim)] * self.dim
         return [Fraction(int(j == k)) for j in range(self.dim)]
@@ -427,8 +489,8 @@ class Tableau:
     def measure(self, obs: PauliOp, rng: random.Random) -> tuple:
         """Measure obs (which must satisfy obs^D = 1); returns
         (outcome k, deterministic flag). Collapses the tableau."""
-        row, c, k = self._commutation(obs)
-        if not row[:-1].any():
+        row, c, used, k = self._commutation(obs)
+        if not used.size:
             raise ValueError("cannot measure a scalar")
         if k is not None:
             return k, True
@@ -436,15 +498,27 @@ class Tableau:
         # by powers of it makes every other row commute with obs. The
         # old rows[p] becomes destab[p] and obs takes its place.
         d, n = self.dim, self.n
-        pivot = n + np.flatnonzero(c[n:])[0]
-        fix = np.flatnonzero(c)
-        fix = fix[(fix != pivot) & (fix != pivot - n)]
+        pivot = int(used[np.searchsorted(used, n)])
         inv = pow(int(c[pivot]), -1, d)
-        m = (-c[fix] * inv) % d
         k = rng.randrange(d)
         table, old = self.table, self.table[pivot].copy()
-        table[fix] = _row_mul(table[fix], _row_pow(old, m, d), d)
-        table[pivot - n] = _row_pow(old, -inv % d, d)
+        # Every row r with c_r != 0 becomes r old^m, m = -c_r / c_p, and
+        # destab[p] becomes old^(-1/c_p), which is the same update of a
+        # zero row: x|z gain m old, and the phase gains old^m's,
+        # m p - (z.x) m(m-1), and the cost eta^(-z.x') of moving r's z
+        # past old^m's x.
+        m = c * (d - inv) % d
+        m[pivot - n], m[pivot] = d - inv, 0
+        table[pivot - n] = 0
+        fix = m.nonzero()[0]
+        m, upd = m[fix], table[fix]
+        zx_old = int(old[n:-1] @ old[:n]) % d
+        upd[:, -1] += m * (old[-1] - zx_old * (m - 1)
+                           - 2 * (upd[:, n:-1] @ old[:n] % d))
+        upd[:, -1] %= 2 * d
+        upd[:, :-1] += np.multiply.outer(m, old[:-1])
+        upd[:, :-1] %= d
+        table[fix] = upd
         table[pivot] = row
         table[pivot, -1] = (row[-1] - 2 * k) % (2 * d)
         return k, False

@@ -148,6 +148,20 @@ def test_dangling_edge_detected():
         3, {0: Node(dg.Z, phase=PhaseVector.zero(3))}, [(0, 7)]))
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1.2), ("0", "1"), (True, 1),
+                                  (0, 1.0)])
+def test_edge_endpoints_must_be_integers(edge):
+    # Endpoints were once passed through int(), so (0.9, 1.2) became the
+    # edge (0, 1) and ("0", "1") was taken too.
+    nodes = {0: Node(dg.IN, position=0), 1: Node(dg.OUT, position=0)}
+    with pytest.raises(ValueError) as exc:
+        Diagram(2, nodes, [edge])
+    assert str(exc.value) == (f"edge 0 endpoints must be integers, got "
+                              f"({edge[0]!r}, {edge[1]!r})")
+    d = Diagram(2, nodes, [(np.int64(0), np.int64(1))])
+    assert d.edges == ((0, 1),) and type(d.edges[0][0]) is int
+
+
 def test_bad_boundary_degree_detected():
     b = DiagramBuilder(3)
     b.add_input(0)  # never wired up

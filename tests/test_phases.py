@@ -272,6 +272,29 @@ def test_cyclic_value_rejects_non_cyclic_vectors():
                                                      2 * TAU / 3])) is None
 
 
+@st.composite
+def _near_cyclic_vectors(draw):
+    """A cyclic vector at D = 2..9 with up to three entries replaced by an
+    exact turn of small denominator, which may be the same turn, an
+    approximate turn, or the approximate twin of the entry."""
+    dim = draw(st.integers(2, 9))
+    turns = list(cyclic_vector(dim, draw(st.integers(0, dim - 1))))
+    for j in draw(st.lists(st.integers(0, dim - 2), max_size=3)):
+        turns[j] = draw(st.one_of(
+            st.builds(Turn.exact, st.integers(-20, 20),
+                      st.integers(1, 2 * dim)),
+            st.builds(Turn.approx, st.floats(0, TAU)),
+            st.just(Turn.approx(turns[j].radians))))
+    return PhaseVector(dim, turns)
+
+
+@given(_near_cyclic_vectors())
+def test_cyclic_value_matches_its_definition(pv):
+    want = next((t for t in range(pv.dim) if pv == cyclic_vector(pv.dim, t)),
+                None)
+    assert cyclic_value(pv) == want
+
+
 def test_cyclic_vectors_form_a_subgroup():
     for dim in (2, 3, 5):
         for s in range(dim):

@@ -154,6 +154,21 @@ def test_order_check_examples(d, row, want):
     assert (not _row_pow(row, d, d).any()) == want
 
 
+def test_pauli_row_is_a_copy_the_word_does_not_share():
+    p = PauliOp(2, 3, 7, (1, 5), (0, 2))
+    want = [1, 2, 0, 2, 1]
+    row = p.row
+    row[:] = 0
+    assert p.row.tolist() == want and p.row is not p.row
+    source = np.array(want)
+    q = PauliOp.from_row(3, source)
+    source[:] = 0
+    for word in (p, q):
+        assert (word.x, word.z, word.phase) == ((1, 2), (0, 2), 1)
+        assert word.commutation_exponent(PauliOp.single(2, 3, 1, x=1)) == 1
+    assert p == q
+
+
 def test_pauli_validation_and_str():
     with pytest.raises(ValueError):
         PauliOp(2, 3, 0, (1,), (0, 0))
@@ -353,6 +368,41 @@ def test_tableau_dense_state_matches_simulator():
                 sim.apply(step["gate"], step["wires"], step.get("q"))
             s = tab.dense_state().conj() @ sim.psi
             assert abs(abs(s) - 1.0) < 1e-9, d
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_multi_qudit_measurements_match_the_dense_oracle(d, n, data):
+    # Observables with any phase, kept when obs^D = 1, whose x|z is drawn
+    # on every wire or is that of a product of stabilizer powers: then the
+    # outcome is certain, need not be 0, and multiplies several rows whose
+    # z.x need not vanish. A random outcome updates several rows. Single-
+    # qudit Z and X, and the group's own elements, reach neither.
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    tab, sim = Tableau.zero_state(n, d), DenseSimulator(n, d)
+    for step in random_circuit(n, d, rng, depth=4 * n + 4, measurements=0):
+        tab.apply(step["gate"], step["wires"], step.get("q"))
+        sim.apply(step["gate"], step["wires"], step.get("q"))
+    entries = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    for _ in range(10):
+        if data.draw(st.booleans()):
+            xz = data.draw(entries) + data.draw(entries)
+        else:
+            xz = functools.reduce(functools.partial(_row_mul, dim=d),
+                                  _row_pow(tab.rows, data.draw(entries), d)
+                                  )[:-1].tolist()
+        obs = PauliOp(n, d, data.draw(st.integers(0, 2 * d - 1)),
+                      tuple(xz[:n]), tuple(xz[n:]))
+        if not obs.order_divides_dim() or not any(xz):
+            continue
+        born = sim.born_probabilities(obs)
+        probs = tab.outcome_distribution(obs)
+        assert max(abs(float(p) - q) for p, q in zip(probs, born)) < 1e-9
+        k, deterministic = tab.measure(obs, rng)
+        assert deterministic == (born[k] > 1 - 1e-9), (obs, born)
+        sim.collapse(obs, k)
+        overlap = tab.dense_state().conj() @ sim.psi
+        assert abs(abs(overlap) - 1.0) < 1e-9, (obs, k)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
