@@ -745,7 +745,7 @@ def torus_exponents(row, dim: int, color: str = "Z") -> tuple | None:
     the Z coordinates of F^dagger psi, which is F psi at -m (F^2 is the
     parity), and F psi is the +1 eigenstate of F P F^dagger."""
     row = [int(v) for v in row]
-    reduced = np.array(row, dtype=np.int64) % [dim, dim, 2 * dim]
+    reduced = _reduce(np.array(row, dtype=np.int64), dim)
     if color == "X":
         _row_conjugate(reduced, "F", [0], None, dim)
     x, z, phase = (int(v) for v in reduced)
