@@ -296,6 +296,17 @@ class PhaseVector:
     def is_zero(self) -> bool:
         return all(t.is_zero for t in self._entries)
 
+    def exact_ints(self) -> tuple | None:
+        """(num_1, den_1, ..., num_{D-1}, den_{D-1}), the reduced exact
+        entries as one flat tuple of ints, or None when one is
+        approximate."""
+        ints = []
+        for t in self._entries:
+            if t._den is None:
+                return None
+            ints += (t._num, t._den)
+        return tuple(ints)
+
     def alpha(self, k: int) -> Turn:
         """alpha_k for k in 0..D-1, with alpha_0 = 0 by convention."""
         k %= self._dim

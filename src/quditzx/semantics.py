@@ -16,14 +16,27 @@ significant digit of the row/column index.
 evaluate() offers two independently written paths. "reference" sums a
 weight over every joint edge assignment, one factor per node; it is the
 semantic definition, transcribed. "fast" contracts the tensor network
-pairwise, greedily: a heap yields the pair with the smallest merged
-tensor, ties going to the oldest pair. They share nothing beyond the
-node tensor helper, and tests hold them to each other at 1e-10. What
-"fast" has left once no pair shares a leg, the disconnected parts of
-the output, is folded into the output smallest part first, by one
-broadcasting multiply per part with its axes at their boundary
-positions: no outer product of the parts, and no transposed copy of
-one, is built; a lone part is scaled into a new array by one multiply.
+pairwise, greedily, the pair with the smallest merged tensor first and
+ties to the oldest pair. They share nothing beyond the node tensor
+helper, and tests hold them to each other at 1e-10. "fast" plans, then
+runs. _plan reads only the diagram's structure (D, each node's kind and
+boundary position in id order, the edges) and returns the whole
+schedule as a list of ints: the leaves, the bare wires, each pairwise
+step's slots and tensordot axes, and the layout of what is left. The run
+builds each node tensor, calls np.tensordot once per step and folds
+each closed tensor into the scalar in the order it is made, so a plan
+never changes a contraction or a byte of the result. Plans are kept as
+int32 arrays under the structure's int16 bytes (_structure_key); the
+cache charges each its bytes plus 240 (_plan_charge), holds at most
+_PLAN_BUDGET charged bytes, fills as the node-tensor cache does and
+never evicts. A kept plan is run only while D to its largest checked
+rank is within _FAST_CAP; past it the diagram is planned, and refused,
+afresh. What "fast" has left once no pair shares a leg, the
+disconnected parts of the output, is folded into the output smallest
+part first, by one broadcasting multiply per part with its axes at
+their boundary positions: no outer product of the parts, and no
+transposed copy of one, is built; a lone part is scaled into a new
+array by one multiply.
 equal_up_to_scalar and compare_scalar_exact read their matrices in fixed
 blocks of _COMPARE_BLOCK entries, so a comparison builds no temporary of
 the matrices' size. Small matrices, the common case, fill one block, so
@@ -34,10 +47,11 @@ each block loop runs once; a deviation within tol passes without reading
 factor is one for both colours (the loop_remove rule), so a spider whose
 legs are all loops is its degree-0 scalar. A box's self-loop is traced.
 Node tensors of at most _CACHE_ELEMS entries whose phases are exact (or
-absent, for boxes) are built once per (kind, phase, leg signs, D) and
-shared read-only between calls; approximate phases are never cached. The
-cache charges each tensor it stores its entries plus 64 + 16*D for its
-key (_cache_charge), and holds at most _CACHE_ENTRIES charged entries:
+absent, for boxes) are built once per (kind, D, phase, leg signs), the
+phase keyed by its exact (num, den) ints, and shared read-only between
+calls; approximate phases are never cached. The cache charges each
+tensor it stores its entries plus 64 + 16*D for its key
+(_cache_charge), and holds at most _CACHE_ENTRIES charged entries:
 it fills until a tensor would pass that budget, refuses that one, still
 stores a later one that fits, and never evicts. "fast" labels each leg
 by an int: edge e by e, and the k-th open wire by ~k, outputs by
@@ -53,7 +67,9 @@ assignments (D^E) or a node tensor of more than _REFERENCE_CAP entries
 (a self-loop's two legs count), "fast" any node tensor, merged pair or
 output matrix of more than _FAST_CAP entries, and either path an X
 spider whose D x D eta table would pass _FAST_CAP entries; a refused node
-tensor or table names its node.
+tensor or table names its node. "fast" runs all its checks in _plan,
+before it builds any tensor: the output matrix, then each node's tensor
+and eta table in id order, then each merge in turn.
 """
 
 from __future__ import annotations
@@ -62,7 +78,9 @@ import functools
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -76,8 +94,11 @@ _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
 _CACHE_ENTRIES = 2 ** 20       # entries (16 MiB) charged to the cache in all
 _ETA_KEEP = 2 ** 16            # entries (1 MiB) of the largest kept eta table
 _COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
+_PLAN_BUDGET = 2 ** 20         # bytes (1 MiB) charged to the plan cache in all
 _node_tensor_cache: dict = {}
 _cache_charged = 0             # entries charged to what the cache holds
+_plan_cache: dict = {}         # structure key -> fast-path plan
+_plan_charged = 0              # bytes charged to what the plan cache holds
 
 
 @dataclass(frozen=True)
@@ -269,9 +290,7 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         t[::(dim ** k - 1) // (dim - 1)] = u
         return t.reshape((dim,) * k)
     if n.kind == dg.X:
-        check_size(dim, 2, _FAST_CAP, "evaluation refuses D={base}: node {0} "
-                   "(X) needs an eta table of {base}^{power} = {size} "
-                   "entries, above its cap of {cap}", v)
+        _check_eta_table(dim, v)
         c = c_coefficients(n.phase, dim)
         if k == 0:
             return complex(c[0])
@@ -294,6 +313,13 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
             return f
         return f.T
     raise ValueError(f"node {v} ({n.kind}) has no tensor")
+
+
+def _check_eta_table(dim: int, v: int) -> None:
+    """Refuse X spider v whose D x D eta table would pass _FAST_CAP."""
+    check_size(dim, 2, _FAST_CAP, "evaluation refuses D={base}: node {0} (X) "
+               "needs an eta table of {base}^{power} = {size} entries, above "
+               "its cap of {cap}", v)
 
 
 def _boundary_order(d: dg.Diagram):
@@ -373,8 +399,8 @@ _NODE_REFUSAL = ("fast path refuses D={base}: a tensor of {base}^{power} = "
 def _cache_charge(size: int, dim: int) -> int:
     """Entries charged for caching a tensor of `size` entries at dimension
     D: its own, plus 64 + 16*D (1 KiB + 256 B per D) for its key, the
-    key's phase of D-1 Turns, the array's header and the dict's slot,
-    which measure at most about 0.5 KiB + 136 B per Turn. So a budget of
+    key's 2(D-1) phase ints, the array's header and the dict's slot,
+    which measure about 0.3 KiB + 61 B per Turn. So a budget of
     2^20 entries holds about 16 MiB at most, in at most 2^20 / 97
     (10,810) keys."""
     return size + 64 + 16 * dim
@@ -382,21 +408,22 @@ def _cache_charge(size: int, dim: int) -> int:
 
 def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
     """_node_tensor as an array; a small one with an exact phase, or a
-    box's, is built once per (kind, phase, leg signs, D), all it depends
-    on, and shared read-only while the cache has room for it."""
+    box's, is built once per (kind, D, phase, leg signs), all it depends
+    on, and shared read-only while the cache has room for it. The key
+    holds the phase as its exact ints (PhaseVector.exact_ints)."""
     global _cache_charged
     n, dim = d.node(v), d.dimension
     if dim ** len(legs) > _CACHE_ELEMS:
         return np.asarray(_node_tensor(d, v, legs))
-    # An approximate phase is never equal to an exact one, so its key
-    # misses; is_exact is asked only of a tensor that could be stored.
-    key = (n.kind, n.phase, tuple([sign for _, sign in legs]), dim)
+    phase = () if n.phase is None else n.phase.exact_ints()
+    if phase is None:       # an approximate phase is never cached
+        return np.asarray(_node_tensor(d, v, legs))
+    key = (n.kind, dim, phase, tuple([sign for _, sign in legs]))
     t = _node_tensor_cache.get(key)
     if t is None:
         t = np.asarray(_node_tensor(d, v, legs))
         charge = _cache_charge(t.size, dim)
-        if (_cache_charged + charge <= _CACHE_ENTRIES
-                and (n.phase is None or n.phase.is_exact)):
+        if _cache_charged + charge <= _CACHE_ENTRIES:
             t.setflags(write=False)
             _node_tensor_cache[key] = t
             _cache_charged += charge
@@ -404,112 +431,261 @@ def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
 
 
 def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
+    """Run d's plan (_plan): build its leaves' tensors, contract each
+    step's pair with np.tensordot and place what is left in the output."""
+    dim = d.dimension
+    it = iter(_cached_plan(d))
+    _, n_in, n_out, n_leaves, n_wires, n_steps, n_parts = islice(it, 7)
+    scalar = complex(d.scalar)
+    # Tensors in creation order: a closed one folds into the scalar and
+    # takes no slot, and a contracted one leaves its slot empty.
+    slots = []
+    for v, how in islice(zip(it, it), n_leaves):
+        legs = _loop_free_legs(d, v) if how == _LOOP_FREE else d.legs(v)
+        arr = _shared_node_tensor(d, v, legs)
+        if how == _TRACED:
+            arr = np.trace(arr)
+        if arr.ndim:
+            slots.append(arr)
+        else:
+            scalar *= complex(arr)
+    for _ in range(n_wires):
+        slots.append(np.eye(dim, dtype=complex))
+    for _ in range(n_steps):
+        i, j, k = islice(it, 3)
+        merged = np.tensordot(slots[i], slots[j],
+                              axes=(list(islice(it, k)), list(islice(it, k))))
+        slots[i] = slots[j] = None
+        if merged.ndim:
+            slots.append(merged)
+        else:
+            scalar *= complex(merged)
+    matrix = _place(slots, it, n_parts, n_out + n_in, scalar)
+    return DenseOperator(dim, n_in, n_out, matrix.reshape(
+        dim ** n_out, dim ** n_in))
+
+
+# How a leaf's tensor is built: from all of its node's legs, from a
+# spider's legs less its self-loops (each a factor of one), or from a
+# box's legs, traced over its self-loop.
+_ALL_LEGS, _LOOP_FREE, _TRACED = 0, 1, 2
+
+
+def _loop_free_legs(d: dg.Diagram, v: int) -> tuple:
+    edges = d.edges
+    return tuple(leg for leg in d.legs(v) if edges[leg[0]] != (v, v))
+
+
+def _plan(d: dg.Diagram) -> list:
+    """The fast path's schedule for d as a list of ints, from all that it
+    depends on: the dimension, each node's kind and boundary position in
+    id order, and the edges. Phases and the scalar play no part.
+
+    In order:
+    * the largest rank it checks against _FAST_CAP (2 for an eta table),
+      n_in, n_out, and the counts of leaves, bare wires, steps and parts;
+    * per leaf, an inner node in id order: its id and how its tensor is
+      built (_ALL_LEGS, _LOOP_FREE or _TRACED);
+    * per step: the slots i and j it contracts, the number k of labels
+      they share, and the k axes of each in np.tensordot's order;
+    * per part left over, smallest first: _layout's ints.
+    Each leaf's tensor, then an identity per bare wire, then each step's
+    result takes the next slot, unless it has no legs; then it folds into
+    the scalar.
+
+    The order is greedy, smallest merged tensor first with ties to the
+    oldest pair, from a heap of (merged rank, older, newer) for each pair
+    sharing a label when the newer was made. Each leg is labelled by an
+    int: edge e by e, and the k-th open wire by ~k, outputs by position
+    first, then inputs. Every size check runs here, in this order: the
+    output matrix, then each node's tensor and eta table in id order,
+    then each merge in turn.
+    """
     dim = d.dimension
     out_edges, in_edges, inner = _boundary_order(d)
     n_out, n_in = len(out_edges), len(in_edges)
     # The disconnected parts' outer product is the output matrix.
     check_size(dim, n_out + n_in, _FAST_CAP, _FAST_REFUSAL)
+    top = n_out + n_in
 
-    # Open labels of each boundary edge, ~k for the k-th open wire; an
-    # edge with two is a bare wire.
+    # Open labels of each boundary edge; an edge with two is a bare wire.
     ends = {}
     for k, e in enumerate(out_edges + in_edges):
         ends.setdefault(e, []).append(~k)
 
-    # tensors: creation number -> (array, labels), in creation order;
-    # holders: label -> live tensors carrying it; heap: (merged rank,
-    # older, newer) for each pair sharing a label when the newer was made.
-    scalar = complex(d.scalar)
-    tensors, holders, heap = {}, {}, []
+    # live: slot -> labels, in creation order; holders: label -> live
+    # slots carrying it.
+    live, holders, heap = {}, {}, []
     created = itertools.count()
 
-    def add(arr, labels):
-        nonlocal scalar
+    def add(labels):
         if not labels:
-            scalar *= complex(arr)
             return
         c = next(created)
-        shared = {}     # live tensor -> labels it shares with this one
+        shared = {}     # live slot -> labels it shares with this one
         for lab in labels:
             held = holders.setdefault(lab, [])
             for h in held:
                 shared[h] = shared.get(h, 0) + 1
             held.append(c)
         for h, n in shared.items():
-            rank = len(labels) + len(tensors[h][1]) - 2 * n
+            rank = len(labels) + len(live[h]) - 2 * n
             heapq.heappush(heap, (rank, h, c))
-        tensors[c] = (arr, labels)
+        live[c] = labels
 
-    edges = d.edges
-    looped = {s for s, t in edges if s == t}
+    leaves = []
+    looped = {s for s, t in d.edges if s == t}
     for v, kind in inner:
-        legs = d.legs(v)
+        legs, how = d.legs(v), _ALL_LEGS
         if kind in dg.SPIDER_KINDS and v in looped:
-            # A spider self-loop's factor is one: its legs are never built.
-            legs = tuple(leg for leg in legs if edges[leg[0]] != (v, v))
+            legs, how = _loop_free_legs(d, v), _LOOP_FREE
         check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
-        arr = _shared_node_tensor(d, v, legs)
+        top = max(top, len(legs))
+        if kind == dg.X:
+            _check_eta_table(dim, v)
+            top = max(top, 2)
         labels = [ends[e][0] if e in ends else e for e, _ in legs]
         if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
-            arr, labels = np.trace(arr), []
-        add(arr, labels)
-    for labs in ends.values():
-        if len(labs) == 2:
-            add(np.eye(dim, dtype=complex), labs)
+            labels, how = [], _TRACED
+        leaves += (v, how)
+        add(labels)
+    wires = [labs for labs in ends.values() if len(labs) == 2]
+    for labs in wires:
+        add(labs)
 
-    # Contract greedily: smallest merged tensor first, ties to the oldest
-    # pair. A popped pair whose tensor is gone is stale.
+    # A popped pair whose tensor is gone is stale.
+    steps, n_steps = [], 0
     while heap:
         rank, i, j = heapq.heappop(heap)
-        if i not in tensors or j not in tensors:
+        if i not in live or j not in live:
             continue
         check_size(dim, rank, _FAST_CAP, _FAST_REFUSAL)
-        (a, la), (b, lb) = tensors.pop(i), tensors.pop(j)
+        top = max(top, rank)
+        la, lb = live.pop(i), live.pop(j)
         for c, labs in ((i, la), (j, lb)):
             for lab in labs:
                 holders[lab].remove(c)
         shared = [lab for lab in la if lab in lb]
-        merged = np.tensordot(a, b, axes=([la.index(x) for x in shared],
-                                          [lb.index(x) for x in shared]))
-        add(merged, [x for x in la + lb if x not in shared])
+        n_steps += 1
+        steps += (i, j, len(shared), *[la.index(x) for x in shared],
+                  *[lb.index(x) for x in shared])
+        add([x for x in la + lb if x not in shared])
 
-    want = [~k for k in range(n_out + n_in)]
-    matrix = _assemble(list(tensors.values()), want, scalar)
-    return DenseOperator(dim, n_in, n_out, matrix.reshape(
-        dim ** n_out, dim ** n_in))
+    layout = _layout([(c, dim ** len(labs), labs)
+                      for c, labs in live.items()],
+                     [~k for k in range(n_out + n_in)])
+    return [top, n_in, n_out, len(leaves) // 2, len(wires),
+            n_steps, len(live),
+            *leaves, *steps, *layout]
+
+
+def _layout(parts: list, want: list) -> list:
+    """How _place puts `parts`, (id, size, labels) triples whose labels
+    make up `want`, in the output, as ints: per part, smallest first, its
+    id, its rank r, the order of its r axes in the output, and unless it
+    is the only part, the r output positions they go to."""
+    labels = [lab for _, _, labs in parts for lab in labs]
+    if sorted(labels) != sorted(want):
+        raise AssertionError(f"contraction lost track of legs: {labels}")
+    position = {lab: i for i, lab in enumerate(want)}
+    layout = []
+    for k, _, labs in sorted(parts, key=lambda part: part[1]):
+        perm = sorted(range(len(labs)), key=lambda a: position[labs[a]])
+        layout += (k, len(labs), *perm)
+        if len(parts) > 1:
+            layout += sorted(position[lab] for lab in labs)
+    return layout
+
+
+def _place(arrays: list, layout, n_parts: int, width: int,
+           scalar: complex) -> np.ndarray:
+    """The output tensor of width axes that the ints of `layout` (from
+    _layout, read from an iterator) build from n_parts of `arrays`, times
+    the scalar.
+
+    Smallest part first, each part's axes go to their positions in the
+    output, with size-1 axes for the others, and one broadcasting
+    multiply per further part writes the output: no outer product and no
+    transposed copy of it is built. The scalar multiplies last, in place.
+    A lone part is a view of a tensor that may be cached, so one multiply
+    scales its transpose into a new array.
+    """
+    if n_parts == 1:
+        k, r = islice(layout, 2)
+        return np.multiply(arrays[k].transpose(list(islice(layout, r))),
+                           scalar, order="C")
+    matrix = np.array(1.0, dtype=complex)
+    for n in range(n_parts):
+        k, r = islice(layout, 2)
+        arr, perm = arrays[k], list(islice(layout, r))
+        shape = [1] * width
+        for a, p in zip(perm, islice(layout, r)):
+            shape[p] = arr.shape[a]
+        part = np.transpose(arr, perm).reshape(shape)
+        matrix = part if n == 0 else np.multiply(part, matrix, order="C")
+    matrix *= scalar
+    return matrix
 
 
 def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:
     """The output tensor, axes in `want` order, of the disconnected
     remainder `parts`, (array, labels) pairs whose labels make up `want`,
-    times the scalar.
+    times the scalar: _place, by _layout."""
+    layout = _layout([(k, arr.size, labs)
+                      for k, (arr, labs) in enumerate(parts)], want)
+    return _place([arr for arr, _ in parts], iter(layout), len(parts),
+                  len(want), scalar)
 
-    Smallest part first, each part's axes go to their positions in `want`,
-    with size-1 axes for the others, and one broadcasting multiply per
-    further part writes the output: no outer product and no transposed
-    copy of it is built. The scalar multiplies last, in place. A lone
-    part is a view of a tensor that may be cached, so one multiply scales
-    its transpose into a new array; it needs no sort and no shapes.
-    """
-    labels = [lab for _, labs in parts for lab in labs]
-    if sorted(labels) != sorted(want):
-        raise AssertionError(f"contraction lost track of legs: {labels}")
-    if len(parts) == 1:
-        arr, labs = parts[0]
-        return np.multiply(arr.transpose([labs.index(lab) for lab in want]),
-                           scalar, order="C")
-    parts = sorted(parts, key=lambda part: part[0].size)
-    position = {lab: i for i, lab in enumerate(want)}
-    matrix = np.array(1.0, dtype=complex)
-    for k, (arr, labs) in enumerate(parts):
-        perm = sorted(range(len(labs)), key=lambda a: position[labs[a]])
-        shape = [1] * len(want)
-        for a in perm:
-            shape[position[labs[a]]] = arr.shape[a]
-        part = np.transpose(arr, perm).reshape(shape)
-        matrix = part if k == 0 else np.multiply(part, matrix, order="C")
-    matrix *= scalar
-    return matrix
+
+# An inner node's kind in a structure key.
+_KIND_CODES = {dg.Z: 0, dg.X: 1, dg.F: 2, dg.FDAG: 3}
+
+
+def _structure_key(d: dg.Diagram) -> bytes | None:
+    """All that _plan reads of d, as int16 bytes: D, the boundary edges by
+    position (outputs, then inputs), the inner nodes' ids and kinds
+    (_KIND_CODES) in id order, and the edges' endpoints; these fix each
+    node's kind and boundary position. None when an int does not fit."""
+    out_edges, in_edges, inner = _boundary_order(d)
+    try:
+        return array("h", [
+            d.dimension, len(out_edges), len(in_edges), len(inner),
+            *out_edges, *in_edges,
+            *[x for v, kind in inner for x in (v, _KIND_CODES[kind])],
+            *itertools.chain.from_iterable(d.edges)]).tobytes()
+    except OverflowError:
+        return None
+
+
+def _plan_charge(key: bytes, plan: array) -> int:
+    """Bytes charged for keeping a plan: its key's and its ints' bytes,
+    plus 240 for the two objects' headers and the dict's slot, which
+    measure about 150 B a plan. The smallest key and plan take 8 and 28
+    bytes, so a budget of 2^20 bytes holds at most 3,799 plans."""
+    return len(key) + plan.itemsize * len(plan) + 240
+
+
+def _cached_plan(d: dg.Diagram):
+    """_plan(d), kept as int32s under d's structure key while the plan
+    cache has room: it fills until a plan would pass _PLAN_BUDGET charged
+    bytes, refuses that one, still stores a later one that fits, and never
+    evicts. A kept plan is used only while D to its largest checked rank
+    is within _FAST_CAP; past it, _plan refuses afresh, as it would have
+    with no cache. A key of int16s bounds a plan's ints well within
+    int32."""
+    global _plan_charged
+    key = _structure_key(d)
+    plan = _plan_cache.get(key)
+    if plan is not None and d.dimension ** plan[0] <= _FAST_CAP:
+        return plan
+    plan = _plan(d)
+    if key is not None:
+        kept = array("i", plan)
+        charge = _plan_charge(key, kept)
+        if _plan_charged + charge <= _PLAN_BUDGET:
+            _plan_cache[key] = kept
+            _plan_charged += charge
+    return plan
 
 
 def evaluate(d: dg.Diagram, method: str = "fast") -> DenseOperator:

@@ -605,16 +605,18 @@ def _circuit_step(i: int, step, n: int, dim: int) -> tuple:
     basis for a measurement and None otherwise."""
     try:
         name = step.get("gate") if isinstance(step, dict) else None
-        if not isinstance(name, str) or name not in _STEP_WIRES:
+        arity = _STEP_WIRES.get(name) if isinstance(name, str) else None
+        if arity is None:
             raise ValueError(f"unknown gate {name!r}; choose from "
                              f"{tuple(_STEP_WIRES)}")
         wires = step.get("wires", [])
-        arity = _STEP_WIRES[name]
         if not isinstance(wires, (list, tuple)) or len(wires) != arity:
             raise ValueError(f"{name} takes {arity} wire(s), got {wires!r}")
-        if not all(is_json_int(w) and 0 <= w < n for w in wires):
-            raise ValueError(f"wires must be integers in 0..{n - 1}, got "
-                             f"{wires!r}")
+        for w in wires:
+            # A plain int in range passes on the first test alone.
+            if not (type(w) is int or is_json_int(w)) or not 0 <= w < n:
+                raise ValueError(f"wires must be integers in 0..{n - 1}, "
+                                 f"got {wires!r}")
         if len(set(wires)) != arity:
             raise ValueError(f"{name} needs distinct wires, got {wires!r}")
         param = None

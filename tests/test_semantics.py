@@ -838,6 +838,255 @@ def test_a_warm_cache_never_changes_a_result(dim, seed):
 
 
 # ---------------------------------------------------------------------------
+# Fast-path plans, kept per diagram structure
+
+@pytest.fixture
+def empty_plans(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(sem, "_plan_cache", cache)
+    monkeypatch.setattr(sem, "_plan_charged", 0)
+    return cache
+
+
+def _structure(d: dg.Diagram) -> tuple:
+    """What a plan depends on: D, each node's kind and boundary position
+    in id order, and the edges."""
+    return (d.dimension, tuple((v, n.kind, n.position)
+                               for v, n in sorted(d.nodes.items())), d.edges)
+
+
+def _rephased(d: dg.Diagram, rng: random.Random) -> dg.Diagram:
+    """d with a fresh scalar and fresh spider phases, each exact or
+    approximate at random: the same structure."""
+    dim = d.dimension
+    nodes = {}
+    for v, n in d.nodes.items():
+        if n.phase is not None:
+            exact = rng.random() < 0.5
+            n = dg.Node(n.kind, PhaseVector(dim, [
+                Turn.exact(rng.randrange(12), 12) if exact
+                else Turn.approx(rng.uniform(0, 2 * math.pi))
+                for _ in range(dim - 1)]))
+        nodes[v] = n
+    return dg.Diagram(dim, nodes, d.edges,
+                      complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+def test_a_kept_plan_runs_its_structure_byte_for_byte(dim, seed):
+    # Twins of one random diagram (self-loops, box traces, bare wires,
+    # degree-0 spiders, disconnected parts): each cold, with no kept plan,
+    # then each warm, on the one plan their structure keeps.
+    rng = random.Random(seed)
+    twins = [_rephased(_random_diagram(rng, dim), rng)]
+    twins += [_rephased(twins[0], rng) for _ in range(2)]
+    saved = sem._plan_cache, sem._plan_charged
+    try:
+        cold = []
+        for d in twins:
+            sem._plan_cache, sem._plan_charged = {}, 0
+            cold.append(evaluate(d).matrix)
+        warm = [evaluate(d).matrix for d in twins]
+        kept = len(sem._plan_cache)
+    finally:
+        sem._plan_cache, sem._plan_charged = saved
+    assert kept == 1
+    for a, b in zip(cold, warm):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_plans_built_are_the_distinct_structures(empty_plans, monkeypatch):
+    built = []
+    real = sem._plan
+    monkeypatch.setattr(sem, "_plan", lambda d: (built.append(d),
+                                                  real(d))[1])
+    rng = random.Random(41)
+    structures, evaluated = set(), 0
+    for rule in rw.ALL_RULES:
+        for dim in (2, 3):
+            for _ in range(25):
+                d, site = rw.random_rule_instance(
+                    rule, dim, random.Random(rng.randrange(2 ** 63)))
+                for x in (d, rw.apply_rule(d, rule, site)):
+                    evaluate(x)
+                    structures.add(_structure(x))
+                    evaluated += 1
+    assert len(built) == len(empty_plans) == len(structures) < evaluated
+
+
+def _two_wires(dim: int = 3, out_positions=(0, 1), box: str = dg.F,
+               joined=(4, 6), order=None) -> dg.Diagram:
+    """Input 0 through an X spider to output 0 and input 1 through a box
+    to output 1, and a Z spider joined to the X spider."""
+    nodes = {0: dg.Node(dg.IN, position=0), 1: dg.Node(dg.IN, position=1),
+             2: dg.Node(dg.OUT, position=out_positions[0]),
+             3: dg.Node(dg.OUT, position=out_positions[1]),
+             4: dg.Node(dg.X, cyclic_vector(dim, 1)), 5: dg.Node(box),
+             6: dg.Node(dg.Z, cyclic_vector(dim, 2))}
+    if order is not None:
+        nodes = {v: nodes[v] for v in order}
+    return dg.Diagram(dim, nodes, [(0, 4), (4, 2), (1, 5), (5, 3), joined])
+
+
+def test_plan_keys_tell_structures_apart(empty_plans):
+    # Each change to what a plan reads makes a structure of its own; the
+    # nodes' order in the diagram, phases and the scalar do not.
+    base = _two_wires()
+    diagrams = [base, _two_wires(out_positions=(1, 0)), _two_wires(2),
+                _two_wires(box=dg.FDAG), _two_wires(joined=(6, 4)),
+                _two_wires(order=range(6, -1, -1)),
+                _rephased(base, random.Random(0))]
+    for d in diagrams:
+        assert _dev(evaluate(d).matrix, evaluate(d, "reference").matrix) \
+            < 1e-10
+    assert len(empty_plans) == len({_structure(d) for d in diagrams}) == 5
+
+
+def test_warm_plans_keep_the_pinned_contraction_order(empty_plans,
+                                                      monkeypatch):
+    # test_fast_contraction_order_is_pinned's record, read again with
+    # every plan kept from a first pass.
+    diagrams = _seeded_diagrams()
+    for d in diagrams:
+        evaluate(d)
+    planned = len(empty_plans)
+    record = []
+    real = np.tensordot
+
+    def spy(a, b, axes=2):
+        norm = axes if isinstance(axes, int) else tuple(map(tuple, axes))
+        record.append((np.shape(a), np.shape(b), norm))
+        return real(a, b, axes=axes)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    monkeypatch.setattr(sem, "_plan", lambda d: pytest.fail("planned"))
+    for d in diagrams:
+        evaluate(d)
+    assert len(empty_plans) == planned
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert (len(record), digest) == (
+        399, "fdca6c3cb4f0556f737126236a09f1ca39d4b7816a973d1f3ac9369d52cbb513")
+
+
+def test_a_kept_plan_refuses_under_a_lowered_cap(empty_plans, monkeypatch):
+    d = _complete_graph(2, 5)
+    evaluate(d)
+    assert len(empty_plans) == 1
+    monkeypatch.setattr(sem, "_FAST_CAP", 2 ** 4)
+    monkeypatch.setattr(np, "tensordot", lambda *a, **k: pytest.fail("built"))
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            evaluate(d)
+        assert str(exc.value) == ("fast path refuses D=2: a tensor of 2^6 = "
+                                  "64 elements is above its cap of 16")
+
+
+def _eta_and_node_refusals(first: str) -> dg.Diagram:
+    """At D=11, an X spider whose eta table has 11^2 entries and a
+    two-legged Z spider of 11^2 entries, the one named by `first` at node
+    0, all phases exact."""
+    b = DiagramBuilder(11)
+    ids = {k: b.add_spider(k, cyclic_vector(11, 1))
+           for k in (first, ({dg.X, dg.Z} - {first}).pop())}
+    b.add_edge(ids[dg.X], ids[dg.Z])
+    b.add_edge(ids[dg.Z], b.add_spider(dg.Z, cyclic_vector(11, 2)))
+    return b.finish()
+
+
+@pytest.mark.parametrize("first, refusal", [
+    (dg.X, "evaluation refuses D=11: node 0 (X) needs an eta table of 11^2 "
+           "= 121 entries, above its cap of 64"),
+    (dg.Z, "fast path refuses D=11: a tensor of 11^2 = 121 elements for "
+           "node 0 (Z, 2 loop-free legs) is above its cap of 64"),
+])
+def test_the_first_refusal_holds_with_kept_plans_and_tensors(
+        first, refusal, empty_plans, empty_cache, monkeypatch):
+    # Cold, then warm: plan and node tensors kept at the default cap.
+    d = _eta_and_node_refusals(first)
+    default = sem._FAST_CAP
+    for warm in (False, True):
+        if warm:
+            monkeypatch.setattr(sem, "_FAST_CAP", default)
+            evaluate(d)
+            assert empty_plans and empty_cache
+        monkeypatch.setattr(sem, "_FAST_CAP", 2 ** 6)
+        with pytest.raises(ValueError) as exc:
+            evaluate(d)
+        assert str(exc.value) == refusal
+
+
+def _plan_charges(diagrams: list) -> list:
+    """What keeping each diagram's plan alone charges."""
+    saved = sem._plan_cache, sem._plan_charged
+    charges = []
+    try:
+        for d in diagrams:
+            sem._plan_cache, sem._plan_charged = {}, 0
+            evaluate(d)
+            charges.append(sem._plan_charged)
+    finally:
+        sem._plan_cache, sem._plan_charged = saved
+    return charges
+
+
+def test_plan_cache_stops_growing_when_full(empty_plans, monkeypatch):
+    # Three plans against a budget of the first two.
+    diagrams = [dg.spider_diagram(3, dg.Z, 1, n) for n in range(3)]
+    charges = _plan_charges(diagrams)
+    monkeypatch.setattr(sem, "_PLAN_BUDGET", charges[0] + charges[1])
+    for d in diagrams:
+        evaluate(d)
+    assert len(empty_plans) == 2
+    assert sem._plan_charged == charges[0] + charges[1]
+
+
+def test_plan_cache_refuses_what_passes_its_room_only(empty_plans,
+                                                      monkeypatch):
+    # The middle plan, the largest, is refused; the last still fits.
+    diagrams = [dg.spider_diagram(3, dg.Z, 1, n) for n in (1, 4, 0)]
+    charges = _plan_charges(diagrams)
+    room = charges[0] + charges[2]
+    assert charges[1] > charges[2]
+    monkeypatch.setattr(sem, "_PLAN_BUDGET", room)
+    for d in diagrams:
+        evaluate(d)
+    assert list(empty_plans) == [sem._structure_key(diagrams[k])
+                                 for k in (0, 2)]
+    assert sem._plan_charged == room
+
+
+def test_kept_plans_hold_less_than_their_charge(empty_plans):
+    # 400 small structures, as rule instances are, and 20 parallel pairs
+    # of them: the plan cache's own memory, freed by emptying it.
+    rng = random.Random(3)
+    diagrams = [_random_diagram(rng, 2 + k % 4) for k in range(400)]
+    diagrams += [compose(*[_random_diagram(rng, 2) for _ in range(2)],
+                         "parallel") for _ in range(20)]
+    tracemalloc.start()
+    try:
+        for d in diagrams:
+            sem._cached_plan(d)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        charged, kept = sem._plan_charged, len(empty_plans)
+        empty_plans.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept > 300 and 0 < held <= charged
+
+
+def test_a_structure_past_int16_is_planned_and_not_kept(empty_plans):
+    spider = dg.Node(dg.Z, PhaseVector.zero(3))
+    d = dg.Diagram(3, {0: spider, 40000: spider}, [(0, 40000)])
+    assert sem._structure_key(d) is None
+    assert abs(evaluate(d).matrix[0, 0] - 3.0) < 1e-12
+    assert empty_plans == {}
+
+
+# ---------------------------------------------------------------------------
 # Scalar-equivalence helper
 
 def test_compare_scalar_exact_needs_scalar_one():

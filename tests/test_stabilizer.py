@@ -752,6 +752,41 @@ def test_run_circuit_rejects_bad_steps(step, why, oracle):
     assert why in str(exc.value)
 
 
+_CHOOSE = "choose from ('F', 'Sq', 'CNOT', 'CP', 'SWAP', 'measure')"
+
+
+@pytest.mark.parametrize("step, why", [
+    ({"gate": "NOPE", "wires": [0]}, f"unknown gate 'NOPE'; {_CHOOSE}"),
+    ("F", f"unknown gate None; {_CHOOSE}"),
+    ({"gate": ["F"], "wires": [0]}, f"unknown gate ['F']; {_CHOOSE}"),
+    ({"gate": "F", "wires": [0, 1]}, "F takes 1 wire(s), got [0, 1]"),
+    ({"gate": "SWAP", "wires": 1}, "SWAP takes 2 wire(s), got 1"),
+    ({"gate": "CNOT", "wires": [0, 0]},
+     "CNOT needs distinct wires, got [0, 0]"),
+    ({"gate": "F", "wires": [-1]},
+     "wires must be integers in 0..1, got [-1]"),
+    ({"gate": "CNOT", "wires": [0, 1.0]},
+     "wires must be integers in 0..1, got [0, 1.0]"),
+    ({"gate": "CP", "wires": [1, True]},
+     "wires must be integers in 0..1, got [1, True]"),
+    ({"gate": "Sq", "wires": ["0"], "q": 1},
+     "wires must be integers in 0..1, got ['0']"),
+    ({"gate": "Sq", "wires": [0], "q": True},
+     "Sq needs an integer q, got True"),
+    ({"gate": "Sq", "wires": [0], "q": 3}, "Sq needs a unit q mod 3, got 3"),
+    ({"gate": "measure", "wires": [0], "basis": "Y"},
+     "basis must be 'Z' or 'X', got 'Y'"),
+])
+def test_bad_circuit_step_refusals_are_pinned(step, why):
+    # The whole line, naming the first bad step of two after good ones.
+    circuit = [{"gate": "F", "wires": [0]}, {"gate": "CNOT", "wires": [1, 0]},
+               step, {"gate": "NOPE"}]
+    for oracle in (False, True):
+        with pytest.raises(ValueError) as exc:
+            run_circuit(circuit, 2, 3, oracle=oracle)
+        assert str(exc.value) == f"bad circuit step 2: {why}"
+
+
 @pytest.mark.parametrize("n, dim", [(0, 3), (-1, 3), (1, 0), (1, 1),
                                     (2, 4), (1, -3)])
 def test_run_circuit_needs_qudits_of_prime_dimension(n, dim):
