@@ -59,7 +59,9 @@ position first, then inputs. Both paths sort boundaries and inner nodes
 out in one pass (_boundary_order). "reference" builds every tensor
 afresh, self-loop legs included. Both read the D x D table eta^(m*j)
 behind c_coefficients and fourier_matrix from a read-only copy, built
-once per D and kept when it holds at most _ETA_KEEP entries.
+once per D and kept when it holds at most _ETA_KEEP entries; the
+stabilizer oracle reads eta^j from omega_powers, the vector of D roots
+that omega builds, kept under the same bound.
 
 Each path refuses with a one-line ValueError before it allocates past
 its cap: "reference" a diagram of more than _REFERENCE_CAP joint edge
@@ -135,8 +137,29 @@ class DenseOperator:
 
 
 def omega(dim: int, power: int = 1) -> complex:
-    """eta^power = exp(2*pi*i*power/dim)."""
-    return np.exp(2j * np.pi * (power % dim) / dim)
+    """eta^power = exp(2*pi*i*power/dim). power may be an int array. The
+    angle is a float, so an int power and the same power in an array give
+    the same bits: numpy's complex division by dim multiplies by 1/dim."""
+    return np.exp(1j * (2 * np.pi * (power % dim) / dim))
+
+
+def omega_powers(dim: int) -> np.ndarray:
+    """omega(dim, j) for j = 0..D-1, read-only, from one omega call. A
+    vector of at most _ETA_KEEP entries is built once per D, and those of
+    the eight dimensions used last are kept; a larger one is built per
+    call."""
+    if dim > _ETA_KEEP:
+        return _build_omega_powers(dim)
+    return _kept_omega_powers(dim)
+
+
+def _build_omega_powers(dim: int) -> np.ndarray:
+    roots = omega(dim, np.arange(dim))
+    roots.setflags(write=False)
+    return roots
+
+
+_kept_omega_powers = functools.lru_cache(maxsize=8)(_build_omega_powers)
 
 
 def _phase_exponentials(alpha, dim: int | None = None) -> np.ndarray:

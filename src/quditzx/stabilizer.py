@@ -36,9 +36,12 @@ closed form, in integers (torus_exponents), which the state enumeration
 and phase_group share.
 
 The dense oracle shares only the gate definitions with it (F, CNOT and
-SWAP from semantics' generator table, eta from semantics.omega) and
-applies a Pauli word as the monomial it is (PauliOp.act: amplitudes
+SWAP from semantics' generator table, eta^j from semantics.omega_powers)
+and applies a Pauli word as the monomial it is (PauliOp.act: amplitudes
 permuted and multiplied by phases), building no D^n x D^n projector.
+Each gate matrix is built once per (gate, D, q) and kept read-only, and
+collapse reuses the eigenprojections that the Born distribution of the
+same observable on the same state built.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from . import _modp
 from .phases import PhaseVector, Turn, check_size, is_json_int
-from .semantics import fourier_matrix, generator_matrix, omega
+from .semantics import fourier_matrix, generator_matrix, omega_powers
 
 # The number of wires each circuit step takes; GATES is its unitary part.
 _STEP_WIRES = {"F": 1, "Sq": 1, "CNOT": 2, "CP": 2, "SWAP": 2, "measure": 1}
@@ -63,11 +66,16 @@ GATES = tuple(g for g in _STEP_WIRES if g != "measure")
 # as complex), and a Born distribution of more than MAX_DENSE_WORK amplitude
 # updates: the observable is applied D - 1 times in all, and each of the D
 # outcomes sums the D powers obs^m psi of D^n amplitudes, about D^(n+2)
-# updates (n=1, D=401 takes about 0.7 s). The powers held meanwhile are
-# (D - 1) D^n amplitudes, about 79 MB for DenseSimulator(7, 7).
+# updates (n=1, D=401 takes about 0.2 s). The powers held meanwhile are
+# (D - 1) D^n amplitudes, about 79 MB for DenseSimulator(7, 7). The D
+# projections are kept for collapse when their D^(n+1) amplitudes are
+# within MAX_DENSE_AMPLITUDES, and the kept gate matrices hold at most
+# MAX_DENSE_GATE_ENTRIES entries in all.
 MAX_DENSE_AMPLITUDES = 2 ** 20
 MAX_DENSE_GATE_ENTRIES = 2 ** 20
 MAX_DENSE_WORK = 2 ** 26
+_gate_store: dict = {}         # (gate, D, q) -> read-only gate matrix
+_gate_store_entries = 0        # entries of the matrices the store holds
 
 # The tableau refuses more qudits than this; its 2n x (2n+1) int64 table
 # takes 512 MiB at the cap.
@@ -147,6 +155,14 @@ def _row_commutation(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     live = a_dual if a.ndim == 1 else a_dual.any(axis=tuple(range(a.ndim - 1)))
     cols = live.nonzero()[0]
     return (a_dual[..., cols] @ b[..., cols].T) % dim
+
+
+def _check_observable(obs: "PauliOp", n: int, dim: int) -> None:
+    """An observable must act on this system and have obs^D = 1."""
+    if (obs.n, obs.dim) != (n, dim):
+        raise ValueError("observable acts on the wrong system")
+    if not _order_divides_dim(obs._row, dim):
+        raise ValueError("observable must have order dividing D")
 
 
 def _check_unit(q, dim: int) -> None:
@@ -287,13 +303,14 @@ class PauliOp:
         d, n = self.dim, self.n
         psi = np.asarray(psi, dtype=complex)
         out = psi.reshape((d,) * n + psi.shape[1:])
+        digits, roots = np.arange(d), omega_powers(d)
         for k, (xk, zk) in enumerate(zip(self.x, self.z)):
             if zk:
-                phases = omega(d, zk * np.arange(d))
+                phases = roots[zk * digits % d]
                 out = out * phases.reshape((d,) + (1,) * (out.ndim - k - 1))
             if xk:
-                out = np.roll(out, -xk, axis=k)
-        return omega(2 * d, self.phase) * out.reshape(psi.shape)
+                out = out.take((digits + xk) % d, axis=k)
+        return omega_powers(2 * d)[self.phase] * out.reshape(psi.shape)
 
     def dense(self) -> np.ndarray:
         return self.act(np.eye(self.dim ** self.n, dtype=complex))
@@ -325,35 +342,52 @@ def _eigenprojection(powers: list, k: int) -> np.ndarray:
     _powers_applied(obs, psi): the part of psi in the eta^k eigenspace of
     obs, which must satisfy obs^D = 1."""
     d = len(powers)
-    acc = powers[0]
+    roots = omega_powers(d)
+    acc = powers[0].copy()
     for m in range(1, d):
-        acc = acc + omega(d, -k * m) * powers[m]
-    return acc / d
+        acc += roots[-k * m % d] * powers[m]
+    acc /= d
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # Gates
 
 def gate_matrix(name: str, dim: int, q: int | None = None) -> np.ndarray:
-    """Dense matrix of one generator gate (D x D or D^2 x D^2).
+    """Dense matrix of one generator gate (D x D or D^2 x D^2), read-only.
 
     CNOT is the subtractive form |j,m> -> |j, m-j>. Sq is the monomial
-    sum_j |j><jq| and needs gcd(q, D) = 1.
+    sum_j |j><jq| and needs gcd(q, D) = 1. Each matrix is built once per
+    (gate, D, q) and kept while the store holds at most
+    MAX_DENSE_GATE_ENTRIES entries; one that would pass it is built per
+    call.
     """
+    global _gate_store_entries
+    key = (name, dim, q if name == "Sq" else None)
+    m = _gate_store.get(key)
+    if m is None:
+        m = _build_gate_matrix(name, dim, q)
+        m.setflags(write=False)
+        if _gate_store_entries + m.size <= MAX_DENSE_GATE_ENTRIES:
+            _gate_store[key] = m
+            _gate_store_entries += m.size
+    return m
+
+
+def _build_gate_matrix(name: str, dim: int, q: int | None) -> np.ndarray:
     d = dim
     if name == "F":
         return fourier_matrix(d)
     if name == "Sq":
         _check_unit(q, d)
         m = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            m[j, (j * q) % d] = 1.0
+        m[np.arange(d), np.arange(d) * (q % d) % d] = 1.0
         return m
     if name == "CNOT":
         return generator_matrix("cnot", d).matrix
     if name == "CP":
-        diag = [omega(d, j * k) for j in range(d) for k in range(d)]
-        return np.diag(diag)
+        j = np.arange(d)
+        return np.diag(omega_powers(d)[np.outer(j, j).ravel() % d])
     if name == "SWAP":
         return generator_matrix("swap", d).matrix
     raise ValueError(f"unknown gate {name!r}; choose from {GATES}")
@@ -445,11 +479,8 @@ class Tableau:
         words) and its eigenvalue exponent k, or None if a stabilizer
         fails to commute with it. A commuting obs is prod_i rows[i]^-c[i]
         (i < n), so k is O(n^2)."""
-        if (obs.n, obs.dim) != (self.n, self.dim):
-            raise ValueError("observable acts on the wrong system")
+        _check_observable(obs, self.n, self.dim)
         d, n, row = self.dim, self.n, obs._row
-        if not _order_divides_dim(row, d):
-            raise ValueError("observable must have order dividing D")
         c = _row_commutation(row, self.table, d)
         used = c.nonzero()[0]
         if used.size and used[-1] >= n:
@@ -544,17 +575,24 @@ class Tableau:
 
 def _apply_dense(psi: np.ndarray, gate: np.ndarray, wires, n: int,
                  dim: int) -> np.ndarray:
-    full = psi.reshape((dim,) * n)
-    k = len(wires)
-    g = gate.reshape((dim,) * (2 * k))
-    moved = np.tensordot(g, full, axes=(list(range(k, 2 * k)), list(wires)))
-    # tensordot puts the acted-on axes first; put them back.
-    moved = np.moveaxis(moved, list(range(k)), list(wires))
-    return moved.reshape(psi.shape)
+    # np.tensordot's own steps, without its per-call checks: the acted-on
+    # axes first, one product with the gate matrix, one transpose back.
+    axes = list(wires) + [a for a in range(n) if a not in wires]
+    full = psi.reshape((dim,) * n).transpose(axes)
+    moved = np.dot(gate, full.reshape(len(gate), -1)).reshape((dim,) * n)
+    return moved.transpose(sorted(range(n), key=axes.__getitem__)
+                           ).reshape(psi.shape)
 
 
 class DenseSimulator:
-    """Literal state-vector simulation; the oracle for the tableau."""
+    """Literal state-vector simulation; the oracle for the tableau.
+
+    born_probabilities keeps the D eigenprojections it builds, tagged
+    with the observable and the state, when their D^(n+1) amplitudes are
+    within MAX_DENSE_AMPLITUDES; collapse onto the same observable of the
+    same state takes its projection from them. apply and collapse drop
+    them, and the states the simulator makes are read-only, so none of
+    them changes under a kept projection."""
 
     def __init__(self, n: int, dim: int):
         refusal = ("dense oracle refuses D={base}, n={0}: {1} = {size} {2}, "
@@ -568,24 +606,50 @@ class DenseSimulator:
                    "updates per Born distribution")
         self.n = n
         self.dim = dim
-        self.psi = np.zeros(dim ** n, dtype=complex)
-        self.psi[0] = 1.0
+        psi = np.zeros(dim ** n, dtype=complex)
+        psi[0] = 1.0
+        self._set(psi)
+        self._keep = dim ** (n + 1) <= MAX_DENSE_AMPLITUDES
+
+    def _set(self, psi: np.ndarray) -> None:
+        psi.setflags(write=False)
+        self.psi = psi
+        self._kept = None       # (obs, psi, the D projections) from Born
 
     def apply(self, gate: str, wires, q: int | None = None) -> None:
-        self.psi = _apply_dense(self.psi, gate_matrix(gate, self.dim, q),
-                                wires, self.n, self.dim)
+        self._set(_apply_dense(self.psi, gate_matrix(gate, self.dim, q),
+                               wires, self.n, self.dim))
 
     def born_probabilities(self, obs: PauliOp) -> list:
-        powers = _powers_applied(obs, self.psi)
-        return [float(np.real(np.vdot(self.psi, _eigenprojection(powers, k))))
-                for k in range(self.dim)]
+        _check_observable(obs, self.n, self.dim)
+        psi = self.psi
+        powers = _powers_applied(obs, psi)
+        probs, projections = [], []
+        for k in range(self.dim):
+            v = _eigenprojection(powers, k)
+            probs.append(float(np.real(np.vdot(psi, v))))
+            if self._keep:
+                projections.append(v)
+        self._kept = (obs, psi, projections) if self._keep else None
+        return probs
 
     def collapse(self, obs: PauliOp, outcome: int) -> None:
-        v = _eigenprojection(_powers_applied(obs, self.psi), outcome)
+        d = self.dim
+        if (isinstance(outcome, bool)
+                or not isinstance(outcome, (int, np.integer))
+                or not 0 <= outcome < d):
+            raise ValueError(f"collapse outcome must be an integer in "
+                             f"0..{d - 1}, got {outcome!r}")
+        kept = self._kept
+        if kept is not None and kept[0] is obs and kept[1] is self.psi:
+            v = kept[2][outcome]
+        else:
+            _check_observable(obs, self.n, d)
+            v = _eigenprojection(_powers_applied(obs, self.psi), outcome)
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise ValueError(f"collapse onto an impossible outcome {outcome}")
-        self.psi = v / norm
+        self._set(v / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +855,7 @@ def enumerate_stabilizer_states(dim: int) -> list:
             vec = np.zeros(d, dtype=complex)
             vec[index] = 1.0
         else:
-            vec = np.array([omega(2 * d, e) for e in (0, *z_exps)])
+            vec = omega_powers(2 * d)[[0, *z_exps]]
             vec /= math.sqrt(d)
         z_ph, x_ph = (e if e is None else PhaseVector(
             d, [Turn.exact(v, 2 * d) for v in e])

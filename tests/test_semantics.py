@@ -31,6 +31,7 @@ from quditzx.semantics import (
     generator_matrix,
     lambda_matrix,
     omega,
+    omega_powers,
     phased_state,
     run_structure_checks,
     structure_check,
@@ -59,6 +60,33 @@ def test_omega_is_the_primitive_root():
         w = omega(d)
         assert abs(w - np.exp(2j * np.pi / d)) < 1e-15
         assert abs(omega(d, 3) - w ** 3) < 1e-12
+
+
+def test_omega_powers_are_omega_bit_for_bit():
+    # The kept roots are omega's own values, for an int power and for an
+    # array of powers (negative and past D too), and they are the values
+    # of the formula omega had when every pin was recorded,
+    # exp(2 pi i (p mod D) / D) with an int p.
+    for d in range(2, 402):
+        roots = omega_powers(d)
+        assert omega_powers(d) is roots and not roots.flags.writeable
+        scalar = np.array([omega(d, j) for j in range(d)])
+        assert roots.tobytes() == scalar.tobytes(), d
+        assert roots.tobytes() == np.array(
+            [np.exp(2j * np.pi * (j % d) / d) for j in range(d)]).tobytes(), d
+        powers = np.arange(-2 * d, 2 * d) * 7
+        assert omega(d, powers).tobytes() == roots[powers % d].tobytes(), d
+
+
+def test_only_small_root_vectors_are_kept(monkeypatch):
+    monkeypatch.setattr(sem, "_ETA_KEEP", 4)
+    kept = sem._kept_omega_powers.cache_info()
+    large = omega_powers(5)
+    assert omega_powers(5) is not large and not large.flags.writeable
+    assert sem._kept_omega_powers.cache_info()[:2] == kept[:2]
+    assert large.tobytes() == sem._kept_omega_powers(5).tobytes()
+    small = omega_powers(4)
+    assert omega_powers(4) is small
 
 
 def test_c_coefficients_against_direct_sum():

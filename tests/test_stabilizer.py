@@ -459,6 +459,175 @@ def test_born_probabilities_match_per_outcome_projections(d, n, data):
     assert np.array_equal(sim.psi, v / np.linalg.norm(v))
 
 
+def _counting_powers(monkeypatch):
+    """Count the calls of _powers_applied, which only a Born distribution
+    and a collapse that is not handed Born's projections make."""
+    calls = []
+    real = stabilizer._powers_applied
+
+    def counted(obs, psi):
+        calls.append(obs)
+        return real(obs, psi)
+
+    monkeypatch.setattr(stabilizer, "_powers_applied", counted)
+    return calls
+
+
+def _oracle_collapse(obs, psi, k):
+    v = _eigenprojection_oracle(obs, psi, k)
+    return v / np.linalg.norm(v)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_circuits_match_the_per_term_projection_route(d, n, data):
+    # Born keeps its D projections and collapse takes one of them; the
+    # probabilities and every state must be the bytes that obs applied
+    # anew and omega called per term give, after gates, for single-qudit
+    # and multi-qudit observables, on the outcome drawn among the possible.
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sim = DenseSimulator(n, d)
+    for step in random_circuit(n, d, rng, depth=3 * n + 3, measurements=4):
+        if step["gate"] != "measure":
+            sim.apply(step["gate"], step["wires"], step.get("q"))
+            continue
+        obs = measurement_observable(step["basis"], step["wires"][0], n, d)
+        word = _random_pauli(rng, n, d)
+        if data.draw(st.booleans()) and word.order_divides_dim():
+            obs = word
+        want = [_eigenprojection_oracle(obs, sim.psi, k) for k in range(d)]
+        born = sim.born_probabilities(obs)
+        assert born == [float(np.real(np.vdot(sim.psi, v))) for v in want]
+        k = rng.choice([j for j in range(d) if born[j] > 1e-9])
+        v = want[k] / np.linalg.norm(want[k])
+        sim.collapse(obs, k)
+        assert sim.psi.tobytes() == v.tobytes()
+        assert not sim.psi.flags.writeable
+
+
+def test_collapse_reuses_borns_projections_only_for_its_state(monkeypatch):
+    calls = _counting_powers(monkeypatch)
+    sim = DenseSimulator(2, 3)
+    obs = measurement_observable("Z", 0, 2, 3)
+    # The same observable on the same state: Born's projection is taken.
+    sim.apply("F", [0])
+    sim.born_probabilities(obs)
+    want = _oracle_collapse(obs, sim.psi, 2)
+    sim.collapse(obs, 2)
+    assert len(calls) == 1 and sim.psi.tobytes() == want.tobytes()
+    # Born on |2,0>, then F: every outcome is possible again, and Born's
+    # projections 0 and 1 of |2,0> are zero, so a stale one would refuse.
+    sim.born_probabilities(obs)
+    sim.apply("F", [0])
+    want = _oracle_collapse(obs, sim.psi, 0)
+    sim.collapse(obs, 0)
+    assert len(calls) == 3 and sim.psi.tobytes() == want.tobytes()
+    # A collapse drops them too: a second collapse builds its own.
+    sim.born_probabilities(obs)
+    sim.collapse(obs, 0)
+    sim.collapse(obs, 0)
+    assert len(calls) == 5
+    # Another state object, or an equal observable that is another
+    # object, is not handed them either.
+    sim.apply("F", [0])
+    sim.born_probabilities(obs)
+    sim.psi = np.roll(sim.psi, 3)
+    want = _oracle_collapse(obs, sim.psi, 1)
+    sim.collapse(obs, 1)
+    assert len(calls) == 7 and sim.psi.tobytes() == want.tobytes()
+    sim.apply("F", [0])
+    sim.born_probabilities(obs)
+    twin = measurement_observable("Z", 0, 2, 3)
+    sim.collapse(twin, 1)
+    assert len(calls) == 9
+    # Past the keep bound, D^(n+1) amplitudes, Born keeps nothing.
+    monkeypatch.setattr(stabilizer, "MAX_DENSE_AMPLITUDES", 9)
+    sim = DenseSimulator(2, 3)
+    sim.born_probabilities(obs)
+    sim.collapse(obs, 0)
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("born_first", [True, False], ids=["kept", "fresh"])
+def test_collapse_refuses_an_outcome_out_of_range(born_first, monkeypatch):
+    # Before, collapse(obs, 4) and collapse(obs, -2) at D=3 both collapsed
+    # onto outcome 1, as eta^(-km) only reads k mod D.
+    calls = _counting_powers(monkeypatch)
+    sim = DenseSimulator(1, 3)
+    sim.apply("F", [0])
+    obs = measurement_observable("Z", 0, 1, 3)
+    if born_first:
+        sim.born_probabilities(obs)
+    before = sim.psi
+    for bad in (4, -2, 3, True, 1.0, "1"):
+        with pytest.raises(ValueError) as exc:
+            sim.collapse(obs, bad)
+        assert str(exc.value) == ("collapse outcome must be an integer in "
+                                  f"0..2, got {bad!r}")
+    assert sim.psi is before and len(calls) == born_first
+    sim.collapse(obs, np.int64(1))
+    assert len(calls) == 1
+    assert sim.psi.tobytes() == _oracle_collapse(obs, before, 1).tobytes()
+
+
+@pytest.mark.parametrize("n, d, obs", [
+    (2, 3, PauliOp.single(3, 3, 0, z=1)),
+    (2, 3, PauliOp.single(1, 3, 0, x=1)),
+    (2, 3, PauliOp.single(2, 5, 0, z=1)),
+    (1, 2, PauliOp(1, 2, 0, (1,), (1,))),
+], ids=["more-qudits", "fewer-qudits", "other-D", "order-2D"])
+def test_oracle_refuses_the_tableaus_bad_observables(n, d, obs):
+    # An observable of another system, or one whose D-th power is a phase
+    # other than 1, is refused in the tableau's own line by born and by
+    # collapse, with or without projections kept. Before, the first raised
+    # numpy's "cannot reshape array of size 9 into shape (3,3,3)" and the
+    # last returned probabilities that do not sum to 1.
+    with pytest.raises(ValueError) as tab:
+        Tableau.zero_state(n, d).outcome_distribution(obs)
+    sim = DenseSimulator(n, d)
+    sim.apply("F", [0])
+    with pytest.raises(ValueError) as born:
+        sim.born_probabilities(obs)
+    with pytest.raises(ValueError) as fresh:
+        sim.collapse(obs, 0)
+    sim.born_probabilities(measurement_observable("Z", 0, n, d))
+    with pytest.raises(ValueError) as kept:
+        sim.collapse(obs, 0)
+    assert (str(born.value) == str(fresh.value) == str(kept.value)
+            == str(tab.value))
+    assert str(tab.value) in ("observable acts on the wrong system",
+                              "observable must have order dividing D")
+
+
+def test_gate_matrices_are_kept_read_only_within_their_bound(monkeypatch):
+    monkeypatch.setattr(stabilizer, "_gate_store", {})
+    monkeypatch.setattr(stabilizer, "_gate_store_entries", 0)
+    monkeypatch.setattr(stabilizer, "MAX_DENSE_GATE_ENTRIES", 100)
+    f = gate_matrix("F", 3)
+    assert gate_matrix("F", 3) is f and not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 0] = 0
+    cnot = gate_matrix("CNOT", 3)           # 9 + 81 entries: kept
+    assert gate_matrix("CNOT", 3) is cnot
+    cp = gate_matrix("CP", 3)               # 81 more would pass 100
+    again = gate_matrix("CP", 3)
+    assert again is not cp and not again.flags.writeable
+    assert again.tobytes() == cp.tobytes()
+    sq = gate_matrix("Sq", 3, 2)            # 9 more fit
+    assert gate_matrix("Sq", 3, 2) is sq and gate_matrix("Sq", 3, 1) is not sq
+    store = stabilizer._gate_store
+    assert set(store) == {("F", 3, None), ("CNOT", 3, None), ("Sq", 3, 2)}
+    assert (stabilizer._gate_store_entries
+            == sum(m.size for m in store.values()) == 99)
+    # A refused gate is not kept, and q is reduced before it indexes.
+    with pytest.raises(ValueError):
+        gate_matrix("Sq", 3, 3)
+    assert len(store) == 3
+    big = 10 ** 30 + 2
+    assert gate_matrix("Sq", 5, big).tobytes() == gate_matrix("Sq", 5, 2
+                                                              ).tobytes()
+
+
 def test_born_distribution_at_the_work_cap_sums_to_one():
     # n=1, D=401 is the largest D the Born work cap admits at one qudit.
     rng = np.random.default_rng(401)
