@@ -21,27 +21,33 @@ ties to the oldest pair. They share nothing beyond the node tensor
 helper, and tests hold them to each other at 1e-10. "fast" plans, then
 runs. _plan reads only the diagram's structure (D, each node's kind and
 boundary position in id order, the edges) and returns the whole
-schedule as a list of ints: the leaves, the bare wires, each pairwise
-step's slots and tensordot axes, and the layout of what is left. The run
-builds each node tensor, calls np.tensordot once per step and folds
-each closed tensor into the scalar in the order it is made, so a plan
-never changes a contraction or a byte of the result. Plans are kept as
-int32 arrays under the structure's int16 bytes (_structure_key); the
-cache charges each its bytes plus 240 (_plan_charge), holds at most
-_PLAN_BUDGET charged bytes, fills as the node-tensor cache does and
-never evicts. A kept plan is run only while D to its largest checked
-rank is within _FAST_CAP; past it the diagram is planned, and refused,
-afresh. What "fast" has left once no pair shares a leg, the
-disconnected parts of the output, is folded into the output smallest
-part first, by one broadcasting multiply per part with its axes at
-their boundary positions: no outer product of the parts, and no
-transposed copy of one, is built; a lone part is scaled into a new
-array by one multiply.
+schedule in the form the run reads: per leaf its node id, the signs of
+the legs its tensor is built from and whether it is traced; the number
+of bare wires; per step its two slots and tensordot's axes as a pair of
+tuples; and the layout of what is left. The run fetches each leaf's
+tensor by its kept sign tuple, calls np.tensordot once per step and
+folds each closed tensor into the scalar in the order it is made, so a
+plan never changes a contraction or a byte of the result, and a warm
+evaluation reads no legs and decodes nothing. Plans are kept under the
+structure's int16 bytes (_structure_key), read through the one
+boundary pass that every evaluation makes. Kept plans share each equal
+tuple, one copy held in _shared (_share), so a structure whose plan
+equals a kept one adds only its key. The cache charges a plan its key's
+bytes and those of each tuple it adds, plus a dict slot for each
+(_plan_charge), holds at most _PLAN_BUDGET charged bytes, fills as the
+node-tensor cache does and never evicts. A kept plan is run only while
+D to its largest checked rank is within _FAST_CAP; past it the diagram
+is planned, and refused, afresh; _CACHE_ELEMS is read on every fetch.
+What "fast" has left once no pair shares a leg, the disconnected parts
+of the output, is folded into the output smallest part first, by one
+broadcasting multiply per part with its axes at their boundary
+positions: no outer product of the parts, and no transposed copy of
+one, is built; a lone part is scaled into a new array by one multiply.
 equal_up_to_scalar and compare_scalar_exact read their matrices in fixed
 blocks of _COMPARE_BLOCK entries, so a comparison builds no temporary of
 the matrices' size. Small matrices, the common case, fill one block, so
-each block loop runs once; a deviation within tol passes without reading
-|a| for the bound.
+each block loop runs once, and a block's largest modulus is read at its
+argmax; a deviation within tol passes without reading |a| for the bound.
 
 "fast" builds each spider's tensor without its self-loops: a loop's
 factor is one for both colours (the loop_remove rule), so a spider whose
@@ -80,9 +86,9 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -96,10 +102,11 @@ _CACHE_ELEMS = 4096            # elements of the largest cached node tensor
 _CACHE_ENTRIES = 2 ** 20       # entries (16 MiB) charged to the cache in all
 _ETA_KEEP = 2 ** 16            # entries (1 MiB) of the largest kept eta table
 _COMPARE_BLOCK = 8192          # entries per block of a matrix comparison
-_PLAN_BUDGET = 2 ** 20         # bytes (1 MiB) charged to the plan cache in all
+_PLAN_BUDGET = 9 * 2 ** 17     # bytes (1.125 MiB) charged to kept plans in all
 _node_tensor_cache: dict = {}
 _cache_charged = 0             # entries charged to what the cache holds
 _plan_cache: dict = {}         # structure key -> fast-path plan
+_shared: dict = {}             # each tuple kept plans hold, keyed by itself
 _plan_charged = 0              # bytes charged to what the plan cache holds
 
 
@@ -294,16 +301,16 @@ def generator_matrix(name: str, dim: int) -> DenseOperator:
 # ---------------------------------------------------------------------------
 # Node tensors
 
-def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
-    """Tensor for node v with axes in the order of `legs`.
+def _node_tensor(d: dg.Diagram, v: int, signs):
+    """Tensor for node v with one axis per entry of `signs`, in order.
 
-    Each leg is (edge_index, sign) with sign +1 when v is the edge's
-    source (an output leg of v) and -1 when v is its target. Returns a
-    complex scalar for degree-0 spiders.
+    Each sign is +1 for an output leg of v (v is the edge's source) and
+    -1 for an input leg (v is its target). Returns a complex scalar for
+    degree-0 spiders.
     """
     dim = d.dimension
     n = d.node(v)
-    k = len(legs)
+    k = len(signs)
     if n.kind == dg.Z:
         u = _phase_exponentials(n.phase, dim)
         if k == 0:
@@ -320,8 +327,8 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         # Signed digit sum, one outer sum or difference with arange(D)
         # per further axis.
         r = np.arange(dim)
-        total = r if legs[0][1] == 1 else -r
-        for _, sign in legs[1:]:
+        total = r if signs[0] == 1 else -r
+        for sign in signs[1:]:
             total = (np.add if sign == 1 else np.subtract).outer(total, r)
         # In place: one int and one complex array of the result's shape.
         t = c[np.remainder(total, dim, out=total)]
@@ -331,8 +338,8 @@ def _node_tensor(d: dg.Diagram, v: int, legs: tuple):
         f = fourier_matrix(dim)
         if n.kind == dg.FDAG:
             f = f.conj().T
-        # Axis order must follow `legs`: f[out_digit, in_digit].
-        if legs[0][1] == 1:
+        # Axis order must follow the legs: f[out_digit, in_digit].
+        if signs[0] == 1:
             return f
         return f.T
     raise ValueError(f"node {v} ({n.kind}) has no tensor")
@@ -349,17 +356,19 @@ def _boundary_order(d: dg.Diagram):
     """One pass over the nodes in id order: the outputs' and the inputs'
     single edges, each in position order, and the inner nodes as
     (id, kind)."""
-    outs, ins, inner = {}, {}, []
+    outs, ins, inner = [], [], []
     for v, n in sorted(d.nodes.items()):
-        if n.kind == dg.OUT:
-            outs[n.position] = d.in_edges(v)[0]
-        elif n.kind == dg.IN:
-            ins[n.position] = d.out_edges(v)[0]
+        kind = n.kind
+        if kind == dg.OUT:
+            outs.append((n.position, d.in_edges(v)[0]))
+        elif kind == dg.IN:
+            ins.append((n.position, d.out_edges(v)[0]))
         else:
-            inner.append((v, n.kind))
-    # Positions of each kind are 0..n-1 in a valid diagram.
-    return ([outs[p] for p in range(len(outs))],
-            [ins[p] for p in range(len(ins))], inner)
+            inner.append((v, kind))
+    # Positions of each kind are distinct in a valid diagram.
+    outs.sort()
+    ins.sort()
+    return [e for _, e in outs], [e for _, e in ins], inner
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,7 @@ def _evaluate_reference(d: dg.Diagram) -> DenseOperator:
                    "D={base}: node {0} ({1}, {power} legs) needs a tensor of "
                    "{size} entries, above its cap of {cap}; use method='fast'",
                    v, kind)
-        tensor = _node_tensor(d, v, legs)
+        tensor = _node_tensor(d, v, [sign for _, sign in legs])
         if len(legs) == 0:
             weight *= tensor
             continue
@@ -429,22 +438,23 @@ def _cache_charge(size: int, dim: int) -> int:
     return size + 64 + 16 * dim
 
 
-def _shared_node_tensor(d: dg.Diagram, v: int, legs: tuple) -> np.ndarray:
+def _shared_node_tensor(d: dg.Diagram, v: int, signs: tuple) -> np.ndarray:
     """_node_tensor as an array; a small one with an exact phase, or a
     box's, is built once per (kind, D, phase, leg signs), all it depends
     on, and shared read-only while the cache has room for it. The key
-    holds the phase as its exact ints (PhaseVector.exact_ints)."""
+    holds the phase as its exact ints (PhaseVector.exact_ints) and the
+    sign tuple as given, which a kept plan shares."""
     global _cache_charged
     n, dim = d.node(v), d.dimension
-    if dim ** len(legs) > _CACHE_ELEMS:
-        return np.asarray(_node_tensor(d, v, legs))
+    if dim ** len(signs) > _CACHE_ELEMS:
+        return np.asarray(_node_tensor(d, v, signs))
     phase = () if n.phase is None else n.phase.exact_ints()
     if phase is None:       # an approximate phase is never cached
-        return np.asarray(_node_tensor(d, v, legs))
-    key = (n.kind, dim, phase, tuple([sign for _, sign in legs]))
+        return np.asarray(_node_tensor(d, v, signs))
+    key = (n.kind, dim, phase, signs)
     t = _node_tensor_cache.get(key)
     if t is None:
-        t = np.asarray(_node_tensor(d, v, legs))
+        t = np.asarray(_node_tensor(d, v, signs))
         charge = _cache_charge(t.size, dim)
         if _cache_charged + charge <= _CACHE_ENTRIES:
             t.setflags(write=False)
@@ -457,16 +467,14 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
     """Run d's plan (_plan): build its leaves' tensors, contract each
     step's pair with np.tensordot and place what is left in the output."""
     dim = d.dimension
-    it = iter(_cached_plan(d))
-    _, n_in, n_out, n_leaves, n_wires, n_steps, n_parts = islice(it, 7)
-    scalar = complex(d.scalar)
+    _, n_in, n_out, leaves, n_wires, steps, layout = _cached_plan(d)
+    scalar = d.scalar
     # Tensors in creation order: a closed one folds into the scalar and
     # takes no slot, and a contracted one leaves its slot empty.
     slots = []
-    for v, how in islice(zip(it, it), n_leaves):
-        legs = _loop_free_legs(d, v) if how == _LOOP_FREE else d.legs(v)
-        arr = _shared_node_tensor(d, v, legs)
-        if how == _TRACED:
+    for v, signs, traced in leaves:
+        arr = _shared_node_tensor(d, v, signs)
+        if traced:
             arr = np.trace(arr)
         if arr.ndim:
             slots.append(arr)
@@ -474,24 +482,17 @@ def _evaluate_fast(d: dg.Diagram) -> DenseOperator:
             scalar *= complex(arr)
     for _ in range(n_wires):
         slots.append(np.eye(dim, dtype=complex))
-    for _ in range(n_steps):
-        i, j, k = islice(it, 3)
-        merged = np.tensordot(slots[i], slots[j],
-                              axes=(list(islice(it, k)), list(islice(it, k))))
+    it = iter(steps)
+    for i, j, axes in zip(it, it, it):
+        merged = np.tensordot(slots[i], slots[j], axes=axes)
         slots[i] = slots[j] = None
         if merged.ndim:
             slots.append(merged)
         else:
             scalar *= complex(merged)
-    matrix = _place(slots, it, n_parts, n_out + n_in, scalar)
+    matrix = _place(slots, layout, scalar)
     return DenseOperator(dim, n_in, n_out, matrix.reshape(
         dim ** n_out, dim ** n_in))
-
-
-# How a leaf's tensor is built: from all of its node's legs, from a
-# spider's legs less its self-loops (each a factor of one), or from a
-# box's legs, traced over its self-loop.
-_ALL_LEGS, _LOOP_FREE, _TRACED = 0, 1, 2
 
 
 def _loop_free_legs(d: dg.Diagram, v: int) -> tuple:
@@ -499,19 +500,23 @@ def _loop_free_legs(d: dg.Diagram, v: int) -> tuple:
     return tuple(leg for leg in d.legs(v) if edges[leg[0]] != (v, v))
 
 
-def _plan(d: dg.Diagram) -> list:
-    """The fast path's schedule for d as a list of ints, from all that it
-    depends on: the dimension, each node's kind and boundary position in
-    id order, and the edges. Phases and the scalar play no part.
+def _plan(d: dg.Diagram) -> tuple:
+    """The fast path's schedule for d, in the form _evaluate_fast runs
+    it, from all that it depends on: the dimension, each node's kind and
+    boundary position in id order, and the edges. Phases and the scalar
+    play no part.
 
-    In order:
+    A tuple of:
     * the largest rank it checks against _FAST_CAP (2 for an eta table),
-      n_in, n_out, and the counts of leaves, bare wires, steps and parts;
-    * per leaf, an inner node in id order: its id and how its tensor is
-      built (_ALL_LEGS, _LOOP_FREE or _TRACED);
-    * per step: the slots i and j it contracts, the number k of labels
-      they share, and the k axes of each in np.tensordot's order;
-    * per part left over, smallest first: _layout's ints.
+      n_in and n_out;
+    * the leaves, one per inner node in id order: its id, the signs of
+      the legs its tensor is built from (all of a node's legs, or a
+      spider's less its self-loops, each a factor of one) and whether
+      the tensor is traced (a box's, over its self-loop);
+    * the number of bare wires;
+    * the steps, each the slots i and j it contracts and np.tensordot's
+      axes, a pair of tuples;
+    * the layout of the parts left over (_layout).
     Each leaf's tensor, then an identity per bare wire, then each step's
     result takes the next slot, unless it has no legs; then it folds into
     the scalar.
@@ -559,25 +564,24 @@ def _plan(d: dg.Diagram) -> list:
     leaves = []
     looped = {s for s, t in d.edges if s == t}
     for v, kind in inner:
-        legs, how = d.legs(v), _ALL_LEGS
+        legs = d.legs(v)
         if kind in dg.SPIDER_KINDS and v in looped:
-            legs, how = _loop_free_legs(d, v), _LOOP_FREE
+            legs = _loop_free_legs(d, v)
         check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
         top = max(top, len(legs))
         if kind == dg.X:
             _check_eta_table(dim, v)
             top = max(top, 2)
         labels = [ends[e][0] if e in ends else e for e, _ in legs]
-        if len(labels) == 2 and labels[0] == labels[1]:   # a box self-loop
-            labels, how = [], _TRACED
-        leaves += (v, how)
-        add(labels)
+        traced = len(labels) == 2 and labels[0] == labels[1]  # a box loop
+        leaves.append((v, tuple([sign for _, sign in legs]), traced))
+        add([] if traced else labels)
     wires = [labs for labs in ends.values() if len(labs) == 2]
     for labs in wires:
         add(labs)
 
     # A popped pair whose tensor is gone is stale.
-    steps, n_steps = [], 0
+    steps = []
     while heap:
         rank, i, j = heapq.heappop(heap)
         if i not in live or j not in live:
@@ -589,42 +593,43 @@ def _plan(d: dg.Diagram) -> list:
             for lab in labs:
                 holders[lab].remove(c)
         shared = [lab for lab in la if lab in lb]
-        n_steps += 1
-        steps += (i, j, len(shared), *[la.index(x) for x in shared],
-                  *[lb.index(x) for x in shared])
+        steps += (i, j, (tuple([la.index(x) for x in shared]),
+                         tuple([lb.index(x) for x in shared])))
         add([x for x in la + lb if x not in shared])
 
-    layout = _layout([(c, dim ** len(labs), labs)
+    layout = _layout([(c, (dim,) * len(labs), labs)
                       for c, labs in live.items()],
                      [~k for k in range(n_out + n_in)])
-    return [top, n_in, n_out, len(leaves) // 2, len(wires),
-            n_steps, len(live),
-            *leaves, *steps, *layout]
+    return (top, n_in, n_out, tuple(leaves), len(wires), tuple(steps),
+            layout)
 
 
-def _layout(parts: list, want: list) -> list:
-    """How _place puts `parts`, (id, size, labels) triples whose labels
-    make up `want`, in the output, as ints: per part, smallest first, its
-    id, its rank r, the order of its r axes in the output, and unless it
-    is the only part, the r output positions they go to."""
+def _layout(parts: list, want: list) -> tuple:
+    """How _place puts `parts`, (id, shape, labels) triples whose labels
+    make up `want`, in the output: per part, smallest first, its id and
+    the order of its axes in the output and, unless it is the only part,
+    the shape it takes there, its axes at their output positions and size
+    1 at the others."""
     labels = [lab for _, _, labs in parts for lab in labs]
     if sorted(labels) != sorted(want):
         raise AssertionError(f"contraction lost track of legs: {labels}")
     position = {lab: i for i, lab in enumerate(want)}
     layout = []
-    for k, _, labs in sorted(parts, key=lambda part: part[1]):
-        perm = sorted(range(len(labs)), key=lambda a: position[labs[a]])
-        layout += (k, len(labs), *perm)
-        if len(parts) > 1:
-            layout += sorted(position[lab] for lab in labs)
-    return layout
+    for k, shape, labs in sorted(parts, key=lambda part: math.prod(part[1])):
+        perm = tuple(sorted(range(len(labs)), key=lambda a: position[labs[a]]))
+        if len(parts) == 1:
+            layout.append((k, perm))
+            continue
+        placed = [1] * len(want)
+        for a in perm:
+            placed[position[labs[a]]] = shape[a]
+        layout.append((k, perm, tuple(placed)))
+    return tuple(layout)
 
 
-def _place(arrays: list, layout, n_parts: int, width: int,
-           scalar: complex) -> np.ndarray:
-    """The output tensor of width axes that the ints of `layout` (from
-    _layout, read from an iterator) build from n_parts of `arrays`, times
-    the scalar.
+def _place(arrays: list, layout: tuple, scalar: complex) -> np.ndarray:
+    """The output tensor that `layout` (from _layout) builds from
+    `arrays`, times the scalar.
 
     Smallest part first, each part's axes go to their positions in the
     output, with size-1 axes for the others, and one broadcasting
@@ -633,18 +638,12 @@ def _place(arrays: list, layout, n_parts: int, width: int,
     A lone part is a view of a tensor that may be cached, so one multiply
     scales its transpose into a new array.
     """
-    if n_parts == 1:
-        k, r = islice(layout, 2)
-        return np.multiply(arrays[k].transpose(list(islice(layout, r))),
-                           scalar, order="C")
+    if len(layout) == 1:
+        (k, perm), = layout
+        return np.multiply(arrays[k].transpose(perm), scalar, order="C")
     matrix = np.array(1.0, dtype=complex)
-    for n in range(n_parts):
-        k, r = islice(layout, 2)
-        arr, perm = arrays[k], list(islice(layout, r))
-        shape = [1] * width
-        for a, p in zip(perm, islice(layout, r)):
-            shape[p] = arr.shape[a]
-        part = np.transpose(arr, perm).reshape(shape)
+    for n, (k, perm, shape) in enumerate(layout):
+        part = np.transpose(arrays[k], perm).reshape(shape)
         matrix = part if n == 0 else np.multiply(part, matrix, order="C")
     matrix *= scalar
     return matrix
@@ -654,10 +653,9 @@ def _assemble(parts: list, want: list, scalar: complex) -> np.ndarray:
     """The output tensor, axes in `want` order, of the disconnected
     remainder `parts`, (array, labels) pairs whose labels make up `want`,
     times the scalar: _place, by _layout."""
-    layout = _layout([(k, arr.size, labs)
+    layout = _layout([(k, arr.shape, labs)
                       for k, (arr, labs) in enumerate(parts)], want)
-    return _place([arr for arr, _ in parts], iter(layout), len(parts),
-                  len(want), scalar)
+    return _place([arr for arr, _ in parts], layout, scalar)
 
 
 # An inner node's kind in a structure key.
@@ -668,34 +666,51 @@ def _structure_key(d: dg.Diagram) -> bytes | None:
     """All that _plan reads of d, as int16 bytes: D, the boundary edges by
     position (outputs, then inputs), the inner nodes' ids and kinds
     (_KIND_CODES) in id order, and the edges' endpoints; these fix each
-    node's kind and boundary position. None when an int does not fit."""
+    node's kind and boundary position. None when an int does not fit.
+    The edges are read into the array straight from d.edges."""
     out_edges, in_edges, inner = _boundary_order(d)
     try:
-        return array("h", [
+        key = array("h", [
             d.dimension, len(out_edges), len(in_edges), len(inner),
             *out_edges, *in_edges,
-            *[x for v, kind in inner for x in (v, _KIND_CODES[kind])],
-            *itertools.chain.from_iterable(d.edges)]).tobytes()
+            *[x for v, kind in inner for x in (v, _KIND_CODES[kind])]])
+        key.extend(itertools.chain.from_iterable(d.edges))
     except OverflowError:
         return None
+    return key.tobytes()
 
 
-def _plan_charge(key: bytes, plan: array) -> int:
-    """Bytes charged for keeping a plan: its key's and its ints' bytes,
-    plus 240 for the two objects' headers and the dict's slot, which
-    measure about 150 B a plan. The smallest key and plan take 8 and 28
-    bytes, so a budget of 2^20 bytes holds at most 3,799 plans."""
-    return len(key) + plan.itemsize * len(plan) + 240
+def _share(x, new: dict):
+    """x, a plan or a part of one, with each tuple in it, and x itself if
+    it is a tuple, replaced by the equal tuple that kept plans hold; a
+    tuple that none holds yet goes into `new`, keyed by itself."""
+    if type(x) is not tuple:
+        return x
+    x = tuple([_share(y, new) for y in x])
+    kept = _shared.get(x)
+    return new.setdefault(x, x) if kept is None else kept
 
 
-def _cached_plan(d: dg.Diagram):
-    """_plan(d), kept as int32s under d's structure key while the plan
-    cache has room: it fills until a plan would pass _PLAN_BUDGET charged
-    bytes, refuses that one, still stores a later one that fits, and never
-    evicts. A kept plan is used only while D to its largest checked rank
-    is within _FAST_CAP; past it, _plan refuses afresh, as it would have
-    with no cache. A key of int16s bounds a plan's ints well within
-    int32."""
+def _plan_charge(key: bytes, new: dict) -> int:
+    """Bytes charged for keeping a plan: sys.getsizeof of its key, of
+    each tuple it adds to _shared (_share) and of each int above 256 in
+    one (Python keeps one copy of each smaller int), plus 128 for each of
+    their dict slots, which is what a slot takes at most, 4 x 24 B right
+    after its dict grows, and its index. A plan equal to a kept one adds
+    no tuple."""
+    return sys.getsizeof(key) + 128 + sum(
+        sys.getsizeof(t) + 128 + sum(sys.getsizeof(x) for x in t
+                                     if type(x) is int and x > 256)
+        for t in new)
+
+
+def _cached_plan(d: dg.Diagram) -> tuple:
+    """_plan(d), kept under d's structure key while the plan cache has
+    room: it fills until a plan would pass _PLAN_BUDGET charged bytes,
+    refuses that one, still stores a later one that fits, and never
+    evicts. Kept plans share their equal tuples (_share). A kept plan is
+    used only while D to its largest checked rank is within _FAST_CAP;
+    past it, _plan refuses afresh, as it would have with no cache."""
     global _plan_charged
     key = _structure_key(d)
     plan = _plan_cache.get(key)
@@ -703,9 +718,11 @@ def _cached_plan(d: dg.Diagram):
         return plan
     plan = _plan(d)
     if key is not None:
-        kept = array("i", plan)
-        charge = _plan_charge(key, kept)
+        new = {}
+        kept = _share(plan, new)
+        charge = _plan_charge(key, new)
         if _plan_charged + charge <= _PLAN_BUDGET:
+            _shared.update(new)
             _plan_cache[key] = kept
             _plan_charged += charge
     return plan
@@ -729,27 +746,38 @@ def _pivot(b: np.ndarray) -> int:
     for i in range(0, b.size, _COMPARE_BLOCK):
         mags = np.abs(b[i:i + _COMPARE_BLOCK])
         k = int(mags.argmax())
-        if np.isnan(mags[k]):
+        m = mags[k]
+        if m != m:          # NaN
             return i + k
-        if mags[k] > top:
-            pivot, top = i + k, mags[k]
+        if m > top:
+            pivot, top = i + k, m
     return pivot
 
 
-def _blockwise_max(f, *arrays):
-    """np.max(f(*arrays)) over flat arrays of equal size, block by block as
-    in _pivot, and 0.0 for empty arrays; np.maximum lets a NaN
-    propagate."""
+def _fold_max(m, mags: np.ndarray):
+    """np.maximum.reduce(mags, initial=m) for moduli, and m >= 0 or NaN:
+    the entry argmax picks, the first largest or first NaN, unless m is
+    NaN or at least as large."""
+    v = mags[mags.argmax()]
+    return m if m != m or v <= m else v
+
+
+def _max_abs(a: np.ndarray):
+    """max|a| over flat a, block by block as in _pivot, and 0.0 for an
+    empty a; a NaN propagates."""
     m = 0.0
-    for i in range(0, arrays[0].size, _COMPARE_BLOCK):
-        m = np.maximum.reduce(f(*[x[i:i + _COMPARE_BLOCK] for x in arrays]),
-                              initial=m)
+    for i in range(0, a.size, _COMPARE_BLOCK):
+        m = _fold_max(m, np.abs(a[i:i + _COMPARE_BLOCK]))
     return m
 
 
 def _max_deviation(a: np.ndarray, b: np.ndarray, s: complex):
-    """max|a - s*b| over all entries of flat a and b."""
-    return _blockwise_max(lambda x, y: np.abs(x - s * y), a, b)
+    """max|a - s*b| over all entries of flat a and b, as _max_abs."""
+    m = 0.0
+    for i in range(0, a.size, _COMPARE_BLOCK):
+        m = _fold_max(m, np.abs(a[i:i + _COMPARE_BLOCK]
+                                - s * b[i:i + _COMPARE_BLOCK]))
+    return m
 
 
 def _fit_scalar(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
@@ -770,7 +798,7 @@ def _fit_scalar(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
     a, b = a.reshape(-1), b.reshape(-1)
     pivot = _pivot(b)
     if abs(b[pivot]) < tol:
-        if not _blockwise_max(np.abs, a) < tol:
+        if not _max_abs(a) < tol:
             return None, math.inf
         return 1.0 + 0.0j, float(_max_deviation(a, b, 1.0 + 0.0j))
     s = a[pivot] / b[pivot]
@@ -781,7 +809,7 @@ def _fit_scalar(a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
     # passes without reading |a|.
     deviation = float(_max_deviation(a, b, s))
     if deviation <= tol or deviation <= tol * max(
-            1.0, _blockwise_max(np.abs, a)):
+            1.0, _max_abs(a)):
         return complex(s), deviation
     return None, math.inf
 

@@ -421,7 +421,12 @@ class Tableau:
     [x | z | phase] per generator in a 2n x (2n+1) table: n destabilizers
     (`destab`) first, then the n stabilizers (`rows`). Destabilizer i
     has commutation exponent 1 with stabilizer i and 0 with the others;
-    destabilizer phases are never read."""
+    destabilizer phases are never read.
+
+    _commutation keeps what it finds for the last observable, tagged
+    with that PauliOp object, so that measure after outcome_distribution
+    on the same observable reads it instead of commuting again. apply
+    and a random measurement, which change the rows, drop it."""
 
     def __init__(self, n: int, dim: int, generators):
         _check_system(n, dim)
@@ -458,6 +463,7 @@ class Tableau:
     def _set(self, n: int, dim: int, table: np.ndarray) -> None:
         self.n, self.dim, self.table = n, dim, table
         self.destab, self.rows = table[:n], table[n:]
+        self._kept = None       # (obs, its _commutation) for these rows
 
     @classmethod
     def zero_state(cls, n: int, dim: int) -> "Tableau":
@@ -468,6 +474,7 @@ class Tableau:
         return tab
 
     def apply(self, gate: str, wires, q: int | None = None) -> None:
+        self._kept = None
         _row_conjugate(self.table, gate, wires, q, self.dim)
 
     # -- measurement ------------------------------------------------------
@@ -478,7 +485,16 @@ class Tableau:
         nonzero (none exactly when obs is a scalar, as the rows span all
         words) and its eigenvalue exponent k, or None if a stabilizer
         fails to commute with it. A commuting obs is prod_i rows[i]^-c[i]
-        (i < n), so k is O(n^2)."""
+        (i < n), so k is O(n^2). What it finds is kept for obs until the
+        rows change."""
+        kept = self._kept
+        if kept is not None and kept[0] is obs:
+            return kept[1]
+        found = self._find_commutation(obs)
+        self._kept = (obs, found)
+        return found
+
+    def _find_commutation(self, obs: PauliOp) -> tuple:
         _check_observable(obs, self.n, self.dim)
         d, n, row = self.dim, self.n, obs._row
         c = _row_commutation(row, self.table, d)
@@ -525,6 +541,7 @@ class Tableau:
             raise ValueError("cannot measure a scalar")
         if k is not None:
             return k, True
+        self._kept = None       # the rows change below
         # The first non-commuting stabilizer is the pivot p; multiplying
         # by powers of it makes every other row commute with obs. The
         # old rows[p] becomes destab[p] and obs takes its place.

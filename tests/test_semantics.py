@@ -6,10 +6,13 @@ compared against the module, so the two computations share no code.
 
 import gc
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +286,7 @@ def test_x_spider_tensor_is_built_in_place():
     v = next(v for v in d.nodes if d.node(v).kind == dg.X)
     tracemalloc.start()
     try:
-        t = sem._node_tensor(d, v, d.legs(v))
+        t = sem._node_tensor(d, v, [sign for _, sign in d.legs(v)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,7 +319,7 @@ def test_node_tensors_follow_the_spider_definitions(data, dim, kind, signs):
     legs = d.legs(v)
     assert [sign for _, sign in legs] == signs
     k = len(signs)
-    t = sem._node_tensor(d, v, legs)
+    t = sem._node_tensor(d, v, signs)
 
     u = np.exp(1j * np.array(phase.radians_full(), dtype=complex))
     if kind == dg.Z:
@@ -873,6 +876,7 @@ def empty_plans(monkeypatch):
     cache = {}
     monkeypatch.setattr(sem, "_plan_cache", cache)
     monkeypatch.setattr(sem, "_plan_charged", 0)
+    monkeypatch.setattr(sem, "_shared", {})
     return cache
 
 
@@ -909,16 +913,16 @@ def test_a_kept_plan_runs_its_structure_byte_for_byte(dim, seed):
     rng = random.Random(seed)
     twins = [_rephased(_random_diagram(rng, dim), rng)]
     twins += [_rephased(twins[0], rng) for _ in range(2)]
-    saved = sem._plan_cache, sem._plan_charged
+    saved = sem._plan_cache, sem._plan_charged, sem._shared
     try:
         cold = []
         for d in twins:
-            sem._plan_cache, sem._plan_charged = {}, 0
+            sem._plan_cache, sem._plan_charged, sem._shared = {}, 0, {}
             cold.append(evaluate(d).matrix)
         warm = [evaluate(d).matrix for d in twins]
         kept = len(sem._plan_cache)
     finally:
-        sem._plan_cache, sem._plan_charged = saved
+        sem._plan_cache, sem._plan_charged, sem._shared = saved
     assert kept == 1
     for a, b in zip(cold, warm):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -1045,16 +1049,19 @@ def test_the_first_refusal_holds_with_kept_plans_and_tensors(
 
 
 def _plan_charges(diagrams: list) -> list:
-    """What keeping each diagram's plan alone charges."""
-    saved = sem._plan_cache, sem._plan_charged
+    """What keeping each diagram's plan charges, in turn, from an empty
+    cache: kept plans share their equal tuples, so a plan's charge
+    depends on those kept before it."""
+    saved = sem._plan_cache, sem._plan_charged, sem._shared
     charges = []
     try:
+        sem._plan_cache, sem._plan_charged, sem._shared = {}, 0, {}
         for d in diagrams:
-            sem._plan_cache, sem._plan_charged = {}, 0
+            before = sem._plan_charged
             evaluate(d)
-            charges.append(sem._plan_charged)
+            charges.append(sem._plan_charged - before)
     finally:
-        sem._plan_cache, sem._plan_charged = saved
+        sem._plan_cache, sem._plan_charged, sem._shared = saved
     return charges
 
 
@@ -1073,7 +1080,8 @@ def test_plan_cache_refuses_what_passes_its_room_only(empty_plans,
                                                       monkeypatch):
     # The middle plan, the largest, is refused; the last still fits.
     diagrams = [dg.spider_diagram(3, dg.Z, 1, n) for n in (1, 4, 0)]
-    charges = _plan_charges(diagrams)
+    charges = (_plan_charges(diagrams[:2])
+               + _plan_charges(diagrams[::2])[1:])
     room = charges[0] + charges[2]
     assert charges[1] > charges[2]
     monkeypatch.setattr(sem, "_PLAN_BUDGET", room)
@@ -1099,6 +1107,7 @@ def test_kept_plans_hold_less_than_their_charge(empty_plans):
         held = tracemalloc.get_traced_memory()[0]
         charged, kept = sem._plan_charged, len(empty_plans)
         empty_plans.clear()
+        sem._shared.clear()
         gc.collect()
         held -= tracemalloc.get_traced_memory()[0]
     finally:
@@ -1112,6 +1121,118 @@ def test_a_structure_past_int16_is_planned_and_not_kept(empty_plans):
     assert sem._structure_key(d) is None
     assert abs(evaluate(d).matrix[0, 0] - 3.0) < 1e-12
     assert empty_plans == {}
+
+
+def _outcome(d: dg.Diagram):
+    """evaluate(d)'s matrix as (shape, bytes), or its refusal's text."""
+    try:
+        m = evaluate(d).matrix
+    except ValueError as err:
+        return str(err)
+    return m.shape, m.tobytes()
+
+
+@st.composite
+def _plan_cases(draw):
+    """(d, cache elems, fast cap): a random diagram (_random_diagram's
+    self-loops, traced box loops, bare wires, closed diagrams and
+    disconnected parts) with exact and approximate phases (_rephased),
+    maybe beside a second one, so that its output has several parts;
+    and lowered values of _CACHE_ELEMS and _FAST_CAP, or their defaults."""
+    dim = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    d = _rephased(_random_diagram(rng, dim), rng)
+    if draw(st.booleans()):
+        other = _rephased(_random_diagram(rng, dim), rng)
+        wires = sum(len(x.boundary_ids(k)) for x in (d, other)
+                    for k in (dg.IN, dg.OUT))
+        if dim ** wires <= 2 ** 12:
+            d = compose(d, other, "parallel")
+    elems = draw(st.sampled_from((1, dim, dim ** 2, sem._CACHE_ELEMS)))
+    cap = draw(st.sampled_from((dim, dim ** 2, dim ** 3, sem._FAST_CAP)))
+    return d, elems, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plan_cases())
+def test_a_kept_plan_freezes_neither_cap(case):
+    # Cold, with no kept plan or tensor, at the default caps; then warm on
+    # the kept plan, from an empty node cache, under the drawn caps;
+    # against cold under those caps: the same bytes, or the same refusal.
+    d, elems, cap = case
+    names = ("_plan_cache", "_plan_charged", "_shared", "_node_tensor_cache",
+             "_cache_charged", "_CACHE_ELEMS", "_FAST_CAP")
+    saved = {name: getattr(sem, name) for name in names}
+
+    def empty(plans=True):
+        if plans:
+            sem._plan_cache, sem._plan_charged, sem._shared = {}, 0, {}
+        sem._node_tensor_cache, sem._cache_charged = {}, 0
+
+    try:
+        empty()
+        cold = _outcome(d)
+        kept = len(sem._plan_cache)
+        empty(plans=False)
+        sem._CACHE_ELEMS, sem._FAST_CAP = elems, cap
+        warm = _outcome(d)
+        stored = [t.size for t in sem._node_tensor_cache.values()]
+        empty()
+        want = _outcome(d)
+    finally:
+        for name, value in saved.items():
+            setattr(sem, name, value)
+    assert kept == 1 and not isinstance(cold, str)
+    assert warm == want
+    assert isinstance(warm, str) or warm == cold
+    assert all(size <= elems for size in stored)
+
+
+def _rule_soundness_diagrams(seed: int) -> list:
+    """The diagrams one pass of the benchmark's rule-soundness workload
+    evaluates at `seed`: each case's instance, then its rewrite."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    diagrams = []
+    for case in workloads.rule_cases(seed):
+        dim, source = case.payload
+        if isinstance(source, int):
+            d, site = rw.random_rule_instance(case.kind, dim,
+                                              random.Random(source))
+        else:
+            d, site = dg.from_json(source[0]), source[1]
+        diagrams += [d, rw.apply_rule(d, case.kind, site)]
+    return diagrams
+
+
+def test_seed_one_rule_structures_are_all_kept_and_share_tuples(
+        empty_plans):
+    # The 9,602 evaluations of a seed-1 rule-soundness pass: every one of
+    # their structures is kept within the budget, and kept plans hold one
+    # copy of each equal tuple, the one _shared holds, whole plans too.
+    diagrams = _rule_soundness_diagrams(1)
+    for d in diagrams:
+        sem._cached_plan(d)
+    assert len(diagrams) == 9602
+    assert len(empty_plans) == len({_structure(d) for d in diagrams}) == 2218
+    assert sem._plan_charged <= sem._PLAN_BUDGET
+    held = {}
+
+    def walk(t):
+        assert sem._shared[t] is t
+        held[id(t)] = t
+        for x in t:
+            if type(x) is tuple:
+                walk(x)
+
+    for plan in empty_plans.values():
+        walk(plan)
+    assert len(held) == len(sem._shared)
+    assert len({id(plan) for plan in empty_plans.values()}) < 2218
+    signs = [leaf[1] for plan in empty_plans.values() for leaf in plan[3]]
+    assert len({id(s) for s in signs}) == len(set(signs)) < len(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -1278,6 +1399,86 @@ def test_comparisons_match_the_whole_array_formula_on_random_pairs(
         got = (equal_up_to_scalar(a, b, tol), compare_scalar_exact(a, b, tol))
         want = (_equal_one_shot(a, b, tol), _compare_one_shot(a, b, tol))
     assert repr(got) == repr(want)
+
+
+def _blocked_fit_scalar(a, b, tol: float, block: int) -> tuple:
+    """_fit_scalar as its block helpers read it when each block's largest
+    modulus was np.maximum.reduce'd: the oracle for the one-block path,
+    (s, deviation) bit for bit."""
+    def pivot_of(b):
+        pivot, top = 0, -1.0
+        for i in range(0, b.size, block):
+            mags = np.abs(b[i:i + block])
+            k = int(mags.argmax())
+            if np.isnan(mags[k]):
+                return i + k
+            if mags[k] > top:
+                pivot, top = i + k, mags[k]
+        return pivot
+
+    def blockwise_max(f, *arrays):
+        m = 0.0
+        for i in range(0, arrays[0].size, block):
+            m = np.maximum.reduce(f(*[x[i:i + block] for x in arrays]),
+                                  initial=m)
+        return m
+
+    def max_deviation(a, b, s):
+        return blockwise_max(lambda x, y: np.abs(x - s * y), a, b)
+
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return None, math.inf
+    if a.size == 0:
+        return 1.0 + 0.0j, 0.0
+    a, b = a.reshape(-1), b.reshape(-1)
+    pivot = pivot_of(b)
+    if abs(b[pivot]) < tol:
+        if not blockwise_max(np.abs, a) < tol:
+            return None, math.inf
+        return 1.0 + 0.0j, float(max_deviation(a, b, 1.0 + 0.0j))
+    s = a[pivot] / b[pivot]
+    if abs(s) <= tol:
+        return None, math.inf
+    deviation = float(max_deviation(a, b, s))
+    if deviation <= tol or deviation <= tol * max(
+            1.0, blockwise_max(np.abs, a)):
+        return complex(s), deviation
+    return None, math.inf
+
+
+def _fit_bits(fit: tuple) -> tuple:
+    s, deviation = fit
+    return (None if s is None else struct.pack("dd", s.real, s.imag),
+            struct.pack("d", deviation))
+
+
+@st.composite
+def _shaped_comparison_inputs(draw):
+    """_comparison_inputs, both matrices reshaped to one random shape of
+    their size, or b to another shape of its size."""
+    a, b, tol = draw(_comparison_inputs())
+    n = a.size
+    rows = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    a, b = a.reshape(rows, -1), b.reshape(rows, -1)
+    if draw(st.integers(0, 9)) == 0:
+        b = b.reshape(-1)
+    return a, b, tol
+
+
+@pytest.mark.parametrize("block", [1, 3, sem._COMPARE_BLOCK])
+@settings(max_examples=150, deadline=None)
+@given(_shaped_comparison_inputs())
+@example(_deviation_above_tol())
+def test_fit_scalar_matches_the_blocked_reduce_bit_for_bit(block, inputs):
+    a, b, tol = inputs
+    with pytest.MonkeyPatch.context() as mp, np.errstate(
+            invalid="ignore", over="ignore"):
+        mp.setattr(sem, "_COMPARE_BLOCK", block)
+        got = sem._fit_scalar(a, b, tol)
+        want = _blocked_fit_scalar(a, b, tol, block)
+    assert _fit_bits(got) == _fit_bits(want)
 
 
 def test_compare_scalar_exact_measures_the_deviation_once(monkeypatch):

@@ -778,7 +778,9 @@ def test_measurements_run_no_elimination(monkeypatch, oracle):
 def test_each_measurement_is_one_commutation_pass(monkeypatch):
     # measure and outcome_distribution check the observable, commute it
     # with all 2n rows and read a deterministic outcome from that one
-    # vector, so each makes exactly one _row_commutation call.
+    # vector, so each makes exactly one _row_commutation call; measure
+    # after outcome_distribution on the same observable, as run_circuit's
+    # oracle does, reads the kept pass and makes none.
     calls = []
     real = stabilizer._row_commutation
 
@@ -803,10 +805,32 @@ def test_each_measurement_is_one_commutation_pass(monkeypatch):
                 tab.outcome_distribution(obs)
                 assert len(calls) == 1
                 calls.clear()
-                _, deterministic = tab.measure(obs, rng)
+                # A fresh, equal observable is commuted afresh.
+                _, deterministic = tab.measure(
+                    measurement_observable(step["basis"], step["wires"][0],
+                                           n, d), rng)
                 assert len(calls) == 1, deterministic
+                calls.clear()
+                dist = tab.outcome_distribution(obs)
+                assert tab.measure(obs, rng) == (dist.index(1), True)
+                assert len(calls) == 1
                 seen.add(deterministic)
     assert seen == {True, False}
+
+
+def test_a_kept_commutation_pass_ends_when_the_rows_change():
+    # One observable object throughout: a gate, then a random outcome,
+    # change what its distribution reads.
+    tab = Tableau.zero_state(1, 3)
+    obs = measurement_observable("Z", 0, 1, 3)
+    certain = [Fraction(1), Fraction(0), Fraction(0)]
+    assert tab.outcome_distribution(obs) == certain
+    tab.apply("F", [0])
+    assert tab.outcome_distribution(obs) == [Fraction(1, 3)] * 3
+    k, deterministic = tab.measure(obs, random.Random(0))
+    assert not deterministic
+    assert tab.outcome_distribution(obs) == certain[-k:] + certain[:-k]
+    assert tab.measure(obs, random.Random(0)) == (k, True)
 
 
 def _check_tableau(tab, rng):
