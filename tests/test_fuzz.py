@@ -7,10 +7,12 @@ rules which need exact or zero phases find sites too, and its node ids
 shuffled, so that no matcher may rely on an instance's nodes being
 numbered one after the other. On each case the
 two evaluators agree, every rule's matcher finds the sites of a
-brute-force candidate list, every site of every rule keeps the
+brute-force candidate list, `simplify` leaves none of those sites,
+every site of every rule keeps the
 matrix with a scalar of exactly 1, `simplify` takes the steps that a
 full rescan per step takes and replays, and diagram and trace JSON
-round-trip.
+round-trip. A negative control shows that the brute-force list catches
+keys that lose one site, that of a rule's own random instance.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditzx import diagram as dg
@@ -147,6 +150,37 @@ def test_fuzz_matchers_equal_brute_force(case):
     _, d = case
     for rule, sites in _brute_force_sites(d).items():
         assert rw.find_matches(d, rule) == sites, rule
+
+
+@pytest.mark.parametrize("rule", rw.ALL_RULES)
+def test_brute_force_catches_a_key_that_drops_a_match(rule, monkeypatch):
+    # The negative control for the test above: a record whose keys are
+    # too tight by one candidate, the site of the rule's own random
+    # instance, finds other sites than the brute-force list.
+    record = rw._RULES[rule]
+    cases = [rw.random_rule_instance(rule, dim, random.Random(f"{rule}:{dim}"))
+             for dim in (2, 3, 4, 5)]
+    for d, _site in cases:
+        assert rw.find_matches(d, rule) == _brute_force_sites(d)[rule]
+    for d, site in cases:
+        def too_tight(g, edges, nodes, site=site):
+            return (key for key in record.keys(g, edges, nodes)
+                    if record.site(g, key) != site)
+
+        monkeypatch.setitem(rw._RULES, rule, record._replace(keys=too_tight))
+        sites = _brute_force_sites(d)[rule]
+        assert site in sites
+        assert rw.find_matches(d, rule) != sites
+
+
+@settings(max_examples=100, deadline=None)
+@given(spliced_diagrams)
+def test_simplify_leaves_no_brute_force_site(case):
+    # simplify's own fixpoint check reads the keys it would be checking;
+    # the brute-force sites do not.
+    _, d = case
+    left = _brute_force_sites(rw.simplify(d)[0])
+    assert not any(left[rule] for rule in rw._SIMPLIFY_ORDER), left
 
 
 @settings(max_examples=100, deadline=None)

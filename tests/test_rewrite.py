@@ -913,11 +913,18 @@ def test_simplify_refuses_to_stop_before_its_fixpoint(monkeypatch):
 def test_simplify_checks_per_step_do_not_grow_with_the_chain(monkeypatch):
     # The worklist checks only what a step changed: the checks per step
     # on a 1,280-CNOT chain stay within twice those on an 80-CNOT one.
-    calls = []
+    # The keys test kind, legs and phase, so on these chains no check
+    # refuses: the phased degree-2 spiders of a fusible chain and the
+    # inputs of a CNOT chain are never queued.
+    calls, refused = [], []
     for rule in ALL_RULES:
         def counted(d, site, check=rw._RULES[rule].check):
             calls.append(site)
-            return check(d, site)
+            try:
+                return check(d, site)
+            except RuleMatchError:
+                refused.append(site)
+                raise
 
         monkeypatch.setitem(rw._RULES, rule,
                             rw._RULES[rule]._replace(check=counted))
@@ -927,6 +934,22 @@ def test_simplify_checks_per_step_do_not_grow_with_the_chain(monkeypatch):
         _, trace = simplify(_cnot_chain(3, n))
         per_step.append(len(calls) / len(trace.steps))
     assert per_step[1] <= 2 * per_step[0], per_step
+    for d in (_fusible_chain(3, 40), _cnot_chain(3, 80)):
+        refused.clear()
+        simplify(d)
+        assert refused == []
+
+
+def test_simplify_leaves_no_brute_force_site_on_chains():
+    # simplify's own fixpoint check reads the keys it would be checking;
+    # the brute-force sites do not.
+    from test_fuzz import _brute_force_sites
+
+    chains = [_fusible_chain(3, 40), _cnot_chain(3, 80)]
+    chains += [_cnot_chain(dim, 6) for dim in (2, 3, 5)]
+    for d in chains:
+        left = _brute_force_sites(simplify(d)[0])
+        assert not any(left[rule] for rule in rw._SIMPLIFY_ORDER), left
 
 
 def _pinned_inputs():
