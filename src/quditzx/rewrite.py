@@ -739,11 +739,14 @@ class _Worklist:
     and self-loops): the record's waits_on names that site key, and a
     refused key waits on the node it names and is pushed again when that
     is touched. No rule here changes a node's kind. The keys of the rules
-    simplify does not use are never built here.
+    simplify does not use are never built here. The worklist keeps the
+    records it reads, (rule, record) in _SIMPLIFY_ORDER, read from _RULES
+    once when it is made.
     """
 
     def __init__(self, d: dg.DiagramBuilder):
         self.d = d
+        self.records = [(rule, _RULES[rule]) for rule in _SIMPLIFY_ORDER]
         self.heaps = {rule: [] for rule in _SIMPLIFY_ORDER}
         self.queued = {rule: set() for rule in _SIMPLIFY_ORDER}
         self.waiting = {}           # node -> refused (rule, key) pairs
@@ -763,15 +766,15 @@ class _Worklist:
             for rule, key in self.waiting.pop(v, ()):
                 self._push(rule, key)
         nodes = [v for v in nodes if v in d]
-        for rule in _SIMPLIFY_ORDER:
-            for key in _rule(rule).keys(d, edges, nodes):
+        for rule, r in self.records:
+            for key in r.keys(d, edges, nodes):
                 self._push(rule, key)
 
     def pop(self):
-        """(rule, site) of the next step, or None at the fixpoint."""
-        for rule in _SIMPLIFY_ORDER:
+        """(rule, record, site) of the next step, or None at the
+        fixpoint."""
+        for rule, r in self.records:
             heap, queued = self.heaps[rule], self.queued[rule]
-            r = _rule(rule)
             while heap:
                 key = heapq.heappop(heap)
                 queued.discard(key)
@@ -779,7 +782,7 @@ class _Worklist:
                 if site is None:
                     continue
                 if _fits(self.d, r.check, site):
-                    return rule, site
+                    return rule, r, site
                 if r.waits_on:
                     self.waiting.setdefault(site[r.waits_on],
                                             set()).add((rule, key))
@@ -799,11 +802,11 @@ def simplify(d: dg.Diagram) -> tuple:
     g = dg.DiagramBuilder.from_diagram(d)
     work = _Worklist(g)
     while (found := work.pop()) is not None:
-        rule, site = found
+        rule, r, site = found
         n_edges = len(g.edges)
         g.start_step()
         try:
-            _rule(rule).apply(g, site)
+            r.apply(g, site)
         except ValueError as exc:
             raise AssertionError(
                 f"{rule} failed at its own match {site}: {exc}") from exc

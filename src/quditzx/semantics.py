@@ -16,11 +16,12 @@ significant digit of the row/column index.
 evaluate() offers two independently written paths. "reference" sums a
 weight over every joint edge assignment, one factor per node; it is the
 semantic definition, transcribed. "fast" contracts the tensor network
-pairwise, greedily, the pair with the smallest merged tensor first and
-ties to the oldest pair. They share nothing beyond the node tensor
-helper, and tests hold them to each other at 1e-10. "fast" plans, then
-runs. _plan reads only the diagram's structure (D, each node's kind and
-boundary position in id order, the edges) and returns the whole
+pairwise in the cheapest of three greedy orders: by smallest merged
+tensor, and by Gray and Kourtis's size difference at two weights, each
+with ties to the oldest pair (_plan). They share nothing beyond the node
+tensor helper, and tests hold them to each other at 1e-10. "fast" plans,
+then runs. _plan reads only the diagram's structure (D, each node's kind
+and boundary position in id order, the edges) and returns the whole
 schedule in the form the run reads: per leaf its node id, the signs of
 the legs its tensor is built from and whether it is traced; the number
 of bare wires; per step its two slots and tensordot's axes as a pair of
@@ -521,13 +522,21 @@ def _plan(d: dg.Diagram) -> tuple:
     result takes the next slot, unless it has no legs; then it folds into
     the scalar.
 
-    The order is greedy, smallest merged tensor first with ties to the
-    oldest pair, from a heap of (merged rank, older, newer) for each pair
-    sharing a label when the newer was made. Each leg is labelled by an
-    int: edge e by e, and the k-th open wire by ~k, outputs by position
-    first, then inputs. Every size check runs here, in this order: the
-    output matrix, then each node's tensor and eta table in id order,
-    then each merge in turn.
+    The order is the cheapest of three greedy runs (_greedy) over the
+    same tensors, each popping the pair of least cost first, ties to the
+    oldest pair. The first costs a pair its merged rank. The other two
+    cost it Gray and Kourtis's size difference, D^r - alpha (D^a + D^b)
+    for merged rank r and input ranks a and b, at alpha = 1 and 2 (Gray
+    & Kourtis, arXiv:2002.01935). A later run's steps are kept only when
+    they do strictly fewer multiply-adds, sum of D^(a + b - shared), than
+    those kept so far, and merge nothing of a higher rank than the first
+    run does; so the plan never costs more, nor makes a larger tensor,
+    than the first run's. A plan of at most one step has one order, and
+    the later runs are skipped. Each leg is labelled by an int: edge e
+    by e, and the k-th open wire by ~k, outputs by position first, then
+    inputs. Every size check runs here, in this order: the output
+    matrix, then each node's tensor and eta table in id order, then each
+    of the first run's merges in turn.
     """
     dim = d.dimension
     out_edges, in_edges, inner = _boundary_order(d)
@@ -541,6 +550,50 @@ def _plan(d: dg.Diagram) -> tuple:
     for k, e in enumerate(out_edges + in_edges):
         ends.setdefault(e, []).append(~k)
 
+    leaves, tensors = [], []
+    looped = {s for s, t in d.edges if s == t}
+    for v, kind in inner:
+        legs = d.legs(v)
+        if kind in dg.SPIDER_KINDS and v in looped:
+            legs = _loop_free_legs(d, v)
+        check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
+        top = max(top, len(legs))
+        if kind == dg.X:
+            _check_eta_table(dim, v)
+            top = max(top, 2)
+        labels = [ends[e][0] if e in ends else e for e, _ in legs]
+        traced = len(labels) == 2 and labels[0] == labels[1]  # a box loop
+        leaves.append((v, tuple([sign for _, sign in legs]), traced))
+        tensors.append([] if traced else labels)
+    wires = [labs for labs in ends.values() if len(labs) == 2]
+    tensors += wires
+
+    steps, live, macs, widest = _greedy(tensors, dim, None)
+    top = max(top, widest)
+    if len(steps) > 3:          # more than one step
+        for alpha in (1, 2):
+            run = _greedy(tensors, dim, alpha)
+            if run[2] < macs and run[3] <= widest:
+                steps, live, macs = run[:3]
+
+    layout = _layout([(c, (dim,) * len(labs), labs)
+                      for c, labs in live.items()],
+                     [~k for k in range(n_out + n_in)])
+    return (top, n_in, n_out, tuple(leaves), len(wires), tuple(steps),
+            layout)
+
+
+def _greedy(tensors: list, dim: int, alpha) -> tuple:
+    """One greedy contraction of `tensors`, label lists in slot order:
+    (flat steps as _plan keeps them, the slots left and their labels,
+    the multiply-adds, the largest merged rank).
+
+    A heap holds (cost, older, newer) for each pair sharing a label when
+    the newer was made, and pops the least first; a popped pair whose
+    tensor is gone is stale. The cost of a pair of ranks a and b merging
+    to rank r is r when alpha is None, and D^r - alpha (D^a + D^b)
+    otherwise. Only the run by merged rank (alpha None) checks each merge
+    against _FAST_CAP, in turn."""
     # live: slot -> labels, in creation order; holders: label -> live
     # slots carrying it.
     live, holders, heap = {}, {}, []
@@ -556,52 +609,37 @@ def _plan(d: dg.Diagram) -> tuple:
             for h in held:
                 shared[h] = shared.get(h, 0) + 1
             held.append(c)
+        b = len(labels)
         for h, n in shared.items():
-            rank = len(labels) + len(live[h]) - 2 * n
-            heapq.heappush(heap, (rank, h, c))
+            a = len(live[h])
+            rank = a + b - 2 * n
+            cost = rank if alpha is None else (
+                dim ** rank - alpha * (dim ** a + dim ** b))
+            heapq.heappush(heap, (cost, h, c))
         live[c] = labels
 
-    leaves = []
-    looped = {s for s, t in d.edges if s == t}
-    for v, kind in inner:
-        legs = d.legs(v)
-        if kind in dg.SPIDER_KINDS and v in looped:
-            legs = _loop_free_legs(d, v)
-        check_size(dim, len(legs), _FAST_CAP, _NODE_REFUSAL, v, kind)
-        top = max(top, len(legs))
-        if kind == dg.X:
-            _check_eta_table(dim, v)
-            top = max(top, 2)
-        labels = [ends[e][0] if e in ends else e for e, _ in legs]
-        traced = len(labels) == 2 and labels[0] == labels[1]  # a box loop
-        leaves.append((v, tuple([sign for _, sign in legs]), traced))
-        add([] if traced else labels)
-    wires = [labs for labs in ends.values() if len(labs) == 2]
-    for labs in wires:
-        add(labs)
-
-    # A popped pair whose tensor is gone is stale.
-    steps = []
+    for labels in tensors:
+        add(labels)
+    steps, macs, widest = [], 0, 0
     while heap:
-        rank, i, j = heapq.heappop(heap)
+        _, i, j = heapq.heappop(heap)
         if i not in live or j not in live:
             continue
-        check_size(dim, rank, _FAST_CAP, _FAST_REFUSAL)
-        top = max(top, rank)
-        la, lb = live.pop(i), live.pop(j)
+        la, lb = live[i], live[j]
+        shared = [lab for lab in la if lab in lb]
+        rank = len(la) + len(lb) - 2 * len(shared)
+        if alpha is None:
+            check_size(dim, rank, _FAST_CAP, _FAST_REFUSAL)
+        widest = max(widest, rank)
+        macs += dim ** (len(la) + len(lb) - len(shared))
+        del live[i], live[j]
         for c, labs in ((i, la), (j, lb)):
             for lab in labs:
                 holders[lab].remove(c)
-        shared = [lab for lab in la if lab in lb]
         steps += (i, j, (tuple([la.index(x) for x in shared]),
                          tuple([lb.index(x) for x in shared])))
         add([x for x in la + lb if x not in shared])
-
-    layout = _layout([(c, (dim,) * len(labs), labs)
-                      for c, labs in live.items()],
-                     [~k for k in range(n_out + n_in)])
-    return (top, n_in, n_out, tuple(leaves), len(wires), tuple(steps),
-            layout)
+    return steps, live, macs, widest
 
 
 def _layout(parts: list, want: list) -> tuple:

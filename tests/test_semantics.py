@@ -1001,6 +1001,125 @@ def test_warm_plans_keep_the_pinned_contraction_order(empty_plans,
         399, "fdca6c3cb4f0556f737126236a09f1ca39d4b7816a973d1f3ac9369d52cbb513")
 
 
+def _plan_work(leaves: tuple, n_wires: int, steps, dim: int) -> tuple:
+    """(multiply-adds, largest merged rank) of running `steps` on the
+    slots that `leaves` and `n_wires` bare wires make, read from the
+    plan's own form: a tensor of a legs and one of b sharing s merge in
+    D^(a + b - s) multiply-adds to one of a + b - 2s legs."""
+    ranks = [len(signs) for _, signs, traced in leaves
+             if signs and not traced] + [2] * n_wires
+    macs = widest = 0
+    it = iter(steps)
+    for i, j, (axes, _) in zip(it, it, it):
+        a, b, s = ranks[i], ranks[j], len(axes)
+        macs += dim ** (a + b - s)
+        widest = max(widest, a + b - 2 * s)
+        if a + b - 2 * s:
+            ranks.append(a + b - 2 * s)
+    return macs, widest
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
+@example(2, 1060)   # a size-difference run is cheaper, but merges wider
+def test_plan_keeps_the_cheapest_greedy_order(dim, seed):
+    # Every greedy run _plan makes, spied: the merged-rank run first, and
+    # the two size-difference runs only past one step. The kept steps do
+    # no more multiply-adds and merge no larger a tensor than the
+    # merged-rank run's, and are its steps unless a later run is strictly
+    # cheaper within its largest merge; then they are the cheapest one's.
+    d = _random_diagram(random.Random(seed), dim)
+    runs, real = [], sem._greedy
+
+    def spy(tensors, dim, alpha):
+        out = real(tensors, dim, alpha)
+        runs.append((alpha, out))
+        return out
+
+    sem._greedy = spy
+    try:
+        _, _, _, leaves, n_wires, steps, _ = sem._plan(d)
+    finally:
+        sem._greedy = real
+    first = runs[0][1]
+    assert [alpha for alpha, _ in runs] == (
+        [None] if len(first[0]) <= 3 else [None, 1, 2])
+    for _, (run_steps, _, macs, widest) in runs:
+        assert _plan_work(leaves, n_wires, run_steps, dim) == (macs, widest)
+    macs, widest = _plan_work(leaves, n_wires, steps, dim)
+    assert macs <= first[2] and widest <= first[3]
+    cheaper = [out for _, out in runs[1:]
+               if out[2] < first[2] and out[3] <= first[3]]
+    if not cheaper:
+        assert steps == tuple(first[0])
+    else:
+        best = min(cheaper, key=lambda out: out[2])
+        assert (steps, macs) == (tuple(best[0]), best[2])
+
+
+def _deep_circuit(dim: int, wires: int, layers: int,
+                  rng: random.Random) -> dg.Diagram:
+    """A circuit of generator diagrams: per layer a CNOT or a swap on two
+    neighbouring wires, and on each other wire an F or Fdag box, an exact
+    phase of either colour or a plain wire."""
+    d = None
+    for _ in range(layers):
+        k = rng.randrange(wires - 1)
+        parts, w = [], 0
+        while w < wires:
+            if w == k:
+                parts.append(generator_diagram(
+                    rng.choice(("cnot", "cnot", "swap")), dim))
+                w += 2
+                continue
+            r = rng.random()
+            if r < 0.3:
+                part = generator_diagram(
+                    rng.choice(("fourier", "fourier_dag")), dim)
+            elif r < 0.6:
+                part = dg.spider_diagram(
+                    dim, rng.choice((dg.Z, dg.X)), 1, 1, PhaseVector(dim, [
+                        Turn.exact(rng.randrange(dim), dim)
+                        for _ in range(dim - 1)]))
+            else:
+                part = dg.wire_diagram(dim)
+            parts.append(part)
+            w += 1
+        layer = parts[0]
+        for part in parts[1:]:
+            layer = compose(layer, part, "parallel")
+        d = layer if d is None else compose(d, layer, "sequential")
+    return d
+
+
+def test_a_deep_circuit_is_contracted_in_half_the_multiply_adds(
+        empty_plans, monkeypatch):
+    # A D=5, 3-wire, 50-layer circuit: the kept order does at most half
+    # the multiply-adds of the merged-rank order, in as many tensordot
+    # calls, and its matrix is that order's to 1e-12 relative.
+    d = _deep_circuit(5, 3, 50, random.Random(6))
+    macs = []
+    real = np.tensordot
+
+    def spy(a, b, axes=2):
+        summed = math.prod(a.shape[x] for x in axes[0])
+        macs.append(a.size * b.size // summed)
+        return real(a, b, axes=axes)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    kept = evaluate(d).matrix
+    kept_macs, calls = sum(macs), len(macs)
+    empty_plans.clear()
+    macs.clear()
+    greedy = sem._greedy
+    monkeypatch.setattr(sem, "_greedy", lambda tensors, dim, alpha: greedy(
+        tensors, dim, alpha) if alpha is None else ([], {}, math.inf, 0))
+    by_rank = evaluate(d).matrix
+    assert len(macs) == calls
+    assert 2 * kept_macs <= sum(macs)
+    assert _dev(kept, by_rank) <= 1e-12 * np.max(np.abs(by_rank))
+
+
 def test_a_kept_plan_refuses_under_a_lowered_cap(empty_plans, monkeypatch):
     d = _complete_graph(2, 5)
     evaluate(d)
