@@ -42,7 +42,7 @@ from . import semantics as sem
 from . import stabilizer as st
 from . import synthesis as sy
 from . import toyrel as trel
-from .phases import check_size, json_int
+from .phases import check_size, json_int, json_list
 
 __all__ = ["main", "run"]
 
@@ -92,7 +92,10 @@ def _emit_json(obj) -> None:
 
 def _load_json_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -299,7 +302,7 @@ def _cmd_stab_run(args) -> tuple:
     try:
         n = json_int(obj["n"], f"{args.circuit}: n")
         dim = json_int(obj["dim"], f"{args.circuit}: dim")
-        circuit = list(obj["circuit"])
+        circuit = json_list(obj["circuit"], f"{args.circuit}: circuit")
     except (KeyError, TypeError):
         raise ValueError(f"{args.circuit}: circuit file needs n, dim and "
                          "circuit fields") from None

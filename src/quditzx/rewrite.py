@@ -532,9 +532,11 @@ class _Rule(NamedTuple):
 # loop. F1_color keys every spider, and B_bialgebra a square (a, b, q1,
 # q2) of degree-3 spiders, a < b, with common out-targets q1 < q2. On the
 # seed-1 zx-circuits benchmark pass, simplify's checks accept 1,729 keys
-# and refuse 56, down from 9,908 when keys tested little beyond degree.
-# The 56 went stale in the queue: a later step removed their boxes, or
-# changed their spider's legs or phase.
+# and refuse 28, down from 9,908 when keys tested little beyond degree.
+# The 28 are D_identity keys that went stale in the queue: a later step
+# changed their spider's legs or phase. A key whose kept spider (S_fuse)
+# or either box (F2_cancel) a later step removed maps to no site, so it
+# is dropped before any check.
 _RULES = {
     "S_fuse": _Rule(
         _check_s_fuse, _apply_s_fuse,
@@ -588,7 +590,8 @@ _RULES = {
         lambda d, edges, _nodes: (
             (min(s, t), max(s, t)) for s, t in edges.values()
             if _ADJOINT.get(d.nodes[s].kind) == d.nodes[t].kind),
-        lambda d, key: {"boxes": list(key)},
+        lambda d, key: ({"boxes": list(key)}
+                        if key[0] in d and key[1] in d else None),
         {"boxes": _is_pair}, _draw_f2_cancel, 2),
     "loop_remove": _Rule(
         _check_loop_remove, _apply_loop_remove,

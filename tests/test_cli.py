@@ -3,7 +3,8 @@
 All tests drive `run(argv)` in-process and read stdout/stderr through
 capsys, so exit codes and JSON payloads are checked without spawning
 processes; two final smoke tests spawn one: the installed console script
-(skipped where `quditzx` is not on PATH) and `python -m quditzx.cli`.
+(skipped where `quditzx` is not on PATH) and `python -m quditzx.cli`. The
+rows of `cli_cases.py` that are not ci_only run here too.
 Exit-code contract: 0 = checks passed, 1 = a check failed, 2 = unusable
 invocation.
 """
@@ -24,6 +25,9 @@ from quditzx import diagram as dg
 from quditzx import semantics as sem
 from quditzx.cli import run
 from quditzx.phases import PhaseVector, Turn
+
+import cli_cases
+from cli_cases import DIAGRAM_FAULTS, cnot_with
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +166,6 @@ def test_eval_builds_only_what_its_mode_prints(cnot_file, monkeypatch,
     monkeypatch.setattr(np, "array2string", refuse)
     assert run(["eval", cnot_file, "--json"]) == 0
     assert _json_out(capsys)["nOut"] == 2
-
-
-def test_eval_missing_file_is_a_usage_error(tmp_path, capsys):
-    assert run(["eval", str(tmp_path / "nope.json"), "--json"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_eval_unparseable_file_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("this is not json")
-    assert run(["eval", str(path)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
-
-
-def test_eval_invalid_diagram_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "notdiagram.json"
-    path.write_text('{"answer": 42}')
-    assert run(["eval", str(path)]) == 2
-    assert "not a valid diagram" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("phase", ['{"exact": [1, 0]}', '{"approx": NaN}',
@@ -750,68 +735,6 @@ def test_export_dot_to_file(cnot_file, tmp_path, capsys):
 # bad input: every one ends in run's single handler
 
 
-DROP = object()
-_EXACT = ["nodes", 0, "phase", 0, "exact"]
-_PART = "an exact phase part must be an integer, got "
-_PAIR = ("node 0 phase entry 0: an exact phase must be a [numerator, "
-         "denominator] pair of integers, got ")
-# Diagrams that from_json refuses, each the CNOT diagram with a field set
-# at each path (DROP deletes it instead), by the name the bad-input table
-# uses, and the refusal's exact text. Node 0 is its Z spider, node 1 its
-# X spider and node 3 an input; both spiders' phases are [0/1, 0/1].
-DIAGRAM_FAULTS = [
-    ("dimfloat", [(["dimension"], 3.9)],
-     "dimension must be an integer, got 3.9"),
-    ("dimtext", [(["dimension"], "3")],
-     "dimension must be an integer, got '3'"),
-    ("idfloat", [(["nodes", 5, "id"], 5.7)],
-     "node id must be an integer, got 5.7"),
-    ("positionbool", [(["nodes", 3, "position"], True)],
-     "node 3 position must be an integer, got True"),
-    ("edgefloat", [(["edges", 4, 1], 0.0)],
-     "edge 4 target must be an integer, got 0.0"),
-    ("exactfloat", [(_EXACT, [1.5, 3])], _PART + "1.5"),
-    ("scalarnan", [(["scalar"], [math.nan, 0.0])],
-     "scalar must be two finite numbers, got [nan, 0.0]"),
-    ("scalarthree", [(["scalar"], [1.0, 0.0, 0.0])],
-     "scalar must be two finite numbers, got [1.0, 0.0, 0.0]"),
-    ("scalartext", [(["scalar"], ["1", 0])],
-     "scalar must be two finite numbers, got ['1', 0]"),
-    ("edgethree", [(["edges", 4], [2, 0, 7])],
-     "edge 4 must be a [source, target] pair, got [2, 0, 7]"),
-    ("edgeint", [(["edges", 4], 5)],
-     "edge 4 must be a [source, target] pair, got 5"),
-    ("kindlist", [(["nodes", 3, "kind"], ["Z"])],
-     "node 3 has an unknown kind ['Z']"),
-    ("noderecint", [(["nodes", 3], 5)],
-     "node record 3 must be an object, got 5"),
-    ("nodesint", [(["nodes"], 5)], "nodes must be a list, got 5"),
-    ("edgesint", [(["edges"], 5)], "edges must be a list, got 5"),
-    ("nokind", [(["nodes", 3, "kind"], DROP)], "node 3 has no 'kind' field"),
-    ("noposition", [(["nodes", 3, "position"], DROP)],
-     "node 3 has no 'position' field"),
-    # a later spider repeating an earlier phase with a part that equals
-    # the earlier one in Python, but is not a JSON integer
-    ("repeatfloat", [(["nodes", 1, "phase", 0, "exact"], [0, 1.0])],
-     _PART + "1.0"),
-    ("repeatbool", [(["nodes", 1, "phase", 0, "exact"], [0, True])],
-     _PART + "True"),
-    ("repeatfalse", [(["nodes", 1, "phase", 0, "exact"], [False, 1])],
-     _PART + "False"),
-    ("repeattext", [(["nodes", 1, "phase", 0, "exact"], [0, "1"])],
-     _PART + "'1'"),
-    ("repeatapprox", [(["nodes", 0, "phase"], [{"approx": 1}] * 2),
-                      (["nodes", 1, "phase"], [{"approx": True}] * 2)],
-     "approximate phase is not finite or not a number: {'approx': True}"),
-    # malformed phases, each named by its node
-    ("exactthree", [(_EXACT, [1, 2, 3])], _PAIR + "[1, 2, 3]"),
-    ("exactone", [(_EXACT, [1])], _PAIR + "[1]"),
-    ("exactint", [(_EXACT, 5)], _PAIR + "5"),
-    ("phaseobject", [(["nodes", 0, "phase"], {"exact": [1, 2]})],
-     "node 0 phase must be a list, got {'exact': [1, 2]}"),
-    ("phasetext", [(["nodes", 0, "phase"], "1/3")],
-     "node 0 phase must be a list, got '1/3'"),
-]
 # Whole documents that from_json refuses, and the refusal's exact text.
 DIAGRAM_DOCS = [
     ("empty", {}, "diagram JSON has no 'dimension' field"),
@@ -829,23 +752,9 @@ DIAGRAM_DOCS = [
 ]
 
 
-def _cnot_with(changes) -> dict:
-    """The CNOT diagram's JSON object with each (path, value) set."""
-    obj = json.loads(dg.to_json(dg.generator_diagram("cnot", 3)))
-    for path, value in changes:
-        target = obj
-        for key in path[:-1]:
-            target = target[key]
-        if value is DROP:
-            del target[path[-1]]
-        else:
-            target[path[-1]] = value
-    return obj
-
-
 @pytest.mark.parametrize(
     "doc, text",
-    [(_cnot_with(changes), text) for _, changes, text in DIAGRAM_FAULTS]
+    [(cnot_with(changes), text) for _, changes, text in DIAGRAM_FAULTS]
     + [(doc, text) for _, doc, text in DIAGRAM_DOCS],
     ids=[name for name, _, _ in DIAGRAM_FAULTS + DIAGRAM_DOCS])
 def test_diagram_refusal_text_is_pinned(doc, text):
@@ -854,185 +763,38 @@ def test_diagram_refusal_text_is_pinned(doc, text):
     assert str(exc.value) == text
 
 
-@pytest.fixture()
-def bad_input_files(tmp_path):
-    """Paths for the bad-input table, keyed by the name used in its argv."""
-    files = {"missing": str(tmp_path / "missing")}
-
-    def write(name, text):
-        path = tmp_path / name
-        path.write_text(text)
-        files[name] = str(path)
-
-    cnot = dg.to_json(dg.generator_diagram("cnot", 3))
-    write("cnot", cnot)
-    for name, changes, _ in DIAGRAM_FAULTS:
-        write(name, json.dumps(_cnot_with(changes)))
-    b = dg.DiagramBuilder(3)
-    prev = b.add_input(0)
-    for _ in range(46):
-        v = b.add_spider(dg.Z)
-        b.add_edge(prev, v)
-        prev = v
-    b.add_edge(prev, b.add_output(0))
-    chain = b.finish()
-    assert len(chain.edges) == 47  # past the reference evaluator's cap
-    write("chain47", dg.to_json(chain))
-    # a D=5 spider with 11 legs: 5^11 entries, past the fast path's cap
-    write("spider11", dg.to_json(dg.spider_diagram(5, dg.X, 5, 6)))
-    # an F box with one input and two outputs
-    write("fbox", json.dumps({
-        "dimension": 3, "scalar": [1, 0],
-        "nodes": [{"id": 0, "kind": "in", "position": 0},
-                  {"id": 1, "kind": "F", "inPort": 0, "outPort": 1},
-                  {"id": 2, "kind": "out", "position": 0},
-                  {"id": 3, "kind": "out", "position": 1}],
-        "edges": [[0, 1], [1, 2], [1, 3]]}))
-    # a closed F/Fdag cycle whose F2_cancel multiplies the scalar by D,
-    # past the largest float
-    write("fcycle", json.dumps({
-        "dimension": 3, "scalar": [1e308, 0.0],
-        "nodes": [{"id": 0, "kind": "F"}, {"id": 1, "kind": "Fdag"}],
-        "edges": [[0, 1], [1, 0]]}))
-    # a legless Z spider, worth D times its scalar: finite as written, and
-    # its matrix past the largest float
-    b = dg.DiagramBuilder(3)
-    b.add_spider(dg.Z)
-    zbig = dg.to_json_dict(b.finish())
-    zbig["scalar"] = [1e308, 1e308]
-    write("zbig", json.dumps(zbig))
-    for name, n, step in [
-            ("cnot00", 2, {"gate": "CNOT", "wires": [0, 0]}),
-            ("wire5", 2, {"gate": "F", "wires": [5]}),
-            ("wireneg", 2, {"gate": "F", "wires": [-1]}),
-            ("measure0", 2, {"gate": "measure", "wires": []}),
-            ("sqtext", 2, {"gate": "Sq", "wires": [0], "q": "a"}),
-            ("noqudits", 0, {"gate": "measure", "wires": [0]}),
-            ("sqbool", 2, {"gate": "Sq", "wires": [0], "q": True}),
-            ("sqthree", 2, {"gate": "Sq", "wires": [0], "q": 3}),
-            ("wirebool", 2, {"gate": "F", "wires": [True]}),
-            ("basisy", 2, {"gate": "measure", "wires": [0], "basis": "Y"})]:
-        write(name, json.dumps({"n": n, "dim": 3, "circuit": [step]}))
-    write("dim0", json.dumps({"n": 1, "dim": 0, "circuit": []}))
-    write("nfloat", json.dumps({"n": 1.5, "dim": 3, "circuit": []}))
-    write("nbool", json.dumps({"n": True, "dim": 3, "circuit": []}))
-    write("dimtext3", json.dumps({"n": 1, "dim": "3", "circuit": []}))
-    # primes past the tableau's int64 bound D < 2^20
-    for name, dim in [("dimbound", 1048583), ("dimhuge", 10 ** 18 + 9)]:
-        write(name, json.dumps({"n": 1, "dim": dim, "circuit": [
-            {"gate": "measure", "wires": [0], "basis": "X"}]}))
-    # 2^40 amplitudes: past the dense oracle's cap
-    write("oracle40", json.dumps({"n": 40, "dim": 2, "circuit": [
-        {"gate": "F", "wires": [0]},
-        {"gate": "measure", "wires": [0], "basis": "Z"}]}))
-    # past the tableau's 4096-qudit cap, and past the dense oracle's cap
-    # by a D^n of 1432 digits
-    for n in (10000, 3000):
-        write(f"oracle{n}", json.dumps({"n": n, "dim": 3, "circuit": [
-            {"gate": "measure", "wires": [0], "basis": "Z"}]}))
-    # 1021^2 amplitudes pass the dense oracle's cap; its CNOT matrix of
-    # 1021^4 entries does not
-    write("oracle1021", json.dumps({"n": 2, "dim": 1021, "circuit": [
-        {"gate": "CNOT", "wires": [0, 1]},
-        {"gate": "measure", "wires": [0], "basis": "Z"}]}))
-    return files
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    return cli_cases.write_inputs(tmp_path_factory.mktemp("cli_inputs"))
 
 
-BAD_INPUTS = [
-    ("spek-check --dim 1", None),
-    ("spek-check --dim 0", None),
-    ("spek-check --dim 8", None),
-    ("phase-space --dim 4", None),
-    ("phase-space --n 0", None),
-    ("phase-space --cases 0", None),
-    ("phase-space --cases -3", None),
-    ("phase-space --dim 3 --n 50 --cases 1", None),
-    ("phase-space --dim 3 --n 1 --cases 100000000", None),
-    ("phase-space --dim 2 --n 1 --cases 16384", None),
-    ("eval {chain47} --method reference", None),
-    ("eval {fbox}", None),
-    ("eval {spider11}", None),
-    ("eval {cnot} --method both", "nan"),
-    ("eval {cnot} --method both", "inf"),
-    ("eval {dimfloat}", None),
-    ("eval {dimtext}", None),
-    ("eval {idfloat}", None),
-    ("eval {positionbool}", None),
-    ("eval {edgefloat}", None),
-    ("eval {exactfloat}", None),
-    ("eval {scalarnan}", None),
-    ("eval {scalarthree}", None),
-    ("eval {scalartext}", None),
-    ("eval {edgethree}", None),
-    ("eval {edgeint}", None),
-    ("eval {kindlist}", None),
-    ("eval {noderecint}", None),
-    ("eval {nodesint}", None),
-    ("eval {edgesint}", None),
-    ("eval {nokind}", None),
-    ("eval {noposition}", None),
-    ("eval {exactthree}", None),
-    ("eval {exactone}", None),
-    ("eval {exactint}", None),
-    ("eval {phaseobject}", None),
-    ("eval {phasetext}", None),
-    ("simplify {cnot} --out {missing}/x.json", None),
-    ("simplify {fcycle}", None),
-    ("eval {fcycle}", None),
-    ("eval {fcycle} --json", None),
-    ("eval --method both {fcycle}", None),
-    ("eval {zbig} --method reference", None),
-    ("simplify --verify {zbig}", None),
-    ("export-dot {cnot} --out {missing}/x.dot", None),
-    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol 0", None),
-    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol -1", None),
-    ("rule-check --rule S_fuse --dim 2 --trials 1 --tol nan", None),
-    ("stab-run {cnot00}", None),
-    ("stab-run {cnot00} --oracle", None),
-    ("stab-run {wire5}", None),
-    ("stab-run {wireneg}", None),
-    ("stab-run {wireneg} --oracle", None),
-    ("stab-run {measure0}", None),
-    ("stab-run {sqtext}", None),
-    ("stab-run {noqudits}", None),
-    ("stab-run {sqbool}", None),
-    ("stab-run {sqthree}", None),
-    ("stab-run {wirebool}", None),
-    ("stab-run {basisy}", None),
-    ("stab-run {dim0}", None),
-    ("stab-run {nfloat}", None),
-    ("stab-run {nbool}", None),
-    ("stab-run {dimtext3}", None),
-    ("stab-run {oracle40} --oracle", None),
-    ("stab-run {oracle1021} --oracle", None),
-    ("stab-run {oracle10000} --oracle", None),
-    ("stab-run {oracle3000} --oracle", None),
-    ("stab-run {dimbound}", None),
-    ("stab-run {dimhuge}", None),
-    ("synth --dim 3 --target xj --j 1 --phi nan", None),
-    ("synth --dim 3 --target zj --j 0 --state nan,0,0", None),
-    ("synth --dim 100000 --target zj --j 0", None),
-    ("synth --dim 100000 --target xj --j 1 --phi 0.5", None),
-]
+def _tier1_rows(refusals: bool):
+    rows = [row for row in cli_cases.ROWS
+            if not row.ci_only and (row.code == 2) == refusals]
+    return pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
 
 
-@pytest.mark.parametrize(
-    "command, env_tol", BAD_INPUTS,
-    ids=[c if t is None else f"QUDITZX_TOL={t} {c}" for c, t in BAD_INPUTS])
-def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
-                                     monkeypatch, capsys, recwarn):
-    if env_tol is None:
-        monkeypatch.delenv("QUDITZX_TOL", raising=False)
-    else:
-        monkeypatch.setenv("QUDITZX_TOL", env_tol)
-    argv = [part.format(**bad_input_files) for part in command.split()]
-    assert run(argv) == 2
+def _holds(row, files, monkeypatch, capsys, recwarn):
+    # a warning is one more stderr line, as a subprocess would print it
+    monkeypatch.delenv("QUDITZX_TOL", raising=False)
+    if row.tol is not None:
+        monkeypatch.setenv("QUDITZX_TOL", row.tol)
+    code = run(cli_cases.argv(row, files))
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
-    assert [str(w.message) for w in recwarn] == []
+    err = captured.err + "".join(f"{w.message}\n" for w in recwarn)
+    assert cli_cases.check(row, files, code, captured.out, err) == [], err
+
+
+@_tier1_rows(refusals=True)
+def test_bad_input_is_one_error_line(row, cli_inputs, monkeypatch, capsys,
+                                     recwarn):
+    _holds(row, cli_inputs, monkeypatch, capsys, recwarn)
+
+
+@_tier1_rows(refusals=False)
+def test_cli_run_keeps_its_contract(row, cli_inputs, monkeypatch, capsys,
+                                    recwarn):
+    _holds(row, cli_inputs, monkeypatch, capsys, recwarn)
 
 
 @pytest.mark.parametrize("name, where", [
@@ -1044,8 +806,8 @@ def test_bad_input_is_one_error_line(command, env_tol, bad_input_files,
     ("edgesint", "edges must be a list"),
     ("nokind", "node 3 has no 'kind'"),
     ("noposition", "node 3 has no 'position'")])
-def test_bad_diagram_field_is_named(name, where, bad_input_files, capsys):
-    assert run(["eval", bad_input_files[name]]) == 2
+def test_bad_diagram_field_is_named(name, where, cli_inputs, capsys):
+    assert run(["eval", cli_inputs[name]]) == 2
     assert where in capsys.readouterr().err
 
 

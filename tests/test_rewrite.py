@@ -190,6 +190,21 @@ def test_f2_cancel_closed_cycle_traces_to_dimension():
     assert abs(d2.scalar - 5.0) < 1e-12
 
 
+def test_f2_cancel_maps_the_key_of_a_removed_box_to_no_site():
+    # F, Fdag, F on a wire: cancelling the first pair removes the Fdag, so
+    # the queued key of the second pair is dropped before its check runs
+    b = DiagramBuilder(3)
+    i, o = b.add_input(0), b.add_output(0)
+    f1, fd, f2 = b.add_box(dg.F), b.add_box(dg.FDAG), b.add_box(dg.F)
+    for edge in ((i, f1), (f1, fd), (fd, f2), (f2, o)):
+        b.add_edge(*edge)
+    site = rw._RULES["F2_cancel"].site
+    assert site(b, (f1, fd)) == {"boxes": [f1, fd]}
+    assert site(b, (fd, f2)) == {"boxes": [fd, f2]}
+    apply_rule(b, "F2_cancel", {"boxes": [f1, fd]})
+    assert site(b, (fd, f2)) is None
+
+
 def test_f1_color_flips_a_fully_boxed_spider():
     # Fdag into a Z spider and F out of it is the Fourier conjugation
     # that turns it into an X spider with the same phase.
